@@ -1,4 +1,4 @@
-"""Hot enumeration kernels for cover verification.
+"""The pair scan behind cover verification.
 
 Verifying that a labeled group covers a fusion tensor requires scanning all
 |G|^2 ordered pairs (g1, g2): each pair must land on an admissible sector
@@ -7,18 +7,13 @@ at all (coverage / partition structure constants).  At the top of the
 supported range |G| = 2^13, i.e. ~6.7e7 group additions, so this is the one
 genuinely hot loop in the package.
 
-Two interchangeable backends are provided:
-
-* ``numba``  - @njit compiled loops (default when numba imports),
-* ``numpy``  - pure-numpy chunked vectorization.
-
-Selection: the ``FUSIONCOVER_BACKEND`` environment variable ("numba" or
-"numpy"), falling back to numba when available.  Both backends return
-bit-identical results; ``bench/benchmark_backends.py`` compares their speed.
+One chunked numpy scan serves every group; only the group law differs:
+cosets of a 2-group quotient are integers added by XOR, other finite
+abelian groups are mixed-radix digit tuples added componentwise.
 
 Each scan returns the *first* closure violation in canonical order (g1
 ascending, then g2) plus the full realized-triple tensor, so certificates
-are deterministic regardless of backend, chunking, or thread count.
+are deterministic regardless of chunking or thread count.
 """
 
 from __future__ import annotations
@@ -27,75 +22,36 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import numpy.typing as npt
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-BACKEND_ENV_VAR = "FUSIONCOVER_BACKEND"
+# numba is not used; the scan is numpy only.
+HAVE_NUMBA = False
 
 # Elements per numpy work chunk; keeps per-chunk scratch around tens of MB.
 _CHUNK_ELEMS = 1 << 22
 
 
 def active_backend() -> str:
-    """The backend in effect: the env override if set, else numba when available."""
-    choice = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if choice:
-        if choice not in ("numba", "numpy"):
-            raise ValueError(
-                f"{BACKEND_ENV_VAR} must be 'numba' or 'numpy', got {choice!r}"
-            )
-        if choice == "numba" and not HAVE_NUMBA:
-            raise ValueError(f"{BACKEND_ENV_VAR}=numba but numba is not importable")
-        return choice
-    return "numba" if HAVE_NUMBA else "numpy"
+    """The scan backend in effect: always ``"numpy"``."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# XOR groups (quotients of Z_2^r): elements are integers, addition is ^.
-# ---------------------------------------------------------------------------
+def _scan(sec, n, d_flat, add_rows, row_cost, start, stop):
+    """Scan rows g1 in [start, stop) against every g2.
 
-@njit(cache=True, nogil=True)
-def _scan_xor_numba(sec, n, d_flat, start, stop):  # pragma: no cover - compiled
+    ``add_rows`` is the group law: it maps a block of g1 values to the
+    (rows, |G|) block of sums g1 + g2.  ``row_cost`` is the int64 scratch it
+    needs per pair and sets the chunk height.
+    """
     size = sec.shape[0]
-    realized = np.zeros(n * n * n, dtype=np.uint8)
-    fg1 = np.int64(-1)
-    fg2 = np.int64(-1)
-    for g1 in range(start, stop):
-        base = sec[g1] * n
-        for g2 in range(size):
-            idx = (base + sec[g2]) * n + sec[g1 ^ g2]
-            realized[idx] = 1
-            if fg1 < 0 and d_flat[idx] == 0:
-                fg1 = g1
-                fg2 = g2
-    return fg1, fg2, realized
-
-
-def _scan_xor_numpy(sec, n, d_flat, start, stop):
-    size = sec.shape[0]
-    g2 = np.arange(size, dtype=np.int64)
     sec_n = sec * n
     realized = np.zeros(n * n * n, dtype=np.uint8)
     first = (-1, -1)
-    rows_per = max(1, _CHUNK_ELEMS // max(size, 1))
+    rows_per = max(1, _CHUNK_ELEMS // max(size * row_cost, 1))
     for a in range(start, stop, rows_per):
         b = min(a + rows_per, stop)
         g1 = np.arange(a, b, dtype=np.int64)
-        idx = (sec_n[g1][:, None] + sec[None, :]) * n + sec[g1[:, None] ^ g2[None, :]]
+        idx = (sec_n[g1][:, None] + sec[None, :]) * n + sec[add_rows(g1)]
         realized[idx.reshape(-1)] = 1
         if first[0] < 0:
             bad = d_flat[idx] == 0
@@ -104,95 +60,45 @@ def _scan_xor_numpy(sec, n, d_flat, start, stop):
                 first = (a + r, c)
     return first[0], first[1], realized
 
-
-# ---------------------------------------------------------------------------
-# General finite abelian groups: elements are mixed-radix digit tuples,
-# addition is componentwise mod the invariant factors.
-# ---------------------------------------------------------------------------
-
-@njit(cache=True, nogil=True)
-def _scan_group_numba(digits, radices, places, sec, n, d_flat, start, stop):  # pragma: no cover
-    size = sec.shape[0]
-    t = radices.shape[0]
-    realized = np.zeros(n * n * n, dtype=np.uint8)
-    fg1 = np.int64(-1)
-    fg2 = np.int64(-1)
-    for g1 in range(start, stop):
-        base = sec[g1] * n
-        for g2 in range(size):
-            g3 = np.int64(0)
-            for u in range(t):
-                d = digits[g1, u] + digits[g2, u]
-                if d >= radices[u]:
-                    d -= radices[u]
-                g3 += d * places[u]
-            idx = (base + sec[g2]) * n + sec[g3]
-            realized[idx] = 1
-            if fg1 < 0 and d_flat[idx] == 0:
-                fg1 = g1
-                fg2 = g2
-    return fg1, fg2, realized
-
-
-def _scan_group_numpy(digits, radices, places, sec, n, d_flat, start, stop):
-    size = sec.shape[0]
-    t = radices.shape[0]
-    sec_n = sec * n
-    realized = np.zeros(n * n * n, dtype=np.uint8)
-    first = (-1, -1)
-    rows_per = max(1, _CHUNK_ELEMS // max(size * max(t, 1), 1))
-    for a in range(start, stop, rows_per):
-        b = min(a + rows_per, stop)
-        g1 = np.arange(a, b, dtype=np.int64)
-        d3 = (digits[g1][:, None, :] + digits[None, :, :]) % radices
-        g3 = d3 @ places
-        idx = (sec_n[g1][:, None] + sec[None, :]) * n + sec[g3]
-        realized[idx.reshape(-1)] = 1
-        if first[0] < 0:
-            bad = d_flat[idx] == 0
-            if bad.any():
-                r, c = divmod(int(np.argmax(bad)), size)
-                first = (a + r, c)
-    return first[0], first[1], realized
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
 
 def _row_ranges(size: int, threads: int) -> list[tuple[int, int]]:
-    threads = max(1, min(threads, size)) if size else 1
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    threads = min(threads, size) if size else 1
     bounds = np.linspace(0, size, threads + 1).astype(np.int64)
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(threads)]
 
 
-def _run_scan(run_range, size: int, threads: int):
-    """Run a range kernel over row partitions and merge deterministically.
+def _pool_size(partitions: int) -> int:
+    """Worker threads for the partitions: no more than the machine's CPUs."""
+    return min(partitions, os.cpu_count() or 1)
+
+
+def _run_scan(sec, n, d_flat, add_rows, row_cost, threads):
+    """Scan all pairs over row partitions and merge deterministically.
 
     The merged first violation is the one with the smallest (g1, g2); since
     ranges partition ascending g1, the earliest range that reports one wins.
     """
-    ranges = _row_ranges(size, threads)
-    if len(ranges) == 1:
-        results = [run_range(*ranges[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            results = list(pool.map(lambda se: run_range(*se), ranges))
-    first = (-1, -1)
-    realized = None
-    for fg1, fg2, part in results:
-        realized = part if realized is None else np.maximum(realized, part)
-        if first[0] < 0 and fg1 >= 0:
-            first = (int(fg1), int(fg2))
+    sec = np.ascontiguousarray(sec, dtype=np.int64)
+    d_flat = np.ascontiguousarray(d_flat, dtype=np.uint8)
+    ranges = _row_ranges(len(sec), threads)
+    with ThreadPoolExecutor(max_workers=_pool_size(len(ranges))) as pool:
+        results = pool.map(lambda se: _scan(sec, n, d_flat, add_rows, row_cost, *se), ranges)
+        first = (-1, -1)
+        realized = np.zeros(n * n * n, dtype=np.uint8)
+        for fg1, fg2, part in results:
+            np.maximum(realized, part, out=realized)
+            if first[0] < 0 and fg1 >= 0:
+                first = (int(fg1), int(fg2))
     return first, realized
 
 
 def scan_pairs_xor(
-    sec: np.ndarray,
+    sec: npt.ArrayLike,
     n_sectors: int,
     d_flat: np.ndarray,
     threads: int = 1,
-    backend: str | None = None,
 ) -> tuple[tuple[int, int], np.ndarray]:
     """All-pairs scan of an XOR group of size len(sec).
 
@@ -200,23 +106,17 @@ def scan_pairs_xor(
     admissibility tensor.  Returns ((g1, g2) of the first closure violation,
     or (-1, -1) if none), and the flattened realized-triple tensor.
     """
-    backend = active_backend() if backend is None else backend
-    sec = np.ascontiguousarray(sec, dtype=np.int64)
-    d_flat = np.ascontiguousarray(d_flat, dtype=np.uint8)
-    kern = _scan_xor_numba if backend == "numba" else _scan_xor_numpy
-    return _run_scan(
-        lambda a, b: kern(sec, n_sectors, d_flat, a, b), len(sec), threads
-    )
+    g2 = np.arange(len(sec), dtype=np.int64)
+    return _run_scan(sec, n_sectors, d_flat, lambda g1: g1[:, None] ^ g2, 1, threads)
 
 
 def scan_pairs_group(
-    digits: np.ndarray,
-    radices: np.ndarray,
-    sec: np.ndarray,
+    digits: npt.ArrayLike,
+    radices: npt.ArrayLike,
+    sec: npt.ArrayLike,
     n_sectors: int,
     d_flat: np.ndarray,
     threads: int = 1,
-    backend: str | None = None,
 ) -> tuple[tuple[int, int], np.ndarray]:
     """All-pairs scan of a finite abelian group given by mixed-radix digits.
 
@@ -224,21 +124,17 @@ def scan_pairs_group(
     group Z_{radices[0]} x ... x Z_{radices[t-1]}; element codes follow the
     big-endian mixed-radix order used throughout (first factor slowest).
     """
-    backend = active_backend() if backend is None else backend
-    digits = np.ascontiguousarray(digits, dtype=np.int64)
-    radices = np.ascontiguousarray(radices, dtype=np.int64)
-    sec = np.ascontiguousarray(sec, dtype=np.int64)
-    d_flat = np.ascontiguousarray(d_flat, dtype=np.uint8)
+    digits = np.asarray(digits, dtype=np.int64)
+    radices = np.asarray(radices, dtype=np.int64)
     t = len(radices)
     places = np.ones(t, dtype=np.int64)
     for u in range(t - 2, -1, -1):
         places[u] = places[u + 1] * radices[u + 1]
-    kern = _scan_group_numba if backend == "numba" else _scan_group_numpy
-    return _run_scan(
-        lambda a, b: kern(digits, radices, places, sec, n_sectors, d_flat, a, b),
-        len(sec),
-        threads,
-    )
+
+    def add_rows(g1):
+        return ((digits[g1][:, None, :] + digits[None, :, :]) % radices) @ places
+
+    return _run_scan(sec, n_sectors, d_flat, add_rows, max(t, 1), threads)
 
 
 def popcount(x: np.ndarray) -> np.ndarray:

@@ -10,9 +10,12 @@ violation), or an admissible sector triple no pair of elements realizes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
-from .minimal_model import Sector
+import numpy as np
+
+from . import _kernels
+from .minimal_model import FusionTensor, Sector
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -31,10 +34,11 @@ class ClosureViolation:
     g3: Element
     sectors: tuple[Sector, Sector, Sector]
 
-    def describe(self) -> str:
+    def describe(self, element_str: Callable[[Element], str] = str) -> str:
         i, j, k = self.sectors
+        g1, g2, g3 = (element_str(g) for g in (self.g1, self.g2, self.g3))
         return (
-            f"{self.g1} + {self.g2} = {self.g3} maps to {i.name} x {j.name} -> {k.name}, "
+            f"{g1} + {g2} = {g3} maps to {i.name} x {j.name} -> {k.name}, "
             f"but {k.name} does not occur in {i.name} x {j.name}"
         )
 
@@ -45,7 +49,8 @@ class UncoveredTriple:
 
     sectors: tuple[Sector, Sector, Sector]
 
-    def describe(self) -> str:
+    def describe(self, element_str: Callable[[Element], str] = str) -> str:
+        """The witness names no elements, so ``element_str`` is not used."""
         i, j, k = self.sectors
         return (
             f"admissible triple {i.name} x {j.name} -> {k.name} is realized by "
@@ -73,3 +78,31 @@ class CoverCertificate:
     @property
     def passed(self) -> bool:
         return self.verdict == PASS
+
+
+def certify(
+    scan: tuple[tuple[int, int], np.ndarray],
+    sec: np.ndarray,
+    tensor: FusionTensor,
+    element: Callable[[int], Element],
+    add: Callable[[int, int], int],
+) -> CoverCertificate:
+    """The certificate of a ``_kernels`` pair scan over element codes 0..|G|-1.
+
+    ``sec`` gives each code's sector, ``element`` decodes a code into the
+    element a witness reports, and ``add`` is the group law on codes.
+    """
+    (g1, g2), realized = scan
+    d_flat = tensor.coefficients.reshape(-1)
+    stats = _kernels.scan_stats(len(sec), d_flat, realized)
+    secs = tensor.sectors
+    if g1 >= 0:
+        g3 = add(g1, g2)
+        triple = (secs[sec[g1]], secs[sec[g2]], secs[sec[g3]])
+        witness = ClosureViolation(element(g1), element(g2), element(g3), triple)
+        return CoverCertificate(FAIL, witness, stats)
+    miss = _kernels.first_uncovered_triple(d_flat, realized, tensor.n)
+    if miss is not None:
+        i, j, k = miss
+        return CoverCertificate(FAIL, UncoveredTriple((secs[i], secs[j], secs[k])), stats)
+    return CoverCertificate(PASS, None, stats)

@@ -57,8 +57,9 @@ from .minimal_model import (
 )
 from .two_group_cover import BitVector, GroupContext, canonical_cover, verify_cover
 
-# Above this p + q the exhaustive pair scan needs an explicit override.
-DEFAULT_VERIFY_PQ_SUM = 18
+# Scans of more than this many ordered pairs (|G| > 2^13) need an explicit
+# override.  For the canonical cover |G| = 2^(p+q-5), so this is p + q <= 18.
+DEFAULT_VERIFY_PAIRS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -230,21 +231,6 @@ def _witness_payload(witness, element_json) -> dict:
     }
 
 
-def _witness_text(witness, element_str) -> str:
-    if isinstance(witness, ClosureViolation):
-        i, j, k = witness.sectors
-        return (
-            f"witness: {element_str(witness.g1)} + {element_str(witness.g2)} = "
-            f"{element_str(witness.g3)} maps to {i.name} x {j.name} -> {k.name}, "
-            f"but {k.name} does not occur in {i.name} x {j.name}"
-        )
-    i, j, k = witness.sectors
-    return (
-        f"witness: admissible triple {i.name} x {j.name} -> {k.name} "
-        f"is realized by no pair of group elements"
-    )
-
-
 def _certificate_document(
     params: ModelParams,
     cert: CoverCertificate,
@@ -270,8 +256,18 @@ def _certificate_document(
         f"realized sector triples: {cert.stats['realized_triples']}",
     ]
     if cert.witness is not None:
-        lines.append(_witness_text(cert.witness, element_str))
+        lines.append(f"witness: {cert.witness.describe(element_str)}")
     return OutputDocument(format, "cover_certificate", payload, "\n".join(lines))
+
+
+def _check_verify_budget(order: int, allow_large: bool) -> None:
+    pairs = order * order
+    if pairs > DEFAULT_VERIFY_PAIRS and not allow_large:
+        raise CapacityError(
+            f"a group of order {order} has {pairs} pairs, over the default "
+            f"exhaustive-scan budget of {DEFAULT_VERIFY_PAIRS} pairs (2^26); "
+            f"pass --allow-large to proceed"
+        )
 
 
 def cmd_cover_verify(
@@ -284,15 +280,10 @@ def cmd_cover_verify(
 ) -> tuple[OutputDocument, int]:
     """Verify a cover; returns the document and the exit code (0 PASS, 1 FAIL)."""
     params = ModelParams(p, q)
-    tensor = fusion_tensor(params)
     if group_file is None:
-        if p + q > DEFAULT_VERIFY_PQ_SUM and not allow_large:
-            raise CapacityError(
-                f"p + q = {p + q} exceeds the default exhaustive-scan budget "
-                f"{DEFAULT_VERIFY_PQ_SUM}; pass --allow-large to proceed"
-            )
         ctx = GroupContext(params)
-        cert = verify_cover(canonical_cover(ctx), tensor, threads=threads)
+        _check_verify_budget(ctx.n_cosets, allow_large)
+        cert = verify_cover(canonical_cover(ctx), fusion_tensor(params), threads=threads)
         r = ctx.r
         group_info = {
             "kind": "two_group_quotient",
@@ -304,7 +295,8 @@ def cmd_cover_verify(
         element_str = element_json
     else:
         lg = parse_group_file(group_file, params)
-        cert = verify_abelian_cover(lg, tensor, threads=threads)
+        _check_verify_budget(lg.spec.order, allow_large)
+        cert = verify_abelian_cover(lg, fusion_tensor(params), threads=threads)
         group_info = {
             "kind": "abelian",
             "factors": list(lg.spec.factors),
@@ -401,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--allow-large",
         action="store_true",
-        help=f"permit canonical verification beyond p + q = {DEFAULT_VERIFY_PQ_SUM}",
+        help=f"permit scans of more than {DEFAULT_VERIFY_PAIRS} pairs (|G| > 2^13)",
     )
     verify.set_defaults(run=_run_verify)
 

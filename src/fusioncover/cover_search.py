@@ -27,7 +27,7 @@ from math import prod
 import numpy as np
 
 from . import _kernels
-from .certificates import FAIL, PASS, ClosureViolation, CoverCertificate, UncoveredTriple
+from .certificates import CoverCertificate, certify
 from .errors import CapacityError
 from .minimal_model import FusionTensor, ModelParams, Sector, sectors
 
@@ -128,14 +128,17 @@ class LabeledGroup:
         """Build from a map element -> (m, n); labels are canonicalized."""
         from .minimal_model import canonicalize
 
-        elements = spec.elements()
-        missing = [e for e in elements if e not in labels]
-        if missing:
-            raise ValueError(f"labeling is partial: element {missing[0]} has no sector")
-        extra = [e for e in labels if e not in set(elements)]
-        if extra:
-            raise ValueError(f"labeling mentions non-elements: {extra[0]}")
-        indices = tuple(canonicalize(params, *labels[e]).index for e in elements)
+        # Stops at the first gap, so a labeling of a few elements of a huge
+        # group is refused without enumerating the group.
+        indices = []
+        for e in itertools.product(*(range(k) for k in spec.factors)):
+            if e not in labels:
+                raise ValueError(f"labeling is partial: element {e} has no sector")
+            indices.append(canonicalize(params, *labels[e]).index)
+        if len(labels) > len(indices):
+            members = set(spec.elements())
+            extra = next(e for e in labels if e not in members)
+            raise ValueError(f"labeling mentions non-elements: {extra}")
         return cls(spec, params, indices)
 
     @property
@@ -151,7 +154,6 @@ def verify_abelian_cover(
     lg: LabeledGroup,
     tensor: FusionTensor,
     threads: int = 1,
-    backend: str | None = None,
 ) -> CoverCertificate:
     """Check cover conditions (1) and (2) for a labeled abelian group.
 
@@ -161,30 +163,13 @@ def verify_abelian_cover(
     """
     if lg.params != tensor.model:
         raise ValueError(f"labeling is for {lg.params}, tensor for {tensor.model}")
-    spec = lg.spec
-    sec = np.array(lg.sector_indices, dtype=np.int64)
-    d_flat = np.ascontiguousarray(tensor.coefficients.reshape(-1))
-    radices = np.array(spec.factors, dtype=np.int64)
-    first, realized = _kernels.scan_pairs_group(
-        spec.digit_matrix(), radices, sec, tensor.n, d_flat, threads, backend
-    )
-    stats = _kernels.scan_stats(spec.order, d_flat, realized)
+    spec, sec = lg.spec, lg.sector_indices
+    d_flat = tensor.coefficients.reshape(-1)
+    digits = spec.digit_matrix()
+    scan = _kernels.scan_pairs_group(digits, spec.factors, sec, tensor.n, d_flat, threads)
     elements = spec.elements()
-    if first[0] >= 0:
-        g1, g2 = elements[first[0]], elements[first[1]]
-        g3 = spec.add(g1, g2)
-        triple = (
-            lg.sector_of(g1),
-            lg.sector_of(g2),
-            lg.sector_of(g3),
-        )
-        return CoverCertificate(FAIL, ClosureViolation(g1, g2, g3, triple), stats)
-    miss = _kernels.first_uncovered_triple(d_flat, realized, tensor.n)
-    if miss is not None:
-        i, j, k = miss
-        secs = tensor.sectors
-        return CoverCertificate(FAIL, UncoveredTriple((secs[i], secs[j], secs[k])), stats)
-    return CoverCertificate(PASS, None, stats)
+    add = lambda a, b: spec.index_of(spec.add(elements[a], elements[b]))
+    return certify(scan, sec, tensor, elements.__getitem__, add)
 
 
 def multiplicity_profile(tensor: FusionTensor) -> dict[Sector, int]:

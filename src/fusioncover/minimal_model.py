@@ -36,6 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import CapacityError
+
 # Exact rational scalar used for every c and h value.  Fraction already
 # guarantees lowest terms, a positive denominator and structural equality.
 Rational = Fraction
@@ -44,6 +46,10 @@ Rational = Fraction
 # might feed the results into; Python ints would not overflow, but the
 # contract promises a clean error instead of silently huge tables.
 MAX_PQ = 10_000
+
+# Largest fusion tensor built, in cells (N <= 256); the build is an N^3
+# Python loop, so this bounds its time as well as its memory.
+MAX_FUSION_CELLS = 1 << 24
 
 
 def fraction_str(x: Fraction) -> str:
@@ -230,6 +236,12 @@ def fusion_tensor(params: ModelParams) -> FusionTensor:
     complete an admissible triple (the two replacements flip the parity of
     the component sums), so the result is well defined and multiplicity-free.
     """
+    if params.n_sectors ** 3 > MAX_FUSION_CELLS:
+        raise CapacityError(
+            f"the fusion tensor of the ({params.p},{params.q}) model has "
+            f"N^3 = {params.n_sectors ** 3} cells, over the budget of "
+            f"{MAX_FUSION_CELLS} (N <= 256)"
+        )
     p, q = params.p, params.q
     secs = sectors(params)
     n = len(secs)

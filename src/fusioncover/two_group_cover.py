@@ -16,21 +16,21 @@ is realized.  The same scan yields the partition algebra (structure
 constants of coset-class sums), which the theorem says is isomorphic to the
 Verlinde algebra.
 
-Everything is immutable and pure; the pair scan itself runs on the kernels
-in ``_kernels`` (numba or numpy backend) and may be partitioned across
-threads with deterministic results.
+Everything is immutable and pure; the pair scan itself runs in ``_kernels``
+and may be partitioned across threads with deterministic results.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .certificates import FAIL, PASS, ClosureViolation, CoverCertificate, UncoveredTriple
+from .certificates import CoverCertificate, certify
 from .errors import CapacityError, PartitionError
 from .minimal_model import (
     Fraction,
@@ -329,7 +329,6 @@ def verify_cover(
     cm: CoverMap,
     tensor: FusionTensor,
     threads: int = 1,
-    backend: str | None = None,
 ) -> CoverCertificate:
     """Check both cover conditions for a coset assignment against fusion rules.
 
@@ -337,31 +336,15 @@ def verify_cover(
     (g1, g2, g1 + g2) must be admissible.  Condition (2): every admissible
     sector triple must be realized by some pair.  FAIL certificates carry
     the first violation in canonical order (g1 ascending, then g2, then
-    triple index), independent of backend and thread count.
+    triple index), independent of thread count.
     """
     if cm.context.params != tensor.model:
         raise ValueError(
             f"cover map is for {cm.context.params}, tensor for {tensor.model}"
         )
     sec = cm.sector_indices
-    d_flat = np.ascontiguousarray(tensor.coefficients.reshape(-1))
-    first, realized = _kernels.scan_pairs_xor(sec, tensor.n, d_flat, threads, backend)
-    stats = _kernels.scan_stats(len(sec), d_flat, realized)
-    if first[0] >= 0:
-        g1, g2 = first
-        g3 = g1 ^ g2
-        triple = (
-            cm.sectors[sec[g1]],
-            cm.sectors[sec[g2]],
-            cm.sectors[sec[g3]],
-        )
-        return CoverCertificate(FAIL, ClosureViolation(g1, g2, g3, triple), stats)
-    miss = _kernels.first_uncovered_triple(d_flat, realized, tensor.n)
-    if miss is not None:
-        i, j, k = miss
-        triple = (cm.sectors[i], cm.sectors[j], cm.sectors[k])
-        return CoverCertificate(FAIL, UncoveredTriple(triple), stats)
-    return CoverCertificate(PASS, None, stats)
+    scan = _kernels.scan_pairs_xor(sec, tensor.n, tensor.coefficients.reshape(-1), threads)
+    return certify(scan, sec, tensor, int, operator.xor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,7 +366,6 @@ def partition_algebra(
     cm: CoverMap,
     strict: bool = True,
     threads: int = 1,
-    backend: str | None = None,
 ) -> PartitionAlgebra:
     """Structure constants of the partition P_i = preimage of sector i under Phi.
 
@@ -402,7 +384,7 @@ def partition_algebra(
             )
     n = len(cm.sectors)
     ones = np.ones(n * n * n, dtype=np.uint8)
-    _, realized = _kernels.scan_pairs_xor(sec, n, ones, threads, backend)
+    _, realized = _kernels.scan_pairs_xor(sec, n, ones, threads)
     coeff = realized.reshape(n, n, n)
     coeff.setflags(write=False)
     return PartitionAlgebra(cm.sectors, coeff)

@@ -174,6 +174,28 @@ class TestExitCodes:
         missing = str(tmp_path / "missing.cover")
         assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", missing]) == 2
 
+    def test_huge_group_header_is_refused_at_once(self, tmp_path, capsys):
+        big = write_cover(tmp_path, "group 100000 100000\n0,0 -> 1,1\n")
+        assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", big]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_group_file_over_pair_budget(self, tmp_path, capsys):
+        lines = "".join(f"{e} -> 1,1\n" for e in range(8193))
+        big = write_cover(tmp_path, "group 8193\n" + lines)
+        assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", big]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "budget" in err and "--allow-large" in err
+
+    def test_fusion_tensor_over_budget(self, capsys):
+        assert main(["fusion", "--p", "50", "--q", "51"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "budget" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one(self, threads, capsys):
+        assert main(["cover", "verify", "--p", "3", "--q", "4", "--threads", threads]) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+
     def test_allow_large_override(self, capsys):
         assert main(["cover", "verify", "--p", "5", "--q", "14", "--allow-large"]) == 0
         assert "verdict: PASS" in capsys.readouterr().out

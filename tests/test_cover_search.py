@@ -65,6 +65,17 @@ class TestLabeledGroup:
         with pytest.raises(ValueError, match="partial"):
             LabeledGroup.from_kac_labels(spec, ising, labels)
 
+    def test_partial_labeling_of_huge_group_rejected(self, ising):
+        spec = AbelianGroupSpec((100000, 100000))
+        with pytest.raises(ValueError, match=r"partial: element \(0, 1\)"):
+            LabeledGroup.from_kac_labels(spec, ising, {(0, 0): (1, 1)})
+
+    def test_extra_labels_rejected(self, ising):
+        labels = dict(Z4_ISING_LABELS)
+        labels[(4,)] = (1, 1)
+        with pytest.raises(ValueError, match=r"non-elements: \(4,\)"):
+            LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, labels)
+
     def test_identity_must_be_vacuum(self, ising):
         spec = AbelianGroupSpec.cyclic(4)
         labels = dict(Z4_ISING_LABELS)

@@ -1,11 +1,11 @@
-"""Backend equivalence: the numba and numpy scan kernels must agree bit-for-bit."""
+"""The pair scan against a pure-Python double loop over (g1, g2)."""
 
 import numpy as np
 import pytest
 
 from fusioncover import GroupContext, ModelParams, canonical_cover, fusion_tensor
+from fusioncover import _kernels
 from fusioncover._kernels import (
-    BACKEND_ENV_VAR,
     HAVE_NUMBA,
     active_backend,
     popcount,
@@ -14,9 +14,21 @@ from fusioncover._kernels import (
 )
 from fusioncover.cover_search import AbelianGroupSpec
 
-BACKENDS = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
+# Test ids name the backend that ran, as the benchmark's set-up probe records it.
+BACKENDS = [active_backend()]
 
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
+
+def oracle_scan(sec, n, d_flat, add):
+    """First closure violation and realized tensor, one pair at a time."""
+    realized = np.zeros(n * n * n, dtype=np.uint8)
+    first = (-1, -1)
+    for g1 in range(len(sec)):
+        for g2 in range(len(sec)):
+            idx = (sec[g1] * n + sec[g2]) * n + sec[add(g1, g2)]
+            realized[idx] = 1
+            if first == (-1, -1) and not d_flat[idx]:
+                first = (g1, g2)
+    return first, realized
 
 
 def xor_case(p, q, corrupt=False):
@@ -29,29 +41,29 @@ def xor_case(p, q, corrupt=False):
 
 
 class TestXorScan:
-    @needs_numba
     @pytest.mark.parametrize("p,q", [(3, 4), (4, 5), (3, 8), (5, 9)])
     @pytest.mark.parametrize("corrupt", [False, True])
-    def test_backends_agree(self, p, q, corrupt):
+    def test_matches_oracle(self, p, q, corrupt):
         sec, n, d_flat = xor_case(p, q, corrupt)
-        first_np, realized_np = scan_pairs_xor(sec, n, d_flat, backend="numpy")
-        first_nb, realized_nb = scan_pairs_xor(sec, n, d_flat, backend="numba")
-        assert first_np == first_nb
-        assert np.array_equal(realized_np, realized_nb)
+        first, realized = scan_pairs_xor(sec, n, d_flat)
+        expected_first, expected = oracle_scan(sec, n, d_flat, lambda a, b: a ^ b)
+        assert first == expected_first
+        assert (first[0] >= 0) == corrupt
+        assert np.array_equal(realized, expected)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
     def test_thread_count_irrelevant(self, backend, threads):
         sec, n, d_flat = xor_case(4, 7, corrupt=True)
-        baseline = scan_pairs_xor(sec, n, d_flat, threads=1, backend=backend)
-        result = scan_pairs_xor(sec, n, d_flat, threads=threads, backend=backend)
+        baseline = scan_pairs_xor(sec, n, d_flat, threads=1)
+        result = scan_pairs_xor(sec, n, d_flat, threads=threads)
         assert result[0] == baseline[0]
         assert np.array_equal(result[1], baseline[1])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_realized_matches_direct_enumeration(self, backend):
         sec, n, d_flat = xor_case(3, 5)
-        _, realized = scan_pairs_xor(sec, n, d_flat, backend=backend)
+        _, realized = scan_pairs_xor(sec, n, d_flat)
         expected = np.zeros(n * n * n, dtype=np.uint8)
         for g1 in range(len(sec)):
             for g2 in range(len(sec)):
@@ -74,23 +86,32 @@ def group_case(factors, params, indices):
 
 
 class TestGroupScan:
-    @needs_numba
     @pytest.mark.parametrize(
-        "factors,pq,indices",
+        "factors,pq,indices,clean",
         [
-            ((4,), (3, 4), (0, 1, 2, 1)),
-            ((4,), (3, 4), (0, 1, 1, 2)),  # scrambled: must find same first violation
-            ((2, 2), (3, 4), (0, 2, 1, 1)),
-            ((12,), (4, 5), (0, 5, 1, 4, 2, 5, 3, 5, 2, 4, 1, 5)),
-            ((), (2, 3), (0,)),
+            ((4,), (3, 4), (0, 1, 2, 1), True),
+            ((4,), (3, 4), (0, 1, 1, 2), False),  # scrambled Z4 Ising labeling
+            ((2, 2), (3, 4), (0, 2, 1, 1), True),
+            ((2, 2), (3, 4), (0, 1, 1, 1), False),
+            ((12,), (4, 5), (0, 5, 1, 4, 2, 5, 3, 5, 2, 4, 1, 5), True),
+            ((12,), (4, 5), (0, 5, 1, 4, 2, 5, 3, 5, 2, 4, 5, 1), False),
+            ((), (2, 3), (0,), True),
         ],
     )
-    def test_backends_agree(self, factors, pq, indices):
+    def test_matches_oracle(self, factors, pq, indices, clean):
+        spec = AbelianGroupSpec(factors)
         args = group_case(factors, ModelParams(*pq), indices)
-        first_np, realized_np = scan_pairs_group(*args, backend="numpy")
-        first_nb, realized_nb = scan_pairs_group(*args, backend="numba")
-        assert first_np == first_nb
-        assert np.array_equal(realized_np, realized_nb)
+        first, realized = scan_pairs_group(*args)
+        elements = spec.elements()
+        expected_first, expected = oracle_scan(
+            args[2],
+            args[3],
+            args[4],
+            lambda a, b: spec.index_of(spec.add(elements[a], elements[b])),
+        )
+        assert first == expected_first
+        assert (first[0] < 0) == clean
+        assert np.array_equal(realized, expected)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_direct_enumeration(self, backend):
@@ -98,7 +119,7 @@ class TestGroupScan:
         params = ModelParams(5, 6)  # N = 10 sectors, labels chosen arbitrarily
         indices = (0, 3, 1, 2, 9, 4)
         args = group_case(spec.factors, params, indices)
-        _, realized = scan_pairs_group(*args, backend=backend)
+        _, realized = scan_pairs_group(*args)
         n = args[3]
         elements = spec.elements()
         expected = np.zeros(n * n * n, dtype=np.uint8)
@@ -114,46 +135,35 @@ class TestGroupScan:
     @pytest.mark.parametrize("threads", [1, 4])
     def test_threads(self, backend, threads):
         args = group_case((12,), ModelParams(4, 5), (0, 5, 1, 4, 2, 5, 3, 5, 2, 4, 1, 5))
-        baseline = scan_pairs_group(*args, threads=1, backend=backend)
-        result = scan_pairs_group(*args, threads=threads, backend=backend)
+        baseline = scan_pairs_group(*args, threads=1)
+        result = scan_pairs_group(*args, threads=threads)
         assert result[0] == baseline[0]
         assert np.array_equal(result[1], baseline[1])
 
 
-class TestBackendSelection:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+class TestPartitions:
+    def test_numpy_is_the_only_backend(self):
+        assert HAVE_NUMBA is False
         assert active_backend() == "numpy"
-        monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert active_backend() in ("numba", "numpy")
 
-    def test_invalid_value(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cuda")
-        with pytest.raises(ValueError, match="numba|numpy"):
-            active_backend()
-
-    @needs_numba
-    def test_numba_requested_and_available(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-        assert active_backend() == "numba"
-
-    def test_fallback_when_numba_missing(self, monkeypatch):
-        from fusioncover import _kernels
-
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
-        assert active_backend() == "numpy"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numba")
-        with pytest.raises(ValueError, match="not importable"):
-            active_backend()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_scan_honors_env_default(self, monkeypatch, backend):
-        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
         sec, n, d_flat = xor_case(3, 4)
-        first, realized = scan_pairs_xor(sec, n, d_flat)
-        assert first == (-1, -1)
-        assert realized.sum() == 10
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            scan_pairs_xor(sec, n, d_flat, threads=threads)
+
+    def test_partitions_follow_threads_up_to_group_order(self):
+        assert len(_kernels._row_ranges(8192, 3)) == 3
+        ranges = _kernels._row_ranges(8192, 100_000)
+        assert len(ranges) == 8192
+        assert ranges[0] == (0, 1) and ranges[-1] == (8191, 8192)
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 2)
+        assert _kernels._pool_size(8192) == 2
+        assert _kernels._pool_size(1) == 1
+        monkeypatch.setattr(_kernels.os, "cpu_count", lambda: None)
+        assert _kernels._pool_size(8192) == 1
 
 
 class TestPopcount:
