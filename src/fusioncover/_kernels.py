@@ -1,34 +1,53 @@
-"""The pair scan behind cover verification.
+"""Pair counts and the pair scan behind cover verification.
 
-Verifying that a labeled group covers a fusion tensor requires scanning all
+Whether a labeled group G covers a fusion tensor is a statement about all
 |G|^2 ordered pairs (g1, g2): each pair must land on an admissible sector
-triple (closure), and the scan must record which sector triples are realized
-at all (coverage / partition structure constants).  At the top of the
-supported range |G| = 2^13, i.e. ~6.7e7 group additions, so this is the one
-genuinely hot loop in the package.
+triple (closure), and every admissible triple must be realized by some pair
+(coverage).  Both follow from the pair counts
 
-One chunked numpy scan serves every group; only the group law differs:
-cosets of a 2-group quotient are integers added by XOR, other finite
-abelian groups are mixed-radix digit tuples added componentwise.
+    C[i, j, k] = #{(g1, g2) : g1 in P_i, g2 in P_j, g1 + g2 in P_k},
 
-Each scan returns the *first* closure violation in canonical order (g1
-ascending, then g2) plus the full realized-triple tensor, so certificates
-are deterministic regardless of chunking or thread count.
+where P_i is the set of elements labeled by sector i.  ``pair_counts``
+computes C without visiting pairs: with F_i the Fourier transform of the
+indicator of P_i over G,
+
+    C[i, j, k] = (1/|G|) * sum over characters chi of F_i(chi) F_j(chi) conj(F_k(chi)).
+
+For a 2-group the transform is the Walsh-Hadamard transform, integer
+valued, and the sum is exact in float64 while |G| <= 2^17
+(``MAX_COUNT_ORDER``).  Every result is checked: each count must be a
+non-negative integer to within 1/4, and the counts must add up to |G|^2.
+
+The row scan visits the pairs in canonical order (g1 ascending, then g2).
+It finds the first closure violation, which certificates report as their
+witness, and it is the independent oracle the tests compare the counts
+with.  One chunked numpy loop serves every group; only the group law
+differs: cosets of a 2-group quotient are integers added by XOR, other
+finite abelian groups are mixed-radix digit tuples added componentwise.
+Its result does not depend on chunking or thread count.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from math import prod
 
 import numpy as np
 import numpy.typing as npt
 
-# numba is not used; the scan is numpy only.
+from .errors import CapacityError, CountCheckError
+
+# numba is not used; everything here is numpy.
 HAVE_NUMBA = False
 
 # Elements per numpy work chunk; keeps per-chunk scratch around tens of MB.
 _CHUNK_ELEMS = 1 << 22
+
+# Largest group order whose pair counts are exact in float64 (see
+# ``pair_counts``); larger groups are refused by ``check_count_order``.
+MAX_COUNT_ORDER = 1 << 17
 
 
 def active_backend() -> str:
@@ -36,20 +55,120 @@ def active_backend() -> str:
     return "numpy"
 
 
-def _scan(sec, n, d_flat, add_rows, row_cost, start, stop):
+def check_threads(threads: int) -> None:
+    """Refuse a thread count below one."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
+def check_count_order(order: int) -> None:
+    """Refuse a group above ``MAX_COUNT_ORDER``, whose counts would not be exact."""
+    if order > MAX_COUNT_ORDER:
+        raise CapacityError(
+            f"a group of order {order} is above {MAX_COUNT_ORDER} (2^17), the largest "
+            f"order whose pair counts are exact; no option lifts this limit"
+        )
+
+
+def _transform(x: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
+    """Fourier transform of each row of x over Z_k1 x ... x Z_kt.
+
+    Columns are big-endian mixed-radix element codes, so the column axis
+    reshapes in C order to the factor shape, first factor slowest.  A
+    length-2 axis gets the real butterfly (x0 + x1, x0 - x1), i.e. the
+    Walsh-Hadamard transform, in place; any other axis gets an FFT.  x must
+    be C-contiguous.
+    """
+    rows, size = x.shape
+    lead = 1
+    for k in factors:
+        v = x.reshape(rows * lead, k, size // (lead * k))
+        if k == 2:
+            a, b = v[:, 0], v[:, 1]
+            a += b
+            b *= -2
+            b += a
+        else:
+            x = np.ascontiguousarray(np.fft.fft(v, axis=1)).reshape(rows, size)
+        lead *= k
+    return x
+
+
+def _checked_counts(raw: np.ndarray, order: int) -> np.ndarray:
+    """Round raw counts to int64, or raise unless they are plainly counts.
+
+    Each entry must lie within 1/4 of a non-negative integer, and the
+    integers must add up to order^2, the number of pairs.
+    """
+    counts = np.rint(raw.real).astype(np.int64)
+    err = float(np.abs(raw - counts).max())
+    least = int(counts.min())
+    total = int(counts.sum())
+    if err > 0.25 or least < 0 or total != order * order:
+        raise CountCheckError(
+            f"pair counts failed their check: largest rounding error {err:.3g}, "
+            f"smallest count {least}, total {total} for {order * order} pairs"
+        )
+    return counts
+
+
+def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) -> np.ndarray:
+    """Pair counts C[i, j, k] of a labeled group Z_k1 x ... x Z_kt.
+
+    ``sec[g]`` is the sector of the element with big-endian mixed-radix
+    code g (for Z_2^t this code is also the XOR coset value), and
+    ``factors`` are k1..kt.  Returns an int64 (n, n, n) array summing to
+    |G|^2.
+
+    Exactness: for a 2-group every F_i(chi) is an integer with
+    |F_i(chi)| <= |P_i|, and by Parseval sum_chi |F_i(chi)|^2 = |G| |P_i|.
+    Any partial sum of the triple products is therefore an integer of
+    magnitude at most max|F_k| * sqrt(sum|F_i|^2 * sum|F_j|^2) <= |G|^3,
+    which float64 holds exactly while |G|^3 <= 2^53, i.e. |G| <= 2^17.  So
+    the counts of a 2-group are exact in any summation order; other groups
+    take complex FFTs and rely on the rounding check.  Groups above 2^17
+    raise CapacityError before anything is allocated; counts failing the
+    integrality or sum check raise CountCheckError.
+    """
+    order = len(sec)
+    check_count_order(order)
+    factors = tuple(int(k) for k in factors)
+    if prod(factors) != order:
+        raise ValueError(f"factors {factors} do not give a group of order {order}")
+    f = np.zeros((n_sectors, order), dtype=np.float64)
+    f[np.asarray(sec, dtype=np.int64), np.arange(order)] = 1.0
+    f = _transform(f, factors)
+    fc = (f.conj() if np.iscomplexobj(f) else f).T
+    raw = np.empty((n_sectors, n_sectors, n_sectors), dtype=f.dtype)
+    rows = max(1, _CHUNK_ELEMS // (n_sectors * order))
+    for a in range(0, n_sectors, rows):
+        b = min(a + rows, n_sectors)
+        block = (f[a:b, None, :] * f[None, :, :]).reshape(-1, order)
+        raw[a:b] = (block @ fc).reshape(b - a, n_sectors, n_sectors)
+    raw /= order
+    return _checked_counts(raw, order)
+
+
+def _scan(sec, n, d_flat, add_rows, row_cost, start, stop, stop_at_witness, outrun):
     """Scan rows g1 in [start, stop) against every g2.
 
     ``add_rows`` is the group law: it maps a block of g1 values to the
     (rows, |G|) block of sums g1 + g2.  ``row_cost`` is the int64 scratch it
-    needs per pair and sets the chunk height.
+    needs per pair and caps the chunk height.  With ``stop_at_witness`` the
+    scan ends after the first chunk holding a violation, or before any
+    chunk once ``outrun()`` is true (an earlier partition has a witness);
+    chunks then start at one row and double up to the cap, so a witness in
+    an early row costs little.
     """
     size = sec.shape[0]
     sec_n = sec * n
     realized = np.zeros(n * n * n, dtype=np.uint8)
     first = (-1, -1)
     rows_per = max(1, _CHUNK_ELEMS // max(size * row_cost, 1))
-    for a in range(start, stop, rows_per):
-        b = min(a + rows_per, stop)
+    rows = 1 if stop_at_witness else rows_per
+    a = start
+    while a < stop and not (stop_at_witness and outrun()):
+        b = min(a + rows, stop)
         g1 = np.arange(a, b, dtype=np.int64)
         idx = (sec_n[g1][:, None] + sec[None, :]) * n + sec[add_rows(g1)]
         realized[idx.reshape(-1)] = 1
@@ -58,12 +177,14 @@ def _scan(sec, n, d_flat, add_rows, row_cost, start, stop):
             if bad.any():
                 r, c = divmod(int(np.argmax(bad)), size)
                 first = (a + r, c)
+                if stop_at_witness:
+                    break
+        a, rows = b, min(2 * rows, rows_per)
     return first[0], first[1], realized
 
 
 def _row_ranges(size: int, threads: int) -> list[tuple[int, int]]:
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_threads(threads)
     threads = min(threads, size) if size else 1
     bounds = np.linspace(0, size, threads + 1).astype(np.int64)
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(threads)]
@@ -74,20 +195,30 @@ def _pool_size(partitions: int) -> int:
     return min(partitions, os.cpu_count() or 1)
 
 
-def _run_scan(sec, n, d_flat, add_rows, row_cost, threads):
+def _run_scan(sec, n, d_flat, add_rows, row_cost, threads, stop_at_witness):
     """Scan all pairs over row partitions and merge deterministically.
 
     The merged first violation is the one with the smallest (g1, g2); since
     ranges partition ascending g1, the earliest range that reports one wins.
+    So with ``stop_at_witness`` a range may stop as soon as an earlier one
+    has a witness: no range before the earliest reporter is ever stopped.
     """
     sec = np.ascontiguousarray(sec, dtype=np.int64)
     d_flat = np.ascontiguousarray(d_flat, dtype=np.uint8)
     ranges = _row_ranges(len(sec), threads)
+    found = [threading.Event() for _ in ranges]
+
+    def scan(i):
+        outrun = lambda: any(e.is_set() for e in found[:i])
+        result = _scan(sec, n, d_flat, add_rows, row_cost, *ranges[i], stop_at_witness, outrun)
+        if result[0] >= 0:
+            found[i].set()
+        return result
+
     with ThreadPoolExecutor(max_workers=_pool_size(len(ranges))) as pool:
-        results = pool.map(lambda se: _scan(sec, n, d_flat, add_rows, row_cost, *se), ranges)
         first = (-1, -1)
         realized = np.zeros(n * n * n, dtype=np.uint8)
-        for fg1, fg2, part in results:
+        for fg1, fg2, part in pool.map(scan, range(len(ranges))):
             np.maximum(realized, part, out=realized)
             if first[0] < 0 and fg1 >= 0:
                 first = (int(fg1), int(fg2))
@@ -99,15 +230,22 @@ def scan_pairs_xor(
     n_sectors: int,
     d_flat: np.ndarray,
     threads: int = 1,
+    *,
+    stop_at_witness: bool = False,
 ) -> tuple[tuple[int, int], np.ndarray]:
     """All-pairs scan of an XOR group of size len(sec).
 
     sec maps each element to its sector index; d_flat is the flattened
     admissibility tensor.  Returns ((g1, g2) of the first closure violation,
-    or (-1, -1) if none), and the flattened realized-triple tensor.
+    or (-1, -1) if none), and the flattened realized-triple tensor.  With
+    ``stop_at_witness`` each thread's partition stops after the chunk that
+    holds its first violation: the witness is the same, but the realized
+    tensor then covers only the rows scanned.
     """
     g2 = np.arange(len(sec), dtype=np.int64)
-    return _run_scan(sec, n_sectors, d_flat, lambda g1: g1[:, None] ^ g2, 1, threads)
+    return _run_scan(
+        sec, n_sectors, d_flat, lambda g1: g1[:, None] ^ g2, 1, threads, stop_at_witness
+    )
 
 
 def scan_pairs_group(
@@ -117,12 +255,15 @@ def scan_pairs_group(
     n_sectors: int,
     d_flat: np.ndarray,
     threads: int = 1,
+    *,
+    stop_at_witness: bool = False,
 ) -> tuple[tuple[int, int], np.ndarray]:
     """All-pairs scan of a finite abelian group given by mixed-radix digits.
 
     digits has shape (|G|, t) with row g the digit tuple of element g in the
     group Z_{radices[0]} x ... x Z_{radices[t-1]}; element codes follow the
     big-endian mixed-radix order used throughout (first factor slowest).
+    Results and ``stop_at_witness`` are as for ``scan_pairs_xor``.
     """
     digits = np.asarray(digits, dtype=np.int64)
     radices = np.asarray(radices, dtype=np.int64)
@@ -134,7 +275,7 @@ def scan_pairs_group(
     def add_rows(g1):
         return ((digits[g1][:, None, :] + digits[None, :, :]) % radices) @ places
 
-    return _run_scan(sec, n_sectors, d_flat, add_rows, max(t, 1), threads)
+    return _run_scan(sec, n_sectors, d_flat, add_rows, max(t, 1), threads, stop_at_witness)
 
 
 def popcount(x: np.ndarray) -> np.ndarray:
@@ -143,7 +284,12 @@ def popcount(x: np.ndarray) -> np.ndarray:
 
 
 def scan_stats(size: int, d_flat: np.ndarray, realized: np.ndarray) -> dict:
-    """Check counts reported in certificates produced from a pair scan."""
+    """The counts a certificate reports.
+
+    ``realized`` is nonzero on every realized triple: the pair counts, or a
+    complete scan's realized tensor.  ``pairs_checked`` is |G|^2, the number
+    of pairs the counts account for (their sum is checked to equal it).
+    """
     return {
         "group_order": size,
         "pairs_checked": size * size,

@@ -15,6 +15,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _kernels
+from .errors import CountCheckError
 from .minimal_model import FusionTensor, Sector
 
 PASS = "PASS"
@@ -81,22 +82,30 @@ class CoverCertificate:
 
 
 def certify(
-    scan: tuple[tuple[int, int], np.ndarray],
+    counts: np.ndarray,
     sec: np.ndarray,
     tensor: FusionTensor,
     element: Callable[[int], Element],
     add: Callable[[int, int], int],
+    scan: Callable[..., tuple[tuple[int, int], np.ndarray]],
 ) -> CoverCertificate:
-    """The certificate of a ``_kernels`` pair scan over element codes 0..|G|-1.
+    """The certificate of a labeled group from its ``_kernels.pair_counts``.
 
-    ``sec`` gives each code's sector, ``element`` decodes a code into the
-    element a witness reports, and ``add`` is the group law on codes.
+    Element codes run 0..|G|-1: ``sec`` gives each code's sector,
+    ``element`` decodes a code into the element a witness reports, and
+    ``add`` is the group law on codes.  ``scan`` is the group's pair scan
+    with its arguments bound; it runs only when the counts put a pair on an
+    inadmissible triple, and then stops at the first chunk holding one, to
+    name the canonical first witness (g1, g2).
     """
-    (g1, g2), realized = scan
     d_flat = tensor.coefficients.reshape(-1)
+    realized = counts.reshape(-1)
     stats = _kernels.scan_stats(len(sec), d_flat, realized)
     secs = tensor.sectors
-    if g1 >= 0:
+    if realized[d_flat == 0].any():
+        (g1, g2), _ = scan(stop_at_witness=True)
+        if g1 < 0:
+            raise CountCheckError("the counts show a closure violation the pair scan does not")
         g3 = add(g1, g2)
         triple = (secs[sec[g1]], secs[sec[g2]], secs[sec[g3]])
         witness = ClosureViolation(element(g1), element(g2), element(g3), triple)

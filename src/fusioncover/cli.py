@@ -13,7 +13,8 @@ golden-tested; JSON output is ``{"model": {p, q, c, N}, ...}`` with exact
 rationals rendered as ``num/den`` strings, and round-trips through the
 standard json parser.
 
-Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or input error.
+Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or input error,
+3 internal error (pair counts failed their own check; no verdict).
 
 Group labeling files are line-oriented and hand-editable::
 
@@ -46,7 +47,8 @@ from .cover_search import (
     search_cyclic_covers,
     verify_abelian_cover,
 )
-from .errors import CapacityError, GroupFileError
+from ._kernels import check_count_order
+from .errors import CapacityError, CountCheckError, GroupFileError
 from .minimal_model import (
     ModelParams,
     Sector,
@@ -57,8 +59,10 @@ from .minimal_model import (
 )
 from .two_group_cover import BitVector, GroupContext, canonical_cover, verify_cover
 
-# Scans of more than this many ordered pairs (|G| > 2^13) need an explicit
-# override.  For the canonical cover |G| = 2^(p+q-5), so this is p + q <= 18.
+# Groups with more than this many ordered pairs (|G| > 2^13) need an
+# explicit override.  For the canonical cover |G| = 2^(p+q-5), so this is
+# p + q <= 18.  Groups above 2^17 (p + q > 22) are refused even with the
+# override: their pair counts would not be exact.
 DEFAULT_VERIFY_PAIRS = 1 << 26
 
 
@@ -261,6 +265,7 @@ def _certificate_document(
 
 
 def _check_verify_budget(order: int, allow_large: bool) -> None:
+    check_count_order(order)
     pairs = order * order
     if pairs > DEFAULT_VERIFY_PAIRS and not allow_large:
         raise CapacityError(
@@ -389,11 +394,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_model_args(verify)
     verify.add_argument("--group", metavar="FILE", help="group labeling file to verify")
-    verify.add_argument("--threads", type=int, default=1, help="parallel scan partitions")
+    verify.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="parallel partitions of the witness scan that runs on a closure FAIL",
+    )
     verify.add_argument(
         "--allow-large",
         action="store_true",
-        help=f"permit scans of more than {DEFAULT_VERIFY_PAIRS} pairs (|G| > 2^13)",
+        help=f"permit groups of more than {DEFAULT_VERIFY_PAIRS} pairs (|G| > 2^13); "
+        f"groups above 2^17 are always refused",
     )
     verify.set_defaults(run=_run_verify)
 
@@ -435,6 +446,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GroupFileError, CapacityError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except CountCheckError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

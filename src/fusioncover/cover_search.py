@@ -157,19 +157,27 @@ def verify_abelian_cover(
 ) -> CoverCertificate:
     """Check cover conditions (1) and (2) for a labeled abelian group.
 
-    Scans all |G|^2 ordered pairs under the group's addition.  FAIL
-    certificates carry the first violation in canonical element order, or
-    the first admissible-but-unrealized sector triple.
+    Reads both off the counts of all |G|^2 ordered pairs under the group's
+    addition.  FAIL certificates carry the first violation in canonical
+    element order, found by a pair scan over ``threads`` partitions, or the
+    first admissible-but-unrealized sector triple.  Groups above
+    ``_kernels.MAX_COUNT_ORDER`` raise CapacityError.
     """
     if lg.params != tensor.model:
         raise ValueError(f"labeling is for {lg.params}, tensor for {tensor.model}")
+    _kernels.check_threads(threads)
     spec, sec = lg.spec, lg.sector_indices
+    counts = _kernels.pair_counts(sec, tensor.n, spec.factors)
     d_flat = tensor.coefficients.reshape(-1)
-    digits = spec.digit_matrix()
-    scan = _kernels.scan_pairs_group(digits, spec.factors, sec, tensor.n, d_flat, threads)
+
+    def scan(**kwargs):
+        return _kernels.scan_pairs_group(
+            spec.digit_matrix(), spec.factors, sec, tensor.n, d_flat, threads, **kwargs
+        )
+
     elements = spec.elements()
     add = lambda a, b: spec.index_of(spec.add(elements[a], elements[b]))
-    return certify(scan, sec, tensor, elements.__getitem__, add)
+    return certify(counts, sec, tensor, elements.__getitem__, add, scan)
 
 
 def multiplicity_profile(tensor: FusionTensor) -> dict[Sector, int]:

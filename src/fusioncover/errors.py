@@ -11,3 +11,8 @@ class PartitionError(ValueError):
 
 class GroupFileError(ValueError):
     """A group labeling file is malformed; message carries line diagnostics."""
+
+
+class CountCheckError(ArithmeticError):
+    """Pair counts failed their integrality or sum check: an internal fault,
+    never a verdict about the cover."""

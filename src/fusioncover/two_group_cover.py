@@ -9,19 +9,22 @@ Splitting A and B into fixed-weight classes
 every x in H lies in exactly one class H_{m,n} = A_m + B_n, which attaches a
 full Kac label to x.  Adding the all-ones vector swaps (m, n) with
 (p-m, q-n), so the label map descends to the quotient G = H / {0, all-ones}
-as a map onto sectors.  This module builds that map and verifies, by
-exhausting all |G|^2 element pairs, that it covers the fusion rules: sums of
-elements land only on admissible sector triples, and every admissible triple
-is realized.  The same scan yields the partition algebra (structure
-constants of coset-class sums), which the theorem says is isomorphic to the
-Verlinde algebra.
+as a map onto sectors.  This module builds that map and verifies that it
+covers the fusion rules: sums of elements land only on admissible sector
+triples, and every admissible triple is realized.  Both conditions are read
+off the exact count of element pairs on each sector triple, taken over all
+|G|^2 pairs by a Walsh-Hadamard transform.  The same counts yield the
+partition algebra (structure constants of coset-class sums), which the
+theorem says is isomorphic to the Verlinde algebra.
 
-Everything is immutable and pure; the pair scan itself runs in ``_kernels``
-and may be partitioned across threads with deterministic results.
+Everything is immutable and pure; the counts and the pair scan that names
+a FAIL witness run in ``_kernels``, the scan partitioned across threads
+with deterministic results.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -325,6 +328,11 @@ def phi(cm: CoverMap, g: Coset) -> Sector:
     return cm.sectors[cm.sector_indices[g.representative.bits]]
 
 
+def _coset_factors(ctx: GroupContext) -> tuple[int, ...]:
+    """G = Z_2^(r-1): XOR of coset values is the group law."""
+    return (2,) * (ctx.r - 1)
+
+
 def verify_cover(
     cm: CoverMap,
     tensor: FusionTensor,
@@ -334,25 +342,36 @@ def verify_cover(
 
     Condition (1): for every pair of cosets, the sector triple of
     (g1, g2, g1 + g2) must be admissible.  Condition (2): every admissible
-    sector triple must be realized by some pair.  FAIL certificates carry
-    the first violation in canonical order (g1 ascending, then g2, then
-    triple index), independent of thread count.
+    sector triple must be realized by some pair.  Both are read off the
+    pair counts.  FAIL certificates carry the first violation in canonical
+    order (g1 ascending, then g2, then triple index), found by a pair scan
+    over ``threads`` partitions whose result does not depend on their
+    number.  Groups above ``_kernels.MAX_COUNT_ORDER`` raise CapacityError.
     """
     if cm.context.params != tensor.model:
         raise ValueError(
             f"cover map is for {cm.context.params}, tensor for {tensor.model}"
         )
+    _kernels.check_threads(threads)
     sec = cm.sector_indices
-    scan = _kernels.scan_pairs_xor(sec, tensor.n, tensor.coefficients.reshape(-1), threads)
-    return certify(scan, sec, tensor, int, operator.xor)
+    counts = _kernels.pair_counts(sec, tensor.n, _coset_factors(cm.context))
+    d_flat = tensor.coefficients.reshape(-1)
+    scan = functools.partial(_kernels.scan_pairs_xor, sec, tensor.n, d_flat, threads)
+    return certify(counts, sec, tensor, int, operator.xor, scan)
 
 
 @dataclass(frozen=True, eq=False)
 class PartitionAlgebra:
-    """The algebra W of a partition of G: W[i,j,k] = 1 iff P_i + P_j meets P_k."""
+    """The algebra W of a partition of G: W[i,j,k] = 1 iff P_i + P_j meets P_k.
+
+    ``multiplicities[i, j, k]`` is the number of pairs (g1, g2) with g1 in
+    P_i, g2 in P_j and g1 + g2 in P_k (int64, summing to |G|^2); the
+    coefficients are its support.
+    """
 
     sectors: tuple[Sector, ...]
     coefficients: np.ndarray
+    multiplicities: np.ndarray
 
     @property
     def n(self) -> int:
@@ -372,8 +391,11 @@ def partition_algebra(
     With ``strict`` (the default) the partition must satisfy P_1 = {0}: the
     identity coset alone is assigned the vacuum sector.  Pass strict=False
     to build the algebra of a deliberately corrupted partition anyway, e.g.
-    to compare its constants against the Verlinde algebra.
+    to compare its constants against the Verlinde algebra.  The constants
+    come from the pair counts, which need no scan, so ``threads`` is only
+    checked to be >= 1.
     """
+    _kernels.check_threads(threads)
     sec = cm.sector_indices
     if strict:
         vacuum = np.flatnonzero(sec == 0)
@@ -382,12 +404,11 @@ def partition_algebra(
                 "partition requires P_1 = {0}: vacuum preimage is "
                 f"{vacuum.tolist()} (coset representatives)"
             )
-    n = len(cm.sectors)
-    ones = np.ones(n * n * n, dtype=np.uint8)
-    _, realized = _kernels.scan_pairs_xor(sec, n, ones, threads)
-    coeff = realized.reshape(n, n, n)
+    counts = _kernels.pair_counts(sec, len(cm.sectors), _coset_factors(cm.context))
+    counts.setflags(write=False)
+    coeff = (counts > 0).astype(np.uint8)
     coeff.setflags(write=False)
-    return PartitionAlgebra(cm.sectors, coeff)
+    return PartitionAlgebra(cm.sectors, coeff, counts)
 
 
 def is_isomorphic_to_verlinde(w: PartitionAlgebra, v: VerlindeAlgebra) -> bool:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fusioncover import cli
 from fusioncover.cli import (
     cmd_cover_search,
     cmd_cover_verify,
@@ -16,7 +17,7 @@ from fusioncover.cli import (
     parse_group_file,
 )
 from fusioncover.errors import GroupFileError
-from fusioncover import ModelParams
+from fusioncover import GroupContext, ModelParams, _kernels, canonical_cover, fusion_tensor, sectors
 
 GOLDEN = Path(__file__).parent / "golden"
 COVERS = Path(__file__).parent.parent / "covers"
@@ -26,6 +27,36 @@ def write_cover(tmp_path, text, name="test.cover"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def write_labeled(tmp_path, params, factors, indices, name):
+    """A group file giving element g (big-endian mixed radix) sector indices[g]."""
+    secs = sectors(params)
+    lines = [" ".join(["group", *map(str, factors)])]
+    for g, i in enumerate(indices):
+        digits = []
+        for k in reversed(factors):
+            g, d = divmod(g, k)
+            digits.append(str(d))
+        lines.append(f"{','.join(reversed(digits))} -> {secs[i].m},{secs[i].n}")
+    return write_cover(tmp_path, "\n".join(lines) + "\n", name)
+
+
+def corrupted_z2_file(tmp_path):
+    """The canonical (5,9) cover as a Z2^9 group file, one element relabeled."""
+    params = ModelParams(5, 9)
+    sec = canonical_cover(GroupContext(params)).sector_indices.copy()
+    sec[300] = (sec[300] + 1) % params.n_sectors
+    return params, (2,) * 9, write_labeled(tmp_path, params, (2,) * 9, sec, "z2.cover")
+
+
+def corrupted_mixed_file(tmp_path):
+    """The Z12 tricritical cover pulled back to Z12 x Z4, two labels swapped."""
+    z12 = (0, 5, 1, 4, 2, 5, 3, 5, 2, 4, 1, 5)
+    sec = [z12[g // 4] for g in range(48)]
+    sec[21], sec[26] = sec[26], sec[21]
+    params = ModelParams(4, 5)
+    return params, (12, 4), write_labeled(tmp_path, params, (12, 4), sec, "mixed.cover")
 
 
 class TestGoldenTables:
@@ -125,10 +156,33 @@ class TestCoverVerifyCommand:
         assert doc.payload["group"]["kind"] == "two_group_quotient"
         assert doc.payload["group"]["factors"] == [2, 2]
 
-    def test_threads_do_not_change_output(self):
+    def test_threads_do_not_change_output(self, tmp_path):
         one = cmd_cover_verify(4, 7, None, "json", threads=1)[0]
         four = cmd_cover_verify(4, 7, None, "json", threads=4)[0]
         assert one.payload == four.payload
+        params, _, bad = corrupted_z2_file(tmp_path)
+        one = cmd_cover_verify(params.p, params.q, bad, "json", threads=1)[0]
+        four = cmd_cover_verify(params.p, params.q, bad, "json", threads=4)[0]
+        assert one.payload["verdict"] == "FAIL"
+        assert one.payload == four.payload
+
+    @pytest.mark.parametrize("make", [corrupted_z2_file, corrupted_mixed_file])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_fail_witness_is_first_violation_of_full_scan(self, tmp_path, make, threads):
+        params, factors, path = make(tmp_path)
+        lg = parse_group_file(path, params)
+        tensor = fusion_tensor(params)
+        d_flat = tensor.coefficients.reshape(-1)
+        (g1, g2), realized = _kernels.scan_pairs_group(
+            lg.spec.digit_matrix(), factors, lg.sector_indices, tensor.n, d_flat
+        )
+        assert g1 >= 0
+        doc, code = cmd_cover_verify(params.p, params.q, path, "json", threads=threads)
+        elements = lg.spec.elements()
+        w = doc.payload["witness"]
+        assert code == 1 and w["kind"] == "closure_violation"
+        assert (w["g1"], w["g2"]) == (list(elements[g1]), list(elements[g2]))
+        assert doc.payload["stats"] == _kernels.scan_stats(lg.spec.order, d_flat, realized)
 
 
 class TestCoverSearchCommand:
@@ -185,6 +239,17 @@ class TestExitCodes:
         assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", big]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "budget" in err and "--allow-large" in err
+
+    @pytest.mark.parametrize("p,q", [(9, 14), (16, 17)])
+    def test_group_above_exactness_bound_refused_even_if_large(self, p, q, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("nothing may be built for a refused group")
+
+        monkeypatch.setattr(cli, "canonical_cover", never)
+        monkeypatch.setattr(cli, "fusion_tensor", never)
+        assert main(["cover", "verify", "--p", str(p), "--q", str(q), "--allow-large"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2^17" in err
 
     def test_fusion_tensor_over_budget(self, capsys):
         assert main(["fusion", "--p", "50", "--q", "51"]) == 2

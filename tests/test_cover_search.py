@@ -134,6 +134,11 @@ class TestVerifyAbelianCover:
         lg = LabeledGroup.from_kac_labels(AbelianGroupSpec((2, 2)), ising, labels)
         assert verify_abelian_cover(lg, ising_tensor).passed
 
+    def test_order_above_exactness_bound_refused(self, ising, ising_tensor):
+        lg = LabeledGroup(AbelianGroupSpec((2,) * 18), ising, (0,) * (1 << 18))
+        with pytest.raises(CapacityError, match="2\\^17"):
+            verify_abelian_cover(lg, ising_tensor)
+
     def test_trivial_group_covers_degenerate_model(self):
         params = ModelParams(2, 3)
         lg = LabeledGroup.from_kac_labels(AbelianGroupSpec(()), params, {(): (1, 1)})

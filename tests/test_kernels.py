@@ -1,18 +1,26 @@
-"""The pair scan against a pure-Python double loop over (g1, g2)."""
+"""The pair counts and the pair scan against a pure-Python double loop over
+(g1, g2), and against each other."""
+
+import operator
+import sys
 
 import numpy as np
 import pytest
 
-from fusioncover import GroupContext, ModelParams, canonical_cover, fusion_tensor
+from conftest import coprime_models
+from fusioncover import GroupContext, ModelParams, canonical_cover, fusion_tensor, verify_cover
 from fusioncover import _kernels
 from fusioncover._kernels import (
     HAVE_NUMBA,
     active_backend,
+    pair_counts,
     popcount,
     scan_pairs_group,
     scan_pairs_xor,
 )
+from fusioncover.cli import main
 from fusioncover.cover_search import AbelianGroupSpec
+from fusioncover.errors import CapacityError, CountCheckError
 
 # Test ids name the backend that ran, as the benchmark's set-up probe records it.
 BACKENDS = [active_backend()]
@@ -31,6 +39,15 @@ def oracle_scan(sec, n, d_flat, add):
     return first, realized
 
 
+def oracle_counts(sec, n, add):
+    """Pair counts C[i, j, k], one pair at a time."""
+    counts = np.zeros((n, n, n), dtype=np.int64)
+    for g1 in range(len(sec)):
+        for g2 in range(len(sec)):
+            counts[sec[g1], sec[g2], sec[add(g1, g2)]] += 1
+    return counts
+
+
 def xor_case(p, q, corrupt=False):
     params = ModelParams(p, q)
     tensor = fusion_tensor(params)
@@ -38,6 +55,17 @@ def xor_case(p, q, corrupt=False):
     if corrupt:
         cm = cm.swapped_images(0, 1)
     return cm.sector_indices, tensor.n, np.ascontiguousarray(tensor.coefficients.reshape(-1))
+
+
+def lone_bad_row(row):
+    """The (5,9) cover with coset ``row`` given a sector of its own that is
+    admissible only with the vacuum: row ``row`` alone holds violations."""
+    sec, n, _ = xor_case(5, 9)
+    sec = sec.copy()
+    sec[row] = n
+    d = np.ones((n + 1,) * 3, dtype=np.uint8)
+    d[n, 1:, :] = 0
+    return sec, n + 1, d.reshape(-1)
 
 
 class TestXorScan:
@@ -50,6 +78,27 @@ class TestXorScan:
         assert first == expected_first
         assert (first[0] >= 0) == corrupt
         assert np.array_equal(realized, expected)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("row", [0, 1, 300, 511])
+    def test_stop_at_witness_keeps_the_first_violation(self, threads, row):
+        args = lone_bad_row(row)
+        full = scan_pairs_xor(*args, threads=threads)
+        early = scan_pairs_xor(*args, threads=threads, stop_at_witness=True)
+        assert full[0] == early[0] == (row, 1 if row else 0)
+
+    def test_stop_at_witness_under_thread_switching(self, monkeypatch):
+        # Partitions signal each other to stop; more workers than cores and
+        # a short switch interval interleave those signals as much as we can.
+        monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for row in range(0, 512, 37):
+                first, _ = scan_pairs_xor(*lone_bad_row(row), threads=8, stop_at_witness=True)
+                assert first == (row, 1 if row else 0)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
@@ -72,6 +121,22 @@ class TestXorScan:
         assert np.array_equal(realized, expected)
 
 
+# (factors, model, sector of each element, whether the labeling covers).
+GROUP_CASES = [
+    ((4,), (3, 4), (0, 1, 2, 1), True),
+    ((4,), (3, 4), (0, 1, 1, 2), False),  # scrambled Z4 Ising labeling
+    ((2, 2), (3, 4), (0, 2, 1, 1), True),
+    ((2, 2), (3, 4), (0, 1, 1, 1), False),
+    ((12,), (4, 5), (0, 5, 1, 4, 2, 5, 3, 5, 2, 4, 1, 5), True),
+    ((12,), (4, 5), (0, 5, 1, 4, 2, 5, 3, 5, 2, 4, 5, 1), False),
+    ((), (2, 3), (0,), True),
+]
+Z12 = GROUP_CASES[4][2]
+# Z12 x Z4 pulled back from the Z12 cover: element (a, b) carries a's sector.
+PULLBACK = tuple(Z12[g // 4] for g in range(48))
+PULLBACK_SWAPPED = tuple(PULLBACK[{5: 9, 9: 5}.get(g, g)] for g in range(48))
+
+
 def group_case(factors, params, indices):
     spec = AbelianGroupSpec(factors)
     tensor = fusion_tensor(params)
@@ -86,18 +151,7 @@ def group_case(factors, params, indices):
 
 
 class TestGroupScan:
-    @pytest.mark.parametrize(
-        "factors,pq,indices,clean",
-        [
-            ((4,), (3, 4), (0, 1, 2, 1), True),
-            ((4,), (3, 4), (0, 1, 1, 2), False),  # scrambled Z4 Ising labeling
-            ((2, 2), (3, 4), (0, 2, 1, 1), True),
-            ((2, 2), (3, 4), (0, 1, 1, 1), False),
-            ((12,), (4, 5), (0, 5, 1, 4, 2, 5, 3, 5, 2, 4, 1, 5), True),
-            ((12,), (4, 5), (0, 5, 1, 4, 2, 5, 3, 5, 2, 4, 5, 1), False),
-            ((), (2, 3), (0,), True),
-        ],
-    )
+    @pytest.mark.parametrize("factors,pq,indices,clean", GROUP_CASES)
     def test_matches_oracle(self, factors, pq, indices, clean):
         spec = AbelianGroupSpec(factors)
         args = group_case(factors, ModelParams(*pq), indices)
@@ -139,6 +193,77 @@ class TestGroupScan:
         result = scan_pairs_group(*args, threads=threads)
         assert result[0] == baseline[0]
         assert np.array_equal(result[1], baseline[1])
+
+
+class TestPairCounts:
+    @pytest.mark.parametrize("p,q", [(3, 4), (4, 5), (3, 5)])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_xor_matches_double_loop(self, p, q, corrupt):
+        sec, n, _ = xor_case(p, q, corrupt)
+        factors = (2,) * (len(sec).bit_length() - 1)
+        counts = pair_counts(sec, n, factors)
+        assert counts.dtype == np.int64 and counts.shape == (n, n, n)
+        assert np.array_equal(counts, oracle_counts(sec, n, operator.xor))
+
+    @pytest.mark.parametrize(
+        "factors,pq,indices",
+        [case[:3] for case in GROUP_CASES]
+        + [((12, 4), (4, 5), PULLBACK), ((12, 4), (4, 5), PULLBACK_SWAPPED)],
+    )
+    def test_group_matches_double_loop(self, factors, pq, indices):
+        spec = AbelianGroupSpec(factors)
+        n = ModelParams(*pq).n_sectors
+        elements = spec.elements()
+        add = lambda a, b: spec.index_of(spec.add(elements[a], elements[b]))
+        counts = pair_counts(indices, n, factors)
+        assert np.array_equal(counts, oracle_counts(indices, n, add))
+        assert counts.sum() == spec.order ** 2
+
+    @pytest.mark.parametrize("params", coprime_models(8, 16, max_sum=18), ids=str)
+    def test_support_matches_exhaustive_scan(self, params):
+        cm = canonical_cover(GroupContext(params))
+        tensor = fusion_tensor(params)
+        sec = cm.sector_indices
+        counts = pair_counts(sec, tensor.n, (2,) * (cm.context.r - 1))
+        _, realized = scan_pairs_xor(sec, tensor.n, tensor.coefficients.reshape(-1), threads=2)
+        assert np.array_equal((counts.reshape(-1) > 0).astype(np.uint8), realized)
+        assert counts.sum() == len(sec) ** 2
+
+    @pytest.mark.parametrize("spoil", ["sum", "integral", "sign"])
+    def test_corrupted_count_raises(self, spoil):
+        sec, n, _ = xor_case(4, 5)
+        raw = pair_counts(sec, n, (2,) * 4).astype(np.float64)
+        assert _kernels._checked_counts(raw, 16).sum() == 256
+        if spoil == "sum":
+            raw[0, 0, 0] += 1
+        elif spoil == "integral":
+            raw[0, 0, 0] += 0.5
+        else:  # move one pair onto an empty cell's negative: the sum holds
+            raw[tuple(np.argwhere(raw == 0)[0])] -= 1
+            raw[0, 0, 0] += 1
+        with pytest.raises(CountCheckError):
+            _kernels._checked_counts(raw, 16)
+
+    def test_perturbed_transform_raises(self, monkeypatch, capsys):
+        transform = _kernels._transform
+        monkeypatch.setattr(_kernels, "_transform", lambda x, f: transform(x, f) + 0.5)
+        sec, n, _ = xor_case(4, 5)
+        with pytest.raises(CountCheckError):
+            pair_counts(sec, n, (2,) * 4)
+        params = ModelParams(4, 5)
+        with pytest.raises(CountCheckError):
+            verify_cover(canonical_cover(GroupContext(params)), fusion_tensor(params))
+        assert main(["cover", "verify", "--p", "4", "--q", "5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal error:")
+
+    def test_order_above_exactness_bound_refused(self):
+        with pytest.raises(CapacityError, match="2\\^17"):
+            pair_counts(np.zeros(1 << 18, dtype=np.int64), 1, (2,) * 18)
+
+    def test_factors_must_match_order(self):
+        with pytest.raises(ValueError, match="order 8"):
+            pair_counts(np.zeros(8, dtype=np.int64), 1, (2, 2))
 
 
 class TestPartitions:

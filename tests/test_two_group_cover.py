@@ -1,5 +1,6 @@
 """Unit tests for the 2-group construction and its cover verification."""
 
+import functools
 import itertools
 from math import comb
 
@@ -33,6 +34,7 @@ from fusioncover import (
     verify_cover,
     verlinde_algebra,
 )
+from fusioncover import _kernels
 
 from conftest import coprime_models
 
@@ -321,6 +323,49 @@ class TestVerifyCover:
         assert len({(c.verdict, c.witness) for c in certs}) == 1
 
 
+@functools.cache
+def corrupted_map(p, q, kind):
+    """A corrupted canonical map, its tensor, and the full scan's first
+    violation and certificate stats."""
+    params = ModelParams(p, q)
+    cm = canonical_cover(GroupContext(params))
+    if kind == "swap":
+        cm = cm.swapped_images(3, 90)
+    else:
+        cm = cm.reassigned(100, (cm.sector_indices[100] + 1) % len(cm.sectors))
+    tensor = fusion_tensor(params)
+    d_flat = tensor.coefficients.reshape(-1)
+    first, realized = _kernels.scan_pairs_xor(cm.sector_indices, tensor.n, d_flat, threads=2)
+    return cm, tensor, first, _kernels.scan_stats(cm.context.n_cosets, d_flat, realized)
+
+
+class TestWitnessFromCounts:
+    @pytest.mark.parametrize("pq", [(5, 13), (8, 9)])
+    @pytest.mark.parametrize("kind", ["swap", "reassign"])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_witness_is_first_violation_of_full_scan(self, pq, kind, threads):
+        cm, tensor, (g1, g2), stats = corrupted_map(*pq, kind)
+        assert g1 >= 0
+        cert = verify_cover(cm, tensor, threads=threads)
+        w = cert.witness
+        assert isinstance(w, ClosureViolation)
+        assert (w.g1, w.g2, w.g3) == (g1, g2, g1 ^ g2)
+        assert cert.stats == stats
+
+    def test_pass_scans_no_pair(self, tricritical, tricritical_tensor, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a PASS must not scan")
+
+        monkeypatch.setattr(_kernels, "scan_pairs_xor", no_scan)
+        assert verify_cover(canonical_cover(GroupContext(tricritical)), tricritical_tensor).passed
+
+    def test_order_above_exactness_bound_refused(self):
+        params = ModelParams(9, 14)  # 2^18 cosets
+        cm = canonical_cover(GroupContext(params))
+        with pytest.raises(CapacityError, match="2\\^17"):
+            verify_cover(cm, fusion_tensor(params))
+
+
 class TestPartitionAlgebra:
     def test_ising_structure_constants(self, ising, ising_tensor):
         w = partition_algebra(canonical_cover(GroupContext(ising)))
@@ -343,6 +388,23 @@ class TestPartitionAlgebra:
         w = partition_algebra(cm, strict=False)
         v = verlinde_algebra(ising_tensor)
         assert not is_isomorphic_to_verlinde(w, v)
+
+    @pytest.mark.parametrize("pq", [(3, 4), (4, 5), (3, 5)])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_multiplicities_count_pairs(self, pq, corrupt):
+        cm = canonical_cover(GroupContext(ModelParams(*pq)))
+        if corrupt:
+            cm = cm.swapped_images(1, 2)
+        w = partition_algebra(cm, strict=False)
+        sec, n = cm.sector_indices, w.n
+        expected = np.zeros((n, n, n), dtype=np.int64)
+        for g1, g2 in itertools.product(range(len(sec)), repeat=2):
+            expected[sec[g1], sec[g2], sec[g1 ^ g2]] += 1
+        assert w.multiplicities.dtype == np.int64
+        assert np.array_equal(w.multiplicities, expected)
+        assert w.multiplicities.sum() == len(sec) ** 2
+        assert np.array_equal(w.coefficients, (expected > 0).astype(np.uint8))
+        assert not w.multiplicities.flags.writeable
 
     def test_product_method(self, ising):
         w = partition_algebra(canonical_cover(GroupContext(ising)))
