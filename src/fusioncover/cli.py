@@ -39,6 +39,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .certificates import ClosureViolation, CoverCertificate
 from .cover_search import (
     DEFAULT_SEARCH_BUDGET,
@@ -128,17 +130,18 @@ def cmd_fusion(p: int, q: int, format: str = "text") -> OutputDocument:
     params = ModelParams(p, q)
     tensor = fusion_tensor(params)
     secs = tensor.sectors
-    cells = [
-        [[s.name for s in tensor.products_of(i, j)] for j in range(tensor.n)]
-        for i in range(tensor.n)
-    ]
+    names = [s.name for s in secs]
+    cells = [[[] for _ in secs] for _ in secs]
+    # np.nonzero walks the tensor in C order, so k ascends within each cell.
+    for i, j, k in zip(*(axis.tolist() for axis in np.nonzero(tensor.coefficients))):
+        cells[i][j].append(names[k])
     payload = {
         "model": _model_header(params),
         "sectors": [_sector_payload(s) for s in secs],
         "table": cells,
     }
-    rows = [["[h] x [h']"] + [s.name for s in secs]]
-    rows += [[secs[i].name] + ["+".join(cell) for cell in cells[i]] for i in range(tensor.n)]
+    rows = [["[h] x [h']"] + names]
+    rows += [[name] + ["+".join(cell) for cell in row] for name, row in zip(names, cells)]
     text = "\n".join(
         [
             f"Fusion rules of the ({p},{q}) minimal model",

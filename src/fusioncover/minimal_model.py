@@ -14,14 +14,16 @@ Since h_{m,n} = h_{p-m,q-n}, sectors are equivalence classes of label
 pairs; there are N = (p-1)(q-1)/2 of them.  The fusion rules are
 multiplicity-free and are decided by an arithmetic admissibility
 condition on label triples (odd sum, strict triangle inequalities).
-This module computes all of it exactly, over the rationals:
+This module computes all of it exactly:
 
 * sector enumeration and canonical labels,
 * the admissibility predicate and the closed-form completion range,
-* the N x N x N fusion tensor with 0/1 structure constants,
+* the N x N x N fusion tensor with 0/1 structure constants, built from
+  that closed form with integer numpy arithmetic,
 * the Verlinde algebra those structure constants generate.
 
-All values are `fractions.Fraction`; nothing here is floating point.
+Weights and central charges are `fractions.Fraction`; nothing here is
+floating point.
 All objects are immutable after construction and safe to share across
 threads.
 """
@@ -47,8 +49,9 @@ Rational = Fraction
 # contract promises a clean error instead of silently huge tables.
 MAX_PQ = 10_000
 
-# Largest fusion tensor built, in cells (N <= 256); the build is an N^3
-# Python loop, so this bounds its time as well as its memory.
+# Largest fusion tensor built, in cells (N <= 256).  The build is vectorised
+# row by row, so the cap bounds the result's memory (one byte per cell, 16 MiB)
+# and the O(N^3) rendering of the `fusion` table rather than the build itself.
 MAX_FUSION_CELLS = 1 << 24
 
 
@@ -227,6 +230,18 @@ class FusionTensor:
         return [self.sectors[k] for k in np.flatnonzero(self.coefficients[i, j])]
 
 
+def _admissible(p: int, a: int, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Whether (a, b, c) is p-admissible, broadcast over label arrays b and c.
+
+    The closed form behind `admissible_range`: c is admissible iff
+    lo <= c <= hi and c = lo (mod 2), with lo = |a-b|+1 and
+    hi = min(a+b, 2p-a-b)-1.  Every label must lie strictly between 0 and p.
+    """
+    lo = np.abs(a - b) + 1
+    hi = np.minimum(a + b, 2 * p - a - b) - 1
+    return (lo <= c) & (c <= hi) & ((lo & 1) == (c & 1))
+
+
 @lru_cache(maxsize=None)
 def fusion_tensor(params: ModelParams) -> FusionTensor:
     """Fusion rules of the model: D[i,j,k] = 1 iff the triple is admissible.
@@ -235,6 +250,10 @@ def fusion_tensor(params: ModelParams) -> FusionTensor:
     k both members of its label class are tested.  At most one of the two can
     complete an admissible triple (the two replacements flip the parity of
     the component sums), so the result is well defined and multiplicity-free.
+
+    Row i is built at once from the closed-form admissibility range of the m
+    and the n components, broadcast over (j, k), so scratch memory stays
+    O(N^2) beside the N^3-byte result.
     """
     if params.n_sectors ** 3 > MAX_FUSION_CELLS:
         raise CapacityError(
@@ -245,14 +264,17 @@ def fusion_tensor(params: ModelParams) -> FusionTensor:
     p, q = params.p, params.q
     secs = sectors(params)
     n = len(secs)
-    coeff = np.zeros((n, n, n), dtype=np.uint8)
+    # Labels of k as a row and of j as a column.  N <= 256 keeps p, q <= 513,
+    # so int16 holds every sum below.
+    m_k = np.array([s.m for s in secs], dtype=np.int16)
+    n_k = np.array([s.n for s in secs], dtype=np.int16)
+    m_j, n_j = m_k[:, None], n_k[:, None]
+    m_r, n_r = p - m_k, q - n_k
+    coeff = np.empty((n, n, n), dtype=np.uint8)
     for i, si in enumerate(secs):
-        for j, sj in enumerate(secs):
-            for k, sk in enumerate(secs):
-                if is_pq_admissible(params, si.label, sj.label, sk.label) or is_pq_admissible(
-                    params, si.label, sj.label, (p - sk.m, q - sk.n)
-                ):
-                    coeff[i, j, k] = 1
+        direct = _admissible(p, si.m, m_j, m_k) & _admissible(q, si.n, n_j, n_k)
+        reflected = _admissible(p, si.m, m_j, m_r) & _admissible(q, si.n, n_j, n_r)
+        coeff[i] = direct | reflected
     coeff.setflags(write=False)
     return FusionTensor(model=params, sectors=secs, coefficients=coeff)
 

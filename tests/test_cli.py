@@ -101,6 +101,15 @@ class TestFusionCommand:
         i = by_name["[3/80]"]
         assert set(doc.payload["table"][i][i]) == {"[0]", "[3/5]", "[3/2]", "[1/10]"}
 
+    @pytest.mark.parametrize("p,q", [(4, 5), (11, 12)])
+    def test_cells_list_products_in_index_order(self, p, q):
+        tensor = fusion_tensor(ModelParams(p, q))
+        expected = [
+            [[s.name for s in tensor.products_of(i, j)] for j in range(tensor.n)]
+            for i in range(tensor.n)
+        ]
+        assert cmd_fusion(p, q, "json").payload["table"] == expected
+
 
 class TestJsonRoundTrip:
     def test_all_payload_kinds(self, tmp_path):

@@ -1,6 +1,7 @@
 """Unit tests for the exact minimal-model computations."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from fusioncover import (
     unitary_discrete_series,
     verlinde_algebra,
 )
+from fusioncover.errors import CapacityError
 from fusioncover.minimal_model import MAX_PQ, fraction_str
 
 from conftest import coprime_models
@@ -206,7 +208,96 @@ class TestPQAdmissible:
         assert not is_pq_admissible(tricritical, t1, t2, (p - m3, q - n3))
 
 
+def models_up_to(n_max):
+    """Every coprime model with at most n_max sectors (N >= (q-1)/2 bounds q)."""
+    return [m for m in coprime_models(n_max, 2 * n_max + 1) if m.n_sectors <= n_max]
+
+
+def loop_fusion_coefficients(params):
+    """Reference tensor: test both completions of every cell with is_pq_admissible."""
+    p, q = params.p, params.q
+    labels = [s.label for s in sectors(params)]
+    n = len(labels)
+    coeff = np.zeros((n, n, n), dtype=np.uint8)
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
+            for k, (m, nk) in enumerate(labels):
+                if is_pq_admissible(params, a, b, (m, nk)) or is_pq_admissible(
+                    params, a, b, (p - m, q - nk)
+                ):
+                    coeff[i, j, k] = 1
+    return coeff
+
+
+def verlinde_fusion_coefficients(params):
+    """N_ij^k = sum_l S_il S_jl S_kl / S_0l from the minimal-model S-matrix, in float64.
+
+    S = 2 sqrt(2/pq) (-1)^(1 + m n' + n m') sin(pi q m m'/p) sin(pi p n n'/q)
+    over canonical labels; S is real and symmetric and row 0 is the vacuum.
+    """
+    p, q = params.p, params.q
+    secs = sectors(params)
+    m = np.array([s.m for s in secs], dtype=np.int64)
+    n = np.array([s.n for s in secs], dtype=np.int64)
+    sign = 1 - 2 * ((1 + np.outer(m, n) + np.outer(n, m)) % 2)
+    s = (
+        2 * np.sqrt(2 / (p * q)) * sign
+        * np.sin(np.pi * q * np.outer(m, m) / p)
+        * np.sin(np.pi * p * np.outer(n, n) / q)
+    )
+    return np.einsum("il,jl,kl->ijk", s, s, s / s[0], optimize=True)
+
+
 class TestFusionTensor:
+    def test_matches_loop_oracle(self):
+        models = models_up_to(60)
+        assert len(models) == 172
+        for params in models:
+            assert np.array_equal(
+                fusion_tensor(params).coefficients, loop_fusion_coefficients(params)
+            ), (params.p, params.q)
+
+    def test_matches_loop_oracle_at_16_17(self):
+        params = ModelParams(16, 17)
+        assert np.array_equal(fusion_tensor(params).coefficients, loop_fusion_coefficients(params))
+
+    def test_matches_verlinde_formula(self):
+        models = models_up_to(80)
+        assert len(models) == 240
+        for params in models:
+            verlinde = verlinde_fusion_coefficients(params)
+            rounded = np.rint(verlinde)
+            assert np.abs(verlinde - rounded).max() <= 1e-6, (params.p, params.q)
+            assert np.array_equal(rounded, fusion_tensor(params).coefficients), (params.p, params.q)
+
+    def test_largest_model_scratch_is_quadratic(self):
+        # N = 256, the largest model under the cell budget; scratch beside the
+        # N^3-byte result must stay O(N^2).  The sectors are cached before the
+        # trace starts, and the tensor is built uncached so the result is freed.
+        params = ModelParams(3, 257)
+        n = params.n_sectors
+        sectors(params)
+        tracemalloc.start()
+        try:
+            tensor = fusion_tensor.__wrapped__(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tensor.n == n == 256
+        assert peak <= n**3 + 64 * n**2
+
+    def test_over_budget_refused_before_allocating(self):
+        params = ModelParams(2, 515)
+        assert params.n_sectors == 257
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="budget"):
+                fusion_tensor(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.n_sectors**2
+
     def test_ising_sixteenth_row(self, ising_tensor):
         names = [s.name for s in ising_tensor.products_of(1, 1)]
         assert names == ["[0]", "[1/2]"]
