@@ -331,34 +331,29 @@ def cmd_cover_search(
     tensor = fusion_tensor(params)
     budget = max(max_order, DEFAULT_SEARCH_BUDGET) if allow_large else DEFAULT_SEARCH_BUDGET
     covers = search_cyclic_covers(tensor, max_order, order_budget=budget)
-    payload = {
-        "model": _model_header(params),
-        "max_order": max_order,
-        "covers": [
-            {
-                "factors": list(lg.spec.factors),
-                "order": lg.spec.order,
-                "labels": [
-                    {
-                        "element": list(e),
-                        "sector": [s.m, s.n],
-                        "name": s.name,
-                    }
-                    for e, s in zip(lg.spec.elements(), lg.labels)
-                ],
-            }
-            for lg in covers
-        ],
-    }
+    names = [s.name for s in tensor.sectors]
+    rendered = []
     lines = [
         f"Cyclic covers of the ({p},{q}) minimal model fusion rules up to order {max_order}",
         f"found {len(covers)} cover(s)",
     ]
     for lg in covers:
+        labels = list(zip(lg.spec.elements(), lg.labels))
+        rendered.append(
+            {
+                "factors": list(lg.spec.factors),
+                "order": lg.spec.order,
+                "labels": [
+                    {"element": list(e), "sector": [s.m, s.n], "name": names[s.index]}
+                    for e, s in labels
+                ],
+            }
+        )
         lines.append(f"{lg.spec.describe()}:")
-        for e, s in zip(lg.spec.elements(), lg.labels):
+        for e, s in labels:
             elem = ",".join(str(d) for d in e) if e else "()"
-            lines.append(f"  {elem} <-> {s.name} ({s.m},{s.n})")
+            lines.append(f"  {elem} <-> {names[s.index]} ({s.m},{s.n})")
+    payload = {"model": _model_header(params), "max_order": max_order, "covers": rendered}
     return OutputDocument(format, "search_results", payload, "\n".join(lines))
 
 

@@ -11,11 +11,16 @@ covers.
 
 The search assigns sectors to the elements 1..k-1 of Z_k in order (0 always
 carries the vacuum), pruning any partial labeling whose already-decidable
-sums violate closure; the multiplicity profile of the fusion table (how
-often a sector repeats within a row) gives an a-priori lower bound on the
-order of any covering group, which prunes whole orders.  Found covers are
-reported up to the negation automorphism x -> -x of Z_k, in deterministic
-order.
+sums violate closure.  Which pair sums become decidable when element e is
+labeled is read once per order from the group's addition table (the check
+lists); the admissible sectors for e are then the AND of integer bitmasks
+precomputed from the fusion tensor, one per check, so a dead branch is cut
+before any sector is tried (forward filtering).  Complete labelings are
+checked for coverage with one vectorized pass over all k^2 sums.  The
+multiplicity profile of the fusion table (how often a sector repeats within
+a row) gives an a-priori lower bound on the order of any covering group,
+which prunes whole orders.  Found covers are reported up to the negation
+automorphism x -> -x of Z_k, in deterministic order.
 """
 
 from __future__ import annotations
@@ -86,6 +91,13 @@ class AbelianGroupSpec:
     def digit_matrix(self) -> np.ndarray:
         """(order, t) array whose row g is the digit tuple of element g."""
         return np.array(self.elements(), dtype=np.int64).reshape(self.order, len(self.factors))
+
+    def addition_table(self) -> np.ndarray:
+        """(order, order) array whose entry [a, b] is the index of a + b."""
+        digits = self.digit_matrix()
+        places = [prod(self.factors[u + 1:]) for u in range(len(self.factors))]
+        sums = (digits[:, None, :] + digits[None, :, :]) % np.array(self.factors, dtype=np.int64)
+        return sums @ np.array(places, dtype=np.int64)
 
     def describe(self) -> str:
         if not self.factors:
@@ -192,47 +204,93 @@ def multiplicity_profile(tensor: FusionTensor) -> dict[Sector, int]:
     return {s: int(counts[:, s.index].max()) for s in tensor.sectors}
 
 
-def _consistent(assign: list[int], e: int, k: int, d: np.ndarray) -> bool:
-    """Closure check of all pair sums that became decidable by assigning element e."""
-    se = assign[e]
-    for x in range(e + 1):
-        z = (x + e) % k
-        if z <= e and not d[assign[x], se, assign[z]]:
-            return False
-    for x in range(e):
-        y = (e - x) % k
-        if x <= y < e and not d[assign[x], assign[y], se]:
-            return False
-    return True
+def _check_lists(table: list[list[int]]) -> list[tuple[list[tuple[str, int, int]], int]]:
+    """Per element e, the pair sums that become decidable when e is labeled.
+
+    ``table[x][y]`` is the index of x + y in a group whose elements the
+    search labels in index order, 0 (the identity) first.  A pair becomes
+    decidable when the largest of its summands and its sum is labeled.
+    Entry e lists the pairs in which e occurs once, as (kind, u, v): kind
+    "second" for x + e = z with x, z < e (u, v = x, z) and kind "third" for
+    x + y = e with x <= y < e (u, v = x, y).  It also gives z for the pair
+    e + e = z when z < e, else -1; the pair 0 + e = e is decided by every e.
+    """
+    k = len(table)
+    pairs: list[list[tuple[str, int, int]]] = [[] for _ in range(k)]
+    twice = [-1] * k
+    for y in range(1, k):
+        for x in range(1, y + 1):
+            z = table[x][y]
+            if z > y:
+                pairs[z].append(("third", x, y))
+            elif x == y:
+                twice[y] = z
+            else:
+                pairs[y].append(("second", x, z))
+    return list(zip(pairs, twice))
 
 
-def _realizes_all(assign: list[int], k: int, d: np.ndarray) -> bool:
-    """Cover condition (2) for a complete assignment of Z_k."""
+def _masks(d: np.ndarray) -> tuple[list[int], list[int], list[int], int]:
+    """Sector sets read off a boolean fusion tensor, as integer bitmasks.
+
+    Bit s of a mask stands for sector s.  Returns third[a*n+b] =
+    {c : D[a,b,c]}, second[a*n+c] = {b : D[a,b,c]}, square[c] =
+    {a : D[a,a,c]} and unit = {b : D[0,b,b]}.
+    """
     n = d.shape[0]
-    realized = np.zeros((n, n, n), dtype=bool)
-    for x in range(k):
-        for y in range(k):
-            realized[assign[x], assign[y], assign[(x + y) % k]] = True
-    return not np.any(d & ~realized)
+
+    def pack(cells: np.ndarray) -> list[int]:
+        rows = np.packbits(cells, axis=-1, bitorder="little").reshape(-1, (n + 7) // 8)
+        return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+    diag = np.arange(n)
+    third = pack(d.reshape(n * n, n))
+    second = pack(d.transpose(0, 2, 1).reshape(n * n, n))
+    square = pack(d[diag, diag, :].T)
+    (unit,) = pack(d[0, diag, diag])
+    return third, second, square, unit
 
 
 def _search_order(tensor: FusionTensor, k: int) -> list[tuple[int, ...]]:
     """All complete Z_k labelings passing both cover conditions (with duplicates
-    under negation)."""
+    under negation), in depth-first order: element 1 slowest, sectors ascending."""
     n = tensor.n
     d = tensor.coefficients.astype(bool)
+    d_flat = d.reshape(-1)
+    third, second, square, unit = _masks(d)
+    table = AbelianGroupSpec.cyclic(k).addition_table()
+    tables = {"second": second, "third": third}
+    checks = [
+        ([(tables[kind], u, v) for kind, u, v in pairs], twice)
+        for pairs, twice in _check_lists(table.tolist())
+    ]
+    x, y = np.divmod(np.arange(k * k), k)
+    z = table.reshape(-1)
     assign = [0] * k
     found: list[tuple[int, ...]] = []
 
+    def realizes_all() -> bool:
+        s = np.array(assign)
+        realized = np.zeros(n ** 3, dtype=bool)
+        realized[(s[x] * n + s[y]) * n + s[z]] = True
+        return not np.any(d_flat & ~realized)
+
     def place(e: int) -> None:
         if e == k:
-            if _realizes_all(assign, k, d):
+            if realizes_all():
                 found.append(tuple(assign))
             return
-        for s in range(n):
-            assign[e] = s
-            if _consistent(assign, e, k, d):
-                place(e + 1)
+        pairs, twice = checks[e]
+        cand = unit if twice < 0 else unit & square[assign[twice]]
+        for masks, u, v in pairs:
+            cand &= masks[assign[u] * n + assign[v]]
+            if not cand:
+                return
+        while cand:
+            low = cand & -cand
+            assign[e] = low.bit_length() - 1
+            place(e + 1)
+            cand ^= low
 
     place(1)
     return found

@@ -1,5 +1,6 @@
 """CLI behavior: golden text tables, JSON round-trips, exit codes, group files."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from fusioncover import GroupContext, ModelParams, _kernels, canonical_cover, fu
 
 GOLDEN = Path(__file__).parent / "golden"
 COVERS = Path(__file__).parent.parent / "covers"
+REFERENCES = Path(__file__).parent.parent / "perfbench" / "references.json"
 
 
 def write_cover(tmp_path, text, name="test.cover"):
@@ -215,6 +217,26 @@ class TestCoverSearchCommand:
         doc = cmd_cover_search(4, 5, 12, "text")
         assert "Z12:" in doc.text
         assert "6 <-> [3/2] (1,4)" in doc.text
+
+    def test_text_matches_payload(self):
+        doc = cmd_cover_search(2, 5, 12, "text")
+        lines = doc.text.splitlines()[2:]
+        expected = []
+        for cover in doc.payload["covers"]:
+            expected.append(f"Z{cover['order']}:")
+            for lab in cover["labels"]:
+                m, n = lab["sector"]
+                expected.append(f"  {lab['element'][0]} <-> {lab['name']} ({m},{n})")
+        assert len(doc.payload["covers"]) > 1
+        assert lines == expected
+
+    @pytest.mark.parametrize("p,q,max_order", [(2, 7, 24), (2, 9, 20), (4, 5, 40)])
+    def test_benchmark_searches_match_reference_digests(self, p, q, max_order):
+        # The digest is of stdout, i.e. the emitted document plus print's newline.
+        digests = json.loads(REFERENCES.read_text())["digests"]
+        out = cmd_cover_search(p, q, max_order, "json", allow_large=True).emit() + "\n"
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == digests[f"abelian/search/{p}-{q}"]
 
 
 class TestExitCodes:

@@ -1,8 +1,10 @@
 """Unit tests for abelian-group cover verification and the cyclic search."""
 
+import dataclasses
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from fusioncover import (
@@ -19,6 +21,8 @@ from fusioncover import (
     verify_abelian_cover,
     verify_cover,
 )
+
+from fusioncover.cover_search import _check_lists, _search_order
 
 from conftest import Z4_ISING_LABELS, Z12_TRICRITICAL_LABELS, coprime_models
 
@@ -55,6 +59,14 @@ class TestAbelianGroupSpec:
     def test_digit_matrix(self):
         spec = AbelianGroupSpec((2, 3))
         assert spec.digit_matrix().tolist() == [list(e) for e in spec.elements()]
+
+    @pytest.mark.parametrize("factors", [(), (5,), (2, 3), (2, 2, 4)])
+    def test_addition_table(self, factors):
+        spec = AbelianGroupSpec(factors)
+        elements = spec.elements()
+        assert spec.addition_table().tolist() == [
+            [spec.index_of(spec.add(a, b)) for b in elements] for a in elements
+        ]
 
 
 class TestLabeledGroup:
@@ -214,6 +226,102 @@ def brute_force_cyclic_covers(tensor, max_order):
                 seen.add(min(assign, negated))
         found.extend(LabeledGroup(spec, model, a) for a in sorted(seen))
     return found
+
+
+def loop_search_order(tensor, k):
+    """Oracle: the cyclic search as a per-pair loop over Z_k index arithmetic.
+
+    Labels 1..k-1 in order, trying sectors ascending, and after each label
+    checks every pair sum that has become decidable; complete labelings
+    are checked for coverage triple by triple.
+    """
+    n = tensor.n
+    d = tensor.coefficients.astype(bool)
+    assign = [0] * k
+    found = []
+
+    def consistent(e):
+        se = assign[e]
+        for x in range(e + 1):
+            z = (x + e) % k
+            if z <= e and not d[assign[x], se, assign[z]]:
+                return False
+        for x in range(e):
+            y = (e - x) % k
+            if x <= y < e and not d[assign[x], assign[y], se]:
+                return False
+        return True
+
+    def realizes_all():
+        realized = np.zeros((n, n, n), dtype=bool)
+        for x in range(k):
+            for y in range(k):
+                realized[assign[x], assign[y], assign[(x + y) % k]] = True
+        return not np.any(d & ~realized)
+
+    def place(e):
+        if e == k:
+            if realizes_all():
+                found.append(tuple(assign))
+            return
+        for s in range(n):
+            assign[e] = s
+            if consistent(e):
+                place(e + 1)
+
+    place(1)
+    return found
+
+
+class TestSearchOrder:
+    @pytest.mark.parametrize(
+        "p,q,max_order",
+        [(3, 4, 24), (2, 5, 24), (3, 5, 20), (2, 7, 24), (2, 9, 16), (3, 7, 16), (4, 5, 40)],
+    )
+    def test_matches_loop_oracle(self, p, q, max_order):
+        tensor = fusion_tensor(ModelParams(p, q))
+        bound = sum(multiplicity_profile(tensor).values())
+        for k in range(bound, max_order + 1):
+            assert _search_order(tensor, k) == loop_search_order(tensor, k), k
+
+    def test_matches_loop_oracle_on_random_tensors(self):
+        # Fusion tensors are symmetric and self-conjugate, which makes some
+        # checks redundant; arbitrary 0/1 tensors exercise every check.
+        rng = np.random.default_rng(0)
+        shapes = {2: ModelParams(2, 5), 3: ModelParams(3, 4), 4: ModelParams(2, 9)}
+        nonempty = 0
+        for _ in range(100):
+            n = int(rng.integers(2, 5))
+            d = (rng.random((n, n, n)) < 0.7).astype(np.uint8)
+            tensor = dataclasses.replace(fusion_tensor(shapes[n]), coefficients=d)
+            for k in range(1, 9):
+                found = loop_search_order(tensor, k)
+                assert _search_order(tensor, k) == found, (d.tolist(), k)
+                nonempty += bool(found)
+        assert nonempty > 10
+
+    def test_trivial_group_matches_loop_oracle(self):
+        tensor = fusion_tensor(ModelParams(2, 3))
+        assert _search_order(tensor, 1) == loop_search_order(tensor, 1) == [(0,)]
+
+    @pytest.mark.parametrize(
+        "factors", [(), *((k,) for k in range(2, 13)), (2, 2), (2, 4), (3, 3), (2, 2, 2)]
+    )
+    def test_check_lists_decide_every_pair_once(self, factors):
+        spec = AbelianGroupSpec(factors)
+        k = spec.order
+        table = spec.addition_table().tolist()
+        decided = Counter()
+        for e, (pairs, twice) in enumerate(_check_lists(table)):
+            for kind, u, v in pairs:
+                x, y = (u, e) if kind == "second" else (u, v)
+                assert max(x, y, table[x][y]) == e
+                decided[min(x, y), max(x, y)] += 1
+            if twice >= 0:
+                assert table[e][e] == twice < e
+                decided[e, e] += 1
+        nonzero = [(x, y) for y in range(1, k) for x in range(1, y + 1)]
+        assert decided == Counter(nonzero)
 
 
 class TestSearchCyclicCovers:
