@@ -24,14 +24,12 @@ witness, and it is the independent oracle the tests compare the counts
 with.  One chunked numpy loop serves every group; only the group law
 differs: cosets of a 2-group quotient are integers added by XOR, other
 finite abelian groups are mixed-radix digit tuples added componentwise.
-Its result does not depend on chunking or thread count.
+The scan runs on one thread; asked only for the witness, it stops at the
+first chunk holding a violation.  Its result does not depend on chunking.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from math import prod
 
 import numpy as np
@@ -149,26 +147,27 @@ def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) ->
     return _checked_counts(raw, order)
 
 
-def _scan(sec, n, d_flat, add_rows, row_cost, start, stop, stop_at_witness, outrun):
-    """Scan rows g1 in [start, stop) against every g2.
+def _scan(sec, n, d_flat, add_rows, row_cost, stop_at_witness):
+    """Scan rows g1 = 0..|G|-1 against every g2.
 
     ``add_rows`` is the group law: it maps a block of g1 values to the
     (rows, |G|) block of sums g1 + g2.  ``row_cost`` is the int64 scratch it
     needs per pair and caps the chunk height.  With ``stop_at_witness`` the
-    scan ends after the first chunk holding a violation, or before any
-    chunk once ``outrun()`` is true (an earlier partition has a witness);
-    chunks then start at one row and double up to the cap, so a witness in
-    an early row costs little.
+    scan ends after the first chunk holding a violation; chunks then start
+    at one row and double up to the cap, so a witness in an early row costs
+    little.
     """
+    sec = np.ascontiguousarray(sec, dtype=np.int64)
+    d_flat = np.ascontiguousarray(d_flat, dtype=np.uint8)
     size = sec.shape[0]
     sec_n = sec * n
     realized = np.zeros(n * n * n, dtype=np.uint8)
     first = (-1, -1)
     rows_per = max(1, _CHUNK_ELEMS // max(size * row_cost, 1))
     rows = 1 if stop_at_witness else rows_per
-    a = start
-    while a < stop and not (stop_at_witness and outrun()):
-        b = min(a + rows, stop)
+    a = 0
+    while a < size:
+        b = min(a + rows, size)
         g1 = np.arange(a, b, dtype=np.int64)
         idx = (sec_n[g1][:, None] + sec[None, :]) * n + sec[add_rows(g1)]
         realized[idx.reshape(-1)] = 1
@@ -180,48 +179,6 @@ def _scan(sec, n, d_flat, add_rows, row_cost, start, stop, stop_at_witness, outr
                 if stop_at_witness:
                     break
         a, rows = b, min(2 * rows, rows_per)
-    return first[0], first[1], realized
-
-
-def _row_ranges(size: int, threads: int) -> list[tuple[int, int]]:
-    check_threads(threads)
-    threads = min(threads, size) if size else 1
-    bounds = np.linspace(0, size, threads + 1).astype(np.int64)
-    return [(int(bounds[i]), int(bounds[i + 1])) for i in range(threads)]
-
-
-def _pool_size(partitions: int) -> int:
-    """Worker threads for the partitions: no more than the machine's CPUs."""
-    return min(partitions, os.cpu_count() or 1)
-
-
-def _run_scan(sec, n, d_flat, add_rows, row_cost, threads, stop_at_witness):
-    """Scan all pairs over row partitions and merge deterministically.
-
-    The merged first violation is the one with the smallest (g1, g2); since
-    ranges partition ascending g1, the earliest range that reports one wins.
-    So with ``stop_at_witness`` a range may stop as soon as an earlier one
-    has a witness: no range before the earliest reporter is ever stopped.
-    """
-    sec = np.ascontiguousarray(sec, dtype=np.int64)
-    d_flat = np.ascontiguousarray(d_flat, dtype=np.uint8)
-    ranges = _row_ranges(len(sec), threads)
-    found = [threading.Event() for _ in ranges]
-
-    def scan(i):
-        outrun = lambda: any(e.is_set() for e in found[:i])
-        result = _scan(sec, n, d_flat, add_rows, row_cost, *ranges[i], stop_at_witness, outrun)
-        if result[0] >= 0:
-            found[i].set()
-        return result
-
-    with ThreadPoolExecutor(max_workers=_pool_size(len(ranges))) as pool:
-        first = (-1, -1)
-        realized = np.zeros(n * n * n, dtype=np.uint8)
-        for fg1, fg2, part in pool.map(scan, range(len(ranges))):
-            np.maximum(realized, part, out=realized)
-            if first[0] < 0 and fg1 >= 0:
-                first = (int(fg1), int(fg2))
     return first, realized
 
 
@@ -229,7 +186,6 @@ def scan_pairs_xor(
     sec: npt.ArrayLike,
     n_sectors: int,
     d_flat: np.ndarray,
-    threads: int = 1,
     *,
     stop_at_witness: bool = False,
 ) -> tuple[tuple[int, int], np.ndarray]:
@@ -238,14 +194,12 @@ def scan_pairs_xor(
     sec maps each element to its sector index; d_flat is the flattened
     admissibility tensor.  Returns ((g1, g2) of the first closure violation,
     or (-1, -1) if none), and the flattened realized-triple tensor.  With
-    ``stop_at_witness`` each thread's partition stops after the chunk that
-    holds its first violation: the witness is the same, but the realized
-    tensor then covers only the rows scanned.
+    ``stop_at_witness`` the scan stops after the chunk that holds the first
+    violation: the witness is the same, but the realized tensor then covers
+    only the rows scanned.
     """
     g2 = np.arange(len(sec), dtype=np.int64)
-    return _run_scan(
-        sec, n_sectors, d_flat, lambda g1: g1[:, None] ^ g2, 1, threads, stop_at_witness
-    )
+    return _scan(sec, n_sectors, d_flat, lambda g1: g1[:, None] ^ g2, 1, stop_at_witness)
 
 
 def scan_pairs_group(
@@ -254,7 +208,6 @@ def scan_pairs_group(
     sec: npt.ArrayLike,
     n_sectors: int,
     d_flat: np.ndarray,
-    threads: int = 1,
     *,
     stop_at_witness: bool = False,
 ) -> tuple[tuple[int, int], np.ndarray]:
@@ -275,12 +228,7 @@ def scan_pairs_group(
     def add_rows(g1):
         return ((digits[g1][:, None, :] + digits[None, :, :]) % radices) @ places
 
-    return _run_scan(sec, n_sectors, d_flat, add_rows, max(t, 1), threads, stop_at_witness)
-
-
-def popcount(x: np.ndarray) -> np.ndarray:
-    """Per-element population count of an unsigned integer array."""
-    return np.bitwise_count(x)
+    return _scan(sec, n_sectors, d_flat, add_rows, max(t, 1), stop_at_witness)
 
 
 def scan_stats(size: int, d_flat: np.ndarray, realized: np.ndarray) -> dict:

@@ -396,7 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="parallel partitions of the witness scan that runs on a closure FAIL",
+        help="accepted for compatibility and checked to be >= 1; it has no effect: "
+        "the witness scan on a closure FAIL runs on one thread and stops at the "
+        "first chunk with a violation",
     )
     verify.add_argument(
         "--allow-large",

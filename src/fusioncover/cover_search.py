@@ -171,9 +171,10 @@ def verify_abelian_cover(
 
     Reads both off the counts of all |G|^2 ordered pairs under the group's
     addition.  FAIL certificates carry the first violation in canonical
-    element order, found by a pair scan over ``threads`` partitions, or the
-    first admissible-but-unrealized sector triple.  Groups above
-    ``_kernels.MAX_COUNT_ORDER`` raise CapacityError.
+    element order, found by a single-threaded pair scan that stops at the
+    first chunk holding one, or the first admissible-but-unrealized sector
+    triple.  ``threads`` is accepted and checked to be >= 1, and has no
+    effect.  Groups above ``_kernels.MAX_COUNT_ORDER`` raise CapacityError.
     """
     if lg.params != tensor.model:
         raise ValueError(f"labeling is for {lg.params}, tensor for {tensor.model}")
@@ -184,7 +185,7 @@ def verify_abelian_cover(
 
     def scan(**kwargs):
         return _kernels.scan_pairs_group(
-            spec.digit_matrix(), spec.factors, sec, tensor.n, d_flat, threads, **kwargs
+            spec.digit_matrix(), spec.factors, sec, tensor.n, d_flat, **kwargs
         )
 
     elements = spec.elements()

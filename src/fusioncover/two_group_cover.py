@@ -18,8 +18,8 @@ partition algebra (structure constants of coset-class sums), which the
 theorem says is isomorphic to the Verlinde algebra.
 
 Everything is immutable and pure; the counts and the pair scan that names
-a FAIL witness run in ``_kernels``, the scan partitioned across threads
-with deterministic results.
+a FAIL witness run in ``_kernels``.  The scan runs on one thread and stops
+at the first chunk holding a violation.
 """
 
 from __future__ import annotations
@@ -309,8 +309,8 @@ def canonical_cover(ctx: GroupContext) -> CoverMap:
     p = ctx.params.p
     a_width = p - 2
     reps = np.arange(ctx.n_cosets, dtype=np.uint64)
-    m = _kernels.popcount(reps & np.uint64((1 << a_width) - 1)).astype(np.int64) + 1
-    n = _kernels.popcount(reps >> np.uint64(a_width)).astype(np.int64) + 1
+    m = np.bitwise_count(reps & np.uint64((1 << a_width) - 1)).astype(np.int64) + 1
+    n = np.bitwise_count(reps >> np.uint64(a_width)).astype(np.int64) + 1
     table = _label_to_sector_index(ctx.params)
     assignment = table[m, n]
     complement = table[ctx.params.p - m, ctx.params.q - n]
@@ -344,9 +344,10 @@ def verify_cover(
     (g1, g2, g1 + g2) must be admissible.  Condition (2): every admissible
     sector triple must be realized by some pair.  Both are read off the
     pair counts.  FAIL certificates carry the first violation in canonical
-    order (g1 ascending, then g2, then triple index), found by a pair scan
-    over ``threads`` partitions whose result does not depend on their
-    number.  Groups above ``_kernels.MAX_COUNT_ORDER`` raise CapacityError.
+    order (g1 ascending, then g2, then triple index), found by a
+    single-threaded pair scan that stops at the first chunk holding one.
+    ``threads`` is accepted and checked to be >= 1, and has no effect.
+    Groups above ``_kernels.MAX_COUNT_ORDER`` raise CapacityError.
     """
     if cm.context.params != tensor.model:
         raise ValueError(
@@ -356,7 +357,7 @@ def verify_cover(
     sec = cm.sector_indices
     counts = _kernels.pair_counts(sec, tensor.n, _coset_factors(cm.context))
     d_flat = tensor.coefficients.reshape(-1)
-    scan = functools.partial(_kernels.scan_pairs_xor, sec, tensor.n, d_flat, threads)
+    scan = functools.partial(_kernels.scan_pairs_xor, sec, tensor.n, d_flat)
     return certify(counts, sec, tensor, int, operator.xor, scan)
 
 
@@ -392,8 +393,8 @@ def partition_algebra(
     identity coset alone is assigned the vacuum sector.  Pass strict=False
     to build the algebra of a deliberately corrupted partition anyway, e.g.
     to compare its constants against the Verlinde algebra.  The constants
-    come from the pair counts, which need no scan, so ``threads`` is only
-    checked to be >= 1.
+    come from the pair counts, which need no scan; ``threads`` is accepted
+    and checked to be >= 1, and has no effect.
     """
     _kernels.check_threads(threads)
     sec = cm.sector_indices

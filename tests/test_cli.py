@@ -310,6 +310,11 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert proc.stdout.encode() == (GOLDEN / "kac_3_4.txt").read_bytes()
 
+    def test_import_loads_no_thread_pool(self):
+        code = "import sys, fusioncover.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout == "False\n"
+
 
 class TestGroupFileParsing:
     def test_parses_committed_files(self):

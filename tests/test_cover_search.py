@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import threading
 from collections import Counter
 
 import numpy as np
@@ -134,6 +135,16 @@ class TestVerifyAbelianCover:
         # recheck independently
         i, j, k = (s.index for s in w.sectors)
         assert ising_tensor.coefficients[i, j, k] == 0
+
+    def test_fail_starts_no_thread(self, ising, ising_tensor, monkeypatch):
+        def no_start(thread):
+            raise AssertionError("the witness scan must not start a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        labels = {(0,): (1, 1), (1,): (1, 2), (2,): (1, 2), (3,): (1, 3)}
+        lg = LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, labels)
+        cert = verify_abelian_cover(lg, ising_tensor, threads=4)
+        assert isinstance(cert.witness, ClosureViolation)
 
     def test_model_mismatch(self, ising, tricritical_tensor):
         lg = LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, Z4_ISING_LABELS)

@@ -2,7 +2,6 @@
 (g1, g2), and against each other."""
 
 import operator
-import sys
 
 import numpy as np
 import pytest
@@ -14,16 +13,12 @@ from fusioncover._kernels import (
     HAVE_NUMBA,
     active_backend,
     pair_counts,
-    popcount,
     scan_pairs_group,
     scan_pairs_xor,
 )
 from fusioncover.cli import main
 from fusioncover.cover_search import AbelianGroupSpec
 from fusioncover.errors import CapacityError, CountCheckError
-
-# Test ids name the backend that ran, as the benchmark's set-up probe records it.
-BACKENDS = [active_backend()]
 
 
 def oracle_scan(sec, n, d_flat, add):
@@ -79,38 +74,23 @@ class TestXorScan:
         assert (first[0] >= 0) == corrupt
         assert np.array_equal(realized, expected)
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("row", [0, 1, 300, 511])
-    def test_stop_at_witness_keeps_the_first_violation(self, threads, row):
+    def test_stop_at_witness_keeps_the_first_violation(self, row):
         args = lone_bad_row(row)
-        full = scan_pairs_xor(*args, threads=threads)
-        early = scan_pairs_xor(*args, threads=threads, stop_at_witness=True)
+        full = scan_pairs_xor(*args)
+        early = scan_pairs_xor(*args, stop_at_witness=True)
         assert full[0] == early[0] == (row, 1 if row else 0)
 
-    def test_stop_at_witness_under_thread_switching(self, monkeypatch):
-        # Partitions signal each other to stop; more workers than cores and
-        # a short switch interval interleave those signals as much as we can.
-        monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for row in range(0, 512, 37):
-                first, _ = scan_pairs_xor(*lone_bad_row(row), threads=8, stop_at_witness=True)
-                assert first == (row, 1 if row else 0)
-        finally:
-            sys.setswitchinterval(interval)
+    @pytest.mark.parametrize("chunk_rows", [1, 3])
+    def test_full_scan_does_not_depend_on_chunking(self, monkeypatch, chunk_rows):
+        sec, n, d_flat = xor_case(4, 5, corrupt=True)
+        monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", chunk_rows * len(sec))
+        first, realized = scan_pairs_xor(sec, n, d_flat)
+        expected_first, expected = oracle_scan(sec, n, d_flat, lambda a, b: a ^ b)
+        assert first == expected_first
+        assert np.array_equal(realized, expected)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
-    def test_thread_count_irrelevant(self, backend, threads):
-        sec, n, d_flat = xor_case(4, 7, corrupt=True)
-        baseline = scan_pairs_xor(sec, n, d_flat, threads=1)
-        result = scan_pairs_xor(sec, n, d_flat, threads=threads)
-        assert result[0] == baseline[0]
-        assert np.array_equal(result[1], baseline[1])
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_realized_matches_direct_enumeration(self, backend):
+    def test_realized_matches_direct_enumeration(self):
         sec, n, d_flat = xor_case(3, 5)
         _, realized = scan_pairs_xor(sec, n, d_flat)
         expected = np.zeros(n * n * n, dtype=np.uint8)
@@ -167,8 +147,7 @@ class TestGroupScan:
         assert (first[0] < 0) == clean
         assert np.array_equal(realized, expected)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_direct_enumeration(self, backend):
+    def test_matches_direct_enumeration(self):
         spec = AbelianGroupSpec((2, 3))
         params = ModelParams(5, 6)  # N = 10 sectors, labels chosen arbitrarily
         indices = (0, 3, 1, 2, 9, 4)
@@ -184,15 +163,6 @@ class TestGroupScan:
                 k = indices[spec.index_of(spec.add(a, b))]
                 expected[(i * n + j) * n + k] = 1
         assert np.array_equal(realized, expected)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_threads(self, backend, threads):
-        args = group_case((12,), ModelParams(4, 5), (0, 5, 1, 4, 2, 5, 3, 5, 2, 4, 1, 5))
-        baseline = scan_pairs_group(*args, threads=1)
-        result = scan_pairs_group(*args, threads=threads)
-        assert result[0] == baseline[0]
-        assert np.array_equal(result[1], baseline[1])
 
 
 class TestPairCounts:
@@ -225,7 +195,7 @@ class TestPairCounts:
         tensor = fusion_tensor(params)
         sec = cm.sector_indices
         counts = pair_counts(sec, tensor.n, (2,) * (cm.context.r - 1))
-        _, realized = scan_pairs_xor(sec, tensor.n, tensor.coefficients.reshape(-1), threads=2)
+        _, realized = scan_pairs_xor(sec, tensor.n, tensor.coefficients.reshape(-1))
         assert np.array_equal((counts.reshape(-1) > 0).astype(np.uint8), realized)
         assert counts.sum() == len(sec) ** 2
 
@@ -266,34 +236,7 @@ class TestPairCounts:
             pair_counts(np.zeros(8, dtype=np.int64), 1, (2, 2))
 
 
-class TestPartitions:
+class TestBackend:
     def test_numpy_is_the_only_backend(self):
         assert HAVE_NUMBA is False
         assert active_backend() == "numpy"
-
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_threads_below_one_rejected(self, threads):
-        sec, n, d_flat = xor_case(3, 4)
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            scan_pairs_xor(sec, n, d_flat, threads=threads)
-
-    def test_partitions_follow_threads_up_to_group_order(self):
-        assert len(_kernels._row_ranges(8192, 3)) == 3
-        ranges = _kernels._row_ranges(8192, 100_000)
-        assert len(ranges) == 8192
-        assert ranges[0] == (0, 1) and ranges[-1] == (8191, 8192)
-
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(_kernels.os, "cpu_count", lambda: 2)
-        assert _kernels._pool_size(8192) == 2
-        assert _kernels._pool_size(1) == 1
-        monkeypatch.setattr(_kernels.os, "cpu_count", lambda: None)
-        assert _kernels._pool_size(8192) == 1
-
-
-class TestPopcount:
-    def test_against_int_bit_count(self):
-        rng = np.random.default_rng(3)
-        values = rng.integers(0, 1 << 62, size=200, dtype=np.uint64)
-        got = popcount(values)
-        assert [int(v) for v in got] == [int(v).bit_count() for v in values]

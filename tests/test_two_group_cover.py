@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import threading
 from math import comb
 
 import numpy as np
@@ -335,7 +336,7 @@ def corrupted_map(p, q, kind):
         cm = cm.reassigned(100, (cm.sector_indices[100] + 1) % len(cm.sectors))
     tensor = fusion_tensor(params)
     d_flat = tensor.coefficients.reshape(-1)
-    first, realized = _kernels.scan_pairs_xor(cm.sector_indices, tensor.n, d_flat, threads=2)
+    first, realized = _kernels.scan_pairs_xor(cm.sector_indices, tensor.n, d_flat)
     return cm, tensor, first, _kernels.scan_stats(cm.context.n_cosets, d_flat, realized)
 
 
@@ -358,6 +359,15 @@ class TestWitnessFromCounts:
 
         monkeypatch.setattr(_kernels, "scan_pairs_xor", no_scan)
         assert verify_cover(canonical_cover(GroupContext(tricritical)), tricritical_tensor).passed
+
+    def test_fail_starts_no_thread(self, tricritical, tricritical_tensor, monkeypatch):
+        def no_start(thread):
+            raise AssertionError("the witness scan must not start a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        cm = canonical_cover(GroupContext(tricritical)).swapped_images(0, 1)
+        cert = verify_cover(cm, tricritical_tensor, threads=4)
+        assert isinstance(cert.witness, ClosureViolation)
 
     def test_order_above_exactness_bound_refused(self):
         params = ModelParams(9, 14)  # 2^18 cosets
