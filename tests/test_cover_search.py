@@ -146,6 +146,14 @@ class TestVerifyAbelianCover:
         cert = verify_abelian_cover(lg, ising_tensor, threads=4)
         assert isinstance(cert.witness, ClosureViolation)
 
+    def test_thread_determinism(self, tricritical, tricritical_tensor):
+        labels = dict(Z12_TRICRITICAL_LABELS)
+        labels[(1,)], labels[(2,)] = labels[(2,)], labels[(1,)]
+        lg = LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(12), tricritical, labels)
+        certs = [verify_abelian_cover(lg, tricritical_tensor, threads=k) for k in (1, 2, 3, 8)]
+        assert not certs[0].passed
+        assert len({(c.verdict, c.witness) for c in certs}) == 1
+
     def test_model_mismatch(self, ising, tricritical_tensor):
         lg = LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, Z4_ISING_LABELS)
         with pytest.raises(ValueError):

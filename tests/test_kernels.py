@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 from conftest import coprime_models
-from fusioncover import GroupContext, ModelParams, canonical_cover, fusion_tensor, verify_cover
+from fusioncover import (
+    GroupContext,
+    LabeledGroup,
+    ModelParams,
+    canonical_cover,
+    fusion_tensor,
+    partition_algebra,
+    verify_abelian_cover,
+    verify_cover,
+)
 from fusioncover import _kernels
 from fusioncover._kernels import (
     HAVE_NUMBA,
@@ -74,9 +83,11 @@ class TestXorScan:
         assert (first[0] >= 0) == corrupt
         assert np.array_equal(realized, expected)
 
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
     @pytest.mark.parametrize("row", [0, 1, 300, 511])
-    def test_stop_at_witness_keeps_the_first_violation(self, row):
+    def test_stop_at_witness_keeps_the_first_violation(self, monkeypatch, row, chunk_rows):
         args = lone_bad_row(row)
+        monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", chunk_rows * len(args[0]))
         full = scan_pairs_xor(*args)
         early = scan_pairs_xor(*args, stop_at_witness=True)
         assert full[0] == early[0] == (row, 1 if row else 0)
@@ -164,6 +175,32 @@ class TestGroupScan:
                 expected[(i * n + j) * n + k] = 1
         assert np.array_equal(realized, expected)
 
+    @pytest.mark.parametrize(
+        "factors,pq,indices",
+        [case[:3] for case in GROUP_CASES if not case[3]] + [((12, 4), (4, 5), PULLBACK_SWAPPED)],
+    )
+    def test_stop_at_witness_keeps_the_first_violation(self, factors, pq, indices):
+        args = group_case(factors, ModelParams(*pq), indices)
+        full = scan_pairs_group(*args)
+        early = scan_pairs_group(*args, stop_at_witness=True)
+        assert full[0] == early[0] != (-1, -1)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 4])
+    def test_full_scan_does_not_depend_on_chunking(self, monkeypatch, chunk_rows):
+        spec = AbelianGroupSpec((12, 4))
+        args = group_case(spec.factors, ModelParams(4, 5), PULLBACK_SWAPPED)
+        monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", chunk_rows * spec.order * 2)
+        first, realized = scan_pairs_group(*args)
+        elements = spec.elements()
+        expected_first, expected = oracle_scan(
+            args[2],
+            args[3],
+            args[4],
+            lambda a, b: spec.index_of(spec.add(elements[a], elements[b])),
+        )
+        assert first == expected_first != (-1, -1)
+        assert np.array_equal(realized, expected)
+
 
 class TestPairCounts:
     @pytest.mark.parametrize("p,q", [(3, 4), (4, 5), (3, 5)])
@@ -240,3 +277,23 @@ class TestBackend:
     def test_numpy_is_the_only_backend(self):
         assert HAVE_NUMBA is False
         assert active_backend() == "numpy"
+
+
+class TestThreadsArgument:
+    """``threads`` stays on the public entry points: checked, with no effect."""
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("entry", ["verify_cover", "partition_algebra", "verify_abelian_cover"])
+    def test_threads_below_one_rejected(self, entry, threads):
+        params = ModelParams(3, 4)
+        tensor = fusion_tensor(params)
+        cm = canonical_cover(GroupContext(params))
+        calls = {
+            "verify_cover": lambda: verify_cover(cm, tensor, threads=threads),
+            "partition_algebra": lambda: partition_algebra(cm, threads=threads),
+            "verify_abelian_cover": lambda: verify_abelian_cover(
+                LabeledGroup(AbelianGroupSpec((4,)), params, (0, 1, 2, 1)), tensor, threads=threads
+            ),
+        }
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            calls[entry]()
