@@ -10,6 +10,7 @@ violation), or an admissible sector triple no pair of elements realizes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Callable, Union
 
 import numpy as np
@@ -83,31 +84,34 @@ class CoverCertificate:
 
 def certify(
     counts: np.ndarray,
-    sec: np.ndarray,
     tensor: FusionTensor,
+    sector_of: Callable[[int], int],
     element: Callable[[int], Element],
     add: Callable[[int, int], int],
     scan: Callable[..., tuple[tuple[int, int], np.ndarray]],
 ) -> CoverCertificate:
-    """The certificate of a labeled group from its ``_kernels.pair_counts``.
+    """The certificate of a labeled group from its exact pair counts.
 
-    Element codes run 0..|G|-1: ``sec`` gives each code's sector,
-    ``element`` decodes a code into the element a witness reports, and
-    ``add`` is the group law on codes.  ``scan`` is the group's pair scan
-    with its arguments bound; it runs only when the counts put a pair on an
-    inadmissible triple, and then stops at the first chunk holding one, to
-    name the canonical first witness (g1, g2).
+    ``counts`` are ``_kernels.pair_counts`` or, for the canonical 2-group
+    cover, ``two_group_cover.canonical_counts``; both are checked to sum to
+    |G|^2, which gives the group order.  Element codes run 0..|G|-1:
+    ``sector_of`` gives a code's sector, ``element`` decodes a code into the
+    element a witness reports, and ``add`` is the group law on codes.
+    ``scan`` is the group's pair scan with its arguments bound.  Those three
+    run only when the counts put a pair on an inadmissible triple; the scan
+    then stops at the first chunk holding one, to name the canonical first
+    witness (g1, g2).
     """
     d_flat = tensor.coefficients.reshape(-1)
     realized = counts.reshape(-1)
-    stats = _kernels.scan_stats(len(sec), d_flat, realized)
+    stats = _kernels.scan_stats(isqrt(int(realized.sum())), d_flat, realized)
     secs = tensor.sectors
     if realized[d_flat == 0].any():
         (g1, g2), _ = scan(stop_at_witness=True)
         if g1 < 0:
             raise CountCheckError("the counts show a closure violation the pair scan does not")
         g3 = add(g1, g2)
-        triple = (secs[sec[g1]], secs[sec[g2]], secs[sec[g3]])
+        triple = tuple(secs[sector_of(g)] for g in (g1, g2, g3))
         witness = ClosureViolation(element(g1), element(g2), element(g3), triple)
         return CoverCertificate(FAIL, witness, stats)
     miss = _kernels.first_uncovered_triple(d_flat, realized, tensor.n)

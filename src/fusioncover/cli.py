@@ -49,7 +49,7 @@ from .cover_search import (
     search_cyclic_covers,
     verify_abelian_cover,
 )
-from ._kernels import check_count_order
+from ._kernels import check_count_order, check_threads
 from .errors import CapacityError, CountCheckError, GroupFileError
 from .minimal_model import (
     ModelParams,
@@ -59,12 +59,18 @@ from .minimal_model import (
     fusion_tensor,
     kac_table,
 )
-from .two_group_cover import BitVector, GroupContext, canonical_cover, verify_cover
+from .two_group_cover import (
+    BitVector,
+    GroupContext,
+    check_canonical_rank,
+    verify_canonical_cover,
+)
 
 # Groups with more than this many ordered pairs (|G| > 2^13) need an
 # explicit override.  For the canonical cover |G| = 2^(p+q-5), so this is
-# p + q <= 18.  Groups above 2^17 (p + q > 22) are refused even with the
-# override: their pair counts would not be exact.
+# p + q <= 18.  Even with the override, group files above 2^17 are refused
+# (their transform counts would not be exact), and so is the canonical cover
+# past p + q = 35 (its closed-form counts would overflow int64).
 DEFAULT_VERIFY_PAIRS = 1 << 26
 
 
@@ -268,12 +274,11 @@ def _certificate_document(
 
 
 def _check_verify_budget(order: int, allow_large: bool) -> None:
-    check_count_order(order)
     pairs = order * order
     if pairs > DEFAULT_VERIFY_PAIRS and not allow_large:
         raise CapacityError(
             f"a group of order {order} has {pairs} pairs, over the default "
-            f"exhaustive-scan budget of {DEFAULT_VERIFY_PAIRS} pairs (2^26); "
+            f"verify budget of {DEFAULT_VERIFY_PAIRS} pairs (2^26); "
             f"pass --allow-large to proceed"
         )
 
@@ -288,10 +293,12 @@ def cmd_cover_verify(
 ) -> tuple[OutputDocument, int]:
     """Verify a cover; returns the document and the exit code (0 PASS, 1 FAIL)."""
     params = ModelParams(p, q)
+    check_threads(threads)
     if group_file is None:
         ctx = GroupContext(params)
+        check_canonical_rank(params)
         _check_verify_budget(ctx.n_cosets, allow_large)
-        cert = verify_cover(canonical_cover(ctx), fusion_tensor(params), threads=threads)
+        cert = verify_canonical_cover(ctx, fusion_tensor(params))
         r = ctx.r
         group_info = {
             "kind": "two_group_quotient",
@@ -303,6 +310,7 @@ def cmd_cover_verify(
         element_str = element_json
     else:
         lg = parse_group_file(group_file, params)
+        check_count_order(lg.spec.order)
         _check_verify_budget(lg.spec.order, allow_large)
         cert = verify_abelian_cover(lg, fusion_tensor(params), threads=threads)
         group_info = {
@@ -404,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--allow-large",
         action="store_true",
         help=f"permit groups of more than {DEFAULT_VERIFY_PAIRS} pairs (|G| > 2^13); "
-        f"groups above 2^17 are always refused",
+        f"the canonical cover is then counted in closed form up to p + q = 35, "
+        f"group files up to order 2^17; larger ones are always refused",
     )
     verify.set_defaults(run=_run_verify)
 

@@ -190,7 +190,7 @@ def verify_abelian_cover(
 
     elements = spec.elements()
     add = lambda a, b: spec.index_of(spec.add(elements[a], elements[b]))
-    return certify(counts, sec, tensor, elements.__getitem__, add, scan)
+    return certify(counts, tensor, sec.__getitem__, elements.__getitem__, add, scan)
 
 
 def multiplicity_profile(tensor: FusionTensor) -> dict[Sector, int]:

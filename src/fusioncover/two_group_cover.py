@@ -12,14 +12,18 @@ full Kac label to x.  Adding the all-ones vector swaps (m, n) with
 as a map onto sectors.  This module builds that map and verifies that it
 covers the fusion rules: sums of elements land only on admissible sector
 triples, and every admissible triple is realized.  Both conditions are read
-off the exact count of element pairs on each sector triple, taken over all
-|G|^2 pairs by a Walsh-Hadamard transform.  The same counts yield the
-partition algebra (structure constants of coset-class sums), which the
-theorem says is isomorphic to the Verlinde algebra.
+off the exact count of element pairs on each sector triple.  The same
+counts yield the partition algebra (structure constants of coset-class
+sums), which the theorem says is isomorphic to the Verlinde algebra.
 
-Everything is immutable and pure; the counts and the pair scan that names
-a FAIL witness run in ``_kernels``.  The scan runs on one thread and stops
-at the first chunk holding a violation.
+For the canonical cover the counts are a counting certificate derived from
+the construction, not a scan of the map: a label depends only on the A- and
+B-weights, and the number of pairs of given weights in Z_2^w whose sum has a
+given weight is a product of binomials (``canonical_counts``).  They are
+exact in int64 up to r = 31 (p + q <= 35) and take O(N^3) memory, whatever
+|G|.  Any other map is counted by the transform in ``_kernels.pair_counts``
+(|G| <= 2^17); the pair scan that names a FAIL witness also runs there, on
+one thread, and stops at the first chunk holding a violation.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from math import comb
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .certificates import CoverCertificate, certify
-from .errors import CapacityError, PartitionError
+from .errors import CapacityError, CountCheckError, PartitionError
 from .minimal_model import (
     Fraction,
     FusionTensor,
@@ -48,6 +53,10 @@ from .minimal_model import (
 
 # One group element must fit in a machine word for the kernels.
 MAX_RANK = 62
+
+# Largest rank whose closed-form counts are exact in int64: every count of
+# pairs in H is at most |H|^2 = 4^r, and 4^31 = 2^62.
+MAX_CANONICAL_RANK = 31
 
 
 @dataclass(frozen=True)
@@ -193,13 +202,31 @@ def class_members(ctx: GroupContext, label: ClassLabel | tuple[int, int]) -> set
     return members
 
 
+@functools.lru_cache(maxsize=None)
+def _weight_pair_counts(w: int) -> np.ndarray:
+    """K_w[a, b, c] = #{(x, y) in (Z_2^w)^2 : wt x = a, wt y = b, wt(x + y) = c}.
+
+    Choose x (C(w, a) ways), then the i ones y shares with x (C(a, i)) and
+    its b - i ones outside x (C(w - a, b - i)); x + y has weight
+    a + b - 2i.  Entries are at most C(w, a) C(w, b) <= 4^w, exact in int64
+    for w <= 31.
+    """
+    k = np.zeros((w + 1,) * 3, dtype=np.int64)
+    for a in range(w + 1):
+        for b in range(w + 1):
+            for i in range(max(0, a + b - w), min(a, b) + 1):
+                k[a, b, a + b - 2 * i] = comb(w, a) * comb(a, i) * comb(w - a, b - i)
+    k.setflags(write=False)
+    return k
+
+
 def orbit_sum_classes(
     ctx: GroupContext, part: Literal["A", "B"], w1: int, w2: int
 ) -> set[int]:
     """Labels m3 whose orbit A_{m3} meets A_{m1} + A_{m2} (or the B analogue).
 
-    Enumerates every pair of vectors in the two fixed-weight orbits of the
-    chosen coordinate block and collects the weights (+1) of their sums.
+    The support of the weight-class pair counts K_w[w1 - 1, w2 - 1, :] of
+    the chosen coordinate block, shifted to labels (+1).
     """
     if part == "A":
         width, bound = ctx.params.p - 2, ctx.params.p
@@ -209,9 +236,8 @@ def orbit_sum_classes(
         raise ValueError(f"part must be 'A' or 'B', got {part!r}")
     if not (0 < w1 < bound and 0 < w2 < bound):
         raise ValueError(f"labels ({w1}, {w2}) out of range for part {part} (bound {bound})")
-    orbit1 = [sum(1 << i for i in s) for s in itertools.combinations(range(width), w1 - 1)]
-    orbit2 = [sum(1 << i for i in s) for s in itertools.combinations(range(width), w2 - 1)]
-    return {(v1 ^ v2).bit_count() + 1 for v1 in orbit1 for v2 in orbit2}
+    k = _weight_pair_counts(width)
+    return {c + 1 for c in np.flatnonzero(k[w1 - 1, w2 - 1]).tolist()}
 
 
 @dataclass(frozen=True)
@@ -300,12 +326,9 @@ def _label_to_sector_index(params: ModelParams) -> np.ndarray:
     return table
 
 
-def canonical_cover(ctx: GroupContext) -> CoverMap:
-    """The map Phi: each coset is sent to the sector of its members' class.
-
-    Well-definedness (both members of every coset lie in classes with the
-    same canonicalization) is asserted during construction.
-    """
+def _canonical_labels(ctx: GroupContext) -> np.ndarray:
+    """Sector index of every coset under Phi, checking that Phi is constant
+    on cosets."""
     p = ctx.params.p
     a_width = p - 2
     reps = np.arange(ctx.n_cosets, dtype=np.uint64)
@@ -316,7 +339,67 @@ def canonical_cover(ctx: GroupContext) -> CoverMap:
     complement = table[ctx.params.p - m, ctx.params.q - n]
     if not np.array_equal(assignment, complement):
         raise AssertionError("class map is not constant on cosets")
-    return CoverMap(ctx, assignment, sectors(ctx.params))
+    return assignment
+
+
+def canonical_cover(ctx: GroupContext) -> CoverMap:
+    """The map Phi: each coset is sent to the sector of its members' class.
+
+    Well-definedness (both members of every coset lie in classes with the
+    same canonicalization) is asserted during construction.
+    """
+    return CoverMap(ctx, _canonical_labels(ctx), sectors(ctx.params))
+
+
+def check_canonical_rank(params: ModelParams) -> None:
+    """Refuse a model whose canonical counts would not be exact in int64."""
+    r = params.p + params.q - 4
+    if r > MAX_CANONICAL_RANK:
+        raise CapacityError(
+            f"the canonical cover of the ({params.p},{params.q}) model has rank "
+            f"r = p + q - 4 = {r}, above {MAX_CANONICAL_RANK} (p + q <= 35), the largest "
+            f"whose closed-form counts are exact; no option lifts this limit"
+        )
+
+
+def canonical_counts(params: ModelParams) -> np.ndarray:
+    """Pair counts C[i, j, k] of the canonical cover, in closed form.
+
+    A full label (m, n) is the class of vectors with A-weight m - 1 and
+    B-weight n - 1, so the number of pairs (x, y) in H^2 on a full-label
+    triple is K_{p-2}(m-weights) * K_{q-2}(n-weights) (see
+    ``_weight_pair_counts``).  Each sector has two full labels, (m, n) and
+    (p - m, q - n), the classes of the two members of its cosets, and each
+    pair of cosets lifts to 4 pairs in H; so C[i, j, k] is 1/4 of the sum
+    over the 8 full-label choices of the triple.  No map is built and no
+    pair visited: memory is O(N^3) for any |G|.  Returns an int64 (N, N, N)
+    array summing to |G|^2 = 4^(r-1).
+
+    Exactness: the 8 choices are distinct full-label triples, so their sum
+    is at most 4^r, exact in int64 while r <= 31 (``MAX_CANONICAL_RANK``);
+    larger models raise CapacityError before anything is allocated.  A sum
+    not divisible by 4, or counts not adding up to 4^(r-1), raise
+    CountCheckError.
+    """
+    check_canonical_rank(params)
+    p, q = params.p, params.q
+    secs = sectors(params)
+    m = np.array([s.m for s in secs], dtype=np.int64)
+    n = np.array([s.n for s in secs], dtype=np.int64)
+    a_weights = (m - 1, p - 1 - m)
+    b_weights = (n - 1, q - 1 - n)
+    ka, kb = _weight_pair_counts(p - 2), _weight_pair_counts(q - 2)
+    total = np.zeros((len(secs),) * 3, dtype=np.int64)
+    for s in itertools.product((0, 1), repeat=3):
+        total += ka[np.ix_(*(a_weights[t] for t in s))] * kb[np.ix_(*(b_weights[t] for t in s))]
+    counts, rest = np.divmod(total, 4)
+    pairs = 4 ** (p + q - 5)
+    if rest.any() or int(counts.sum()) != pairs:
+        raise CountCheckError(
+            f"canonical counts failed their check: {np.count_nonzero(rest)} label sums "
+            f"not divisible by 4, total {int(counts.sum())} for {pairs} pairs"
+        )
+    return counts
 
 
 def phi(cm: CoverMap, g: Coset) -> Sector:
@@ -333,6 +416,30 @@ def _coset_factors(ctx: GroupContext) -> tuple[int, ...]:
     return (2,) * (ctx.r - 1)
 
 
+def _pair_counts(cm: CoverMap) -> np.ndarray:
+    """The pair counts of a cover map: ``canonical_counts`` when the map is
+    the canonical cover (an O(|G|) comparison), else the transform."""
+    ctx = cm.context
+    if cm.sectors == sectors(ctx.params) and np.array_equal(
+        cm.sector_indices, _canonical_labels(ctx)
+    ):
+        return canonical_counts(ctx.params)
+    return _kernels.pair_counts(cm.sector_indices, len(cm.sectors), _coset_factors(ctx))
+
+
+def _certify(
+    counts: np.ndarray, tensor: FusionTensor, labels: Callable[[], np.ndarray]
+) -> CoverCertificate:
+    """``certify`` for G = Z_2^(r-1); ``labels()`` returns the map's sector
+    indices and is called only to name a closure witness."""
+    d_flat = tensor.coefficients.reshape(-1)
+
+    def scan(**kwargs):
+        return _kernels.scan_pairs_xor(labels(), tensor.n, d_flat, **kwargs)
+
+    return certify(counts, tensor, lambda g: labels()[g], int, operator.xor, scan)
+
+
 def verify_cover(
     cm: CoverMap,
     tensor: FusionTensor,
@@ -343,22 +450,34 @@ def verify_cover(
     Condition (1): for every pair of cosets, the sector triple of
     (g1, g2, g1 + g2) must be admissible.  Condition (2): every admissible
     sector triple must be realized by some pair.  Both are read off the
-    pair counts.  FAIL certificates carry the first violation in canonical
-    order (g1 ascending, then g2, then triple index), found by a
-    single-threaded pair scan that stops at the first chunk holding one.
+    pair counts: for the canonical cover these are ``canonical_counts``, a
+    counting certificate derived from the construction; any other map is
+    counted by the transform, and groups above ``_kernels.MAX_COUNT_ORDER``
+    then raise CapacityError.  FAIL certificates carry the first violation
+    in canonical order (g1 ascending, then g2, then triple index), found by
+    a single-threaded pair scan that stops at the first chunk holding one.
     ``threads`` is accepted and checked to be >= 1, and has no effect.
-    Groups above ``_kernels.MAX_COUNT_ORDER`` raise CapacityError.
     """
     if cm.context.params != tensor.model:
         raise ValueError(
             f"cover map is for {cm.context.params}, tensor for {tensor.model}"
         )
     _kernels.check_threads(threads)
-    sec = cm.sector_indices
-    counts = _kernels.pair_counts(sec, tensor.n, _coset_factors(cm.context))
-    d_flat = tensor.coefficients.reshape(-1)
-    scan = functools.partial(_kernels.scan_pairs_xor, sec, tensor.n, d_flat)
-    return certify(counts, sec, tensor, int, operator.xor, scan)
+    return _certify(_pair_counts(cm), tensor, lambda: cm.sector_indices)
+
+
+def verify_canonical_cover(ctx: GroupContext, tensor: FusionTensor) -> CoverCertificate:
+    """The certificate of ``verify_cover(canonical_cover(ctx), tensor)``,
+    from ``canonical_counts`` alone.
+
+    The 2^(r-1)-entry map is never built on a PASS, so memory is O(N^3) up
+    to p + q = 35; it is built only if the counts show a closure violation,
+    for the scan that names the witness.
+    """
+    if ctx.params != tensor.model:
+        raise ValueError(f"context is for {ctx.params}, tensor for {tensor.model}")
+    labels = functools.cache(lambda: _canonical_labels(ctx))
+    return _certify(canonical_counts(ctx.params), tensor, labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,8 +512,10 @@ def partition_algebra(
     identity coset alone is assigned the vacuum sector.  Pass strict=False
     to build the algebra of a deliberately corrupted partition anyway, e.g.
     to compare its constants against the Verlinde algebra.  The constants
-    come from the pair counts, which need no scan; ``threads`` is accepted
-    and checked to be >= 1, and has no effect.
+    come from the pair counts, which need no scan: ``canonical_counts`` when
+    the map is the canonical cover, the transform otherwise (as in
+    ``verify_cover``).  ``threads`` is accepted and checked to be >= 1, and
+    has no effect.
     """
     _kernels.check_threads(threads)
     sec = cm.sector_indices
@@ -405,7 +526,7 @@ def partition_algebra(
                 "partition requires P_1 = {0}: vacuum preimage is "
                 f"{vacuum.tolist()} (coset representatives)"
             )
-    counts = _kernels.pair_counts(sec, len(cm.sectors), _coset_factors(cm.context))
+    counts = _pair_counts(cm)
     counts.setflags(write=False)
     coeff = (counts > 0).astype(np.uint8)
     coeff.setflags(write=False)

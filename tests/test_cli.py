@@ -18,7 +18,16 @@ from fusioncover.cli import (
     parse_group_file,
 )
 from fusioncover.errors import GroupFileError
-from fusioncover import GroupContext, ModelParams, _kernels, canonical_cover, fusion_tensor, sectors
+from fusioncover import (
+    AbelianGroupSpec,
+    GroupContext,
+    LabeledGroup,
+    ModelParams,
+    _kernels,
+    canonical_cover,
+    fusion_tensor,
+    sectors,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 COVERS = Path(__file__).parent.parent / "covers"
@@ -273,14 +282,55 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("p,q", [(9, 14), (16, 17)])
     def test_group_above_exactness_bound_refused_even_if_large(self, p, q, capsys, monkeypatch):
-        def never(*args):
+        def never(*args, **kwargs):
             raise AssertionError("nothing may be built for a refused group")
 
-        monkeypatch.setattr(cli, "canonical_cover", never)
+        params = ModelParams(p, q)
+        big = LabeledGroup(AbelianGroupSpec((2,) * 18), params, (0,) * (1 << 18))
+        monkeypatch.setattr(cli, "parse_group_file", lambda path, params: big)
         monkeypatch.setattr(cli, "fusion_tensor", never)
-        assert main(["cover", "verify", "--p", str(p), "--q", str(q), "--allow-large"]) == 2
+        monkeypatch.setattr(cli, "verify_abelian_cover", never)
+        args = ["cover", "verify", "--p", str(p), "--q", str(q), "--group", "z2_18.cover"]
+        assert main([*args, "--allow-large"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "2^17" in err
+
+    @pytest.mark.parametrize("p,q", [(17, 19), (2, 35), (30, 31)])
+    @pytest.mark.parametrize("large", [[], ["--allow-large"]])
+    def test_canonical_above_int64_bound_refused(self, p, q, large, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("nothing may be built for a refused model")
+
+        monkeypatch.setattr(cli, "fusion_tensor", never)
+        monkeypatch.setattr(cli, "verify_canonical_cover", never)
+        assert main(["cover", "verify", "--p", str(p), "--q", str(q), *large]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "p + q <= 35" in err
+
+    def test_canonical_past_transform_bound_passes(self, capsys):
+        assert main(["cover", "verify", "--p", "9", "--q", "14", "--allow-large"]) == 0
+        out = capsys.readouterr().out
+        assert "order 262144" in out and "verdict: PASS" in out
+
+    def test_canonical_at_p_plus_q_32_in_small_memory(self):
+        # A materialised 2^27-entry map alone would take 1 GiB.  The wrapper
+        # reports the peak resident set of its one child, in KiB.
+        wrapper = (
+            "import resource, subprocess, sys\n"
+            "code = subprocess.run(sys.argv[1:]).returncode\n"
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        verify = ["-m", "fusioncover.cli", "cover", "verify", "--p", "15", "--q", "17"]
+        proc = subprocess.run(
+            [sys.executable, "-c", wrapper, sys.executable, *verify, "--allow-large"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        *out, last = proc.stdout.splitlines()
+        code, max_rss_kib = map(int, last.split())
+        assert code == 0 and "verdict: PASS" in out
+        assert max_rss_kib < 256 * 1024
 
     def test_fusion_tensor_over_budget(self, capsys):
         assert main(["fusion", "--p", "50", "--q", "51"]) == 2

@@ -2,6 +2,7 @@
 (g1, g2), and against each other."""
 
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from fusioncover import (
     GroupContext,
     LabeledGroup,
     ModelParams,
+    canonical_counts,
     canonical_cover,
     fusion_tensor,
     partition_algebra,
     verify_abelian_cover,
     verify_cover,
 )
-from fusioncover import _kernels
+from fusioncover import _kernels, two_group_cover
 from fusioncover._kernels import (
     HAVE_NUMBA,
     active_backend,
@@ -28,6 +30,8 @@ from fusioncover._kernels import (
 from fusioncover.cli import main
 from fusioncover.cover_search import AbelianGroupSpec
 from fusioncover.errors import CapacityError, CountCheckError
+
+COVERS = Path(__file__).parent.parent / "covers"
 
 
 def oracle_scan(sec, n, d_flat, add):
@@ -257,10 +261,42 @@ class TestPairCounts:
         sec, n, _ = xor_case(4, 5)
         with pytest.raises(CountCheckError):
             pair_counts(sec, n, (2,) * 4)
+        # The transform counts every map but the canonical cover, and every
+        # group file; the canonical cover is counted in closed form.
         params = ModelParams(4, 5)
+        cm = canonical_cover(GroupContext(params)).swapped_images(0, 1)
         with pytest.raises(CountCheckError):
-            verify_cover(canonical_cover(GroupContext(params)), fusion_tensor(params))
-        assert main(["cover", "verify", "--p", "4", "--q", "5"]) == 3
+            verify_cover(cm, fusion_tensor(params))
+        with pytest.raises(CountCheckError):
+            partition_algebra(cm, strict=False)
+        ising_z4 = str(COVERS / "ising_z4.cover")
+        assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", ising_z4]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal error:")
+        assert main(["cover", "verify", "--p", "4", "--q", "5"]) == 0
+
+    # At (3,4) only the divisibility check catches the perturbation: the
+    # floored counts still add up to |G|^2.
+    @pytest.mark.parametrize("p,q", [(3, 4), (4, 5)])
+    def test_perturbed_weight_table_raises(self, p, q, monkeypatch, capsys):
+        table = two_group_cover._weight_pair_counts
+
+        def perturbed(w):
+            k = table(w).copy()
+            if w == p - 2:
+                k[0, 0, 0] += 1
+            return k
+
+        monkeypatch.setattr(two_group_cover, "_weight_pair_counts", perturbed)
+        params = ModelParams(p, q)
+        with pytest.raises(CountCheckError):
+            canonical_counts(params)
+        cm = canonical_cover(GroupContext(params))
+        with pytest.raises(CountCheckError):
+            verify_cover(cm, fusion_tensor(params))
+        with pytest.raises(CountCheckError):
+            partition_algebra(cm)
+        assert main(["cover", "verify", "--p", str(p), "--q", str(q)]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("internal error:")
 

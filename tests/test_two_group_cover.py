@@ -20,6 +20,7 @@ from fusioncover import (
     PartitionError,
     UncoveredTriple,
     admissible_range,
+    canonical_counts,
     canonical_cover,
     canonicalize,
     class_members,
@@ -32,10 +33,12 @@ from fusioncover import (
     quotient_cosets,
     sectors,
     sym_diff_weight_identity,
+    verify_canonical_cover,
     verify_cover,
     verlinde_algebra,
 )
-from fusioncover import _kernels
+from fusioncover import _kernels, two_group_cover
+from fusioncover.errors import CountCheckError
 
 from conftest import coprime_models
 
@@ -215,6 +218,19 @@ class TestOrbitSumClasses:
                     )
                     assert sums == expected
 
+    def test_matches_pair_enumeration(self):
+        # every pair of vectors from the two orbits, one block width at a time
+        for p in range(2, 11):
+            ctx = GroupContext(ModelParams(p, p + 1))
+            for part, width in (("A", p - 2), ("B", p - 1)):
+                orbits = {
+                    w: [sum(1 << i for i in s) for s in itertools.combinations(range(width), w - 1)]
+                    for w in range(1, width + 2)
+                }
+                for w1, w2 in itertools.product(orbits, repeat=2):
+                    sums = {(v1 ^ v2).bit_count() + 1 for v1 in orbits[w1] for v2 in orbits[w2]}
+                    assert orbit_sum_classes(ctx, part, w1, w2) == sums, (p, part, w1, w2)
+
     def test_invalid_arguments(self, ctx34):
         with pytest.raises(ValueError):
             orbit_sum_classes(ctx34, "C", 1, 1)
@@ -370,10 +386,138 @@ class TestWitnessFromCounts:
         assert isinstance(cert.witness, ClosureViolation)
 
     def test_order_above_exactness_bound_refused(self):
+        # Past 2^17 cosets only the canonical cover is counted (in closed
+        # form); any other map would need the transform, which is not exact.
         params = ModelParams(9, 14)  # 2^18 cosets
         cm = canonical_cover(GroupContext(params))
+        cm = cm.reassigned(1, (cm.sector_indices[1] + 1) % len(cm.sectors))
         with pytest.raises(CapacityError, match="2\\^17"):
             verify_cover(cm, fusion_tensor(params))
+        with pytest.raises(CapacityError, match="2\\^17"):
+            partition_algebra(cm, strict=False)
+
+
+@functools.cache
+def krawtchouk_weight_pair_counts(w):
+    """K_w[a, b, c] by the spectral form 2^-w sum_t C(w, t) k_a(t) k_b(t) k_c(t),
+    exact in Python ints, where k_a(t) = sum_j (-1)^j C(t, j) C(w - t, a - j)
+    is the Krawtchouk polynomial: the Walsh-Hadamard transform of the
+    weight-a indicator takes the value k_a(t) on the C(w, t) characters of
+    weight t."""
+    kraw = np.array(
+        [
+            [sum((-1) ** j * comb(t, j) * comb(w - t, a - j) for j in range(a + 1))
+             for t in range(w + 1)]
+            for a in range(w + 1)
+        ],
+        dtype=object,
+    )
+    weighted = kraw * np.array([comb(w, t) for t in range(w + 1)], dtype=object)
+    total = (kraw[:, None, None, :] * kraw[None, :, None, :] * weighted[None, None]).sum(-1)
+    assert all(x % 2**w == 0 for x in total.flat)
+    return np.array(total // 2**w, dtype=np.int64)
+
+
+def representative_counts(params, table):
+    """C[i, j, k] from one representative per coset: the member lying in the
+    class of the sector's own label (m, n).  The sum of two representatives
+    lies in the class (m_k, n_k) or in its complement (p - m_k, q - n_k)."""
+    secs = sectors(params)
+    a = np.array([s.m - 1 for s in secs])
+    b = np.array([s.n - 1 for s in secs])
+    wa, wb = params.p - 2, params.q - 2
+    ka, kb = table(wa), table(wb)
+    own = ka[np.ix_(a, a, a)] * kb[np.ix_(b, b, b)]
+    other = ka[np.ix_(a, a, wa - a)] * kb[np.ix_(b, b, wb - b)]
+    return own + other
+
+
+MODELS_22 = coprime_models(20, 21, max_sum=22)
+MODELS_26 = coprime_models(24, 25, max_sum=26)
+
+
+class TestCanonicalCounts:
+    def test_model_ranges(self):
+        assert (len(MODELS_22), len(MODELS_26)) == (54, 81)
+
+    def test_weight_tables_match_spectral_form(self):
+        # every width a model with p + q <= 35 uses
+        for w in range(32):
+            k = two_group_cover._weight_pair_counts(w)
+            assert np.array_equal(k, krawtchouk_weight_pair_counts(w)), w
+            assert int(k.sum()) == 4**w
+
+    @pytest.mark.parametrize("params", MODELS_22, ids=str)
+    def test_closed_spectral_and_transform_agree(self, params):
+        ctx = GroupContext(params)
+        closed = canonical_counts(params)
+        spectral = representative_counts(params, krawtchouk_weight_pair_counts)
+        transform = _kernels.pair_counts(
+            canonical_cover(ctx).sector_indices, params.n_sectors, (2,) * (ctx.r - 1)
+        )
+        assert closed.dtype == np.int64
+        assert np.array_equal(closed, spectral)
+        assert np.array_equal(closed, transform)
+
+    @pytest.mark.parametrize("params", MODELS_26, ids=str)
+    def test_theorem_to_p_plus_q_26(self, params):
+        ctx = GroupContext(params)
+        tensor = fusion_tensor(params)
+        cert = verify_canonical_cover(ctx, tensor)
+        assert cert.passed
+        assert cert.stats["pairs_checked"] == ctx.n_cosets**2
+        assert cert.stats["realized_triples"] == cert.stats["admissible_triples"]
+        w = partition_algebra(canonical_cover(ctx))
+        assert is_isomorphic_to_verlinde(w, verlinde_algebra(tensor))
+
+    @pytest.mark.parametrize("pq", [(2, 3), (3, 4), (5, 13), (8, 9)])
+    def test_same_certificate_as_the_transform(self, pq, monkeypatch):
+        params = ModelParams(*pq)
+        ctx, tensor = GroupContext(params), fusion_tensor(params)
+        cm = canonical_cover(ctx)
+        closed = verify_canonical_cover(ctx, tensor)
+        assert verify_cover(cm, tensor) == closed
+        factors = (2,) * (ctx.r - 1)
+        transform = lambda params: _kernels.pair_counts(cm.sector_indices, tensor.n, factors)
+        monkeypatch.setattr(two_group_cover, "canonical_counts", transform)
+        assert verify_cover(cm, tensor) == closed
+
+    def test_tensor_of_another_model_refused(self, ising, tricritical_tensor):
+        with pytest.raises(ValueError, match="tensor"):
+            verify_canonical_cover(GroupContext(ising), tricritical_tensor)
+
+    def test_pass_builds_no_map(self, monkeypatch):
+        def no_map(ctx):
+            raise AssertionError("a PASS must not build the map")
+
+        monkeypatch.setattr(two_group_cover, "_canonical_labels", no_map)
+        params = ModelParams(15, 17)  # 2^27 cosets, a 1 GiB map
+        assert verify_canonical_cover(GroupContext(params), fusion_tensor(params)).passed
+
+    def test_counts_disagreeing_with_the_map_raise(self, tricritical, tricritical_tensor, monkeypatch):
+        # Counts that put a pair on an inadmissible triple send the scan to
+        # the map for a witness; the canonical map has none to give.
+        counts = canonical_counts(tricritical)
+        i, j, k = np.argwhere(tricritical_tensor.coefficients == 0)[0]
+        spoiled = counts.copy()
+        spoiled[0, 0, 0] -= 1
+        spoiled[i, j, k] += 1
+        monkeypatch.setattr(two_group_cover, "canonical_counts", lambda params: spoiled)
+        with pytest.raises(CountCheckError, match="scan"):
+            verify_canonical_cover(GroupContext(tricritical), tricritical_tensor)
+
+    @pytest.mark.parametrize("pq", [(17, 19), (2, 35), (30, 31)])
+    def test_rank_above_int64_bound_refused(self, pq, monkeypatch):
+        def never(w):
+            raise AssertionError("nothing may be built for a refused model")
+
+        monkeypatch.setattr(two_group_cover, "_weight_pair_counts", never)
+        with pytest.raises(CapacityError, match="p \\+ q <= 35"):
+            canonical_counts(ModelParams(*pq))
+
+    def test_largest_exact_rank(self):
+        counts = canonical_counts(ModelParams(16, 19))  # r = 31
+        assert int(counts.sum()) == 4**30
 
 
 class TestPartitionAlgebra:
