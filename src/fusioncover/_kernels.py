@@ -18,14 +18,12 @@ valued, and the sum is exact in float64 while |G| <= 2^17
 (``MAX_COUNT_ORDER``).  Every result is checked: each count must be a
 non-negative integer to within 1/4, and the counts must add up to |G|^2.
 
-The row scan visits the pairs in canonical order (g1 ascending, then g2).
-It finds the first closure violation, which certificates report as their
-witness, and it is the independent oracle the tests compare the counts
-with.  One chunked numpy loop serves every group; only the group law
-differs: cosets of a 2-group quotient are integers added by XOR, other
-finite abelian groups are mixed-radix digit tuples added componentwise.
-The scan runs on one thread; asked only for the witness, it stops at the
-first chunk holding a violation.  Its result does not depend on chunking.
+The row scan only names the witness: run when the counts show a pair on an
+inadmissible triple, it visits the pairs in canonical order (g1 ascending,
+then g2) on one thread and returns at the first chunk holding a violation.
+One chunked numpy loop serves every group; only the group law differs:
+cosets of a 2-group quotient are integers added by XOR, other finite
+abelian groups are mixed-radix digit tuples added componentwise.
 """
 
 from __future__ import annotations
@@ -147,59 +145,44 @@ def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) ->
     return _checked_counts(raw, order)
 
 
-def _scan(sec, n, d_flat, add_rows, row_cost, stop_at_witness):
-    """Scan rows g1 = 0..|G|-1 against every g2.
+def _scan(sec, n, d_flat, add_rows, row_cost):
+    """Scan rows g1 = 0, 1, ... against every g2 up to the first violation.
 
     ``add_rows`` is the group law: it maps a block of g1 values to the
     (rows, |G|) block of sums g1 + g2.  ``row_cost`` is the int64 scratch it
-    needs per pair and caps the chunk height.  With ``stop_at_witness`` the
-    scan ends after the first chunk holding a violation; chunks then start
-    at one row and double up to the cap, so a witness in an early row costs
-    little.
+    needs per pair and caps the chunk height.  Chunks start at one row and
+    double up to the cap, so a witness in row r costs at most 2r + 1 rows.
+    Returns ((g1, g2), rows scanned), or ((-1, -1), |G|).
     """
     sec = np.ascontiguousarray(sec, dtype=np.int64)
     d_flat = np.ascontiguousarray(d_flat, dtype=np.uint8)
     size = sec.shape[0]
     sec_n = sec * n
-    realized = np.zeros(n * n * n, dtype=np.uint8)
-    first = (-1, -1)
-    rows_per = max(1, _CHUNK_ELEMS // max(size * row_cost, 1))
-    rows = 1 if stop_at_witness else rows_per
-    a = 0
+    cap = max(1, _CHUNK_ELEMS // max(size * row_cost, 1))
+    a, rows = 0, 1
     while a < size:
         b = min(a + rows, size)
         g1 = np.arange(a, b, dtype=np.int64)
         idx = (sec_n[g1][:, None] + sec[None, :]) * n + sec[add_rows(g1)]
-        realized[idx.reshape(-1)] = 1
-        if first[0] < 0:
-            bad = d_flat[idx] == 0
-            if bad.any():
-                r, c = divmod(int(np.argmax(bad)), size)
-                first = (a + r, c)
-                if stop_at_witness:
-                    break
-        a, rows = b, min(2 * rows, rows_per)
-    return first, realized
+        bad = d_flat[idx] == 0
+        if bad.any():
+            r, c = divmod(int(np.argmax(bad)), size)
+            return (a + r, c), b
+        a, rows = b, min(2 * rows, cap)
+    return (-1, -1), size
 
 
 def scan_pairs_xor(
-    sec: npt.ArrayLike,
-    n_sectors: int,
-    d_flat: np.ndarray,
-    *,
-    stop_at_witness: bool = False,
-) -> tuple[tuple[int, int], np.ndarray]:
-    """All-pairs scan of an XOR group of size len(sec).
+    sec: npt.ArrayLike, n_sectors: int, d_flat: np.ndarray
+) -> tuple[tuple[int, int], int]:
+    """The first closure violation of an XOR group of size len(sec).
 
     sec maps each element to its sector index; d_flat is the flattened
-    admissibility tensor.  Returns ((g1, g2) of the first closure violation,
-    or (-1, -1) if none), and the flattened realized-triple tensor.  With
-    ``stop_at_witness`` the scan stops after the chunk that holds the first
-    violation: the witness is the same, but the realized tensor then covers
-    only the rows scanned.
+    admissibility tensor.  Returns ((g1, g2) of the first violation in
+    canonical order, or (-1, -1) if none), and the number of rows g1 scanned.
     """
     g2 = np.arange(len(sec), dtype=np.int64)
-    return _scan(sec, n_sectors, d_flat, lambda g1: g1[:, None] ^ g2, 1, stop_at_witness)
+    return _scan(sec, n_sectors, d_flat, lambda g1: g1[:, None] ^ g2, 1)
 
 
 def scan_pairs_group(
@@ -208,15 +191,13 @@ def scan_pairs_group(
     sec: npt.ArrayLike,
     n_sectors: int,
     d_flat: np.ndarray,
-    *,
-    stop_at_witness: bool = False,
-) -> tuple[tuple[int, int], np.ndarray]:
-    """All-pairs scan of a finite abelian group given by mixed-radix digits.
+) -> tuple[tuple[int, int], int]:
+    """The first closure violation of a finite abelian group in digits.
 
     digits has shape (|G|, t) with row g the digit tuple of element g in the
     group Z_{radices[0]} x ... x Z_{radices[t-1]}; element codes follow the
     big-endian mixed-radix order used throughout (first factor slowest).
-    Results and ``stop_at_witness`` are as for ``scan_pairs_xor``.
+    Results are as for ``scan_pairs_xor``.
     """
     digits = np.asarray(digits, dtype=np.int64)
     radices = np.asarray(radices, dtype=np.int64)
@@ -228,29 +209,29 @@ def scan_pairs_group(
     def add_rows(g1):
         return ((digits[g1][:, None, :] + digits[None, :, :]) % radices) @ places
 
-    return _scan(sec, n_sectors, d_flat, add_rows, max(t, 1), stop_at_witness)
+    return _scan(sec, n_sectors, d_flat, add_rows, max(t, 1))
 
 
-def scan_stats(size: int, d_flat: np.ndarray, realized: np.ndarray) -> dict:
+def scan_stats(size: int, d_flat: np.ndarray, counts: np.ndarray) -> dict:
     """The counts a certificate reports.
 
-    ``realized`` is nonzero on every realized triple: the pair counts, or a
-    complete scan's realized tensor.  ``pairs_checked`` is |G|^2, the number
-    of pairs the counts account for (their sum is checked to equal it).
+    ``counts`` are the flattened pair counts, positive on every realized
+    triple.  ``pairs_checked`` is |G|^2, the number of pairs the counts
+    account for (their sum is checked to equal it).
     """
     return {
         "group_order": size,
         "pairs_checked": size * size,
         "admissible_triples": int(d_flat.sum()),
-        "realized_triples": int(np.count_nonzero(realized)),
+        "realized_triples": int(np.count_nonzero(counts)),
     }
 
 
 def first_uncovered_triple(
-    d_flat: np.ndarray, realized: np.ndarray, n: int
+    d_flat: np.ndarray, counts: np.ndarray, n: int
 ) -> tuple[int, int, int] | None:
-    """First (i, j, k) in canonical order that is admissible but never realized."""
-    missing = (d_flat != 0) & (realized == 0)
+    """First (i, j, k) in canonical order that is admissible but has no pair."""
+    missing = (d_flat != 0) & (counts == 0)
     if not missing.any():
         return None
     i, j, k = np.unravel_index(int(np.argmax(missing)), (n, n, n))

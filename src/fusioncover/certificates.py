@@ -88,7 +88,7 @@ def certify(
     sector_of: Callable[[int], int],
     element: Callable[[int], Element],
     add: Callable[[int, int], int],
-    scan: Callable[..., tuple[tuple[int, int], np.ndarray]],
+    scan: Callable[[], tuple[tuple[int, int], int]],
 ) -> CoverCertificate:
     """The certificate of a labeled group from its exact pair counts.
 
@@ -99,15 +99,15 @@ def certify(
     element a witness reports, and ``add`` is the group law on codes.
     ``scan`` is the group's pair scan with its arguments bound.  Those three
     run only when the counts put a pair on an inadmissible triple; the scan
-    then stops at the first chunk holding one, to name the canonical first
-    witness (g1, g2).
+    then returns at the first chunk holding one, naming the canonical first
+    witness (g1, g2).  Coverage is read off the counts alone.
     """
     d_flat = tensor.coefficients.reshape(-1)
     realized = counts.reshape(-1)
     stats = _kernels.scan_stats(isqrt(int(realized.sum())), d_flat, realized)
     secs = tensor.sectors
     if realized[d_flat == 0].any():
-        (g1, g2), _ = scan(stop_at_witness=True)
+        (g1, g2), _ = scan()
         if g1 < 0:
             raise CountCheckError("the counts show a closure violation the pair scan does not")
         g3 = add(g1, g2)

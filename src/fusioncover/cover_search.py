@@ -171,7 +171,7 @@ def verify_abelian_cover(
 
     Reads both off the counts of all |G|^2 ordered pairs under the group's
     addition.  FAIL certificates carry the first violation in canonical
-    element order, found by a single-threaded pair scan that stops at the
+    element order, found by a single-threaded pair scan that returns at the
     first chunk holding one, or the first admissible-but-unrealized sector
     triple.  ``threads`` is accepted and checked to be >= 1, and has no
     effect.  Groups above ``_kernels.MAX_COUNT_ORDER`` raise CapacityError.
@@ -183,10 +183,8 @@ def verify_abelian_cover(
     counts = _kernels.pair_counts(sec, tensor.n, spec.factors)
     d_flat = tensor.coefficients.reshape(-1)
 
-    def scan(**kwargs):
-        return _kernels.scan_pairs_group(
-            spec.digit_matrix(), spec.factors, sec, tensor.n, d_flat, **kwargs
-        )
+    def scan():
+        return _kernels.scan_pairs_group(spec.digit_matrix(), spec.factors, sec, tensor.n, d_flat)
 
     elements = spec.elements()
     add = lambda a, b: spec.index_of(spec.add(elements[a], elements[b]))

@@ -22,8 +22,8 @@ B-weights, and the number of pairs of given weights in Z_2^w whose sum has a
 given weight is a product of binomials (``canonical_counts``).  They are
 exact in int64 up to r = 31 (p + q <= 35) and take O(N^3) memory, whatever
 |G|.  Any other map is counted by the transform in ``_kernels.pair_counts``
-(|G| <= 2^17); the pair scan that names a FAIL witness also runs there, on
-one thread, and stops at the first chunk holding a violation.
+(|G| <= 2^17).  Either way ``CoverMap.counts`` counts a map once, for both
+``verify_cover`` and ``partition_algebra``; a scan only names a FAIL witness.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ MAX_RANK = 62
 # Largest rank whose closed-form counts are exact in int64: every count of
 # pairs in H is at most |H|^2 = 4^r, and 4^31 = 2^62.
 MAX_CANONICAL_RANK = 31
+
+# Most cosets a canonical map is built for: 32 MiB of int64 labels.
+MAX_CANONICAL_MAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,7 @@ def class_members(ctx: GroupContext, label: ClassLabel | tuple[int, int]) -> set
 
 
 @functools.lru_cache(maxsize=None)
-def _weight_pair_counts(w: int) -> np.ndarray:
+def _weight_class_counts(w: int) -> np.ndarray:
     """K_w[a, b, c] = #{(x, y) in (Z_2^w)^2 : wt x = a, wt y = b, wt(x + y) = c}.
 
     Choose x (C(w, a) ways), then the i ones y shares with x (C(a, i)) and
@@ -225,8 +228,9 @@ def orbit_sum_classes(
 ) -> set[int]:
     """Labels m3 whose orbit A_{m3} meets A_{m1} + A_{m2} (or the B analogue).
 
-    The support of the weight-class pair counts K_w[w1 - 1, w2 - 1, :] of
-    the chosen coordinate block, shifted to labels (+1).
+    The support of K_w[a, b, :] (``_weight_class_counts``) for the chosen
+    block of width w, a = w1 - 1 and b = w2 - 1, shifted to labels (+1): a
+    sum of weight a + b - 2i for each overlap i the table counts.
     """
     if part == "A":
         width, bound = ctx.params.p - 2, ctx.params.p
@@ -236,8 +240,8 @@ def orbit_sum_classes(
         raise ValueError(f"part must be 'A' or 'B', got {part!r}")
     if not (0 < w1 < bound and 0 < w2 < bound):
         raise ValueError(f"labels ({w1}, {w2}) out of range for part {part} (bound {bound})")
-    k = _weight_pair_counts(width)
-    return {c + 1 for c in np.flatnonzero(k[w1 - 1, w2 - 1]).tolist()}
+    a, b = w1 - 1, w2 - 1
+    return {a + b - 2 * i + 1 for i in range(max(0, a + b - width), min(a, b) + 1)}
 
 
 @dataclass(frozen=True)
@@ -315,6 +319,25 @@ class CoverMap:
         arr[rep] = sector_index
         return CoverMap(self.context, arr, self.sectors)
 
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        """The pair counts, computed on first access and read-only:
+        ``canonical_counts`` for the canonical cover (an O(|G|) comparison;
+        no map above ``MAX_CANONICAL_MAP`` is canonical), else the transform
+        over G = Z_2^(r-1).  Errors are not cached."""
+        ctx = self.context
+        if (
+            self.sectors == sectors(ctx.params)
+            and ctx.n_cosets <= MAX_CANONICAL_MAP
+            and np.array_equal(self.sector_indices, _canonical_labels(ctx))
+        ):
+            counts = canonical_counts(ctx.params)
+        else:
+            factors = (2,) * (ctx.r - 1)
+            counts = _kernels.pair_counts(self.sector_indices, len(self.sectors), factors)
+        counts.setflags(write=False)
+        return counts
+
 
 def _label_to_sector_index(params: ModelParams) -> np.ndarray:
     """Table L[m, n] = sector index of the class of full label (m, n)."""
@@ -328,7 +351,12 @@ def _label_to_sector_index(params: ModelParams) -> np.ndarray:
 
 def _canonical_labels(ctx: GroupContext) -> np.ndarray:
     """Sector index of every coset under Phi, checking that Phi is constant
-    on cosets."""
+    on cosets.  Refuses more than 2^22 cosets before allocating."""
+    if ctx.n_cosets > MAX_CANONICAL_MAP:
+        raise CapacityError(
+            f"the canonical map of {ctx.params} has {ctx.n_cosets} cosets, above "
+            f"{MAX_CANONICAL_MAP} (2^22); verify_canonical_cover needs no map"
+        )
     p = ctx.params.p
     a_width = p - 2
     reps = np.arange(ctx.n_cosets, dtype=np.uint64)
@@ -368,7 +396,7 @@ def canonical_counts(params: ModelParams) -> np.ndarray:
     A full label (m, n) is the class of vectors with A-weight m - 1 and
     B-weight n - 1, so the number of pairs (x, y) in H^2 on a full-label
     triple is K_{p-2}(m-weights) * K_{q-2}(n-weights) (see
-    ``_weight_pair_counts``).  Each sector has two full labels, (m, n) and
+    ``_weight_class_counts``).  Each sector has two full labels, (m, n) and
     (p - m, q - n), the classes of the two members of its cosets, and each
     pair of cosets lifts to 4 pairs in H; so C[i, j, k] is 1/4 of the sum
     over the 8 full-label choices of the triple.  No map is built and no
@@ -388,7 +416,7 @@ def canonical_counts(params: ModelParams) -> np.ndarray:
     n = np.array([s.n for s in secs], dtype=np.int64)
     a_weights = (m - 1, p - 1 - m)
     b_weights = (n - 1, q - 1 - n)
-    ka, kb = _weight_pair_counts(p - 2), _weight_pair_counts(q - 2)
+    ka, kb = _weight_class_counts(p - 2), _weight_class_counts(q - 2)
     total = np.zeros((len(secs),) * 3, dtype=np.int64)
     for s in itertools.product((0, 1), repeat=3):
         total += ka[np.ix_(*(a_weights[t] for t in s))] * kb[np.ix_(*(b_weights[t] for t in s))]
@@ -411,22 +439,6 @@ def phi(cm: CoverMap, g: Coset) -> Sector:
     return cm.sectors[cm.sector_indices[g.representative.bits]]
 
 
-def _coset_factors(ctx: GroupContext) -> tuple[int, ...]:
-    """G = Z_2^(r-1): XOR of coset values is the group law."""
-    return (2,) * (ctx.r - 1)
-
-
-def _pair_counts(cm: CoverMap) -> np.ndarray:
-    """The pair counts of a cover map: ``canonical_counts`` when the map is
-    the canonical cover (an O(|G|) comparison), else the transform."""
-    ctx = cm.context
-    if cm.sectors == sectors(ctx.params) and np.array_equal(
-        cm.sector_indices, _canonical_labels(ctx)
-    ):
-        return canonical_counts(ctx.params)
-    return _kernels.pair_counts(cm.sector_indices, len(cm.sectors), _coset_factors(ctx))
-
-
 def _certify(
     counts: np.ndarray, tensor: FusionTensor, labels: Callable[[], np.ndarray]
 ) -> CoverCertificate:
@@ -434,8 +446,8 @@ def _certify(
     indices and is called only to name a closure witness."""
     d_flat = tensor.coefficients.reshape(-1)
 
-    def scan(**kwargs):
-        return _kernels.scan_pairs_xor(labels(), tensor.n, d_flat, **kwargs)
+    def scan():
+        return _kernels.scan_pairs_xor(labels(), tensor.n, d_flat)
 
     return certify(counts, tensor, lambda g: labels()[g], int, operator.xor, scan)
 
@@ -449,21 +461,21 @@ def verify_cover(
 
     Condition (1): for every pair of cosets, the sector triple of
     (g1, g2, g1 + g2) must be admissible.  Condition (2): every admissible
-    sector triple must be realized by some pair.  Both are read off the
-    pair counts: for the canonical cover these are ``canonical_counts``, a
-    counting certificate derived from the construction; any other map is
-    counted by the transform, and groups above ``_kernels.MAX_COUNT_ORDER``
-    then raise CapacityError.  FAIL certificates carry the first violation
-    in canonical order (g1 ascending, then g2, then triple index), found by
-    a single-threaded pair scan that stops at the first chunk holding one.
-    ``threads`` is accepted and checked to be >= 1, and has no effect.
+    sector triple must be realized by some pair.  Both are read off
+    ``cm.counts``, counted once per map: for the canonical cover these are
+    ``canonical_counts``; any other map is counted by the transform, and
+    groups above ``_kernels.MAX_COUNT_ORDER`` then raise CapacityError.  FAIL
+    certificates carry the first violation in canonical order (g1 ascending,
+    then g2, then triple index), named by a single-threaded pair scan that
+    returns at the first chunk holding one.  ``threads`` is accepted and
+    checked to be >= 1, and has no effect.
     """
     if cm.context.params != tensor.model:
         raise ValueError(
             f"cover map is for {cm.context.params}, tensor for {tensor.model}"
         )
     _kernels.check_threads(threads)
-    return _certify(_pair_counts(cm), tensor, lambda: cm.sector_indices)
+    return _certify(cm.counts, tensor, lambda: cm.sector_indices)
 
 
 def verify_canonical_cover(ctx: GroupContext, tensor: FusionTensor) -> CoverCertificate:
@@ -485,8 +497,8 @@ class PartitionAlgebra:
     """The algebra W of a partition of G: W[i,j,k] = 1 iff P_i + P_j meets P_k.
 
     ``multiplicities[i, j, k]`` is the number of pairs (g1, g2) with g1 in
-    P_i, g2 in P_j and g1 + g2 in P_k (int64, summing to |G|^2); the
-    coefficients are its support.
+    P_i, g2 in P_j and g1 + g2 in P_k (int64, summing to |G|^2): the map's
+    read-only ``CoverMap.counts``.  The coefficients are its support.
     """
 
     sectors: tuple[Sector, ...]
@@ -512,10 +524,9 @@ def partition_algebra(
     identity coset alone is assigned the vacuum sector.  Pass strict=False
     to build the algebra of a deliberately corrupted partition anyway, e.g.
     to compare its constants against the Verlinde algebra.  The constants
-    come from the pair counts, which need no scan: ``canonical_counts`` when
-    the map is the canonical cover, the transform otherwise (as in
-    ``verify_cover``).  ``threads`` is accepted and checked to be >= 1, and
-    has no effect.
+    are the support of ``cm.counts``, the same array ``verify_cover`` reads,
+    so a map counted there is not counted again.  ``threads`` is accepted
+    and checked to be >= 1, and has no effect.
     """
     _kernels.check_threads(threads)
     sec = cm.sector_indices
@@ -526,11 +537,9 @@ def partition_algebra(
                 "partition requires P_1 = {0}: vacuum preimage is "
                 f"{vacuum.tolist()} (coset representatives)"
             )
-    counts = _pair_counts(cm)
-    counts.setflags(write=False)
-    coeff = (counts > 0).astype(np.uint8)
+    coeff = (cm.counts > 0).astype(np.uint8)
     coeff.setflags(write=False)
-    return PartitionAlgebra(cm.sectors, coeff, counts)
+    return PartitionAlgebra(cm.sectors, coeff, cm.counts)
 
 
 def is_isomorphic_to_verlinde(w: PartitionAlgebra, v: VerlindeAlgebra) -> bool:

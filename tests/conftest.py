@@ -9,6 +9,7 @@ source's own sector order, which differs from this package's canonical
 
 from math import gcd
 
+import numpy as np
 import pytest
 
 from fusioncover import ModelParams, fusion_tensor
@@ -106,6 +107,45 @@ def coprime_models(max_p: int, max_q: int, max_sum: int | None = None):
             if gcd(p, q) == 1 and (max_sum is None or p + q <= max_sum):
                 out.append(ModelParams(p, q))
     return out
+
+
+def exhaustive_scan(sec, n, d_flat, add_rows):
+    """First closure violation and realized-triple tensor, from all |G|^2 pairs.
+
+    The oracle for the witness scan and the pair counts.  ``add_rows`` maps
+    a block of g1 values to the (rows, |G|) block of sums g1 + g2.  Returns
+    ((g1, g2) of the first pair in canonical order on an inadmissible triple,
+    or (-1, -1)), and the flattened uint8 tensor marking every realized
+    triple.  Rows go in blocks of about 2^22 pairs.
+    """
+    sec = np.asarray(sec, dtype=np.int64)
+    size = len(sec)
+    realized = np.zeros(n**3, dtype=np.uint8)
+    first = (-1, -1)
+    step = max(1, (1 << 22) // size)
+    for a in range(0, size, step):
+        g1 = np.arange(a, min(a + step, size), dtype=np.int64)
+        idx = ((sec[g1] * n)[:, None] + sec) * n + sec[add_rows(g1)]
+        realized[idx.reshape(-1)] = 1
+        bad = d_flat[idx] == 0
+        if first[0] < 0 and bad.any():
+            r, c = divmod(int(np.argmax(bad)), size)
+            first = (a + r, c)
+    return first, realized
+
+
+def xor_rows(size):
+    """``add_rows`` for the cosets of a 2-group quotient, added by XOR."""
+    g2 = np.arange(size, dtype=np.int64)
+    return lambda g1: g1[:, None] ^ g2
+
+
+def group_rows(digits, radices):
+    """``add_rows`` for mixed-radix digit tuples added componentwise."""
+    digits = np.asarray(digits, dtype=np.int64)
+    radices = np.asarray(radices, dtype=np.int64)
+    places = np.array([np.prod(radices[u + 1:]) for u in range(len(radices))], dtype=np.int64)
+    return lambda g1: ((digits[g1][:, None, :] + digits) % radices) @ places
 
 
 @pytest.fixture(scope="session")

@@ -29,6 +29,8 @@ from fusioncover import (
     sectors,
 )
 
+from conftest import exhaustive_scan, group_rows
+
 GOLDEN = Path(__file__).parent / "golden"
 COVERS = Path(__file__).parent.parent / "covers"
 REFERENCES = Path(__file__).parent.parent / "perfbench" / "references.json"
@@ -193,8 +195,8 @@ class TestCoverVerifyCommand:
         lg = parse_group_file(path, params)
         tensor = fusion_tensor(params)
         d_flat = tensor.coefficients.reshape(-1)
-        (g1, g2), realized = _kernels.scan_pairs_group(
-            lg.spec.digit_matrix(), factors, lg.sector_indices, tensor.n, d_flat
+        (g1, g2), realized = exhaustive_scan(
+            lg.sector_indices, tensor.n, d_flat, group_rows(lg.spec.digit_matrix(), factors)
         )
         assert g1 >= 0
         doc, code = cmd_cover_verify(params.p, params.q, path, "json", threads=threads)

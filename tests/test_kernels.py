@@ -1,5 +1,5 @@
-"""The pair counts and the pair scan against a pure-Python double loop over
-(g1, g2), and against each other."""
+"""The pair counts and the witness scan against a pure-Python double loop
+over (g1, g2), and against the exhaustive numpy scan in conftest."""
 
 import operator
 from pathlib import Path
@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import coprime_models
+from conftest import coprime_models, exhaustive_scan, group_rows, xor_rows
 from fusioncover import (
     GroupContext,
     LabeledGroup,
@@ -81,33 +81,35 @@ class TestXorScan:
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_matches_oracle(self, p, q, corrupt):
         sec, n, d_flat = xor_case(p, q, corrupt)
-        first, realized = scan_pairs_xor(sec, n, d_flat)
+        first, _ = scan_pairs_xor(sec, n, d_flat)
+        exhaustive, realized = exhaustive_scan(sec, n, d_flat, xor_rows(len(sec)))
         expected_first, expected = oracle_scan(sec, n, d_flat, lambda a, b: a ^ b)
-        assert first == expected_first
+        assert first == exhaustive == expected_first
         assert (first[0] >= 0) == corrupt
         assert np.array_equal(realized, expected)
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
     @pytest.mark.parametrize("row", [0, 1, 300, 511])
     def test_stop_at_witness_keeps_the_first_violation(self, monkeypatch, row, chunk_rows):
-        args = lone_bad_row(row)
-        monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", chunk_rows * len(args[0]))
-        full = scan_pairs_xor(*args)
-        early = scan_pairs_xor(*args, stop_at_witness=True)
-        assert full[0] == early[0] == (row, 1 if row else 0)
+        sec, n, d_flat = lone_bad_row(row)
+        monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", chunk_rows * len(sec))
+        first, rows = scan_pairs_xor(sec, n, d_flat)
+        assert first == exhaustive_scan(sec, n, d_flat, xor_rows(len(sec)))[0]
+        assert first == (row, 1 if row else 0)
+        assert row < rows <= 2 * row + 1
 
     @pytest.mark.parametrize("chunk_rows", [1, 3])
     def test_full_scan_does_not_depend_on_chunking(self, monkeypatch, chunk_rows):
-        sec, n, d_flat = xor_case(4, 5, corrupt=True)
-        monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", chunk_rows * len(sec))
-        first, realized = scan_pairs_xor(sec, n, d_flat)
-        expected_first, expected = oracle_scan(sec, n, d_flat, lambda a, b: a ^ b)
-        assert first == expected_first
-        assert np.array_equal(realized, expected)
+        monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", chunk_rows * 16)  # (4,5): 16 cosets
+        for corrupt in (False, True):
+            sec, n, d_flat = xor_case(4, 5, corrupt)
+            first, rows = scan_pairs_xor(sec, n, d_flat)
+            assert first == oracle_scan(sec, n, d_flat, lambda a, b: a ^ b)[0]
+            assert (first == (-1, -1)) == (rows == len(sec)) == (not corrupt)
 
     def test_realized_matches_direct_enumeration(self):
         sec, n, d_flat = xor_case(3, 5)
-        _, realized = scan_pairs_xor(sec, n, d_flat)
+        _, realized = exhaustive_scan(sec, n, d_flat, xor_rows(len(sec)))
         expected = np.zeros(n * n * n, dtype=np.uint8)
         for g1 in range(len(sec)):
             for g2 in range(len(sec)):
@@ -145,20 +147,22 @@ def group_case(factors, params, indices):
     )
 
 
+def group_oracle(factors, args):
+    """The pure-Python oracle scan of ``group_case`` arguments."""
+    spec = AbelianGroupSpec(factors)
+    elements = spec.elements()
+    add = lambda a, b: spec.index_of(spec.add(elements[a], elements[b]))
+    return oracle_scan(args[2], args[3], args[4], add)
+
+
 class TestGroupScan:
     @pytest.mark.parametrize("factors,pq,indices,clean", GROUP_CASES)
     def test_matches_oracle(self, factors, pq, indices, clean):
-        spec = AbelianGroupSpec(factors)
         args = group_case(factors, ModelParams(*pq), indices)
-        first, realized = scan_pairs_group(*args)
-        elements = spec.elements()
-        expected_first, expected = oracle_scan(
-            args[2],
-            args[3],
-            args[4],
-            lambda a, b: spec.index_of(spec.add(elements[a], elements[b])),
-        )
-        assert first == expected_first
+        first, _ = scan_pairs_group(*args)
+        exhaustive, realized = exhaustive_scan(*args[2:], group_rows(*args[:2]))
+        expected_first, expected = group_oracle(factors, args)
+        assert first == exhaustive == expected_first
         assert (first[0] < 0) == clean
         assert np.array_equal(realized, expected)
 
@@ -167,7 +171,7 @@ class TestGroupScan:
         params = ModelParams(5, 6)  # N = 10 sectors, labels chosen arbitrarily
         indices = (0, 3, 1, 2, 9, 4)
         args = group_case(spec.factors, params, indices)
-        _, realized = scan_pairs_group(*args)
+        _, realized = exhaustive_scan(*args[2:], group_rows(*args[:2]))
         n = args[3]
         elements = spec.elements()
         expected = np.zeros(n * n * n, dtype=np.uint8)
@@ -185,25 +189,28 @@ class TestGroupScan:
     )
     def test_stop_at_witness_keeps_the_first_violation(self, factors, pq, indices):
         args = group_case(factors, ModelParams(*pq), indices)
-        full = scan_pairs_group(*args)
-        early = scan_pairs_group(*args, stop_at_witness=True)
-        assert full[0] == early[0] != (-1, -1)
+        (g1, g2), rows = scan_pairs_group(*args)
+        assert (g1, g2) == exhaustive_scan(*args[2:], group_rows(*args[:2]))[0] != (-1, -1)
+        assert g1 < rows <= 2 * g1 + 1
+
+    @pytest.mark.parametrize("row", [0, 1, 300, 511])
+    def test_rows_scanned_bound_the_witness_row(self, row):
+        # Z_2^9 in digit form is the XOR group of the (5,9) cosets.
+        sec, n, d_flat = lone_bad_row(row)
+        spec = AbelianGroupSpec((2,) * 9)
+        first, rows = scan_pairs_group(spec.digit_matrix(), spec.factors, sec, n, d_flat)
+        assert first == (row, 1 if row else 0)
+        assert row < rows <= 2 * row + 1
 
     @pytest.mark.parametrize("chunk_rows", [1, 4])
     def test_full_scan_does_not_depend_on_chunking(self, monkeypatch, chunk_rows):
         spec = AbelianGroupSpec((12, 4))
-        args = group_case(spec.factors, ModelParams(4, 5), PULLBACK_SWAPPED)
         monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", chunk_rows * spec.order * 2)
-        first, realized = scan_pairs_group(*args)
-        elements = spec.elements()
-        expected_first, expected = oracle_scan(
-            args[2],
-            args[3],
-            args[4],
-            lambda a, b: spec.index_of(spec.add(elements[a], elements[b])),
-        )
-        assert first == expected_first != (-1, -1)
-        assert np.array_equal(realized, expected)
+        for indices in (PULLBACK, PULLBACK_SWAPPED):
+            args = group_case(spec.factors, ModelParams(4, 5), indices)
+            first, rows = scan_pairs_group(*args)
+            assert first == group_oracle(spec.factors, args)[0]
+            assert (first == (-1, -1)) == (rows == spec.order) == (indices == PULLBACK)
 
 
 class TestPairCounts:
@@ -236,7 +243,8 @@ class TestPairCounts:
         tensor = fusion_tensor(params)
         sec = cm.sector_indices
         counts = pair_counts(sec, tensor.n, (2,) * (cm.context.r - 1))
-        _, realized = scan_pairs_xor(sec, tensor.n, tensor.coefficients.reshape(-1))
+        d_flat = tensor.coefficients.reshape(-1)
+        _, realized = exhaustive_scan(sec, tensor.n, d_flat, xor_rows(len(sec)))
         assert np.array_equal((counts.reshape(-1) > 0).astype(np.uint8), realized)
         assert counts.sum() == len(sec) ** 2
 
@@ -279,7 +287,7 @@ class TestPairCounts:
     # floored counts still add up to |G|^2.
     @pytest.mark.parametrize("p,q", [(3, 4), (4, 5)])
     def test_perturbed_weight_table_raises(self, p, q, monkeypatch, capsys):
-        table = two_group_cover._weight_pair_counts
+        table = two_group_cover._weight_class_counts
 
         def perturbed(w):
             k = table(w).copy()
@@ -287,7 +295,7 @@ class TestPairCounts:
                 k[0, 0, 0] += 1
             return k
 
-        monkeypatch.setattr(two_group_cover, "_weight_pair_counts", perturbed)
+        monkeypatch.setattr(two_group_cover, "_weight_class_counts", perturbed)
         params = ModelParams(p, q)
         with pytest.raises(CountCheckError):
             canonical_counts(params)

@@ -40,7 +40,7 @@ from fusioncover import (
 from fusioncover import _kernels, two_group_cover
 from fusioncover.errors import CountCheckError
 
-from conftest import coprime_models
+from conftest import coprime_models, exhaustive_scan, xor_rows
 
 
 @pytest.fixture
@@ -231,6 +231,15 @@ class TestOrbitSumClasses:
                     sums = {(v1 ^ v2).bit_count() + 1 for v1 in orbits[w1] for v2 in orbits[w2]}
                     assert orbit_sum_classes(ctx, part, w1, w2) == sums, (p, part, w1, w2)
 
+    @pytest.mark.parametrize("width", [38, 45, 60])
+    def test_wide_blocks_match_spectral_form(self, width):
+        # binomial products of these widths overflow int64
+        ctx = GroupContext(ModelParams(width + 2, 3))
+        for w1, w2 in [(1, 1), (2, 2), (width // 2, width // 3), (width + 1, 3), (width, width)]:
+            k = spectral_weight_class_counts(width, [w1 - 1], [w2 - 1])[0, 0]
+            expected = {c + 1 for c in range(width + 1) if k[c] > 0}
+            assert orbit_sum_classes(ctx, "A", w1, w2) == expected, (width, w1, w2)
+
     def test_invalid_arguments(self, ctx34):
         with pytest.raises(ValueError):
             orbit_sum_classes(ctx34, "C", 1, 1)
@@ -352,7 +361,8 @@ def corrupted_map(p, q, kind):
         cm = cm.reassigned(100, (cm.sector_indices[100] + 1) % len(cm.sectors))
     tensor = fusion_tensor(params)
     d_flat = tensor.coefficients.reshape(-1)
-    first, realized = _kernels.scan_pairs_xor(cm.sector_indices, tensor.n, d_flat)
+    sec = cm.sector_indices
+    first, realized = exhaustive_scan(sec, tensor.n, d_flat, xor_rows(len(sec)))
     return cm, tensor, first, _kernels.scan_stats(cm.context.n_cosets, d_flat, realized)
 
 
@@ -397,13 +407,12 @@ class TestWitnessFromCounts:
             partition_algebra(cm, strict=False)
 
 
-@functools.cache
-def krawtchouk_weight_pair_counts(w):
-    """K_w[a, b, c] by the spectral form 2^-w sum_t C(w, t) k_a(t) k_b(t) k_c(t),
-    exact in Python ints, where k_a(t) = sum_j (-1)^j C(t, j) C(w - t, a - j)
-    is the Krawtchouk polynomial: the Walsh-Hadamard transform of the
-    weight-a indicator takes the value k_a(t) on the C(w, t) characters of
-    weight t."""
+def spectral_weight_class_counts(w, a_rows, b_rows):
+    """K_w[a, b, c] for a in a_rows, b in b_rows and every c, by the spectral
+    form 2^-w sum_t C(w, t) k_a(t) k_b(t) k_c(t), exact in Python ints (an
+    object array), where k_a(t) = sum_j (-1)^j C(t, j) C(w - t, a - j) is the
+    Krawtchouk polynomial: the Walsh-Hadamard transform of the weight-a
+    indicator takes the value k_a(t) on the C(w, t) characters of weight t."""
     kraw = np.array(
         [
             [sum((-1) ** j * comb(t, j) * comb(w - t, a - j) for j in range(a + 1))
@@ -413,9 +422,17 @@ def krawtchouk_weight_pair_counts(w):
         dtype=object,
     )
     weighted = kraw * np.array([comb(w, t) for t in range(w + 1)], dtype=object)
-    total = (kraw[:, None, None, :] * kraw[None, :, None, :] * weighted[None, None]).sum(-1)
+    ka, kb = kraw[list(a_rows)], kraw[list(b_rows)]
+    total = (ka[:, None, None, :] * kb[None, :, None, :] * weighted[None, None]).sum(-1)
     assert all(x % 2**w == 0 for x in total.flat)
-    return np.array(total // 2**w, dtype=np.int64)
+    return total // 2**w
+
+
+@functools.cache
+def krawtchouk_weight_class_counts(w):
+    """The whole table K_w by the spectral form, in int64 (w <= 31)."""
+    rows = range(w + 1)
+    return np.array(spectral_weight_class_counts(w, rows, rows), dtype=np.int64)
 
 
 def representative_counts(params, table):
@@ -443,15 +460,15 @@ class TestCanonicalCounts:
     def test_weight_tables_match_spectral_form(self):
         # every width a model with p + q <= 35 uses
         for w in range(32):
-            k = two_group_cover._weight_pair_counts(w)
-            assert np.array_equal(k, krawtchouk_weight_pair_counts(w)), w
+            k = two_group_cover._weight_class_counts(w)
+            assert np.array_equal(k, krawtchouk_weight_class_counts(w)), w
             assert int(k.sum()) == 4**w
 
     @pytest.mark.parametrize("params", MODELS_22, ids=str)
     def test_closed_spectral_and_transform_agree(self, params):
         ctx = GroupContext(params)
         closed = canonical_counts(params)
-        spectral = representative_counts(params, krawtchouk_weight_pair_counts)
+        spectral = representative_counts(params, krawtchouk_weight_class_counts)
         transform = _kernels.pair_counts(
             canonical_cover(ctx).sector_indices, params.n_sectors, (2,) * (ctx.r - 1)
         )
@@ -474,13 +491,19 @@ class TestCanonicalCounts:
     def test_same_certificate_as_the_transform(self, pq, monkeypatch):
         params = ModelParams(*pq)
         ctx, tensor = GroupContext(params), fusion_tensor(params)
-        cm = canonical_cover(ctx)
         closed = verify_canonical_cover(ctx, tensor)
-        assert verify_cover(cm, tensor) == closed
-        factors = (2,) * (ctx.r - 1)
-        transform = lambda params: _kernels.pair_counts(cm.sector_indices, tensor.n, factors)
+        assert verify_cover(canonical_cover(ctx), tensor) == closed
+        labels, factors = canonical_cover(ctx).sector_indices, (2,) * (ctx.r - 1)
+        calls = []
+
+        def transform(params):
+            calls.append(params)
+            return _kernels.pair_counts(labels, tensor.n, factors)
+
+        # A fresh map: one already counted would not count again.
         monkeypatch.setattr(two_group_cover, "canonical_counts", transform)
-        assert verify_cover(cm, tensor) == closed
+        assert verify_cover(canonical_cover(ctx), tensor) == closed
+        assert calls == [params]
 
     def test_tensor_of_another_model_refused(self, ising, tricritical_tensor):
         with pytest.raises(ValueError, match="tensor"):
@@ -511,9 +534,18 @@ class TestCanonicalCounts:
         def never(w):
             raise AssertionError("nothing may be built for a refused model")
 
-        monkeypatch.setattr(two_group_cover, "_weight_pair_counts", never)
+        monkeypatch.setattr(two_group_cover, "_weight_class_counts", never)
         with pytest.raises(CapacityError, match="p \\+ q <= 35"):
             canonical_counts(ModelParams(*pq))
+
+    def test_oversize_map_refused_before_allocating(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("nothing may be allocated for a refused map")
+
+        ctx = GroupContext(ModelParams(13, 15))  # 2^23 cosets
+        monkeypatch.setattr(np, "arange", never)
+        with pytest.raises(CapacityError, match="2\\^22"):
+            canonical_cover(ctx)
 
     def test_largest_exact_rank(self):
         counts = canonical_counts(ModelParams(16, 19))  # r = 31
@@ -564,6 +596,68 @@ class TestPartitionAlgebra:
         w = partition_algebra(canonical_cover(GroupContext(ising)))
         x = w.product([0, 1, 0], [0, 1, 0])
         assert [str(c) for c in x] == ["1", "0", "1"]
+
+
+class TestCountsOncePerMap:
+    def test_verify_then_partition_counts_once(self, monkeypatch):
+        transform = _kernels.pair_counts
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return transform(*args)
+
+        monkeypatch.setattr(_kernels, "pair_counts", counted)
+        params = ModelParams(5, 13)
+        cm = canonical_cover(GroupContext(params)).swapped_images(3, 90)
+        cert = verify_cover(cm, fusion_tensor(params))
+        w = partition_algebra(cm, strict=False)
+        assert not cert.passed
+        assert len(calls) == 1
+        assert w.multiplicities is cm.counts
+
+    def test_canonical_map_counted_in_closed_form(self, monkeypatch):
+        def no_transform(*args):
+            raise AssertionError("the canonical cover needs no transform")
+
+        closed = two_group_cover.canonical_counts
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return closed(params)
+
+        monkeypatch.setattr(_kernels, "pair_counts", no_transform)
+        monkeypatch.setattr(two_group_cover, "canonical_counts", counted)
+        params = ModelParams(5, 13)
+        cm = canonical_cover(GroupContext(params))
+        assert verify_cover(cm, fusion_tensor(params)).passed
+        assert partition_algebra(cm).multiplicities is cm.counts
+        assert calls == [params]
+
+    def test_map_above_the_canonical_cap_takes_the_transform(self, tricritical, monkeypatch):
+        def no_map(ctx):
+            raise AssertionError("no canonical map is built above the cap")
+
+        cm = canonical_cover(GroupContext(tricritical))  # 16 cosets
+        monkeypatch.setattr(two_group_cover, "MAX_CANONICAL_MAP", 8)
+        monkeypatch.setattr(two_group_cover, "_canonical_labels", no_map)
+        assert np.array_equal(cm.counts, canonical_counts(tricritical))
+
+    def test_counts_are_read_only(self, tricritical):
+        cm = canonical_cover(GroupContext(tricritical)).swapped_images(1, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            cm.counts[0, 0, 0] = 0
+
+    def test_errors_are_not_cached(self, tricritical, monkeypatch):
+        transform = _kernels._transform
+        monkeypatch.setattr(_kernels, "_transform", lambda x, f: transform(x, f) + 0.5)
+        cm = canonical_cover(GroupContext(tricritical)).swapped_images(0, 1)
+        for _ in range(2):
+            with pytest.raises(CountCheckError):
+                cm.counts
+        monkeypatch.setattr(_kernels, "_transform", transform)
+        assert cm.counts.sum() == cm.context.n_cosets**2
 
 
 class TestIsomorphism:
