@@ -62,8 +62,9 @@ from .minimal_model import (
 from .two_group_cover import (
     BitVector,
     GroupContext,
+    canonical_cover,
     check_canonical_rank,
-    verify_canonical_cover,
+    verify_cover,
 )
 
 # Groups with more than this many ordered pairs (|G| > 2^13) need an
@@ -79,7 +80,6 @@ class OutputDocument:
     """A rendered command result: machine payload plus its text rendering."""
 
     format: str
-    kind: str
     payload: dict
     text: str
 
@@ -128,7 +128,7 @@ def cmd_kac(p: int, q: int, format: str = "text") -> OutputDocument:
             _format_table(rows),
         ]
     )
-    return OutputDocument(format, "kac", payload, text)
+    return OutputDocument(format, payload, text)
 
 
 def cmd_fusion(p: int, q: int, format: str = "text") -> OutputDocument:
@@ -155,7 +155,7 @@ def cmd_fusion(p: int, q: int, format: str = "text") -> OutputDocument:
             _format_table(rows),
         ]
     )
-    return OutputDocument(format, "fusion", payload, text)
+    return OutputDocument(format, payload, text)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def _certificate_document(
     ]
     if cert.witness is not None:
         lines.append(f"witness: {cert.witness.describe(element_str)}")
-    return OutputDocument(format, "cover_certificate", payload, "\n".join(lines))
+    return OutputDocument(format, payload, "\n".join(lines))
 
 
 def _check_verify_budget(order: int, allow_large: bool) -> None:
@@ -295,10 +295,10 @@ def cmd_cover_verify(
     params = ModelParams(p, q)
     check_threads(threads)
     if group_file is None:
-        ctx = GroupContext(params)
         check_canonical_rank(params)
+        ctx = GroupContext(params)
         _check_verify_budget(ctx.n_cosets, allow_large)
-        cert = verify_canonical_cover(ctx, fusion_tensor(params))
+        cert = verify_cover(canonical_cover(ctx), fusion_tensor(params), threads=threads)
         r = ctx.r
         group_info = {
             "kind": "two_group_quotient",
@@ -362,7 +362,7 @@ def cmd_cover_search(
             elem = ",".join(str(d) for d in e) if e else "()"
             lines.append(f"  {elem} <-> {names[s.index]} ({s.m},{s.n})")
     payload = {"model": _model_header(params), "max_order": max_order, "covers": rendered}
-    return OutputDocument(format, "search_results", payload, "\n".join(lines))
+    return OutputDocument(format, payload, "\n".join(lines))
 
 
 # ---------------------------------------------------------------------------

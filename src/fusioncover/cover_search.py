@@ -34,7 +34,7 @@ import numpy as np
 from . import _kernels
 from .certificates import CoverCertificate, certify
 from .errors import CapacityError
-from .minimal_model import FusionTensor, ModelParams, Sector, sectors
+from .minimal_model import FusionTensor, ModelParams, Sector, canonicalize, sectors
 
 # Orders above this need an explicit budget override (CLI: --allow-large).
 DEFAULT_SEARCH_BUDGET = 24
@@ -138,8 +138,6 @@ class LabeledGroup:
         labels: dict[Element, tuple[int, int]],
     ) -> "LabeledGroup":
         """Build from a map element -> (m, n); labels are canonicalized."""
-        from .minimal_model import canonicalize
-
         # Stops at the first gap, so a labeling of a few elements of a huge
         # group is refused without enumerating the group.
         indices = []

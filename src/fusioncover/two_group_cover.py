@@ -16,14 +16,15 @@ off the exact count of element pairs on each sector triple.  The same
 counts yield the partition algebra (structure constants of coset-class
 sums), which the theorem says is isomorphic to the Verlinde algebra.
 
-For the canonical cover the counts are a counting certificate derived from
+For ``canonical_cover`` the counts are a counting certificate derived from
 the construction, not a scan of the map: a label depends only on the A- and
 B-weights, and the number of pairs of given weights in Z_2^w whose sum has a
 given weight is a product of binomials (``canonical_counts``).  They are
 exact in int64 up to r = 31 (p + q <= 35) and take O(N^3) memory, whatever
 |G|.  Any other map is counted by the transform in ``_kernels.pair_counts``
 (|G| <= 2^17).  Either way ``CoverMap.counts`` counts a map once, for both
-``verify_cover`` and ``partition_algebra``; a scan only names a FAIL witness.
+``verify_cover`` and ``partition_algebra``; the labels are read only by the
+scan that names a FAIL witness.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -321,20 +322,11 @@ class CoverMap:
 
     @functools.cached_property
     def counts(self) -> np.ndarray:
-        """The pair counts, computed on first access and read-only:
-        ``canonical_counts`` for the canonical cover (an O(|G|) comparison;
-        no map above ``MAX_CANONICAL_MAP`` is canonical), else the transform
-        over G = Z_2^(r-1).  Errors are not cached."""
-        ctx = self.context
-        if (
-            self.sectors == sectors(ctx.params)
-            and ctx.n_cosets <= MAX_CANONICAL_MAP
-            and np.array_equal(self.sector_indices, _canonical_labels(ctx))
-        ):
-            counts = canonical_counts(ctx.params)
-        else:
-            factors = (2,) * (ctx.r - 1)
-            counts = _kernels.pair_counts(self.sector_indices, len(self.sectors), factors)
+        """The pair counts by the transform over G = Z_2^(r-1), computed on
+        first access and read-only; groups above ``_kernels.MAX_COUNT_ORDER``
+        raise CapacityError.  Errors are not cached."""
+        factors = (2,) * (self.context.r - 1)
+        counts = _kernels.pair_counts(self.sector_indices, len(self.sectors), factors)
         counts.setflags(write=False)
         return counts
 
@@ -355,7 +347,8 @@ def _canonical_labels(ctx: GroupContext) -> np.ndarray:
     if ctx.n_cosets > MAX_CANONICAL_MAP:
         raise CapacityError(
             f"the canonical map of {ctx.params} has {ctx.n_cosets} cosets, above "
-            f"{MAX_CANONICAL_MAP} (2^22); verify_canonical_cover needs no map"
+            f"{MAX_CANONICAL_MAP} (2^22); verifying the canonical cover and its "
+            f"partition algebra needs no map"
         )
     p = ctx.params.p
     a_width = p - 2
@@ -370,13 +363,38 @@ def _canonical_labels(ctx: GroupContext) -> np.ndarray:
     return assignment
 
 
+class _CanonicalCover(CoverMap):
+    """The canonical map Phi: counted by ``canonical_counts``, with its
+    labels built by ``_canonical_labels`` on first access."""
+
+    def __init__(self, context: GroupContext) -> None:
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "sectors", sectors(context.params))
+
+    def __repr__(self) -> str:
+        return f"canonical_cover({self.context!r})"
+
+    @functools.cached_property
+    def sector_indices(self) -> np.ndarray:
+        labels = _canonical_labels(self.context)
+        labels.setflags(write=False)
+        return labels
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        counts = canonical_counts(self.context.params)
+        counts.setflags(write=False)
+        return counts
+
+
 def canonical_cover(ctx: GroupContext) -> CoverMap:
     """The map Phi: each coset is sent to the sector of its members' class.
 
-    Well-definedness (both members of every coset lie in classes with the
-    same canonicalization) is asserted during construction.
+    Its counts are ``canonical_counts``.  Its labels are built on first
+    access to ``sector_indices`` (at most 2^22 cosets), asserting that both
+    members of every coset lie in classes with the same canonicalization.
     """
-    return CoverMap(ctx, _canonical_labels(ctx), sectors(ctx.params))
+    return _CanonicalCover(ctx)
 
 
 def check_canonical_rank(params: ModelParams) -> None:
@@ -439,19 +457,6 @@ def phi(cm: CoverMap, g: Coset) -> Sector:
     return cm.sectors[cm.sector_indices[g.representative.bits]]
 
 
-def _certify(
-    counts: np.ndarray, tensor: FusionTensor, labels: Callable[[], np.ndarray]
-) -> CoverCertificate:
-    """``certify`` for G = Z_2^(r-1); ``labels()`` returns the map's sector
-    indices and is called only to name a closure witness."""
-    d_flat = tensor.coefficients.reshape(-1)
-
-    def scan():
-        return _kernels.scan_pairs_xor(labels(), tensor.n, d_flat)
-
-    return certify(counts, tensor, lambda g: labels()[g], int, operator.xor, scan)
-
-
 def verify_cover(
     cm: CoverMap,
     tensor: FusionTensor,
@@ -462,34 +467,24 @@ def verify_cover(
     Condition (1): for every pair of cosets, the sector triple of
     (g1, g2, g1 + g2) must be admissible.  Condition (2): every admissible
     sector triple must be realized by some pair.  Both are read off
-    ``cm.counts``, counted once per map: for the canonical cover these are
-    ``canonical_counts``; any other map is counted by the transform, and
-    groups above ``_kernels.MAX_COUNT_ORDER`` then raise CapacityError.  FAIL
-    certificates carry the first violation in canonical order (g1 ascending,
-    then g2, then triple index), named by a single-threaded pair scan that
-    returns at the first chunk holding one.  ``threads`` is accepted and
-    checked to be >= 1, and has no effect.
+    ``cm.counts``, counted once per map (see ``CoverMap.counts`` and
+    ``canonical_cover``).  FAIL certificates carry the first violation in
+    canonical order (g1 ascending, then g2, then triple index), named by a
+    single-threaded pair scan of the labels that returns at the first chunk
+    holding one.  ``threads`` is accepted and checked to be >= 1, and has no
+    effect.
     """
     if cm.context.params != tensor.model:
         raise ValueError(
             f"cover map is for {cm.context.params}, tensor for {tensor.model}"
         )
     _kernels.check_threads(threads)
-    return _certify(cm.counts, tensor, lambda: cm.sector_indices)
+    d_flat = tensor.coefficients.reshape(-1)
 
+    def scan():
+        return _kernels.scan_pairs_xor(cm.sector_indices, tensor.n, d_flat)
 
-def verify_canonical_cover(ctx: GroupContext, tensor: FusionTensor) -> CoverCertificate:
-    """The certificate of ``verify_cover(canonical_cover(ctx), tensor)``,
-    from ``canonical_counts`` alone.
-
-    The 2^(r-1)-entry map is never built on a PASS, so memory is O(N^3) up
-    to p + q = 35; it is built only if the counts show a closure violation,
-    for the scan that names the witness.
-    """
-    if ctx.params != tensor.model:
-        raise ValueError(f"context is for {ctx.params}, tensor for {tensor.model}")
-    labels = functools.cache(lambda: _canonical_labels(ctx))
-    return _certify(canonical_counts(ctx.params), tensor, labels)
+    return certify(cm.counts, tensor, lambda g: cm.sector_indices[g], int, operator.xor, scan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,21 +520,21 @@ def partition_algebra(
     to build the algebra of a deliberately corrupted partition anyway, e.g.
     to compare its constants against the Verlinde algebra.  The constants
     are the support of ``cm.counts``, the same array ``verify_cover`` reads,
-    so a map counted there is not counted again.  ``threads`` is accepted
-    and checked to be >= 1, and has no effect.
+    so a map counted there is not counted again.  The strict check reads
+    them too: P_1 = {0} iff C[0, 0, 0] = 1 (with 0 in P_1, (0, 0) and every
+    (0, g), (g, 0), (g, g) count; without it the pairs counted come in
+    swapped couples).  ``threads`` is accepted and checked to be >= 1, and
+    has no effect.
     """
     _kernels.check_threads(threads)
-    sec = cm.sector_indices
-    if strict:
-        vacuum = np.flatnonzero(sec == 0)
-        if vacuum.tolist() != [0]:
-            raise PartitionError(
-                "partition requires P_1 = {0}: vacuum preimage is "
-                f"{vacuum.tolist()} (coset representatives)"
-            )
-    coeff = (cm.counts > 0).astype(np.uint8)
+    counts = cm.counts
+    if strict and counts[0, 0, 0] != 1:
+        size = int(counts[0].sum()) // cm.context.n_cosets  # sum_{j,k} C[0,j,k] = |P_1| |G|
+        where = "one nonzero coset" if size == 1 else f"{size} cosets"
+        raise PartitionError(f"partition requires P_1 = {{0}}: the vacuum preimage is {where}")
+    coeff = (counts > 0).astype(np.uint8)
     coeff.setflags(write=False)
-    return PartitionAlgebra(cm.sectors, coeff, cm.counts)
+    return PartitionAlgebra(cm.sectors, coeff, counts)
 
 
 def is_isomorphic_to_verlinde(w: PartitionAlgebra, v: VerlindeAlgebra) -> bool:

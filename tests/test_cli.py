@@ -297,14 +297,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "2^17" in err
 
-    @pytest.mark.parametrize("p,q", [(17, 19), (2, 35), (30, 31)])
+    @pytest.mark.parametrize("p,q", [(17, 19), (2, 35), (30, 31), (40, 41)])
     @pytest.mark.parametrize("large", [[], ["--allow-large"]])
     def test_canonical_above_int64_bound_refused(self, p, q, large, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("nothing may be built for a refused model")
 
         monkeypatch.setattr(cli, "fusion_tensor", never)
-        monkeypatch.setattr(cli, "verify_canonical_cover", never)
+        monkeypatch.setattr(cli, "canonical_cover", never)
+        monkeypatch.setattr(cli, "verify_cover", never)
         assert main(["cover", "verify", "--p", str(p), "--q", str(q), *large]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "p + q <= 35" in err

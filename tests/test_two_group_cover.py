@@ -33,7 +33,6 @@ from fusioncover import (
     quotient_cosets,
     sectors,
     sym_diff_weight_identity,
-    verify_canonical_cover,
     verify_cover,
     verlinde_algebra,
 )
@@ -480,7 +479,7 @@ class TestCanonicalCounts:
     def test_theorem_to_p_plus_q_26(self, params):
         ctx = GroupContext(params)
         tensor = fusion_tensor(params)
-        cert = verify_canonical_cover(ctx, tensor)
+        cert = verify_cover(canonical_cover(ctx), tensor)
         assert cert.passed
         assert cert.stats["pairs_checked"] == ctx.n_cosets**2
         assert cert.stats["realized_triples"] == cert.stats["admissible_triples"]
@@ -491,9 +490,9 @@ class TestCanonicalCounts:
     def test_same_certificate_as_the_transform(self, pq, monkeypatch):
         params = ModelParams(*pq)
         ctx, tensor = GroupContext(params), fusion_tensor(params)
-        closed = verify_canonical_cover(ctx, tensor)
-        assert verify_cover(canonical_cover(ctx), tensor) == closed
+        closed = verify_cover(canonical_cover(ctx), tensor)
         labels, factors = canonical_cover(ctx).sector_indices, (2,) * (ctx.r - 1)
+        assert verify_cover(CoverMap(ctx, labels, sectors(params)), tensor) == closed
         calls = []
 
         def transform(params):
@@ -507,7 +506,7 @@ class TestCanonicalCounts:
 
     def test_tensor_of_another_model_refused(self, ising, tricritical_tensor):
         with pytest.raises(ValueError, match="tensor"):
-            verify_canonical_cover(GroupContext(ising), tricritical_tensor)
+            verify_cover(canonical_cover(GroupContext(ising)), tricritical_tensor)
 
     def test_pass_builds_no_map(self, monkeypatch):
         def no_map(ctx):
@@ -515,7 +514,7 @@ class TestCanonicalCounts:
 
         monkeypatch.setattr(two_group_cover, "_canonical_labels", no_map)
         params = ModelParams(15, 17)  # 2^27 cosets, a 1 GiB map
-        assert verify_canonical_cover(GroupContext(params), fusion_tensor(params)).passed
+        assert verify_cover(canonical_cover(GroupContext(params)), fusion_tensor(params)).passed
 
     def test_counts_disagreeing_with_the_map_raise(self, tricritical, tricritical_tensor, monkeypatch):
         # Counts that put a pair on an inadmissible triple send the scan to
@@ -527,7 +526,7 @@ class TestCanonicalCounts:
         spoiled[i, j, k] += 1
         monkeypatch.setattr(two_group_cover, "canonical_counts", lambda params: spoiled)
         with pytest.raises(CountCheckError, match="scan"):
-            verify_canonical_cover(GroupContext(tricritical), tricritical_tensor)
+            verify_cover(canonical_cover(GroupContext(tricritical)), tricritical_tensor)
 
     @pytest.mark.parametrize("pq", [(17, 19), (2, 35), (30, 31)])
     def test_rank_above_int64_bound_refused(self, pq, monkeypatch):
@@ -542,10 +541,10 @@ class TestCanonicalCounts:
         def never(*args, **kwargs):
             raise AssertionError("nothing may be allocated for a refused map")
 
-        ctx = GroupContext(ModelParams(13, 15))  # 2^23 cosets
+        cm = canonical_cover(GroupContext(ModelParams(13, 15)))  # 2^23 cosets
         monkeypatch.setattr(np, "arange", never)
         with pytest.raises(CapacityError, match="2\\^22"):
-            canonical_cover(ctx)
+            cm.sector_indices
 
     def test_largest_exact_rank(self):
         counts = canonical_counts(ModelParams(16, 19))  # r = 31
@@ -568,6 +567,32 @@ class TestPartitionAlgebra:
         cm = canonical_cover(GroupContext(ising)).reassigned(1, 0)
         with pytest.raises(PartitionError, match="P_1"):
             partition_algebra(cm)
+
+    @pytest.mark.parametrize("pq", [(3, 4), (3, 5), (4, 5), (2, 7), (3, 7), (5, 6)])
+    def test_strict_check_agrees_with_the_labels(self, pq):
+        # The strict check reads the counts; the oracle reads the labels.
+        cm = canonical_cover(GroupContext(ModelParams(*pq)))
+        n_cosets, n = cm.context.n_cosets, len(cm.sectors)
+        candidates = [cm.swapped_images(0, g) for g in range(1, n_cosets)]
+        candidates += [
+            cm.reassigned(g, i) for g, i in itertools.product(range(n_cosets), range(n))
+        ]
+        for candidate in candidates:
+            vacuum = np.flatnonzero(candidate.sector_indices == 0).tolist()
+            if vacuum == [0]:
+                partition_algebra(candidate)
+            else:
+                with pytest.raises(PartitionError, match="P_1"):
+                    partition_algebra(candidate)
+
+    def test_theorem_at_p_plus_q_32_builds_no_map(self, monkeypatch):
+        def no_map(ctx):
+            raise AssertionError("the partition algebra must not build the map")
+
+        monkeypatch.setattr(two_group_cover, "_canonical_labels", no_map)
+        params = ModelParams(15, 17)  # 2^27 cosets, a 1 GiB map
+        w = partition_algebra(canonical_cover(GroupContext(params)))
+        assert is_isomorphic_to_verlinde(w, verlinde_algebra(fusion_tensor(params)))
 
     def test_non_strict_builds_corrupted(self, ising, ising_tensor):
         cm = canonical_cover(GroupContext(ising)).reassigned(1, 0)
@@ -635,14 +660,28 @@ class TestCountsOncePerMap:
         assert partition_algebra(cm).multiplicities is cm.counts
         assert calls == [params]
 
-    def test_map_above_the_canonical_cap_takes_the_transform(self, tricritical, monkeypatch):
-        def no_map(ctx):
-            raise AssertionError("no canonical map is built above the cap")
+    @pytest.mark.parametrize("pq", [(3, 4), (4, 5), (5, 13)])
+    def test_hand_built_canonical_labels_take_the_transform(self, pq, monkeypatch):
+        transform = _kernels.pair_counts
+        calls = []
 
-        cm = canonical_cover(GroupContext(tricritical))  # 16 cosets
-        monkeypatch.setattr(two_group_cover, "MAX_CANONICAL_MAP", 8)
+        def counted(*args):
+            calls.append(args)
+            return transform(*args)
+
+        params = ModelParams(*pq)
+        ctx = GroupContext(params)
+        cm = CoverMap(ctx, canonical_cover(ctx).sector_indices, sectors(params))
+        monkeypatch.setattr(_kernels, "pair_counts", counted)
+        assert np.array_equal(cm.counts, canonical_counts(params))
+        assert len(calls) == 1
+
+    def test_canonical_repr_builds_no_labels(self, tricritical, monkeypatch):
+        def no_map(ctx):
+            raise AssertionError("repr must not build the map")
+
         monkeypatch.setattr(two_group_cover, "_canonical_labels", no_map)
-        assert np.array_equal(cm.counts, canonical_counts(tricritical))
+        assert "ModelParams(p=4, q=5)" in repr(canonical_cover(GroupContext(tricritical)))
 
     def test_counts_are_read_only(self, tricritical):
         cm = canonical_cover(GroupContext(tricritical)).swapped_images(1, 2)
