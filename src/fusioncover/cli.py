@@ -11,7 +11,9 @@ Subcommands
 Every subcommand takes ``--format text|json``.  Text output is stable and
 golden-tested; JSON output is ``{"model": {p, q, c, N}, ...}`` with exact
 rationals rendered as ``num/den`` strings, and round-trips through the
-standard json parser.
+standard json parser.  The JSON text is byte-identical to
+``json.dumps(payload, indent=2)`` but written in one pass, and only the
+requested format is rendered: a JSON run never formats the text lines.
 
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or input error,
 3 internal error (pair counts failed their own check; no verdict).
@@ -34,10 +36,12 @@ comment.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -75,17 +79,73 @@ from .two_group_cover import (
 DEFAULT_VERIFY_PAIRS = 1 << 26
 
 
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2)``, written in one pass.
+
+    Only the types the payloads hold are accepted: dict (with str keys),
+    list, str, int, True, False and None; anything else, subclasses
+    included, raises TypeError.  A dict object the payload holds more than
+    once is written once per indent depth.
+    """
+    encode = encode_basestring_ascii
+    memo: dict[tuple[int, int], str] = {}
+
+    # Strings are most of the leaves: the comprehensions below encode them
+    # in place rather than through a call to write.
+    def write(value, depth: int) -> str:
+        kind = type(value)
+        if kind is dict:
+            key = (id(value), depth)
+            text = memo.get(key)
+            if text is None:
+                text = "{}"
+                if value:
+                    outer = "\n" + "  " * depth
+                    inner = outer + "  "
+                    text = "{" + inner + ("," + inner).join(
+                        [encode(k) + ": " + (encode(v) if type(v) is str else write(v, depth + 1))
+                         for k, v in value.items()]
+                    ) + outer + "}"
+                memo[key] = text
+            return text
+        if kind is list:
+            if not value:
+                return "[]"
+            outer = "\n" + "  " * depth
+            inner = outer + "  "
+            return "[" + inner + ("," + inner).join(
+                [encode(v) if type(v) is str else write(v, depth + 1) for v in value]
+            ) + outer + "]"
+        if kind is str:
+            return encode(value)
+        if kind is int:
+            return int.__repr__(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    return write(payload, 0)
+
+
 @dataclass(frozen=True)
 class OutputDocument:
-    """A rendered command result: machine payload plus its text rendering."""
+    """A command result: its machine payload and, on first use, its text."""
 
     format: str
     payload: dict
-    text: str
+    render: Callable[[], str] = field(repr=False, compare=False)
+
+    @cached_property
+    def text(self) -> str:
+        return self.render()
 
     def emit(self) -> str:
         if self.format == "json":
-            return json.dumps(self.payload, indent=2)
+            return _json_text(self.payload)
         return self.text
 
 
@@ -110,6 +170,16 @@ def _format_table(rows: list[list[str]]) -> str:
     )
 
 
+def _table_text(title: str, model: dict, rows: list[list[str]]) -> str:
+    return "\n".join(
+        [
+            f"{title} of the ({model['p']},{model['q']}) minimal model",
+            f"c = {model['c']}, N = {model['N']} sectors",
+            _format_table(rows),
+        ]
+    )
+
+
 # ---------------------------------------------------------------------------
 # kac / fusion tables
 # ---------------------------------------------------------------------------
@@ -119,16 +189,13 @@ def cmd_kac(p: int, q: int, format: str = "text") -> OutputDocument:
     params = ModelParams(p, q)
     grid = [[fraction_str(h) for h in row] for row in kac_table(params)]
     payload = {"model": _model_header(params), "kac_table": grid}
-    rows = [["h_{m,n}"] + [f"n={n}" for n in range(1, q)]]
-    rows += [[f"m={m}"] + grid[m - 1] for m in range(1, p)]
-    text = "\n".join(
-        [
-            f"Kac table of the ({p},{q}) minimal model",
-            f"c = {payload['model']['c']}, N = {payload['model']['N']} sectors",
-            _format_table(rows),
-        ]
-    )
-    return OutputDocument(format, payload, text)
+
+    def render() -> str:
+        rows = [["h_{m,n}"] + [f"n={n}" for n in range(1, q)]]
+        rows += [[f"m={m}"] + grid[m - 1] for m in range(1, p)]
+        return _table_text("Kac table", payload["model"], rows)
+
+    return OutputDocument(format, payload, render)
 
 
 def cmd_fusion(p: int, q: int, format: str = "text") -> OutputDocument:
@@ -146,16 +213,13 @@ def cmd_fusion(p: int, q: int, format: str = "text") -> OutputDocument:
         "sectors": [_sector_payload(s) for s in secs],
         "table": cells,
     }
-    rows = [["[h] x [h']"] + names]
-    rows += [[name] + ["+".join(cell) for cell in row] for name, row in zip(names, cells)]
-    text = "\n".join(
-        [
-            f"Fusion rules of the ({p},{q}) minimal model",
-            f"c = {payload['model']['c']}, N = {payload['model']['N']} sectors",
-            _format_table(rows),
-        ]
-    )
-    return OutputDocument(format, payload, text)
+
+    def render() -> str:
+        rows = [["[h] x [h']"] + names]
+        rows += [[name] + ["+".join(cell) for cell in row] for name, row in zip(names, cells)]
+        return _table_text("Fusion rules", payload["model"], rows)
+
+    return OutputDocument(format, payload, render)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +312,7 @@ def _certificate_document(
     params: ModelParams,
     cert: CoverCertificate,
     group_info: dict,
-    group_desc: str,
+    group_desc: Callable[[], str],
     element_json,
     element_str,
     format: str,
@@ -260,17 +324,21 @@ def _certificate_document(
         "stats": cert.stats,
         "witness": None if cert.witness is None else _witness_payload(cert.witness, element_json),
     }
-    lines = [
-        f"Cover verification for the ({params.p},{params.q}) minimal model",
-        f"group: {group_desc} (order {cert.stats['group_order']})",
-        f"verdict: {cert.verdict}",
-        f"pairs checked: {cert.stats['pairs_checked']}",
-        f"admissible sector triples: {cert.stats['admissible_triples']}",
-        f"realized sector triples: {cert.stats['realized_triples']}",
-    ]
-    if cert.witness is not None:
-        lines.append(f"witness: {cert.witness.describe(element_str)}")
-    return OutputDocument(format, payload, "\n".join(lines))
+
+    def render() -> str:
+        lines = [
+            f"Cover verification for the ({params.p},{params.q}) minimal model",
+            f"group: {group_desc()} (order {cert.stats['group_order']})",
+            f"verdict: {cert.verdict}",
+            f"pairs checked: {cert.stats['pairs_checked']}",
+            f"admissible sector triples: {cert.stats['admissible_triples']}",
+            f"realized sector triples: {cert.stats['realized_triples']}",
+        ]
+        if cert.witness is not None:
+            lines.append(f"witness: {cert.witness.describe(element_str)}")
+        return "\n".join(lines)
+
+    return OutputDocument(format, payload, render)
 
 
 def _check_verify_budget(order: int, allow_large: bool) -> None:
@@ -305,7 +373,7 @@ def cmd_cover_verify(
             "factors": [2] * (r - 1),
             "order": 1 << (r - 1),
         }
-        desc = f"Z2^{r - 1}, the quotient of H = Z2^{r} by the all-ones vector"
+        desc = lambda: f"Z2^{r - 1}, the quotient of H = Z2^{r} by the all-ones vector"
         element_json = lambda g: BitVector(g, r).coordinates()
         element_str = element_json
     else:
@@ -318,7 +386,7 @@ def cmd_cover_verify(
             "factors": list(lg.spec.factors),
             "order": lg.spec.order,
         }
-        desc = lg.spec.describe()
+        desc = lambda: lg.spec.describe()
         element_json = lambda e: list(e)
         element_str = lambda e: ",".join(str(d) for d in e) if e else "()"
     doc = _certificate_document(
@@ -340,29 +408,40 @@ def cmd_cover_search(
     budget = max(max_order, DEFAULT_SEARCH_BUDGET) if allow_large else DEFAULT_SEARCH_BUDGET
     covers = search_cyclic_covers(tensor, max_order, order_budget=budget)
     names = [s.name for s in tensor.sectors]
-    rendered = []
-    lines = [
-        f"Cyclic covers of the ({p},{q}) minimal model fusion rules up to order {max_order}",
-        f"found {len(covers)} cover(s)",
+    # One label record per distinct (element, sector), shared by every cover
+    # that holds it: many covers reuse few labels.
+    records: dict[tuple, dict] = {}
+
+    def record(e: tuple, s: Sector) -> dict:
+        rec = records.get((e, s.index))
+        if rec is None:
+            rec = {"element": list(e), "sector": [s.m, s.n], "name": names[s.index]}
+            records[e, s.index] = rec
+        return rec
+
+    rendered = [
+        {
+            "factors": list(lg.spec.factors),
+            "order": lg.spec.order,
+            "labels": [record(e, s) for e, s in zip(lg.spec.elements(), lg.labels)],
+        }
+        for lg in covers
     ]
-    for lg in covers:
-        labels = list(zip(lg.spec.elements(), lg.labels))
-        rendered.append(
-            {
-                "factors": list(lg.spec.factors),
-                "order": lg.spec.order,
-                "labels": [
-                    {"element": list(e), "sector": [s.m, s.n], "name": names[s.index]}
-                    for e, s in labels
-                ],
-            }
-        )
-        lines.append(f"{lg.spec.describe()}:")
-        for e, s in labels:
-            elem = ",".join(str(d) for d in e) if e else "()"
-            lines.append(f"  {elem} <-> {names[s.index]} ({s.m},{s.n})")
     payload = {"model": _model_header(params), "max_order": max_order, "covers": rendered}
-    return OutputDocument(format, payload, "\n".join(lines))
+
+    def render() -> str:
+        lines = [
+            f"Cyclic covers of the ({p},{q}) minimal model fusion rules up to order {max_order}",
+            f"found {len(covers)} cover(s)",
+        ]
+        for lg in covers:
+            lines.append(f"{lg.spec.describe()}:")
+            for e, s in zip(lg.spec.elements(), lg.labels):
+                elem = ",".join(str(d) for d in e) if e else "()"
+                lines.append(f"  {elem} <-> {names[s.index]} ({s.m},{s.n})")
+        return "\n".join(lines)
+
+    return OutputDocument(format, payload, render)
 
 
 # ---------------------------------------------------------------------------

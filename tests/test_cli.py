@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusioncover import cli
 from fusioncover.cli import (
@@ -34,6 +36,30 @@ from conftest import exhaustive_scan, group_rows
 GOLDEN = Path(__file__).parent / "golden"
 COVERS = Path(__file__).parent.parent / "covers"
 REFERENCES = Path(__file__).parent.parent / "perfbench" / "references.json"
+
+
+def run_with_peak_rss(args, show_output=True, timeout=120):
+    """Run the CLI in a child; return its exit code, peak RSS in KiB and stdout lines.
+
+    A wrapper process runs the CLI as its one child, so the wrapper's
+    RUSAGE_CHILDREN is the CLI's own peak resident set.
+    """
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "out = None if sys.argv[1] == 'show' else subprocess.DEVNULL\n"
+        "code = subprocess.run(sys.argv[2:], stdout=out).returncode\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    show = "show" if show_output else "discard"
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, show, sys.executable, "-m", "fusioncover.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    *out, last = proc.stdout.splitlines()
+    code, max_rss_kib = map(int, last.split())
+    return code, max_rss_kib, out
 
 
 def write_cover(tmp_path, text, name="test.cover"):
@@ -140,6 +166,91 @@ class TestJsonRoundTrip:
         docs.append(cmd_cover_verify(3, 4, bad, "json")[0])
         for doc in docs:
             assert json.loads(doc.emit()) == doc.payload
+
+
+# Strings mix printable ASCII with the characters JSON escapes: quotes,
+# backslashes, control characters, non-ASCII and astral code points.
+JSON_STRINGS = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\u20ac\U0001f600'), st.characters())
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | JSON_STRINGS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_STRINGS, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@st.composite
+def json_trees(draw):
+    """A JSON tree holding one dict object at three depths."""
+    shared = draw(st.dictionaries(JSON_STRINGS, JSON_VALUES, min_size=1, max_size=3))
+    tree = draw(JSON_VALUES)
+    return {"tree": tree, "shared": shared, "deeper": [shared, {"again": shared}], "empty": [[], {}]}
+
+
+def model_documents(tmp_path):
+    """Every document the four commands build at (3,4), (4,5) and (2,5), both formats."""
+    bad = write_cover(tmp_path, "group 4\n0 -> 1,1\n1 -> 1,2\n2 -> 1,2\n3 -> 1,3\n")
+    groups = {(3, 4): [str(COVERS / "ising_z4.cover"), bad],
+              (4, 5): [str(COVERS / "tricritical_z12.cover")], (2, 5): []}
+    docs = []
+    for fmt in ("text", "json"):
+        for (p, q), files in groups.items():
+            docs += [cmd_kac(p, q, fmt), cmd_fusion(p, q, fmt), cmd_cover_search(p, q, 12, fmt)]
+            docs += [cmd_cover_verify(p, q, path, fmt)[0] for path in [None, *files]]
+    return docs
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, derandomize=True)
+    @given(json_trees())
+    def test_writer_is_json_dumps_indent_2(self, tree):
+        assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, (1, 2), np.int64(3)])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text({"list": [value]})
+
+    def test_every_command_payload_is_json_dumps(self, tmp_path):
+        docs = model_documents(tmp_path)
+        assert any(doc.payload.get("verdict") == "FAIL" for doc in docs)
+        for doc in docs:
+            assert cli._json_text(doc.payload) == json.dumps(doc.payload, indent=2)
+            if doc.format == "json":
+                assert doc.emit() == json.dumps(doc.payload, indent=2)
+
+    def test_search_shares_one_record_per_label(self):
+        covers = cmd_cover_search(2, 5, 12, "json").payload["covers"]
+        labels = [lab for cover in covers for lab in cover["labels"]]
+        keys = {(tuple(lab["element"]), tuple(lab["sector"])) for lab in labels}
+        assert len({id(lab) for lab in labels}) == len(keys) < len(labels)
+
+    def test_json_never_renders_text(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("text rendered for a JSON document")
+
+        bad = write_cover(tmp_path, "group 4\n0 -> 1,1\n1 -> 1,2\n2 -> 1,2\n3 -> 1,3\n")
+        commands = [
+            lambda fmt: cmd_kac(4, 5, fmt),
+            lambda fmt: cmd_fusion(4, 5, fmt),
+            lambda fmt: cmd_cover_search(4, 5, 12, fmt),
+            lambda fmt: cmd_cover_verify(4, 5, str(COVERS / "tricritical_z12.cover"), fmt)[0],
+            lambda fmt: cmd_cover_verify(3, 4, bad, fmt)[0],
+        ]
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_format_table", refuse)
+            patched.setattr(AbelianGroupSpec, "describe", refuse)
+            docs = [command("json") for command in commands]
+            for doc in docs:
+                assert json.loads(doc.emit()) == doc.payload
+        for doc, command in zip(docs, commands):
+            assert doc.text == command("text").emit()
 
 
 class TestCoverVerifyCommand:
@@ -250,6 +361,20 @@ class TestCoverSearchCommand:
         assert digest == digests[f"abelian/search/{p}-{q}"]
 
 
+    @pytest.mark.parametrize(
+        "cmd,p,q,fmt",
+        [("kac", p, q, fmt) for p, q in [(11, 12), (13, 14), (15, 16), (16, 17)]
+         for fmt in ("text", "json")]
+        + [("fusion", 11, 12, "json"), ("fusion", 13, 14, "text"), ("fusion", 16, 17, "json")],
+    )
+    def test_benchmark_tables_match_reference_digests(self, cmd, p, q, fmt):
+        digests = json.loads(REFERENCES.read_text())["digests"]
+        command = {"kac": cmd_kac, "fusion": cmd_fusion}[cmd]
+        out = command(p, q, fmt).emit() + "\n"
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == digests[f"tables/{cmd}/{p}-{q}/{fmt}"]
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, capsys):
         assert main(["cover", "verify", "--p", "3", "--q", "4"]) == 0
@@ -316,24 +441,21 @@ class TestExitCodes:
         assert "order 262144" in out and "verdict: PASS" in out
 
     def test_canonical_at_p_plus_q_32_in_small_memory(self):
-        # A materialised 2^27-entry map alone would take 1 GiB.  The wrapper
-        # reports the peak resident set of its one child, in KiB.
-        wrapper = (
-            "import resource, subprocess, sys\n"
-            "code = subprocess.run(sys.argv[1:]).returncode\n"
-            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        # A materialised 2^27-entry map alone would take 1 GiB.
+        code, max_rss_kib, out = run_with_peak_rss(
+            ["cover", "verify", "--p", "15", "--q", "17", "--allow-large"]
         )
-        verify = ["-m", "fusioncover.cli", "cover", "verify", "--p", "15", "--q", "17"]
-        proc = subprocess.run(
-            [sys.executable, "-c", wrapper, sys.executable, *verify, "--allow-large"],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        *out, last = proc.stdout.splitlines()
-        code, max_rss_kib = map(int, last.split())
         assert code == 0 and "verdict: PASS" in out
         assert max_rss_kib < 256 * 1024
+
+    def test_fusion_json_at_the_sector_cap_in_small_memory(self):
+        # N = 256 sectors: a 68 MB document, one indented line per cell entry.
+        # json.dumps(indent=2) peaks near 500 MiB on it.
+        code, max_rss_kib, _ = run_with_peak_rss(
+            ["fusion", "--p", "3", "--q", "257", "--format", "json"], show_output=False
+        )
+        assert code == 0
+        assert max_rss_kib < 384 * 1024
 
     def test_fusion_tensor_over_budget(self, capsys):
         assert main(["fusion", "--p", "50", "--q", "51"]) == 2
