@@ -19,11 +19,10 @@ valued, and the sum is exact in float64 while |G| <= 2^17
 non-negative integer to within 1/4, and the counts must add up to |G|^2.
 
 The row scan only names the witness: run when the counts show a pair on an
-inadmissible triple, it visits the pairs in canonical order (g1 ascending,
-then g2) on one thread and returns at the first chunk holding a violation.
-One chunked numpy loop serves every group; only the group law differs:
-cosets of a 2-group quotient are integers added by XOR, other finite
-abelian groups are mixed-radix digit tuples added componentwise.
+inadmissible triple, ``first_violation`` visits the pairs in canonical order
+(g1 ascending, then g2) on one thread, one row g1 against every g2 at a
+time, and returns at the first row holding a violation.  Groups whose
+factors are all 2 add element codes by XOR, others add mixed-radix digits.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .errors import CapacityError, CountCheckError
 # numba is not used; everything here is numpy.
 HAVE_NUMBA = False
 
-# Elements per numpy work chunk; keeps per-chunk scratch around tens of MB.
+# Elements per block of ``pair_counts``; keeps per-block scratch around tens of MB.
 _CHUNK_ELEMS = 1 << 22
 
 # Largest group order whose pair counts are exact in float64 (see
@@ -145,31 +144,33 @@ def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) ->
     return _checked_counts(raw, order)
 
 
-def _scan(sec, n, d_flat, add_rows, row_cost):
+def place_values(factors: tuple[int, ...]) -> np.ndarray:
+    """Digit place values of big-endian mixed-radix codes (first factor slowest)."""
+    return np.array([prod(factors[u + 1:]) for u in range(len(factors))], dtype=np.int64)
+
+
+def decode(codes: npt.ArrayLike, factors: tuple[int, ...]) -> np.ndarray:
+    """The digits of element codes: an int64 array of shape codes.shape + (t,)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return codes[..., None] // place_values(factors) % np.asarray(factors, dtype=np.int64)
+
+
+def _scan(sec, n, d_flat, add_row):
     """Scan rows g1 = 0, 1, ... against every g2 up to the first violation.
 
-    ``add_rows`` is the group law: it maps a block of g1 values to the
-    (rows, |G|) block of sums g1 + g2.  ``row_cost`` is the int64 scratch it
-    needs per pair and caps the chunk height.  Chunks start at one row and
-    double up to the cap, so a witness in row r costs at most 2r + 1 rows.
-    Returns ((g1, g2), rows scanned), or ((-1, -1), |G|).
+    ``add_row`` is the group law: it maps g1 to the codes g1 + g2 of every
+    g2.  Returns ((g1, g2), g1 + 1) at the first violation, or ((-1, -1), |G|).
     """
     sec = np.ascontiguousarray(sec, dtype=np.int64)
-    d_flat = np.ascontiguousarray(d_flat, dtype=np.uint8)
-    size = sec.shape[0]
+    planes = np.ascontiguousarray(d_flat, dtype=np.uint8).reshape(n, n * n)
     sec_n = sec * n
-    cap = max(1, _CHUNK_ELEMS // max(size * row_cost, 1))
-    a, rows = 0, 1
-    while a < size:
-        b = min(a + rows, size)
-        g1 = np.arange(a, b, dtype=np.int64)
-        idx = (sec_n[g1][:, None] + sec[None, :]) * n + sec[add_rows(g1)]
-        bad = d_flat[idx] == 0
-        if bad.any():
-            r, c = divmod(int(np.argmax(bad)), size)
-            return (a + r, c), b
-        a, rows = b, min(2 * rows, cap)
-    return (-1, -1), size
+    for g1 in range(sec.shape[0]):
+        idx = sec.take(add_row(g1))
+        idx += sec_n
+        ok = planes[sec[g1]].take(idx)
+        if not ok.all():
+            return (g1, int(np.argmin(ok))), g1 + 1
+    return (-1, -1), sec.shape[0]
 
 
 def scan_pairs_xor(
@@ -182,7 +183,7 @@ def scan_pairs_xor(
     canonical order, or (-1, -1) if none), and the number of rows g1 scanned.
     """
     g2 = np.arange(len(sec), dtype=np.int64)
-    return _scan(sec, n_sectors, d_flat, lambda g1: g1[:, None] ^ g2, 1)
+    return _scan(sec, n_sectors, d_flat, lambda g1: g2 ^ g1)
 
 
 def scan_pairs_group(
@@ -194,22 +195,41 @@ def scan_pairs_group(
 ) -> tuple[tuple[int, int], int]:
     """The first closure violation of a finite abelian group in digits.
 
-    digits has shape (|G|, t) with row g the digit tuple of element g in the
-    group Z_{radices[0]} x ... x Z_{radices[t-1]}; element codes follow the
-    big-endian mixed-radix order used throughout (first factor slowest).
-    Results are as for ``scan_pairs_xor``.
+    digits has shape (|G|, t) with row g the digits (``decode``) of element g
+    in Z_{radices[0]} x ... x Z_{radices[t-1]}.  Results are as for
+    ``scan_pairs_xor``.  Digit u of g1 + g2 wraps, taking k_u * place_u off
+    code(g1) + code(g2), where the digit of g2 is >= k_u less that of g1.
     """
     digits = np.asarray(digits, dtype=np.int64)
-    radices = np.asarray(radices, dtype=np.int64)
-    t = len(radices)
-    places = np.ones(t, dtype=np.int64)
-    for u in range(t - 2, -1, -1):
-        places[u] = places[u + 1] * radices[u + 1]
+    places = place_values(radices)
+    codes, columns = digits @ places, np.ascontiguousarray(digits.T)
 
-    def add_rows(g1):
-        return ((digits[g1][:, None, :] + digits[None, :, :]) % radices) @ places
+    def add_row(g1):
+        row = codes + codes[g1]
+        for digit, k, place, column in zip(digits[g1].tolist(), radices, places, columns):
+            if digit:
+                row -= (column >= k - digit) * (k * place)
+        return row
 
-    return _scan(sec, n_sectors, d_flat, add_rows, max(t, 1))
+    return _scan(sec, n_sectors, d_flat, add_row)
+
+
+def first_violation(
+    sec: npt.ArrayLike, n_sectors: int, d_flat: np.ndarray, factors: tuple[int, ...]
+) -> tuple[int, int, int] | None:
+    """The codes (g1, g2, g1 + g2) of the first closure violation, or None.
+
+    ``sec[g]`` is the sector of code g in Z_k1 x ... x Z_kt (``factors``).
+    XOR on big-endian codes is digit addition when every factor is 2.
+    """
+    if all(k == 2 for k in factors):
+        (g1, g2), _ = scan_pairs_xor(sec, n_sectors, d_flat)
+        return None if g1 < 0 else (g1, g2, g1 ^ g2)
+    digits = decode(np.arange(len(sec)), factors)
+    (g1, g2), _ = scan_pairs_group(digits, factors, sec, n_sectors, d_flat)
+    if g1 < 0:
+        return None
+    return g1, g2, int((digits[g1] + digits[g2]) % np.asarray(factors) @ place_values(factors))
 
 
 def scan_stats(size: int, d_flat: np.ndarray, counts: np.ndarray) -> dict:

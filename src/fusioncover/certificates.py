@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -85,34 +85,29 @@ class CoverCertificate:
 def certify(
     counts: np.ndarray,
     tensor: FusionTensor,
-    sector_of: Callable[[int], int],
+    factors: tuple[int, ...],
+    labels: Callable[[], Sequence[int]],
     element: Callable[[int], Element],
-    add: Callable[[int, int], int],
-    scan: Callable[[], tuple[tuple[int, int], int]],
 ) -> CoverCertificate:
-    """The certificate of a labeled group from its exact pair counts.
+    """The certificate of a labeled group Z_k1 x ... x Z_kt from its exact pair counts.
 
-    ``counts`` are ``_kernels.pair_counts`` or, for the canonical 2-group
-    cover, ``two_group_cover.canonical_counts``; both are checked to sum to
-    |G|^2, which gives the group order.  Element codes run 0..|G|-1:
-    ``sector_of`` gives a code's sector, ``element`` decodes a code into the
-    element a witness reports, and ``add`` is the group law on codes.
-    ``scan`` is the group's pair scan with its arguments bound.  Those three
-    run only when the counts put a pair on an inadmissible triple; the scan
-    then returns at the first chunk holding one, naming the canonical first
-    witness (g1, g2).  Coverage is read off the counts alone.
+    ``counts`` are ``_kernels.pair_counts`` or ``two_group_cover.canonical_counts``,
+    both checked to sum to |G|^2.  Only if they put a pair on an inadmissible
+    triple is ``labels()``, the sector of every element code, read and
+    ``_kernels.first_violation`` run; ``element`` turns the codes it names
+    into the elements of the witness.  Coverage is read off the counts alone.
     """
     d_flat = tensor.coefficients.reshape(-1)
     realized = counts.reshape(-1)
     stats = _kernels.scan_stats(isqrt(int(realized.sum())), d_flat, realized)
     secs = tensor.sectors
     if realized[d_flat == 0].any():
-        (g1, g2), _ = scan()
-        if g1 < 0:
+        sec = labels()
+        codes = _kernels.first_violation(sec, tensor.n, d_flat, factors)
+        if codes is None:
             raise CountCheckError("the counts show a closure violation the pair scan does not")
-        g3 = add(g1, g2)
-        triple = tuple(secs[sector_of(g)] for g in (g1, g2, g3))
-        witness = ClosureViolation(element(g1), element(g2), element(g3), triple)
+        triple = tuple(secs[sec[g]] for g in codes)
+        witness = ClosureViolation(*(element(g) for g in codes), triple)
         return CoverCertificate(FAIL, witness, stats)
     miss = _kernels.first_uncovered_triple(d_flat, realized, tensor.n)
     if miss is not None:

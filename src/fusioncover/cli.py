@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .minimal_model import (
     ModelParams,
     Sector,
     central_charge,
+    check_fusion_cells,
     fraction_str,
     fusion_tensor,
     kac_table,
@@ -162,20 +163,20 @@ def _sector_payload(s: Sector) -> dict:
     return {"index": s.index, "m": s.m, "n": s.n, "h": fraction_str(s.h), "name": s.name}
 
 
-def _format_table(rows: list[list[str]]) -> str:
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+def _format_table(widths: list[int], rows: Iterable[list[str]]) -> str:
+    """Rows of cells, each left-aligned in its column's width, two spaces
+    apart; the rows are formatted one line at a time."""
     return "\n".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in rows
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
     )
 
 
-def _table_text(title: str, model: dict, rows: list[list[str]]) -> str:
+def _table_text(title: str, model: dict, widths: list[int], rows: Iterable[list[str]]) -> str:
     return "\n".join(
         [
             f"{title} of the ({model['p']},{model['q']}) minimal model",
             f"c = {model['c']}, N = {model['N']} sectors",
-            _format_table(rows),
+            _format_table(widths, rows),
         ]
     )
 
@@ -193,7 +194,8 @@ def cmd_kac(p: int, q: int, format: str = "text") -> OutputDocument:
     def render() -> str:
         rows = [["h_{m,n}"] + [f"n={n}" for n in range(1, q)]]
         rows += [[f"m={m}"] + grid[m - 1] for m in range(1, p)]
-        return _table_text("Kac table", payload["model"], rows)
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        return _table_text("Kac table", payload["model"], widths, rows)
 
     return OutputDocument(format, payload, render)
 
@@ -215,9 +217,22 @@ def cmd_fusion(p: int, q: int, format: str = "text") -> OutputDocument:
     }
 
     def render() -> str:
-        rows = [["[h] x [h']"] + names]
-        rows += [[name] + ["+".join(cell) for cell in row] for name, row in zip(names, cells)]
-        return _table_text("Fusion rules", payload["model"], rows)
+        corner = "[h] x [h']"
+        # A cell's text is its sector names joined by "+": one character
+        # more than each name, less one.
+        plus = np.array([len(name) + 1 for name in names], dtype=np.int64)
+        longest = np.zeros(len(names), dtype=np.int64)
+        for row in tensor.coefficients:
+            np.maximum(longest, row @ plus, out=longest)
+        widths = [max(len(corner), *map(len, names))]
+        widths += np.maximum(longest - 1, plus - 1).tolist()
+
+        def rows():
+            yield [corner] + names
+            for name, row in zip(names, cells):
+                yield [name] + ["+".join(cell) for cell in row]
+
+        return _table_text("Fusion rules", payload["model"], widths, rows())
 
     return OutputDocument(format, payload, render)
 
@@ -377,6 +392,9 @@ def cmd_cover_verify(
         element_json = lambda g: BitVector(g, r).coordinates()
         element_str = element_json
     else:
+        # Labels are canonicalized while the file is parsed, which lists
+        # every sector: refuse an oversized model before that.
+        check_fusion_cells(params)
         lg = parse_group_file(group_file, params)
         check_count_order(lg.spec.order)
         _check_verify_budget(lg.spec.order, allow_large)
@@ -485,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="accepted for compatibility and checked to be >= 1; it has no effect: "
         "the witness scan on a closure FAIL runs on one thread and stops at the "
-        "first chunk with a violation",
+        "first row with a violation",
     )
     verify.add_argument(
         "--allow-large",

@@ -77,10 +77,8 @@ class AbelianGroupSpec:
         return list(itertools.product(*(range(k) for k in self.factors)))
 
     def index_of(self, e: Element) -> int:
-        idx = 0
-        for digit, k in zip(e, self.factors):
-            idx = idx * k + digit
-        return idx
+        places = _kernels.place_values(self.factors).tolist()
+        return sum(digit * place for digit, place in zip(e, places))
 
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % k for x, y, k in zip(a, b, self.factors))
@@ -90,14 +88,13 @@ class AbelianGroupSpec:
 
     def digit_matrix(self) -> np.ndarray:
         """(order, t) array whose row g is the digit tuple of element g."""
-        return np.array(self.elements(), dtype=np.int64).reshape(self.order, len(self.factors))
+        return _kernels.decode(np.arange(self.order), self.factors)
 
     def addition_table(self) -> np.ndarray:
         """(order, order) array whose entry [a, b] is the index of a + b."""
         digits = self.digit_matrix()
-        places = [prod(self.factors[u + 1:]) for u in range(len(self.factors))]
         sums = (digits[:, None, :] + digits[None, :, :]) % np.array(self.factors, dtype=np.int64)
-        return sums @ np.array(places, dtype=np.int64)
+        return sums @ _kernels.place_values(self.factors)
 
     def describe(self) -> str:
         if not self.factors:
@@ -169,24 +166,17 @@ def verify_abelian_cover(
 
     Reads both off the counts of all |G|^2 ordered pairs under the group's
     addition.  FAIL certificates carry the first violation in canonical
-    element order, found by a single-threaded pair scan that returns at the
-    first chunk holding one, or the first admissible-but-unrealized sector
-    triple.  ``threads`` is accepted and checked to be >= 1, and has no
-    effect.  Groups above ``_kernels.MAX_COUNT_ORDER`` raise CapacityError.
+    element order (see ``certify``), or the first admissible-but-unrealized
+    sector triple.  ``threads`` is accepted and checked to be >= 1, and has
+    no effect.  Groups above ``_kernels.MAX_COUNT_ORDER`` raise CapacityError.
     """
     if lg.params != tensor.model:
         raise ValueError(f"labeling is for {lg.params}, tensor for {tensor.model}")
     _kernels.check_threads(threads)
-    spec, sec = lg.spec, lg.sector_indices
-    counts = _kernels.pair_counts(sec, tensor.n, spec.factors)
-    d_flat = tensor.coefficients.reshape(-1)
-
-    def scan():
-        return _kernels.scan_pairs_group(spec.digit_matrix(), spec.factors, sec, tensor.n, d_flat)
-
-    elements = spec.elements()
-    add = lambda a, b: spec.index_of(spec.add(elements[a], elements[b]))
-    return certify(counts, tensor, sec.__getitem__, elements.__getitem__, add, scan)
+    factors, sec = lg.spec.factors, lg.sector_indices
+    counts = _kernels.pair_counts(sec, tensor.n, factors)
+    element = lambda g: tuple(_kernels.decode(g, factors).tolist())
+    return certify(counts, tensor, factors, lambda: sec, element)
 
 
 def multiplicity_profile(tensor: FusionTensor) -> dict[Sector, int]:

@@ -54,6 +54,10 @@ MAX_PQ = 10_000
 # and the O(N^3) rendering of the `fusion` table rather than the build itself.
 MAX_FUSION_CELLS = 1 << 24
 
+# Largest Kac table built, in cells.  Memory grows with the cell count: the
+# `kac` command on (1024,1025), 1 047 552 cells, peaks near 236 MiB resident.
+MAX_KAC_CELLS = 1 << 20
+
 
 def fraction_str(x: Fraction) -> str:
     """Render an exact rational as ``num/den``, or just ``num`` if integral."""
@@ -159,8 +163,16 @@ def canonicalize(params: ModelParams, m: int, n: int) -> Sector:
 
 
 def kac_table(params: ModelParams) -> list[list[Fraction]]:
-    """The full (p-1) x (q-1) grid of weights; rows indexed by m, columns by n."""
+    """The full (p-1) x (q-1) grid of weights; rows indexed by m, columns by n.
+
+    Grids above ``MAX_KAC_CELLS`` raise CapacityError before any is built.
+    """
     p, q = params.p, params.q
+    if (p - 1) * (q - 1) > MAX_KAC_CELLS:
+        raise CapacityError(
+            f"the Kac table of the ({p},{q}) model has {(p - 1) * (q - 1)} cells, "
+            f"over the budget of {MAX_KAC_CELLS} (2^20)"
+        )
     return [
         [conformal_weight(params, m, n) for n in range(1, q)]
         for m in range(1, p)
@@ -242,6 +254,16 @@ def _admissible(p: int, a: int, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (lo <= c) & (c <= hi) & ((lo & 1) == (c & 1))
 
 
+def check_fusion_cells(params: ModelParams) -> None:
+    """Refuse a model whose fusion tensor has more than ``MAX_FUSION_CELLS`` cells."""
+    if params.n_sectors ** 3 > MAX_FUSION_CELLS:
+        raise CapacityError(
+            f"the fusion tensor of the ({params.p},{params.q}) model has "
+            f"N^3 = {params.n_sectors ** 3} cells, over the budget of "
+            f"{MAX_FUSION_CELLS} (N <= 256)"
+        )
+
+
 @lru_cache(maxsize=None)
 def fusion_tensor(params: ModelParams) -> FusionTensor:
     """Fusion rules of the model: D[i,j,k] = 1 iff the triple is admissible.
@@ -253,14 +275,10 @@ def fusion_tensor(params: ModelParams) -> FusionTensor:
 
     Row i is built at once from the closed-form admissibility range of the m
     and the n components, broadcast over (j, k), so scratch memory stays
-    O(N^2) beside the N^3-byte result.
+    O(N^2) beside the N^3-byte result.  Models over ``MAX_FUSION_CELLS``
+    raise CapacityError (``check_fusion_cells``) before any sector is listed.
     """
-    if params.n_sectors ** 3 > MAX_FUSION_CELLS:
-        raise CapacityError(
-            f"the fusion tensor of the ({params.p},{params.q}) model has "
-            f"N^3 = {params.n_sectors ** 3} cells, over the budget of "
-            f"{MAX_FUSION_CELLS} (N <= 256)"
-        )
+    check_fusion_cells(params)
     p, q = params.p, params.q
     secs = sectors(params)
     n = len(secs)

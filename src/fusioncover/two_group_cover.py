@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Literal, NamedTuple, Sequence
@@ -469,22 +468,17 @@ def verify_cover(
     sector triple must be realized by some pair.  Both are read off
     ``cm.counts``, counted once per map (see ``CoverMap.counts`` and
     ``canonical_cover``).  FAIL certificates carry the first violation in
-    canonical order (g1 ascending, then g2, then triple index), named by a
-    single-threaded pair scan of the labels that returns at the first chunk
-    holding one.  ``threads`` is accepted and checked to be >= 1, and has no
-    effect.
+    canonical order (g1 ascending, then g2, then triple index), named by
+    ``certify`` from the labels; a PASS reads no labels, so the canonical
+    cover builds no map.  ``threads`` is accepted and checked to be >= 1,
+    and has no effect.
     """
     if cm.context.params != tensor.model:
         raise ValueError(
             f"cover map is for {cm.context.params}, tensor for {tensor.model}"
         )
     _kernels.check_threads(threads)
-    d_flat = tensor.coefficients.reshape(-1)
-
-    def scan():
-        return _kernels.scan_pairs_xor(cm.sector_indices, tensor.n, d_flat)
-
-    return certify(cm.counts, tensor, lambda g: cm.sector_indices[g], int, operator.xor, scan)
+    return certify(cm.counts, tensor, (2,) * (cm.context.r - 1), lambda: cm.sector_indices, int)
 
 
 @dataclass(frozen=True, eq=False)

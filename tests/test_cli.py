@@ -318,6 +318,39 @@ class TestCoverVerifyCommand:
         assert doc.payload["stats"] == _kernels.scan_stats(lg.spec.order, d_flat, realized)
 
 
+    @pytest.mark.parametrize(
+        "make,unused",
+        [(corrupted_z2_file, "scan_pairs_group"), (corrupted_mixed_file, "scan_pairs_xor")],
+    )
+    def test_witness_scan_follows_the_invariant_factors(self, tmp_path, monkeypatch, make, unused):
+        # Z2^t files are scanned by XOR of the element codes, others by digits.
+        params, factors, path = make(tmp_path)
+        lg = parse_group_file(path, params)
+        d_flat = fusion_tensor(params).coefficients.reshape(-1)
+        rows = group_rows(lg.spec.digit_matrix(), factors)
+        (g1, g2), _ = exhaustive_scan(lg.sector_indices, params.n_sectors, d_flat, rows)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{unused} called for factors {factors}")
+
+        monkeypatch.setattr(_kernels, unused, refuse)
+        doc, code = cmd_cover_verify(params.p, params.q, path, "json")
+        digits = lg.spec.digit_matrix().tolist()
+        w = doc.payload["witness"]
+        assert code == 1 and (w["g1"], w["g2"]) == (digits[g1], digits[g2])
+
+    def test_group_files_verify_without_listing_elements(self, tmp_path, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("the element list was built")
+
+        _, _, bad = corrupted_mixed_file(tmp_path)
+        monkeypatch.setattr(AbelianGroupSpec, "elements", refuse)
+        for path, expected in [(str(COVERS / "tricritical_z12.cover"), 0), (bad, 1)]:
+            for fmt in ("text", "json"):
+                doc, code = cmd_cover_verify(4, 5, path, fmt)
+                assert code == expected and doc.emit()
+
+
 class TestCoverSearchCommand:
     def test_finds_ising_z4(self):
         doc = cmd_cover_search(3, 4, 4, "json")
@@ -456,6 +489,29 @@ class TestExitCodes:
         )
         assert code == 0
         assert max_rss_kib < 384 * 1024
+
+    def test_fusion_text_at_the_sector_cap_in_small_memory(self):
+        # A 58 MB table: the padded grid is formatted one line at a time.
+        code, max_rss_kib, _ = run_with_peak_rss(
+            ["fusion", "--p", "3", "--q", "257"], show_output=False
+        )
+        assert code == 0
+        assert max_rss_kib < 256 * 1024
+
+    def test_oversized_group_file_model_refused_before_any_sector(self, tmp_path):
+        # The trivial group's one line would list the model's 499 500 sectors
+        # to canonicalize its label.
+        trivial = write_cover(tmp_path, "group\n -> 1,1\n")
+        code, max_rss_kib, _ = run_with_peak_rss(
+            ["cover", "verify", "--p", "1000", "--q", "1001", "--group", trivial]
+        )
+        assert code == 2
+        assert max_rss_kib < 64 * 1024
+
+    def test_oversized_kac_table_refused_before_any_cell(self):
+        code, max_rss_kib, _ = run_with_peak_rss(["kac", "--p", "1100", "--q", "1101"])
+        assert code == 2
+        assert max_rss_kib < 64 * 1024
 
     def test_fusion_tensor_over_budget(self, capsys):
         assert main(["fusion", "--p", "50", "--q", "51"]) == 2

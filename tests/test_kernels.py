@@ -65,10 +65,12 @@ def xor_case(p, q, corrupt=False):
     return cm.sector_indices, tensor.n, np.ascontiguousarray(tensor.coefficients.reshape(-1))
 
 
-def lone_bad_row(row):
-    """The (5,9) cover with coset ``row`` given a sector of its own that is
-    admissible only with the vacuum: row ``row`` alone holds violations."""
-    sec, n, _ = xor_case(5, 9)
+def lone_bad_row(row, pq=(5, 9)):
+    """The cover of model ``pq`` with coset ``row`` given a sector of its own
+    that is admissible only with the vacuum: in any group of that order
+    whose element 1 is not the vacuum, row ``row`` alone holds violations,
+    and its first is (row, 1) (or (0, 0) in row 0)."""
+    sec, n, _ = xor_case(*pq)
     sec = sec.copy()
     sec[row] = n
     d = np.ones((n + 1,) * 3, dtype=np.uint8)
@@ -96,7 +98,13 @@ class TestXorScan:
         first, rows = scan_pairs_xor(sec, n, d_flat)
         assert first == exhaustive_scan(sec, n, d_flat, xor_rows(len(sec)))[0]
         assert first == (row, 1 if row else 0)
-        assert row < rows <= 2 * row + 1
+        assert rows == row + 1
+
+    def test_witness_in_the_last_row(self):
+        sec, n, d_flat = lone_bad_row(4095, (8, 9))  # 2^12 cosets
+        first, rows = scan_pairs_xor(sec, n, d_flat)
+        assert first == exhaustive_scan(sec, n, d_flat, xor_rows(len(sec)))[0] == (4095, 1)
+        assert rows == 4096
 
     @pytest.mark.parametrize("chunk_rows", [1, 3])
     def test_full_scan_does_not_depend_on_chunking(self, monkeypatch, chunk_rows):
@@ -191,7 +199,7 @@ class TestGroupScan:
         args = group_case(factors, ModelParams(*pq), indices)
         (g1, g2), rows = scan_pairs_group(*args)
         assert (g1, g2) == exhaustive_scan(*args[2:], group_rows(*args[:2]))[0] != (-1, -1)
-        assert g1 < rows <= 2 * g1 + 1
+        assert rows == g1 + 1
 
     @pytest.mark.parametrize("row", [0, 1, 300, 511])
     def test_rows_scanned_bound_the_witness_row(self, row):
@@ -200,7 +208,19 @@ class TestGroupScan:
         spec = AbelianGroupSpec((2,) * 9)
         first, rows = scan_pairs_group(spec.digit_matrix(), spec.factors, sec, n, d_flat)
         assert first == (row, 1 if row else 0)
-        assert row < rows <= 2 * row + 1
+        assert rows == row + 1
+
+    @pytest.mark.parametrize("factors", [(4,) + (2,) * 10, (16, 3, 85)], ids=str)
+    def test_witness_in_the_last_row(self, factors):
+        sec, n, d_flat = lone_bad_row(4095, (8, 9))  # 2^12 cosets as 4096 elements
+        spec = AbelianGroupSpec(factors)
+        sec = sec[:spec.order].copy()
+        sec[-1] = n - 1
+        digits = spec.digit_matrix()
+        first, rows = scan_pairs_group(digits, spec.factors, sec, n, d_flat)
+        last = spec.order - 1
+        assert first == exhaustive_scan(sec, n, d_flat, group_rows(digits, spec.factors))[0]
+        assert first == (last, 1) and rows == last + 1
 
     @pytest.mark.parametrize("chunk_rows", [1, 4])
     def test_full_scan_does_not_depend_on_chunking(self, monkeypatch, chunk_rows):
