@@ -13,10 +13,12 @@ indicator of P_i over G,
 
     C[i, j, k] = (1/|G|) * sum over characters chi of F_i(chi) F_j(chi) conj(F_k(chi)).
 
-For a 2-group the transform is the Walsh-Hadamard transform, integer
-valued, and the sum is exact in float64 while |G| <= 2^17
-(``MAX_COUNT_ORDER``).  Every result is checked: each count must be a
-non-negative integer to within 1/4, and the counts must add up to |G|^2.
+G is abelian, so C[i, j, k] = C[j, i, k]: the counts are symmetric in i, j,
+and each unordered pair of sector rows is multiplied once.  For a 2-group
+the transform is the Walsh-Hadamard transform, integer valued, and the sum
+is exact in float64 while |G| <= 2^17 (``MAX_COUNT_ORDER``).  Every result
+is checked: each count must be a non-negative integer to within 1/4, and
+the counts must add up to |G|^2.
 
 The row scan only names the witness: run when the counts show a pair on an
 inadmissible triple, ``first_violation`` visits the pairs in canonical order
@@ -36,9 +38,6 @@ from .errors import CapacityError, CountCheckError
 
 # numba is not used; everything here is numpy.
 HAVE_NUMBA = False
-
-# Elements per block of ``pair_counts``; keeps per-block scratch around tens of MB.
-_CHUNK_ELEMS = 1 << 22
 
 # Largest group order whose pair counts are exact in float64 (see
 # ``pair_counts``); larger groups are refused by ``check_count_order``.
@@ -113,7 +112,9 @@ def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) ->
     ``sec[g]`` is the sector of the element with big-endian mixed-radix
     code g (for Z_2^t this code is also the XOR coset value), and
     ``factors`` are k1..kt.  Returns an int64 (n, n, n) array summing to
-    |G|^2.
+    |G|^2 and symmetric in i, j, as G is abelian.  Row i is one matrix
+    product (F_i F_j)_j>=i @ conj(F)^T, mirrored into column i, so scratch
+    never exceeds the (n, |G|) transform matrix.
 
     Exactness: for a 2-group every F_i(chi) is an integer with
     |F_i(chi)| <= |P_i|, and by Parseval sum_chi |F_i(chi)|^2 = |G| |P_i|.
@@ -135,11 +136,9 @@ def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) ->
     f = _transform(f, factors)
     fc = (f.conj() if np.iscomplexobj(f) else f).T
     raw = np.empty((n_sectors, n_sectors, n_sectors), dtype=f.dtype)
-    rows = max(1, _CHUNK_ELEMS // (n_sectors * order))
-    for a in range(0, n_sectors, rows):
-        b = min(a + rows, n_sectors)
-        block = (f[a:b, None, :] * f[None, :, :]).reshape(-1, order)
-        raw[a:b] = (block @ fc).reshape(b - a, n_sectors, n_sectors)
+    for a in range(n_sectors):
+        raw[a, a:] = (f[a] * f[a:]) @ fc
+        raw[a + 1:, a] = raw[a, a + 1:]
     raw /= order
     return _checked_counts(raw, order)
 

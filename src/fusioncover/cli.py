@@ -244,7 +244,8 @@ def cmd_fusion(p: int, q: int, format: str = "text") -> OutputDocument:
 def parse_group_file(path: str | Path, params: ModelParams) -> LabeledGroup:
     """Parse a labeling file into a LabeledGroup for the given model.
 
-    Raises GroupFileError with file:line diagnostics on any malformation.
+    Raises GroupFileError with file:line diagnostics on any malformation,
+    and CapacityError at the header of a group above ``MAX_COUNT_ORDER``.
     """
     path = Path(path)
     try:
@@ -270,6 +271,8 @@ def parse_group_file(path: str | Path, params: ModelParams) -> LabeledGroup:
                 spec = AbelianGroupSpec(factors)
             except ValueError as e:
                 raise GroupFileError(f"{where}: {e}")
+            # Refuse a group too large to count before parsing its elements.
+            check_count_order(spec.order)
             continue
         if "->" not in line:
             raise GroupFileError(f"{where}: expected 'e1,...,et -> m,n', got {line!r}")

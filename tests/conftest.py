@@ -7,6 +7,8 @@ source's own sector order, which differs from this package's canonical
 (lexicographic Kac label) order for c = 7/10.
 """
 
+import subprocess
+import sys
 from math import gcd
 
 import numpy as np
@@ -107,6 +109,32 @@ def coprime_models(max_p: int, max_q: int, max_sum: int | None = None):
             if gcd(p, q) == 1 and (max_sum is None or p + q <= max_sum):
                 out.append(ModelParams(p, q))
     return out
+
+
+def run_python_with_peak_rss(args, show_output=True, timeout=120):
+    """Run ``python *args`` in a child; return its exit code, peak RSS in KiB
+    and stdout lines.
+
+    A wrapper process runs the child as its one child, so the wrapper's
+    RUSAGE_CHILDREN is the child's own peak resident set: a child forked
+    straight from the test process would report the test process's peak.
+    """
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "out = None if sys.argv[1] == 'show' else subprocess.DEVNULL\n"
+        "code = subprocess.run(sys.argv[2:], stdout=out).returncode\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    show = "show" if show_output else "discard"
+    proc = subprocess.run(
+        [sys.executable, "-c", wrapper, show, sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    *out, last = proc.stdout.splitlines()
+    code, max_rss_kib = map(int, last.split())
+    return code, max_rss_kib, out
 
 
 def exhaustive_scan(sec, n, d_flat, add_rows):

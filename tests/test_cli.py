@@ -31,7 +31,7 @@ from fusioncover import (
     sectors,
 )
 
-from conftest import exhaustive_scan, group_rows
+from conftest import exhaustive_scan, group_rows, run_python_with_peak_rss
 
 GOLDEN = Path(__file__).parent / "golden"
 COVERS = Path(__file__).parent.parent / "covers"
@@ -39,27 +39,8 @@ REFERENCES = Path(__file__).parent.parent / "perfbench" / "references.json"
 
 
 def run_with_peak_rss(args, show_output=True, timeout=120):
-    """Run the CLI in a child; return its exit code, peak RSS in KiB and stdout lines.
-
-    A wrapper process runs the CLI as its one child, so the wrapper's
-    RUSAGE_CHILDREN is the CLI's own peak resident set.
-    """
-    wrapper = (
-        "import resource, subprocess, sys\n"
-        "out = None if sys.argv[1] == 'show' else subprocess.DEVNULL\n"
-        "code = subprocess.run(sys.argv[2:], stdout=out).returncode\n"
-        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-    )
-    show = "show" if show_output else "discard"
-    proc = subprocess.run(
-        [sys.executable, "-c", wrapper, show, sys.executable, "-m", "fusioncover.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
-    *out, last = proc.stdout.splitlines()
-    code, max_rss_kib = map(int, last.split())
-    return code, max_rss_kib, out
+    """Run the CLI in a child; return its exit code, peak RSS in KiB and stdout lines."""
+    return run_python_with_peak_rss(["-m", "fusioncover.cli", *args], show_output, timeout)
 
 
 def write_cover(tmp_path, text, name="test.cover"):
@@ -497,6 +478,29 @@ class TestExitCodes:
         )
         assert code == 0
         assert max_rss_kib < 256 * 1024
+
+    def test_canonical_labels_as_a_z2_file_in_small_memory(self, tmp_path):
+        # Counted one sector row at a time: the scratch is at most the
+        # (N, |G|) transform matrix, 1.5 MiB here.
+        params = ModelParams(5, 13)
+        sec = canonical_cover(GroupContext(params)).sector_indices
+        z2 = write_labeled(tmp_path, params, (2,) * 13, sec, "z2_13.cover")
+        code, max_rss_kib, out = run_with_peak_rss(
+            ["cover", "verify", "--p", "5", "--q", "13", "--group", z2]
+        )
+        assert code == 0 and "verdict: PASS" in out
+        assert max_rss_kib < 48 * 1024
+
+    def test_group_file_above_exactness_bound_refused_at_its_header(self, tmp_path, capsys):
+        lines = "".join(f"{e} -> 1,1\n" for e in range(1 << 18))
+        big = write_cover(tmp_path, "group 262144\n" + lines)
+        args = ["cover", "verify", "--p", "3", "--q", "4", "--group", big]
+        code, max_rss_kib, _ = run_with_peak_rss(args)
+        assert code == 2
+        assert max_rss_kib < 64 * 1024
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2^17" in err
 
     def test_oversized_group_file_model_refused_before_any_sector(self, tmp_path):
         # The trivial group's one line would list the model's 499 500 sectors

@@ -90,11 +90,9 @@ class TestXorScan:
         assert (first[0] >= 0) == corrupt
         assert np.array_equal(realized, expected)
 
-    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
     @pytest.mark.parametrize("row", [0, 1, 300, 511])
-    def test_stop_at_witness_keeps_the_first_violation(self, monkeypatch, row, chunk_rows):
+    def test_stop_at_witness_keeps_the_first_violation(self, row):
         sec, n, d_flat = lone_bad_row(row)
-        monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", chunk_rows * len(sec))
         first, rows = scan_pairs_xor(sec, n, d_flat)
         assert first == exhaustive_scan(sec, n, d_flat, xor_rows(len(sec)))[0]
         assert first == (row, 1 if row else 0)
@@ -106,9 +104,7 @@ class TestXorScan:
         assert first == exhaustive_scan(sec, n, d_flat, xor_rows(len(sec)))[0] == (4095, 1)
         assert rows == 4096
 
-    @pytest.mark.parametrize("chunk_rows", [1, 3])
-    def test_full_scan_does_not_depend_on_chunking(self, monkeypatch, chunk_rows):
-        monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", chunk_rows * 16)  # (4,5): 16 cosets
+    def test_full_scan_does_not_depend_on_chunking(self):
         for corrupt in (False, True):
             sec, n, d_flat = xor_case(4, 5, corrupt)
             first, rows = scan_pairs_xor(sec, n, d_flat)
@@ -222,10 +218,8 @@ class TestGroupScan:
         assert first == exhaustive_scan(sec, n, d_flat, group_rows(digits, spec.factors))[0]
         assert first == (last, 1) and rows == last + 1
 
-    @pytest.mark.parametrize("chunk_rows", [1, 4])
-    def test_full_scan_does_not_depend_on_chunking(self, monkeypatch, chunk_rows):
+    def test_full_scan_does_not_depend_on_chunking(self):
         spec = AbelianGroupSpec((12, 4))
-        monkeypatch.setattr(_kernels, "_CHUNK_ELEMS", chunk_rows * spec.order * 2)
         for indices in (PULLBACK, PULLBACK_SWAPPED):
             args = group_case(spec.factors, ModelParams(4, 5), indices)
             first, rows = scan_pairs_group(*args)

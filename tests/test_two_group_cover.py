@@ -39,7 +39,7 @@ from fusioncover import (
 from fusioncover import _kernels, two_group_cover
 from fusioncover.errors import CountCheckError
 
-from conftest import coprime_models, exhaustive_scan, xor_rows
+from conftest import coprime_models, exhaustive_scan, run_python_with_peak_rss, xor_rows
 
 
 @pytest.fixture
@@ -117,10 +117,6 @@ class TestGroupContext:
             assert coords == list(range(1, ctx.r + 1))
             assert len(ctx.a_coords) == params.p - 2
             assert len(ctx.b_coords) == params.q - 2
-
-    def test_capacity_error(self):
-        with pytest.raises(CapacityError, match="62"):
-            GroupContext(ModelParams(9, 59))  # r = 64
 
 
 class TestClassOf:
@@ -545,6 +541,29 @@ class TestCanonicalCounts:
         monkeypatch.setattr(np, "arange", never)
         with pytest.raises(CapacityError, match="2\\^22"):
             cm.sector_indices
+
+    def test_largest_map_in_small_memory(self):
+        # Labels come from a weight grid: the int64 result (32 MiB) is the
+        # largest array built.
+        script = (
+            "from fusioncover import GroupContext, ModelParams, canonical_cover\n"
+            "canonical_cover(GroupContext(ModelParams(11, 16))).sector_indices\n"
+        )
+        code, max_rss_kib, _ = run_python_with_peak_rss(["-c", script])
+        assert code == 0
+        assert max_rss_kib < 160 * 1024
+
+    def test_label_table_off_the_complement_raises(self, monkeypatch):
+        table = two_group_cover._label_to_sector_index
+
+        def broken(params):
+            t = table(params).copy()
+            t[1, 1] = t[1, 2]  # (1, 1) and (p - 1, q - 1) label one coset
+            return t
+
+        monkeypatch.setattr(two_group_cover, "_label_to_sector_index", broken)
+        with pytest.raises(AssertionError, match="not constant on cosets"):
+            canonical_cover(GroupContext(ModelParams(4, 5))).sector_indices
 
     def test_largest_exact_rank(self):
         counts = canonical_counts(ModelParams(16, 19))  # r = 31
