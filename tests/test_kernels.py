@@ -251,6 +251,22 @@ class TestPairCounts:
         assert np.array_equal(counts, oracle_counts(indices, n, add))
         assert counts.sum() == spec.order ** 2
 
+    # Random labels break every structure the row loop could lean on; with
+    # n above |G| some sectors label nothing, and n = 1 is one row, none mirrored.
+    @pytest.mark.parametrize("factors", [(2,), (2, 2, 2), (8,), (3, 3), (6, 2), (5, 7)], ids=str)
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_random_labels_match_double_loop(self, factors, n):
+        spec = AbelianGroupSpec(factors)
+        elements = spec.elements()
+        add = lambda a, b: spec.index_of(spec.add(elements[a], elements[b]))
+        rng = np.random.default_rng(spec.order * 16 + n)
+        sec = rng.integers(0, n, size=spec.order)
+        counts = pair_counts(sec, n, factors)
+        assert np.array_equal(counts, oracle_counts(sec, n, add))
+        assert np.array_equal(counts, counts.transpose(1, 0, 2))
+        unused = np.setdiff1d(np.arange(n), sec)
+        assert not counts[unused].any() and not counts[:, unused].any()
+
     @pytest.mark.parametrize("params", coprime_models(8, 16, max_sum=18), ids=str)
     def test_support_matches_exhaustive_scan(self, params):
         cm = canonical_cover(GroupContext(params))
