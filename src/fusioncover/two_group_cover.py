@@ -350,10 +350,11 @@ def _canonical_labels(ctx: GroupContext) -> np.ndarray:
     if not np.array_equal(inner, inner[::-1, ::-1]):
         raise AssertionError("class map is not constant on cosets")
     # Coset g has A-weight popcount(g mod 2^(p-2)) and B-weight
-    # popcount(g >> (p-2)): its label is one cell of a weight grid.
+    # popcount(g >> (p-2)): its label is one cell of a weight grid.  At
+    # q = 2 there are fewer cosets than A-weights and the grid is one row.
     a_width = ctx.params.p - 2
-    m = np.bitwise_count(np.arange(1 << a_width)) + 1
-    n = np.bitwise_count(np.arange(ctx.n_cosets >> a_width)) + 1
+    m = np.bitwise_count(np.arange(min(ctx.n_cosets, 1 << a_width))) + 1
+    n = np.bitwise_count(np.arange(max(1, ctx.n_cosets >> a_width))) + 1
     return table[m, n[:, None]].reshape(-1)
 
 

@@ -56,6 +56,12 @@ def oracle_counts(sec, n, add):
     return counts
 
 
+def random_labels(factors, n):
+    """A seeded labelling of the group with the given factors by n sectors."""
+    order = int(np.prod(factors, dtype=np.int64))
+    return tuple(np.random.default_rng(order * 16 + n).integers(0, n, size=order).tolist())
+
+
 def xor_case(p, q, corrupt=False):
     params = ModelParams(p, q)
     tensor = fusion_tensor(params)
@@ -237,35 +243,25 @@ class TestPairCounts:
         assert counts.dtype == np.int64 and counts.shape == (n, n, n)
         assert np.array_equal(counts, oracle_counts(sec, n, operator.xor))
 
+    # Random labels break every structure the row loop could lean on: with
+    # n above |G| some sectors label nothing, and n = 1 is one row, none mirrored.
     @pytest.mark.parametrize(
-        "factors,pq,indices",
-        [case[:3] for case in GROUP_CASES]
-        + [((12, 4), (4, 5), PULLBACK), ((12, 4), (4, 5), PULLBACK_SWAPPED)],
+        "factors,n,indices",
+        [(f, ModelParams(*pq).n_sectors, idx) for f, pq, idx, _ in GROUP_CASES]
+        + [((12, 4), ModelParams(4, 5).n_sectors, idx) for idx in (PULLBACK, PULLBACK_SWAPPED)]
+        + [
+            (f, n, random_labels(f, n))
+            for f in [(2,), (2, 2, 2), (8,), (3, 3), (6, 2), (5, 7)]
+            for n in [1, 3, 9]
+        ],
     )
-    def test_group_matches_double_loop(self, factors, pq, indices):
+    def test_group_matches_double_loop(self, factors, n, indices):
         spec = AbelianGroupSpec(factors)
-        n = ModelParams(*pq).n_sectors
         elements = spec.elements()
         add = lambda a, b: spec.index_of(spec.add(elements[a], elements[b]))
         counts = pair_counts(indices, n, factors)
         assert np.array_equal(counts, oracle_counts(indices, n, add))
         assert counts.sum() == spec.order ** 2
-
-    # Random labels break every structure the row loop could lean on; with
-    # n above |G| some sectors label nothing, and n = 1 is one row, none mirrored.
-    @pytest.mark.parametrize("factors", [(2,), (2, 2, 2), (8,), (3, 3), (6, 2), (5, 7)], ids=str)
-    @pytest.mark.parametrize("n", [1, 3, 9])
-    def test_random_labels_match_double_loop(self, factors, n):
-        spec = AbelianGroupSpec(factors)
-        elements = spec.elements()
-        add = lambda a, b: spec.index_of(spec.add(elements[a], elements[b]))
-        rng = np.random.default_rng(spec.order * 16 + n)
-        sec = rng.integers(0, n, size=spec.order)
-        counts = pair_counts(sec, n, factors)
-        assert np.array_equal(counts, oracle_counts(sec, n, add))
-        assert np.array_equal(counts, counts.transpose(1, 0, 2))
-        unused = np.setdiff1d(np.arange(n), sec)
-        assert not counts[unused].any() and not counts[:, unused].any()
 
     @pytest.mark.parametrize("params", coprime_models(8, 16, max_sum=18), ids=str)
     def test_support_matches_exhaustive_scan(self, params):

@@ -278,12 +278,16 @@ class TestPhi:
         # the image multiset realizes the Ising rules on Z2 x Z2
         assert sorted(by_coords.values()) == ["[0]", "[1/16]", "[1/16]", "[1/2]"]
 
-    def test_both_members_agree(self, ctx45):
-        cm = canonical_cover(ctx45)
-        params = ctx45.params
-        for c in quotient_cosets(ctx45):
+    # At q = 2 there are fewer cosets than A-weights (2^(p-3) against 2^(p-2)).
+    @pytest.mark.parametrize("pq", [(4, 5), (3, 2), (5, 2), (7, 2)], ids=str)
+    def test_both_members_agree(self, pq):
+        params = ModelParams(*pq)
+        ctx = GroupContext(params)
+        cm = canonical_cover(ctx)
+        assert cm.sector_indices.shape == (ctx.n_cosets,)
+        for c in quotient_cosets(ctx):
             images = {
-                canonicalize(params, *class_of(ctx45, member)).index for member in c.members
+                canonicalize(params, *class_of(ctx, member)).index for member in c.members
             }
             assert images == {phi(cm, c).index}
 
