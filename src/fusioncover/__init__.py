@@ -1,99 +1,49 @@
-"""Exact minimal-model fusion rules and their covers by finite abelian groups."""
+"""Exact minimal-model fusion rules and their covers by finite abelian groups.
 
-from .certificates import FAIL, PASS, ClosureViolation, CoverCertificate, UncoveredTriple
-from .cover_search import (
-    AbelianGroupSpec,
-    LabeledGroup,
-    multiplicity_profile,
-    search_cyclic_covers,
-    verify_abelian_cover,
-)
-from .errors import CapacityError, GroupFileError, PartitionError
-from .minimal_model import (
-    FusionTensor,
-    ModelParams,
-    Rational,
-    Sector,
-    VerlindeAlgebra,
-    admissible_range,
-    canonicalize,
-    central_charge,
-    conformal_weight,
-    fusion_tensor,
-    is_p_admissible,
-    is_pq_admissible,
-    kac_table,
-    sectors,
-    unitary_discrete_series,
-    verlinde_algebra,
-)
-from .two_group_cover import (
-    BitVector,
-    ClassLabel,
-    Coset,
-    CoverMap,
-    GroupContext,
-    PartitionAlgebra,
-    canonical_counts,
-    canonical_cover,
-    class_members,
-    class_of,
-    is_isomorphic_to_verlinde,
-    orbit_sum_classes,
-    partition_algebra,
-    phi,
-    quotient_cosets,
-    sym_diff_weight_identity,
-    verify_cover,
-)
+Each exported name is imported from its submodule on first use (PEP 562), so
+``import fusioncover`` loads no submodule and no numpy, and a caller pays only
+for the modules it reaches.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroupSpec",
-    "BitVector",
-    "CapacityError",
-    "ClassLabel",
-    "ClosureViolation",
-    "Coset",
-    "CoverCertificate",
-    "CoverMap",
-    "FAIL",
-    "FusionTensor",
-    "GroupContext",
-    "GroupFileError",
-    "LabeledGroup",
-    "ModelParams",
-    "PASS",
-    "PartitionAlgebra",
-    "PartitionError",
-    "Rational",
-    "Sector",
-    "UncoveredTriple",
-    "VerlindeAlgebra",
-    "admissible_range",
-    "canonical_counts",
-    "canonical_cover",
-    "canonicalize",
-    "central_charge",
-    "class_members",
-    "class_of",
-    "conformal_weight",
-    "fusion_tensor",
-    "is_isomorphic_to_verlinde",
-    "is_p_admissible",
-    "is_pq_admissible",
-    "kac_table",
-    "multiplicity_profile",
-    "orbit_sum_classes",
-    "partition_algebra",
-    "phi",
-    "quotient_cosets",
-    "search_cyclic_covers",
-    "sectors",
-    "sym_diff_weight_identity",
-    "unitary_discrete_series",
-    "verify_abelian_cover",
-    "verify_cover",
-    "verlinde_algebra",
-]
+# Exported name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("FAIL", "PASS", "ClosureViolation", "CoverCertificate", "UncoveredTriple"),
+        "certificates",
+    ),
+    **dict.fromkeys(
+        ("AbelianGroupSpec", "LabeledGroup", "multiplicity_profile",
+         "search_cyclic_covers", "verify_abelian_cover"),
+        "cover_search",
+    ),
+    **dict.fromkeys(("CapacityError", "GroupFileError", "PartitionError"), "errors"),
+    **dict.fromkeys(
+        ("FusionTensor", "ModelParams", "Rational", "Sector", "VerlindeAlgebra",
+         "admissible_range", "canonicalize", "central_charge", "conformal_weight",
+         "fusion_tensor", "is_p_admissible", "is_pq_admissible", "kac_table", "sectors",
+         "unitary_discrete_series", "verlinde_algebra"),
+        "minimal_model",
+    ),
+    **dict.fromkeys(
+        ("BitVector", "ClassLabel", "Coset", "CoverMap", "GroupContext", "PartitionAlgebra",
+         "canonical_counts", "canonical_cover", "class_members", "class_of",
+         "is_isomorphic_to_verlinde", "orbit_sum_classes", "partition_algebra", "phi",
+         "quotient_cosets", "sym_diff_weight_identity", "verify_cover"),
+        "two_group_cover",
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

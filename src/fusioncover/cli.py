@@ -41,20 +41,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-import numpy as np
-
-from .certificates import ClosureViolation, CoverCertificate
-from .cover_search import (
-    DEFAULT_SEARCH_BUDGET,
-    AbelianGroupSpec,
-    LabeledGroup,
-    search_cyclic_covers,
-    verify_abelian_cover,
-)
-from ._kernels import check_count_order, check_threads
-from .errors import CapacityError, CountCheckError, GroupFileError
+from .errors import DEFAULT_SEARCH_BUDGET, CapacityError, CountCheckError, GroupFileError
 from .minimal_model import (
     ModelParams,
     Sector,
@@ -64,13 +53,13 @@ from .minimal_model import (
     fusion_tensor,
     kac_table,
 )
-from .two_group_cover import (
-    BitVector,
-    GroupContext,
-    canonical_cover,
-    check_canonical_rank,
-    verify_cover,
-)
+
+if TYPE_CHECKING:
+    from .certificates import CoverCertificate
+    from .cover_search import LabeledGroup
+
+# numpy and the cover modules are imported by the commands that use them:
+# `kac` runs on exact rationals alone, so it starts without numpy.
 
 # Groups with more than this many ordered pairs (|G| > 2^13) need an
 # explicit override.  For the canonical cover |G| = 2^(p+q-5), so this is
@@ -202,6 +191,8 @@ def cmd_kac(p: int, q: int, format: str = "text") -> OutputDocument:
 
 def cmd_fusion(p: int, q: int, format: str = "text") -> OutputDocument:
     """The N x N fusion rule table; each cell lists the sectors of S_i x S_j."""
+    import numpy as np
+
     params = ModelParams(p, q)
     tensor = fusion_tensor(params)
     secs = tensor.sectors
@@ -241,20 +232,29 @@ def cmd_fusion(p: int, q: int, format: str = "text") -> OutputDocument:
 # group labeling files
 # ---------------------------------------------------------------------------
 
+def _read_lines(path: Path) -> Iterator[str]:
+    """The lines of a file, read one at a time: a file refused at its header
+    costs no more memory than its first lines."""
+    try:
+        with open(path) as f:
+            yield from f
+    except OSError as e:
+        raise GroupFileError(f"cannot read group file {path}: {e}")
+
+
 def parse_group_file(path: str | Path, params: ModelParams) -> LabeledGroup:
     """Parse a labeling file into a LabeledGroup for the given model.
 
     Raises GroupFileError with file:line diagnostics on any malformation,
     and CapacityError at the header of a group above ``MAX_COUNT_ORDER``.
     """
+    from ._kernels import check_count_order
+    from .cover_search import AbelianGroupSpec, LabeledGroup
+
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as e:
-        raise GroupFileError(f"cannot read group file {path}: {e}")
     spec: AbelianGroupSpec | None = None
     labels: dict[tuple[int, ...], tuple[int, int]] = {}
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(_read_lines(path), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -312,6 +312,8 @@ def parse_group_file(path: str | Path, params: ModelParams) -> LabeledGroup:
 # ---------------------------------------------------------------------------
 
 def _witness_payload(witness, element_json) -> dict:
+    from .certificates import ClosureViolation
+
     if isinstance(witness, ClosureViolation):
         return {
             "kind": "closure_violation",
@@ -378,9 +380,19 @@ def cmd_cover_verify(
     allow_large: bool = False,
 ) -> tuple[OutputDocument, int]:
     """Verify a cover; returns the document and the exit code (0 PASS, 1 FAIL)."""
+    from ._kernels import check_count_order, check_threads
+
     params = ModelParams(p, q)
     check_threads(threads)
     if group_file is None:
+        from .two_group_cover import (
+            BitVector,
+            GroupContext,
+            canonical_cover,
+            check_canonical_rank,
+            verify_cover,
+        )
+
         check_canonical_rank(params)
         ctx = GroupContext(params)
         _check_verify_budget(ctx.n_cosets, allow_large)
@@ -395,6 +407,8 @@ def cmd_cover_verify(
         element_json = lambda g: BitVector(g, r).coordinates()
         element_str = element_json
     else:
+        from .cover_search import verify_abelian_cover
+
         # Labels are canonicalized while the file is parsed, which lists
         # every sector: refuse an oversized model before that.
         check_fusion_cells(params)
@@ -424,6 +438,8 @@ def cmd_cover_search(
     allow_large: bool = False,
 ) -> OutputDocument:
     """Search cyclic groups Z_k, k <= max_order, for covers of the fusion rules."""
+    from .cover_search import search_cyclic_covers
+
     params = ModelParams(p, q)
     tensor = fusion_tensor(params)
     budget = max(max_order, DEFAULT_SEARCH_BUDGET) if allow_large else DEFAULT_SEARCH_BUDGET

@@ -33,11 +33,8 @@ import numpy as np
 
 from . import _kernels
 from .certificates import CoverCertificate, certify
-from .errors import CapacityError
+from .errors import DEFAULT_SEARCH_BUDGET, CapacityError
 from .minimal_model import FusionTensor, ModelParams, Sector, canonicalize, sectors
-
-# Orders above this need an explicit budget override (CLI: --allow-large).
-DEFAULT_SEARCH_BUDGET = 24
 
 Element = tuple[int, ...]
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types, and the search budget, shared across the package."""
+
+# Cyclic orders above this need an explicit budget override (CLI:
+# --allow-large).  It lives here, beside CapacityError, so the CLI can name it
+# in its help without loading the search module.
+DEFAULT_SEARCH_BUDGET = 24
 
 
 class CapacityError(ValueError):

@@ -34,11 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import CapacityError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Exact rational scalar used for every c and h value.  Fraction already
 # guarantees lowest terms, a positive denominator and structural equality.
@@ -239,6 +240,8 @@ class FusionTensor:
 
     def products_of(self, i: int, j: int) -> list[Sector]:
         """The sectors appearing in S_i x S_j, in canonical index order."""
+        import numpy as np
+
         return [self.sectors[k] for k in np.flatnonzero(self.coefficients[i, j])]
 
 
@@ -249,6 +252,8 @@ def _admissible(p: int, a: int, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     lo <= c <= hi and c = lo (mod 2), with lo = |a-b|+1 and
     hi = min(a+b, 2p-a-b)-1.  Every label must lie strictly between 0 and p.
     """
+    import numpy as np
+
     lo = np.abs(a - b) + 1
     hi = np.minimum(a + b, 2 * p - a - b) - 1
     return (lo <= c) & (c <= hi) & ((lo & 1) == (c & 1))
@@ -278,6 +283,8 @@ def fusion_tensor(params: ModelParams) -> FusionTensor:
     O(N^2) beside the N^3-byte result.  Models over ``MAX_FUSION_CELLS``
     raise CapacityError (``check_fusion_cells``) before any sector is listed.
     """
+    import numpy as np
+
     check_fusion_cells(params)
     p, q = params.p, params.q
     secs = sectors(params)
@@ -303,6 +310,8 @@ def algebra_product(
     y: Sequence[Fraction | int],
 ) -> list[Fraction]:
     """Bilinear product z_k = sum_{i,j} x_i y_j C[i,j,k] over exact rationals."""
+    import numpy as np
+
     n = coefficients.shape[0]
     if len(x) != n or len(y) != n:
         raise ValueError(f"vectors must have length {n}, got {len(x)} and {len(y)}")

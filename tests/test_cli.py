@@ -2,15 +2,17 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusioncover import cli
+from fusioncover import cli, cover_search, two_group_cover
 from fusioncover.cli import (
     cmd_cover_search,
     cmd_cover_verify,
@@ -19,7 +21,7 @@ from fusioncover.cli import (
     main,
     parse_group_file,
 )
-from fusioncover.errors import GroupFileError
+from fusioncover.errors import CapacityError, GroupFileError
 from fusioncover import (
     AbelianGroupSpec,
     GroupContext,
@@ -430,7 +432,7 @@ class TestExitCodes:
         big = LabeledGroup(AbelianGroupSpec((2,) * 18), params, (0,) * (1 << 18))
         monkeypatch.setattr(cli, "parse_group_file", lambda path, params: big)
         monkeypatch.setattr(cli, "fusion_tensor", never)
-        monkeypatch.setattr(cli, "verify_abelian_cover", never)
+        monkeypatch.setattr(cover_search, "verify_abelian_cover", never)
         args = ["cover", "verify", "--p", str(p), "--q", str(q), "--group", "z2_18.cover"]
         assert main([*args, "--allow-large"]) == 2
         err = capsys.readouterr().err
@@ -443,8 +445,8 @@ class TestExitCodes:
             raise AssertionError("nothing may be built for a refused model")
 
         monkeypatch.setattr(cli, "fusion_tensor", never)
-        monkeypatch.setattr(cli, "canonical_cover", never)
-        monkeypatch.setattr(cli, "verify_cover", never)
+        monkeypatch.setattr(two_group_cover, "canonical_cover", never)
+        monkeypatch.setattr(two_group_cover, "verify_cover", never)
         assert main(["cover", "verify", "--p", str(p), "--q", str(q), *large]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "p + q <= 35" in err
@@ -550,6 +552,41 @@ class TestExitCodes:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout == "False\n"
 
+    @pytest.mark.parametrize(
+        "args,absent",
+        [
+            ([], {"numpy", *(f"fusioncover.{m}" for m in (
+                "cli", "errors", "minimal_model", "certificates", "cover_search",
+                "two_group_cover", "_kernels"))}),
+            (["kac", "--p", "4", "--q", "5"], {"numpy"}),
+            (["fusion", "--p", "4", "--q", "5"],
+             {"fusioncover.two_group_cover", "fusioncover.cover_search"}),
+            (["cover", "search", "--p", "4", "--q", "5", "--max-order", "12"],
+             {"fusioncover.two_group_cover"}),
+            (["cover", "verify", "--p", "3", "--q", "4", "--group",
+              str(COVERS / "ising_z4.cover")], {"fusioncover.two_group_cover"}),
+            (["cover", "verify", "--p", "4", "--q", "5"], {"fusioncover.cover_search"}),
+        ],
+        ids=["import", "kac", "fusion", "search", "verify-group", "verify-canonical"],
+    )
+    def test_command_loads_only_its_modules(self, args, absent):
+        code = (
+            "import contextlib, io, sys\n"
+            "import fusioncover\n"
+            "if sys.argv[1:]:\n"
+            "    from fusioncover import cli\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(sys.argv[1:]) == 0\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code, *args],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "fusioncover" in loaded
+        assert not absent & loaded
+
 
 class TestGroupFileParsing:
     def test_parses_committed_files(self):
@@ -579,6 +616,19 @@ class TestGroupFileParsing:
         path = write_cover(tmp_path, text)
         with pytest.raises(GroupFileError, match=fragment):
             parse_group_file(path, ModelParams(3, 4))
+
+    def test_file_refused_at_header_is_not_read_whole(self, tmp_path):
+        lines = "".join(f"{e} -> 1,1\n" for e in range(1 << 18))
+        big = write_cover(tmp_path, "group 262144\n" + lines)
+        size = Path(big).stat().st_size
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                parse_group_file(big, ModelParams(3, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 3_000_000 and peak < size // 16
 
     def test_line_numbers_in_messages(self, tmp_path):
         path = write_cover(tmp_path, "# comment\ngroup 4\n\n0 -> 1,1\nbogus line\n")

@@ -1,0 +1,48 @@
+"""The package's exports: every name in ``__all__`` is loaded from its
+submodule on first use and is that submodule's own object."""
+
+import subprocess
+import sys
+from importlib import import_module
+
+import pytest
+
+import fusioncover
+
+
+def test_all_lists_the_export_table():
+    assert len(fusioncover.__all__) == len(set(fusioncover.__all__)) == 46
+    assert set(fusioncover.__all__) == set(fusioncover._EXPORTS)
+
+
+@pytest.mark.parametrize("name", fusioncover.__all__)
+def test_export_is_the_submodule_object(name):
+    module = import_module(f"fusioncover.{fusioncover._EXPORTS[name]}")
+    assert getattr(fusioncover, name) is getattr(module, name)
+    assert vars(fusioncover)[name] is getattr(module, name)
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from fusioncover import *", namespace)
+    assert all(namespace[name] is getattr(fusioncover, name) for name in fusioncover.__all__)
+
+
+def test_unknown_name_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fusioncover.no_such_name
+    with pytest.raises(ImportError):
+        exec("from fusioncover import no_such_name", {})
+
+
+def test_submodules_import_by_name_in_a_fresh_process():
+    code = (
+        "import sys\n"
+        "from fusioncover import _kernels, cli\n"
+        "assert cli is sys.modules['fusioncover.cli']\n"
+        "assert _kernels is sys.modules['fusioncover._kernels']\n"
+        "print(cli.main.__module__, _kernels.pair_counts.__module__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "fusioncover.cli fusioncover._kernels\n"
