@@ -49,12 +49,6 @@ def active_backend() -> str:
     return "numpy"
 
 
-def check_threads(threads: int) -> None:
-    """Refuse a thread count below one."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-
 def check_count_order(order: int) -> None:
     """Refuse a group above ``MAX_COUNT_ORDER``, whose counts would not be exact."""
     if order > MAX_COUNT_ORDER:

@@ -10,7 +10,7 @@ violation), or an admissible sector triple no pair of elements realizes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from math import prod
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -99,7 +99,7 @@ def certify(
     """
     d_flat = tensor.coefficients.reshape(-1)
     realized = counts.reshape(-1)
-    stats = _kernels.scan_stats(isqrt(int(realized.sum())), d_flat, realized)
+    stats = _kernels.scan_stats(prod(factors), d_flat, realized)
     secs = tensor.sectors
     if realized[d_flat == 0].any():
         sec = labels()

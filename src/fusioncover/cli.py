@@ -236,9 +236,9 @@ def _read_lines(path: Path) -> Iterator[str]:
     """The lines of a file, read one at a time: a file refused at its header
     costs no more memory than its first lines."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             yield from f
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise GroupFileError(f"cannot read group file {path}: {e}")
 
 
@@ -380,10 +380,11 @@ def cmd_cover_verify(
     allow_large: bool = False,
 ) -> tuple[OutputDocument, int]:
     """Verify a cover; returns the document and the exit code (0 PASS, 1 FAIL)."""
-    from ._kernels import check_count_order, check_threads
+    from ._kernels import check_count_order
 
     params = ModelParams(p, q)
-    check_threads(threads)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if group_file is None:
         from .two_group_cover import (
             BitVector,
@@ -396,7 +397,7 @@ def cmd_cover_verify(
         check_canonical_rank(params)
         ctx = GroupContext(params)
         _check_verify_budget(ctx.n_cosets, allow_large)
-        cert = verify_cover(canonical_cover(ctx), fusion_tensor(params), threads=threads)
+        cert = verify_cover(canonical_cover(ctx), fusion_tensor(params))
         r = ctx.r
         group_info = {
             "kind": "two_group_quotient",
@@ -415,7 +416,7 @@ def cmd_cover_verify(
         lg = parse_group_file(group_file, params)
         check_count_order(lg.spec.order)
         _check_verify_budget(lg.spec.order, allow_large)
-        cert = verify_abelian_cover(lg, fusion_tensor(params), threads=threads)
+        cert = verify_abelian_cover(lg, fusion_tensor(params))
         group_info = {
             "kind": "abelian",
             "factors": list(lg.spec.factors),

@@ -154,22 +154,17 @@ class LabeledGroup:
         return sectors(self.params)[self.sector_indices[self.spec.index_of(e)]]
 
 
-def verify_abelian_cover(
-    lg: LabeledGroup,
-    tensor: FusionTensor,
-    threads: int = 1,
-) -> CoverCertificate:
+def verify_abelian_cover(lg: LabeledGroup, tensor: FusionTensor) -> CoverCertificate:
     """Check cover conditions (1) and (2) for a labeled abelian group.
 
     Reads both off the counts of all |G|^2 ordered pairs under the group's
     addition.  FAIL certificates carry the first violation in canonical
     element order (see ``certify``), or the first admissible-but-unrealized
-    sector triple.  ``threads`` is accepted and checked to be >= 1, and has
-    no effect.  Groups above ``_kernels.MAX_COUNT_ORDER`` raise CapacityError.
+    sector triple.  Groups above ``_kernels.MAX_COUNT_ORDER`` raise
+    CapacityError.
     """
     if lg.params != tensor.model:
         raise ValueError(f"labeling is for {lg.params}, tensor for {tensor.model}")
-    _kernels.check_threads(threads)
     factors, sec = lg.spec.factors, lg.sector_indices
     counts = _kernels.pair_counts(sec, tensor.n, factors)
     element = lambda g: tuple(_kernels.decode(g, factors).tolist())
@@ -302,12 +297,12 @@ def search_cyclic_covers(
     for k in range(1, max_order + 1):
         if k < min_order:
             continue
-        canonical: set[tuple[int, ...]] = set()
-        for assign in _search_order(tensor, k):
-            negated = tuple(assign[(-x) % k] for x in range(k))
-            canonical.add(min(assign, negated))
+        # _search_order yields labelings in lexicographic order, so keeping
+        # each one that is no greater than its negation lists every orbit's
+        # least member once, already sorted.
         covers.extend(
             LabeledGroup(AbelianGroupSpec.cyclic(k), tensor.model, assign)
-            for assign in sorted(canonical)
+            for assign in _search_order(tensor, k)
+            if assign <= tuple(assign[-x] for x in range(k))
         )
     return covers

@@ -466,14 +466,13 @@ def verify_cover(
     ``canonical_cover``).  FAIL certificates carry the first violation in
     canonical order (g1 ascending, then g2, then triple index), named by
     ``certify`` from the labels; a PASS reads no labels, so the canonical
-    cover builds no map.  ``threads`` is accepted and checked to be >= 1,
-    and has no effect.
+    cover builds no map.  ``threads`` is ignored; it stays because
+    ``perfbench/theorem_job.py`` passes it.
     """
     if cm.context.params != tensor.model:
         raise ValueError(
             f"cover map is for {cm.context.params}, tensor for {tensor.model}"
         )
-    _kernels.check_threads(threads)
     return certify(cm.counts, tensor, (2,) * (cm.context.r - 1), lambda: cm.sector_indices, int)
 
 
@@ -513,10 +512,9 @@ def partition_algebra(
     so a map counted there is not counted again.  The strict check reads
     them too: P_1 = {0} iff C[0, 0, 0] = 1 (with 0 in P_1, (0, 0) and every
     (0, g), (g, 0), (g, g) count; without it the pairs counted come in
-    swapped couples).  ``threads`` is accepted and checked to be >= 1, and
-    has no effect.
+    swapped couples).  ``threads`` is ignored; it stays because
+    ``perfbench/theorem_job.py`` passes it.
     """
-    _kernels.check_threads(threads)
     counts = cm.counts
     if strict and counts[0, 0, 0] != 1:
         size = int(counts[0].sum()) // cm.context.n_cosets  # sum_{j,k} C[0,j,k] = |P_1| |G|

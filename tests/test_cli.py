@@ -283,8 +283,7 @@ class TestCoverVerifyCommand:
         assert one.payload == four.payload
 
     @pytest.mark.parametrize("make", [corrupted_z2_file, corrupted_mixed_file])
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_fail_witness_is_first_violation_of_full_scan(self, tmp_path, make, threads):
+    def test_fail_witness_is_first_violation_of_full_scan(self, tmp_path, make):
         params, factors, path = make(tmp_path)
         lg = parse_group_file(path, params)
         tensor = fusion_tensor(params)
@@ -293,7 +292,7 @@ class TestCoverVerifyCommand:
             lg.sector_indices, tensor.n, d_flat, group_rows(lg.spec.digit_matrix(), factors)
         )
         assert g1 >= 0
-        doc, code = cmd_cover_verify(params.p, params.q, path, "json", threads=threads)
+        doc, code = cmd_cover_verify(params.p, params.q, path, "json")
         elements = lg.spec.elements()
         w = doc.payload["witness"]
         assert code == 1 and w["kind"] == "closure_violation"
@@ -410,6 +409,21 @@ class TestExitCodes:
         assert "--allow-large" in capsys.readouterr().err
         missing = str(tmp_path / "missing.cover")
         assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", missing]) == 2
+
+    @pytest.mark.parametrize("where", ["header", "last_line"])
+    def test_undecodable_group_file_names_its_path(self, tmp_path, capsys, where):
+        if where == "header":
+            p, q, data = 3, 4, b"group 4 \xff\n0 -> 1,1\n"
+        else:
+            # Past the reader's first buffer: the header and most labels
+            # are parsed before the bad byte is decoded.
+            params, _, path = corrupted_z2_file(tmp_path)
+            p, q, data = params.p, params.q, Path(path).read_bytes()[:-2] + b"\xff\n"
+            assert len(data) > 8192
+        bad = tmp_path / "latin1.cover"
+        bad.write_bytes(data)
+        assert main(["cover", "verify", "--p", str(p), "--q", str(q), "--group", str(bad)]) == 2
+        assert f"cannot read group file {bad}:" in capsys.readouterr().err
 
     def test_huge_group_header_is_refused_at_once(self, tmp_path, capsys):
         big = write_cover(tmp_path, "group 100000 100000\n0,0 -> 1,1\n")

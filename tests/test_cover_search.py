@@ -143,16 +143,13 @@ class TestVerifyAbelianCover:
         monkeypatch.setattr(threading.Thread, "start", no_start)
         labels = {(0,): (1, 1), (1,): (1, 2), (2,): (1, 2), (3,): (1, 3)}
         lg = LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, labels)
-        cert = verify_abelian_cover(lg, ising_tensor, threads=4)
+        cert = verify_abelian_cover(lg, ising_tensor)
         assert isinstance(cert.witness, ClosureViolation)
 
-    def test_thread_determinism(self, tricritical, tricritical_tensor):
-        labels = dict(Z12_TRICRITICAL_LABELS)
-        labels[(1,)], labels[(2,)] = labels[(2,)], labels[(1,)]
-        lg = LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(12), tricritical, labels)
-        certs = [verify_abelian_cover(lg, tricritical_tensor, threads=k) for k in (1, 2, 3, 8)]
-        assert not certs[0].passed
-        assert len({(c.verdict, c.witness) for c in certs}) == 1
+    def test_takes_no_threads_argument(self, ising, ising_tensor):
+        lg = LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, Z4_ISING_LABELS)
+        with pytest.raises(TypeError, match="threads"):
+            verify_abelian_cover(lg, ising_tensor, threads=2)
 
     def test_model_mismatch(self, ising, tricritical_tensor):
         lg = LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, Z4_ISING_LABELS)
@@ -392,6 +389,24 @@ class TestSearchCyclicCovers:
             negated = tuple(lg.sector_indices[(-x) % k] for x in range(k))
             mirrored = LabeledGroup(lg.spec, tricritical, negated)
             assert verify_abelian_cover(mirrored, tricritical_tensor).passed
+
+    @pytest.mark.parametrize(
+        "p,q,max_order",
+        [(3, 4, 24), (2, 5, 24), (3, 5, 20), (2, 7, 24), (2, 9, 20), (3, 7, 16), (4, 5, 40)],
+    )
+    def test_matches_set_and_sort_dedup(self, p, q, max_order):
+        # Oracle: every order's labelings reduced to min(labeling, negation)
+        # in a set, then sorted; the search must list the same, in order.
+        tensor = fusion_tensor(ModelParams(p, q))
+        expected = []
+        for k in range(1, max_order + 1):
+            seen = {
+                min(assign, tuple(assign[(-x) % k] for x in range(k)))
+                for assign in _search_order(tensor, k)
+            }
+            expected.extend((k,) + a for a in sorted(seen))
+        got = search_cyclic_covers(tensor, max_order, order_budget=max_order)
+        assert [lg.spec.factors + lg.sector_indices for lg in got] == expected
 
     def test_budget(self, ising_tensor):
         with pytest.raises(CapacityError):

@@ -10,13 +10,11 @@ import pytest
 from conftest import coprime_models, exhaustive_scan, group_rows, xor_rows
 from fusioncover import (
     GroupContext,
-    LabeledGroup,
     ModelParams,
     canonical_counts,
     canonical_cover,
     fusion_tensor,
     partition_algebra,
-    verify_abelian_cover,
     verify_cover,
 )
 from fusioncover import _kernels, two_group_cover
@@ -89,11 +87,12 @@ class TestXorScan:
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_matches_oracle(self, p, q, corrupt):
         sec, n, d_flat = xor_case(p, q, corrupt)
-        first, _ = scan_pairs_xor(sec, n, d_flat)
+        first, rows = scan_pairs_xor(sec, n, d_flat)
         exhaustive, realized = exhaustive_scan(sec, n, d_flat, xor_rows(len(sec)))
         expected_first, expected = oracle_scan(sec, n, d_flat, lambda a, b: a ^ b)
         assert first == exhaustive == expected_first
         assert (first[0] >= 0) == corrupt
+        assert rows == (first[0] + 1 if corrupt else len(sec))
         assert np.array_equal(realized, expected)
 
     @pytest.mark.parametrize("row", [0, 1, 300, 511])
@@ -109,13 +108,6 @@ class TestXorScan:
         first, rows = scan_pairs_xor(sec, n, d_flat)
         assert first == exhaustive_scan(sec, n, d_flat, xor_rows(len(sec)))[0] == (4095, 1)
         assert rows == 4096
-
-    def test_full_scan_does_not_depend_on_chunking(self):
-        for corrupt in (False, True):
-            sec, n, d_flat = xor_case(4, 5, corrupt)
-            first, rows = scan_pairs_xor(sec, n, d_flat)
-            assert first == oracle_scan(sec, n, d_flat, lambda a, b: a ^ b)[0]
-            assert (first == (-1, -1)) == (rows == len(sec)) == (not corrupt)
 
     def test_realized_matches_direct_enumeration(self):
         sec, n, d_flat = xor_case(3, 5)
@@ -166,14 +158,19 @@ def group_oracle(factors, args):
 
 
 class TestGroupScan:
-    @pytest.mark.parametrize("factors,pq,indices,clean", GROUP_CASES)
+    @pytest.mark.parametrize(
+        "factors,pq,indices,clean",
+        GROUP_CASES
+        + [((12, 4), (4, 5), PULLBACK, True), ((12, 4), (4, 5), PULLBACK_SWAPPED, False)],
+    )
     def test_matches_oracle(self, factors, pq, indices, clean):
         args = group_case(factors, ModelParams(*pq), indices)
-        first, _ = scan_pairs_group(*args)
+        first, rows = scan_pairs_group(*args)
         exhaustive, realized = exhaustive_scan(*args[2:], group_rows(*args[:2]))
         expected_first, expected = group_oracle(factors, args)
         assert first == exhaustive == expected_first
         assert (first[0] < 0) == clean
+        assert rows == (len(indices) if clean else first[0] + 1)
         assert np.array_equal(realized, expected)
 
     def test_matches_direct_enumeration(self):
@@ -223,14 +220,6 @@ class TestGroupScan:
         last = spec.order - 1
         assert first == exhaustive_scan(sec, n, d_flat, group_rows(digits, spec.factors))[0]
         assert first == (last, 1) and rows == last + 1
-
-    def test_full_scan_does_not_depend_on_chunking(self):
-        spec = AbelianGroupSpec((12, 4))
-        for indices in (PULLBACK, PULLBACK_SWAPPED):
-            args = group_case(spec.factors, ModelParams(4, 5), indices)
-            first, rows = scan_pairs_group(*args)
-            assert first == group_oracle(spec.factors, args)[0]
-            assert (first == (-1, -1)) == (rows == spec.order) == (indices == PULLBACK)
 
 
 class TestPairCounts:
@@ -350,20 +339,23 @@ class TestBackend:
 
 
 class TestThreadsArgument:
-    """``threads`` stays on the public entry points: checked, with no effect."""
+    """``verify_cover`` and ``partition_algebra`` accept ``threads``, which the
+    benchmark harness passes, and ignore it."""
 
-    @pytest.mark.parametrize("threads", [0, -3])
-    @pytest.mark.parametrize("entry", ["verify_cover", "partition_algebra", "verify_abelian_cover"])
-    def test_threads_below_one_rejected(self, entry, threads):
-        params = ModelParams(3, 4)
+    @pytest.mark.parametrize("threads", [0, 2])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("entry", ["verify_cover", "partition_algebra"])
+    def test_threads_is_accepted_and_ignored(self, entry, corrupt, threads):
+        params = ModelParams(4, 5)
         tensor = fusion_tensor(params)
         cm = canonical_cover(GroupContext(params))
-        calls = {
-            "verify_cover": lambda: verify_cover(cm, tensor, threads=threads),
-            "partition_algebra": lambda: partition_algebra(cm, threads=threads),
-            "verify_abelian_cover": lambda: verify_abelian_cover(
-                LabeledGroup(AbelianGroupSpec((4,)), params, (0, 1, 2, 1)), tensor, threads=threads
-            ),
-        }
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            calls[entry]()
+        if corrupt:
+            # A FAIL map, whose algebra is built unstrict.
+            cm = cm.swapped_images(0, 1)
+        if entry == "verify_cover":
+            assert verify_cover(cm, tensor, threads=threads) == verify_cover(cm, tensor)
+        else:
+            w = partition_algebra(cm, strict=not corrupt)
+            other = partition_algebra(cm, strict=not corrupt, threads=threads)
+            assert np.array_equal(other.multiplicities, w.multiplicities)
+            assert np.array_equal(other.coefficients, w.coefficients)
