@@ -24,8 +24,8 @@ _EXPORTS = {
     **dict.fromkeys(
         ("FusionTensor", "ModelParams", "Rational", "Sector", "VerlindeAlgebra",
          "admissible_range", "canonicalize", "central_charge", "conformal_weight",
-         "fusion_tensor", "is_p_admissible", "is_pq_admissible", "kac_table", "sectors",
-         "unitary_discrete_series", "verlinde_algebra"),
+         "fusion_products", "fusion_tensor", "is_p_admissible", "is_pq_admissible",
+         "kac_table", "sectors", "unitary_discrete_series", "verlinde_algebra"),
         "minimal_model",
     ),
     **dict.fromkeys(

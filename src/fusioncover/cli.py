@@ -36,6 +36,7 @@ comment.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,8 +51,10 @@ from .minimal_model import (
     central_charge,
     check_fusion_cells,
     fraction_str,
+    fusion_products,
     fusion_tensor,
     kac_table,
+    sectors,
 )
 
 if TYPE_CHECKING:
@@ -59,7 +62,8 @@ if TYPE_CHECKING:
     from .cover_search import LabeledGroup
 
 # numpy and the cover modules are imported by the commands that use them:
-# `kac` runs on exact rationals alone, so it starts without numpy.
+# `kac` runs on exact rationals and `fusion` on the closed-form admissible
+# ranges, so both start without numpy.
 
 # Groups with more than this many ordered pairs (|G| > 2^13) need an
 # explicit override.  For the canonical cover |G| = 2^(p+q-5), so this is
@@ -191,16 +195,16 @@ def cmd_kac(p: int, q: int, format: str = "text") -> OutputDocument:
 
 def cmd_fusion(p: int, q: int, format: str = "text") -> OutputDocument:
     """The N x N fusion rule table; each cell lists the sectors of S_i x S_j."""
-    import numpy as np
-
     params = ModelParams(p, q)
-    tensor = fusion_tensor(params)
-    secs = tensor.sectors
+    products = fusion_products(params)
+    secs = sectors(params)
     names = [s.name for s in secs]
-    cells = [[[] for _ in secs] for _ in secs]
-    # np.nonzero walks the tensor in C order, so k ascends within each cell.
-    for i, j, k in zip(*(axis.tolist() for axis in np.nonzero(tensor.coefficients))):
-        cells[i][j].append(names[k])
+    # Fusion is commutative: each cell's name list is built once and held
+    # at (i, j) and (j, i).  The JSON writer writes a shared list in full.
+    cells: list[list[list[str]]] = []
+    for i, row in enumerate(products):
+        cells.append([cells[j][i] if j < i else [names[k] for k in ks]
+                      for j, ks in enumerate(row)])
     payload = {
         "model": _model_header(params),
         "sectors": [_sector_payload(s) for s in secs],
@@ -209,14 +213,10 @@ def cmd_fusion(p: int, q: int, format: str = "text") -> OutputDocument:
 
     def render() -> str:
         corner = "[h] x [h']"
-        # A cell's text is its sector names joined by "+": one character
-        # more than each name, less one.
-        plus = np.array([len(name) + 1 for name in names], dtype=np.int64)
-        longest = np.zeros(len(names), dtype=np.int64)
-        for row in tensor.coefficients:
-            np.maximum(longest, row @ plus, out=longest)
+        # The table is symmetric, so column j holds the cells of row j.
         widths = [max(len(corner), *map(len, names))]
-        widths += np.maximum(longest - 1, plus - 1).tolist()
+        widths += [max(len(name), *(len("+".join(cell)) for cell in row))
+                   for name, row in zip(names, cells)]
 
         def rows():
             yield [corner] + names
@@ -503,11 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     kac = sub.add_parser("kac", help="print the Kac table of conformal weights")
     _add_model_args(kac)
-    kac.set_defaults(run=lambda a: _emit(cmd_kac(a.p, a.q, a.format)))
+    kac.set_defaults(run=lambda a: (cmd_kac(a.p, a.q, a.format), 0))
 
     fusion = sub.add_parser("fusion", help="print the fusion rule table")
     _add_model_args(fusion)
-    fusion.set_defaults(run=lambda a: _emit(cmd_fusion(a.p, a.q, a.format)))
+    fusion.set_defaults(run=lambda a: (cmd_fusion(a.p, a.q, a.format), 0))
 
     cover = sub.add_parser("cover", help="verify or search fusion covers")
     cover_sub = cover.add_subparsers(dest="subcommand", required=True)
@@ -532,7 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
         f"the canonical cover is then counted in closed form up to p + q = 35, "
         f"group files up to order 2^17; larger ones are always refused",
     )
-    verify.set_defaults(run=_run_verify)
+    verify.set_defaults(
+        run=lambda a: cmd_cover_verify(a.p, a.q, a.group, a.format, a.threads, a.allow_large)
+    )
 
     search = cover_sub.add_parser("search", help="search cyclic groups for covers")
     _add_model_args(search)
@@ -542,39 +544,38 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"permit searches beyond the default budget {DEFAULT_SEARCH_BUDGET}",
     )
-    search.set_defaults(run=_run_search)
+    search.set_defaults(
+        run=lambda a: (
+            cmd_cover_search(a.p, a.q, a.max_order, a.format, a.allow_large), 0
+        )
+    )
 
     return parser
 
 
-def _emit(doc: OutputDocument) -> int:
-    print(doc.emit())
-    return 0
-
-
-def _run_verify(args: argparse.Namespace) -> int:
-    doc, code = cmd_cover_verify(
-        args.p, args.q, args.group, args.format, args.threads, args.allow_large
-    )
-    print(doc.emit())
-    return code
-
-
-def _run_search(args: argparse.Namespace) -> int:
-    return _emit(cmd_cover_search(args.p, args.q, args.max_order, args.format, args.allow_large))
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and print its document; return the command's exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        doc, code = args.run(args)
+        text = doc.emit()
     except (GroupFileError, CapacityError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CountCheckError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.  The exit code is
+        # still the command's; stdout now points at the null device, so the
+        # interpreter's last flush of what is left cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,8 +18,11 @@ This module computes all of it exactly:
 
 * sector enumeration and canonical labels,
 * the admissibility predicate and the closed-form completion range,
-* the N x N x N fusion tensor with 0/1 structure constants, built from
-  that closed form with integer numpy arithmetic,
+* the fusion rules built from that closed form: as N x N lists of
+  products in plain Python (`fusion_products`, which the `fusion` table
+  is printed from), and as the N x N x N tensor of 0/1 structure
+  constants in integer numpy arithmetic (`fusion_tensor`, which the cover
+  checks read),
 * the Verlinde algebra those structure constants generate.
 
 Weights and central charges are `fractions.Fraction`; nothing here is
@@ -50,9 +53,10 @@ Rational = Fraction
 # contract promises a clean error instead of silently huge tables.
 MAX_PQ = 10_000
 
-# Largest fusion tensor built, in cells (N <= 256).  The build is vectorised
-# row by row, so the cap bounds the result's memory (one byte per cell, 16 MiB)
-# and the O(N^3) rendering of the `fusion` table rather than the build itself.
+# Largest model whose fusion rules are built, in tensor cells (N <= 256).
+# The tensor build is vectorised row by row, so the cap bounds the tensor's
+# memory (one byte per cell, 16 MiB) and the O(N^3) size of the `fusion`
+# table, whose cells `fusion_products` lists, rather than either build.
 MAX_FUSION_CELLS = 1 << 24
 
 # Largest Kac table built, in cells.  Memory grows with the cell count: the
@@ -203,9 +207,8 @@ def admissible_range(p: int, m: int, m2: int) -> list[int]:
     """
     if not (0 < m2 <= m < p):
         raise ValueError(f"require 0 < m2 <= m < p, got m={m}, m2={m2}, p={p}")
-    count = min(m2, p - m)
     start = m - m2 + 1
-    return [start + 2 * i for i in range(count)]
+    return list(range(start, start + 2 * min(m2, p - m), 2))
 
 
 LabelPair = tuple[int, int]
@@ -302,6 +305,42 @@ def fusion_tensor(params: ModelParams) -> FusionTensor:
         coeff[i] = direct | reflected
     coeff.setflags(write=False)
     return FusionTensor(model=params, sectors=secs, coefficients=coeff)
+
+
+def fusion_products(params: ModelParams) -> list[list[tuple[int, ...]]]:
+    """The fusion rules as lists: products[i][j] holds, in ascending order,
+    every k with D[i,j,k] = 1 in `fusion_tensor`.
+
+    The completions (a, b) of the canonical labels of sectors i and j are
+    the closed-form `admissible_range` of the m and of the n components;
+    each is mapped to the sector of its label class.  No numpy is used.
+    Fusion is commutative, so products[i][j] and products[j][i] are one
+    tuple, computed once.  Models over ``MAX_FUSION_CELLS`` raise
+    CapacityError (``check_fusion_cells``) before any sector is listed.
+    """
+    check_fusion_cells(params)
+    p, q = params.p, params.q
+    secs = sectors(params)
+    # index[a][b] is the sector holding the full label (a, b): both members
+    # of each class are entered.
+    index = [[0] * q for _ in range(p)]
+    for s in secs:
+        index[s.m][s.n] = index[p - s.m][q - s.n] = s.index
+    products: list[list[tuple[int, ...]]] = [[()] * len(secs) for _ in secs]
+    for si in secs:
+        row = products[si.index]
+        # Sectors are sorted by label, so sj.m <= si.m for j <= i.
+        for sj in secs[: si.index + 1]:
+            ms = admissible_range(p, si.m, sj.m)
+            ns = admissible_range(q, max(si.n, sj.n), min(si.n, sj.n))
+            # The n range steps by 2, so each label row is read as one slice.
+            cut = slice(ns[0], ns[-1] + 1, 2)
+            cell: list[int] = []
+            for a in ms:
+                cell += index[a][cut]
+            cell.sort()
+            row[sj.index] = products[sj.index][si.index] = tuple(cell)
+    return products
 
 
 def algebra_product(

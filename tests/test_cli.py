@@ -561,6 +561,35 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert proc.stdout.encode() == (GOLDEN / "kac_3_4.txt").read_bytes()
 
+    @pytest.mark.parametrize(
+        "args,lines_read,code",
+        [
+            (["fusion", "--p", "16", "--q", "17"], 1, 0),
+            (["cover", "search", "--p", "2", "--q", "7", "--max-order", "24",
+              "--format", "json", "--allow-large"], 1, 0),
+            # A verdict fits in the pipe's buffer: the reader closes before
+            # the child writes.
+            (["cover", "verify", "--p", "4", "--q", "5"], 0, 0),
+            (["cover", "verify", "--p", "3", "--q", "4", "--group", "FAIL"], 0, 1),
+        ],
+        ids=["fusion", "search-json", "verify-pass", "verify-fail"],
+    )
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path, args, lines_read, code):
+        # As in `... | head -1`: the reader goes away before the output ends.
+        fail = write_cover(tmp_path, "group 4\n0 -> 1,1\n1 -> 1,2\n2 -> 1,2\n3 -> 1,3\n")
+        args = [fail if a == "FAIL" else a for a in args]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fusioncover.cli", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        for _ in range(lines_read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == code
+        with proc.stderr:
+            assert proc.stderr.read() == b""
+
     def test_import_loads_no_thread_pool(self):
         code = "import sys, fusioncover.cli; print('concurrent.futures' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -574,14 +603,17 @@ class TestExitCodes:
                 "two_group_cover", "_kernels"))}),
             (["kac", "--p", "4", "--q", "5"], {"numpy"}),
             (["fusion", "--p", "4", "--q", "5"],
-             {"fusioncover.two_group_cover", "fusioncover.cover_search"}),
+             {"numpy", "fusioncover.two_group_cover", "fusioncover.cover_search"}),
+            (["fusion", "--p", "4", "--q", "5", "--format", "json"],
+             {"numpy", "fusioncover.two_group_cover", "fusioncover.cover_search"}),
             (["cover", "search", "--p", "4", "--q", "5", "--max-order", "12"],
              {"fusioncover.two_group_cover"}),
             (["cover", "verify", "--p", "3", "--q", "4", "--group",
               str(COVERS / "ising_z4.cover")], {"fusioncover.two_group_cover"}),
             (["cover", "verify", "--p", "4", "--q", "5"], {"fusioncover.cover_search"}),
         ],
-        ids=["import", "kac", "fusion", "search", "verify-group", "verify-canonical"],
+        ids=["import", "kac", "fusion", "fusion-json", "search", "verify-group",
+             "verify-canonical"],
     )
     def test_command_loads_only_its_modules(self, args, absent):
         code = (

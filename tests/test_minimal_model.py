@@ -13,6 +13,7 @@ from fusioncover import (
     canonicalize,
     central_charge,
     conformal_weight,
+    fusion_products,
     fusion_tensor,
     is_p_admissible,
     is_pq_admissible,
@@ -322,6 +323,44 @@ class TestFusionTensor:
         assert set(np.unique(c)) <= {0, 1}
         with pytest.raises(ValueError):
             c[0, 0, 0] = 1
+
+
+class TestFusionProducts:
+    """`fusion_products` (closed-form ranges, no numpy) against `fusion_tensor`."""
+
+    @pytest.mark.parametrize(
+        "p,q", [(2, 3), (3, 2), (5, 2), (7, 2), (4, 5), (11, 12), (23, 24), (3, 257)]
+    )
+    def test_matches_fusion_tensor(self, p, q):
+        params = ModelParams(p, q)
+        coefficients = fusion_tensor(params).coefficients
+        products = fusion_products(params)
+        n = params.n_sectors
+        assert len(products) == n and all(len(row) == n for row in products)
+        scattered = np.zeros((n, n, n), dtype=np.uint8)
+        for i, row in enumerate(products):
+            for j, ks in enumerate(row):
+                # Strictly increasing: ascending, and no k listed twice.
+                assert all(a < b for a, b in zip(ks, ks[1:])), (i, j)
+                scattered[i, j, list(ks)] = 1
+        assert np.array_equal(scattered, coefficients)
+
+    def test_commutative_cells_are_shared(self, tricritical):
+        products = fusion_products(tricritical)
+        n = len(products)
+        assert all(products[i][j] is products[j][i] for i in range(n) for j in range(n))
+
+    def test_over_budget_refused_before_any_sector(self):
+        params = ModelParams(2, 515)
+        assert params.n_sectors == 257
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="budget"):
+                fusion_products(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.n_sectors**2
 
 
 class TestVerlindeAlgebra:

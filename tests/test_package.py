@@ -11,7 +11,7 @@ import fusioncover
 
 
 def test_all_lists_the_export_table():
-    assert len(fusioncover.__all__) == len(set(fusioncover.__all__)) == 46
+    assert len(fusioncover.__all__) == len(set(fusioncover.__all__)) == 47
     assert set(fusioncover.__all__) == set(fusioncover._EXPORTS)
 
 
