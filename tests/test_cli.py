@@ -332,6 +332,30 @@ class TestCoverVerifyCommand:
                 doc, code = cmd_cover_verify(4, 5, path, fmt)
                 assert code == expected and doc.emit()
 
+    SWEEP = sorted(k for k in json.loads(REFERENCES.read_text())["digests"] if k.startswith("sweep/"))
+
+    def test_sweep_covers_every_benchmark_model(self):
+        assert len(self.SWEEP) == 34
+
+    @pytest.mark.parametrize("job", SWEEP)
+    def test_canonical_verify_matches_reference_digest(self, job):
+        # A sweep digest is of the certificate document alone, with no newline.
+        p, q = map(int, job.removeprefix("sweep/").split("-"))
+        digests = json.loads(REFERENCES.read_text())["digests"]
+        doc, code = cmd_cover_verify(p, q, format="json")
+        assert code == 0
+        assert hashlib.sha256(doc.emit().encode()).hexdigest() == digests[job]
+
+    @pytest.mark.parametrize(
+        "name,p,q,fmt", [("ising_z4", 3, 4, "json"), ("tricritical_z12", 4, 5, "text")]
+    )
+    def test_group_file_verify_matches_reference_digest(self, name, p, q, fmt):
+        digests = json.loads(REFERENCES.read_text())["digests"]
+        doc, code = cmd_cover_verify(p, q, str(COVERS / f"{name}.cover"), fmt)
+        out = doc.emit() + "\n"
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[f"abelian/{name}/{fmt}"]
+
 
 class TestCoverSearchCommand:
     def test_finds_ising_z4(self):
