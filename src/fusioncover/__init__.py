@@ -12,12 +12,12 @@ __version__ = "0.1.0"
 # Exported name -> the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys(
-        ("FAIL", "PASS", "ClosureViolation", "CoverCertificate", "UncoveredTriple"),
+        ("FAIL", "PASS", "ClosureViolation", "CoverCertificate", "CoverMap",
+         "UncoveredTriple", "verify_cover"),
         "certificates",
     ),
     **dict.fromkeys(
-        ("AbelianGroupSpec", "LabeledGroup", "multiplicity_profile",
-         "search_cyclic_covers", "verify_abelian_cover"),
+        ("AbelianGroupSpec", "multiplicity_profile", "search_cyclic_covers"),
         "cover_search",
     ),
     **dict.fromkeys(("CapacityError", "GroupFileError", "PartitionError"), "errors"),
@@ -29,10 +29,10 @@ _EXPORTS = {
         "minimal_model",
     ),
     **dict.fromkeys(
-        ("BitVector", "ClassLabel", "Coset", "CoverMap", "GroupContext", "PartitionAlgebra",
+        ("BitVector", "ClassLabel", "Coset", "GroupContext", "PartitionAlgebra",
          "canonical_counts", "canonical_cover", "class_members", "class_of",
          "is_isomorphic_to_verlinde", "orbit_sum_classes", "partition_algebra", "phi",
-         "quotient_cosets", "sym_diff_weight_identity", "verify_cover"),
+         "quotient_cosets", "sym_diff_weight_identity"),
         "two_group_cover",
     ),
 }

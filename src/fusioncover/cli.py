@@ -5,7 +5,10 @@ Subcommands
 * ``kac``          - the (p-1) x (q-1) grid of conformal weights, with c and N
 * ``fusion``       - the N x N fusion rule table in bracket notation
 * ``cover verify`` - check the canonical 2-group cover, or a labeled group
-                     read from a file, against the model's fusion rules
+                     read from a file, against the model's fusion rules;
+                     either is a ``CoverMap`` that goes through one
+                     ``verify_cover`` and one certificate renderer, and its
+                     group kind prints the group and its elements
 * ``cover search`` - exhaustively search cyclic groups for covers
 
 Every subcommand takes ``--format text|json``.  Text output is stable and
@@ -58,8 +61,7 @@ from .minimal_model import (
 )
 
 if TYPE_CHECKING:
-    from .certificates import CoverCertificate
-    from .cover_search import LabeledGroup
+    from .certificates import CoverMap
 
 # numpy and the cover modules are imported by the commands that use them:
 # `kac` runs on exact rationals and `fusion` on the closed-form admissible
@@ -242,14 +244,15 @@ def _read_lines(path: Path) -> Iterator[str]:
         raise GroupFileError(f"cannot read group file {path}: {e}")
 
 
-def parse_group_file(path: str | Path, params: ModelParams) -> LabeledGroup:
-    """Parse a labeling file into a LabeledGroup for the given model.
+def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
+    """Parse a labeling file into a CoverMap over its group for the given model.
 
     Raises GroupFileError with file:line diagnostics on any malformation,
     and CapacityError at the header of a group above ``MAX_COUNT_ORDER``.
     """
     from ._kernels import check_count_order
-    from .cover_search import AbelianGroupSpec, LabeledGroup
+    from .certificates import CoverMap
+    from .cover_search import AbelianGroupSpec
 
     path = Path(path)
     spec: AbelianGroupSpec | None = None
@@ -302,7 +305,7 @@ def parse_group_file(path: str | Path, params: ModelParams) -> LabeledGroup:
     if spec is None:
         raise GroupFileError(f"{path}: missing 'group k1 k2 ...' header")
     try:
-        return LabeledGroup.from_kac_labels(spec, params, labels)
+        return CoverMap.from_kac_labels(spec, params, labels)
     except ValueError as e:
         raise GroupFileError(f"{path}: {e}")
 
@@ -311,54 +314,28 @@ def parse_group_file(path: str | Path, params: ModelParams) -> LabeledGroup:
 # cover verify / cover search
 # ---------------------------------------------------------------------------
 
-def _witness_payload(witness, element_json) -> dict:
+def _element_text(shown) -> str:
+    """An element's printed form (``element_json``) as text: a coordinate
+    string stays as it is, digits are joined by commas, and the trivial
+    group's one element prints as ()."""
+    return shown if type(shown) is str else ",".join(map(str, shown)) or "()"
+
+
+def _witness_payload(witness, group) -> dict:
     from .certificates import ClosureViolation
 
     if isinstance(witness, ClosureViolation):
         return {
             "kind": "closure_violation",
-            "g1": element_json(witness.g1),
-            "g2": element_json(witness.g2),
-            "g3": element_json(witness.g3),
+            "g1": group.element_json(witness.g1),
+            "g2": group.element_json(witness.g2),
+            "g3": group.element_json(witness.g3),
             "sectors": [_sector_payload(s) for s in witness.sectors],
         }
     return {
         "kind": "uncovered_triple",
         "sectors": [_sector_payload(s) for s in witness.sectors],
     }
-
-
-def _certificate_document(
-    params: ModelParams,
-    cert: CoverCertificate,
-    group_info: dict,
-    group_desc: Callable[[], str],
-    element_json,
-    element_str,
-    format: str,
-) -> OutputDocument:
-    payload = {
-        "model": _model_header(params),
-        "group": group_info,
-        "verdict": cert.verdict,
-        "stats": cert.stats,
-        "witness": None if cert.witness is None else _witness_payload(cert.witness, element_json),
-    }
-
-    def render() -> str:
-        lines = [
-            f"Cover verification for the ({params.p},{params.q}) minimal model",
-            f"group: {group_desc()} (order {cert.stats['group_order']})",
-            f"verdict: {cert.verdict}",
-            f"pairs checked: {cert.stats['pairs_checked']}",
-            f"admissible sector triples: {cert.stats['admissible_triples']}",
-            f"realized sector triples: {cert.stats['realized_triples']}",
-        ]
-        if cert.witness is not None:
-            lines.append(f"witness: {cert.witness.describe(element_str)}")
-        return "\n".join(lines)
-
-    return OutputDocument(format, payload, render)
 
 
 def _check_verify_budget(order: int, allow_large: bool) -> None:
@@ -380,55 +357,47 @@ def cmd_cover_verify(
     allow_large: bool = False,
 ) -> tuple[OutputDocument, int]:
     """Verify a cover; returns the document and the exit code (0 PASS, 1 FAIL)."""
-    from ._kernels import check_count_order
+    from .certificates import verify_cover
 
     params = ModelParams(p, q)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if group_file is None:
-        from .two_group_cover import (
-            BitVector,
-            GroupContext,
-            canonical_cover,
-            check_canonical_rank,
-            verify_cover,
-        )
+        from .two_group_cover import GroupContext, canonical_cover, check_canonical_rank
 
         check_canonical_rank(params)
-        ctx = GroupContext(params)
-        _check_verify_budget(ctx.n_cosets, allow_large)
-        cert = verify_cover(canonical_cover(ctx), fusion_tensor(params))
-        r = ctx.r
-        group_info = {
-            "kind": "two_group_quotient",
-            "factors": [2] * (r - 1),
-            "order": 1 << (r - 1),
-        }
-        desc = lambda: f"Z2^{r - 1}, the quotient of H = Z2^{r} by the all-ones vector"
-        element_json = lambda g: BitVector(g, r).coordinates()
-        element_str = element_json
+        cover = canonical_cover(GroupContext(params))
     else:
-        from .cover_search import verify_abelian_cover
-
         # Labels are canonicalized while the file is parsed, which lists
         # every sector: refuse an oversized model before that.
         check_fusion_cells(params)
-        lg = parse_group_file(group_file, params)
-        check_count_order(lg.spec.order)
-        _check_verify_budget(lg.spec.order, allow_large)
-        cert = verify_abelian_cover(lg, fusion_tensor(params))
-        group_info = {
-            "kind": "abelian",
-            "factors": list(lg.spec.factors),
-            "order": lg.spec.order,
-        }
-        desc = lambda: lg.spec.describe()
-        element_json = lambda e: list(e)
-        element_str = lambda e: ",".join(str(d) for d in e) if e else "()"
-    doc = _certificate_document(
-        params, cert, group_info, desc, element_json, element_str, format
-    )
-    return doc, (0 if cert.passed else 1)
+        cover = parse_group_file(group_file, params)
+    group = cover.context
+    _check_verify_budget(group.order, allow_large)
+    cert = verify_cover(cover, fusion_tensor(params))
+    payload = {
+        "model": _model_header(params),
+        "group": {"kind": group.kind, "factors": list(group.factors), "order": group.order},
+        "verdict": cert.verdict,
+        "stats": cert.stats,
+        "witness": None if cert.witness is None else _witness_payload(cert.witness, group),
+    }
+
+    def render() -> str:
+        lines = [
+            f"Cover verification for the ({p},{q}) minimal model",
+            f"group: {group.describe()} (order {cert.stats['group_order']})",
+            f"verdict: {cert.verdict}",
+            f"pairs checked: {cert.stats['pairs_checked']}",
+            f"admissible sector triples: {cert.stats['admissible_triples']}",
+            f"realized sector triples: {cert.stats['realized_triples']}",
+        ]
+        if cert.witness is not None:
+            show = lambda e: _element_text(group.element_json(e))
+            lines.append(f"witness: {cert.witness.describe(show)}")
+        return "\n".join(lines)
+
+    return OutputDocument(format, payload, render), (0 if cert.passed else 1)
 
 
 def cmd_cover_search(
@@ -445,25 +414,29 @@ def cmd_cover_search(
     tensor = fusion_tensor(params)
     budget = max(max_order, DEFAULT_SEARCH_BUDGET) if allow_large else DEFAULT_SEARCH_BUDGET
     covers = search_cyclic_covers(tensor, max_order, order_budget=budget)
-    names = [s.name for s in tensor.sectors]
+    secs = tensor.sectors
+    names = [s.name for s in secs]
     # One label record per distinct (element, sector), shared by every cover
     # that holds it: many covers reuse few labels.
     records: dict[tuple, dict] = {}
 
-    def record(e: tuple, s: Sector) -> dict:
-        rec = records.get((e, s.index))
+    def record(e: tuple, i: int) -> dict:
+        rec = records.get((e, i))
         if rec is None:
-            rec = {"element": list(e), "sector": [s.m, s.n], "name": names[s.index]}
-            records[e, s.index] = rec
+            rec = {"element": list(e), "sector": [secs[i].m, secs[i].n], "name": names[i]}
+            records[e, i] = rec
         return rec
 
     rendered = [
         {
-            "factors": list(lg.spec.factors),
-            "order": lg.spec.order,
-            "labels": [record(e, s) for e, s in zip(lg.spec.elements(), lg.labels)],
+            "factors": list(cover.context.factors),
+            "order": cover.context.order,
+            "labels": [
+                record(e, i)
+                for e, i in zip(cover.context.elements(), cover.sector_indices.tolist())
+            ],
         }
-        for lg in covers
+        for cover in covers
     ]
     payload = {"model": _model_header(params), "max_order": max_order, "covers": rendered}
 
@@ -472,11 +445,11 @@ def cmd_cover_search(
             f"Cyclic covers of the ({p},{q}) minimal model fusion rules up to order {max_order}",
             f"found {len(covers)} cover(s)",
         ]
-        for lg in covers:
-            lines.append(f"{lg.spec.describe()}:")
-            for e, s in zip(lg.spec.elements(), lg.labels):
-                elem = ",".join(str(d) for d in e) if e else "()"
-                lines.append(f"  {elem} <-> {names[s.index]} ({s.m},{s.n})")
+        for cover in covers:
+            lines.append(f"{cover.context.describe()}:")
+            for e, i in zip(cover.context.elements(), cover.sector_indices.tolist()):
+                s = secs[i]
+                lines.append(f"  {_element_text(e)} <-> {names[i]} ({s.m},{s.n})")
         return "\n".join(lines)
 
     return OutputDocument(format, payload, render)

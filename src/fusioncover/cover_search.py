@@ -5,9 +5,11 @@ when (1) the sector triple of every sum g1 + g2 = g3 is admissible and (2)
 every admissible sector triple is realized by some sum.  The canonical
 2-group construction is one instance; the Ising rules are also covered by
 Z_4 (with two elements playing the weight-1/16 sector) and the c = 7/10
-rules by Z_12.  This module verifies such labelings for any invariant-factor
-decomposition, and exhaustively searches cyclic groups of bounded order for
-covers.
+rules by Z_12.  This module holds the group kind of such labelings,
+``AbelianGroupSpec`` (any invariant-factor decomposition), and exhaustively
+searches cyclic groups of bounded order for covers.  Each cover found is a
+``certificates.CoverMap`` over its group, checked like any other by
+``certificates.verify_cover``.
 
 The search assigns sectors to the elements 1..k-1 of Z_k in order (0 always
 carries the vacuum), pruning any partial labeling whose already-decidable
@@ -32,9 +34,9 @@ from math import prod
 import numpy as np
 
 from . import _kernels
-from .certificates import CoverCertificate, certify
+from .certificates import CoverMap, verify_cover
 from .errors import DEFAULT_SEARCH_BUDGET, CapacityError
-from .minimal_model import FusionTensor, ModelParams, Sector, canonicalize, sectors
+from .minimal_model import FusionTensor, Sector
 
 Element = tuple[int, ...]
 
@@ -48,6 +50,7 @@ class AbelianGroupSpec:
     """
 
     factors: tuple[int, ...]
+    kind = "abelian"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "factors", tuple(int(k) for k in self.factors))
@@ -98,77 +101,20 @@ class AbelianGroupSpec:
             return "trivial group"
         return " x ".join(f"Z{k}" for k in self.factors)
 
+    def element(self, code: int) -> Element:
+        """The digit tuple of an element code."""
+        return tuple(_kernels.decode(code, self.factors).tolist())
 
-@dataclass(frozen=True, eq=False)
-class LabeledGroup:
-    """A total labeling of a group's elements by the sectors of one model.
-
-    The identity element must carry the vacuum sector (1,1); a cover could
-    not do otherwise, and the structured file format requires it too.
-    """
-
-    spec: AbelianGroupSpec
-    params: ModelParams
-    sector_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sector_indices", tuple(int(i) for i in self.sector_indices))
-        n = self.params.n_sectors
-        if len(self.sector_indices) != self.spec.order:
-            raise ValueError(
-                f"labeling must cover all {self.spec.order} elements, "
-                f"got {len(self.sector_indices)}"
-            )
-        if any(not 0 <= i < n for i in self.sector_indices):
-            raise ValueError("labeling contains out-of-range sector indices")
-        if self.sector_indices[0] != 0:
-            raise ValueError("the identity element must be labeled by the (1,1) sector")
-
-    @classmethod
-    def from_kac_labels(
-        cls,
-        spec: AbelianGroupSpec,
-        params: ModelParams,
-        labels: dict[Element, tuple[int, int]],
-    ) -> "LabeledGroup":
-        """Build from a map element -> (m, n); labels are canonicalized."""
-        # Stops at the first gap, so a labeling of a few elements of a huge
-        # group is refused without enumerating the group.
-        indices = []
-        for e in itertools.product(*(range(k) for k in spec.factors)):
-            if e not in labels:
-                raise ValueError(f"labeling is partial: element {e} has no sector")
-            indices.append(canonicalize(params, *labels[e]).index)
-        if len(labels) > len(indices):
-            members = set(spec.elements())
-            extra = next(e for e in labels if e not in members)
-            raise ValueError(f"labeling mentions non-elements: {extra}")
-        return cls(spec, params, indices)
-
-    @property
-    def labels(self) -> tuple[Sector, ...]:
-        secs = sectors(self.params)
-        return tuple(secs[i] for i in self.sector_indices)
-
-    def sector_of(self, e: Element) -> Sector:
-        return sectors(self.params)[self.sector_indices[self.spec.index_of(e)]]
+    @staticmethod
+    def element_json(e: Element) -> list[int]:
+        """An element as printed: its digits."""
+        return list(e)
 
 
-def verify_abelian_cover(lg: LabeledGroup, tensor: FusionTensor) -> CoverCertificate:
-    """Check cover conditions (1) and (2) for a labeled abelian group.
-
-    Reads both off the counts of all |G|^2 ordered pairs under the group's
-    addition.  FAIL certificates carry the first violation in canonical
-    element order (see ``certify``), or the first admissible-but-unrealized
-    sector triple.  Groups above ``_kernels.MAX_COUNT_ORDER`` raise
-    CapacityError.
-    """
-    if lg.params != tensor.model:
-        raise ValueError(f"labeling is for {lg.params}, tensor for {tensor.model}")
-    factors, sec = lg.spec.factors, lg.sector_indices
-    counts = _kernels.pair_counts(sec, tensor.n, factors)
-    element = lambda g: tuple(_kernels.decode(g, factors).tolist())
-    return certify(counts, tensor, factors, lambda: sec, element)
+# ``perfbench/tracing.py`` wraps these two names; they go once it wraps
+# ``CoverMap`` and ``verify_cover`` under their own names.
+LabeledGroup = CoverMap
+verify_abelian_cover = verify_cover
 
 
 def multiplicity_profile(tensor: FusionTensor) -> dict[Sector, int]:
@@ -279,7 +225,7 @@ def search_cyclic_covers(
     tensor: FusionTensor,
     max_order: int,
     order_budget: int = DEFAULT_SEARCH_BUDGET,
-) -> list[LabeledGroup]:
+) -> list[CoverMap]:
     """All cyclic covers Z_k, k <= max_order, up to the negation automorphism.
 
     Results are deterministic: ascending order k, then lexicographic in the
@@ -293,15 +239,14 @@ def search_cyclic_covers(
             f"max_order {max_order} exceeds the search budget {order_budget}"
         )
     min_order = sum(multiplicity_profile(tensor).values())
-    covers: list[LabeledGroup] = []
-    for k in range(1, max_order + 1):
-        if k < min_order:
-            continue
+    covers: list[CoverMap] = []
+    for k in range(min_order, max_order + 1):
         # _search_order yields labelings in lexicographic order, so keeping
         # each one that is no greater than its negation lists every orbit's
         # least member once, already sorted.
+        spec = AbelianGroupSpec.cyclic(k)
         covers.extend(
-            LabeledGroup(AbelianGroupSpec.cyclic(k), tensor.model, assign)
+            CoverMap(spec, assign, tensor.sectors)
             for assign in _search_order(tensor, k)
             if assign <= tuple(assign[-x] for x in range(k))
         )

@@ -9,22 +9,25 @@ Splitting A and B into fixed-weight classes
 every x in H lies in exactly one class H_{m,n} = A_m + B_n, which attaches a
 full Kac label to x.  Adding the all-ones vector swaps (m, n) with
 (p-m, q-n), so the label map descends to the quotient G = H / {0, all-ones}
-as a map onto sectors.  This module builds that map and verifies that it
-covers the fusion rules: sums of elements land only on admissible sector
-triples, and every admissible triple is realized.  Both conditions are read
-off the exact count of element pairs on each sector triple.  The same
-counts yield the partition algebra (structure constants of coset-class
-sums), which the theorem says is isomorphic to the Verlinde algebra.
+as a map onto sectors.  This module builds that map, a
+``certificates.CoverMap`` over the quotient (the group kind
+``GroupContext``), which ``certificates.verify_cover`` checks like any other
+cover: sums of elements land only on admissible sector triples, and every
+admissible triple is realized.  Both conditions are read off the exact
+count of element pairs on each sector triple.  The same counts yield the
+partition algebra (structure constants of the sums of the sectors'
+preimages), which the theorem says is isomorphic to the Verlinde algebra.
 
 For ``canonical_cover`` the counts are a counting certificate derived from
 the construction, not a scan of the map: a label depends only on the A- and
 B-weights, and the number of pairs of given weights in Z_2^w whose sum has a
 given weight is a product of binomials (``canonical_counts``).  They are
 exact in int64 up to r = 31 (p + q <= 35) and take O(N^3) memory, whatever
-|G|.  Any other map is counted by the transform in ``_kernels.pair_counts``
-(|G| <= 2^17).  Either way ``CoverMap.counts`` counts a map once, for both
-``verify_cover`` and ``partition_algebra``; the labels are read only by the
-scan that names a FAIL witness.
+|G|.  Any other map, of this group kind or another, is counted by the
+transform in ``_kernels.pair_counts`` (|G| <= 2^17).  Either way
+``CoverMap.counts`` counts a map once, for both ``verify_cover`` and
+``partition_algebra``; the labels are read only by the scan that names a
+FAIL witness.
 """
 
 from __future__ import annotations
@@ -37,12 +40,12 @@ from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _kernels
-from .certificates import CoverCertificate, certify
+# ``verify_cover`` is bound here too: ``perfbench/tracing.py`` wraps it
+# under this module's name.
+from .certificates import CoverMap, verify_cover  # noqa: F401
 from .errors import CapacityError, CountCheckError, PartitionError
 from .minimal_model import (
     Fraction,
-    FusionTensor,
     ModelParams,
     Sector,
     VerlindeAlgebra,
@@ -141,9 +144,15 @@ class ClassLabel(NamedTuple):
 
 @dataclass(frozen=True)
 class GroupContext:
-    """The group H = Z_2^r for a model, with its A/B coordinate split."""
+    """The group H = Z_2^r for a model, with its A/B coordinate split.
+
+    As the group of a ``CoverMap`` it stands for the quotient
+    G = H / {0, all-ones} = Z_2^(r-1), whose element codes are the values of
+    the coset representatives.
+    """
 
     params: ModelParams
+    kind = "two_group_quotient"
 
     @property
     def r(self) -> int:
@@ -162,6 +171,27 @@ class GroupContext:
     @property
     def n_cosets(self) -> int:
         return 1 << (self.r - 1)
+
+    @property
+    def order(self) -> int:
+        """|G|, the number of cosets."""
+        return self.n_cosets
+
+    @property
+    def factors(self) -> tuple[int, ...]:
+        return (2,) * (self.r - 1)
+
+    def describe(self) -> str:
+        return f"Z2^{self.r - 1}, the quotient of H = Z2^{self.r} by the all-ones vector"
+
+    @staticmethod
+    def element(code: int) -> int:
+        """A coset is named by the value of its representative."""
+        return int(code)
+
+    def element_json(self, g: int) -> str:
+        """A coset as printed: its representative's coordinate string, width r."""
+        return f"{g:0{self.r}b}"[::-1]
 
     @property
     def all_ones(self) -> BitVector:
@@ -274,53 +304,6 @@ class Coset:
 def quotient_cosets(ctx: GroupContext) -> list[Coset]:
     """The 2^(r-1) cosets of G in ascending representative order."""
     return [Coset(BitVector(g, ctx.r)) for g in range(ctx.n_cosets)]
-
-
-@dataclass(frozen=True, eq=False)
-class CoverMap:
-    """A total assignment of sectors to the cosets of G.
-
-    ``sector_indices[g]`` is the sector index assigned to the coset whose
-    representative has value g; representatives enumerate 0..2^(r-1)-1.
-    """
-
-    context: GroupContext
-    sector_indices: np.ndarray
-    sectors: tuple[Sector, ...]
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.sector_indices, dtype=np.int64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "sector_indices", arr)
-        if arr.shape != (self.context.n_cosets,):
-            raise ValueError(
-                f"assignment must cover all {self.context.n_cosets} cosets, "
-                f"got shape {arr.shape}"
-            )
-        if arr.size and (arr.min() < 0 or arr.max() >= len(self.sectors)):
-            raise ValueError("assignment contains out-of-range sector indices")
-
-    def swapped_images(self, a: int, b: int) -> "CoverMap":
-        """A copy with the images of coset representatives a and b exchanged."""
-        arr = self.sector_indices.copy()
-        arr[[a, b]] = arr[[b, a]]
-        return CoverMap(self.context, arr, self.sectors)
-
-    def reassigned(self, rep: int, sector_index: int) -> "CoverMap":
-        """A copy with coset representative ``rep`` sent to ``sector_index``."""
-        arr = self.sector_indices.copy()
-        arr[rep] = sector_index
-        return CoverMap(self.context, arr, self.sectors)
-
-    @functools.cached_property
-    def counts(self) -> np.ndarray:
-        """The pair counts by the transform over G = Z_2^(r-1), computed on
-        first access and read-only; groups above ``_kernels.MAX_COUNT_ORDER``
-        raise CapacityError.  Errors are not cached."""
-        factors = (2,) * (self.context.r - 1)
-        counts = _kernels.pair_counts(self.sector_indices, len(self.sectors), factors)
-        counts.setflags(write=False)
-        return counts
 
 
 def _label_to_sector_index(params: ModelParams) -> np.ndarray:
@@ -452,30 +435,6 @@ def phi(cm: CoverMap, g: Coset) -> Sector:
     return cm.sectors[cm.sector_indices[g.representative.bits]]
 
 
-def verify_cover(
-    cm: CoverMap,
-    tensor: FusionTensor,
-    threads: int = 1,
-) -> CoverCertificate:
-    """Check both cover conditions for a coset assignment against fusion rules.
-
-    Condition (1): for every pair of cosets, the sector triple of
-    (g1, g2, g1 + g2) must be admissible.  Condition (2): every admissible
-    sector triple must be realized by some pair.  Both are read off
-    ``cm.counts``, counted once per map (see ``CoverMap.counts`` and
-    ``canonical_cover``).  FAIL certificates carry the first violation in
-    canonical order (g1 ascending, then g2, then triple index), named by
-    ``certify`` from the labels; a PASS reads no labels, so the canonical
-    cover builds no map.  ``threads`` is ignored; it stays because
-    ``perfbench/theorem_job.py`` passes it.
-    """
-    if cm.context.params != tensor.model:
-        raise ValueError(
-            f"cover map is for {cm.context.params}, tensor for {tensor.model}"
-        )
-    return certify(cm.counts, tensor, (2,) * (cm.context.r - 1), lambda: cm.sector_indices, int)
-
-
 @dataclass(frozen=True, eq=False)
 class PartitionAlgebra:
     """The algebra W of a partition of G: W[i,j,k] = 1 iff P_i + P_j meets P_k.
@@ -502,10 +461,11 @@ def partition_algebra(
     strict: bool = True,
     threads: int = 1,
 ) -> PartitionAlgebra:
-    """Structure constants of the partition P_i = preimage of sector i under Phi.
+    """Structure constants of the partition P_i = preimage of sector i under a map.
 
-    With ``strict`` (the default) the partition must satisfy P_1 = {0}: the
-    identity coset alone is assigned the vacuum sector.  Pass strict=False
+    The map may be over either group kind.  With ``strict`` (the default)
+    the partition must satisfy P_1 = {0}: the identity element alone is
+    assigned the vacuum sector.  Pass strict=False
     to build the algebra of a deliberately corrupted partition anyway, e.g.
     to compare its constants against the Verlinde algebra.  The constants
     are the support of ``cm.counts``, the same array ``verify_cover`` reads,
@@ -517,8 +477,8 @@ def partition_algebra(
     """
     counts = cm.counts
     if strict and counts[0, 0, 0] != 1:
-        size = int(counts[0].sum()) // cm.context.n_cosets  # sum_{j,k} C[0,j,k] = |P_1| |G|
-        where = "one nonzero coset" if size == 1 else f"{size} cosets"
+        size = int(counts[0].sum()) // cm.context.order  # sum_{j,k} C[0,j,k] = |P_1| |G|
+        where = "one nonzero element" if size == 1 else f"{size} elements"
         raise PartitionError(f"partition requires P_1 = {{0}}: the vacuum preimage is {where}")
     coeff = (counts > 0).astype(np.uint8)
     coeff.setflags(write=False)

@@ -16,8 +16,8 @@ import pytest
 
 from fusioncover import (
     AbelianGroupSpec,
+    CoverMap,
     GroupContext,
-    LabeledGroup,
     ModelParams,
     admissible_range,
     canonical_cover,
@@ -29,7 +29,6 @@ from fusioncover import (
     orbit_sum_classes,
     partition_algebra,
     search_cyclic_covers,
-    verify_abelian_cover,
     verify_cover,
     verlinde_algebra,
 )
@@ -149,17 +148,17 @@ def test_criterion_6_named_group_reproductions():
         tric = ModelParams(4, 5)
         t34, t45 = fusion_tensor(ising), fusion_tensor(tric)
 
-        z4 = LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, Z4_ISING_LABELS)
-        assert verify_abelian_cover(z4, t34).passed
-        z12 = LabeledGroup.from_kac_labels(
+        z4 = CoverMap.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, Z4_ISING_LABELS)
+        assert verify_cover(z4, t34).passed
+        z12 = CoverMap.from_kac_labels(
             AbelianGroupSpec.cyclic(12), tric, Z12_TRICRITICAL_LABELS
         )
-        assert verify_abelian_cover(z12, t45).passed
+        assert verify_cover(z12, t45).passed
 
         found34 = search_cyclic_covers(t34, 4)
-        assert z4.sector_indices in [lg.sector_indices for lg in found34]
+        assert z4.sector_indices.tolist() in [cm.sector_indices.tolist() for cm in found34]
         found45 = search_cyclic_covers(t45, 12)
-        assert z12.sector_indices in [lg.sector_indices for lg in found45]
+        assert z12.sector_indices.tolist() in [cm.sector_indices.tolist() for cm in found45]
 
         profile = {s.name: k for s, k in multiplicity_profile(t45).items()}
         assert profile == {

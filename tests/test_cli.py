@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusioncover import cli, cover_search, two_group_cover
+from fusioncover import certificates, cli, two_group_cover
 from fusioncover.cli import (
     cmd_cover_search,
     cmd_cover_verify,
@@ -25,7 +25,6 @@ from fusioncover.errors import CapacityError, GroupFileError
 from fusioncover import (
     AbelianGroupSpec,
     GroupContext,
-    LabeledGroup,
     ModelParams,
     _kernels,
     canonical_cover,
@@ -285,19 +284,19 @@ class TestCoverVerifyCommand:
     @pytest.mark.parametrize("make", [corrupted_z2_file, corrupted_mixed_file])
     def test_fail_witness_is_first_violation_of_full_scan(self, tmp_path, make):
         params, factors, path = make(tmp_path)
-        lg = parse_group_file(path, params)
+        cm = parse_group_file(path, params)
         tensor = fusion_tensor(params)
         d_flat = tensor.coefficients.reshape(-1)
         (g1, g2), realized = exhaustive_scan(
-            lg.sector_indices, tensor.n, d_flat, group_rows(lg.spec.digit_matrix(), factors)
+            cm.sector_indices, tensor.n, d_flat, group_rows(cm.context.digit_matrix(), factors)
         )
         assert g1 >= 0
         doc, code = cmd_cover_verify(params.p, params.q, path, "json")
-        elements = lg.spec.elements()
+        elements = cm.context.elements()
         w = doc.payload["witness"]
         assert code == 1 and w["kind"] == "closure_violation"
         assert (w["g1"], w["g2"]) == (list(elements[g1]), list(elements[g2]))
-        assert doc.payload["stats"] == _kernels.scan_stats(lg.spec.order, d_flat, realized)
+        assert doc.payload["stats"] == _kernels.scan_stats(cm.context.order, d_flat, realized)
 
 
     @pytest.mark.parametrize(
@@ -307,17 +306,17 @@ class TestCoverVerifyCommand:
     def test_witness_scan_follows_the_invariant_factors(self, tmp_path, monkeypatch, make, unused):
         # Z2^t files are scanned by XOR of the element codes, others by digits.
         params, factors, path = make(tmp_path)
-        lg = parse_group_file(path, params)
+        cm = parse_group_file(path, params)
         d_flat = fusion_tensor(params).coefficients.reshape(-1)
-        rows = group_rows(lg.spec.digit_matrix(), factors)
-        (g1, g2), _ = exhaustive_scan(lg.sector_indices, params.n_sectors, d_flat, rows)
+        rows = group_rows(cm.context.digit_matrix(), factors)
+        (g1, g2), _ = exhaustive_scan(cm.sector_indices, params.n_sectors, d_flat, rows)
 
         def refuse(*args, **kwargs):
             raise AssertionError(f"{unused} called for factors {factors}")
 
         monkeypatch.setattr(_kernels, unused, refuse)
         doc, code = cmd_cover_verify(params.p, params.q, path, "json")
-        digits = lg.spec.digit_matrix().tolist()
+        digits = cm.context.digit_matrix().tolist()
         w = doc.payload["witness"]
         assert code == 1 and (w["g1"], w["g2"]) == (digits[g1], digits[g2])
 
@@ -462,16 +461,18 @@ class TestExitCodes:
         assert err.startswith("error:") and "budget" in err and "--allow-large" in err
 
     @pytest.mark.parametrize("p,q", [(9, 14), (16, 17)])
-    def test_group_above_exactness_bound_refused_even_if_large(self, p, q, capsys, monkeypatch):
+    def test_group_above_exactness_bound_refused_even_if_large(
+        self, p, q, tmp_path, capsys, monkeypatch
+    ):
         def never(*args, **kwargs):
             raise AssertionError("nothing may be built for a refused group")
 
-        params = ModelParams(p, q)
-        big = LabeledGroup(AbelianGroupSpec((2,) * 18), params, (0,) * (1 << 18))
-        monkeypatch.setattr(cli, "parse_group_file", lambda path, params: big)
+        # Z2^18 is refused at its header: the malformed line after it would
+        # be a different error if it were read.
+        big = write_cover(tmp_path, "group" + " 2" * 18 + "\nnot an element line\n")
         monkeypatch.setattr(cli, "fusion_tensor", never)
-        monkeypatch.setattr(cover_search, "verify_abelian_cover", never)
-        args = ["cover", "verify", "--p", str(p), "--q", str(q), "--group", "z2_18.cover"]
+        monkeypatch.setattr(certificates, "verify_cover", never)
+        args = ["cover", "verify", "--p", str(p), "--q", str(q), "--group", big]
         assert main([*args, "--allow-large"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "2^17" in err
@@ -484,7 +485,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "fusion_tensor", never)
         monkeypatch.setattr(two_group_cover, "canonical_cover", never)
-        monkeypatch.setattr(two_group_cover, "verify_cover", never)
+        monkeypatch.setattr(certificates, "verify_cover", never)
         assert main(["cover", "verify", "--p", str(p), "--q", str(q), *large]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "p + q <= 35" in err
@@ -660,11 +661,11 @@ class TestExitCodes:
 
 class TestGroupFileParsing:
     def test_parses_committed_files(self):
-        lg = parse_group_file(COVERS / "ising_z4.cover", ModelParams(3, 4))
-        assert lg.spec.factors == (4,)
-        assert lg.sector_indices == (0, 1, 2, 1)
-        lg12 = parse_group_file(COVERS / "tricritical_z12.cover", ModelParams(4, 5))
-        assert lg12.spec.order == 12
+        cm = parse_group_file(COVERS / "ising_z4.cover", ModelParams(3, 4))
+        assert cm.context.factors == (4,)
+        assert cm.sector_indices.tolist() == [0, 1, 2, 1]
+        cm12 = parse_group_file(COVERS / "tricritical_z12.cover", ModelParams(4, 5))
+        assert cm12.context.order == 12
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -707,11 +708,11 @@ class TestGroupFileParsing:
 
     def test_comments_and_blank_lines_ok(self, tmp_path):
         text = "# full file\ngroup 2 2\n0,0 -> 1,1  # identity\n0,1 -> 1,2\n1,0 -> 1,3\n1,1 -> 2,2\n"
-        lg = parse_group_file(write_cover(tmp_path, text), ModelParams(3, 4))
-        assert lg.spec.factors == (2, 2)
+        cm = parse_group_file(write_cover(tmp_path, text), ModelParams(3, 4))
+        assert cm.context.factors == (2, 2)
 
     def test_trivial_group_file(self, tmp_path):
-        lg = parse_group_file(
+        cm = parse_group_file(
             write_cover(tmp_path, "group\n-> 1,1\n"), ModelParams(2, 3)
         )
-        assert lg.spec.order == 1
+        assert cm.context.order == 1

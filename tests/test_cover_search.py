@@ -12,14 +12,15 @@ from fusioncover import (
     AbelianGroupSpec,
     CapacityError,
     ClosureViolation,
+    CoverMap,
     GroupContext,
-    LabeledGroup,
     ModelParams,
     canonical_cover,
     fusion_tensor,
     multiplicity_profile,
+    partition_algebra,
     search_cyclic_covers,
-    verify_abelian_cover,
+    sectors,
     verify_cover,
 )
 
@@ -70,63 +71,63 @@ class TestAbelianGroupSpec:
         ]
 
 
-class TestLabeledGroup:
+class TestCoverMapOfAbelianGroup:
     def test_partial_labeling_rejected(self, ising):
         spec = AbelianGroupSpec.cyclic(4)
         labels = dict(Z4_ISING_LABELS)
         labels.pop((2,))
         with pytest.raises(ValueError, match="partial"):
-            LabeledGroup.from_kac_labels(spec, ising, labels)
+            CoverMap.from_kac_labels(spec, ising, labels)
 
     def test_partial_labeling_of_huge_group_rejected(self, ising):
         spec = AbelianGroupSpec((100000, 100000))
         with pytest.raises(ValueError, match=r"partial: element \(0, 1\)"):
-            LabeledGroup.from_kac_labels(spec, ising, {(0, 0): (1, 1)})
+            CoverMap.from_kac_labels(spec, ising, {(0, 0): (1, 1)})
 
     def test_extra_labels_rejected(self, ising):
         labels = dict(Z4_ISING_LABELS)
         labels[(4,)] = (1, 1)
         with pytest.raises(ValueError, match=r"non-elements: \(4,\)"):
-            LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, labels)
+            CoverMap.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, labels)
 
     def test_identity_must_be_vacuum(self, ising):
         spec = AbelianGroupSpec.cyclic(4)
         labels = dict(Z4_ISING_LABELS)
         labels[(0,)] = (1, 2)
         with pytest.raises(ValueError, match="identity"):
-            LabeledGroup.from_kac_labels(spec, ising, labels)
+            CoverMap.from_kac_labels(spec, ising, labels)
 
     def test_noncanonical_labels_accepted(self, ising):
         # (2,2) is the same sector as (1,2)
         spec = AbelianGroupSpec.cyclic(4)
         labels = dict(Z4_ISING_LABELS)
         labels[(3,)] = (2, 2)
-        lg = LabeledGroup.from_kac_labels(spec, ising, labels)
-        assert lg.sector_of((3,)).label == (1, 2)
+        cm = CoverMap.from_kac_labels(spec, ising, labels)
+        assert cm.sectors[cm.sector_indices[spec.index_of((3,))]].label == (1, 2)
 
     def test_wrong_length(self, ising):
         with pytest.raises(ValueError, match="elements"):
-            LabeledGroup(AbelianGroupSpec.cyclic(4), ising, (0, 1, 2))
+            CoverMap(AbelianGroupSpec.cyclic(4), (0, 1, 2), sectors(ising))
 
 
-class TestVerifyAbelianCover:
+class TestVerifyCoverOfAbelianGroup:
     def test_z4_ising_passes(self, ising, ising_tensor):
-        lg = LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, Z4_ISING_LABELS)
-        cert = verify_abelian_cover(lg, ising_tensor)
+        cm = CoverMap.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, Z4_ISING_LABELS)
+        cert = verify_cover(cm, ising_tensor)
         assert cert.passed
         assert cert.stats["group_order"] == 4
 
     def test_z12_tricritical_passes(self, tricritical, tricritical_tensor):
-        lg = LabeledGroup.from_kac_labels(
+        cm = CoverMap.from_kac_labels(
             AbelianGroupSpec.cyclic(12), tricritical, Z12_TRICRITICAL_LABELS
         )
-        cert = verify_abelian_cover(lg, tricritical_tensor)
+        cert = verify_cover(cm, tricritical_tensor)
         assert cert.passed
 
     def test_scrambled_z4_fails_with_witness(self, ising, ising_tensor):
         labels = {(0,): (1, 1), (1,): (1, 2), (2,): (1, 2), (3,): (1, 3)}
-        lg = LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, labels)
-        cert = verify_abelian_cover(lg, ising_tensor)
+        cm = CoverMap.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, labels)
+        cert = verify_cover(cm, ising_tensor)
         assert not cert.passed
         w = cert.witness
         assert isinstance(w, ClosureViolation)
@@ -142,40 +143,41 @@ class TestVerifyAbelianCover:
 
         monkeypatch.setattr(threading.Thread, "start", no_start)
         labels = {(0,): (1, 1), (1,): (1, 2), (2,): (1, 2), (3,): (1, 3)}
-        lg = LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, labels)
-        cert = verify_abelian_cover(lg, ising_tensor)
+        cm = CoverMap.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, labels)
+        cert = verify_cover(cm, ising_tensor)
         assert isinstance(cert.witness, ClosureViolation)
 
-    def test_takes_no_threads_argument(self, ising, ising_tensor):
-        lg = LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, Z4_ISING_LABELS)
-        with pytest.raises(TypeError, match="threads"):
-            verify_abelian_cover(lg, ising_tensor, threads=2)
+    def test_threads_are_ignored(self, ising, ising_tensor):
+        labels = {(0,): (1, 1), (1,): (1, 2), (2,): (1, 2), (3,): (1, 3)}
+        for table in (Z4_ISING_LABELS, labels):
+            cm = CoverMap.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, table)
+            assert verify_cover(cm, ising_tensor, threads=2) == verify_cover(cm, ising_tensor)
 
     def test_model_mismatch(self, ising, tricritical_tensor):
-        lg = LabeledGroup.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, Z4_ISING_LABELS)
+        cm = CoverMap.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, Z4_ISING_LABELS)
         with pytest.raises(ValueError):
-            verify_abelian_cover(lg, tricritical_tensor)
+            verify_cover(cm, tricritical_tensor)
 
     def test_z2xz2_covers_ising(self, ising, ising_tensor):
         # the quotient construction seen as Z2 x Z2, labels from the phi images
         labels = {(0, 0): (1, 1), (1, 0): (1, 3), (0, 1): (1, 2), (1, 1): (1, 2)}
-        lg = LabeledGroup.from_kac_labels(AbelianGroupSpec((2, 2)), ising, labels)
-        assert verify_abelian_cover(lg, ising_tensor).passed
+        cm = CoverMap.from_kac_labels(AbelianGroupSpec((2, 2)), ising, labels)
+        assert verify_cover(cm, ising_tensor).passed
 
     def test_order_above_exactness_bound_refused(self, ising, ising_tensor):
-        lg = LabeledGroup(AbelianGroupSpec((2,) * 18), ising, (0,) * (1 << 18))
+        cm = CoverMap(AbelianGroupSpec((2,) * 18), np.zeros(1 << 18), sectors(ising))
         with pytest.raises(CapacityError, match="2\\^17"):
-            verify_abelian_cover(lg, ising_tensor)
+            verify_cover(cm, ising_tensor)
 
     def test_trivial_group_covers_degenerate_model(self):
         params = ModelParams(2, 3)
-        lg = LabeledGroup.from_kac_labels(AbelianGroupSpec(()), params, {(): (1, 1)})
-        assert verify_abelian_cover(lg, fusion_tensor(params)).passed
+        cm = CoverMap.from_kac_labels(AbelianGroupSpec(()), params, {(): (1, 1)})
+        assert verify_cover(cm, fusion_tensor(params)).passed
 
 
 class TestAgainstTwoGroupConstruction:
     @staticmethod
-    def as_labeled_group(cm):
+    def as_abelian_cover(cm):
         """Re-express a coset assignment as a Z2^(r-1) labeled group."""
         t = cm.context.r - 1
         spec = AbelianGroupSpec((2,) * t) if t else AbelianGroupSpec(())
@@ -184,7 +186,7 @@ class TestAgainstTwoGroupConstruction:
         for g, sector_index in enumerate(cm.sector_indices):
             digits = tuple((g >> (t - 1 - u)) & 1 for u in range(t))
             labels[digits] = secs[sector_index].label
-        return LabeledGroup.from_kac_labels(spec, cm.context.params, labels)
+        return CoverMap.from_kac_labels(spec, cm.context.params, labels)
 
     def test_agrees_with_verify_cover(self):
         for params in coprime_models(6, 11, max_sum=14):
@@ -193,13 +195,58 @@ class TestAgainstTwoGroupConstruction:
             candidates = [cm]
             if cm.context.n_cosets > 1 and tensor.n > 1:
                 # corrupt a non-identity coset (keeps the vacuum label intact,
-                # which the LabeledGroup invariant requires)
+                # which from_kac_labels requires)
                 wrong = (int(cm.sector_indices[1]) + 1) % tensor.n
                 candidates.append(cm.reassigned(1, wrong))
             for candidate in candidates:
                 direct = verify_cover(candidate, tensor)
-                relabeled = verify_abelian_cover(self.as_labeled_group(candidate), tensor)
+                relabeled = verify_cover(self.as_abelian_cover(candidate), tensor)
                 assert direct.verdict == relabeled.verdict, params
+
+
+class TestGroupKindsAgree:
+    """The canonical labels over the quotient and over Z2^(r-1), as a group
+    file would give them: the element codes coincide, so the two kinds must
+    count and certify alike, with witness elements equal after decoding."""
+
+    @pytest.mark.parametrize("pq", [(3, 4), (4, 5), (5, 6), (2, 9)])
+    def test_counts_certificates_and_partitions_agree(self, pq):
+        params = ModelParams(*pq)
+        tensor = fusion_tensor(params)
+        canonical = canonical_cover(GroupContext(params))
+        spec = AbelianGroupSpec((2,) * (canonical.context.r - 1))
+        labels, secs = canonical.sector_indices, canonical.sectors
+        last = spec.order - 1
+        wrong = (int(labels[1]) + 1) % len(secs)
+        changes = [
+            lambda m: m,
+            lambda m: m.swapped_images(0, 1),
+            lambda m: m.swapped_images(1, last),
+            lambda m: m.reassigned(1, wrong),
+            lambda m: m.reassigned(last, 0),
+        ]
+        outcomes = set()
+        for change in changes:
+            quotient = change(CoverMap(canonical.context, labels, secs))
+            abelian = change(CoverMap(spec, labels, secs))
+            assert np.array_equal(quotient.counts, abelian.counts)
+            a, b = verify_cover(quotient, tensor), verify_cover(abelian, tensor)
+            assert (a.verdict, a.stats, type(a.witness)) == (b.verdict, b.stats, type(b.witness))
+            outcomes.add(type(a.witness))
+            if a.witness is not None:
+                assert a.witness.sectors == b.witness.sectors
+            if isinstance(a.witness, ClosureViolation):
+                codes = (a.witness.g1, a.witness.g2, a.witness.g3)
+                assert tuple(map(spec.element, codes)) == (b.witness.g1, b.witness.g2, b.witness.g3)
+            wa = partition_algebra(quotient, strict=a.passed)
+            wb = partition_algebra(abelian, strict=a.passed)
+            assert np.array_equal(wa.coefficients, wb.coefficients)
+            assert np.array_equal(wa.multiplicities, wb.multiplicities)
+        assert {type(None), ClosureViolation} <= outcomes
+        # The canonical cover's closed-form counts give the same certificate.
+        abelian = CoverMap(spec, labels, secs)
+        assert verify_cover(canonical, tensor) == verify_cover(abelian, tensor)
+        assert np.array_equal(partition_algebra(canonical).multiplicities, abelian.counts)
 
 
 class TestMultiplicityProfile:
@@ -229,18 +276,17 @@ def brute_force_cyclic_covers(tensor, max_order):
     Returns the same canonical form as search_cyclic_covers: negation
     duplicates removed, sorted by (order, label tuple).
     """
-    model = tensor.model
+    secs = tensor.sectors
     found = []
     for k in range(1, max_order + 1):
         spec = AbelianGroupSpec.cyclic(k)
         seen = set()
         for tail in itertools.product(range(tensor.n), repeat=k - 1):
             assign = (0,) + tail
-            lg = LabeledGroup(spec, model, assign)
-            if verify_abelian_cover(lg, tensor).passed:
+            if verify_cover(CoverMap(spec, assign, secs), tensor).passed:
                 negated = tuple(assign[(-x) % k] for x in range(k))
                 seen.add(min(assign, negated))
-        found.extend(LabeledGroup(spec, model, a) for a in sorted(seen))
+        found.extend(CoverMap(spec, a, secs) for a in sorted(seen))
     return found
 
 
@@ -344,15 +390,15 @@ class TestSearchCyclicCovers:
     def test_ising_up_to_4(self, ising_tensor):
         covers = search_cyclic_covers(ising_tensor, 4)
         assert len(covers) == 1
-        lg = covers[0]
-        assert lg.spec.factors == (4,)
-        assert lg.sector_indices == (0, 1, 2, 1)
+        cm = covers[0]
+        assert cm.context.factors == (4,)
+        assert cm.sector_indices.tolist() == [0, 1, 2, 1]
 
     def test_matches_brute_force_oracle(self, ising_tensor):
         got = search_cyclic_covers(ising_tensor, 4)
         expected = brute_force_cyclic_covers(ising_tensor, 4)
-        assert [(lg.spec.factors, lg.sector_indices) for lg in got] == [
-            (lg.spec.factors, lg.sector_indices) for lg in expected
+        assert [(cm.context.factors, cm.sector_indices.tolist()) for cm in got] == [
+            (cm.context.factors, cm.sector_indices.tolist()) for cm in expected
         ]
 
     def test_no_small_ising_covers(self, ising_tensor):
@@ -366,29 +412,29 @@ class TestSearchCyclicCovers:
         paper = tuple(
             canonicalize(tricritical, *Z12_TRICRITICAL_LABELS[(e,)]).index for e in range(12)
         )
-        assert any(lg.sector_indices == paper for lg in covers)
+        assert any(tuple(cm.sector_indices.tolist()) == paper for cm in covers)
 
     def test_trivial_group_for_degenerate_model(self):
         tensor = fusion_tensor(ModelParams(2, 3))
         covers = search_cyclic_covers(tensor, 1)
         assert len(covers) == 1
-        assert covers[0].spec.order == 1
+        assert covers[0].context.order == 1
 
     def test_found_covers_reverify(self, tricritical_tensor):
-        for lg in search_cyclic_covers(tricritical_tensor, 12):
-            assert verify_abelian_cover(lg, tricritical_tensor).passed
+        for cm in search_cyclic_covers(tricritical_tensor, 12):
+            assert verify_cover(cm, tricritical_tensor).passed
 
     def test_found_covers_are_surjective(self, tricritical_tensor):
-        for lg in search_cyclic_covers(tricritical_tensor, 12):
-            counts = Counter(lg.sector_indices)
+        for cm in search_cyclic_covers(tricritical_tensor, 12):
+            counts = Counter(cm.sector_indices.tolist())
             assert all(counts[i] >= 1 for i in range(tricritical_tensor.n))
 
     def test_negation_symmetry(self, tricritical, tricritical_tensor):
-        for lg in search_cyclic_covers(tricritical_tensor, 12):
-            k = lg.spec.order
-            negated = tuple(lg.sector_indices[(-x) % k] for x in range(k))
-            mirrored = LabeledGroup(lg.spec, tricritical, negated)
-            assert verify_abelian_cover(mirrored, tricritical_tensor).passed
+        for cm in search_cyclic_covers(tricritical_tensor, 12):
+            k = cm.context.order
+            negated = cm.sector_indices[(-np.arange(k)) % k]
+            mirrored = CoverMap(cm.context, negated, cm.sectors)
+            assert verify_cover(mirrored, tricritical_tensor).passed
 
     @pytest.mark.parametrize(
         "p,q,max_order",
@@ -406,7 +452,7 @@ class TestSearchCyclicCovers:
             }
             expected.extend((k,) + a for a in sorted(seen))
         got = search_cyclic_covers(tensor, max_order, order_budget=max_order)
-        assert [lg.spec.factors + lg.sector_indices for lg in got] == expected
+        assert [cm.context.factors + tuple(cm.sector_indices.tolist()) for cm in got] == expected
 
     def test_budget(self, ising_tensor):
         with pytest.raises(CapacityError):

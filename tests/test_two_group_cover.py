@@ -757,9 +757,23 @@ class TestEquivalenceOfFormulations:
 
 class TestCoverMapValidation:
     def test_wrong_length(self, ctx34, ising):
-        with pytest.raises(ValueError, match="cosets"):
+        with pytest.raises(ValueError, match="all 4 elements"):
             CoverMap(ctx34, np.zeros(3, dtype=np.int64), sectors(ising))
 
     def test_out_of_range_sector(self, ctx34, ising):
         with pytest.raises(ValueError, match="out-of-range"):
             CoverMap(ctx34, np.full(4, 99, dtype=np.int64), sectors(ising))
+
+
+class TestQuotientGroupKind:
+    @pytest.mark.parametrize("pq", [(2, 3), (3, 4), (4, 5), (3, 8)])
+    def test_elements_print_as_representative_coordinates(self, pq):
+        ctx = GroupContext(ModelParams(*pq))
+        for coset in quotient_cosets(ctx):
+            g = coset.representative.bits
+            assert ctx.element(g) == g
+            assert ctx.element_json(g) == str(coset) == coset.representative.coordinates()
+
+    def test_surface(self, ctx34):
+        assert (ctx34.kind, ctx34.factors, ctx34.order) == ("two_group_quotient", (2, 2), 4)
+        assert ctx34.describe() == "Z2^2, the quotient of H = Z2^3 by the all-ones vector"
