@@ -169,13 +169,9 @@ class GroupContext:
         return range(self.params.p - 1, self.r + 1)
 
     @property
-    def n_cosets(self) -> int:
-        return 1 << (self.r - 1)
-
-    @property
     def order(self) -> int:
         """|G|, the number of cosets."""
-        return self.n_cosets
+        return 1 << (self.r - 1)
 
     @property
     def factors(self) -> tuple[int, ...]:
@@ -303,7 +299,7 @@ class Coset:
 
 def quotient_cosets(ctx: GroupContext) -> list[Coset]:
     """The 2^(r-1) cosets of G in ascending representative order."""
-    return [Coset(BitVector(g, ctx.r)) for g in range(ctx.n_cosets)]
+    return [Coset(BitVector(g, ctx.r)) for g in range(ctx.order)]
 
 
 def _label_to_sector_index(params: ModelParams) -> np.ndarray:
@@ -319,9 +315,9 @@ def _label_to_sector_index(params: ModelParams) -> np.ndarray:
 def _canonical_labels(ctx: GroupContext) -> np.ndarray:
     """Sector index of every coset under Phi, checking that Phi is constant
     on cosets.  Refuses more than 2^22 cosets before allocating."""
-    if ctx.n_cosets > MAX_CANONICAL_MAP:
+    if ctx.order > MAX_CANONICAL_MAP:
         raise CapacityError(
-            f"the canonical map of {ctx.params} has {ctx.n_cosets} cosets, above "
+            f"the canonical map of {ctx.params} has {ctx.order} cosets, above "
             f"{MAX_CANONICAL_MAP} (2^22); verifying the canonical cover and its "
             f"partition algebra needs no map"
         )
@@ -336,8 +332,8 @@ def _canonical_labels(ctx: GroupContext) -> np.ndarray:
     # popcount(g >> (p-2)): its label is one cell of a weight grid.  At
     # q = 2 there are fewer cosets than A-weights and the grid is one row.
     a_width = ctx.params.p - 2
-    m = np.bitwise_count(np.arange(min(ctx.n_cosets, 1 << a_width))) + 1
-    n = np.bitwise_count(np.arange(max(1, ctx.n_cosets >> a_width))) + 1
+    m = np.bitwise_count(np.arange(min(ctx.order, 1 << a_width))) + 1
+    n = np.bitwise_count(np.arange(max(1, ctx.order >> a_width))) + 1
     return table[m, n[:, None]].reshape(-1)
 
 

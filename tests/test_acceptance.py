@@ -97,7 +97,7 @@ def test_criterion_4_formulation_equivalence():
             w = partition_algebra(cm)
             assert is_isomorphic_to_verlinde(w, v)
             assert np.array_equal(w.coefficients, tensor.coefficients)
-            if cm.context.n_cosets == 1:
+            if cm.context.order == 1:
                 continue  # (2,3): a single coset admits no swap corruption
             corrupted = cm.swapped_images(0, 1)
             cert = verify_cover(corrupted, tensor)

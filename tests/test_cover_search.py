@@ -193,7 +193,7 @@ class TestAgainstTwoGroupConstruction:
             tensor = fusion_tensor(params)
             cm = canonical_cover(GroupContext(params))
             candidates = [cm]
-            if cm.context.n_cosets > 1 and tensor.n > 1:
+            if cm.context.order > 1 and tensor.n > 1:
                 # corrupt a non-identity coset (keeps the vacuum label intact,
                 # which from_kac_labels requires)
                 wrong = (int(cm.sector_indices[1]) + 1) % tensor.n

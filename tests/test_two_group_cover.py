@@ -284,7 +284,7 @@ class TestPhi:
         params = ModelParams(*pq)
         ctx = GroupContext(params)
         cm = canonical_cover(ctx)
-        assert cm.sector_indices.shape == (ctx.n_cosets,)
+        assert cm.sector_indices.shape == (ctx.order,)
         for c in quotient_cosets(ctx):
             images = {
                 canonicalize(params, *class_of(ctx, member)).index for member in c.members
@@ -330,7 +330,7 @@ class TestVerifyCover:
         # send every coset to the vacuum: closure holds trivially but no
         # triple involving [1/16] or [1/2] is ever realized
         ctx = GroupContext(ising)
-        cm = CoverMap(ctx, np.zeros(ctx.n_cosets, dtype=np.int64), sectors(ising))
+        cm = CoverMap(ctx, np.zeros(ctx.order, dtype=np.int64), sectors(ising))
         cert = verify_cover(cm, ising_tensor)
         assert not cert.passed
         assert isinstance(cert.witness, UncoveredTriple)
@@ -362,7 +362,7 @@ def corrupted_map(p, q, kind):
     d_flat = tensor.coefficients.reshape(-1)
     sec = cm.sector_indices
     first, realized = exhaustive_scan(sec, tensor.n, d_flat, xor_rows(len(sec)))
-    return cm, tensor, first, _kernels.scan_stats(cm.context.n_cosets, d_flat, realized)
+    return cm, tensor, first, _kernels.scan_stats(cm.context.order, d_flat, realized)
 
 
 class TestWitnessFromCounts:
@@ -480,7 +480,7 @@ class TestCanonicalCounts:
         tensor = fusion_tensor(params)
         cert = verify_cover(canonical_cover(ctx), tensor)
         assert cert.passed
-        assert cert.stats["pairs_checked"] == ctx.n_cosets**2
+        assert cert.stats["pairs_checked"] == ctx.order**2
         assert cert.stats["realized_triples"] == cert.stats["admissible_triples"]
         w = partition_algebra(canonical_cover(ctx))
         assert is_isomorphic_to_verlinde(w, verlinde_algebra(tensor))
@@ -594,10 +594,10 @@ class TestPartitionAlgebra:
     def test_strict_check_agrees_with_the_labels(self, pq):
         # The strict check reads the counts; the oracle reads the labels.
         cm = canonical_cover(GroupContext(ModelParams(*pq)))
-        n_cosets, n = cm.context.n_cosets, len(cm.sectors)
-        candidates = [cm.swapped_images(0, g) for g in range(1, n_cosets)]
+        order, n = cm.context.order, len(cm.sectors)
+        candidates = [cm.swapped_images(0, g) for g in range(1, order)]
         candidates += [
-            cm.reassigned(g, i) for g, i in itertools.product(range(n_cosets), range(n))
+            cm.reassigned(g, i) for g, i in itertools.product(range(order), range(n))
         ]
         for candidate in candidates:
             vacuum = np.flatnonzero(candidate.sector_indices == 0).tolist()
@@ -718,7 +718,7 @@ class TestCountsOncePerMap:
             with pytest.raises(CountCheckError):
                 cm.counts
         monkeypatch.setattr(_kernels, "_transform", transform)
-        assert cm.counts.sum() == cm.context.n_cosets**2
+        assert cm.counts.sum() == cm.context.order**2
 
 
 class TestIsomorphism:
@@ -747,7 +747,7 @@ class TestEquivalenceOfFormulations:
             v = verlinde_algebra(tensor)
             cm = canonical_cover(GroupContext(params))
             candidates = [cm]
-            if cm.context.n_cosets > 1:
+            if cm.context.order > 1:
                 candidates.append(cm.swapped_images(0, 1))
             for candidate in candidates:
                 cert = verify_cover(candidate, tensor)
