@@ -461,9 +461,9 @@ def partition_algebra(
 
     The map may be over either group kind.  With ``strict`` (the default)
     the partition must satisfy P_1 = {0}: the identity element alone is
-    assigned the vacuum sector.  Pass strict=False
-    to build the algebra of a deliberately corrupted partition anyway, e.g.
-    to compare its constants against the Verlinde algebra.  The constants
+    assigned the vacuum sector.  Pass strict=False to build the algebra of a
+    deliberately corrupted partition anyway, e.g. to compare its constants
+    against the Verlinde algebra.  The constants
     are the support of ``cm.counts``, the same array ``verify_cover`` reads,
     so a map counted there is not counted again.  The strict check reads
     them too: P_1 = {0} iff C[0, 0, 0] = 1 (with 0 in P_1, (0, 0) and every
