@@ -23,13 +23,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Union
 
-import numpy as np
-
-from . import _kernels
 from .errors import CountCheckError
 from .minimal_model import FusionTensor, ModelParams, Sector, canonicalize, sectors
 
+# numpy and the pair kernels are imported by the functions that use them, so
+# a cover search, which builds maps but counts none, starts without them.
 if TYPE_CHECKING:
+    import numpy as np
+
     from .cover_search import AbelianGroupSpec
     from .two_group_cover import GroupContext
 
@@ -56,6 +57,8 @@ class CoverMap:
     sectors: tuple[Sector, ...]
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         arr = np.array(self.sector_indices, dtype=np.int64)
         arr.setflags(write=False)
         object.__setattr__(self, "sector_indices", arr)
@@ -111,6 +114,8 @@ class CoverMap:
         (``_kernels.pair_counts``), computed on first access and read-only;
         groups above ``_kernels.MAX_COUNT_ORDER`` raise CapacityError.
         Errors are not cached."""
+        from . import _kernels
+
         counts = _kernels.pair_counts(self.sector_indices, len(self.sectors), self.context.factors)
         counts.setflags(write=False)
         return counts
@@ -186,6 +191,8 @@ def verify_cover(cover: CoverMap, tensor: FusionTensor, threads: int = 1) -> Cov
     witness is the first admissible but unrealized triple.  ``threads`` is
     ignored; it stays because ``perfbench/theorem_job.py`` passes it.
     """
+    from . import _kernels
+
     if cover.sectors != tensor.sectors:
         raise ValueError(f"the cover's sectors are not those of the tensor's model {tensor.model}")
     group = cover.context

@@ -64,14 +64,14 @@ if TYPE_CHECKING:
     from .certificates import CoverMap
 
 # numpy and the cover modules are imported by the commands that use them:
-# `kac` runs on exact rationals and `fusion` on the closed-form admissible
-# ranges, so both start without numpy.
+# `kac` runs on exact rationals, and `fusion` and `cover search` on the
+# closed-form admissible ranges, so all three start without numpy.
 
-# Groups with more than this many ordered pairs (|G| > 2^13) need an
-# explicit override.  For the canonical cover |G| = 2^(p+q-5), so this is
-# p + q <= 18.  Even with the override, group files above 2^17 are refused
-# (their transform counts would not be exact), and so is the canonical cover
-# past p + q = 35 (its closed-form counts would overflow int64).
+# Group files with more than this many ordered pairs (|G| > 2^13) need an
+# explicit override; even with it, group files above 2^17 are refused (their
+# transform counts would not be exact).  The canonical cover is counted in
+# closed form and visits no pair, so no pair budget applies to it; past
+# p + q = 35 it is refused (its closed-form counts would overflow int64).
 DEFAULT_VERIFY_PAIRS = 1 << 26
 
 
@@ -372,8 +372,8 @@ def cmd_cover_verify(
         # every sector: refuse an oversized model before that.
         check_fusion_cells(params)
         cover = parse_group_file(group_file, params)
+        _check_verify_budget(cover.context.order, allow_large)
     group = cover.context
-    _check_verify_budget(group.order, allow_large)
     cert = verify_cover(cover, fusion_tensor(params))
     payload = {
         "model": _model_header(params),
@@ -411,10 +411,9 @@ def cmd_cover_search(
     from .cover_search import search_cyclic_covers
 
     params = ModelParams(p, q)
-    tensor = fusion_tensor(params)
     budget = max(max_order, DEFAULT_SEARCH_BUDGET) if allow_large else DEFAULT_SEARCH_BUDGET
-    covers = search_cyclic_covers(tensor, max_order, order_budget=budget)
-    secs = tensor.sectors
+    covers = search_cyclic_covers(params, max_order, order_budget=budget)
+    secs = sectors(params)
     names = [s.name for s in secs]
     # One label record per distinct (element, sector), shared by every cover
     # that holds it: many covers reuse few labels.
@@ -433,7 +432,7 @@ def cmd_cover_search(
             "order": cover.context.order,
             "labels": [
                 record(e, i)
-                for e, i in zip(cover.context.elements(), cover.sector_indices.tolist())
+                for e, i in zip(cover.context.elements(), cover.labels)
             ],
         }
         for cover in covers
@@ -447,7 +446,7 @@ def cmd_cover_search(
         ]
         for cover in covers:
             lines.append(f"{cover.context.describe()}:")
-            for e, i in zip(cover.context.elements(), cover.sector_indices.tolist()):
+            for e, i in zip(cover.context.elements(), cover.labels):
                 s = secs[i]
                 lines.append(f"  {_element_text(e)} <-> {names[i]} ({s.m},{s.n})")
         return "\n".join(lines)
@@ -501,9 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--allow-large",
         action="store_true",
-        help=f"permit groups of more than {DEFAULT_VERIFY_PAIRS} pairs (|G| > 2^13); "
-        f"the canonical cover is then counted in closed form up to p + q = 35, "
-        f"group files up to order 2^17; larger ones are always refused",
+        help=f"permit group files of more than {DEFAULT_VERIFY_PAIRS} pairs (|G| > 2^13), "
+        f"up to order 2^17; larger ones are always refused.  The canonical cover "
+        f"needs no override: it is counted in closed form up to p + q = 35",
     )
     verify.set_defaults(
         run=lambda a: cmd_cover_verify(a.p, a.q, a.group, a.format, a.threads, a.allow_large)

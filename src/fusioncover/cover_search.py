@@ -16,29 +16,36 @@ carries the vacuum), pruning any partial labeling whose already-decidable
 sums violate closure.  Which pair sums become decidable when element e is
 labeled is read once per order from the group's addition table (the check
 lists); the admissible sectors for e are then the AND of integer bitmasks
-precomputed from the fusion tensor, one per check, so a dead branch is cut
-before any sector is tried (forward filtering).  Complete labelings are
-checked for coverage with one vectorized pass over all k^2 sums.  The
-multiplicity profile of the fusion table (how often a sector repeats within
-a row) gives an a-priori lower bound on the order of any covering group,
-which prunes whole orders.  Found covers are reported up to the negation
-automorphism x -> -x of Z_k, in deterministic order.
+built from the fusion rules' product lists (``fusion_products``), one per
+check, so a dead branch is cut before any sector is tried (forward
+filtering).  A complete labeling covers when the set of sector triples its
+k^2 sums realize contains every admissible triple.  The multiplicity
+profile of the fusion table (how often a sector repeats within a row)
+gives an a-priori lower bound on the order of any covering group, which
+prunes whole orders.  Found covers are reported up to the negation
+automorphism x -> -x of Z_k, in deterministic order.  The search runs on
+Python ints alone; a found cover builds its label array on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _kernels
 from .certificates import CoverMap, verify_cover
 from .errors import DEFAULT_SEARCH_BUDGET, CapacityError
-from .minimal_model import FusionTensor, Sector
+from .minimal_model import ModelParams, Sector, check_fusion_cells, fusion_products, sectors
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Element = tuple[int, ...]
+# products[i][j]: the sectors k with D[i,j,k] = 1, ascending (``fusion_products``).
+Products = list[list[tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,8 @@ class AbelianGroupSpec:
         return list(itertools.product(*(range(k) for k in self.factors)))
 
     def index_of(self, e: Element) -> int:
+        from . import _kernels
+
         places = _kernels.place_values(self.factors).tolist()
         return sum(digit * place for digit, place in zip(e, places))
 
@@ -88,13 +97,27 @@ class AbelianGroupSpec:
 
     def digit_matrix(self) -> np.ndarray:
         """(order, t) array whose row g is the digit tuple of element g."""
+        import numpy as np
+
+        from . import _kernels
+
         return _kernels.decode(np.arange(self.order), self.factors)
 
-    def addition_table(self) -> np.ndarray:
-        """(order, order) array whose entry [a, b] is the index of a + b."""
-        digits = self.digit_matrix()
-        sums = (digits[:, None, :] + digits[None, :, :]) % np.array(self.factors, dtype=np.int64)
-        return sums @ _kernels.place_values(self.factors)
+    def addition_table(self) -> list[list[int]]:
+        """Entry [a][b] is the index of a + b, in plain Python ints.
+
+        Built one factor at a time, least significant first: prepending a
+        factor Z_k to a group of order m sends (x, r) + (y, s) to
+        ((x + y) mod k) * m + (r + s).
+        """
+        table = [[0]]
+        for k in reversed(self.factors):
+            m = len(table)
+            table = [
+                [((x + y) % k) * m + rs for y in range(k) for rs in row]
+                for x in range(k) for row in table
+            ]
+        return table
 
     def describe(self) -> str:
         if not self.factors:
@@ -103,6 +126,8 @@ class AbelianGroupSpec:
 
     def element(self, code: int) -> Element:
         """The digit tuple of an element code."""
+        from . import _kernels
+
         return tuple(_kernels.decode(code, self.factors).tolist())
 
     @staticmethod
@@ -117,7 +142,35 @@ LabeledGroup = CoverMap
 verify_abelian_cover = verify_cover
 
 
-def multiplicity_profile(tensor: FusionTensor) -> dict[Sector, int]:
+class _FoundCover(CoverMap):
+    """A cover the search found: its labels are the search's tuple ``labels``,
+    and ``sector_indices`` is built from them on first access."""
+
+    def __init__(self, context: AbelianGroupSpec, labels: tuple[int, ...],
+                 secs: tuple[Sector, ...]) -> None:
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "sectors", secs)
+
+    @functools.cached_property
+    def sector_indices(self) -> np.ndarray:
+        import numpy as np
+
+        arr = np.array(self.labels, dtype=np.int64)
+        arr.setflags(write=False)
+        return arr
+
+
+def _profile(products: Products) -> list[int]:
+    """Per sector index k, max_i |{j : D[i,j,k] = 1}|."""
+    profile = [0] * len(products)
+    for row in products:
+        for k, count in Counter(itertools.chain.from_iterable(row)).items():
+            profile[k] = max(profile[k], count)
+    return profile
+
+
+def multiplicity_profile(params: ModelParams) -> dict[Sector, int]:
     """Per sector, the maximum number of times it appears within one table row.
 
     Row i of the fusion table lists the products S_i x S_j for all j; the
@@ -125,8 +178,7 @@ def multiplicity_profile(tensor: FusionTensor) -> dict[Sector, int]:
     needs at least that many elements carrying sector k, so the profile sum
     lower-bounds the order of a covering group.
     """
-    counts = tensor.coefficients.sum(axis=1, dtype=np.int64)
-    return {s: int(counts[:, s.index].max()) for s in tensor.sectors}
+    return dict(zip(sectors(params), _profile(fusion_products(params))))
 
 
 def _check_lists(table: list[list[int]]) -> list[tuple[list[tuple[str, int, int]], int]]:
@@ -155,54 +207,59 @@ def _check_lists(table: list[list[int]]) -> list[tuple[list[tuple[str, int, int]
     return list(zip(pairs, twice))
 
 
-def _masks(d: np.ndarray) -> tuple[list[int], list[int], list[int], int]:
-    """Sector sets read off a boolean fusion tensor, as integer bitmasks.
+def _masks(products: Products) -> tuple[list[int], list[int], list[int], int]:
+    """Sector sets read off the fusion rules' product lists, as integer bitmasks.
 
     Bit s of a mask stands for sector s.  Returns third[a*n+b] =
     {c : D[a,b,c]}, second[a*n+c] = {b : D[a,b,c]}, square[c] =
-    {a : D[a,a,c]} and unit = {b : D[0,b,b]}.
+    {a : D[a,a,c]} and unit = {b : D[0,b,b]}.  The lists need not be
+    symmetric in (a, b).
     """
-    n = d.shape[0]
-
-    def pack(cells: np.ndarray) -> list[int]:
-        rows = np.packbits(cells, axis=-1, bitorder="little").reshape(-1, (n + 7) // 8)
-        return [int.from_bytes(row.tobytes(), "little") for row in rows]
-
-    diag = np.arange(n)
-    third = pack(d.reshape(n * n, n))
-    second = pack(d.transpose(0, 2, 1).reshape(n * n, n))
-    square = pack(d[diag, diag, :].T)
-    (unit,) = pack(d[0, diag, diag])
+    n = len(products)
+    third = [0] * (n * n)
+    second = [0] * (n * n)
+    square = [0] * n
+    for a, row in enumerate(products):
+        for b, cs in enumerate(row):
+            for c in cs:
+                third[a * n + b] |= 1 << c
+                second[a * n + c] |= 1 << b
+        for c in row[a]:
+            square[c] |= 1 << a
+    unit = sum(1 << b for b in range(n) if b in products[0][b])
     return third, second, square, unit
 
 
-def _search_order(tensor: FusionTensor, k: int) -> list[tuple[int, ...]]:
+def _search_order(products: Products, k: int) -> list[tuple[int, ...]]:
     """All complete Z_k labelings passing both cover conditions (with duplicates
     under negation), in depth-first order: element 1 slowest, sectors ascending."""
-    n = tensor.n
-    d = tensor.coefficients.astype(bool)
-    d_flat = d.reshape(-1)
-    third, second, square, unit = _masks(d)
+    n = len(products)
+    third, second, square, unit = _masks(products)
     table = AbelianGroupSpec.cyclic(k).addition_table()
     tables = {"second": second, "third": third}
     checks = [
         ([(tables[kind], u, v) for kind, u, v in pairs], twice)
-        for pairs, twice in _check_lists(table.tolist())
+        for pairs, twice in _check_lists(table)
     ]
-    x, y = np.divmod(np.arange(k * k), k)
-    z = table.reshape(-1)
+    # x + y and y + x realize (a, b, c) and (b, a, c) together, so a triple
+    # is coded by its unordered pair {a, b}, as a bitmask, and c.  A labeling
+    # covers when the codes of its sums x + y, x <= y, include the code of
+    # every admissible triple, (a, b, c) and (b, a, c) alike.
+    triples = [(a, b, c) for a, row in enumerate(products) for b, cs in enumerate(row) for c in cs]
+    admissible = {((1 << a) | (1 << b)) * n + c for a, b, c in triples}
+    # Each sector of an admissible triple must label some element: a cheap
+    # test that turns most complete labelings away before their sums are coded.
+    needed = set(itertools.chain.from_iterable(triples))
+    sums = [(x, y, table[x][y]) for x in range(k) for y in range(x, k)]
     assign = [0] * k
     found: list[tuple[int, ...]] = []
 
-    def realizes_all() -> bool:
-        s = np.array(assign)
-        realized = np.zeros(n ** 3, dtype=bool)
-        realized[(s[x] * n + s[y]) * n + s[z]] = True
-        return not np.any(d_flat & ~realized)
-
     def place(e: int) -> None:
         if e == k:
-            if realizes_all():
+            if not needed <= set(assign):
+                return
+            bits = [1 << s for s in assign]
+            if admissible <= {(bits[x] | bits[y]) * n + assign[z] for x, y, z in sums}:
                 found.append(tuple(assign))
             return
         pairs, twice = checks[e]
@@ -222,15 +279,18 @@ def _search_order(tensor: FusionTensor, k: int) -> list[tuple[int, ...]]:
 
 
 def search_cyclic_covers(
-    tensor: FusionTensor,
+    params: ModelParams,
     max_order: int,
     order_budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> list[CoverMap]:
     """All cyclic covers Z_k, k <= max_order, up to the negation automorphism.
 
     Results are deterministic: ascending order k, then lexicographic in the
-    label tuple.  Orders below the multiplicity-profile sum cannot cover and
-    are skipped outright.
+    label tuple, which each cover keeps as ``labels``.  Orders below the
+    multiplicity-profile sum cannot cover and are skipped outright.  The
+    budget is checked, and a model with more sectors than ``max_order``
+    answered (no group that small can label every sector), before any
+    fusion rule is built.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
@@ -238,16 +298,20 @@ def search_cyclic_covers(
         raise CapacityError(
             f"max_order {max_order} exceeds the search budget {order_budget}"
         )
-    min_order = sum(multiplicity_profile(tensor).values())
+    check_fusion_cells(params)
+    if params.n_sectors > max_order:
+        return []
+    products = fusion_products(params)
+    secs = sectors(params)
     covers: list[CoverMap] = []
-    for k in range(min_order, max_order + 1):
+    for k in range(sum(_profile(products)), max_order + 1):
         # _search_order yields labelings in lexicographic order, so keeping
         # each one that is no greater than its negation lists every orbit's
         # least member once, already sorted.
         spec = AbelianGroupSpec.cyclic(k)
         covers.extend(
-            CoverMap(spec, assign, tensor.sectors)
-            for assign in _search_order(tensor, k)
+            _FoundCover(spec, assign, secs)
+            for assign in _search_order(products, k)
             if assign <= tuple(assign[-x] for x in range(k))
         )
     return covers

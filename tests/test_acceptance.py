@@ -155,12 +155,12 @@ def test_criterion_6_named_group_reproductions():
         )
         assert verify_cover(z12, t45).passed
 
-        found34 = search_cyclic_covers(t34, 4)
+        found34 = search_cyclic_covers(ising, 4)
         assert z4.sector_indices.tolist() in [cm.sector_indices.tolist() for cm in found34]
-        found45 = search_cyclic_covers(t45, 12)
+        found45 = search_cyclic_covers(tric, 12)
         assert z12.sector_indices.tolist() in [cm.sector_indices.tolist() for cm in found45]
 
-        profile = {s.name: k for s, k in multiplicity_profile(t45).items()}
+        profile = {s.name: k for s, k in multiplicity_profile(tric).items()}
         assert profile == {
             "[0]": 1,
             "[3/2]": 1,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusioncover import certificates, cli, two_group_cover
+from fusioncover import certificates, cli, cover_search, two_group_cover
 from fusioncover.cli import (
     cmd_cover_search,
     cmd_cover_verify,
@@ -428,8 +428,8 @@ class TestExitCodes:
         assert "coprime" in capsys.readouterr().err
         assert main(["cover", "search", "--p", "3", "--q", "4", "--max-order", "30"]) == 2
         assert "budget" in capsys.readouterr().err
-        assert main(["cover", "verify", "--p", "5", "--q", "14"]) == 2
-        assert "--allow-large" in capsys.readouterr().err
+        assert main(["cover", "verify", "--p", "17", "--q", "19"]) == 2
+        assert "p + q <= 35" in capsys.readouterr().err
         missing = str(tmp_path / "missing.cover")
         assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", missing]) == 2
 
@@ -568,6 +568,26 @@ class TestExitCodes:
         assert main(["cover", "verify", "--p", "3", "--q", "4", "--threads", threads]) == 2
         assert "threads must be >= 1" in capsys.readouterr().err
 
+    def test_canonical_verify_needs_no_override(self, capsys):
+        # Counted in closed form: no pair is visited, so no pair budget applies.
+        assert main(["cover", "verify", "--p", "5", "--q", "14"]) == 0
+        assert "verdict: PASS" in capsys.readouterr().out
+
+    def test_hopeless_search_builds_no_fusion_rules(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no fusion rules may be built")
+
+        monkeypatch.setattr(cover_search, "fusion_products", never)
+        monkeypatch.setattr(cli, "fusion_tensor", never)
+        assert main(["cover", "search", "--p", "3", "--q", "4", "--max-order", "30"]) == 2
+        assert "budget" in capsys.readouterr().err
+        # (3,257) has N = 256 sectors, more than a group of order 24 has elements.
+        assert main(["cover", "search", "--p", "3", "--q", "257", "--max-order", "24"]) == 0
+        assert "found 0 cover(s)" in capsys.readouterr().out
+        # A model over the fusion-cell cap is still refused.
+        assert main(["cover", "search", "--p", "2", "--q", "1025", "--max-order", "24"]) == 2
+        assert "N <= 256" in capsys.readouterr().err
+
     def test_allow_large_override(self, capsys):
         assert main(["cover", "verify", "--p", "5", "--q", "14", "--allow-large"]) == 0
         assert "verdict: PASS" in capsys.readouterr().out
@@ -632,7 +652,7 @@ class TestExitCodes:
             (["fusion", "--p", "4", "--q", "5", "--format", "json"],
              {"numpy", "fusioncover.two_group_cover", "fusioncover.cover_search"}),
             (["cover", "search", "--p", "4", "--q", "5", "--max-order", "12"],
-             {"fusioncover.two_group_cover"}),
+             {"numpy", "fusioncover._kernels", "fusioncover.two_group_cover"}),
             (["cover", "verify", "--p", "3", "--q", "4", "--group",
               str(COVERS / "ising_z4.cover")], {"fusioncover.two_group_cover"}),
             (["cover", "verify", "--p", "4", "--q", "5"], {"fusioncover.cover_search"}),

@@ -16,6 +16,7 @@ from fusioncover import (
     GroupContext,
     ModelParams,
     canonical_cover,
+    fusion_products,
     fusion_tensor,
     multiplicity_profile,
     partition_algebra,
@@ -66,7 +67,7 @@ class TestAbelianGroupSpec:
     def test_addition_table(self, factors):
         spec = AbelianGroupSpec(factors)
         elements = spec.elements()
-        assert spec.addition_table().tolist() == [
+        assert spec.addition_table() == [
             [spec.index_of(spec.add(a, b)) for b in elements] for a in elements
         ]
 
@@ -250,8 +251,8 @@ class TestGroupKindsAgree:
 
 
 class TestMultiplicityProfile:
-    def test_tricritical(self, tricritical_tensor):
-        profile = {s.name: k for s, k in multiplicity_profile(tricritical_tensor).items()}
+    def test_tricritical(self, tricritical):
+        profile = {s.name: k for s, k in multiplicity_profile(tricritical).items()}
         assert profile == {
             "[0]": 1,
             "[3/2]": 1,
@@ -261,13 +262,21 @@ class TestMultiplicityProfile:
             "[3/80]": 4,
         }
 
-    def test_ising(self, ising_tensor):
-        profile = {s.name: k for s, k in multiplicity_profile(ising_tensor).items()}
+    def test_ising(self, ising):
+        profile = {s.name: k for s, k in multiplicity_profile(ising).items()}
         assert profile == {"[0]": 1, "[1/2]": 1, "[1/16]": 2}
 
     def test_degenerate(self):
-        tensor = fusion_tensor(ModelParams(2, 3))
-        assert [k for _, k in multiplicity_profile(tensor).items()] == [1]
+        assert [k for _, k in multiplicity_profile(ModelParams(2, 3)).items()] == [1]
+
+    @pytest.mark.parametrize("pq", [(3, 4), (4, 5), (2, 9), (3, 7), (5, 6)])
+    def test_matches_tensor_row_sums(self, pq):
+        # Oracle: the profile as the largest count over the tensor's rows.
+        params = ModelParams(*pq)
+        tensor = fusion_tensor(params)
+        counts = tensor.coefficients.sum(axis=1)
+        expected = {s: int(counts[:, s.index].max()) for s in tensor.sectors}
+        assert multiplicity_profile(params) == expected
 
 
 def brute_force_cyclic_covers(tensor, max_order):
@@ -341,14 +350,18 @@ class TestSearchOrder:
         [(3, 4, 24), (2, 5, 24), (3, 5, 20), (2, 7, 24), (2, 9, 16), (3, 7, 16), (4, 5, 40)],
     )
     def test_matches_loop_oracle(self, p, q, max_order):
-        tensor = fusion_tensor(ModelParams(p, q))
-        bound = sum(multiplicity_profile(tensor).values())
+        # The search reads the product lists, the oracle the tensor.
+        params = ModelParams(p, q)
+        products, tensor = fusion_products(params), fusion_tensor(params)
+        bound = sum(multiplicity_profile(params).values())
         for k in range(bound, max_order + 1):
-            assert _search_order(tensor, k) == loop_search_order(tensor, k), k
+            assert _search_order(products, k) == loop_search_order(tensor, k), k
 
     def test_matches_loop_oracle_on_random_tensors(self):
         # Fusion tensors are symmetric and self-conjugate, which makes some
-        # checks redundant; arbitrary 0/1 tensors exercise every check.
+        # checks redundant; arbitrary 0/1 tensors exercise every check.  They
+        # are not symmetric in (i, j): coverage must ask for (j, i, k) as well
+        # as (i, j, k).
         rng = np.random.default_rng(0)
         shapes = {2: ModelParams(2, 5), 3: ModelParams(3, 4), 4: ModelParams(2, 9)}
         nonempty = 0
@@ -356,15 +369,28 @@ class TestSearchOrder:
             n = int(rng.integers(2, 5))
             d = (rng.random((n, n, n)) < 0.7).astype(np.uint8)
             tensor = dataclasses.replace(fusion_tensor(shapes[n]), coefficients=d)
+            products = [[tuple(np.flatnonzero(cell).tolist()) for cell in row] for row in d]
             for k in range(1, 9):
                 found = loop_search_order(tensor, k)
-                assert _search_order(tensor, k) == found, (d.tolist(), k)
+                assert _search_order(products, k) == found, (d.tolist(), k)
                 nonempty += bool(found)
         assert nonempty > 10
 
+    def test_sector_in_no_triple_need_not_label(self):
+        # Z2 rules on sectors 0 and 1; sector 2 occurs in no product, so
+        # Z2 labeled (0, 1) covers without it.
+        d = np.zeros((3, 3, 3), dtype=np.uint8)
+        d[0, 0, 0] = d[0, 1, 1] = d[1, 0, 1] = d[1, 1, 0] = 1
+        tensor = dataclasses.replace(fusion_tensor(ModelParams(3, 4)), coefficients=d)
+        products = [[tuple(np.flatnonzero(cell).tolist()) for cell in row] for row in d]
+        for k in range(1, 5):
+            assert _search_order(products, k) == loop_search_order(tensor, k), k
+        assert _search_order(products, 2) == [(0, 1)]
+
     def test_trivial_group_matches_loop_oracle(self):
-        tensor = fusion_tensor(ModelParams(2, 3))
-        assert _search_order(tensor, 1) == loop_search_order(tensor, 1) == [(0,)]
+        params = ModelParams(2, 3)
+        found = _search_order(fusion_products(params), 1)
+        assert found == loop_search_order(fusion_tensor(params), 1) == [(0,)]
 
     @pytest.mark.parametrize(
         "factors", [(), *((k,) for k in range(2, 13)), (2, 2), (2, 4), (3, 3), (2, 2, 2)]
@@ -372,7 +398,7 @@ class TestSearchOrder:
     def test_check_lists_decide_every_pair_once(self, factors):
         spec = AbelianGroupSpec(factors)
         k = spec.order
-        table = spec.addition_table().tolist()
+        table = spec.addition_table()
         decided = Counter()
         for e, (pairs, twice) in enumerate(_check_lists(table)):
             for kind, u, v in pairs:
@@ -387,26 +413,26 @@ class TestSearchOrder:
 
 
 class TestSearchCyclicCovers:
-    def test_ising_up_to_4(self, ising_tensor):
-        covers = search_cyclic_covers(ising_tensor, 4)
+    def test_ising_up_to_4(self, ising):
+        covers = search_cyclic_covers(ising, 4)
         assert len(covers) == 1
         cm = covers[0]
         assert cm.context.factors == (4,)
         assert cm.sector_indices.tolist() == [0, 1, 2, 1]
 
-    def test_matches_brute_force_oracle(self, ising_tensor):
-        got = search_cyclic_covers(ising_tensor, 4)
+    def test_matches_brute_force_oracle(self, ising, ising_tensor):
+        got = search_cyclic_covers(ising, 4)
         expected = brute_force_cyclic_covers(ising_tensor, 4)
         assert [(cm.context.factors, cm.sector_indices.tolist()) for cm in got] == [
             (cm.context.factors, cm.sector_indices.tolist()) for cm in expected
         ]
 
-    def test_no_small_ising_covers(self, ising_tensor):
-        assert search_cyclic_covers(ising_tensor, 2) == []
+    def test_no_small_ising_covers(self, ising, ising_tensor):
+        assert search_cyclic_covers(ising, 2) == []
         assert brute_force_cyclic_covers(ising_tensor, 3) == []
 
-    def test_tricritical_finds_z12(self, tricritical, tricritical_tensor):
-        covers = search_cyclic_covers(tricritical_tensor, 12)
+    def test_tricritical_finds_z12(self, tricritical):
+        covers = search_cyclic_covers(tricritical, 12)
         from fusioncover import canonicalize
 
         paper = tuple(
@@ -415,22 +441,21 @@ class TestSearchCyclicCovers:
         assert any(tuple(cm.sector_indices.tolist()) == paper for cm in covers)
 
     def test_trivial_group_for_degenerate_model(self):
-        tensor = fusion_tensor(ModelParams(2, 3))
-        covers = search_cyclic_covers(tensor, 1)
+        covers = search_cyclic_covers(ModelParams(2, 3), 1)
         assert len(covers) == 1
         assert covers[0].context.order == 1
 
-    def test_found_covers_reverify(self, tricritical_tensor):
-        for cm in search_cyclic_covers(tricritical_tensor, 12):
+    def test_found_covers_reverify(self, tricritical, tricritical_tensor):
+        for cm in search_cyclic_covers(tricritical, 12):
             assert verify_cover(cm, tricritical_tensor).passed
 
-    def test_found_covers_are_surjective(self, tricritical_tensor):
-        for cm in search_cyclic_covers(tricritical_tensor, 12):
+    def test_found_covers_are_surjective(self, tricritical, tricritical_tensor):
+        for cm in search_cyclic_covers(tricritical, 12):
             counts = Counter(cm.sector_indices.tolist())
             assert all(counts[i] >= 1 for i in range(tricritical_tensor.n))
 
     def test_negation_symmetry(self, tricritical, tricritical_tensor):
-        for cm in search_cyclic_covers(tricritical_tensor, 12):
+        for cm in search_cyclic_covers(tricritical, 12):
             k = cm.context.order
             negated = cm.sector_indices[(-np.arange(k)) % k]
             mirrored = CoverMap(cm.context, negated, cm.sectors)
@@ -443,20 +468,31 @@ class TestSearchCyclicCovers:
     def test_matches_set_and_sort_dedup(self, p, q, max_order):
         # Oracle: every order's labelings reduced to min(labeling, negation)
         # in a set, then sorted; the search must list the same, in order.
-        tensor = fusion_tensor(ModelParams(p, q))
+        params = ModelParams(p, q)
+        products = fusion_products(params)
         expected = []
         for k in range(1, max_order + 1):
             seen = {
                 min(assign, tuple(assign[(-x) % k] for x in range(k)))
-                for assign in _search_order(tensor, k)
+                for assign in _search_order(products, k)
             }
             expected.extend((k,) + a for a in sorted(seen))
-        got = search_cyclic_covers(tensor, max_order, order_budget=max_order)
+        got = search_cyclic_covers(params, max_order, order_budget=max_order)
         assert [cm.context.factors + tuple(cm.sector_indices.tolist()) for cm in got] == expected
 
-    def test_budget(self, ising_tensor):
+    def test_budget(self, ising):
         with pytest.raises(CapacityError):
-            search_cyclic_covers(ising_tensor, 25)
+            search_cyclic_covers(ising, 25)
         with pytest.raises(ValueError):
-            search_cyclic_covers(ising_tensor, 0)
-        search_cyclic_covers(ising_tensor, 25, order_budget=25)
+            search_cyclic_covers(ising, 0)
+        search_cyclic_covers(ising, 25, order_budget=25)
+
+    def test_found_map_builds_its_array_on_first_access(self, tricritical, tricritical_tensor):
+        covers = search_cyclic_covers(tricritical, 12)
+        assert covers and all("sector_indices" not in vars(cm) for cm in covers)
+        cm = covers[0]
+        arr = cm.sector_indices
+        assert vars(cm)["sector_indices"] is arr
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert arr.tolist() == list(cm.labels)
+        assert verify_cover(cm, tricritical_tensor).passed
