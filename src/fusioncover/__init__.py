@@ -25,14 +25,12 @@ _EXPORTS = {
         ("FusionTensor", "ModelParams", "Rational", "Sector", "VerlindeAlgebra",
          "admissible_range", "canonicalize", "central_charge", "conformal_weight",
          "fusion_products", "fusion_tensor", "is_p_admissible", "is_pq_admissible",
-         "kac_table", "sectors", "unitary_discrete_series", "verlinde_algebra"),
+         "kac_table", "sectors", "verlinde_algebra"),
         "minimal_model",
     ),
     **dict.fromkeys(
-        ("BitVector", "ClassLabel", "Coset", "GroupContext", "PartitionAlgebra",
-         "canonical_counts", "canonical_cover", "class_members", "class_of",
-         "is_isomorphic_to_verlinde", "orbit_sum_classes", "partition_algebra", "phi",
-         "quotient_cosets", "sym_diff_weight_identity"),
+        ("GroupContext", "PartitionAlgebra", "canonical_counts", "canonical_cover",
+         "is_isomorphic_to_verlinde", "partition_algebra"),
         "two_group_cover",
     ),
 }

@@ -236,9 +236,10 @@ def cmd_fusion(p: int, q: int, format: str = "text") -> OutputDocument:
 
 def _read_lines(path: Path) -> Iterator[str]:
     """The lines of a file, read one at a time: a file refused at its header
-    costs no more memory than its first lines."""
+    costs no more memory than its first lines.  A leading byte-order mark is
+    dropped."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             yield from f
     except (OSError, UnicodeDecodeError) as e:
         raise GroupFileError(f"cannot read group file {path}: {e}")

@@ -399,12 +399,3 @@ def verlinde_algebra(tensor: FusionTensor) -> VerlindeAlgebra:
     """The Verlinde algebra generated by a fusion tensor."""
     return VerlindeAlgebra(tensor=tensor)
 
-
-def unitary_discrete_series(p: int) -> tuple[Fraction, list[list[Fraction]]]:
-    """Central charge and Kac table of the unitary model with c = 1 - 6/(p(p+1)).
-
-    The unitary discrete series is the q = p + 1 slice of the general
-    minimal-model formulas; this simply delegates to them.
-    """
-    params = ModelParams(p, p + 1)
-    return central_charge(params), kac_table(params)

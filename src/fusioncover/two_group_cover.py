@@ -9,7 +9,7 @@ Splitting A and B into fixed-weight classes
 every x in H lies in exactly one class H_{m,n} = A_m + B_n, which attaches a
 full Kac label to x.  Adding the all-ones vector swaps (m, n) with
 (p-m, q-n), so the label map descends to the quotient G = H / {0, all-ones}
-as a map onto sectors.  This module builds that map, a
+as a map Phi onto sectors.  This module provides that map, a
 ``certificates.CoverMap`` over the quotient (the group kind
 ``GroupContext``), which ``certificates.verify_cover`` checks like any other
 cover: sums of elements land only on admissible sector triples, and every
@@ -18,16 +18,17 @@ count of element pairs on each sector triple.  The same counts yield the
 partition algebra (structure constants of the sums of the sectors'
 preimages), which the theorem says is isomorphic to the Verlinde algebra.
 
-For ``canonical_cover`` the counts are a counting certificate derived from
-the construction, not a scan of the map: a label depends only on the A- and
-B-weights, and the number of pairs of given weights in Z_2^w whose sum has a
-given weight is a product of binomials (``canonical_counts``).  They are
-exact in int64 up to r = 31 (p + q <= 35) and take O(N^3) memory, whatever
-|G|.  Any other map, of this group kind or another, is counted by the
-transform in ``_kernels.pair_counts`` (|G| <= 2^17).  Either way
-``CoverMap.counts`` counts a map once, for both ``verify_cover`` and
-``partition_algebra``; the labels are read only by the scan that names a
-FAIL witness.
+No vector, class or coset is built one at a time.  A label depends only on
+the A- and B-weights, so the map's labels are read off a grid of weights
+(``_canonical_labels``), and its counts are a counting certificate derived
+from the construction, not a scan of the map: the number of pairs of given
+weights in Z_2^w whose sum has a given weight is a product of binomials
+(``canonical_counts``).  They are exact in int64 up to r = 31
+(p + q <= 35) and take O(N^3) memory, whatever |G|.  Any other map, of this
+group kind or another, is counted by the transform in
+``_kernels.pair_counts`` (|G| <= 2^17).  Either way ``CoverMap.counts``
+counts a map once, for both ``verify_cover`` and ``partition_algebra``; the
+labels are read only by the scan that names a FAIL witness.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Literal, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,90 +66,13 @@ MAX_CANONICAL_MAP = 1 << 22
 
 
 @dataclass(frozen=True)
-class BitVector:
-    """An element of Z_2^width; coordinate i (1-based) is bit i-1 of ``bits``."""
-
-    bits: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.width < 0:
-            raise ValueError(f"width must be >= 0, got {self.width}")
-        if not 0 <= self.bits < (1 << self.width):
-            raise ValueError(f"bits {self.bits:#x} exceed width {self.width}")
-
-    @classmethod
-    def from_coordinates(cls, coords: str) -> "BitVector":
-        """Parse a coordinate string like ``"110"`` (coordinate 1 leftmost)."""
-        if set(coords) - {"0", "1"}:
-            raise ValueError(f"coordinate string must be over {{0,1}}: {coords!r}")
-        bits = 0
-        for i, ch in enumerate(coords):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(bits, len(coords))
-
-    @classmethod
-    def all_ones(cls, width: int) -> "BitVector":
-        return cls((1 << width) - 1, width)
-
-    def weight(self) -> int:
-        """Number of coordinates equal to 1."""
-        return self.bits.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        """Ascending 1-based coordinates equal to 1."""
-        return tuple(i + 1 for i in range(self.width) if self.bits >> i & 1)
-
-    def coordinates(self) -> str:
-        """Coordinate string with coordinate 1 leftmost, e.g. ``"110"``."""
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.width))
-
-    def _check_width(self, other: "BitVector") -> None:
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        """Group sum (componentwise addition mod 2)."""
-        self._check_width(other)
-        return BitVector(self.bits ^ other.bits, self.width)
-
-    def __and__(self, other: "BitVector") -> "BitVector":
-        """Boolean-ring product (componentwise multiplication)."""
-        self._check_width(other)
-        return BitVector(self.bits & other.bits, self.width)
-
-    def __str__(self) -> str:
-        return self.coordinates()
-
-
-def sym_diff_weight_identity(x: BitVector, y: BitVector) -> tuple[int, int]:
-    """Both sides of wt(x+y) = wt(x) + wt(y) - 2 wt(x*y); always equal.
-
-    Exposed as a checkable pair: the support of a sum is the symmetric
-    difference of the supports, whose size is the right-hand side.
-    """
-    if x.width != y.width:
-        raise ValueError(f"width mismatch: {x.width} vs {y.width}")
-    lhs = (x ^ y).weight()
-    rhs = x.weight() + y.weight() - 2 * (x & y).weight()
-    return lhs, rhs
-
-
-class ClassLabel(NamedTuple):
-    """A full (not canonicalized) Kac label attached to a group element."""
-
-    m: int
-    n: int
-
-
-@dataclass(frozen=True)
 class GroupContext:
-    """The group H = Z_2^r for a model, with its A/B coordinate split.
+    """The quotient G = H / {0, all-ones} = Z_2^(r-1) of H = Z_2^r, as the
+    group of a ``CoverMap``.
 
-    As the group of a ``CoverMap`` it stands for the quotient
-    G = H / {0, all-ones} = Z_2^(r-1), whose element codes are the values of
-    the coset representatives.
+    An element code is the value of a coset's representative, the member
+    whose coordinate r is 0: coordinate i is bit i - 1, coordinates 1..p-2
+    form A and p-1..r form B.
     """
 
     params: ModelParams
@@ -157,16 +81,6 @@ class GroupContext:
     @property
     def r(self) -> int:
         return self.params.p + self.params.q - 4
-
-    @property
-    def a_coords(self) -> range:
-        """Coordinates of the subgroup A: 1..p-2."""
-        return range(1, self.params.p - 1)
-
-    @property
-    def b_coords(self) -> range:
-        """Coordinates of the subgroup B: p-1..p+q-4."""
-        return range(self.params.p - 1, self.r + 1)
 
     @property
     def order(self) -> int:
@@ -189,40 +103,6 @@ class GroupContext:
         """A coset as printed: its representative's coordinate string, width r."""
         return f"{g:0{self.r}b}"[::-1]
 
-    @property
-    def all_ones(self) -> BitVector:
-        return BitVector.all_ones(self.r)
-
-
-def class_of(ctx: GroupContext, x: BitVector) -> ClassLabel:
-    """The full Kac label (m, n) of the class H_{m,n} containing x.
-
-    m - 1 is the weight of x restricted to the A coordinates, n - 1 the
-    weight restricted to the B coordinates.
-    """
-    if x.width != ctx.r:
-        raise ValueError(f"expected width {ctx.r}, got {x.width}")
-    a_width = ctx.params.p - 2
-    a_mask = (1 << a_width) - 1
-    m = (x.bits & a_mask).bit_count() + 1
-    n = (x.bits >> a_width).bit_count() + 1
-    return ClassLabel(m, n)
-
-
-def class_members(ctx: GroupContext, label: ClassLabel | tuple[int, int]) -> set[BitVector]:
-    """All elements of H_{m,n}; there are C(p-2, m-1) * C(q-2, n-1) of them."""
-    m, n = label
-    p, q = ctx.params.p, ctx.params.q
-    if not (0 < m < p and 0 < n < q):
-        raise ValueError(f"class label ({m}, {n}) out of range for (p, q) = ({p}, {q})")
-    members = set()
-    for a_supp in itertools.combinations(ctx.a_coords, m - 1):
-        a_bits = sum(1 << (i - 1) for i in a_supp)
-        for b_supp in itertools.combinations(ctx.b_coords, n - 1):
-            bits = a_bits + sum(1 << (i - 1) for i in b_supp)
-            members.add(BitVector(bits, ctx.r))
-    return members
-
 
 @functools.lru_cache(maxsize=None)
 def _weight_class_counts(w: int) -> np.ndarray:
@@ -240,66 +120,6 @@ def _weight_class_counts(w: int) -> np.ndarray:
                 k[a, b, a + b - 2 * i] = comb(w, a) * comb(a, i) * comb(w - a, b - i)
     k.setflags(write=False)
     return k
-
-
-def orbit_sum_classes(
-    ctx: GroupContext, part: Literal["A", "B"], w1: int, w2: int
-) -> set[int]:
-    """Labels m3 whose orbit A_{m3} meets A_{m1} + A_{m2} (or the B analogue).
-
-    The support of K_w[a, b, :] (``_weight_class_counts``) for the chosen
-    block of width w, a = w1 - 1 and b = w2 - 1, shifted to labels (+1): a
-    sum of weight a + b - 2i for each overlap i the table counts.
-    """
-    if part == "A":
-        width, bound = ctx.params.p - 2, ctx.params.p
-    elif part == "B":
-        width, bound = ctx.params.q - 2, ctx.params.q
-    else:
-        raise ValueError(f"part must be 'A' or 'B', got {part!r}")
-    if not (0 < w1 < bound and 0 < w2 < bound):
-        raise ValueError(f"labels ({w1}, {w2}) out of range for part {part} (bound {bound})")
-    a, b = w1 - 1, w2 - 1
-    return {a + b - 2 * i + 1 for i in range(max(0, a + b - width), min(a, b) + 1)}
-
-
-@dataclass(frozen=True)
-class Coset:
-    """An element of G = H / {0, all-ones}: the numerically smaller member."""
-
-    representative: BitVector
-
-    def __post_init__(self) -> None:
-        r = self.representative.width
-        if r < 1:
-            raise ValueError("cosets require width >= 1")
-        if self.representative.bits >> (r - 1):
-            raise ValueError(
-                f"{self.representative.coordinates()} is not canonical "
-                f"(coordinate {r} must be 0)"
-            )
-
-    @classmethod
-    def of(cls, x: BitVector) -> "Coset":
-        """The coset containing x."""
-        complement = x ^ BitVector.all_ones(x.width)
-        return cls(min(x, complement, key=lambda v: v.bits))
-
-    @property
-    def members(self) -> tuple[BitVector, BitVector]:
-        rep = self.representative
-        return rep, rep ^ BitVector.all_ones(rep.width)
-
-    def __xor__(self, other: "Coset") -> "Coset":
-        return Coset(self.representative ^ other.representative)
-
-    def __str__(self) -> str:
-        return self.representative.coordinates()
-
-
-def quotient_cosets(ctx: GroupContext) -> list[Coset]:
-    """The 2^(r-1) cosets of G in ascending representative order."""
-    return [Coset(BitVector(g, ctx.r)) for g in range(ctx.order)]
 
 
 def _label_to_sector_index(params: ModelParams) -> np.ndarray:
@@ -420,15 +240,6 @@ def canonical_counts(params: ModelParams) -> np.ndarray:
             f"not divisible by 4, total {int(counts.sum())} for {pairs} pairs"
         )
     return counts
-
-
-def phi(cm: CoverMap, g: Coset) -> Sector:
-    """The sector assigned to a coset."""
-    if g.representative.width != cm.context.r:
-        raise ValueError(
-            f"coset width {g.representative.width} does not match context rank {cm.context.r}"
-        )
-    return cm.sectors[cm.sector_indices[g.representative.bits]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,6 @@ from fusioncover import (
     is_isomorphic_to_verlinde,
     is_p_admissible,
     multiplicity_profile,
-    orbit_sum_classes,
     partition_algebra,
     search_cyclic_covers,
     verify_cover,
@@ -42,6 +41,7 @@ from conftest import (
     assert_matches_known_fusion,
     coprime_models,
 )
+from paper_model import orbit_sum_classes
 
 DESK_RANGE = [m for m in coprime_models(16, 16, max_sum=18)]
 

@@ -433,10 +433,27 @@ class TestExitCodes:
         missing = str(tmp_path / "missing.cover")
         assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", missing]) == 2
 
-    @pytest.mark.parametrize("where", ["header", "last_line"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", ["ising_z4", "tricritical_z12"])
+    def test_group_file_with_byte_order_mark(self, tmp_path, capsys, name, fmt):
+        original = COVERS / f"{name}.cover"
+        bom = tmp_path / f"{name}.cover"
+        bom.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+        p, q = ("3", "4") if name == "ising_z4" else ("4", "5")
+        runs = []
+        for path in (original, bom):
+            code = main(["cover", "verify", "--p", p, "--q", q, "--group", str(path),
+                         "--format", fmt])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("where", ["header", "bom_header", "last_line"])
     def test_undecodable_group_file_names_its_path(self, tmp_path, capsys, where):
         if where == "header":
             p, q, data = 3, 4, b"group 4 \xff\n0 -> 1,1\n"
+        elif where == "bom_header":
+            p, q, data = 3, 4, b"\xef\xbb\xbfgroup 4 \xff\n0 -> 1,1\n"
         else:
             # Past the reader's first buffer: the header and most labels
             # are parsed before the bad byte is decoded.

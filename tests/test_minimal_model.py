@@ -19,7 +19,6 @@ from fusioncover import (
     is_pq_admissible,
     kac_table,
     sectors,
-    unitary_discrete_series,
     verlinde_algebra,
 )
 from fusioncover.errors import CapacityError
@@ -401,25 +400,21 @@ class TestVerlindeAlgebra:
 
 
 class TestUnitaryDiscreteSeries:
-    def test_known_central_charges(self):
-        c3, _ = unitary_discrete_series(3)
-        c4, _ = unitary_discrete_series(4)
-        assert c3 == Fraction(1, 2)
-        assert c4 == Fraction(7, 10)
+    """The q = p + 1 slice of the general model: c = 1 - 6/(p(p+1))."""
 
-    def test_delegates_to_general_model(self):
+    def test_known_central_charges(self):
+        assert central_charge(ModelParams(3, 4)) == Fraction(1, 2)
+        assert central_charge(ModelParams(4, 5)) == Fraction(7, 10)
+
+    def test_central_charge_formula(self):
         for p in range(2, 8):
-            c, table = unitary_discrete_series(p)
-            params = ModelParams(p, p + 1)
-            assert c == central_charge(params)
-            assert table == kac_table(params)
-            assert c == 1 - Fraction(6, p * (p + 1))
+            assert central_charge(ModelParams(p, p + 1)) == 1 - Fraction(6, p * (p + 1))
 
     def test_degenerate(self):
-        c, table = unitary_discrete_series(2)
-        assert c == 0
-        assert all(h == 0 for row in table for h in row)
-        assert len(sectors(ModelParams(2, 3))) == 1
+        params = ModelParams(2, 3)
+        assert central_charge(params) == 0
+        assert all(h == 0 for row in kac_table(params) for h in row)
+        assert len(sectors(params)) == 1
 
 
 class TestFractionStr:

@@ -11,8 +11,21 @@ import fusioncover
 
 
 def test_all_lists_the_export_table():
-    assert len(fusioncover.__all__) == len(set(fusioncover.__all__)) == 45
+    assert len(fusioncover.__all__) == len(set(fusioncover.__all__)) == 35
     assert set(fusioncover.__all__) == set(fusioncover._EXPORTS)
+
+
+def test_paper_model_is_not_exported():
+    # The per-vector model lives in tests/paper_model.py, as the oracle.
+    moved = ("BitVector", "ClassLabel", "Coset", "class_members", "class_of",
+             "orbit_sum_classes", "phi", "quotient_cosets", "sym_diff_weight_identity",
+             "unitary_discrete_series")
+    for name in moved:
+        assert name not in fusioncover.__all__
+        with pytest.raises(AttributeError, match=name):
+            getattr(fusioncover, name)
+    for prop in ("a_coords", "b_coords", "all_ones"):
+        assert not hasattr(fusioncover.GroupContext, prop)
 
 
 @pytest.mark.parametrize("name", fusioncover.__all__)

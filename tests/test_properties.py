@@ -6,7 +6,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fusioncover import (
-    BitVector,
     GroupContext,
     ModelParams,
     admissible_range,
@@ -16,11 +15,11 @@ from fusioncover import (
     is_p_admissible,
     is_pq_admissible,
     sectors,
-    sym_diff_weight_identity,
     verlinde_algebra,
 )
 
 from conftest import coprime_models
+from paper_model import BitVector, sym_diff_weight_identity
 
 MODELS_TO_TEN = coprime_models(9, 10)
 

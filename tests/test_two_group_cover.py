@@ -9,11 +9,8 @@ import numpy as np
 import pytest
 
 from fusioncover import (
-    BitVector,
     CapacityError,
-    ClassLabel,
     ClosureViolation,
-    Coset,
     CoverMap,
     GroupContext,
     ModelParams,
@@ -23,16 +20,10 @@ from fusioncover import (
     canonical_counts,
     canonical_cover,
     canonicalize,
-    class_members,
-    class_of,
     fusion_tensor,
     is_isomorphic_to_verlinde,
-    orbit_sum_classes,
     partition_algebra,
-    phi,
-    quotient_cosets,
     sectors,
-    sym_diff_weight_identity,
     verify_cover,
     verlinde_algebra,
 )
@@ -40,6 +31,19 @@ from fusioncover import _kernels, two_group_cover
 from fusioncover.errors import CountCheckError
 
 from conftest import coprime_models, exhaustive_scan, run_python_with_peak_rss, xor_rows
+from paper_model import (
+    BitVector,
+    ClassLabel,
+    Coset,
+    a_coords,
+    b_coords,
+    class_members,
+    class_of,
+    orbit_sum_classes,
+    phi,
+    quotient_cosets,
+    sym_diff_weight_identity,
+)
 
 
 @pytest.fixture
@@ -107,16 +111,16 @@ class TestSymDiffWeightIdentity:
 class TestGroupContext:
     def test_coordinate_split(self, ctx34):
         assert ctx34.r == 3
-        assert list(ctx34.a_coords) == [1]
-        assert list(ctx34.b_coords) == [2, 3]
+        assert list(a_coords(ctx34)) == [1]
+        assert list(b_coords(ctx34)) == [2, 3]
 
     def test_partition_of_coordinates(self):
         for params in coprime_models(7, 9):
             ctx = GroupContext(params)
-            coords = list(ctx.a_coords) + list(ctx.b_coords)
+            coords = list(a_coords(ctx)) + list(b_coords(ctx))
             assert coords == list(range(1, ctx.r + 1))
-            assert len(ctx.a_coords) == params.p - 2
-            assert len(ctx.b_coords) == params.q - 2
+            assert len(a_coords(ctx)) == params.p - 2
+            assert len(b_coords(ctx)) == params.q - 2
 
 
 class TestClassOf:
@@ -134,7 +138,7 @@ class TestClassOf:
     def test_complement_reflects_label(self):
         for params in coprime_models(6, 7):
             ctx = GroupContext(params)
-            ones = ctx.all_ones
+            ones = BitVector.all_ones(ctx.r)
             for bits in range(1 << ctx.r):
                 x = BitVector(bits, ctx.r)
                 m, n = class_of(ctx, x)
@@ -235,6 +239,15 @@ class TestOrbitSumClasses:
             expected = {c + 1 for c in range(width + 1) if k[c] > 0}
             assert orbit_sum_classes(ctx, "A", w1, w2) == expected, (width, w1, w2)
 
+    def test_are_the_weight_table_support(self):
+        # the library's K_w table, for every block width up to 12
+        for width in range(13):
+            ctx = GroupContext(ModelParams(width + 2, width + 3))
+            k = two_group_cover._weight_class_counts(width)
+            for w1, w2 in itertools.product(range(1, width + 2), repeat=2):
+                support = {int(c) + 1 for c in np.flatnonzero(k[w1 - 1, w2 - 1])}
+                assert orbit_sum_classes(ctx, "A", w1, w2) == support, (width, w1, w2)
+
     def test_invalid_arguments(self, ctx34):
         with pytest.raises(ValueError):
             orbit_sum_classes(ctx34, "C", 1, 1)
@@ -258,7 +271,7 @@ class TestQuotientCosets:
         assert len(quotient_cosets(ctx45)) == 16
 
     def test_coset_of_member_invariance(self, ctx45):
-        ones = ctx45.all_ones
+        ones = BitVector.all_ones(ctx45.r)
         for bits in range(1 << ctx45.r):
             x = BitVector(bits, ctx45.r)
             assert Coset.of(x) == Coset.of(x ^ ones)
@@ -448,12 +461,29 @@ def representative_counts(params, table):
 
 
 MODELS_22 = coprime_models(20, 21, max_sum=22)
+# Up to 2^6 cosets; the last three have p > q, two of them at q = 2.
+PER_VECTOR_MODELS = coprime_models(8, 9, max_sum=11) + [
+    ModelParams(5, 2), ModelParams(7, 2), ModelParams(7, 4)
+]
 MODELS_26 = coprime_models(24, 25, max_sum=26)
 
 
 class TestCanonicalCounts:
     def test_model_ranges(self):
         assert (len(MODELS_22), len(MODELS_26)) == (54, 81)
+
+    @pytest.mark.parametrize("params", PER_VECTOR_MODELS, ids=str)
+    def test_match_the_per_vector_model(self, params):
+        # Phi by definition, the sector of the class of a coset's
+        # representative, and every pair of cosets counted one at a time.
+        ctx = GroupContext(params)
+        cosets = quotient_cosets(ctx)
+        image = {c: canonicalize(params, *class_of(ctx, c.representative)).index for c in cosets}
+        expected = np.zeros((params.n_sectors,) * 3, dtype=np.int64)
+        for g1, g2 in itertools.product(cosets, repeat=2):
+            expected[image[g1], image[g2], image[g1 ^ g2]] += 1
+        assert np.array_equal(canonical_counts(params), expected)
+        assert canonical_cover(ctx).sector_indices.tolist() == [image[c] for c in cosets]
 
     def test_weight_tables_match_spectral_form(self):
         # every width a model with p + q <= 35 uses
