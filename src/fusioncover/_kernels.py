@@ -15,10 +15,11 @@ indicator of P_i over G,
 
 G is abelian, so C[i, j, k] = C[j, i, k]: the counts are symmetric in i, j,
 and each unordered pair of sector rows is multiplied once.  For a 2-group
-the transform is the Walsh-Hadamard transform, integer valued, and the sum
-is exact in float64 while |G| <= 2^17 (``MAX_COUNT_ORDER``).  Every result
-is checked: each count must be a non-negative integer to within 1/4, and
-the counts must add up to |G|^2.
+the transform is the Walsh-Hadamard transform, integer valued: the (N, |G|)
+matrix is held exactly in float32, and the sum over characters, taken a
+block of characters at a time in float64, is exact while |G| <= 2^17
+(``MAX_COUNT_ORDER``).  Every result is checked: each count must be a
+non-negative integer to within 1/4, and the counts must add up to |G|^2.
 
 The row scan only names the witness: run when the counts show a pair on an
 inadmissible triple, ``first_violation`` visits the pairs in canonical order
@@ -42,6 +43,11 @@ HAVE_NUMBA = False
 # Largest group order whose pair counts are exact in float64 (see
 # ``pair_counts``); larger groups are refused by ``check_count_order``.
 MAX_COUNT_ORDER = 1 << 17
+
+# Characters per block of the row products in ``pair_counts``: the scratch
+# beside the transform matrix is a few (N, _BLOCK) float64 or complex128
+# arrays.
+_BLOCK = 1 << 10
 
 
 def active_backend() -> str:
@@ -106,13 +112,19 @@ def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) ->
     ``sec[g]`` is the sector of the element with big-endian mixed-radix
     code g (for Z_2^t this code is also the XOR coset value), and
     ``factors`` are k1..kt.  Returns an int64 (n, n, n) array summing to
-    |G|^2 and symmetric in i, j, as G is abelian.  Row i is one matrix
-    product (F_i F_j)_j>=i @ conj(F)^T, mirrored into column i, so scratch
-    never exceeds the (n, |G|) transform matrix.
+    |G|^2 and symmetric in i, j, as G is abelian.  The transform matrix F
+    is float32 when every factor is 2 and complex128 otherwise.  The sum
+    over characters is taken ``_BLOCK`` characters at a time: each block of
+    F is widened to float64 (or kept complex128), and row i adds the matrix
+    product (F_i F_j)_j>=i @ conj(F)^T of the block, mirrored into column i
+    at the end.  So the scratch beside F is O(n * _BLOCK), not a second
+    (n, |G|) array.
 
-    Exactness: for a 2-group every F_i(chi) is an integer with
-    |F_i(chi)| <= |P_i|, and by Parseval sum_chi |F_i(chi)|^2 = |G| |P_i|.
-    Any partial sum of the triple products is therefore an integer of
+    Exactness: for a 2-group each partial sum of the butterfly on a 0/1 row
+    is an integer of magnitude at most |G| <= 2^17 < 2^24, so float32 holds
+    F exactly.  Every F_i(chi) is an integer with |F_i(chi)| <= |P_i|, and
+    by Parseval sum_chi |F_i(chi)|^2 = |G| |P_i|.  Any partial sum of the
+    triple products, whatever the blocks, is therefore an integer of
     magnitude at most max|F_k| * sqrt(sum|F_i|^2 * sum|F_j|^2) <= |G|^3,
     which float64 holds exactly while |G|^3 <= 2^53, i.e. |G| <= 2^17.  So
     the counts of a 2-group are exact in any summation order; other groups
@@ -125,13 +137,19 @@ def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) ->
     factors = tuple(int(k) for k in factors)
     if prod(factors) != order:
         raise ValueError(f"factors {factors} do not give a group of order {order}")
-    f = np.zeros((n_sectors, order), dtype=np.float64)
-    f[np.asarray(sec, dtype=np.int64), np.arange(order)] = 1.0
+    real = all(k == 2 for k in factors)
+    f = np.zeros((n_sectors, order), dtype=np.float32 if real else np.float64)
+    f[np.asarray(sec, dtype=np.int64), np.arange(order)] = 1
     f = _transform(f, factors)
-    fc = (f.conj() if np.iscomplexobj(f) else f).T
-    raw = np.empty((n_sectors, n_sectors, n_sectors), dtype=f.dtype)
+    raw = np.zeros((n_sectors,) * 3, dtype=np.float64 if real else np.complex128)
+    for start in range(0, order, _BLOCK):
+        block = f[:, start:start + _BLOCK]
+        block = block.astype(np.float64) if real else np.ascontiguousarray(block)
+        conj = (block if real else block.conj()).T
+        for a in range(n_sectors):
+            raw[a, a:] += (block[a] * block[a:]) @ conj
+    del f, block, conj  # the check below reads raw alone
     for a in range(n_sectors):
-        raw[a, a:] = (f[a] * f[a:]) @ fc
         raw[a + 1:, a] = raw[a, a + 1:]
     raw /= order
     return _checked_counts(raw, order)

@@ -51,6 +51,7 @@ from .errors import DEFAULT_SEARCH_BUDGET, CapacityError, CountCheckError, Group
 from .minimal_model import (
     ModelParams,
     Sector,
+    _label_index,
     central_charge,
     check_fusion_cells,
     fraction_str,
@@ -62,6 +63,7 @@ from .minimal_model import (
 
 if TYPE_CHECKING:
     from .certificates import CoverMap
+    from .cover_search import AbelianGroupSpec
 
 # numpy and the cover modules are imported by the commands that use them:
 # `kac` runs on exact rationals, and `fusion` and `cover search` on the
@@ -245,70 +247,108 @@ def _read_lines(path: Path) -> Iterator[str]:
         raise GroupFileError(f"cannot read group file {path}: {e}")
 
 
+def _content_lines(path: Path) -> Iterator[tuple[str, str]]:
+    """(file:line, text) of each line that is not blank once its comment is
+    cut off."""
+    for lineno, raw in enumerate(_read_lines(path), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield f"{path}:{lineno}", line
+
+
+def _read_header(lines: Iterator[tuple[str, str]], path: Path) -> AbelianGroupSpec:
+    """The group named by the first of a file's content lines.
+
+    Raises CapacityError for a group above ``MAX_COUNT_ORDER``, before any
+    element line is read.
+    """
+    from ._kernels import check_count_order
+    from .cover_search import AbelianGroupSpec
+
+    for where, line in lines:
+        parts = line.split()
+        if parts[0] != "group":
+            raise GroupFileError(f"{where}: expected 'group k1 k2 ...' header, got {line!r}")
+        try:
+            factors = tuple(int(x) for x in parts[1:])
+        except ValueError:
+            raise GroupFileError(f"{where}: non-integer invariant factor in {parts[1:]}")
+        try:
+            spec = AbelianGroupSpec(factors)
+        except ValueError as e:
+            raise GroupFileError(f"{where}: {e}")
+        check_count_order(spec.order)
+        return spec
+    raise GroupFileError(f"{path}: missing 'group k1 k2 ...' header")
+
+
+def _group_file_header(path: str | Path) -> AbelianGroupSpec:
+    """The group of a labeling file, read from its header alone."""
+    path = Path(path)
+    lines = _content_lines(path)
+    try:
+        return _read_header(lines, path)
+    finally:
+        lines.close()
+
+
 def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
     """Parse a labeling file into a CoverMap over its group for the given model.
 
     Raises GroupFileError with file:line diagnostics on any malformation,
     and CapacityError at the header of a group above ``MAX_COUNT_ORDER``.
+    Past the header the file is held as one list of |G| sector indices, -1
+    until labeled: each element line goes straight to its code (its digits
+    against the place values) and its label to its sector (the model's one
+    label table), so no element is held as a tuple.
     """
-    from ._kernels import check_count_order
+    from ._kernels import place_values
     from .certificates import CoverMap
-    from .cover_search import AbelianGroupSpec
 
     path = Path(path)
-    spec: AbelianGroupSpec | None = None
-    labels: dict[tuple[int, ...], tuple[int, int]] = {}
-    for lineno, raw in enumerate(_read_lines(path), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"{path}:{lineno}"
-        if spec is None:
-            parts = line.split()
-            if parts[0] != "group":
-                raise GroupFileError(f"{where}: expected 'group k1 k2 ...' header, got {line!r}")
-            try:
-                factors = tuple(int(x) for x in parts[1:])
-            except ValueError:
-                raise GroupFileError(f"{where}: non-integer invariant factor in {parts[1:]}")
-            try:
-                spec = AbelianGroupSpec(factors)
-            except ValueError as e:
-                raise GroupFileError(f"{where}: {e}")
-            # Refuse a group too large to count before parsing its elements.
-            check_count_order(spec.order)
-            continue
+    lines = _content_lines(path)
+    spec = _read_header(lines, path)
+    factors = spec.factors
+    t = len(factors)
+    radix_places = list(zip(factors, place_values(factors).tolist()))
+    p, q = params.p, params.q
+    index = _label_index(params)
+    sec = [-1] * spec.order
+    for where, line in lines:
         if "->" not in line:
             raise GroupFileError(f"{where}: expected 'e1,...,et -> m,n', got {line!r}")
         left, right = line.split("->", 1)
         left = left.strip()
-        t = len(spec.factors)
         try:
-            elem = tuple(int(x) for x in left.split(",")) if left else ()
+            digits = [int(x) for x in left.split(",")] if left else []
         except ValueError:
             raise GroupFileError(f"{where}: non-integer element digits {left!r}")
-        if len(elem) != t:
-            raise GroupFileError(f"{where}: element {left!r} has {len(elem)} digits, expected {t}")
-        for u, (digit, k) in enumerate(zip(elem, spec.factors), 1):
+        if len(digits) != t:
+            raise GroupFileError(f"{where}: element {left!r} has {len(digits)} digits, expected {t}")
+        code = 0
+        for u, (digit, (k, place)) in enumerate(zip(digits, radix_places), 1):
             if not 0 <= digit < k:
                 raise GroupFileError(f"{where}: digit {u} of element {left!r} outside 0..{k - 1}")
+            code += digit * place
         try:
             m, n = (int(x) for x in right.strip().split(","))
         except ValueError:
             raise GroupFileError(f"{where}: expected Kac label 'm,n', got {right.strip()!r}")
-        if not (0 < m < params.p and 0 < n < params.q):
+        if not (0 < m < p and 0 < n < q):
             raise GroupFileError(
-                f"{where}: Kac label ({m}, {n}) out of range for (p, q) = ({params.p}, {params.q})"
+                f"{where}: Kac label ({m}, {n}) out of range for (p, q) = ({p}, {q})"
             )
-        if elem in labels:
+        if sec[code] >= 0:
             raise GroupFileError(f"{where}: element {left!r} labeled twice")
-        labels[elem] = (m, n)
-    if spec is None:
-        raise GroupFileError(f"{path}: missing 'group k1 k2 ...' header")
-    try:
-        return CoverMap.from_kac_labels(spec, params, labels)
-    except ValueError as e:
-        raise GroupFileError(f"{path}: {e}")
+        sec[code] = index[m][n]
+    # The first gap in code order, the canonical element order.
+    if -1 in sec:
+        raise GroupFileError(
+            f"{path}: labeling is partial: element {spec.element(sec.index(-1))} has no sector"
+        )
+    if sec[0] != 0:
+        raise GroupFileError(f"{path}: the identity element must be labeled by the (1,1) sector")
+    return CoverMap(spec, sec, sectors(params))
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +409,12 @@ def cmd_cover_verify(
         check_canonical_rank(params)
         cover = canonical_cover(GroupContext(params))
     else:
-        # Labels are canonicalized while the file is parsed, which lists
-        # every sector: refuse an oversized model before that.
+        # Labels are read off the model's label table while the file is
+        # parsed, which lists every sector: refuse an oversized model before
+        # that, and an over-budget group at its header, before any element.
         check_fusion_cells(params)
+        _check_verify_budget(_group_file_header(group_file).order, allow_large)
         cover = parse_group_file(group_file, params)
-        _check_verify_budget(cover.context.order, allow_large)
     group = cover.context
     cert = verify_cover(cover, fusion_tensor(params))
     payload = {

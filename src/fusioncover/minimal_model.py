@@ -153,9 +153,15 @@ def sectors(params: ModelParams) -> tuple[Sector, ...]:
 
 
 @lru_cache(maxsize=None)
-def _sector_index_by_label(params: ModelParams) -> dict[tuple[int, int], int]:
-    """Canonical-label -> sector-index lookup for this model."""
-    return {s.label: s.index for s in sectors(params)}
+def _label_index(params: ModelParams) -> tuple[tuple[int, ...], ...]:
+    """index[m][n] is the index of the sector holding the full Kac label
+    (m, n): both members of every class are entered, and row 0 and column 0
+    hold -1."""
+    p, q = params.p, params.q
+    index = [[-1] * q for _ in range(p)]
+    for s in sectors(params):
+        index[s.m][s.n] = index[p - s.m][q - s.n] = s.index
+    return tuple(map(tuple, index))
 
 
 def canonicalize(params: ModelParams, m: int, n: int) -> Sector:
@@ -163,8 +169,7 @@ def canonicalize(params: ModelParams, m: int, n: int) -> Sector:
     p, q = params.p, params.q
     if not (0 < m < p and 0 < n < q):
         raise ValueError(f"Kac label ({m}, {n}) out of range for (p, q) = ({p}, {q})")
-    canonical = min((m, n), (p - m, q - n))
-    return sectors(params)[_sector_index_by_label(params)[canonical]]
+    return sectors(params)[_label_index(params)[m][n]]
 
 
 def kac_table(params: ModelParams) -> list[list[Fraction]]:
@@ -321,11 +326,7 @@ def fusion_products(params: ModelParams) -> list[list[tuple[int, ...]]]:
     check_fusion_cells(params)
     p, q = params.p, params.q
     secs = sectors(params)
-    # index[a][b] is the sector holding the full label (a, b): both members
-    # of each class are entered.
-    index = [[0] * q for _ in range(p)]
-    for s in secs:
-        index[s.m][s.n] = index[p - s.m][q - s.n] = s.index
+    index = _label_index(params)
     products: list[list[tuple[int, ...]]] = [[()] * len(secs) for _ in secs]
     for si in secs:
         row = products[si.index]

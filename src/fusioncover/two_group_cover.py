@@ -50,8 +50,8 @@ from .minimal_model import (
     ModelParams,
     Sector,
     VerlindeAlgebra,
+    _label_index,
     algebra_product,
-    canonicalize,
     sectors,
 )
 
@@ -122,16 +122,6 @@ def _weight_class_counts(w: int) -> np.ndarray:
     return k
 
 
-def _label_to_sector_index(params: ModelParams) -> np.ndarray:
-    """Table L[m, n] = sector index of the class of full label (m, n)."""
-    p, q = params.p, params.q
-    table = np.full((p, q), -1, dtype=np.int64)
-    for m in range(1, p):
-        for n in range(1, q):
-            table[m, n] = canonicalize(params, m, n).index
-    return table
-
-
 def _canonical_labels(ctx: GroupContext) -> np.ndarray:
     """Sector index of every coset under Phi, checking that Phi is constant
     on cosets.  Refuses more than 2^22 cosets before allocating."""
@@ -141,7 +131,7 @@ def _canonical_labels(ctx: GroupContext) -> np.ndarray:
             f"{MAX_CANONICAL_MAP} (2^22); verifying the canonical cover and its "
             f"partition algebra needs no map"
         )
-    table = _label_to_sector_index(ctx.params)
+    table = np.array(_label_index(ctx.params), dtype=np.int64)
     # The members of a coset carry the full labels (m, n) and (p - m, q - n),
     # and every label arises: Phi is constant on cosets iff the table is
     # symmetric under that complement.

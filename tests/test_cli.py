@@ -538,8 +538,8 @@ class TestExitCodes:
         assert max_rss_kib < 256 * 1024
 
     def test_canonical_labels_as_a_z2_file_in_small_memory(self, tmp_path):
-        # Counted one sector row at a time: the scratch is at most the
-        # (N, |G|) transform matrix, 1.5 MiB here.
+        # Counted on a float32 (N, |G|) transform matrix, 0.75 MiB here, a
+        # block of characters at a time.
         params = ModelParams(5, 13)
         sec = canonical_cover(GroupContext(params)).sector_indices
         z2 = write_labeled(tmp_path, params, (2,) * 13, sec, "z2_13.cover")
@@ -548,6 +548,36 @@ class TestExitCodes:
         )
         assert code == 0 and "verdict: PASS" in out
         assert max_rss_kib < 48 * 1024
+
+    def test_largest_group_file_in_small_memory(self, tmp_path):
+        # 2^17 elements, shuffled: parsed into one list of sector indices and
+        # counted on a float32 matrix a block of characters at a time
+        # (131.8 MB peak with a dict of digit tuples and float64 rows).
+        params = ModelParams(9, 13)
+        sec = canonical_cover(GroupContext(params)).sector_indices
+        lines = write_labeled(tmp_path, params, (2,) * 17, sec, "z2_17.cover")
+        text = Path(lines).read_text().splitlines(keepends=True)
+        body = text[1:]
+        np.random.default_rng(17).shuffle(body)
+        z2 = write_cover(tmp_path, "".join(text[:1] + body), "z2_17_shuffled.cover")
+        code, max_rss_kib, out = run_with_peak_rss(
+            ["cover", "verify", "--p", "9", "--q", "13", "--group", z2, "--allow-large"]
+        )
+        assert code == 0 and "verdict: PASS" in out
+        assert max_rss_kib < 96 * 1024
+
+    def test_over_budget_group_file_refused_at_its_header(self, tmp_path, capsys, monkeypatch):
+        # 2^14 elements are over the 2^26-pair budget: the header alone
+        # refuses the file, before its bad second line is read.
+        def never(*args, **kwargs):
+            raise AssertionError("an over-budget file may not be verified")
+
+        monkeypatch.setattr(cli, "fusion_tensor", never)
+        monkeypatch.setattr(certificates, "verify_cover", never)
+        path = write_cover(tmp_path, "group" + " 2" * 14 + "\nnot an element line\n")
+        assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2^26" in err and "--allow-large" in err
 
     def test_group_file_above_exactness_bound_refused_at_its_header(self, tmp_path, capsys):
         lines = "".join(f"{e} -> 1,1\n" for e in range(1 << 18))
@@ -724,6 +754,51 @@ class TestGroupFileParsing:
         path = write_cover(tmp_path, text)
         with pytest.raises(GroupFileError, match=fragment):
             parse_group_file(path, ModelParams(3, 4))
+
+    # Whole messages, not fragments: each reads the same as when the parser
+    # held every element as a digit tuple.
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("group 2 3\n0,0 -> 1,1\n0,1 -> 1,2\n1,1 -> 1,2\n1,2 -> 1,3\n",
+             "{path}: labeling is partial: element (0, 2) has no sector"),
+            ("group 2 3\n0,0 -> 1,1\n0,1 -> 1,2\n1,2 -> 1,3\n0,2 -> 1,2\n1,2 -> 1,2\n",
+             "{path}:6: element '1,2' labeled twice"),
+            ("group\n", "{path}: labeling is partial: element () has no sector"),
+            ("group 4\n0 -> 1,1\n1 -> 1,2\n", "{path}: labeling is partial: element (2,) has no sector"),
+            ("group 4\n0 -> 1,2\n1 -> 1,1\n2 -> 1,1\n3 -> 1,1\n",
+             "{path}: the identity element must be labeled by the (1,1) sector"),
+        ],
+        ids=["mixed_radix_gap", "mixed_radix_twice", "trivial_unlabeled", "cyclic_gap", "identity"],
+    )
+    def test_full_messages(self, tmp_path, text, message):
+        path = write_cover(tmp_path, text)
+        with pytest.raises(GroupFileError) as e:
+            parse_group_file(path, ModelParams(3, 4))
+        assert str(e.value) == message.format(path=path)
+
+    def test_identity_labeled_by_its_complement(self, tmp_path):
+        # (2,3) is the other member of the vacuum's class at (3,4).
+        path = write_cover(tmp_path, "group 4\n0 -> 2,3\n1 -> 1,2\n2 -> 1,3\n3 -> 1,2\n")
+        cm = parse_group_file(path, ModelParams(3, 4))
+        assert cm.sector_indices.tolist() == [0, 1, 2, 1]
+
+    def test_parse_in_small_memory(self, tmp_path):
+        # One list of sector indices, not a dict of digit tuples: about 270 B
+        # per element before, under 96 now (the CoverMap's int64 array
+        # included).
+        params = ModelParams(9, 10)
+        sec = canonical_cover(GroupContext(params)).sector_indices
+        path = write_labeled(tmp_path, params, (2,) * 14, sec, "z2_14.cover")
+        parse_group_file(path, params)  # fill the model's caches
+        tracemalloc.start()
+        try:
+            cm = parse_group_file(path, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(cm.sector_indices, sec)
+        assert peak < 96 * len(sec)
 
     def test_file_refused_at_header_is_not_read_whole(self, tmp_path):
         lines = "".join(f"{e} -> 1,1\n" for e in range(1 << 18))

@@ -2,6 +2,7 @@
 over (g1, g2), and against the exhaustive numpy scan in conftest."""
 
 import operator
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,19 @@ class TestGroupScan:
         assert first == (last, 1) and rows == last + 1
 
 
+# Random labels break every structure the row loop could lean on: with n
+# above |G| some sectors label nothing, and n = 1 is one row, none mirrored.
+GROUP_COUNT_CASES = (
+    [(f, ModelParams(*pq).n_sectors, idx) for f, pq, idx, _ in GROUP_CASES]
+    + [((12, 4), ModelParams(4, 5).n_sectors, idx) for idx in (PULLBACK, PULLBACK_SWAPPED)]
+    + [
+        (f, n, random_labels(f, n))
+        for f in [(2,), (2, 2, 2), (8,), (3, 3), (6, 2), (5, 7)]
+        for n in [1, 3, 9]
+    ]
+)
+
+
 class TestPairCounts:
     @pytest.mark.parametrize("p,q", [(3, 4), (4, 5), (3, 5)])
     @pytest.mark.parametrize("corrupt", [False, True])
@@ -232,18 +246,7 @@ class TestPairCounts:
         assert counts.dtype == np.int64 and counts.shape == (n, n, n)
         assert np.array_equal(counts, oracle_counts(sec, n, operator.xor))
 
-    # Random labels break every structure the row loop could lean on: with
-    # n above |G| some sectors label nothing, and n = 1 is one row, none mirrored.
-    @pytest.mark.parametrize(
-        "factors,n,indices",
-        [(f, ModelParams(*pq).n_sectors, idx) for f, pq, idx, _ in GROUP_CASES]
-        + [((12, 4), ModelParams(4, 5).n_sectors, idx) for idx in (PULLBACK, PULLBACK_SWAPPED)]
-        + [
-            (f, n, random_labels(f, n))
-            for f in [(2,), (2, 2, 2), (8,), (3, 3), (6, 2), (5, 7)]
-            for n in [1, 3, 9]
-        ],
-    )
+    @pytest.mark.parametrize("factors,n,indices", GROUP_COUNT_CASES)
     def test_group_matches_double_loop(self, factors, n, indices):
         spec = AbelianGroupSpec(factors)
         elements = spec.elements()
@@ -251,6 +254,35 @@ class TestPairCounts:
         counts = pair_counts(indices, n, factors)
         assert np.array_equal(counts, oracle_counts(indices, n, add))
         assert counts.sum() == spec.order ** 2
+
+    # The same cases summed three characters at a time: every group above
+    # order 3 spans several blocks, and its last block is ragged (|G| = 35
+    # is eleven blocks and two characters), on the XOR and the FFT path.
+    @pytest.mark.parametrize("p,q", [(3, 4), (4, 5), (3, 5)])
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_xor_matches_double_loop_across_blocks(self, p, q, corrupt, monkeypatch):
+        monkeypatch.setattr(_kernels, "_BLOCK", 3)
+        self.test_xor_matches_double_loop(p, q, corrupt)
+
+    @pytest.mark.parametrize("factors,n,indices", GROUP_COUNT_CASES)
+    def test_group_matches_double_loop_across_blocks(self, factors, n, indices, monkeypatch):
+        monkeypatch.setattr(_kernels, "_BLOCK", 3)
+        self.test_group_matches_double_loop(factors, n, indices)
+
+    def test_scratch_below_one_float64_matrix(self):
+        # The float32 transform matrix and blocks of characters: the traced
+        # peak stays below one float64 (N, |G|) matrix, 4.3 MB here.
+        factors, n = (2,) * 14, 33
+        sec = np.random.default_rng(33).integers(0, n, size=1 << 14)
+        expected = pair_counts(sec, n, factors)
+        tracemalloc.start()
+        try:
+            counts = pair_counts(sec, n, factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(counts, expected)
+        assert peak < n * (1 << 14) * 8
 
     @pytest.mark.parametrize("params", coprime_models(8, 16, max_sum=18), ids=str)
     def test_support_matches_exhaustive_scan(self, params):

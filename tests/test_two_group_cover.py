@@ -587,14 +587,14 @@ class TestCanonicalCounts:
         assert max_rss_kib < 160 * 1024
 
     def test_label_table_off_the_complement_raises(self, monkeypatch):
-        table = two_group_cover._label_to_sector_index
+        table = two_group_cover._label_index
 
         def broken(params):
-            t = table(params).copy()
-            t[1, 1] = t[1, 2]  # (1, 1) and (p - 1, q - 1) label one coset
+            t = [list(row) for row in table(params)]
+            t[1][1] = t[1][2]  # (1, 1) and (p - 1, q - 1) label one coset
             return t
 
-        monkeypatch.setattr(two_group_cover, "_label_to_sector_index", broken)
+        monkeypatch.setattr(two_group_cover, "_label_index", broken)
         with pytest.raises(AssertionError, match="not constant on cosets"):
             canonical_cover(GroupContext(ModelParams(4, 5))).sector_indices
 
