@@ -92,10 +92,15 @@ def _checked_counts(raw: np.ndarray, order: int) -> np.ndarray:
     """Round raw counts to int64, or raise unless they are plainly counts.
 
     Each entry must lie within 1/4 of a non-negative integer, and the
-    integers must add up to order^2, the number of pairs.
+    integers must add up to order^2, the number of pairs.  One sector row is
+    rounded at a time, so the scratch beside the result is O(N^2).
     """
-    counts = np.rint(raw.real).astype(np.int64)
-    err = float(np.abs(raw - counts).max())
+    counts = np.empty(raw.shape, dtype=np.int64)
+    errs = np.empty(len(raw))
+    for a, row in enumerate(raw):
+        counts[a] = np.rint(row.real)
+        errs[a] = np.abs(row - counts[a]).max()
+    err = float(errs.max())
     least = int(counts.min())
     total = int(counts.sum())
     if err > 0.25 or least < 0 or total != order * order:

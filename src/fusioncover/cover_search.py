@@ -52,8 +52,9 @@ Products = list[list[tuple[int, ...]]]
 class AbelianGroupSpec:
     """A finite abelian group as a product of cyclic factors Z_k1 x ... x Z_kt.
 
-    Elements are digit tuples; addition is componentwise modular.  An empty
-    factor list is the trivial group.
+    Elements are digit tuples, coded in big-endian mixed radix; addition is
+    componentwise modular (``addition_table`` on codes).  An empty factor
+    list is the trivial group.
     """
 
     factors: tuple[int, ...]
@@ -75,33 +76,9 @@ class AbelianGroupSpec:
     def order(self) -> int:
         return prod(self.factors)
 
-    @property
-    def identity(self) -> Element:
-        return (0,) * len(self.factors)
-
     def elements(self) -> list[Element]:
         """All elements in the canonical (big-endian mixed radix) order."""
         return list(itertools.product(*(range(k) for k in self.factors)))
-
-    def index_of(self, e: Element) -> int:
-        from . import _kernels
-
-        places = _kernels.place_values(self.factors).tolist()
-        return sum(digit * place for digit, place in zip(e, places))
-
-    def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % k for x, y, k in zip(a, b, self.factors))
-
-    def negate(self, a: Element) -> Element:
-        return tuple((-x) % k for x, k in zip(a, self.factors))
-
-    def digit_matrix(self) -> np.ndarray:
-        """(order, t) array whose row g is the digit tuple of element g."""
-        import numpy as np
-
-        from . import _kernels
-
-        return _kernels.decode(np.arange(self.order), self.factors)
 
     def addition_table(self) -> list[list[int]]:
         """Entry [a][b] is the index of a + b, in plain Python ints.

@@ -37,16 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError
 
 if TYPE_CHECKING:
     import numpy as np
-
-# Exact rational scalar used for every c and h value.  Fraction already
-# guarantees lowest terms, a positive denominator and structural equality.
-Rational = Fraction
 
 # Keeps (np - mq)^2 comfortably inside any fixed-width arithmetic a caller
 # might feed the results into; Python ints would not overflow, but the
@@ -246,12 +242,6 @@ class FusionTensor:
     def n(self) -> int:
         return len(self.sectors)
 
-    def products_of(self, i: int, j: int) -> list[Sector]:
-        """The sectors appearing in S_i x S_j, in canonical index order."""
-        import numpy as np
-
-        return [self.sectors[k] for k in np.flatnonzero(self.coefficients[i, j])]
-
 
 def _admissible(p: int, a: int, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Whether (a, b, c) is p-admissible, broadcast over label arrays b and c.
@@ -344,30 +334,6 @@ def fusion_products(params: ModelParams) -> list[list[tuple[int, ...]]]:
     return products
 
 
-def algebra_product(
-    coefficients: np.ndarray,
-    x: Sequence[Fraction | int],
-    y: Sequence[Fraction | int],
-) -> list[Fraction]:
-    """Bilinear product z_k = sum_{i,j} x_i y_j C[i,j,k] over exact rationals."""
-    import numpy as np
-
-    n = coefficients.shape[0]
-    if len(x) != n or len(y) != n:
-        raise ValueError(f"vectors must have length {n}, got {len(x)} and {len(y)}")
-    z = [Fraction(0)] * n
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            term = Fraction(xi) * Fraction(yj)
-            for k in np.flatnonzero(coefficients[i, j]):
-                z[k] += term
-    return z
-
-
 @dataclass(frozen=True, eq=False)
 class VerlindeAlgebra:
     """The rational algebra on sectors whose product is given by the fusion rules.
@@ -385,15 +351,6 @@ class VerlindeAlgebra:
     @property
     def structure_constants(self) -> np.ndarray:
         return self.tensor.coefficients
-
-    def basis_vector(self, index: int) -> list[Fraction]:
-        v = [Fraction(0)] * self.n
-        v[index] = Fraction(1)
-        return v
-
-    def product(self, x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> list[Fraction]:
-        """Product of two rational coefficient vectors."""
-        return algebra_product(self.tensor.coefficients, x, y)
 
 
 def verlinde_algebra(tensor: FusionTensor) -> VerlindeAlgebra:

@@ -37,7 +37,6 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
 
 import numpy as np
 
@@ -45,15 +44,7 @@ import numpy as np
 # under this module's name.
 from .certificates import CoverMap, verify_cover  # noqa: F401
 from .errors import CapacityError, CountCheckError, PartitionError
-from .minimal_model import (
-    Fraction,
-    ModelParams,
-    Sector,
-    VerlindeAlgebra,
-    _label_index,
-    algebra_product,
-    sectors,
-)
+from .minimal_model import ModelParams, Sector, VerlindeAlgebra, _label_index, sectors
 
 # Largest rank whose closed-form counts are exact in int64: every count of
 # pairs in H is at most |H|^2 = 4^r, and 4^31 = 2^62.
@@ -248,9 +239,6 @@ class PartitionAlgebra:
     @property
     def n(self) -> int:
         return len(self.sectors)
-
-    def product(self, x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> list[Fraction]:
-        return algebra_product(self.coefficients, x, y)
 
 
 def partition_algebra(

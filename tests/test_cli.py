@@ -126,7 +126,10 @@ class TestFusionCommand:
     def test_cells_list_products_in_index_order(self, p, q):
         tensor = fusion_tensor(ModelParams(p, q))
         expected = [
-            [[s.name for s in tensor.products_of(i, j)] for j in range(tensor.n)]
+            [
+                [tensor.sectors[k].name for k in np.flatnonzero(tensor.coefficients[i, j])]
+                for j in range(tensor.n)
+            ]
             for i in range(tensor.n)
         ]
         assert cmd_fusion(p, q, "json").payload["table"] == expected
@@ -287,8 +290,9 @@ class TestCoverVerifyCommand:
         cm = parse_group_file(path, params)
         tensor = fusion_tensor(params)
         d_flat = tensor.coefficients.reshape(-1)
+        digits = _kernels.decode(np.arange(cm.context.order), factors)
         (g1, g2), realized = exhaustive_scan(
-            cm.sector_indices, tensor.n, d_flat, group_rows(cm.context.digit_matrix(), factors)
+            cm.sector_indices, tensor.n, d_flat, group_rows(digits, factors)
         )
         assert g1 >= 0
         doc, code = cmd_cover_verify(params.p, params.q, path, "json")
@@ -308,17 +312,18 @@ class TestCoverVerifyCommand:
         params, factors, path = make(tmp_path)
         cm = parse_group_file(path, params)
         d_flat = fusion_tensor(params).coefficients.reshape(-1)
-        rows = group_rows(cm.context.digit_matrix(), factors)
-        (g1, g2), _ = exhaustive_scan(cm.sector_indices, params.n_sectors, d_flat, rows)
+        digits = _kernels.decode(np.arange(cm.context.order), factors)
+        (g1, g2), _ = exhaustive_scan(
+            cm.sector_indices, params.n_sectors, d_flat, group_rows(digits, factors)
+        )
 
         def refuse(*args, **kwargs):
             raise AssertionError(f"{unused} called for factors {factors}")
 
         monkeypatch.setattr(_kernels, unused, refuse)
         doc, code = cmd_cover_verify(params.p, params.q, path, "json")
-        digits = cm.context.digit_matrix().tolist()
         w = doc.payload["witness"]
-        assert code == 1 and (w["g1"], w["g2"]) == (digits[g1], digits[g2])
+        assert code == 1 and (w["g1"], w["g2"]) == (digits[g1].tolist(), digits[g2].tolist())
 
     def test_group_files_verify_without_listing_elements(self, tmp_path, monkeypatch):
         def refuse(spec):
@@ -565,6 +570,44 @@ class TestExitCodes:
         )
         assert code == 0 and "verdict: PASS" in out
         assert max_rss_kib < 96 * 1024
+
+    @pytest.mark.parametrize(
+        "text,group,realized,witness,limit_mib",
+        [
+            ("group\n -> 1,1\n", "trivial group", 1,
+             "admissible triple [0] x [-505/1028] -> [-505/1028] is realized by no pair "
+             "of group elements", 384),
+            ("group 2\n0 -> 1,1\n1 -> 1,2\n", "Z2", 4,
+             "admissible triple [0] x [-251/257] -> [-251/257] is realized by no pair "
+             "of group elements", 384),
+            ("group 3\n0 -> 1,1\n1 -> 1,2\n2 -> 1,2\n", "Z3", 5,
+             "1 + 1 = 2 maps to [-505/1028] x [-505/1028] -> [-505/1028], but "
+             "[-505/1028] does not occur in [-505/1028] x [-505/1028]", 512),
+        ],
+        ids=["trivial", "Z2", "Z3"],
+    )
+    def test_tiny_group_at_the_sector_cap_in_bounded_memory(
+        self, tmp_path, text, group, realized, witness, limit_mib
+    ):
+        # N = 256: the raw counts are one N^3 float64 (complex128 for Z3)
+        # array, rounded into the int64 counts one sector row at a time
+        # (558, 558 and 816 MiB peaks when the whole array was rounded at once).
+        order = text.count("->")
+        path = write_cover(tmp_path, text)
+        code, max_rss_kib, out = run_with_peak_rss(
+            ["cover", "verify", "--p", "3", "--q", "257", "--group", path]
+        )
+        assert code == 1
+        assert out == [
+            "Cover verification for the (3,257) minimal model",
+            f"group: {group} (order {order})",
+            "verdict: FAIL",
+            f"pairs checked: {order * order}",
+            "admissible sector triples: 2829056",
+            f"realized sector triples: {realized}",
+            f"witness: {witness}",
+        ]
+        assert max_rss_kib < limit_mib * 1024
 
     def test_over_budget_group_file_refused_at_its_header(self, tmp_path, capsys, monkeypatch):
         # 2^14 elements are over the 2^26-pair budget: the header alone

@@ -25,9 +25,10 @@ from fusioncover import (
     verify_cover,
 )
 
+from fusioncover import _kernels
 from fusioncover.cover_search import _check_lists, _search_order
 
-from conftest import Z4_ISING_LABELS, Z12_TRICRITICAL_LABELS, coprime_models
+from conftest import Z4_ISING_LABELS, Z12_TRICRITICAL_LABELS, coprime_models, group_rows
 
 
 class TestAbelianGroupSpec:
@@ -47,29 +48,29 @@ class TestAbelianGroupSpec:
         spec = AbelianGroupSpec((2, 3))
         assert spec.order == 6
         assert spec.elements() == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-        assert spec.identity == (0, 0)
         trivial = AbelianGroupSpec(())
         assert trivial.order == 1
         assert trivial.elements() == [()]
 
-    def test_add_negate_index(self):
-        spec = AbelianGroupSpec((2, 3))
-        assert spec.add((1, 2), (1, 2)) == (0, 1)
-        assert spec.negate((1, 2)) == (1, 1)
-        for i, e in enumerate(spec.elements()):
-            assert spec.index_of(e) == i
+    def test_add_and_negate_codes(self):
+        # Codes of (1, 2) + (1, 2) = (0, 1) and -(1, 2) = (1, 1) in Z2 x Z3.
+        table = AbelianGroupSpec((2, 3)).addition_table()
+        assert table[5][5] == 1
+        assert table[5].index(0) == 4
 
-    def test_digit_matrix(self):
+    def test_codes_decode_to_elements(self):
         spec = AbelianGroupSpec((2, 3))
-        assert spec.digit_matrix().tolist() == [list(e) for e in spec.elements()]
+        digits = _kernels.decode(np.arange(spec.order), spec.factors)
+        assert digits.tolist() == [list(e) for e in spec.elements()]
+        assert [spec.element(g) for g in range(spec.order)] == spec.elements()
+        assert (digits @ _kernels.place_values(spec.factors)).tolist() == list(range(spec.order))
 
     @pytest.mark.parametrize("factors", [(), (5,), (2, 3), (2, 2, 4)])
     def test_addition_table(self, factors):
         spec = AbelianGroupSpec(factors)
-        elements = spec.elements()
-        assert spec.addition_table() == [
-            [spec.index_of(spec.add(a, b)) for b in elements] for a in elements
-        ]
+        codes = np.arange(spec.order)
+        rows = group_rows(_kernels.decode(codes, factors), factors)
+        assert spec.addition_table() == rows(codes).tolist()
 
 
 class TestCoverMapOfAbelianGroup:
@@ -104,7 +105,7 @@ class TestCoverMapOfAbelianGroup:
         labels = dict(Z4_ISING_LABELS)
         labels[(3,)] = (2, 2)
         cm = CoverMap.from_kac_labels(spec, ising, labels)
-        assert cm.sectors[cm.sector_indices[spec.index_of((3,))]].label == (1, 2)
+        assert cm.sectors[cm.sector_indices[3]].label == (1, 2)
 
     def test_wrong_length(self, ising):
         with pytest.raises(ValueError, match="elements"):

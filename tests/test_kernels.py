@@ -46,6 +46,14 @@ def oracle_scan(sec, n, d_flat, add):
     return first, realized
 
 
+def code_sum(factors):
+    """``add(g1, g2)`` for the oracles: the code of g1 + g2 in Z_k1 x ... x Z_kt,
+    read off a table built by ``group_rows``."""
+    codes = np.arange(AbelianGroupSpec(factors).order)
+    table = group_rows(_kernels.decode(codes, factors), factors)(codes).tolist()
+    return lambda g1, g2: table[g1][g2]
+
+
 def oracle_counts(sec, n, add):
     """Pair counts C[i, j, k], one pair at a time."""
     counts = np.zeros((n, n, n), dtype=np.int64)
@@ -142,7 +150,7 @@ def group_case(factors, params, indices):
     tensor = fusion_tensor(params)
     sec = np.array(indices, dtype=np.int64)
     return (
-        spec.digit_matrix(),
+        _kernels.decode(np.arange(spec.order), spec.factors),
         np.array(spec.factors, dtype=np.int64),
         sec,
         tensor.n,
@@ -152,10 +160,7 @@ def group_case(factors, params, indices):
 
 def group_oracle(factors, args):
     """The pure-Python oracle scan of ``group_case`` arguments."""
-    spec = AbelianGroupSpec(factors)
-    elements = spec.elements()
-    add = lambda a, b: spec.index_of(spec.add(elements[a], elements[b]))
-    return oracle_scan(args[2], args[3], args[4], add)
+    return oracle_scan(args[2], args[3], args[4], code_sum(factors))
 
 
 class TestGroupScan:
@@ -182,12 +187,12 @@ class TestGroupScan:
         _, realized = exhaustive_scan(*args[2:], group_rows(*args[:2]))
         n = args[3]
         elements = spec.elements()
+        code = {e: g for g, e in enumerate(elements)}
         expected = np.zeros(n * n * n, dtype=np.uint8)
         for a in elements:
             for b in elements:
-                i = indices[spec.index_of(a)]
-                j = indices[spec.index_of(b)]
-                k = indices[spec.index_of(spec.add(a, b))]
+                total = tuple((x + y) % r for x, y, r in zip(a, b, spec.factors))
+                i, j, k = indices[code[a]], indices[code[b]], indices[code[total]]
                 expected[(i * n + j) * n + k] = 1
         assert np.array_equal(realized, expected)
 
@@ -205,8 +210,9 @@ class TestGroupScan:
     def test_rows_scanned_bound_the_witness_row(self, row):
         # Z_2^9 in digit form is the XOR group of the (5,9) cosets.
         sec, n, d_flat = lone_bad_row(row)
-        spec = AbelianGroupSpec((2,) * 9)
-        first, rows = scan_pairs_group(spec.digit_matrix(), spec.factors, sec, n, d_flat)
+        factors = (2,) * 9
+        digits = _kernels.decode(np.arange(len(sec)), factors)
+        first, rows = scan_pairs_group(digits, factors, sec, n, d_flat)
         assert first == (row, 1 if row else 0)
         assert rows == row + 1
 
@@ -216,7 +222,7 @@ class TestGroupScan:
         spec = AbelianGroupSpec(factors)
         sec = sec[:spec.order].copy()
         sec[-1] = n - 1
-        digits = spec.digit_matrix()
+        digits = _kernels.decode(np.arange(spec.order), spec.factors)
         first, rows = scan_pairs_group(digits, spec.factors, sec, n, d_flat)
         last = spec.order - 1
         assert first == exhaustive_scan(sec, n, d_flat, group_rows(digits, spec.factors))[0]
@@ -248,12 +254,9 @@ class TestPairCounts:
 
     @pytest.mark.parametrize("factors,n,indices", GROUP_COUNT_CASES)
     def test_group_matches_double_loop(self, factors, n, indices):
-        spec = AbelianGroupSpec(factors)
-        elements = spec.elements()
-        add = lambda a, b: spec.index_of(spec.add(elements[a], elements[b]))
         counts = pair_counts(indices, n, factors)
-        assert np.array_equal(counts, oracle_counts(indices, n, add))
-        assert counts.sum() == spec.order ** 2
+        assert np.array_equal(counts, oracle_counts(indices, n, code_sum(factors)))
+        assert counts.sum() == len(indices) ** 2
 
     # The same cases summed three characters at a time: every group above
     # order 3 spans several blocks, and its last block is ragged (|G| = 35

@@ -11,7 +11,7 @@ import fusioncover
 
 
 def test_all_lists_the_export_table():
-    assert len(fusioncover.__all__) == len(set(fusioncover.__all__)) == 35
+    assert len(fusioncover.__all__) == len(set(fusioncover.__all__)) == 34
     assert set(fusioncover.__all__) == set(fusioncover._EXPORTS)
 
 
@@ -26,6 +26,24 @@ def test_paper_model_is_not_exported():
             getattr(fusioncover, name)
     for prop in ("a_coords", "b_coords", "all_ones"):
         assert not hasattr(fusioncover.GroupContext, prop)
+
+
+def test_vector_algebra_is_not_shipped():
+    # Products are read off the integer fusion tensor; no command multiplies
+    # rational coefficient vectors or digit tuples.
+    assert "Rational" not in fusioncover.__all__
+    with pytest.raises(AttributeError, match="Rational"):
+        fusioncover.Rational
+    assert not hasattr(import_module("fusioncover.minimal_model"), "algebra_product")
+    removed = {
+        "FusionTensor": ("products_of",),
+        "VerlindeAlgebra": ("product", "basis_vector"),
+        "PartitionAlgebra": ("product",),
+        "AbelianGroupSpec": ("identity", "add", "negate", "index_of", "digit_matrix"),
+    }
+    for cls, attrs in removed.items():
+        for attr in attrs:
+            assert not hasattr(getattr(fusioncover, cls), attr), (cls, attr)
 
 
 @pytest.mark.parametrize("name", fusioncover.__all__)

@@ -1,7 +1,5 @@
 """Property-based and exhaustive invariant checks across model families."""
 
-from fractions import Fraction
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +13,6 @@ from fusioncover import (
     is_p_admissible,
     is_pq_admissible,
     sectors,
-    verlinde_algebra,
 )
 
 from conftest import coprime_models
@@ -63,34 +60,6 @@ def test_weight_reflection_random(data):
         params, params.p - m, params.q - n
     )
     assert canonicalize(params, m, n) == canonicalize(params, params.p - m, params.q - n)
-
-
-@st.composite
-def rational_vectors(draw, n):
-    nums = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
-    dens = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
-    return [Fraction(a, b) for a, b in zip(nums, dens)]
-
-
-@settings(max_examples=100, derandomize=True)
-@given(st.data())
-def test_verlinde_product_commutes_on_vectors(data):
-    v = verlinde_algebra(fusion_tensor(ModelParams(4, 5)))
-    x = data.draw(rational_vectors(v.n))
-    y = data.draw(rational_vectors(v.n))
-    assert v.product(x, y) == v.product(y, x)
-
-
-@settings(max_examples=60, derandomize=True)
-@given(st.data())
-def test_verlinde_product_is_bilinear(data):
-    v = verlinde_algebra(fusion_tensor(ModelParams(3, 8)))
-    x = data.draw(rational_vectors(v.n))
-    y = data.draw(rational_vectors(v.n))
-    z = data.draw(rational_vectors(v.n))
-    xy_plus_xz = [a + b for a, b in zip(v.product(x, y), v.product(x, z))]
-    y_plus_z = [a + b for a, b in zip(y, z)]
-    assert v.product(x, y_plus_z) == xy_plus_xz
 
 
 def test_fusion_tensor_symmetry_to_ten():
