@@ -20,6 +20,9 @@ matrix is held exactly in float32, and the sum over characters, taken a
 block of characters at a time in float64, is exact while |G| <= 2^17
 (``MAX_COUNT_ORDER``).  Every result is checked: each count must be a
 non-negative integer to within 1/4, and the counts must add up to |G|^2.
+``check_count_size`` refuses, before anything is allocated, a group above
+2^17 and a transform matrix over ``MAX_TRANSFORM_BYTES``; the group-file
+parser runs the same check at a file's header.
 
 The row scan only names the witness: run when the counts show a pair on an
 inadmissible triple, ``first_violation`` visits the pairs in canonical order
@@ -41,8 +44,11 @@ from .errors import CapacityError, CountCheckError
 HAVE_NUMBA = False
 
 # Largest group order whose pair counts are exact in float64 (see
-# ``pair_counts``); larger groups are refused by ``check_count_order``.
+# ``pair_counts``), and largest (N, |G|) transform matrix, in bytes, that
+# ``pair_counts`` allocates: 2^17 elements of a 2-group at N = 256 in
+# float32, or 2^15 elements of any other group at N = 256 in complex128.
 MAX_COUNT_ORDER = 1 << 17
+MAX_TRANSFORM_BYTES = 1 << 27
 
 # Characters per block of the row products in ``pair_counts``: the scratch
 # beside the transform matrix is a few (N, _BLOCK) float64 or complex128
@@ -55,12 +61,26 @@ def active_backend() -> str:
     return "numpy"
 
 
-def check_count_order(order: int) -> None:
-    """Refuse a group above ``MAX_COUNT_ORDER``, whose counts would not be exact."""
+def check_count_size(n_sectors: int, factors: tuple[int, ...]) -> None:
+    """Refuse pair counts that would not be exact or whose transform is too big.
+
+    A group above ``MAX_COUNT_ORDER`` is refused first.  Then so is a group
+    whose (N, |G|) transform matrix, float32 when every factor is 2 and
+    complex128 otherwise, is over ``MAX_TRANSFORM_BYTES``.
+    """
+    order = prod(factors)
     if order > MAX_COUNT_ORDER:
         raise CapacityError(
             f"a group of order {order} is above {MAX_COUNT_ORDER} (2^17), the largest "
             f"order whose pair counts are exact; no option lifts this limit"
+        )
+    size = n_sectors * order * (4 if all(k == 2 for k in factors) else 16)
+    if size > MAX_TRANSFORM_BYTES:
+        raise CapacityError(
+            f"the pair counts of a group of order {order} over {n_sectors} sectors need "
+            f"a transform matrix of {size} bytes ({size / 2**20:.1f} MiB), over the bound "
+            f"of {MAX_TRANSFORM_BYTES} bytes ({MAX_TRANSFORM_BYTES >> 20} MiB); "
+            f"no option lifts this limit"
         )
 
 
@@ -133,15 +153,15 @@ def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) ->
     magnitude at most max|F_k| * sqrt(sum|F_i|^2 * sum|F_j|^2) <= |G|^3,
     which float64 holds exactly while |G|^3 <= 2^53, i.e. |G| <= 2^17.  So
     the counts of a 2-group are exact in any summation order; other groups
-    take complex FFTs and rely on the rounding check.  Groups above 2^17
-    raise CapacityError before anything is allocated; counts failing the
-    integrality or sum check raise CountCheckError.
+    take complex FFTs and rely on the rounding check.  Groups refused by
+    ``check_count_size`` raise CapacityError before anything is allocated;
+    counts failing the integrality or sum check raise CountCheckError.
     """
     order = len(sec)
-    check_count_order(order)
     factors = tuple(int(k) for k in factors)
     if prod(factors) != order:
         raise ValueError(f"factors {factors} do not give a group of order {order}")
+    check_count_size(n_sectors, factors)
     real = all(k == 2 for k in factors)
     f = np.zeros((n_sectors, order), dtype=np.float32 if real else np.float64)
     f[np.asarray(sec, dtype=np.int64), np.arange(order)] = 1

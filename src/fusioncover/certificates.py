@@ -112,7 +112,7 @@ class CoverMap:
     def counts(self) -> np.ndarray:
         """The pair counts by the transform over the group
         (``_kernels.pair_counts``), computed on first access and read-only;
-        groups above ``_kernels.MAX_COUNT_ORDER`` raise CapacityError.
+        groups refused by ``_kernels.check_count_size`` raise CapacityError.
         Errors are not cached."""
         from . import _kernels
 

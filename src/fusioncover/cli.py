@@ -63,18 +63,10 @@ from .minimal_model import (
 
 if TYPE_CHECKING:
     from .certificates import CoverMap
-    from .cover_search import AbelianGroupSpec
 
 # numpy and the cover modules are imported by the commands that use them:
 # `kac` runs on exact rationals, and `fusion` and `cover search` on the
 # closed-form admissible ranges, so all three start without numpy.
-
-# Group files with more than this many ordered pairs (|G| > 2^13) need an
-# explicit override; even with it, group files above 2^17 are refused (their
-# transform counts would not be exact).  The canonical cover is counted in
-# closed form and visits no pair, so no pair budget applies to it; past
-# p + q = 35 it is refused (its closed-form counts would overflow int64).
-DEFAULT_VERIFY_PAIRS = 1 << 26
 
 
 def _json_text(payload) -> str:
@@ -256,59 +248,39 @@ def _content_lines(path: Path) -> Iterator[tuple[str, str]]:
             yield f"{path}:{lineno}", line
 
 
-def _read_header(lines: Iterator[tuple[str, str]], path: Path) -> AbelianGroupSpec:
-    """The group named by the first of a file's content lines.
-
-    Raises CapacityError for a group above ``MAX_COUNT_ORDER``, before any
-    element line is read.
-    """
-    from ._kernels import check_count_order
-    from .cover_search import AbelianGroupSpec
-
-    for where, line in lines:
-        parts = line.split()
-        if parts[0] != "group":
-            raise GroupFileError(f"{where}: expected 'group k1 k2 ...' header, got {line!r}")
-        try:
-            factors = tuple(int(x) for x in parts[1:])
-        except ValueError:
-            raise GroupFileError(f"{where}: non-integer invariant factor in {parts[1:]}")
-        try:
-            spec = AbelianGroupSpec(factors)
-        except ValueError as e:
-            raise GroupFileError(f"{where}: {e}")
-        check_count_order(spec.order)
-        return spec
-    raise GroupFileError(f"{path}: missing 'group k1 k2 ...' header")
-
-
-def _group_file_header(path: str | Path) -> AbelianGroupSpec:
-    """The group of a labeling file, read from its header alone."""
-    path = Path(path)
-    lines = _content_lines(path)
-    try:
-        return _read_header(lines, path)
-    finally:
-        lines.close()
-
-
 def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
     """Parse a labeling file into a CoverMap over its group for the given model.
 
-    Raises GroupFileError with file:line diagnostics on any malformation,
-    and CapacityError at the header of a group above ``MAX_COUNT_ORDER``.
-    Past the header the file is held as one list of |G| sector indices, -1
-    until labeled: each element line goes straight to its code (its digits
-    against the place values) and its label to its sector (the model's one
-    label table), so no element is held as a tuple.
+    Raises GroupFileError with file:line diagnostics on any malformation.
+    The header is checked by ``_kernels.check_count_size`` against the
+    model's N, so a group whose pair counts would not be exact, or whose
+    transform matrix is too big, raises CapacityError before any element
+    line is read.  Past the header the file is held as one list of |G|
+    sector indices, -1 until labeled: each element line goes straight to
+    its code (its digits against the place values) and its label to its
+    sector (the model's one label table), so no element is held as a tuple.
     """
-    from ._kernels import place_values
+    from ._kernels import check_count_size, place_values
     from .certificates import CoverMap
+    from .cover_search import AbelianGroupSpec
 
     path = Path(path)
     lines = _content_lines(path)
-    spec = _read_header(lines, path)
-    factors = spec.factors
+    where, line = next(lines, (None, None))
+    if line is None:
+        raise GroupFileError(f"{path}: missing 'group k1 k2 ...' header")
+    parts = line.split()
+    if parts[0] != "group":
+        raise GroupFileError(f"{where}: expected 'group k1 k2 ...' header, got {line!r}")
+    try:
+        factors = tuple(int(x) for x in parts[1:])
+    except ValueError:
+        raise GroupFileError(f"{where}: non-integer invariant factor in {parts[1:]}")
+    try:
+        spec = AbelianGroupSpec(factors)
+    except ValueError as e:
+        raise GroupFileError(f"{where}: {e}")
+    check_count_size(params.n_sectors, factors)
     t = len(factors)
     radix_places = list(zip(factors, place_values(factors).tolist()))
     p, q = params.p, params.q
@@ -379,23 +351,12 @@ def _witness_payload(witness, group) -> dict:
     }
 
 
-def _check_verify_budget(order: int, allow_large: bool) -> None:
-    pairs = order * order
-    if pairs > DEFAULT_VERIFY_PAIRS and not allow_large:
-        raise CapacityError(
-            f"a group of order {order} has {pairs} pairs, over the default "
-            f"verify budget of {DEFAULT_VERIFY_PAIRS} pairs (2^26); "
-            f"pass --allow-large to proceed"
-        )
-
-
 def cmd_cover_verify(
     p: int,
     q: int,
     group_file: str | None = None,
     format: str = "text",
     threads: int = 1,
-    allow_large: bool = False,
 ) -> tuple[OutputDocument, int]:
     """Verify a cover; returns the document and the exit code (0 PASS, 1 FAIL)."""
     from .certificates import verify_cover
@@ -411,9 +372,8 @@ def cmd_cover_verify(
     else:
         # Labels are read off the model's label table while the file is
         # parsed, which lists every sector: refuse an oversized model before
-        # that, and an over-budget group at its header, before any element.
+        # that.  The parser refuses an oversized group at its header.
         check_fusion_cells(params)
-        _check_verify_budget(_group_file_header(group_file).order, allow_large)
         cover = parse_group_file(group_file, params)
     group = cover.context
     cert = verify_cover(cover, fusion_tensor(params))
@@ -539,16 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the witness scan on a closure FAIL runs on one thread and stops at the "
         "first row with a violation",
     )
-    verify.add_argument(
-        "--allow-large",
-        action="store_true",
-        help=f"permit group files of more than {DEFAULT_VERIFY_PAIRS} pairs (|G| > 2^13), "
-        f"up to order 2^17; larger ones are always refused.  The canonical cover "
-        f"needs no override: it is counted in closed form up to p + q = 35",
-    )
-    verify.set_defaults(
-        run=lambda a: cmd_cover_verify(a.p, a.q, a.group, a.format, a.threads, a.allow_large)
-    )
+    verify.set_defaults(run=lambda a: cmd_cover_verify(a.p, a.q, a.group, a.format, a.threads))
 
     search = cover_sub.add_parser("search", help="search cyclic groups for covers")
     _add_model_args(search)

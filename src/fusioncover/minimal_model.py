@@ -267,7 +267,9 @@ def check_fusion_cells(params: ModelParams) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+# The last few tensors are kept: up to 16 MiB each, so a process that walks
+# every model keeps at most 128 MiB of them, not the sum over all models.
+@lru_cache(maxsize=8)
 def fusion_tensor(params: ModelParams) -> FusionTensor:
     """Fusion rules of the model: D[i,j,k] = 1 iff the triple is admissible.
 

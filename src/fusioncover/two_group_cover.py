@@ -26,9 +26,10 @@ weights in Z_2^w whose sum has a given weight is a product of binomials
 (``canonical_counts``).  They are exact in int64 up to r = 31
 (p + q <= 35) and take O(N^3) memory, whatever |G|.  Any other map, of this
 group kind or another, is counted by the transform in
-``_kernels.pair_counts`` (|G| <= 2^17).  Either way ``CoverMap.counts``
-counts a map once, for both ``verify_cover`` and ``partition_algebra``; the
-labels are read only by the scan that names a FAIL witness.
+``_kernels.pair_counts``, within the sizes ``_kernels.check_count_size``
+admits.  Either way ``CoverMap.counts`` counts a map once, for both
+``verify_cover`` and ``partition_algebra``; the labels are read only by
+the scan that names a FAIL witness.
 """
 
 from __future__ import annotations

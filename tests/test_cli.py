@@ -475,15 +475,21 @@ class TestExitCodes:
         assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", big]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_group_file_over_pair_budget(self, tmp_path, capsys):
+    def test_group_file_of_many_pairs_gets_a_verdict(self, tmp_path, capsys):
+        # Over 2^26 pairs, but its 3 x 8193 transform matrix is far under the
+        # bound, so it is counted.
         lines = "".join(f"{e} -> 1,1\n" for e in range(8193))
         big = write_cover(tmp_path, "group 8193\n" + lines)
-        assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", big]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "budget" in err and "--allow-large" in err
+        assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", big]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:3] == ["group: Z8193 (order 8193)", "verdict: FAIL"]
+        assert out[-1] == (
+            "witness: admissible triple [0] x [1/16] -> [1/16] is realized by no pair "
+            "of group elements"
+        )
 
     @pytest.mark.parametrize("p,q", [(9, 14), (16, 17)])
-    def test_group_above_exactness_bound_refused_even_if_large(
+    def test_group_above_exactness_bound_refused_before_anything_is_built(
         self, p, q, tmp_path, capsys, monkeypatch
     ):
         def never(*args, **kwargs):
@@ -494,34 +500,30 @@ class TestExitCodes:
         big = write_cover(tmp_path, "group" + " 2" * 18 + "\nnot an element line\n")
         monkeypatch.setattr(cli, "fusion_tensor", never)
         monkeypatch.setattr(certificates, "verify_cover", never)
-        args = ["cover", "verify", "--p", str(p), "--q", str(q), "--group", big]
-        assert main([*args, "--allow-large"]) == 2
+        assert main(["cover", "verify", "--p", str(p), "--q", str(q), "--group", big]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "2^17" in err
 
     @pytest.mark.parametrize("p,q", [(17, 19), (2, 35), (30, 31), (40, 41)])
-    @pytest.mark.parametrize("large", [[], ["--allow-large"]])
-    def test_canonical_above_int64_bound_refused(self, p, q, large, capsys, monkeypatch):
+    def test_canonical_above_int64_bound_refused(self, p, q, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("nothing may be built for a refused model")
 
         monkeypatch.setattr(cli, "fusion_tensor", never)
         monkeypatch.setattr(two_group_cover, "canonical_cover", never)
         monkeypatch.setattr(certificates, "verify_cover", never)
-        assert main(["cover", "verify", "--p", str(p), "--q", str(q), *large]) == 2
+        assert main(["cover", "verify", "--p", str(p), "--q", str(q)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "p + q <= 35" in err
 
     def test_canonical_past_transform_bound_passes(self, capsys):
-        assert main(["cover", "verify", "--p", "9", "--q", "14", "--allow-large"]) == 0
+        assert main(["cover", "verify", "--p", "9", "--q", "14"]) == 0
         out = capsys.readouterr().out
         assert "order 262144" in out and "verdict: PASS" in out
 
     def test_canonical_at_p_plus_q_32_in_small_memory(self):
         # A materialised 2^27-entry map alone would take 1 GiB.
-        code, max_rss_kib, out = run_with_peak_rss(
-            ["cover", "verify", "--p", "15", "--q", "17", "--allow-large"]
-        )
+        code, max_rss_kib, out = run_with_peak_rss(["cover", "verify", "--p", "15", "--q", "17"])
         assert code == 0 and "verdict: PASS" in out
         assert max_rss_kib < 256 * 1024
 
@@ -555,9 +557,10 @@ class TestExitCodes:
         assert max_rss_kib < 48 * 1024
 
     def test_largest_group_file_in_small_memory(self, tmp_path):
-        # 2^17 elements, shuffled: parsed into one list of sector indices and
-        # counted on a float32 matrix a block of characters at a time
-        # (131.8 MB peak with a dict of digit tuples and float64 rows).
+        # 2^17 elements, shuffled, with no override: parsed into one list of
+        # sector indices and counted on a float32 matrix a block of
+        # characters at a time (131.8 MB peak with a dict of digit tuples and
+        # float64 rows).
         params = ModelParams(9, 13)
         sec = canonical_cover(GroupContext(params)).sector_indices
         lines = write_labeled(tmp_path, params, (2,) * 17, sec, "z2_17.cover")
@@ -566,7 +569,7 @@ class TestExitCodes:
         np.random.default_rng(17).shuffle(body)
         z2 = write_cover(tmp_path, "".join(text[:1] + body), "z2_17_shuffled.cover")
         code, max_rss_kib, out = run_with_peak_rss(
-            ["cover", "verify", "--p", "9", "--q", "13", "--group", z2, "--allow-large"]
+            ["cover", "verify", "--p", "9", "--q", "13", "--group", z2]
         )
         assert code == 0 and "verdict: PASS" in out
         assert max_rss_kib < 96 * 1024
@@ -609,18 +612,20 @@ class TestExitCodes:
         ]
         assert max_rss_kib < limit_mib * 1024
 
-    def test_over_budget_group_file_refused_at_its_header(self, tmp_path, capsys, monkeypatch):
-        # 2^14 elements are over the 2^26-pair budget: the header alone
-        # refuses the file, before its bad second line is read.
+    def test_group_file_over_transform_bound_refused_at_its_header(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Z_65536 at N = 256 needs a 256 MiB complex128 transform matrix: the
+        # header alone refuses the file, before its bad second line is read.
         def never(*args, **kwargs):
-            raise AssertionError("an over-budget file may not be verified")
+            raise AssertionError("a file over the transform bound may not be verified")
 
         monkeypatch.setattr(cli, "fusion_tensor", never)
         monkeypatch.setattr(certificates, "verify_cover", never)
-        path = write_cover(tmp_path, "group" + " 2" * 14 + "\nnot an element line\n")
-        assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", path]) == 2
+        path = write_cover(tmp_path, "group 65536\nnot an element line\n")
+        assert main(["cover", "verify", "--p", "3", "--q", "257", "--group", path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "2^26" in err and "--allow-large" in err
+        assert err.startswith("error:") and "(256.0 MiB)" in err and "(128 MiB)" in err
 
     def test_group_file_above_exactness_bound_refused_at_its_header(self, tmp_path, capsys):
         lines = "".join(f"{e} -> 1,1\n" for e in range(1 << 18))
@@ -678,9 +683,14 @@ class TestExitCodes:
         assert main(["cover", "search", "--p", "2", "--q", "1025", "--max-order", "24"]) == 2
         assert "N <= 256" in capsys.readouterr().err
 
-    def test_allow_large_override(self, capsys):
-        assert main(["cover", "verify", "--p", "5", "--q", "14", "--allow-large"]) == 0
-        assert "verdict: PASS" in capsys.readouterr().out
+    def test_allow_large_is_a_search_option_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cover", "verify", "--p", "4", "--q", "5", "--allow-large"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --allow-large" in capsys.readouterr().err
+        assert main(["cover", "search", "--p", "2", "--q", "7", "--max-order", "30",
+                     "--allow-large"]) == 0
+        assert "up to order 30" in capsys.readouterr().out
 
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as exc:

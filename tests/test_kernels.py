@@ -22,6 +22,7 @@ from fusioncover import _kernels, two_group_cover
 from fusioncover._kernels import (
     HAVE_NUMBA,
     active_backend,
+    check_count_size,
     pair_counts,
     scan_pairs_group,
     scan_pairs_xor,
@@ -361,6 +362,37 @@ class TestPairCounts:
     def test_order_above_exactness_bound_refused(self):
         with pytest.raises(CapacityError, match="2\\^17"):
             pair_counts(np.zeros(1 << 18, dtype=np.int64), 1, (2,) * 18)
+
+    @pytest.mark.parametrize(
+        "n,factors",
+        [(256, (1 << 13,)), (256, (1 << 15,)), (256, (2,) * 17), (256, (2, 2, 4, 2048)),
+         (1, (1 << 17,))],
+        ids=["Z8192", "Z32768", "Z2^17", "mixed", "N1-Z131072"],
+    )
+    def test_count_size_admits(self, n, factors):
+        check_count_size(n, factors)
+
+    @pytest.mark.parametrize(
+        "n,factors,match",
+        [(256, ((1 << 15) + 1,), "MiB"), (256, (2,) * 15 + (4,), "MiB"),
+         (1, (2,) * 18, "2\\^17"), (1, ((1 << 17) + 1,), "2\\^17"),
+         (256, (1 << 18,), "2\\^17")],
+        ids=["Z32769", "Z2^15xZ4", "Z2^18", "Z131073", "Z262144"],
+    )
+    def test_count_size_refuses(self, n, factors, match):
+        with pytest.raises(CapacityError, match=match):
+            check_count_size(n, factors)
+
+    def test_over_transform_bound_refused_before_allocating(self):
+        sec = np.zeros(1 << 17, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="MiB"):
+                pair_counts(sec, 256, (1 << 17,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_factors_must_match_order(self):
         with pytest.raises(ValueError, match="order 8"):

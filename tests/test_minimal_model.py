@@ -301,6 +301,16 @@ class TestFusionTensor:
             tracemalloc.stop()
         assert peak < params.n_sectors**2
 
+    def test_cache_holds_a_bounded_number_of_tensors(self):
+        # A process that verifies model after model keeps only the last few
+        # tensors, not one per model.
+        maxsize = fusion_tensor.cache_info().maxsize
+        models = models_up_to(20)
+        assert maxsize is not None and len(models) > 2 * maxsize
+        for params in models:
+            fusion_tensor(params)
+            assert fusion_tensor.cache_info().currsize <= maxsize
+
     def test_ising_sixteenth_row(self, ising_tensor):
         cell = np.flatnonzero(ising_tensor.coefficients[1, 1])
         names = [ising_tensor.sectors[k].name for k in cell]
