@@ -22,9 +22,10 @@ No vector, class or coset is built one at a time.  A label depends only on
 the A- and B-weights, so the map's labels are read off a grid of weights
 (``_canonical_labels``), and its counts are a counting certificate derived
 from the construction, not a scan of the map: the number of pairs of given
-weights in Z_2^w whose sum has a given weight is a product of binomials
-(``canonical_counts``).  They are exact in int64 up to r = 31
-(p + q <= 35) and take O(N^3) memory, whatever |G|.  Any other map, of this
+weights in Z_2^w whose sum has a given weight is a product of binomials,
+and each count is two products of such tables, checked by its row sums
+(``canonical_counts``).  Exact in int64 up to r = 31 (p + q <= 35), they
+take O(N^3) memory, whatever |G|.  Any other map, of this
 group kind or another, is counted by the transform in
 ``_kernels.pair_counts``, within the sizes ``_kernels.check_count_size``
 admits.  Either way ``CoverMap.counts`` counts a map once, for both
@@ -35,7 +36,6 @@ the scan that names a FAIL witness.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -187,39 +187,38 @@ def check_canonical_rank(params: ModelParams) -> None:
 def canonical_counts(params: ModelParams) -> np.ndarray:
     """Pair counts C[i, j, k] of the canonical cover, in closed form.
 
-    A full label (m, n) is the class of vectors with A-weight m - 1 and
-    B-weight n - 1, so the number of pairs (x, y) in H^2 on a full-label
-    triple is K_{p-2}(m-weights) * K_{q-2}(n-weights) (see
-    ``_weight_class_counts``).  Each sector has two full labels, (m, n) and
-    (p - m, q - n), the classes of the two members of its cosets, and each
-    pair of cosets lifts to 4 pairs in H; so C[i, j, k] is 1/4 of the sum
-    over the 8 full-label choices of the triple.  No map is built and no
-    pair visited: memory is O(N^3) for any |G|.  Returns an int64 (N, N, N)
-    array summing to |G|^2 = 4^(r-1).
+    K(l, u, v), the number of pairs (x, y) in H^2 with x, y and x + y in
+    full-label classes l, u and v, is K_{p-2} of their A-weights times
+    K_{q-2} of their B-weights (``_weight_class_counts``).  With l = (m, n)
+    a sector's canonical label (weights m - 1, n - 1) and l' = (p - m,
+    q - n) its complement, C[i, j, k] = K(l_i, l_j, l_k) + K(l_i, l_j, l_k').
+    Proof: a pair of cosets lifts to 4 pairs in H, so C is a quarter of the
+    sum over the 8 full-label choices of the triple.  Adding the all-ones
+    vector to x, or to y, is a bijection of H^2 that swaps that summand's
+    class and the sum's class between l and l', so the 8 terms are 4
+    copies of these 2.  At most three N^3 arrays are held.  Returns an
+    int64 (N, N, N) array summing to |G|^2 = 4^(r-1).
 
-    Exactness: the 8 choices are distinct full-label triples, so their sum
-    is at most 4^r, exact in int64 while r <= 31 (``MAX_CANONICAL_RANK``);
-    larger models raise CapacityError before anything is allocated.  A sum
-    not divisible by 4, or counts not adding up to 4^(r-1), raise
-    CountCheckError.
+    Exactness: each product counts pairs in fixed classes, so it is at most
+    C[i, j, k] <= 4^(r-1), exact in int64 while r <= 31; larger models raise
+    CapacityError before anything is allocated.  Check: g1 in P_i and g3 in
+    P_k fix g2 = g3 - g1, so sum_j C[i, j, k] = |P_i| |P_k|, where |P_i| =
+    C(p-2, m_i-1) C(q-2, n_i-1); counts off a row sum raise CountCheckError.
     """
     check_canonical_rank(params)
     p, q = params.p, params.q
     secs = sectors(params)
-    m = np.array([s.m for s in secs], dtype=np.int64)
-    n = np.array([s.n for s in secs], dtype=np.int64)
-    a_weights = (m - 1, p - 1 - m)
-    b_weights = (n - 1, q - 1 - n)
+    a, b = np.array([(s.m - 1, s.n - 1) for s in secs], dtype=np.int64).T
     ka, kb = _weight_class_counts(p - 2), _weight_class_counts(q - 2)
-    total = np.zeros((len(secs),) * 3, dtype=np.int64)
-    for s in itertools.product((0, 1), repeat=3):
-        total += ka[np.ix_(*(a_weights[t] for t in s))] * kb[np.ix_(*(b_weights[t] for t in s))]
-    counts, rest = np.divmod(total, 4)
-    pairs = 4 ** (p + q - 5)
-    if rest.any() or int(counts.sum()) != pairs:
+    counts = ka[np.ix_(a, a, a)] * kb[np.ix_(b, b, b)]
+    other = ka[np.ix_(a, a, p - 2 - a)]
+    counts += np.multiply(other, kb[np.ix_(b, b, q - 2 - b)], out=other)
+    sizes = np.array([comb(p - 2, s.m - 1) * comb(q - 2, s.n - 1) for s in secs], dtype=np.int64)
+    off = np.count_nonzero(counts.sum(axis=1) != np.multiply.outer(sizes, sizes))
+    if off:
         raise CountCheckError(
-            f"canonical counts failed their check: {np.count_nonzero(rest)} label sums "
-            f"not divisible by 4, total {int(counts.sum())} for {pairs} pairs"
+            f"canonical counts failed their check: {off} row sums off |P_i| |P_k|, "
+            f"total {int(counts.sum())} for {4 ** (p + q - 5)} pairs"
         )
     return counts
 

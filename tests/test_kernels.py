@@ -334,16 +334,22 @@ class TestPairCounts:
         assert out == "" and err.startswith("internal error:")
         assert main(["cover", "verify", "--p", "4", "--q", "5"]) == 0
 
-    # At (3,4) only the divisibility check catches the perturbation: the
-    # floored counts still add up to |G|^2.
-    @pytest.mark.parametrize("p,q", [(3, 4), (4, 5)])
-    def test_perturbed_weight_table_raises(self, p, q, monkeypatch, capsys):
+    # Each perturbation of the A-weight table moves some row sum of the
+    # counts off |P_i| |P_k|.  The last keeps the total at |G|^2 = 4^4, so a
+    # check of the total alone would pass it.
+    @pytest.mark.parametrize(
+        "p,q,cells",
+        [(3, 4, {(0, 0, 0): 1}), (4, 5, {(0, 0, 0): 1}), (4, 5, {(0, 1, 1): 1, (1, 0, 1): -1})],
+        ids=["3-4", "4-5", "4-5-total-kept"],
+    )
+    def test_perturbed_weight_table_raises(self, p, q, cells, monkeypatch, capsys):
         table = two_group_cover._weight_class_counts
 
         def perturbed(w):
             k = table(w).copy()
             if w == p - 2:
-                k[0, 0, 0] += 1
+                for cell, delta in cells.items():
+                    k[cell] += delta
             return k
 
         monkeypatch.setattr(two_group_cover, "_weight_class_counts", perturbed)

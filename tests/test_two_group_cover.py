@@ -465,12 +465,13 @@ MODELS_22 = coprime_models(20, 21, max_sum=22)
 PER_VECTOR_MODELS = coprime_models(8, 9, max_sum=11) + [
     ModelParams(5, 2), ModelParams(7, 2), ModelParams(7, 4)
 ]
-MODELS_26 = coprime_models(24, 25, max_sum=26)
+# The whole exact range: p + q <= 35, r <= 31.
+MODELS_35 = coprime_models(33, 34, max_sum=35)
 
 
 class TestCanonicalCounts:
     def test_model_ranges(self):
-        assert (len(MODELS_22), len(MODELS_26)) == (54, 81)
+        assert (len(MODELS_22), len(MODELS_35)) == (54, 158)
 
     @pytest.mark.parametrize("params", PER_VECTOR_MODELS, ids=str)
     def test_match_the_per_vector_model(self, params):
@@ -504,8 +505,8 @@ class TestCanonicalCounts:
         assert np.array_equal(closed, spectral)
         assert np.array_equal(closed, transform)
 
-    @pytest.mark.parametrize("params", MODELS_26, ids=str)
-    def test_theorem_to_p_plus_q_26(self, params):
+    @pytest.mark.parametrize("params", MODELS_35, ids=str)
+    def test_theorem_to_p_plus_q_35(self, params):
         ctx = GroupContext(params)
         tensor = fusion_tensor(params)
         cert = verify_cover(canonical_cover(ctx), tensor)
