@@ -13,13 +13,15 @@ indicator of P_i over G,
 
     C[i, j, k] = (1/|G|) * sum over characters chi of F_i(chi) F_j(chi) conj(F_k(chi)).
 
-G is abelian, so C[i, j, k] = C[j, i, k]: the counts are symmetric in i, j,
-and each unordered pair of sector rows is multiplied once.  For a 2-group
-the transform is the Walsh-Hadamard transform, integer valued: the (N, |G|)
-matrix is held exactly in float32, and the sum over characters, taken a
-block of characters at a time in float64, is exact while |G| <= 2^17
-(``MAX_COUNT_ORDER``).  Every result is checked: each count must be a
-non-negative integer to within 1/4, and the counts must add up to |G|^2.
+G is abelian, so C[i, j, k] = C[j, i, k]: only the sums for j >= i are
+held, and each is rounded to an integer and mirrored as one.  For a 2-group the transform is the Walsh-Hadamard
+transform, integer valued: the (N, |G|) matrix is held exactly in float32,
+and the sum over characters, taken a block of characters at a time in
+float64, is exact while |G| <= 2^17 (``MAX_COUNT_ORDER``).  Other groups
+take complex FFTs in place in one complex128 matrix.  Every result is
+checked: each count must lie within 1/4 of an integer, and then
+``check_counts`` checks the row sums, the check the closed-form counts of
+the canonical cover pass too.
 ``check_count_size`` refuses, before anything is allocated, a group above
 2^17 and a transform matrix over ``MAX_TRANSFORM_BYTES``; the group-file
 parser runs the same check at a file's header.
@@ -34,11 +36,14 @@ factors are all 2 add element codes by XOR, others add mixed-radix digits.
 from __future__ import annotations
 
 from math import prod
+from typing import TYPE_CHECKING
 
 import numpy as np
-import numpy.typing as npt
 
 from .errors import CapacityError, CountCheckError
+
+if TYPE_CHECKING:
+    import numpy.typing as npt
 
 # numba is not used; everything here is numpy.
 HAVE_NUMBA = False
@@ -90,8 +95,9 @@ def _transform(x: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
     Columns are big-endian mixed-radix element codes, so the column axis
     reshapes in C order to the factor shape, first factor slowest.  A
     length-2 axis gets the real butterfly (x0 + x1, x0 - x1), i.e. the
-    Walsh-Hadamard transform, in place; any other axis gets an FFT.  x must
-    be C-contiguous.
+    Walsh-Hadamard transform; any other axis gets an FFT, and x must then
+    be complex128.  Every axis is transformed in place.  x must be
+    C-contiguous.
     """
     rows, size = x.shape
     lead = 1
@@ -103,31 +109,51 @@ def _transform(x: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
             b *= -2
             b += a
         else:
-            x = np.ascontiguousarray(np.fft.fft(v, axis=1)).reshape(rows, size)
+            np.fft.fft(v, axis=1, out=v)
         lead *= k
     return x
 
 
-def _checked_counts(raw: np.ndarray, order: int) -> np.ndarray:
-    """Round raw counts to int64, or raise unless they are plainly counts.
+def check_counts(counts: np.ndarray, sizes: np.ndarray) -> None:
+    """Raise unless int64 counts C[i, j, k] are plainly pair counts.
 
-    Each entry must lie within 1/4 of a non-negative integer, and the
-    integers must add up to order^2, the number of pairs.  One sector row is
-    rounded at a time, so the scratch beside the result is O(N^2).
+    g1 in P_i and g1 + g2 in P_k fix g2, so sum_j C[i, j, k] = |P_i| |P_k|
+    with ``sizes[i]`` = |P_i|; no count may be negative.  Together these
+    give the total |G|^2, and catch a pair moved between rows.
     """
-    counts = np.empty(raw.shape, dtype=np.int64)
-    errs = np.empty(len(raw))
-    for a, row in enumerate(raw):
-        counts[a] = np.rint(row.real)
-        errs[a] = np.abs(row - counts[a]).max()
-    err = float(errs.max())
+    off = np.count_nonzero(counts.sum(axis=1) != np.multiply.outer(sizes, sizes))
     least = int(counts.min())
-    total = int(counts.sum())
-    if err > 0.25 or least < 0 or total != order * order:
+    if off or least < 0:
         raise CountCheckError(
-            f"pair counts failed their check: largest rounding error {err:.3g}, "
-            f"smallest count {least}, total {total} for {order * order} pairs"
+            f"pair counts failed their check: {off} row sums off |P_i| |P_k|, "
+            f"smallest count {least}"
         )
+
+
+def _rounded_counts(raw: list[np.ndarray], order: int, sizes: np.ndarray) -> np.ndarray:
+    """Round raw sums to int64 counts, or raise unless they are plainly counts.
+
+    ``raw[a]`` holds |G| C[a, j, k] for j >= a, the rows the transform
+    computes.  Each is rounded into counts[a, a:] and dropped from the
+    list, so the scratch beside the result is a row or two.  Only then are
+    the integers mirrored into the columns: numpy asks the kernel for huge
+    pages for large arrays, so a write to every counts[j, a] while the raw
+    rows were held would make all of counts resident beside them.  Each entry must
+    lie within 1/4 of an integer, and the counts must pass ``check_counts``
+    with ``sizes[i]`` = |P_i|.
+    """
+    n = len(raw)
+    counts = np.empty((n, n, n), dtype=np.int64)
+    err = 0.0
+    for a in range(n):
+        row = raw.pop(0) / order
+        counts[a, a:] = np.rint(row.real)
+        err = max(err, float(np.abs(row - counts[a, a:]).max()))
+    if err > 0.25:
+        raise CountCheckError(f"pair counts failed their check: largest rounding error {err:.3g}")
+    for a in range(n):
+        counts[a + 1:, a] = counts[a, a + 1:]
+    check_counts(counts, sizes)
     return counts
 
 
@@ -136,14 +162,16 @@ def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) ->
 
     ``sec[g]`` is the sector of the element with big-endian mixed-radix
     code g (for Z_2^t this code is also the XOR coset value), and
-    ``factors`` are k1..kt.  Returns an int64 (n, n, n) array summing to
-    |G|^2 and symmetric in i, j, as G is abelian.  The transform matrix F
-    is float32 when every factor is 2 and complex128 otherwise.  The sum
+    ``factors`` are k1..kt.  Returns an int64 (n, n, n) array symmetric in
+    i, j, as G is abelian.  The transform matrix F is float32 when every
+    factor is 2 and complex128 otherwise, transformed in place.  The sum
     over characters is taken ``_BLOCK`` characters at a time: each block of
     F is widened to float64 (or kept complex128), and row i adds the matrix
-    product (F_i F_j)_j>=i @ conj(F)^T of the block, mirrored into column i
-    at the end.  So the scratch beside F is O(n * _BLOCK), not a second
-    (n, |G|) array.
+    product (F_i F_j)_j>=i @ conj(F)^T of the block into its own (n - i, n)
+    array.  So the scratch beside F is O(n * _BLOCK), not a second (n, |G|)
+    array, and the raw sums are about n^3 / 2 entries, each row rounded
+    and freed, then mirrored into column i as integers, by
+    ``_rounded_counts``.
 
     Exactness: for a 2-group each partial sum of the butterfly on a 0/1 row
     is an integer of magnitude at most |G| <= 2^17 < 2^24, so float32 holds
@@ -153,9 +181,9 @@ def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) ->
     magnitude at most max|F_k| * sqrt(sum|F_i|^2 * sum|F_j|^2) <= |G|^3,
     which float64 holds exactly while |G|^3 <= 2^53, i.e. |G| <= 2^17.  So
     the counts of a 2-group are exact in any summation order; other groups
-    take complex FFTs and rely on the rounding check.  Groups refused by
-    ``check_count_size`` raise CapacityError before anything is allocated;
-    counts failing the integrality or sum check raise CountCheckError.
+    take complex FFTs and rely on the rounding and row-sum checks.  Groups
+    refused by ``check_count_size`` raise CapacityError before anything is
+    allocated; counts failing either check raise CountCheckError.
     """
     order = len(sec)
     factors = tuple(int(k) for k in factors)
@@ -163,21 +191,20 @@ def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) ->
         raise ValueError(f"factors {factors} do not give a group of order {order}")
     check_count_size(n_sectors, factors)
     real = all(k == 2 for k in factors)
-    f = np.zeros((n_sectors, order), dtype=np.float32 if real else np.float64)
-    f[np.asarray(sec, dtype=np.int64), np.arange(order)] = 1
+    sec = np.asarray(sec, dtype=np.int64)
+    f = np.zeros((n_sectors, order), dtype=np.float32 if real else np.complex128)
+    f[sec, np.arange(order)] = 1
     f = _transform(f, factors)
-    raw = np.zeros((n_sectors,) * 3, dtype=np.float64 if real else np.complex128)
+    raw = [np.zeros((n_sectors - a, n_sectors), dtype=np.float64 if real else np.complex128)
+           for a in range(n_sectors)]
     for start in range(0, order, _BLOCK):
         block = f[:, start:start + _BLOCK]
         block = block.astype(np.float64) if real else np.ascontiguousarray(block)
         conj = (block if real else block.conj()).T
-        for a in range(n_sectors):
-            raw[a, a:] += (block[a] * block[a:]) @ conj
-    del f, block, conj  # the check below reads raw alone
-    for a in range(n_sectors):
-        raw[a + 1:, a] = raw[a, a + 1:]
-    raw /= order
-    return _checked_counts(raw, order)
+        for a, row in enumerate(raw):
+            row += (block[a] * block[a:]) @ conj
+    del f, block, conj  # the rounding below reads raw alone
+    return _rounded_counts(raw, order, np.bincount(sec, minlength=n_sectors))
 
 
 def place_values(factors: tuple[int, ...]) -> np.ndarray:
@@ -271,9 +298,9 @@ def first_violation(
 def scan_stats(size: int, d_flat: np.ndarray, counts: np.ndarray) -> dict:
     """The counts a certificate reports.
 
-    ``counts`` are the flattened pair counts, positive on every realized
-    triple.  ``pairs_checked`` is |G|^2, the number of pairs the counts
-    account for (their sum is checked to equal it).
+    ``counts`` are the flattened pair counts, or their support, nonzero on
+    every realized triple.  ``pairs_checked`` is |G|^2, the number of pairs
+    the counts account for (``check_counts`` checks their row sums).
     """
     return {
         "group_order": size,
@@ -286,8 +313,12 @@ def scan_stats(size: int, d_flat: np.ndarray, counts: np.ndarray) -> dict:
 def first_uncovered_triple(
     d_flat: np.ndarray, counts: np.ndarray, n: int
 ) -> tuple[int, int, int] | None:
-    """First (i, j, k) in canonical order that is admissible but has no pair."""
-    missing = (d_flat != 0) & (counts == 0)
+    """First (i, j, k) in canonical order that is admissible but has no pair.
+
+    ``d_flat`` is 0 or 1 and ``counts`` (the flattened counts or their
+    support) is non-negative, so the triple is where d_flat > counts.
+    """
+    missing = d_flat > counts
     if not missing.any():
         return None
     i, j, k = np.unravel_index(int(np.argmax(missing)), (n, n, n))

@@ -197,10 +197,10 @@ def verify_cover(cover: CoverMap, tensor: FusionTensor, threads: int = 1) -> Cov
         raise ValueError(f"the cover's sectors are not those of the tensor's model {tensor.model}")
     group = cover.context
     d_flat = tensor.coefficients.reshape(-1)
-    realized = cover.counts.reshape(-1)
+    realized = cover.counts.reshape(-1) != 0
     stats = _kernels.scan_stats(group.order, d_flat, realized)
     secs = tensor.sectors
-    if realized[d_flat == 0].any():
+    if (realized > d_flat).any():
         sec = cover.sector_indices
         codes = _kernels.first_violation(sec, tensor.n, d_flat, group.factors)
         if codes is None:

@@ -19,7 +19,8 @@ standard json parser.  The JSON text is byte-identical to
 requested format is rendered: a JSON run never formats the text lines.
 
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or input error,
-3 internal error (pair counts failed their own check; no verdict).
+3 internal error (pair counts failed their own check, or memory ran out;
+no verdict).
 
 Group labeling files are line-oriented and hand-editable::
 
@@ -47,7 +48,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .errors import DEFAULT_SEARCH_BUDGET, CapacityError, CountCheckError, GroupFileError
+from .errors import CapacityError, CountCheckError, GroupFileError
 from .minimal_model import (
     ModelParams,
     Sector,
@@ -63,6 +64,9 @@ from .minimal_model import (
 
 if TYPE_CHECKING:
     from .certificates import CoverMap
+
+# Cyclic orders above this need --allow-large.
+DEFAULT_SEARCH_BUDGET = 24
 
 # numpy and the cover modules are imported by the commands that use them:
 # `kac` runs on exact rationals, and `fusion` and `cover search` on the
@@ -409,12 +413,18 @@ def cmd_cover_search(
     format: str = "text",
     allow_large: bool = False,
 ) -> OutputDocument:
-    """Search cyclic groups Z_k, k <= max_order, for covers of the fusion rules."""
+    """Search cyclic groups Z_k, k <= max_order, for covers of the fusion rules.
+
+    Orders above ``DEFAULT_SEARCH_BUDGET`` are refused unless ``allow_large``,
+    before the search module loads."""
+    params = ModelParams(p, q)
+    if max_order > DEFAULT_SEARCH_BUDGET and not allow_large:
+        raise CapacityError(
+            f"max_order {max_order} exceeds the search budget {DEFAULT_SEARCH_BUDGET}"
+        )
     from .cover_search import search_cyclic_covers
 
-    params = ModelParams(p, q)
-    budget = max(max_order, DEFAULT_SEARCH_BUDGET) if allow_large else DEFAULT_SEARCH_BUDGET
-    covers = search_cyclic_covers(params, max_order, order_budget=budget)
+    covers = search_cyclic_covers(params, max_order)
     secs = sectors(params)
     names = [s.name for s in secs]
     # One label record per distinct (element, sector), shared by every cover
@@ -530,6 +540,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CountCheckError as e:
         print(f"internal error: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        print(f"internal error: out of memory: {e}", file=sys.stderr)
         return 3
     try:
         print(text, flush=True)

@@ -37,7 +37,6 @@ from math import prod
 from typing import TYPE_CHECKING
 
 from .certificates import CoverMap, verify_cover
-from .errors import DEFAULT_SEARCH_BUDGET, CapacityError
 from .minimal_model import ModelParams, Sector, check_fusion_cells, fusion_products, sectors
 
 if TYPE_CHECKING:
@@ -255,26 +254,18 @@ def _search_order(products: Products, k: int) -> list[tuple[int, ...]]:
     return found
 
 
-def search_cyclic_covers(
-    params: ModelParams,
-    max_order: int,
-    order_budget: int = DEFAULT_SEARCH_BUDGET,
-) -> list[CoverMap]:
+def search_cyclic_covers(params: ModelParams, max_order: int) -> list[CoverMap]:
     """All cyclic covers Z_k, k <= max_order, up to the negation automorphism.
 
     Results are deterministic: ascending order k, then lexicographic in the
     label tuple, which each cover keeps as ``labels``.  Orders below the
-    multiplicity-profile sum cannot cover and are skipped outright.  The
-    budget is checked, and a model with more sectors than ``max_order``
-    answered (no group that small can label every sector), before any
-    fusion rule is built.
+    multiplicity-profile sum cannot cover and are skipped outright.  A
+    model with more sectors than ``max_order`` is answered (no group that
+    small can label every sector) before any fusion rule is built.  The
+    search is exponential in ``max_order``; the CLI bounds it.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if max_order > order_budget:
-        raise CapacityError(
-            f"max_order {max_order} exceeds the search budget {order_budget}"
-        )
     check_fusion_cells(params)
     if params.n_sectors > max_order:
         return []

@@ -1,9 +1,4 @@
-"""Exception types, and the search budget, shared across the package."""
-
-# Cyclic orders above this need an explicit budget override (CLI:
-# --allow-large).  It lives here, beside CapacityError, so the CLI can name it
-# in its help without loading the search module.
-DEFAULT_SEARCH_BUDGET = 24
+"""Exception types shared across the package."""
 
 
 class CapacityError(ValueError):

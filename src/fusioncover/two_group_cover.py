@@ -44,7 +44,8 @@ import numpy as np
 # ``verify_cover`` is bound here too: ``perfbench/tracing.py`` wraps it
 # under this module's name.
 from .certificates import CoverMap, verify_cover  # noqa: F401
-from .errors import CapacityError, CountCheckError, PartitionError
+from ._kernels import check_counts
+from .errors import CapacityError, PartitionError
 from .minimal_model import ModelParams, Sector, VerlindeAlgebra, _label_index, sectors
 
 # Largest rank whose closed-form counts are exact in int64: every count of
@@ -201,9 +202,10 @@ def canonical_counts(params: ModelParams) -> np.ndarray:
 
     Exactness: each product counts pairs in fixed classes, so it is at most
     C[i, j, k] <= 4^(r-1), exact in int64 while r <= 31; larger models raise
-    CapacityError before anything is allocated.  Check: g1 in P_i and g3 in
-    P_k fix g2 = g3 - g1, so sum_j C[i, j, k] = |P_i| |P_k|, where |P_i| =
-    C(p-2, m_i-1) C(q-2, n_i-1); counts off a row sum raise CountCheckError.
+    CapacityError before anything is allocated.  Check:
+    ``_kernels.check_counts``, which the transform's counts pass too, raises
+    CountCheckError unless every row sum is sum_j C[i, j, k] = |P_i| |P_k|,
+    where |P_i| = C(p-2, m_i-1) C(q-2, n_i-1), and no count is negative.
     """
     check_canonical_rank(params)
     p, q = params.p, params.q
@@ -214,12 +216,7 @@ def canonical_counts(params: ModelParams) -> np.ndarray:
     other = ka[np.ix_(a, a, p - 2 - a)]
     counts += np.multiply(other, kb[np.ix_(b, b, q - 2 - b)], out=other)
     sizes = np.array([comb(p - 2, s.m - 1) * comb(q - 2, s.n - 1) for s in secs], dtype=np.int64)
-    off = np.count_nonzero(counts.sum(axis=1) != np.multiply.outer(sizes, sizes))
-    if off:
-        raise CountCheckError(
-            f"canonical counts failed their check: {off} row sums off |P_i| |P_k|, "
-            f"total {int(counts.sum())} for {4 ** (p + q - 5)} pairs"
-        )
+    check_counts(counts, sizes)
     return counts
 
 

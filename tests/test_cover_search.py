@@ -478,15 +478,14 @@ class TestSearchCyclicCovers:
                 for assign in _search_order(products, k)
             }
             expected.extend((k,) + a for a in sorted(seen))
-        got = search_cyclic_covers(params, max_order, order_budget=max_order)
+        got = search_cyclic_covers(params, max_order)
         assert [cm.context.factors + tuple(cm.sector_indices.tolist()) for cm in got] == expected
 
     def test_budget(self, ising):
-        with pytest.raises(CapacityError):
-            search_cyclic_covers(ising, 25)
+        # The budget is the CLI's; the library searches any order it is given.
         with pytest.raises(ValueError):
             search_cyclic_covers(ising, 0)
-        search_cyclic_covers(ising, 25, order_budget=25)
+        assert search_cyclic_covers(ising, 25)
 
     def test_found_map_builds_its_array_on_first_access(self, tricritical, tricritical_tensor):
         covers = search_cyclic_covers(tricritical, 12)

@@ -288,6 +288,21 @@ class TestPairCounts:
         assert np.array_equal(counts, expected)
         assert peak < n * (1 << 14) * 8
 
+    def test_fft_in_one_transform_buffer(self):
+        # Z3^10 x Z2 at N = 28: the complex128 transform matrix is 50 MiB and
+        # the FFTs run in place in it.  A float64 input transformed into a
+        # second matrix peaked at 126 MiB; the bound leaves room for one
+        # extra copy of the matrix, 102 MiB.
+        factors, n = (3,) * 10 + (2,), 28
+        sec = np.random.default_rng(28).integers(0, n, size=2 * 3**10)
+        tracemalloc.start()
+        try:
+            pair_counts(sec, n, factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 112 * 2**20
+
     @pytest.mark.parametrize("params", coprime_models(8, 16, max_sum=18), ids=str)
     def test_support_matches_exhaustive_scan(self, params):
         cm = canonical_cover(GroupContext(params))
@@ -299,20 +314,31 @@ class TestPairCounts:
         assert np.array_equal((counts.reshape(-1) > 0).astype(np.uint8), realized)
         assert counts.sum() == len(sec) ** 2
 
-    @pytest.mark.parametrize("spoil", ["sum", "integral", "sign"])
+    @pytest.mark.parametrize("spoil", ["sum", "integral", "sign", "row-moved"])
     def test_corrupted_count_raises(self, spoil):
+        # The rounding takes |G| C[a, j, k] for j >= a, one row a at a time,
+        # as the transform sums it; a spoil on a diagonal cell (j = a) is
+        # not mirrored, so it moves the total by what it adds.
         sec, n, _ = xor_case(4, 5)
-        raw = pair_counts(sec, n, (2,) * 4).astype(np.float64)
-        assert _kernels._checked_counts(raw, 16).sum() == 256
+        counts = pair_counts(sec, n, (2,) * 4)
+        sizes = np.bincount(sec, minlength=n)
+        raw = [16.0 * counts[a, a:] for a in range(n)]
+        assert np.array_equal(_kernels._rounded_counts([r.copy() for r in raw], 16, sizes), counts)
+        diagonal = lambda cells: next((a, k) for a, j, k in cells if j == a)
         if spoil == "sum":
-            raw[0, 0, 0] += 1
+            raw[0][0, 0] += 16
         elif spoil == "integral":
-            raw[0, 0, 0] += 0.5
-        else:  # move one pair onto an empty cell's negative: the sum holds
-            raw[tuple(np.argwhere(raw == 0)[0])] -= 1
-            raw[0, 0, 0] += 1
-        with pytest.raises(CountCheckError):
-            _kernels._checked_counts(raw, 16)
+            raw[0][0, 0] += 8
+        elif spoil == "sign":  # move one pair onto an empty cell's negative: the total holds
+            a, k = diagonal(np.argwhere(counts == 0))
+            raw[a][0, k] -= 16
+            raw[0][0, 0] += 16
+        else:  # move one pair between two (i, k) rows: the total and signs hold
+            a, k = diagonal(c for c in np.argwhere(counts > 0) if tuple(c) != (0, 0, 0))
+            raw[a][0, k] -= 16
+            raw[0][0, 0] += 16
+        with pytest.raises(CountCheckError, match="2 row sums" if spoil == "row-moved" else None):
+            _kernels._rounded_counts(raw, 16, sizes)
 
     def test_perturbed_transform_raises(self, monkeypatch, capsys):
         transform = _kernels._transform
