@@ -22,10 +22,9 @@ _EXPORTS = {
     ),
     **dict.fromkeys(("CapacityError", "GroupFileError", "PartitionError"), "errors"),
     **dict.fromkeys(
-        ("FusionTensor", "ModelParams", "Sector", "VerlindeAlgebra",
-         "admissible_range", "canonicalize", "central_charge", "conformal_weight",
-         "fusion_products", "fusion_tensor", "is_p_admissible", "is_pq_admissible",
-         "kac_table", "sectors", "verlinde_algebra"),
+        ("FusionTensor", "ModelParams", "Sector", "admissible_range", "canonicalize",
+         "central_charge", "conformal_weight", "fusion_products", "fusion_tensor",
+         "is_p_admissible", "is_pq_admissible", "kac_table", "sectors", "verlinde_algebra"),
         "minimal_model",
     ),
     **dict.fromkeys(

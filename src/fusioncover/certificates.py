@@ -3,17 +3,18 @@
 A cover candidate is a ``CoverMap``: a finite abelian group G and the sector
 of each of its elements.  G is one of two kinds, the canonical quotient
 Z_2^(r-1) (``two_group_cover.GroupContext``) or a product of cyclic factors
-(``cover_search.AbelianGroupSpec``).  Both give ``factors``, ``order``, the
-JSON ``kind``, ``describe()``, ``element(code)`` and the printer
-``element_json(e)``; this module reads nothing else of them, so it loads
-neither module.
+(``cover_search.AbelianGroupSpec``).  Both give ``factors``, ``order`` and
+``element(code)``, which is all this module reads of them, so it loads
+neither module; the CLI also reads the JSON ``kind``, ``describe()`` and the
+printer ``element_json(e)``.
 
 ``verify_cover`` is the one check of the two cover conditions, for a map of
 either kind.  Its certificate is either a PASS, or a FAIL carrying a
 concrete witness that can be re-checked independently of the verifier that
 produced it: a pair of group elements whose sum lands outside the
 admissible triples (closure violation), or an admissible sector triple no
-pair of elements realizes (uncovered triple).
+pair of elements realizes (uncovered triple).  Witnesses are plain data;
+the CLI words them (``cli._witness_text``) and prints them as JSON.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import CountCheckError
 from .minimal_model import FusionTensor, ModelParams, Sector, canonicalize, sectors
@@ -48,18 +49,24 @@ class CoverMap:
 
     ``sector_indices[g]`` is the sector index of the element with code g, a
     big-endian mixed-radix number over ``context.factors``; on the canonical
-    quotient it is the value of the coset representative.  The array is
-    int64 and read-only.
+    quotient it is the value of the coset representative.  Indices must be
+    whole numbers (ints, or floats with no fractional part); the array is
+    int64 and read-only.  The repr shows the group only, so printing a map
+    builds no labels.
     """
 
     context: GroupContext | AbelianGroupSpec
-    sector_indices: np.ndarray
-    sectors: tuple[Sector, ...]
+    sector_indices: np.ndarray = field(repr=False)
+    sectors: tuple[Sector, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
         import numpy as np
 
-        arr = np.array(self.sector_indices, dtype=np.int64)
+        arr = np.array(self.sector_indices)
+        kind = arr.dtype.kind
+        if not (kind in "biu" or (kind == "f" and not (arr % 1).any())):
+            raise ValueError(f"sector indices must be whole numbers, got {arr.dtype} values")
+        arr = arr.astype(np.int64, copy=False)
         arr.setflags(write=False)
         object.__setattr__(self, "sector_indices", arr)
         order = self.context.order
@@ -130,28 +137,12 @@ class ClosureViolation:
     g3: Element
     sectors: tuple[Sector, Sector, Sector]
 
-    def describe(self, element_str: Callable[[Element], str] = str) -> str:
-        i, j, k = self.sectors
-        g1, g2, g3 = (element_str(g) for g in (self.g1, self.g2, self.g3))
-        return (
-            f"{g1} + {g2} = {g3} maps to {i.name} x {j.name} -> {k.name}, "
-            f"but {k.name} does not occur in {i.name} x {j.name}"
-        )
-
 
 @dataclass(frozen=True)
 class UncoveredTriple:
     """An admissible sector triple realized by no pair g1 + g2 = g3."""
 
     sectors: tuple[Sector, Sector, Sector]
-
-    def describe(self, element_str: Callable[[Element], str] = str) -> str:
-        """The witness names no elements, so ``element_str`` is not used."""
-        i, j, k = self.sectors
-        return (
-            f"admissible triple {i.name} x {j.name} -> {k.name} is realized by "
-            f"no pair of group elements"
-        )
 
 
 Witness = Union[ClosureViolation, UncoveredTriple]

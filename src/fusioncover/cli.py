@@ -338,6 +338,17 @@ def _element_text(shown) -> str:
     return shown if type(shown) is str else ",".join(map(str, shown)) or "()"
 
 
+def _witness_text(witness, group) -> str:
+    from .certificates import ClosureViolation
+
+    i, j, k = (s.name for s in witness.sectors)
+    if isinstance(witness, ClosureViolation):
+        elements = (witness.g1, witness.g2, witness.g3)
+        g1, g2, g3 = (_element_text(group.element_json(g)) for g in elements)
+        return f"{g1} + {g2} = {g3} maps to {i} x {j} -> {k}, but {k} does not occur in {i} x {j}"
+    return f"admissible triple {i} x {j} -> {k} is realized by no pair of group elements"
+
+
 def _witness_payload(witness, group) -> dict:
     from .certificates import ClosureViolation
 
@@ -399,8 +410,7 @@ def cmd_cover_verify(
             f"realized sector triples: {cert.stats['realized_triples']}",
         ]
         if cert.witness is not None:
-            show = lambda e: _element_text(group.element_json(e))
-            lines.append(f"witness: {cert.witness.describe(show)}")
+            lines.append(f"witness: {_witness_text(cert.witness, group)}")
         return "\n".join(lines)
 
     return OutputDocument(format, payload, render), (0 if cert.passed else 1)

@@ -23,7 +23,9 @@ This module computes all of it exactly:
   is printed from), and as the N x N x N tensor of 0/1 structure
   constants in integer numpy arithmetic (`fusion_tensor`, which the cover
   checks read),
-* the Verlinde algebra those structure constants generate.
+* the Verlinde algebra: its structure constants in the sector basis are
+  the fusion coefficients (Verlinde 1988), so `verlinde_algebra` returns
+  the fusion tensor itself.
 
 Weights and central charges are `fractions.Fraction`; nothing here is
 floating point.
@@ -336,26 +338,8 @@ def fusion_products(params: ModelParams) -> list[list[tuple[int, ...]]]:
     return products
 
 
-@dataclass(frozen=True, eq=False)
-class VerlindeAlgebra:
-    """The rational algebra on sectors whose product is given by the fusion rules.
-
-    Basis vectors are the sectors in canonical order; the basis element of
-    sector (1,1) is the multiplicative identity.
-    """
-
-    tensor: FusionTensor
-
-    @property
-    def n(self) -> int:
-        return self.tensor.n
-
-    @property
-    def structure_constants(self) -> np.ndarray:
-        return self.tensor.coefficients
-
-
-def verlinde_algebra(tensor: FusionTensor) -> VerlindeAlgebra:
-    """The Verlinde algebra generated by a fusion tensor."""
-    return VerlindeAlgebra(tensor=tensor)
-
+def verlinde_algebra(tensor: FusionTensor) -> FusionTensor:
+    """The Verlinde algebra of a model: in the sector basis its structure
+    constants are the fusion coefficients themselves (Verlinde 1988), so it
+    is the fusion tensor."""
+    return tensor

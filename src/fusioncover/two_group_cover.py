@@ -46,7 +46,7 @@ import numpy as np
 from .certificates import CoverMap, verify_cover  # noqa: F401
 from ._kernels import check_counts
 from .errors import CapacityError, PartitionError
-from .minimal_model import ModelParams, Sector, VerlindeAlgebra, _label_index, sectors
+from .minimal_model import FusionTensor, ModelParams, Sector, _label_index, sectors
 
 # Largest rank whose closed-form counts are exact in int64: every count of
 # pairs in H is at most |H|^2 = 4^r, and 4^31 = 2^62.
@@ -147,9 +147,6 @@ class _CanonicalCover(CoverMap):
     def __init__(self, context: GroupContext) -> None:
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "sectors", sectors(context.params))
-
-    def __repr__(self) -> str:
-        return f"canonical_cover({self.context!r})"
 
     @functools.cached_property
     def sector_indices(self) -> np.ndarray:
@@ -267,11 +264,12 @@ def partition_algebra(
     return PartitionAlgebra(cm.sectors, coeff, counts)
 
 
-def is_isomorphic_to_verlinde(w: PartitionAlgebra, v: VerlindeAlgebra) -> bool:
+def is_isomorphic_to_verlinde(w: PartitionAlgebra, v: FusionTensor) -> bool:
     """Whether the index-preserving bijection S_i <-> P_i is an algebra isomorphism.
 
-    True iff the two structure-constant arrays are identical.
+    ``v`` is the Verlinde algebra, ``minimal_model.verlinde_algebra``.  True
+    iff the two structure-constant arrays are identical.
     """
     if w.n != v.n:
         raise ValueError(f"dimension mismatch: partition {w.n} vs Verlinde {v.n}")
-    return np.array_equal(w.coefficients, v.structure_constants)
+    return np.array_equal(w.coefficients, v.coefficients)

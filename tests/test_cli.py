@@ -267,6 +267,15 @@ class TestCoverVerifyCommand:
         assert w["kind"] == "closure_violation"
         assert w["g1"] == [1] and w["g2"] == [1] and w["g3"] == [2]
 
+    def test_two_factor_witness_joins_digits_by_commas(self, tmp_path, capsys):
+        text = "group 2 2\n0,0 -> 1,1\n0,1 -> 1,2\n1,0 -> 1,2\n1,1 -> 1,2\n"
+        path = write_cover(tmp_path, text)
+        assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", path]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "witness: 0,1 + 1,0 = 1,1 maps to [1/16] x [1/16] -> [1/16], but [1/16] "
+            "does not occur in [1/16] x [1/16]"
+        )
+
     def test_coset_witness_rendered_as_coordinates(self):
         # corrupting the canonical map is not reachable from the CLI; check
         # the coordinate rendering on a PASS certificate's group description

@@ -2,8 +2,13 @@
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 import threading
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +115,23 @@ class TestCoverMapOfAbelianGroup:
     def test_wrong_length(self, ising):
         with pytest.raises(ValueError, match="elements"):
             CoverMap(AbelianGroupSpec.cyclic(4), (0, 1, 2), sectors(ising))
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[0.0, 1.7, 2.2, 1.0], ["0", "1", "2", "1"], [0, 1, 2, 1.5], [0, 1, 2, float("nan")],
+         [0, 1, 2, Fraction(1)]],
+        ids=["fractional", "strings", "one-fractional", "nan", "objects"],
+    )
+    def test_indices_that_are_not_whole_numbers_rejected(self, ising, indices):
+        # Truncated, the first would be the Ising Z4 cover [0, 1, 2, 1].
+        with pytest.raises(ValueError, match="whole numbers"):
+            CoverMap(AbelianGroupSpec.cyclic(4), indices, sectors(ising))
+
+    def test_whole_float_indices_accepted(self, ising, ising_tensor):
+        cm = CoverMap(AbelianGroupSpec.cyclic(4), [0.0, 1.0, 2.0, 1.0], sectors(ising))
+        assert cm.sector_indices.dtype == np.int64
+        assert cm.sector_indices.tolist() == [0, 1, 2, 1]
+        assert verify_cover(cm, ising_tensor).passed
 
 
 class TestVerifyCoverOfAbelianGroup:
@@ -486,6 +508,22 @@ class TestSearchCyclicCovers:
         with pytest.raises(ValueError):
             search_cyclic_covers(ising, 0)
         assert search_cyclic_covers(ising, 25)
+
+    def test_printing_a_result_loads_no_numpy(self):
+        # The repr shows the group only: labels and sectors are left out.
+        code = (
+            "import sys\n"
+            "from fusioncover import ModelParams, search_cyclic_covers\n"
+            "covers = search_cyclic_covers(ModelParams(4, 5), 12)\n"
+            "shown = [repr(cm) for cm in covers]\n"
+            "assert covers and not any('sector_indices' in vars(cm) for cm in covers)\n"
+            "assert 'numpy' not in sys.modules\n"
+            "print(*shown, sep='\\n')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "_FoundCover(context=AbelianGroupSpec(factors=(12,)))\n"
 
     def test_found_map_builds_its_array_on_first_access(self, tricritical, tricritical_tensor):
         covers = search_cyclic_covers(tricritical, 12)

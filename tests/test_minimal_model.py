@@ -387,7 +387,7 @@ class TestVerlindeAlgebra:
 
     def test_associative(self):
         for params in ALGEBRA_MODELS:
-            d = verlinde_algebra(fusion_tensor(params)).structure_constants.astype(np.int64)
+            d = verlinde_algebra(fusion_tensor(params)).coefficients.astype(np.int64)
             left = np.einsum("ijm,mkl", d, d)  # ((S_i S_j) S_k), coefficient of S_l
             right = np.einsum("jkm,iml", d, d)  # (S_i (S_j S_k))
             assert np.array_equal(left, right), params

@@ -11,7 +11,7 @@ import fusioncover
 
 
 def test_all_lists_the_export_table():
-    assert len(fusioncover.__all__) == len(set(fusioncover.__all__)) == 34
+    assert len(fusioncover.__all__) == len(set(fusioncover.__all__)) == 33
     assert set(fusioncover.__all__) == set(fusioncover._EXPORTS)
 
 
@@ -37,13 +37,22 @@ def test_vector_algebra_is_not_shipped():
     assert not hasattr(import_module("fusioncover.minimal_model"), "algebra_product")
     removed = {
         "FusionTensor": ("products_of",),
-        "VerlindeAlgebra": ("product", "basis_vector"),
         "PartitionAlgebra": ("product",),
         "AbelianGroupSpec": ("identity", "add", "negate", "index_of", "digit_matrix"),
     }
     for cls, attrs in removed.items():
         for attr in attrs:
             assert not hasattr(getattr(fusioncover, cls), attr), (cls, attr)
+
+
+def test_verlinde_algebra_is_the_fusion_tensor():
+    # Its structure constants in the sector basis are the fusion
+    # coefficients, so no wrapper class is shipped.
+    assert "VerlindeAlgebra" not in fusioncover.__all__
+    with pytest.raises(AttributeError, match="VerlindeAlgebra"):
+        fusioncover.VerlindeAlgebra
+    tensor = fusioncover.fusion_tensor(fusioncover.ModelParams(3, 4))
+    assert fusioncover.verlinde_algebra(tensor) is tensor
 
 
 @pytest.mark.parametrize("name", fusioncover.__all__)

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from fusioncover import (
+    FAIL,
+    PASS,
     CapacityError,
     ClosureViolation,
+    CoverCertificate,
     CoverMap,
     GroupContext,
     ModelParams,
@@ -794,6 +797,19 @@ class TestCoverMapValidation:
     def test_out_of_range_sector(self, ctx34, ising):
         with pytest.raises(ValueError, match="out-of-range"):
             CoverMap(ctx34, np.full(4, 99, dtype=np.int64), sectors(ising))
+
+
+class TestCoverCertificate:
+    def test_verdict_must_be_pass_or_fail(self):
+        with pytest.raises(ValueError, match="PASS or FAIL"):
+            CoverCertificate("pass")
+
+    def test_fail_requires_a_witness(self, ising):
+        with pytest.raises(ValueError, match="witness"):
+            CoverCertificate(FAIL)
+        witness = UncoveredTriple(sectors(ising)[:3])
+        assert not CoverCertificate(FAIL, witness).passed
+        assert CoverCertificate(PASS).passed
 
 
 class TestQuotientGroupKind:
