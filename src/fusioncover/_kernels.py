@@ -14,14 +14,14 @@ indicator of P_i over G,
     C[i, j, k] = (1/|G|) * sum over characters chi of F_i(chi) F_j(chi) conj(F_k(chi)).
 
 G is abelian, so C[i, j, k] = C[j, i, k]: only the sums for j >= i are
-held, and each is rounded to an integer and mirrored as one.  For a 2-group the transform is the Walsh-Hadamard
-transform, integer valued: the (N, |G|) matrix is held exactly in float32,
-and the sum over characters, taken a block of characters at a time in
-float64, is exact while |G| <= 2^17 (``MAX_COUNT_ORDER``).  Other groups
-take complex FFTs in place in one complex128 matrix.  Every result is
-checked: each count must lie within 1/4 of an integer, and then
-``check_counts`` checks the row sums, the check the closed-form counts of
-the canonical cover pass too.
+held, and each is rounded to an integer and mirrored as one.  For a 2-group
+the transform is the Walsh-Hadamard transform, integer valued: the (N, |G|)
+matrix is held exactly in float32, and the sum over characters, taken a
+block of characters at a time in float64, is exact while |G| <= 2^17
+(``MAX_COUNT_ORDER``).  Other groups take complex FFTs in place in one
+complex128 matrix.  Every result is checked: each count must lie within 1/4
+of an integer, and then ``check_counts`` checks the row sums, the check the
+closed-form counts of the canonical cover pass too.
 ``check_count_size`` refuses, before anything is allocated, a group above
 2^17 and a transform matrix over ``MAX_TRANSFORM_BYTES``; the group-file
 parser runs the same check at a file's header.

@@ -3,15 +3,16 @@
 A cover candidate is a ``CoverMap``: a finite abelian group G and the sector
 of each of its elements.  G is one of two kinds, the canonical quotient
 Z_2^(r-1) (``two_group_cover.GroupContext``) or a product of cyclic factors
-(``cover_search.AbelianGroupSpec``).  Both give ``factors``, ``order`` and
-``element(code)``, which is all this module reads of them, so it loads
-neither module; the CLI also reads the JSON ``kind``, ``describe()`` and the
-printer ``element_json(e)``.
+(``cover_search.AbelianGroupSpec``).  This module reads only ``factors``
+and ``order`` of a group, so it loads neither module; the CLI also reads
+the JSON ``kind``, ``describe()`` and the printer ``element_json(code)``.
+An element is named by its code, a big-endian mixed-radix number over
+``factors``, everywhere but in what people read and write.
 
 ``verify_cover`` is the one check of the two cover conditions, for a map of
 either kind.  Its certificate is either a PASS, or a FAIL carrying a
 concrete witness that can be re-checked independently of the verifier that
-produced it: a pair of group elements whose sum lands outside the
+produced it: a pair of element codes whose sum lands outside the
 admissible triples (closure violation), or an admissible sector triple no
 pair of elements realizes (uncovered triple).  Witnesses are plain data;
 the CLI words them (``cli._witness_text``) and prints them as JSON.
@@ -20,9 +21,8 @@ the CLI words them (``cli._witness_text``) and prints them as JSON.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import CountCheckError
 from .minimal_model import FusionTensor, ModelParams, Sector, canonicalize, sectors
@@ -37,10 +37,6 @@ if TYPE_CHECKING:
 
 PASS = "PASS"
 FAIL = "FAIL"
-
-# Group elements in witnesses are ints (cosets of a 2-group quotient) or
-# digit tuples (general abelian groups).
-Element = Union[int, tuple]
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,28 +76,21 @@ class CoverMap:
         cls,
         group: GroupContext | AbelianGroupSpec,
         params: ModelParams,
-        labels: dict[tuple[int, ...], tuple[int, int]],
+        labels: Sequence[tuple[int, int]],
     ) -> CoverMap:
-        """Build from a map element digits -> (m, n); labels are canonicalized.
+        """Build from one Kac label (m, n) per element, in code order (the
+        order of ``sector_indices``); labels are canonicalized.
 
-        The identity element must carry the vacuum sector (1,1): a cover could
-        not do otherwise, and the group file format requires it too.
+        ``CoverMap`` refuses a wrong number of labels, so the group is never
+        enumerated.  The identity element, code 0, must carry the vacuum
+        sector (1,1): a cover could not do otherwise, and the group file
+        format requires it too.
         """
-        # Stops at the first gap, so a labeling of a few elements of a huge
-        # group is refused without enumerating the group.
-        elements = lambda: itertools.product(*(range(k) for k in group.factors))
-        indices = []
-        for e in elements():
-            if e not in labels:
-                raise ValueError(f"labeling is partial: element {e} has no sector")
-            indices.append(canonicalize(params, *labels[e]).index)
-        if len(labels) > len(indices):
-            members = set(elements())
-            extra = next(e for e in labels if e not in members)
-            raise ValueError(f"labeling mentions non-elements: {extra}")
+        indices = [canonicalize(params, m, n).index for m, n in labels]
+        cover = cls(group, indices, sectors(params))
         if indices[0] != 0:
             raise ValueError("the identity element must be labeled by the (1,1) sector")
-        return cls(group, indices, sectors(params))
+        return cover
 
     def swapped_images(self, a: int, b: int) -> CoverMap:
         """A copy with the images of element codes a and b exchanged."""
@@ -130,11 +119,16 @@ class CoverMap:
 
 @dataclass(frozen=True)
 class ClosureViolation:
-    """Elements g1 + g2 = g3 whose sector triple is not admissible."""
+    """Elements g1 + g2 = g3 whose sector triple is not admissible.
 
-    g1: Element
-    g2: Element
-    g3: Element
+    The elements are codes, Python ints, for every group kind, so
+    ``cover.sector_indices[g1]`` re-reads the sector of g1 in the map refuted;
+    the group's ``element_json(code)`` prints one.
+    """
+
+    g1: int
+    g2: int
+    g3: int
     sectors: tuple[Sector, Sector, Sector]
 
 
@@ -176,11 +170,11 @@ def verify_cover(cover: CoverMap, tensor: FusionTensor, threads: int = 1) -> Cov
     for ``two_group_cover.canonical_cover``, by the transform otherwise).
     Only if the counts put a pair on an inadmissible triple are the labels
     read and ``_kernels.first_violation`` run: the FAIL witness is the first
-    violation in canonical order (g1 ascending, then g2), its codes turned
-    into elements by the group.  A PASS reads no labels, so the canonical
-    cover builds no map.  Coverage is read off the counts alone; its FAIL
-    witness is the first admissible but unrealized triple.  ``threads`` is
-    ignored; it stays because ``perfbench/theorem_job.py`` passes it.
+    violation in canonical order (g1 ascending, then g2), named by its
+    element codes.  A PASS reads no labels, so the canonical cover builds no
+    map.  Coverage is read off the counts alone; its FAIL witness is the
+    first admissible but unrealized triple.  ``threads`` is ignored; it
+    stays because ``perfbench/theorem_job.py`` passes it.
     """
     from . import _kernels
 
@@ -196,8 +190,7 @@ def verify_cover(cover: CoverMap, tensor: FusionTensor, threads: int = 1) -> Cov
         codes = _kernels.first_violation(sec, tensor.n, d_flat, group.factors)
         if codes is None:
             raise CountCheckError("the counts show a closure violation the pair scan does not")
-        triple = tuple(secs[sec[g]] for g in codes)
-        witness = ClosureViolation(*(group.element(g) for g in codes), triple)
+        witness = ClosureViolation(*codes, tuple(secs[sec[g]] for g in codes))
         return CoverCertificate(FAIL, witness, stats)
     miss = _kernels.first_uncovered_triple(d_flat, realized, tensor.n)
     if miss is not None:

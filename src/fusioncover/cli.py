@@ -319,9 +319,8 @@ def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
         sec[code] = index[m][n]
     # The first gap in code order, the canonical element order.
     if -1 in sec:
-        raise GroupFileError(
-            f"{path}: labeling is partial: element {spec.element(sec.index(-1))} has no sector"
-        )
+        missing = tuple(spec.element_json(sec.index(-1)))
+        raise GroupFileError(f"{path}: labeling is partial: element {missing} has no sector")
     if sec[0] != 0:
         raise GroupFileError(f"{path}: the identity element must be labeled by the (1,1) sector")
     return CoverMap(spec, sec, sectors(params))

@@ -42,7 +42,6 @@ from .minimal_model import ModelParams, Sector, check_fusion_cells, fusion_produ
 if TYPE_CHECKING:
     import numpy as np
 
-Element = tuple[int, ...]
 # products[i][j]: the sectors k with D[i,j,k] = 1, ascending (``fusion_products``).
 Products = list[list[tuple[int, ...]]]
 
@@ -51,9 +50,11 @@ Products = list[list[tuple[int, ...]]]
 class AbelianGroupSpec:
     """A finite abelian group as a product of cyclic factors Z_k1 x ... x Z_kt.
 
-    Elements are digit tuples, coded in big-endian mixed radix; addition is
-    componentwise modular (``addition_table`` on codes).  An empty factor
-    list is the trivial group.
+    An element is named by its code, the big-endian mixed-radix number of
+    its digits, first factor slowest; addition is componentwise modular
+    (``addition_table`` on codes).  Digits are for people: ``elements()``
+    lists them and ``element_json`` prints them.  An empty factor list is
+    the trivial group.
     """
 
     factors: tuple[int, ...]
@@ -75,8 +76,8 @@ class AbelianGroupSpec:
     def order(self) -> int:
         return prod(self.factors)
 
-    def elements(self) -> list[Element]:
-        """All elements in the canonical (big-endian mixed radix) order."""
+    def elements(self) -> list[tuple[int, ...]]:
+        """The digits of every element, in code order."""
         return list(itertools.product(*(range(k) for k in self.factors)))
 
     def addition_table(self) -> list[list[int]]:
@@ -100,16 +101,13 @@ class AbelianGroupSpec:
             return "trivial group"
         return " x ".join(f"Z{k}" for k in self.factors)
 
-    def element(self, code: int) -> Element:
-        """The digit tuple of an element code."""
-        from . import _kernels
-
-        return tuple(_kernels.decode(code, self.factors).tolist())
-
-    @staticmethod
-    def element_json(e: Element) -> list[int]:
-        """An element as printed: its digits."""
-        return list(e)
+    def element_json(self, code: int) -> list[int]:
+        """An element as printed: the digits of its code."""
+        digits = []
+        for k in reversed(self.factors):
+            code, digit = divmod(code, k)
+            digits.append(digit)
+        return digits[::-1]
 
 
 # ``perfbench/tracing.py`` wraps these two names; they go once it wraps

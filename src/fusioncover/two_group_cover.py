@@ -87,14 +87,9 @@ class GroupContext:
     def describe(self) -> str:
         return f"Z2^{self.r - 1}, the quotient of H = Z2^{self.r} by the all-ones vector"
 
-    @staticmethod
-    def element(code: int) -> int:
-        """A coset is named by the value of its representative."""
-        return int(code)
-
-    def element_json(self, g: int) -> str:
+    def element_json(self, code: int) -> str:
         """A coset as printed: its representative's coordinate string, width r."""
-        return f"{g:0{self.r}b}"[::-1]
+        return f"{code:0{self.r}b}"[::-1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,17 +241,18 @@ def partition_algebra(
     the partition must satisfy P_1 = {0}: the identity element alone is
     assigned the vacuum sector.  Pass strict=False to build the algebra of a
     deliberately corrupted partition anyway, e.g. to compare its constants
-    against the Verlinde algebra.  The constants
-    are the support of ``cm.counts``, the same array ``verify_cover`` reads,
-    so a map counted there is not counted again.  The strict check reads
-    them too: P_1 = {0} iff C[0, 0, 0] = 1 (with 0 in P_1, (0, 0) and every
-    (0, g), (g, 0), (g, g) count; without it the pairs counted come in
-    swapped couples).  ``threads`` is ignored; it stays because
+    against the Verlinde algebra.  The constants are the support of
+    ``cm.counts``, the same array ``verify_cover`` reads, so a map counted
+    there is not counted again.  The strict check reads them too: P_1 = {0}
+    iff |P_1| = 1 and C[0, 0, 0] = 1.  Here |P_1| = sum_{j,k} C[0, j, k] /
+    |G|, and with P_1 = {g}, C[0, 0, 0] counts the pair (g, g) iff 2g = g,
+    i.e. g = 0.  C[0, 0, 0] = 1 alone does not do: in Z_5, P_1 = {1, 2}
+    holds the one pair 1 + 1 = 2.  ``threads`` is ignored; it stays because
     ``perfbench/theorem_job.py`` passes it.
     """
     counts = cm.counts
-    if strict and counts[0, 0, 0] != 1:
-        size = int(counts[0].sum()) // cm.context.order  # sum_{j,k} C[0,j,k] = |P_1| |G|
+    size = int(counts[0].sum()) // cm.context.order
+    if strict and (size != 1 or counts[0, 0, 0] != 1):
         where = "one nonzero element" if size == 1 else f"{size} elements"
         raise PartitionError(f"partition requires P_1 = {{0}}: the vacuum preimage is {where}")
     coeff = (counts > 0).astype(np.uint8)

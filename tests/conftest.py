@@ -83,22 +83,12 @@ KNOWN_FUSION = {
 }
 
 # The Z4 labeling of the Ising sectors and the Z12 labeling of the
-# tricritical Ising sectors, by Kac label.
-Z4_ISING_LABELS = {(0,): (1, 1), (1,): (1, 2), (2,): (1, 3), (3,): (1, 2)}
-Z12_TRICRITICAL_LABELS = {
-    (0,): (1, 1),
-    (1,): (2, 2),
-    (2,): (1, 2),
-    (3,): (2, 1),
-    (4,): (1, 3),
-    (5,): (2, 2),
-    (6,): (1, 4),
-    (7,): (2, 2),
-    (8,): (1, 3),
-    (9,): (2, 1),
-    (10,): (1, 2),
-    (11,): (2, 2),
-}
+# tricritical Ising sectors: the Kac label of each element, in code order.
+Z4_ISING_LABELS = [(1, 1), (1, 2), (1, 3), (1, 2)]
+Z12_TRICRITICAL_LABELS = [
+    (1, 1), (2, 2), (1, 2), (2, 1), (1, 3), (2, 2),
+    (1, 4), (2, 2), (1, 3), (2, 1), (1, 2), (2, 2),
+]
 
 
 def coprime_models(max_p: int, max_q: int, max_sum: int | None = None):

@@ -67,7 +67,7 @@ class TestAbelianGroupSpec:
         spec = AbelianGroupSpec((2, 3))
         digits = _kernels.decode(np.arange(spec.order), spec.factors)
         assert digits.tolist() == [list(e) for e in spec.elements()]
-        assert [spec.element(g) for g in range(spec.order)] == spec.elements()
+        assert [tuple(spec.element_json(g)) for g in range(spec.order)] == spec.elements()
         assert (digits @ _kernels.place_values(spec.factors)).tolist() == list(range(spec.order))
 
     @pytest.mark.parametrize("factors", [(), (5,), (2, 3), (2, 2, 4)])
@@ -80,35 +80,30 @@ class TestAbelianGroupSpec:
 
 class TestCoverMapOfAbelianGroup:
     def test_partial_labeling_rejected(self, ising):
-        spec = AbelianGroupSpec.cyclic(4)
-        labels = dict(Z4_ISING_LABELS)
-        labels.pop((2,))
-        with pytest.raises(ValueError, match="partial"):
-            CoverMap.from_kac_labels(spec, ising, labels)
+        with pytest.raises(ValueError, match=r"all 4 elements, got shape \(3,\)"):
+            CoverMap.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, Z4_ISING_LABELS[:3])
 
     def test_partial_labeling_of_huge_group_rejected(self, ising):
+        # 10^10 elements: refused by the count, without enumerating the group.
         spec = AbelianGroupSpec((100000, 100000))
-        with pytest.raises(ValueError, match=r"partial: element \(0, 1\)"):
-            CoverMap.from_kac_labels(spec, ising, {(0, 0): (1, 1)})
+        with pytest.raises(ValueError, match=r"all 10000000000 elements, got shape \(1,\)"):
+            CoverMap.from_kac_labels(spec, ising, [(1, 1)])
 
     def test_extra_labels_rejected(self, ising):
-        labels = dict(Z4_ISING_LABELS)
-        labels[(4,)] = (1, 1)
-        with pytest.raises(ValueError, match=r"non-elements: \(4,\)"):
+        labels = Z4_ISING_LABELS + [(1, 1)]
+        with pytest.raises(ValueError, match=r"all 4 elements, got shape \(5,\)"):
             CoverMap.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, labels)
 
     def test_identity_must_be_vacuum(self, ising):
         spec = AbelianGroupSpec.cyclic(4)
-        labels = dict(Z4_ISING_LABELS)
-        labels[(0,)] = (1, 2)
+        labels = [(1, 2)] + Z4_ISING_LABELS[1:]
         with pytest.raises(ValueError, match="identity"):
             CoverMap.from_kac_labels(spec, ising, labels)
 
     def test_noncanonical_labels_accepted(self, ising):
         # (2,2) is the same sector as (1,2)
         spec = AbelianGroupSpec.cyclic(4)
-        labels = dict(Z4_ISING_LABELS)
-        labels[(3,)] = (2, 2)
+        labels = Z4_ISING_LABELS[:3] + [(2, 2)]
         cm = CoverMap.from_kac_labels(spec, ising, labels)
         assert cm.sectors[cm.sector_indices[3]].label == (1, 2)
 
@@ -149,30 +144,43 @@ class TestVerifyCoverOfAbelianGroup:
         assert cert.passed
 
     def test_scrambled_z4_fails_with_witness(self, ising, ising_tensor):
-        labels = {(0,): (1, 1), (1,): (1, 2), (2,): (1, 2), (3,): (1, 3)}
+        labels = [(1, 1), (1, 2), (1, 2), (1, 3)]
         cm = CoverMap.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, labels)
         cert = verify_cover(cm, ising_tensor)
         assert not cert.passed
         w = cert.witness
         assert isinstance(w, ClosureViolation)
         # first violation: 1 + 1 = 2 gives [1/16] x [1/16] -> [1/16]
-        assert (w.g1, w.g2, w.g3) == ((1,), (1,), (2,))
+        assert (w.g1, w.g2, w.g3) == (1, 1, 2)
         # recheck independently
         i, j, k = (s.index for s in w.sectors)
         assert ising_tensor.coefficients[i, j, k] == 0
+
+    def test_witness_indexes_the_map_it_refutes(self, ising, ising_tensor):
+        spec = AbelianGroupSpec((4, 2))
+        cm = CoverMap(spec, [0, 0, 1, 1, 2, 1, 1, 2], sectors(ising))
+        w = verify_cover(cm, ising_tensor).witness
+        assert isinstance(w, ClosureViolation)
+        assert (w.g1, w.g2, w.g3) == (1, 4, 5)
+        sec = cm.sector_indices
+        assert ising_tensor.coefficients[sec[w.g1], sec[w.g2], sec[w.g3]] == 0
+        digits = _kernels.decode([w.g1, w.g2], spec.factors).sum(axis=0) % spec.factors
+        assert digits @ _kernels.place_values(spec.factors) == w.g3
+        shown = [spec.element_json(g) for g in (w.g1, w.g2, w.g3)]
+        assert shown == [[0, 1], [2, 0], [2, 1]]
 
     def test_fail_starts_no_thread(self, ising, ising_tensor, monkeypatch):
         def no_start(thread):
             raise AssertionError("the witness scan must not start a thread")
 
         monkeypatch.setattr(threading.Thread, "start", no_start)
-        labels = {(0,): (1, 1), (1,): (1, 2), (2,): (1, 2), (3,): (1, 3)}
+        labels = [(1, 1), (1, 2), (1, 2), (1, 3)]
         cm = CoverMap.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, labels)
         cert = verify_cover(cm, ising_tensor)
         assert isinstance(cert.witness, ClosureViolation)
 
     def test_threads_are_ignored(self, ising, ising_tensor):
-        labels = {(0,): (1, 1), (1,): (1, 2), (2,): (1, 2), (3,): (1, 3)}
+        labels = [(1, 1), (1, 2), (1, 2), (1, 3)]
         for table in (Z4_ISING_LABELS, labels):
             cm = CoverMap.from_kac_labels(AbelianGroupSpec.cyclic(4), ising, table)
             assert verify_cover(cm, ising_tensor, threads=2) == verify_cover(cm, ising_tensor)
@@ -183,8 +191,9 @@ class TestVerifyCoverOfAbelianGroup:
             verify_cover(cm, tricritical_tensor)
 
     def test_z2xz2_covers_ising(self, ising, ising_tensor):
-        # the quotient construction seen as Z2 x Z2, labels from the phi images
-        labels = {(0, 0): (1, 1), (1, 0): (1, 3), (0, 1): (1, 2), (1, 1): (1, 2)}
+        # the quotient construction seen as Z2 x Z2, labels from the phi
+        # images of the elements 0,0  0,1  1,0  1,1
+        labels = [(1, 1), (1, 2), (1, 3), (1, 2)]
         cm = CoverMap.from_kac_labels(AbelianGroupSpec((2, 2)), ising, labels)
         assert verify_cover(cm, ising_tensor).passed
 
@@ -195,21 +204,17 @@ class TestVerifyCoverOfAbelianGroup:
 
     def test_trivial_group_covers_degenerate_model(self):
         params = ModelParams(2, 3)
-        cm = CoverMap.from_kac_labels(AbelianGroupSpec(()), params, {(): (1, 1)})
+        cm = CoverMap.from_kac_labels(AbelianGroupSpec(()), params, [(1, 1)])
         assert verify_cover(cm, fusion_tensor(params)).passed
 
 
 class TestAgainstTwoGroupConstruction:
     @staticmethod
     def as_abelian_cover(cm):
-        """Re-express a coset assignment as a Z2^(r-1) labeled group."""
-        t = cm.context.r - 1
-        spec = AbelianGroupSpec((2,) * t) if t else AbelianGroupSpec(())
-        secs = cm.sectors
-        labels = {}
-        for g, sector_index in enumerate(cm.sector_indices):
-            digits = tuple((g >> (t - 1 - u)) & 1 for u in range(t))
-            labels[digits] = secs[sector_index].label
+        """Re-express a coset assignment as a Z2^(r-1) labeled group: a coset
+        and the element of the same code have the same digits."""
+        spec = AbelianGroupSpec(cm.context.factors)
+        labels = [cm.sectors[i].label for i in cm.sector_indices]
         return CoverMap.from_kac_labels(spec, cm.context.params, labels)
 
     def test_agrees_with_verify_cover(self):
@@ -231,7 +236,7 @@ class TestAgainstTwoGroupConstruction:
 class TestGroupKindsAgree:
     """The canonical labels over the quotient and over Z2^(r-1), as a group
     file would give them: the element codes coincide, so the two kinds must
-    count and certify alike, with witness elements equal after decoding."""
+    count and certify alike, down to the witness codes."""
 
     @pytest.mark.parametrize("pq", [(3, 4), (4, 5), (5, 6), (2, 9)])
     def test_counts_certificates_and_partitions_agree(self, pq):
@@ -255,13 +260,8 @@ class TestGroupKindsAgree:
             abelian = change(CoverMap(spec, labels, secs))
             assert np.array_equal(quotient.counts, abelian.counts)
             a, b = verify_cover(quotient, tensor), verify_cover(abelian, tensor)
-            assert (a.verdict, a.stats, type(a.witness)) == (b.verdict, b.stats, type(b.witness))
+            assert a == b
             outcomes.add(type(a.witness))
-            if a.witness is not None:
-                assert a.witness.sectors == b.witness.sectors
-            if isinstance(a.witness, ClosureViolation):
-                codes = (a.witness.g1, a.witness.g2, a.witness.g3)
-                assert tuple(map(spec.element, codes)) == (b.witness.g1, b.witness.g2, b.witness.g3)
             wa = partition_algebra(quotient, strict=a.passed)
             wb = partition_algebra(abelian, strict=a.passed)
             assert np.array_equal(wa.coefficients, wb.coefficients)
@@ -458,9 +458,7 @@ class TestSearchCyclicCovers:
         covers = search_cyclic_covers(tricritical, 12)
         from fusioncover import canonicalize
 
-        paper = tuple(
-            canonicalize(tricritical, *Z12_TRICRITICAL_LABELS[(e,)]).index for e in range(12)
-        )
+        paper = tuple(canonicalize(tricritical, *label).index for label in Z12_TRICRITICAL_LABELS)
         assert any(tuple(cm.sector_indices.tolist()) == paper for cm in covers)
 
     def test_trivial_group_for_degenerate_model(self):
