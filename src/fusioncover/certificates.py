@@ -21,11 +21,10 @@ the CLI words them (``cli._witness_text``) and prints them as JSON.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import CountCheckError
-from .minimal_model import FusionTensor, ModelParams, Sector, canonicalize, sectors
+from .minimal_model import FusionTensor, ModelParams, Sector, _read_only, canonicalize, sectors
 
 # numpy and the pair kernels are imported by the functions that use them, so
 # a cover search, which builds maps but counts none, starts without them.
@@ -39,7 +38,6 @@ PASS = "PASS"
 FAIL = "FAIL"
 
 
-@dataclass(frozen=True, eq=False)
 class CoverMap:
     """A total labeling of a finite abelian group's elements by sectors.
 
@@ -48,28 +46,30 @@ class CoverMap:
     quotient it is the value of the coset representative.  Indices must be
     whole numbers (ints, or floats with no fractional part); the array is
     int64 and read-only.  The repr shows the group only, so printing a map
-    builds no labels.
+    builds no labels.  A map is immutable and compares by identity.
     """
 
-    context: GroupContext | AbelianGroupSpec
-    sector_indices: np.ndarray = field(repr=False)
-    sectors: tuple[Sector, ...] = field(repr=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, context: GroupContext | AbelianGroupSpec,
+                 sector_indices: np.ndarray, sectors: tuple[Sector, ...]) -> None:
         import numpy as np
 
-        arr = np.array(self.sector_indices)
+        arr = np.array(sector_indices)
         kind = arr.dtype.kind
         if not (kind in "biu" or (kind == "f" and not (arr % 1).any())):
             raise ValueError(f"sector indices must be whole numbers, got {arr.dtype} values")
         arr = arr.astype(np.int64, copy=False)
         arr.setflags(write=False)
-        object.__setattr__(self, "sector_indices", arr)
-        order = self.context.order
+        order = context.order
         if arr.shape != (order,):
             raise ValueError(f"assignment must cover all {order} elements, got shape {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() >= len(self.sectors)):
+        if arr.size and (arr.min() < 0 or arr.max() >= len(sectors)):
             raise ValueError("assignment contains out-of-range sector indices")
+        vars(self).update(context=context, sector_indices=arr, sectors=sectors)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(context={self.context!r})"
 
     @classmethod
     def from_kac_labels(
@@ -117,44 +117,87 @@ class CoverMap:
         return counts
 
 
-@dataclass(frozen=True)
 class ClosureViolation:
     """Elements g1 + g2 = g3 whose sector triple is not admissible.
 
     The elements are codes, Python ints, for every group kind, so
     ``cover.sector_indices[g1]`` re-reads the sector of g1 in the map refuted;
-    the group's ``element_json(code)`` prints one.
+    the group's ``element_json(code)`` prints one.  Immutable; equal to
+    another ClosureViolation with the same fields.
     """
 
-    g1: int
-    g2: int
-    g3: int
-    sectors: tuple[Sector, Sector, Sector]
+    def __init__(self, g1: int, g2: int, g3: int, sectors: tuple[Sector, Sector, Sector]) -> None:
+        vars(self).update(g1=g1, g2=g2, g3=g3, sectors=sectors)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.g1, self.g2, self.g3, self.sectors)
+                == (other.g1, other.g2, other.g3, other.sectors))
+
+    def __hash__(self) -> int:
+        return hash((self.g1, self.g2, self.g3, self.sectors))
+
+    def __repr__(self) -> str:
+        return (f"ClosureViolation(g1={self.g1!r}, g2={self.g2!r}, g3={self.g3!r}, "
+                f"sectors={self.sectors!r})")
 
 
-@dataclass(frozen=True)
 class UncoveredTriple:
-    """An admissible sector triple realized by no pair g1 + g2 = g3."""
+    """An admissible sector triple realized by no pair g1 + g2 = g3.
+    Immutable; equal to another UncoveredTriple of the same sectors."""
 
-    sectors: tuple[Sector, Sector, Sector]
+    def __init__(self, sectors: tuple[Sector, Sector, Sector]) -> None:
+        vars(self).update(sectors=sectors)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sectors == other.sectors
+
+    def __hash__(self) -> int:
+        return hash((self.sectors,))
+
+    def __repr__(self) -> str:
+        return f"UncoveredTriple(sectors={self.sectors!r})"
 
 
 Witness = Union[ClosureViolation, UncoveredTriple]
 
 
-@dataclass(frozen=True)
 class CoverCertificate:
-    """PASS/FAIL verdict of a cover check, with witness on FAIL and scan stats."""
+    """PASS/FAIL verdict of a cover check, with witness on FAIL and scan stats.
 
-    verdict: str
-    witness: Witness | None = None
-    stats: dict = field(default_factory=dict)
+    ``stats`` defaults to a new empty dict.  Immutable; equal to another
+    certificate with the same fields, and, holding a dict, not hashable.
+    """
 
-    def __post_init__(self) -> None:
-        if self.verdict not in (PASS, FAIL):
-            raise ValueError(f"verdict must be PASS or FAIL, got {self.verdict!r}")
-        if self.verdict == FAIL and self.witness is None:
+    def __init__(self, verdict: str, witness: Witness | None = None,
+                 stats: dict | None = None) -> None:
+        if verdict not in (PASS, FAIL):
+            raise ValueError(f"verdict must be PASS or FAIL, got {verdict!r}")
+        if verdict == FAIL and witness is None:
             raise ValueError("a FAIL certificate requires a witness")
+        vars(self).update(verdict=verdict, witness=witness, stats={} if stats is None else stats)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.verdict, self.witness, self.stats)
+                == (other.verdict, other.witness, other.stats))
+
+    def __hash__(self) -> int:
+        return hash((self.verdict, self.witness, self.stats))
+
+    def __repr__(self) -> str:
+        return (f"CoverCertificate(verdict={self.verdict!r}, witness={self.witness!r}, "
+                f"stats={self.stats!r})")
 
     @property
     def passed(self) -> bool:

@@ -42,9 +42,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -53,6 +51,7 @@ from .minimal_model import (
     ModelParams,
     Sector,
     _label_index,
+    _read_only,
     central_charge,
     check_fusion_cells,
     fraction_str,
@@ -79,9 +78,11 @@ def _json_text(payload) -> str:
     Only the types the payloads hold are accepted: dict (with str keys),
     list, str, int, True, False and None; anything else, subclasses
     included, raises TypeError.  A dict object the payload holds more than
-    once is written once per indent depth.
+    once is written once per indent depth.  ``json`` is imported here, so
+    text output loads none of it.
     """
-    encode = encode_basestring_ascii
+    from json.encoder import encode_basestring_ascii as encode
+
     memo: dict[tuple[int, int], str] = {}
 
     # Strings are most of the leaves: the comprehensions below encode them
@@ -125,13 +126,28 @@ def _json_text(payload) -> str:
     return write(payload, 0)
 
 
-@dataclass(frozen=True)
 class OutputDocument:
-    """A command result: its machine payload and, on first use, its text."""
+    """A command result: its machine payload and, on first use, its text.
 
-    format: str
-    payload: dict
-    render: Callable[[], str] = field(repr=False, compare=False)
+    Immutable; equal to another document with the same format and payload
+    (``render`` is not compared), and, holding a dict, not hashable.
+    """
+
+    def __init__(self, format: str, payload: dict, render: Callable[[], str]) -> None:
+        vars(self).update(format=format, payload=payload, render=render)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.format, self.payload) == (other.format, other.payload)
+
+    def __hash__(self) -> int:
+        return hash((self.format, self.payload))
+
+    def __repr__(self) -> str:
+        return f"OutputDocument(format={self.format!r}, payload={self.payload!r})"
 
     @cached_property
     def text(self) -> str:
@@ -263,6 +279,8 @@ def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
     sector indices, -1 until labeled: each element line goes straight to
     its code (its digits against the place values) and its label to its
     sector (the model's one label table), so no element is held as a tuple.
+    A file repeats a few labels many times, so each label text is checked
+    and looked up once, on its first line.
     """
     from ._kernels import check_count_size, place_values
     from .certificates import CoverMap
@@ -290,10 +308,11 @@ def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
     p, q = params.p, params.q
     index = _label_index(params)
     sec = [-1] * spec.order
+    sector_of: dict[str, int] = {}
     for where, line in lines:
-        if "->" not in line:
+        left, arrow, right = line.partition("->")
+        if not arrow:
             raise GroupFileError(f"{where}: expected 'e1,...,et -> m,n', got {line!r}")
-        left, right = line.split("->", 1)
         left = left.strip()
         try:
             digits = [int(x) for x in left.split(",")] if left else []
@@ -306,17 +325,20 @@ def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
             if not 0 <= digit < k:
                 raise GroupFileError(f"{where}: digit {u} of element {left!r} outside 0..{k - 1}")
             code += digit * place
-        try:
-            m, n = (int(x) for x in right.strip().split(","))
-        except ValueError:
-            raise GroupFileError(f"{where}: expected Kac label 'm,n', got {right.strip()!r}")
-        if not (0 < m < p and 0 < n < q):
-            raise GroupFileError(
-                f"{where}: Kac label ({m}, {n}) out of range for (p, q) = ({p}, {q})"
-            )
+        sector = sector_of.get(right)
+        if sector is None:
+            try:
+                m, n = (int(x) for x in right.strip().split(","))
+            except ValueError:
+                raise GroupFileError(f"{where}: expected Kac label 'm,n', got {right.strip()!r}")
+            if not (0 < m < p and 0 < n < q):
+                raise GroupFileError(
+                    f"{where}: Kac label ({m}, {n}) out of range for (p, q) = ({p}, {q})"
+                )
+            sector = sector_of[right] = index[m][n]
         if sec[code] >= 0:
             raise GroupFileError(f"{where}: element {left!r} labeled twice")
-        sec[code] = index[m][n]
+        sec[code] = sector
     # The first gap in code order, the canonical element order.
     if -1 in sec:
         missing = tuple(spec.element_json(sec.index(-1)))

@@ -22,9 +22,11 @@ filtering).  A complete labeling covers when the set of sector triples its
 k^2 sums realize contains every admissible triple.  The multiplicity
 profile of the fusion table (how often a sector repeats within a row)
 gives an a-priori lower bound on the order of any covering group, which
-prunes whole orders.  Found covers are reported up to the negation
-automorphism x -> -x of Z_k, in deterministic order.  The search runs on
-Python ints alone; a found cover builds its label array on first use.
+prunes whole orders.  Found covers are reported in deterministic order.
+Every labeling found is its own negation (L(-x) = L(x)): every sector is
+self-conjugate, as (a, b, vacuum) is admissible only for a = b, so closure
+on the pair x + (-x) = 0 forces it.  The search runs on Python ints alone;
+a found cover builds its label array on first use.
 """
 
 from __future__ import annotations
@@ -32,12 +34,18 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import prod
 from typing import TYPE_CHECKING
 
 from .certificates import CoverMap, verify_cover
-from .minimal_model import ModelParams, Sector, check_fusion_cells, fusion_products, sectors
+from .minimal_model import (
+    ModelParams,
+    Sector,
+    _read_only,
+    check_fusion_cells,
+    fusion_products,
+    sectors,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,7 +54,6 @@ if TYPE_CHECKING:
 Products = list[list[tuple[int, ...]]]
 
 
-@dataclass(frozen=True)
 class AbelianGroupSpec:
     """A finite abelian group as a product of cyclic factors Z_k1 x ... x Z_kt.
 
@@ -54,16 +61,30 @@ class AbelianGroupSpec:
     its digits, first factor slowest; addition is componentwise modular
     (``addition_table`` on codes).  Digits are for people: ``elements()``
     lists them and ``element_json`` prints them.  An empty factor list is
-    the trivial group.
+    the trivial group.  Immutable; equal to another spec with the same
+    factors.
     """
 
-    factors: tuple[int, ...]
     kind = "abelian"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(int(k) for k in self.factors))
-        if any(k < 2 for k in self.factors):
-            raise ValueError(f"all factors must be >= 2, got {self.factors}")
+    def __init__(self, factors: tuple[int, ...]) -> None:
+        factors = tuple(int(k) for k in factors)
+        if any(k < 2 for k in factors):
+            raise ValueError(f"all factors must be >= 2, got {factors}")
+        vars(self).update(factors=factors)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
+
+    def __repr__(self) -> str:
+        return f"AbelianGroupSpec(factors={self.factors!r})"
 
     @classmethod
     def cyclic(cls, k: int) -> "AbelianGroupSpec":
@@ -122,9 +143,7 @@ class _FoundCover(CoverMap):
 
     def __init__(self, context: AbelianGroupSpec, labels: tuple[int, ...],
                  secs: tuple[Sector, ...]) -> None:
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "sectors", secs)
+        vars(self).update(context=context, labels=labels, sectors=secs)
 
     @functools.cached_property
     def sector_indices(self) -> np.ndarray:
@@ -205,8 +224,8 @@ def _masks(products: Products) -> tuple[list[int], list[int], list[int], int]:
 
 
 def _search_order(products: Products, k: int) -> list[tuple[int, ...]]:
-    """All complete Z_k labelings passing both cover conditions (with duplicates
-    under negation), in depth-first order: element 1 slowest, sectors ascending."""
+    """All complete Z_k labelings passing both cover conditions, in depth-first
+    order: element 1 slowest, sectors ascending."""
     n = len(products)
     third, second, square, unit = _masks(products)
     table = AbelianGroupSpec.cyclic(k).addition_table()
@@ -253,7 +272,7 @@ def _search_order(products: Products, k: int) -> list[tuple[int, ...]]:
 
 
 def search_cyclic_covers(params: ModelParams, max_order: int) -> list[CoverMap]:
-    """All cyclic covers Z_k, k <= max_order, up to the negation automorphism.
+    """All cyclic covers Z_k, k <= max_order.
 
     Results are deterministic: ascending order k, then lexicographic in the
     label tuple, which each cover keeps as ``labels``.  Orders below the
@@ -271,13 +290,7 @@ def search_cyclic_covers(params: ModelParams, max_order: int) -> list[CoverMap]:
     secs = sectors(params)
     covers: list[CoverMap] = []
     for k in range(sum(_profile(products)), max_order + 1):
-        # _search_order yields labelings in lexicographic order, so keeping
-        # each one that is no greater than its negation lists every orbit's
-        # least member once, already sorted.
+        # _search_order yields labelings in lexicographic order.
         spec = AbelianGroupSpec.cyclic(k)
-        covers.extend(
-            _FoundCover(spec, assign, secs)
-            for assign in _search_order(products, k)
-            if assign <= tuple(assign[-x] for x in range(k))
-        )
+        covers.extend(_FoundCover(spec, assign, secs) for assign in _search_order(products, k))
     return covers

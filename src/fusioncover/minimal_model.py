@@ -35,7 +35,6 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -69,15 +68,20 @@ def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
+def _read_only(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of the package's immutable records,
+    which set their fields in ``__init__`` through ``vars(self)``."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class ModelParams:
-    """The pair (p, q) selecting a minimal model.  Requires coprime p, q >= 2."""
+    """The pair (p, q) selecting a minimal model.  Requires coprime p, q >= 2.
 
-    p: int
-    q: int
+    Immutable; equal to, and hashed like, another ModelParams with the same
+    p and q, and to nothing else.
+    """
 
-    def __post_init__(self) -> None:
-        p, q = self.p, self.q
+    def __init__(self, p: int, q: int) -> None:
         if not (isinstance(p, int) and isinstance(q, int)):
             raise TypeError(f"p and q must be integers, got ({p!r}, {q!r})")
         if p < 2 or q < 2:
@@ -86,25 +90,50 @@ class ModelParams:
             raise ValueError(f"p, q <= {MAX_PQ} enforced, got ({p}, {q})")
         if gcd(p, q) != 1:
             raise ValueError(f"p and q must be coprime, got gcd({p}, {q}) = {gcd(p, q)}")
+        vars(self).update(p=p, q=q)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.q) == (other.p, other.q)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
+    def __repr__(self) -> str:
+        return f"ModelParams(p={self.p!r}, q={self.q!r})"
 
     @property
     def n_sectors(self) -> int:
         return (self.p - 1) * (self.q - 1) // 2
 
 
-@dataclass(frozen=True)
 class Sector:
     """One distinct irreducible module, i.e. the label class {(m,n), (p-m,q-n)}.
 
     (m, n) is the canonical representative (lexicographically smaller of the
     two), h its conformal weight, and index its position in the model's
     lexicographically sorted sector list (sector (1,1), h = 0, has index 0).
+    Immutable; equal to another Sector with the same four fields.
     """
 
-    m: int
-    n: int
-    h: Fraction
-    index: int
+    def __init__(self, m: int, n: int, h: Fraction, index: int) -> None:
+        vars(self).update(m=m, n=n, h=h, index=index)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.n, self.h, self.index) == (other.m, other.n, other.h, other.index)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n, self.h, self.index))
+
+    def __repr__(self) -> str:
+        return f"Sector(m={self.m!r}, n={self.n!r}, h={self.h!r}, index={self.index!r})"
 
     @property
     def label(self) -> tuple[int, int]:
@@ -228,17 +257,23 @@ def is_pq_admissible(params: ModelParams, t1: LabelPair, t2: LabelPair, t3: Labe
     )
 
 
-@dataclass(frozen=True, eq=False)
 class FusionTensor:
     """The 0/1 structure constants D(S_i, S_j, S_k) of a minimal model.
 
     coefficients[i, j, k] = 1 iff sector k occurs in the fusion product of
-    sectors i and j.  The array is read-only.
+    sectors i and j.  The array is read-only, and so is the tensor; tensors
+    compare by identity.
     """
 
-    model: ModelParams
-    sectors: tuple[Sector, ...]
-    coefficients: np.ndarray
+    def __init__(self, model: ModelParams, sectors: tuple[Sector, ...],
+                 coefficients: np.ndarray) -> None:
+        vars(self).update(model=model, sectors=sectors, coefficients=coefficients)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __repr__(self) -> str:
+        return (f"FusionTensor(model={self.model!r}, sectors={self.sectors!r}, "
+                f"coefficients={self.coefficients!r})")
 
     @property
     def n(self) -> int:

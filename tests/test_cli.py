@@ -767,21 +767,28 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args,absent",
         [
-            ([], {"numpy", *(f"fusioncover.{m}" for m in (
+            ([], {"numpy", "dataclasses", *(f"fusioncover.{m}" for m in (
                 "cli", "errors", "minimal_model", "certificates", "cover_search",
                 "two_group_cover", "_kernels"))}),
-            (["kac", "--p", "4", "--q", "5"], {"numpy"}),
+            (["kac", "--p", "4", "--q", "5"], {"numpy", "dataclasses", "inspect", "json"}),
+            (["kac", "--p", "4", "--q", "5", "--format", "json"],
+             {"numpy", "dataclasses", "inspect"}),
             (["fusion", "--p", "4", "--q", "5"],
-             {"numpy", "fusioncover.two_group_cover", "fusioncover.cover_search"}),
+             {"numpy", "dataclasses", "inspect", "json", "fusioncover.two_group_cover",
+              "fusioncover.cover_search"}),
             (["fusion", "--p", "4", "--q", "5", "--format", "json"],
-             {"numpy", "fusioncover.two_group_cover", "fusioncover.cover_search"}),
+             {"numpy", "dataclasses", "inspect", "fusioncover.two_group_cover",
+              "fusioncover.cover_search"}),
             (["cover", "search", "--p", "4", "--q", "5", "--max-order", "12"],
-             {"numpy", "fusioncover._kernels", "fusioncover.two_group_cover"}),
+             {"numpy", "dataclasses", "inspect", "json", "fusioncover._kernels",
+              "fusioncover.two_group_cover"}),
             (["cover", "verify", "--p", "3", "--q", "4", "--group",
-              str(COVERS / "ising_z4.cover")], {"fusioncover.two_group_cover"}),
-            (["cover", "verify", "--p", "4", "--q", "5"], {"fusioncover.cover_search"}),
+              str(COVERS / "ising_z4.cover")],
+             {"dataclasses", "json", "fusioncover.two_group_cover"}),
+            (["cover", "verify", "--p", "4", "--q", "5"],
+             {"dataclasses", "json", "fusioncover.cover_search"}),
         ],
-        ids=["import", "kac", "fusion", "fusion-json", "search", "verify-group",
+        ids=["import", "kac", "kac-json", "fusion", "fusion-json", "search", "verify-group",
              "verify-canonical"],
     )
     def test_command_loads_only_its_modules(self, args, absent):
@@ -894,6 +901,15 @@ class TestGroupFileParsing:
         path = write_cover(tmp_path, "# comment\ngroup 4\n\n0 -> 1,1\nbogus line\n")
         with pytest.raises(GroupFileError, match=r":5:"):
             parse_group_file(path, ModelParams(3, 4))
+
+    def test_repeated_label_then_invalid_one_names_its_line(self, tmp_path):
+        # Each label text is checked on its first line only: a valid label
+        # repeated must not let a later invalid one through or move its line.
+        text = "group 4\n0 -> 1,1\n1 -> 1,2\n2 -> 1,2\n3 -> 3,2\n"
+        path = write_cover(tmp_path, text)
+        with pytest.raises(GroupFileError) as e:
+            parse_group_file(path, ModelParams(3, 4))
+        assert str(e.value) == f"{path}:5: Kac label (3, 2) out of range for (p, q) = (3, 4)"
 
     def test_comments_and_blank_lines_ok(self, tmp_path):
         text = "# full file\ngroup 2 2\n0,0 -> 1,1  # identity\n0,1 -> 1,2\n1,0 -> 1,3\n1,1 -> 2,2\n"

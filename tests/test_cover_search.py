@@ -1,6 +1,5 @@
 """Unit tests for abelian-group cover verification and the cyclic search."""
 
-import dataclasses
 import itertools
 import os
 import subprocess
@@ -18,6 +17,7 @@ from fusioncover import (
     CapacityError,
     ClosureViolation,
     CoverMap,
+    FusionTensor,
     GroupContext,
     ModelParams,
     canonical_cover,
@@ -391,7 +391,8 @@ class TestSearchOrder:
         for _ in range(100):
             n = int(rng.integers(2, 5))
             d = (rng.random((n, n, n)) < 0.7).astype(np.uint8)
-            tensor = dataclasses.replace(fusion_tensor(shapes[n]), coefficients=d)
+            shape = fusion_tensor(shapes[n])
+            tensor = FusionTensor(shape.model, shape.sectors, d)
             products = [[tuple(np.flatnonzero(cell).tolist()) for cell in row] for row in d]
             for k in range(1, 9):
                 found = loop_search_order(tensor, k)
@@ -404,7 +405,8 @@ class TestSearchOrder:
         # Z2 labeled (0, 1) covers without it.
         d = np.zeros((3, 3, 3), dtype=np.uint8)
         d[0, 0, 0] = d[0, 1, 1] = d[1, 0, 1] = d[1, 1, 0] = 1
-        tensor = dataclasses.replace(fusion_tensor(ModelParams(3, 4)), coefficients=d)
+        ising = fusion_tensor(ModelParams(3, 4))
+        tensor = FusionTensor(ising.model, ising.sectors, d)
         products = [[tuple(np.flatnonzero(cell).tolist()) for cell in row] for row in d]
         for k in range(1, 5):
             assert _search_order(products, k) == loop_search_order(tensor, k), k
@@ -500,6 +502,22 @@ class TestSearchCyclicCovers:
             expected.extend((k,) + a for a in sorted(seen))
         got = search_cyclic_covers(params, max_order)
         assert [cm.context.factors + tuple(cm.sector_indices.tolist()) for cm in got] == expected
+
+    @pytest.mark.parametrize(
+        "p,q,max_order",
+        [(3, 4, 24), (2, 5, 24), (3, 5, 20), (2, 7, 24), (2, 9, 20), (3, 7, 16), (4, 5, 40)],
+    )
+    def test_every_labeling_is_its_own_negation(self, p, q, max_order):
+        # Closure on x + (-x) = 0 puts (L(x), L(-x), vacuum) in the fusion
+        # rules, which hold (a, b, vacuum) only for a = b: the search finds
+        # no negation pair to deduplicate.
+        products = fusion_products(ModelParams(p, q))
+        found = 0
+        for k in range(1, max_order + 1):
+            for assign in _search_order(products, k):
+                assert assign == tuple(assign[-x] for x in range(k)), (k, assign)
+                found += 1
+        assert found
 
     def test_budget(self, ising):
         # The budget is the CLI's; the library searches any order it is given.

@@ -273,6 +273,15 @@ class TestFusionTensor:
             assert np.abs(verlinde - rounded).max() <= 1e-6, (params.p, params.q)
             assert np.array_equal(rounded, fusion_tensor(params).coefficients), (params.p, params.q)
 
+    def test_every_sector_is_self_conjugate(self):
+        # D[a, b, vacuum] = 1 iff a = b, which makes every cyclic cover its
+        # own negation (test_cover_search).
+        models = coprime_models(32, 33, max_sum=35)
+        assert len(models) == 158
+        for params in models:
+            vacuum_column = fusion_tensor(params).coefficients[:, :, 0]
+            assert np.array_equal(vacuum_column, np.eye(params.n_sectors)), params
+
     def test_largest_model_scratch_is_quadratic(self):
         # N = 256, the largest model under the cell budget; scratch beside the
         # N^3-byte result must stay O(N^2).  The sectors are cached before the

@@ -1,0 +1,114 @@
+"""The package's record classes: equality, hash, repr and immutability.
+
+Each record is a plain class.  Those that compare by value are equal only to
+a record of the same class with equal fields, and hash like them; maps,
+tensors and algebras compare by identity.  Reprs are pinned byte for byte,
+since error messages format some of them.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from fusioncover import (
+    AbelianGroupSpec,
+    ClosureViolation,
+    CoverCertificate,
+    CoverMap,
+    FusionTensor,
+    GroupContext,
+    ModelParams,
+    PartitionAlgebra,
+    Sector,
+    UncoveredTriple,
+    sectors,
+)
+from fusioncover.cli import OutputDocument
+
+ISING = sectors(ModelParams(3, 4))
+VACUUM, SIGMA, EPSILON = ISING
+TRIPLE = (EPSILON, EPSILON, SIGMA)
+ONE = np.ones((1, 1, 1), dtype=np.uint8)
+
+
+def render():
+    return "rendered"
+
+
+# Per class: a function building the record, one building a record that
+# differs in one field (None where records compare by identity), the
+# expected repr, and how records compare: "value", "value, unhashable" for
+# records holding a dict, or "identity".  Each call builds a new record.
+CASES = {
+    "ModelParams": (lambda: ModelParams(3, 4), lambda: ModelParams(4, 3),
+                    "ModelParams(p=3, q=4)", "value"),
+    "Sector": (lambda: Sector(1, 2, Fraction(1, 16), 1), lambda: Sector(1, 2, Fraction(1, 16), 2),
+               "Sector(m=1, n=2, h=Fraction(1, 16), index=1)", "value"),
+    "FusionTensor": (
+        lambda: FusionTensor(ModelParams(2, 3), (VACUUM,), ONE), None,
+        "FusionTensor(model=ModelParams(p=2, q=3), sectors=(Sector(m=1, n=1, h=Fraction(0, 1), "
+        "index=0),), coefficients=array([[[1]]], dtype=uint8))", "identity"),
+    "CoverMap": (lambda: CoverMap(AbelianGroupSpec((4,)), [0, 1, 2, 1], ISING), None,
+                 "CoverMap(context=AbelianGroupSpec(factors=(4,)))", "identity"),
+    "ClosureViolation": (lambda: ClosureViolation(1, 1, 2, TRIPLE),
+                         lambda: ClosureViolation(1, 2, 3, TRIPLE),
+                         f"ClosureViolation(g1=1, g2=1, g3=2, sectors={TRIPLE!r})", "value"),
+    "UncoveredTriple": (lambda: UncoveredTriple(TRIPLE),
+                        lambda: UncoveredTriple((VACUUM, SIGMA, SIGMA)),
+                        f"UncoveredTriple(sectors={TRIPLE!r})", "value"),
+    "CoverCertificate": (
+        lambda: CoverCertificate("FAIL", UncoveredTriple(TRIPLE), {"group_order": 4}),
+        lambda: CoverCertificate("FAIL", UncoveredTriple(TRIPLE), {"group_order": 2}),
+        f"CoverCertificate(verdict='FAIL', witness=UncoveredTriple(sectors={TRIPLE!r}), "
+        "stats={'group_order': 4})", "value, unhashable"),
+    "AbelianGroupSpec": (lambda: AbelianGroupSpec([2, 3]), lambda: AbelianGroupSpec((3, 2)),
+                         "AbelianGroupSpec(factors=(2, 3))", "value"),
+    "GroupContext": (lambda: GroupContext(ModelParams(4, 5)),
+                     lambda: GroupContext(ModelParams(3, 4)),
+                     "GroupContext(params=ModelParams(p=4, q=5))", "value"),
+    "PartitionAlgebra": (
+        lambda: PartitionAlgebra((VACUUM,), ONE, ONE.astype(np.int64)), None,
+        "PartitionAlgebra(sectors=(Sector(m=1, n=1, h=Fraction(0, 1), index=0),), "
+        "coefficients=array([[[1]]], dtype=uint8), multiplicities=array([[[1]]]))", "identity"),
+    # ``render`` is left out of the repr and of comparisons.
+    "OutputDocument": (lambda: OutputDocument("text", {"N": 3}, render),
+                       lambda: OutputDocument("json", {"N": 3}, render),
+                       "OutputDocument(format='text', payload={'N': 3})", "value, unhashable"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+class TestRecord:
+    def test_repr(self, name):
+        build, _, shown, _ = CASES[name]
+        assert repr(build()) == shown
+
+    def test_equality_and_hash(self, name):
+        build, build_other, _, compared = CASES[name]
+        a, b = build(), build()
+        assert a == a
+        if compared == "identity":
+            assert a != b and hash(a) == object.__hash__(a)
+            return
+        assert a == b and not a != b and a != build_other()
+        # Equal to no object of another class, its own fields as a tuple included.
+        assert a != tuple(vars(a).values()) and a != object()
+        if compared == "value":
+            assert hash(a) == hash(b) and len({a, b}) == 1
+        else:
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(a)
+
+    def test_fields_cannot_be_set_or_deleted(self, name):
+        record = CASES[name][0]()
+        before = dict(vars(record))
+        for field in before:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+                delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.new_field = None
+        assert vars(record).keys() == before.keys()
+        assert all(vars(record)[field] is value for field, value in before.items())
