@@ -24,7 +24,8 @@ import functools
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import CountCheckError
-from .minimal_model import FusionTensor, ModelParams, Sector, _read_only, canonicalize, sectors
+from .minimal_model import (FusionTensor, IdentityRecord, ModelParams, Record, Sector,
+                            canonicalize, sectors)
 
 # numpy and the pair kernels are imported by the functions that use them, so
 # a cover search, which builds maps but counts none, starts without them.
@@ -38,7 +39,7 @@ PASS = "PASS"
 FAIL = "FAIL"
 
 
-class CoverMap:
+class CoverMap(IdentityRecord):
     """A total labeling of a finite abelian group's elements by sectors.
 
     ``sector_indices[g]`` is the sector index of the element with code g, a
@@ -46,8 +47,10 @@ class CoverMap:
     quotient it is the value of the coset representative.  Indices must be
     whole numbers (ints, or floats with no fractional part); the array is
     int64 and read-only.  The repr shows the group only, so printing a map
-    builds no labels.  A map is immutable and compares by identity.
+    builds no labels.  Maps compare by identity.
     """
+
+    _fields = ("context",)
 
     def __init__(self, context: GroupContext | AbelianGroupSpec,
                  sector_indices: np.ndarray, sectors: tuple[Sector, ...]) -> None:
@@ -65,11 +68,6 @@ class CoverMap:
         if arr.size and (arr.min() < 0 or arr.max() >= len(sectors)):
             raise ValueError("assignment contains out-of-range sector indices")
         vars(self).update(context=context, sector_indices=arr, sectors=sectors)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(context={self.context!r})"
 
     @classmethod
     def from_kac_labels(
@@ -117,64 +115,40 @@ class CoverMap:
         return counts
 
 
-class ClosureViolation:
+class ClosureViolation(Record):
     """Elements g1 + g2 = g3 whose sector triple is not admissible.
 
     The elements are codes, Python ints, for every group kind, so
     ``cover.sector_indices[g1]`` re-reads the sector of g1 in the map refuted;
-    the group's ``element_json(code)`` prints one.  Immutable; equal to
-    another ClosureViolation with the same fields.
+    the group's ``element_json(code)`` prints one.
     """
+
+    _fields = ("g1", "g2", "g3", "sectors")
 
     def __init__(self, g1: int, g2: int, g3: int, sectors: tuple[Sector, Sector, Sector]) -> None:
         vars(self).update(g1=g1, g2=g2, g3=g3, sectors=sectors)
 
-    __setattr__ = __delattr__ = _read_only
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.g1, self.g2, self.g3, self.sectors)
-                == (other.g1, other.g2, other.g3, other.sectors))
+class UncoveredTriple(Record):
+    """An admissible sector triple realized by no pair g1 + g2 = g3."""
 
-    def __hash__(self) -> int:
-        return hash((self.g1, self.g2, self.g3, self.sectors))
-
-    def __repr__(self) -> str:
-        return (f"ClosureViolation(g1={self.g1!r}, g2={self.g2!r}, g3={self.g3!r}, "
-                f"sectors={self.sectors!r})")
-
-
-class UncoveredTriple:
-    """An admissible sector triple realized by no pair g1 + g2 = g3.
-    Immutable; equal to another UncoveredTriple of the same sectors."""
+    _fields = ("sectors",)
 
     def __init__(self, sectors: tuple[Sector, Sector, Sector]) -> None:
         vars(self).update(sectors=sectors)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sectors == other.sectors
-
-    def __hash__(self) -> int:
-        return hash((self.sectors,))
-
-    def __repr__(self) -> str:
-        return f"UncoveredTriple(sectors={self.sectors!r})"
 
 
 Witness = Union[ClosureViolation, UncoveredTriple]
 
 
-class CoverCertificate:
+class CoverCertificate(Record):
     """PASS/FAIL verdict of a cover check, with witness on FAIL and scan stats.
 
-    ``stats`` defaults to a new empty dict.  Immutable; equal to another
-    certificate with the same fields, and, holding a dict, not hashable.
+    ``stats`` defaults to a new empty dict; holding a dict, a certificate is
+    not hashable.
     """
+
+    _fields = ("verdict", "witness", "stats")
 
     def __init__(self, verdict: str, witness: Witness | None = None,
                  stats: dict | None = None) -> None:
@@ -183,21 +157,6 @@ class CoverCertificate:
         if verdict == FAIL and witness is None:
             raise ValueError("a FAIL certificate requires a witness")
         vars(self).update(verdict=verdict, witness=witness, stats={} if stats is None else stats)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.verdict, self.witness, self.stats)
-                == (other.verdict, other.witness, other.stats))
-
-    def __hash__(self) -> int:
-        return hash((self.verdict, self.witness, self.stats))
-
-    def __repr__(self) -> str:
-        return (f"CoverCertificate(verdict={self.verdict!r}, witness={self.witness!r}, "
-                f"stats={self.stats!r})")
 
     @property
     def passed(self) -> bool:

@@ -49,9 +49,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 from .errors import CapacityError, CountCheckError, GroupFileError
 from .minimal_model import (
     ModelParams,
+    Record,
     Sector,
     _label_index,
-    _read_only,
     central_charge,
     check_fusion_cells,
     fraction_str,
@@ -126,28 +126,17 @@ def _json_text(payload) -> str:
     return write(payload, 0)
 
 
-class OutputDocument:
+class OutputDocument(Record):
     """A command result: its machine payload and, on first use, its text.
 
-    Immutable; equal to another document with the same format and payload
-    (``render`` is not compared), and, holding a dict, not hashable.
+    ``render`` is left out of the repr and of equality; holding a dict, a
+    document is not hashable.
     """
+
+    _fields = ("format", "payload")
 
     def __init__(self, format: str, payload: dict, render: Callable[[], str]) -> None:
         vars(self).update(format=format, payload=payload, render=render)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.format, self.payload) == (other.format, other.payload)
-
-    def __hash__(self) -> int:
-        return hash((self.format, self.payload))
-
-    def __repr__(self) -> str:
-        return f"OutputDocument(format={self.format!r}, payload={self.payload!r})"
 
     @cached_property
     def text(self) -> str:

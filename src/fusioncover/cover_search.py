@@ -40,8 +40,8 @@ from typing import TYPE_CHECKING
 from .certificates import CoverMap, verify_cover
 from .minimal_model import (
     ModelParams,
+    Record,
     Sector,
-    _read_only,
     check_fusion_cells,
     fusion_products,
     sectors,
@@ -54,37 +54,24 @@ if TYPE_CHECKING:
 Products = list[list[tuple[int, ...]]]
 
 
-class AbelianGroupSpec:
+class AbelianGroupSpec(Record):
     """A finite abelian group as a product of cyclic factors Z_k1 x ... x Z_kt.
 
     An element is named by its code, the big-endian mixed-radix number of
     its digits, first factor slowest; addition is componentwise modular
     (``addition_table`` on codes).  Digits are for people: ``elements()``
     lists them and ``element_json`` prints them.  An empty factor list is
-    the trivial group.  Immutable; equal to another spec with the same
-    factors.
+    the trivial group.
     """
 
     kind = "abelian"
+    _fields = ("factors",)
 
     def __init__(self, factors: tuple[int, ...]) -> None:
         factors = tuple(int(k) for k in factors)
         if any(k < 2 for k in factors):
             raise ValueError(f"all factors must be >= 2, got {factors}")
         vars(self).update(factors=factors)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
-
-    def __repr__(self) -> str:
-        return f"AbelianGroupSpec(factors={self.factors!r})"
 
     @classmethod
     def cyclic(cls, k: int) -> "AbelianGroupSpec":

@@ -38,6 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError
@@ -68,18 +69,57 @@ def fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _read_only(self, name: str, *value) -> None:
-    """``__setattr__`` and ``__delattr__`` of the package's immutable records,
-    which set their fields in ``__init__`` through ``vars(self)``."""
-    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+class Record:
+    """Base of the package's immutable records.
 
-
-class ModelParams:
-    """The pair (p, q) selecting a minimal model.  Requires coprime p, q >= 2.
-
-    Immutable; equal to, and hashed like, another ModelParams with the same
-    p and q, and to nothing else.
+    A record sets its fields in ``__init__`` through ``vars(self)``; after
+    that a field can be neither assigned nor deleted.  The class names its
+    fields in ``_fields``, which drive equality, hash and repr: a record is
+    equal only to a record of the same class with equal fields, is hashed
+    like the tuple of its fields (so one holding a dict is not hashable),
+    and prints as ``ClassName(field=value, ...)``.
     """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" in vars(cls):
+            cls._values = attrgetter(*cls._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = type(self)._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        # ``ModelParams`` keys the per-model caches, so hashing is kept
+        # cheap: one C getter per class, read off the class, not the
+        # instance, which CPython looks up faster.
+        return hash(type(self)._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class IdentityRecord(Record):
+    """A record that is equal only to itself and hashed by identity."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+class ModelParams(Record):
+    """The pair (p, q) selecting a minimal model.  Requires coprime p, q >= 2."""
+
+    _fields = ("p", "q")
 
     def __init__(self, p: int, q: int) -> None:
         if not (isinstance(p, int) and isinstance(q, int)):
@@ -92,48 +132,23 @@ class ModelParams:
             raise ValueError(f"p and q must be coprime, got gcd({p}, {q}) = {gcd(p, q)}")
         vars(self).update(p=p, q=q)
 
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.q) == (other.p, other.q)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
-
-    def __repr__(self) -> str:
-        return f"ModelParams(p={self.p!r}, q={self.q!r})"
-
     @property
     def n_sectors(self) -> int:
         return (self.p - 1) * (self.q - 1) // 2
 
 
-class Sector:
+class Sector(Record):
     """One distinct irreducible module, i.e. the label class {(m,n), (p-m,q-n)}.
 
     (m, n) is the canonical representative (lexicographically smaller of the
     two), h its conformal weight, and index its position in the model's
     lexicographically sorted sector list (sector (1,1), h = 0, has index 0).
-    Immutable; equal to another Sector with the same four fields.
     """
+
+    _fields = ("m", "n", "h", "index")
 
     def __init__(self, m: int, n: int, h: Fraction, index: int) -> None:
         vars(self).update(m=m, n=n, h=h, index=index)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.n, self.h, self.index) == (other.m, other.n, other.h, other.index)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.n, self.h, self.index))
-
-    def __repr__(self) -> str:
-        return f"Sector(m={self.m!r}, n={self.n!r}, h={self.h!r}, index={self.index!r})"
 
     @property
     def label(self) -> tuple[int, int]:
@@ -257,23 +272,18 @@ def is_pq_admissible(params: ModelParams, t1: LabelPair, t2: LabelPair, t3: Labe
     )
 
 
-class FusionTensor:
+class FusionTensor(IdentityRecord):
     """The 0/1 structure constants D(S_i, S_j, S_k) of a minimal model.
 
     coefficients[i, j, k] = 1 iff sector k occurs in the fusion product of
-    sectors i and j.  The array is read-only, and so is the tensor; tensors
-    compare by identity.
+    sectors i and j.  The array is read-only; tensors compare by identity.
     """
+
+    _fields = ("model", "sectors", "coefficients")
 
     def __init__(self, model: ModelParams, sectors: tuple[Sector, ...],
                  coefficients: np.ndarray) -> None:
         vars(self).update(model=model, sectors=sectors, coefficients=coefficients)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __repr__(self) -> str:
-        return (f"FusionTensor(model={self.model!r}, sectors={self.sectors!r}, "
-                f"coefficients={self.coefficients!r})")
 
     @property
     def n(self) -> int:

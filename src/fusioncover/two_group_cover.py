@@ -45,7 +45,8 @@ import numpy as np
 from .certificates import CoverMap, verify_cover  # noqa: F401
 from ._kernels import check_counts
 from .errors import CapacityError, PartitionError
-from .minimal_model import FusionTensor, ModelParams, Sector, _label_index, _read_only, sectors
+from .minimal_model import (FusionTensor, IdentityRecord, ModelParams, Record, Sector,
+                            _label_index, sectors)
 
 # Largest rank whose closed-form counts are exact in int64: every count of
 # pairs in H is at most |H|^2 = 4^r, and 4^31 = 2^62.
@@ -57,33 +58,20 @@ MAX_CANONICAL_RANK = 31
 MAX_CANONICAL_MAP = 1 << 22
 
 
-class GroupContext:
+class GroupContext(Record):
     """The quotient G = H / {0, all-ones} = Z_2^(r-1) of H = Z_2^r, as the
     group of a ``CoverMap``.
 
     An element code is the value of a coset's representative, the member
     whose coordinate r is 0: coordinate i is bit i - 1, coordinates 1..p-2
-    form A and p-1..r form B.  Immutable; equal to another context of the
-    same model.
+    form A and p-1..r form B.
     """
 
     kind = "two_group_quotient"
+    _fields = ("params",)
 
     def __init__(self, params: ModelParams) -> None:
         vars(self).update(params=params)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.params == other.params
-
-    def __hash__(self) -> int:
-        return hash((self.params,))
-
-    def __repr__(self) -> str:
-        return f"GroupContext(params={self.params!r})"
 
     @property
     def r(self) -> int:
@@ -225,25 +213,21 @@ def canonical_counts(params: ModelParams) -> np.ndarray:
     return counts
 
 
-class PartitionAlgebra:
+class PartitionAlgebra(IdentityRecord):
     """The algebra W of a partition of G: W[i,j,k] = 1 iff P_i + P_j meets P_k.
 
     ``multiplicities[i, j, k]`` is the number of pairs (g1, g2) with g1 in
     P_i, g2 in P_j and g1 + g2 in P_k (int64, summing to |G|^2): the map's
-    read-only ``CoverMap.counts``.  The coefficients are its support.  An
-    algebra is immutable and compares by identity.
+    read-only ``CoverMap.counts``.  The coefficients are its support.
+    Algebras compare by identity.
     """
+
+    _fields = ("sectors", "coefficients", "multiplicities")
 
     def __init__(self, sectors: tuple[Sector, ...], coefficients: np.ndarray,
                  multiplicities: np.ndarray) -> None:
         vars(self).update(sectors=sectors, coefficients=coefficients,
                           multiplicities=multiplicities)
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __repr__(self) -> str:
-        return (f"PartitionAlgebra(sectors={self.sectors!r}, coefficients={self.coefficients!r}, "
-                f"multiplicities={self.multiplicities!r})")
 
     @property
     def n(self) -> int:

@@ -305,20 +305,20 @@ class TestMultiplicityProfile:
 def brute_force_cyclic_covers(tensor, max_order):
     """Oracle: try *every* labeling of Z_k for k <= max_order, no pruning.
 
-    Returns the same canonical form as search_cyclic_covers: negation
-    duplicates removed, sorted by (order, label tuple).
+    Returns every passing labeling, as search_cyclic_covers lists them:
+    sorted by (order, label tuple), the order ``itertools.product`` tries
+    them in.  Each is its own negation
+    (``test_every_labeling_is_its_own_negation``), so none is dropped.
     """
     secs = tensor.sectors
     found = []
     for k in range(1, max_order + 1):
         spec = AbelianGroupSpec.cyclic(k)
-        seen = set()
         for tail in itertools.product(range(tensor.n), repeat=k - 1):
             assign = (0,) + tail
-            if verify_cover(CoverMap(spec, assign, secs), tensor).passed:
-                negated = tuple(assign[(-x) % k] for x in range(k))
-                seen.add(min(assign, negated))
-        found.extend(CoverMap(spec, a, secs) for a in sorted(seen))
+            cover = CoverMap(spec, assign, secs)
+            if verify_cover(cover, tensor).passed:
+                found.append(cover)
     return found
 
 
@@ -489,17 +489,14 @@ class TestSearchCyclicCovers:
         [(3, 4, 24), (2, 5, 24), (3, 5, 20), (2, 7, 24), (2, 9, 20), (3, 7, 16), (4, 5, 40)],
     )
     def test_matches_set_and_sort_dedup(self, p, q, max_order):
-        # Oracle: every order's labelings reduced to min(labeling, negation)
-        # in a set, then sorted; the search must list the same, in order.
+        # Oracle: every order's labelings, sorted; the search must list the
+        # same, in order.  No labeling has a distinct negation
+        # (test_every_labeling_is_its_own_negation), so none is dropped.
         params = ModelParams(p, q)
         products = fusion_products(params)
         expected = []
         for k in range(1, max_order + 1):
-            seen = {
-                min(assign, tuple(assign[(-x) % k] for x in range(k)))
-                for assign in _search_order(products, k)
-            }
-            expected.extend((k,) + a for a in sorted(seen))
+            expected.extend((k,) + a for a in sorted(_search_order(products, k)))
         got = search_cyclic_covers(params, max_order)
         assert [cm.context.factors + tuple(cm.sector_indices.tolist()) for cm in got] == expected
 

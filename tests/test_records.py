@@ -4,8 +4,14 @@ Each record is a plain class.  Those that compare by value are equal only to
 a record of the same class with equal fields, and hash like them; maps,
 tensors and algebras compare by identity.  Reprs are pinned byte for byte,
 since error messages format some of them.
+
+The behaviour comes from one base, ``minimal_model.Record``, driven by each
+class's ``_fields``; records that compare by identity derive from its
+subclass ``IdentityRecord``.  Copies and pickles keep a record's fields.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +28,7 @@ from fusioncover import (
     PartitionAlgebra,
     Sector,
     UncoveredTriple,
+    canonical_cover,
     sectors,
 )
 from fusioncover.cli import OutputDocument
@@ -112,3 +119,29 @@ class TestRecord:
             record.new_field = None
         assert vars(record).keys() == before.keys()
         assert all(vars(record)[field] is value for field, value in before.items())
+
+    def test_copy_and_pickle_round_trip(self, name):
+        build, _, shown, compared = CASES[name]
+        record = build()
+        for clone in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert type(clone) is type(record) and repr(clone) == shown
+            if compared != "identity":
+                assert clone == record
+            assert vars(clone).keys() == vars(record).keys()
+            for field, value in vars(record).items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(vars(clone)[field], value)
+                else:
+                    assert vars(clone)[field] == value
+            with pytest.raises(AttributeError, match="cannot assign to field"):
+                setattr(clone, next(iter(vars(clone))), None)
+
+
+def test_pickled_canonical_cover_keeps_its_cached_counts():
+    cover = canonical_cover(GroupContext(ModelParams(4, 5)))
+    counts = cover.counts
+    clone = pickle.loads(pickle.dumps(cover))
+    assert type(clone) is type(cover) and repr(clone) == repr(cover)
+    assert "counts" in vars(clone) and np.array_equal(clone.counts, counts)
+    assert np.array_equal(clone.sector_indices, cover.sector_indices)
