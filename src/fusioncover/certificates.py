@@ -80,11 +80,15 @@ class CoverMap(IdentityRecord):
         order of ``sector_indices``); labels are canonicalized.
 
         ``CoverMap`` refuses a wrong number of labels, so the group is never
-        enumerated.  The identity element, code 0, must carry the vacuum
-        sector (1,1): a cover could not do otherwise, and the group file
-        format requires it too.
+        enumerated.  Each distinct label is canonicalized once, in order of
+        first use, so the first bad label in code order is the one refused.
+        The identity element, code 0, must carry the vacuum sector (1,1): a
+        cover could not do otherwise, and the group file format requires it
+        too.
         """
-        indices = [canonicalize(params, m, n).index for m, n in labels]
+        pairs = [(m, n) for m, n in labels]
+        index = {pair: canonicalize(params, *pair).index for pair in dict.fromkeys(pairs)}
+        indices = [index[pair] for pair in pairs]
         cover = cls(group, indices, sectors(params))
         if indices[0] != 0:
             raise ValueError("the identity element must be labeled by the (1,1) sector")

@@ -348,13 +348,11 @@ def _element_text(shown) -> str:
     return shown if type(shown) is str else ",".join(map(str, shown)) or "()"
 
 
-def _witness_text(witness, group) -> str:
-    from .certificates import ClosureViolation
-
-    i, j, k = (s.name for s in witness.sectors)
-    if isinstance(witness, ClosureViolation):
-        elements = (witness.g1, witness.g2, witness.g3)
-        g1, g2, g3 = (_element_text(group.element_json(g)) for g in elements)
+def _witness_text(witness: dict) -> str:
+    """A witness payload (``_witness_payload``) in words."""
+    i, j, k = (s["name"] for s in witness["sectors"])
+    if witness["kind"] == "closure_violation":
+        g1, g2, g3 = (_element_text(witness[g]) for g in ("g1", "g2", "g3"))
         return f"{g1} + {g2} = {g3} maps to {i} x {j} -> {k}, but {k} does not occur in {i} x {j}"
     return f"admissible triple {i} x {j} -> {k} is realized by no pair of group elements"
 
@@ -419,8 +417,8 @@ def cmd_cover_verify(
             f"admissible sector triples: {cert.stats['admissible_triples']}",
             f"realized sector triples: {cert.stats['realized_triples']}",
         ]
-        if cert.witness is not None:
-            lines.append(f"witness: {_witness_text(cert.witness, group)}")
+        if payload["witness"] is not None:
+            lines.append(f"witness: {_witness_text(payload['witness'])}")
         return "\n".join(lines)
 
     return OutputDocument(format, payload, render), (0 if cert.passed else 1)
@@ -446,26 +444,24 @@ def cmd_cover_search(
 
     covers = search_cyclic_covers(params, max_order)
     secs = sectors(params)
-    names = [s.name for s in secs]
     # One label record per distinct (element, sector), shared by every cover
-    # that holds it: many covers reuse few labels.
-    records: dict[tuple, dict] = {}
+    # that holds it: many covers reuse few labels.  An element is its code
+    # and its group's factor count: code 0 prints as [] in the trivial group
+    # and as [0] in Z_k.
+    records: dict[tuple[int, int, int], dict] = {}
 
-    def record(e: tuple, i: int) -> dict:
-        rec = records.get((e, i))
-        if rec is None:
-            rec = {"element": list(e), "sector": [secs[i].m, secs[i].n], "name": names[i]}
-            records[e, i] = rec
-        return rec
+    def record(group, code: int, i: int) -> dict:
+        key = (code, len(group.factors), i)
+        if key not in records:
+            s = secs[i]
+            records[key] = {"element": group.element_json(code), "sector": [s.m, s.n], "name": s.name}
+        return records[key]
 
     rendered = [
         {
             "factors": list(cover.context.factors),
             "order": cover.context.order,
-            "labels": [
-                record(e, i)
-                for e, i in zip(cover.context.elements(), cover.labels)
-            ],
+            "labels": [record(cover.context, code, i) for code, i in enumerate(cover.labels)],
         }
         for cover in covers
     ]
@@ -476,11 +472,11 @@ def cmd_cover_search(
             f"Cyclic covers of the ({p},{q}) minimal model fusion rules up to order {max_order}",
             f"found {len(covers)} cover(s)",
         ]
-        for cover in covers:
+        for cover, shown in zip(covers, rendered):
             lines.append(f"{cover.context.describe()}:")
-            for e, i in zip(cover.context.elements(), cover.labels):
-                s = secs[i]
-                lines.append(f"  {_element_text(e)} <-> {names[i]} ({s.m},{s.n})")
+            for rec in shown["labels"]:
+                m, n = rec["sector"]
+                lines.append(f"  {_element_text(rec['element'])} <-> {rec['name']} ({m},{n})")
         return "\n".join(lines)
 
     return OutputDocument(format, payload, render)

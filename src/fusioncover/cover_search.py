@@ -59,9 +59,9 @@ class AbelianGroupSpec(Record):
 
     An element is named by its code, the big-endian mixed-radix number of
     its digits, first factor slowest; addition is componentwise modular
-    (``addition_table`` on codes).  Digits are for people: ``elements()``
-    lists them and ``element_json`` prints them.  An empty factor list is
-    the trivial group.
+    (``addition_table`` on codes).  Digits are for people:
+    ``element_json`` prints them.  An empty factor list is the trivial
+    group.
     """
 
     kind = "abelian"
@@ -83,10 +83,6 @@ class AbelianGroupSpec(Record):
     @property
     def order(self) -> int:
         return prod(self.factors)
-
-    def elements(self) -> list[tuple[int, ...]]:
-        """The digits of every element, in code order."""
-        return list(itertools.product(*(range(k) for k in self.factors)))
 
     def addition_table(self) -> list[list[int]]:
         """Entry [a][b] is the index of a + b, in plain Python ints.

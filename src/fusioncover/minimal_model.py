@@ -77,7 +77,10 @@ class Record:
     fields in ``_fields``, which drive equality, hash and repr: a record is
     equal only to a record of the same class with equal fields, is hashed
     like the tuple of its fields (so one holding a dict is not hashable),
-    and prints as ``ClassName(field=value, ...)``.
+    and prints as ``ClassName(field=value, ...)``.  A copy or an unpickled
+    record is read-only too: its arrays, cached ones included, come back as
+    read-only views, and the arrays it may share with the original keep
+    their flags.
     """
 
     _fields: tuple[str, ...] = ()
@@ -91,6 +94,13 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            if hasattr(value, "setflags"):
+                value = value.view()
+                value.setflags(write=False)
+            vars(self)[name] = value
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -151,16 +161,9 @@ class Sector(Record):
         vars(self).update(m=m, n=n, h=h, index=index)
 
     @property
-    def label(self) -> tuple[int, int]:
-        return (self.m, self.n)
-
-    @property
     def name(self) -> str:
         """Bracket notation for the module, e.g. ``[1/16]``."""
         return f"[{fraction_str(self.h)}]"
-
-    def __str__(self) -> str:
-        return self.name
 
 
 def central_charge(params: ModelParams) -> Fraction:

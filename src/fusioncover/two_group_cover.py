@@ -216,18 +216,15 @@ def canonical_counts(params: ModelParams) -> np.ndarray:
 class PartitionAlgebra(IdentityRecord):
     """The algebra W of a partition of G: W[i,j,k] = 1 iff P_i + P_j meets P_k.
 
-    ``multiplicities[i, j, k]`` is the number of pairs (g1, g2) with g1 in
-    P_i, g2 in P_j and g1 + g2 in P_k (int64, summing to |G|^2): the map's
-    read-only ``CoverMap.counts``.  The coefficients are its support.
+    The coefficients are the support of the map's ``CoverMap.counts``, the
+    number of pairs (g1, g2) with g1 in P_i, g2 in P_j and g1 + g2 in P_k.
     Algebras compare by identity.
     """
 
-    _fields = ("sectors", "coefficients", "multiplicities")
+    _fields = ("sectors", "coefficients")
 
-    def __init__(self, sectors: tuple[Sector, ...], coefficients: np.ndarray,
-                 multiplicities: np.ndarray) -> None:
-        vars(self).update(sectors=sectors, coefficients=coefficients,
-                          multiplicities=multiplicities)
+    def __init__(self, sectors: tuple[Sector, ...], coefficients: np.ndarray) -> None:
+        vars(self).update(sectors=sectors, coefficients=coefficients)
 
     @property
     def n(self) -> int:
@@ -261,7 +258,7 @@ def partition_algebra(
         raise PartitionError(f"partition requires P_1 = {{0}}: the vacuum preimage is {where}")
     coeff = (counts > 0).astype(np.uint8)
     coeff.setflags(write=False)
-    return PartitionAlgebra(cm.sectors, coeff, counts)
+    return PartitionAlgebra(cm.sectors, coeff)
 
 
 def is_isomorphic_to_verlinde(w: PartitionAlgebra, v: FusionTensor) -> bool:

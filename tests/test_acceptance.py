@@ -234,8 +234,8 @@ def test_criterion_7_property_suites():
                     for m in range(1, p):
                         for n in range(1, q):
                             assert not (
-                                is_pq_admissible(params, si.label, sj.label, (m, n))
+                                is_pq_admissible(params, (si.m, si.n), (sj.m, sj.n), (m, n))
                                 and is_pq_admissible(
-                                    params, si.label, sj.label, (p - m, q - n)
+                                    params, (si.m, si.n), (sj.m, sj.n), (p - m, q - n)
                                 )
                             )

@@ -305,10 +305,9 @@ class TestCoverVerifyCommand:
         )
         assert g1 >= 0
         doc, code = cmd_cover_verify(params.p, params.q, path, "json")
-        elements = cm.context.elements()
         w = doc.payload["witness"]
         assert code == 1 and w["kind"] == "closure_violation"
-        assert (w["g1"], w["g2"]) == (list(elements[g1]), list(elements[g2]))
+        assert (w["g1"], w["g2"]) == (digits[g1].tolist(), digits[g2].tolist())
         assert doc.payload["stats"] == _kernels.scan_stats(cm.context.order, d_flat, realized)
 
 
@@ -335,15 +334,23 @@ class TestCoverVerifyCommand:
         assert code == 1 and (w["g1"], w["g2"]) == (digits[g1].tolist(), digits[g2].tolist())
 
     def test_group_files_verify_without_listing_elements(self, tmp_path, monkeypatch):
-        def refuse(spec):
-            raise AssertionError("the element list was built")
+        # A PASS prints no element and a FAIL the three of its witness, once
+        # each: the text reads them off the payload.
+        element_json = AbelianGroupSpec.element_json
+        printed = []
+
+        def counted(spec, code):
+            printed.append(code)
+            return element_json(spec, code)
 
         _, _, bad = corrupted_mixed_file(tmp_path)
-        monkeypatch.setattr(AbelianGroupSpec, "elements", refuse)
+        monkeypatch.setattr(AbelianGroupSpec, "element_json", counted)
         for path, expected in [(str(COVERS / "tricritical_z12.cover"), 0), (bad, 1)]:
             for fmt in ("text", "json"):
+                printed.clear()
                 doc, code = cmd_cover_verify(4, 5, path, fmt)
                 assert code == expected and doc.emit()
+                assert len(printed) == 3 * expected
 
     SWEEP = sorted(k for k in json.loads(REFERENCES.read_text())["digests"] if k.startswith("sweep/"))
 
@@ -403,6 +410,33 @@ class TestCoverSearchCommand:
                 expected.append(f"  {lab['element'][0]} <-> {lab['name']} ({m},{n})")
         assert len(doc.payload["covers"]) > 1
         assert lines == expected
+
+    def test_identity_prints_by_its_group(self):
+        # Code 0 is () / [] in the trivial group and 0 / [0] in Z2 and Z3.
+        text = cmd_cover_search(2, 3, 3, "text").emit()
+        assert text.splitlines() == [
+            "Cyclic covers of the (2,3) minimal model fusion rules up to order 3",
+            "found 3 cover(s)",
+            "trivial group:",
+            "  () <-> [0] (1,1)",
+            "Z2:",
+            "  0 <-> [0] (1,1)",
+            "  1 <-> [0] (1,1)",
+            "Z3:",
+            "  0 <-> [0] (1,1)",
+            "  1 <-> [0] (1,1)",
+            "  2 <-> [0] (1,1)",
+        ]
+        payload = json.loads(cmd_cover_search(2, 3, 3, "json").emit())
+        assert [(c["factors"], c["order"]) for c in payload["covers"]] == [
+            ([], 1), ([2], 2), ([3], 3)
+        ]
+        assert [[lab["element"] for lab in c["labels"]] for c in payload["covers"]] == [
+            [[]], [[0], [1]], [[0], [1], [2]]
+        ]
+        labels = [lab for c in payload["covers"] for lab in c["labels"]]
+        assert all(lab == {"element": lab["element"], "sector": [1, 1], "name": "[0]"}
+                   for lab in labels)
 
     @pytest.mark.parametrize("p,q,max_order", [(2, 7, 24), (2, 9, 20), (4, 5, 40)])
     def test_benchmark_searches_match_reference_digests(self, p, q, max_order):

@@ -115,7 +115,7 @@ class TestSectors:
     def test_degenerate_model(self):
         secs = sectors(ModelParams(2, 3))
         assert len(secs) == 1
-        assert secs[0].label == (1, 1) and secs[0].h == 0
+        assert (secs[0].m, secs[0].n) == (1, 1) and secs[0].h == 0
 
     def test_count_formula_exhaustive(self):
         for params in coprime_models(10, 11):
@@ -123,16 +123,17 @@ class TestSectors:
 
     def test_vacuum_first_and_sorted(self):
         for params in coprime_models(7, 9):
-            labels = [s.label for s in sectors(params)]
+            labels = [(s.m, s.n) for s in sectors(params)]
             assert labels[0] == (1, 1)
             assert labels == sorted(labels)
 
 
 class TestCanonicalize:
     def test_examples(self, ising, tricritical):
-        assert canonicalize(ising, 2, 2).label == (1, 2)
-        assert canonicalize(ising, 1, 3).label == (1, 3)
-        assert canonicalize(tricritical, 3, 4).label == (1, 1)
+        for params, m, n, label in [(ising, 2, 2, (1, 2)), (ising, 1, 3, (1, 3)),
+                                    (tricritical, 3, 4, (1, 1))]:
+            s = canonicalize(params, m, n)
+            assert (s.m, s.n) == label
 
     def test_weight_preserved(self):
         params = ModelParams(5, 8)
@@ -215,7 +216,7 @@ def models_up_to(n_max):
 def loop_fusion_coefficients(params):
     """Reference tensor: test both completions of every cell with is_pq_admissible."""
     p, q = params.p, params.q
-    labels = [s.label for s in sectors(params)]
+    labels = [(s.m, s.n) for s in sectors(params)]
     n = len(labels)
     coeff = np.zeros((n, n, n), dtype=np.uint8)
     for i, a in enumerate(labels):

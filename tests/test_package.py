@@ -30,19 +30,23 @@ def test_paper_model_is_not_exported():
 
 def test_vector_algebra_is_not_shipped():
     # Products are read off the integer fusion tensor; no command multiplies
-    # rational coefficient vectors or digit tuples.
+    # rational coefficient vectors or digit tuples, lists elements as digit
+    # tuples, or reads pair counts off an algebra rather than its map.
     assert "Rational" not in fusioncover.__all__
     with pytest.raises(AttributeError, match="Rational"):
         fusioncover.Rational
     assert not hasattr(import_module("fusioncover.minimal_model"), "algebra_product")
     removed = {
         "FusionTensor": ("products_of",),
-        "PartitionAlgebra": ("product",),
-        "AbelianGroupSpec": ("identity", "add", "negate", "index_of", "digit_matrix"),
+        "PartitionAlgebra": ("product", "multiplicities"),
+        "AbelianGroupSpec": ("identity", "add", "negate", "index_of", "digit_matrix", "elements"),
+        "Sector": ("label",),
     }
     for cls, attrs in removed.items():
         for attr in attrs:
             assert not hasattr(getattr(fusioncover, cls), attr), (cls, attr)
+    assert fusioncover.PartitionAlgebra._fields == ("sectors", "coefficients")
+    assert "__str__" not in vars(fusioncover.Sector)
 
 
 def test_verlinde_algebra_is_the_fusion_tensor():

@@ -79,9 +79,9 @@ def test_completion_exclusivity_to_ten():
                 for m in range(1, p):
                     for n in range(1, q):
                         both = is_pq_admissible(
-                            params, si.label, sj.label, (m, n)
-                        ) and is_pq_admissible(params, si.label, sj.label, (p - m, q - n))
-                        assert not both, (params, si.label, sj.label, (m, n))
+                            params, (si.m, si.n), (sj.m, sj.n), (m, n)
+                        ) and is_pq_admissible(params, (si.m, si.n), (sj.m, sj.n), (p - m, q - n))
+                        assert not both, (params, (si.m, si.n), (sj.m, sj.n), (m, n))
 
 
 def test_class_sizes_partition_h_to_ten():

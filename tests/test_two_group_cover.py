@@ -690,11 +690,11 @@ class TestPartitionAlgebra:
         expected = np.zeros((n, n, n), dtype=np.int64)
         for g1, g2 in itertools.product(range(len(sec)), repeat=2):
             expected[sec[g1], sec[g2], sec[g1 ^ g2]] += 1
-        assert w.multiplicities.dtype == np.int64
-        assert np.array_equal(w.multiplicities, expected)
-        assert w.multiplicities.sum() == len(sec) ** 2
+        assert cm.counts.dtype == np.int64
+        assert np.array_equal(cm.counts, expected)
+        assert cm.counts.sum() == len(sec) ** 2
         assert np.array_equal(w.coefficients, (expected > 0).astype(np.uint8))
-        assert not w.multiplicities.flags.writeable
+        assert not cm.counts.flags.writeable
 
     def test_sixteenth_squared(self, ising):
         # [1/16] x [1/16] = [0] + [1/2], read off the coefficients.
@@ -718,7 +718,7 @@ class TestCountsOncePerMap:
         w = partition_algebra(cm, strict=False)
         assert not cert.passed
         assert len(calls) == 1
-        assert w.multiplicities is cm.counts
+        assert np.array_equal(w.coefficients, cm.counts > 0)
 
     def test_canonical_map_counted_in_closed_form(self, monkeypatch):
         def no_transform(*args):
@@ -736,7 +736,7 @@ class TestCountsOncePerMap:
         params = ModelParams(5, 13)
         cm = canonical_cover(GroupContext(params))
         assert verify_cover(cm, fusion_tensor(params)).passed
-        assert partition_algebra(cm).multiplicities is cm.counts
+        assert np.array_equal(partition_algebra(cm).coefficients, cm.counts > 0)
         assert calls == [params]
 
     @pytest.mark.parametrize("pq", [(3, 4), (4, 5), (5, 13)])
