@@ -12,14 +12,11 @@ __version__ = "0.1.0"
 # Exported name -> the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys(
-        ("FAIL", "PASS", "ClosureViolation", "CoverCertificate", "CoverMap",
+        ("FAIL", "PASS", "AbelianGroupSpec", "ClosureViolation", "CoverCertificate", "CoverMap",
          "UncoveredTriple", "verify_cover"),
         "certificates",
     ),
-    **dict.fromkeys(
-        ("AbelianGroupSpec", "multiplicity_profile", "search_cyclic_covers"),
-        "cover_search",
-    ),
+    **dict.fromkeys(("multiplicity_profile", "search_cyclic_covers"), "cover_search"),
     **dict.fromkeys(("CapacityError", "GroupFileError", "PartitionError"), "errors"),
     **dict.fromkeys(
         ("FusionTensor", "ModelParams", "Sector", "admissible_range", "canonicalize",

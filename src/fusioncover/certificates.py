@@ -1,16 +1,17 @@
 """Covers of minimal-model fusion rules, and their machine-checkable verdicts.
 
 A cover candidate is a ``CoverMap``: a finite abelian group G and the sector
-of each of its elements.  G is one of two kinds, the canonical quotient
-Z_2^(r-1) (``two_group_cover.GroupContext``) or a product of cyclic factors
-(``cover_search.AbelianGroupSpec``).  This module reads only ``factors``
-and ``order`` of a group, so it loads neither module; the CLI also reads
-the JSON ``kind``, ``describe()`` and the printer ``element_json(code)``.
-An element is named by its code, a big-endian mixed-radix number over
-``factors``, everywhere but in what people read and write.
+of each of its elements.  G is an ``AbelianGroupSpec``, a product of cyclic
+factors; the canonical quotient Z_2^(r-1) is its subclass
+``two_group_cover.GroupContext``, which prints elements as coordinate
+strings.  The checks read only ``factors`` and ``order`` of a group; the CLI
+also reads the JSON ``kind``, ``describe()`` and the printer
+``element_json(code)``.  An element is named by its code, a big-endian
+mixed-radix number over ``factors``, everywhere but in what people read and
+write.
 
-``verify_cover`` is the one check of the two cover conditions, for a map of
-either kind.  Its certificate is either a PASS, or a FAIL carrying a
+``verify_cover`` is the one check of the two cover conditions, for a map over
+any group.  Its certificate is either a PASS, or a FAIL carrying a
 concrete witness that can be re-checked independently of the verifier that
 produced it: a pair of element codes whose sum lands outside the
 admissible triples (closure violation), or an admissible sector triple no
@@ -21,6 +22,8 @@ the CLI words them (``cli._witness_text``) and prints them as JSON.
 from __future__ import annotations
 
 import functools
+import operator
+from math import prod
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import CountCheckError
@@ -32,11 +35,70 @@ from .minimal_model import (FusionTensor, IdentityRecord, ModelParams, Record, S
 if TYPE_CHECKING:
     import numpy as np
 
-    from .cover_search import AbelianGroupSpec
-    from .two_group_cover import GroupContext
-
 PASS = "PASS"
 FAIL = "FAIL"
+
+
+class AbelianGroupSpec(Record):
+    """A finite abelian group as a product of cyclic factors Z_k1 x ... x Z_kt.
+
+    An element is named by its code, the big-endian mixed-radix number of
+    its digits, first factor slowest; addition is componentwise modular
+    (``addition_table`` on codes).  Digits are for people:
+    ``element_json`` prints them.  An empty factor list is the trivial
+    group.  Factors must be integers (numpy integers are stored as ints);
+    anything else, a float or a string, raises TypeError.
+    """
+
+    kind = "abelian"
+    _fields = ("factors",)
+
+    def __init__(self, factors: tuple[int, ...]) -> None:
+        factors = tuple(map(operator.index, factors))
+        if any(k < 2 for k in factors):
+            raise ValueError(f"all factors must be >= 2, got {factors}")
+        vars(self).update(factors=factors)
+
+    @staticmethod
+    def cyclic(k: int) -> AbelianGroupSpec:
+        """Z_k; the trivial group for k = 1."""
+        k = operator.index(k)
+        if k < 1:
+            raise ValueError(f"cyclic group order must be >= 1, got {k}")
+        return AbelianGroupSpec(() if k == 1 else (k,))
+
+    @property
+    def order(self) -> int:
+        return prod(self.factors)
+
+    def addition_table(self) -> list[list[int]]:
+        """Entry [a][b] is the index of a + b, in plain Python ints.
+
+        Built one factor at a time, least significant first: prepending a
+        factor Z_k to a group of order m sends (x, r) + (y, s) to
+        ((x + y) mod k) * m + (r + s).
+        """
+        table = [[0]]
+        for k in reversed(self.factors):
+            m = len(table)
+            table = [
+                [((x + y) % k) * m + rs for y in range(k) for rs in row]
+                for x in range(k) for row in table
+            ]
+        return table
+
+    def describe(self) -> str:
+        if not self.factors:
+            return "trivial group"
+        return " x ".join(f"Z{k}" for k in self.factors)
+
+    def element_json(self, code: int) -> list[int]:
+        """An element as printed: the digits of its code."""
+        digits = []
+        for k in reversed(self.factors):
+            code, digit = divmod(code, k)
+            digits.append(digit)
+        return digits[::-1]
 
 
 class CoverMap(IdentityRecord):
@@ -52,7 +114,7 @@ class CoverMap(IdentityRecord):
 
     _fields = ("context",)
 
-    def __init__(self, context: GroupContext | AbelianGroupSpec,
+    def __init__(self, context: AbelianGroupSpec,
                  sector_indices: np.ndarray, sectors: tuple[Sector, ...]) -> None:
         import numpy as np
 
@@ -72,7 +134,7 @@ class CoverMap(IdentityRecord):
     @classmethod
     def from_kac_labels(
         cls,
-        group: GroupContext | AbelianGroupSpec,
+        group: AbelianGroupSpec,
         params: ModelParams,
         labels: Sequence[tuple[int, int]],
     ) -> CoverMap:
@@ -122,7 +184,7 @@ class CoverMap(IdentityRecord):
 class ClosureViolation(Record):
     """Elements g1 + g2 = g3 whose sector triple is not admissible.
 
-    The elements are codes, Python ints, for every group kind, so
+    The elements are codes, Python ints, for every group, so
     ``cover.sector_indices[g1]`` re-reads the sector of g1 in the map refuted;
     the group's ``element_json(code)`` prints one.
     """

@@ -6,9 +6,10 @@ Subcommands
 * ``fusion``       - the N x N fusion rule table in bracket notation
 * ``cover verify`` - check the canonical 2-group cover, or a labeled group
                      read from a file, against the model's fusion rules;
-                     either is a ``CoverMap`` that goes through one
+                     either is a ``CoverMap`` over a
+                     ``certificates.AbelianGroupSpec`` that goes through one
                      ``verify_cover`` and one certificate renderer, and its
-                     group kind prints the group and its elements
+                     group prints itself and its elements
 * ``cover search`` - exhaustively search cyclic groups for covers
 
 Every subcommand takes ``--format text|json``.  Text output is stable and
@@ -51,7 +52,7 @@ from .minimal_model import (
     ModelParams,
     Record,
     Sector,
-    _label_index,
+    canonicalize,
     central_charge,
     check_fusion_cells,
     fraction_str,
@@ -266,14 +267,14 @@ def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
     transform matrix is too big, raises CapacityError before any element
     line is read.  Past the header the file is held as one list of |G|
     sector indices, -1 until labeled: each element line goes straight to
-    its code (its digits against the place values) and its label to its
-    sector (the model's one label table), so no element is held as a tuple.
-    A file repeats a few labels many times, so each label text is checked
-    and looked up once, on its first line.
+    its code (its digits by Horner's rule, code = code * k + digit) and its
+    label to its sector (``canonicalize``, whose range error is reported at
+    the line), so no element is held as a tuple.  A file repeats a few
+    labels many times, so each label text is checked and looked up once,
+    on its first line.
     """
-    from ._kernels import check_count_size, place_values
-    from .certificates import CoverMap
-    from .cover_search import AbelianGroupSpec
+    from ._kernels import check_count_size
+    from .certificates import AbelianGroupSpec, CoverMap
 
     path = Path(path)
     lines = _content_lines(path)
@@ -293,9 +294,6 @@ def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
         raise GroupFileError(f"{where}: {e}")
     check_count_size(params.n_sectors, factors)
     t = len(factors)
-    radix_places = list(zip(factors, place_values(factors).tolist()))
-    p, q = params.p, params.q
-    index = _label_index(params)
     sec = [-1] * spec.order
     sector_of: dict[str, int] = {}
     for where, line in lines:
@@ -310,21 +308,20 @@ def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
         if len(digits) != t:
             raise GroupFileError(f"{where}: element {left!r} has {len(digits)} digits, expected {t}")
         code = 0
-        for u, (digit, (k, place)) in enumerate(zip(digits, radix_places), 1):
+        for u, (digit, k) in enumerate(zip(digits, factors), 1):
             if not 0 <= digit < k:
                 raise GroupFileError(f"{where}: digit {u} of element {left!r} outside 0..{k - 1}")
-            code += digit * place
+            code = code * k + digit
         sector = sector_of.get(right)
         if sector is None:
             try:
                 m, n = (int(x) for x in right.strip().split(","))
             except ValueError:
                 raise GroupFileError(f"{where}: expected Kac label 'm,n', got {right.strip()!r}")
-            if not (0 < m < p and 0 < n < q):
-                raise GroupFileError(
-                    f"{where}: Kac label ({m}, {n}) out of range for (p, q) = ({p}, {q})"
-                )
-            sector = sector_of[right] = index[m][n]
+            try:
+                sector = sector_of[right] = canonicalize(params, m, n).index
+            except ValueError as e:
+                raise GroupFileError(f"{where}: {e}")
         if sec[code] >= 0:
             raise GroupFileError(f"{where}: element {left!r} labeled twice")
         sec[code] = sector
@@ -393,9 +390,10 @@ def cmd_cover_verify(
         check_canonical_rank(params)
         cover = canonical_cover(GroupContext(params))
     else:
-        # Labels are read off the model's label table while the file is
-        # parsed, which lists every sector: refuse an oversized model before
-        # that.  The parser refuses an oversized group at its header.
+        # Labels are canonicalized while the file is parsed, against the
+        # model's label table, which lists every sector: refuse an oversized
+        # model before that.  The parser refuses an oversized group at its
+        # header.
         check_fusion_cells(params)
         cover = parse_group_file(group_file, params)
     group = cover.context

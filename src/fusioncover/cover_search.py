@@ -5,11 +5,10 @@ when (1) the sector triple of every sum g1 + g2 = g3 is admissible and (2)
 every admissible sector triple is realized by some sum.  The canonical
 2-group construction is one instance; the Ising rules are also covered by
 Z_4 (with two elements playing the weight-1/16 sector) and the c = 7/10
-rules by Z_12.  This module holds the group kind of such labelings,
-``AbelianGroupSpec`` (any invariant-factor decomposition), and exhaustively
-searches cyclic groups of bounded order for covers.  Each cover found is a
-``certificates.CoverMap`` over its group, checked like any other by
-``certificates.verify_cover``.
+rules by Z_12.  This module exhaustively searches cyclic groups of bounded
+order for covers.  Each cover found is a ``certificates.CoverMap`` over its
+``certificates.AbelianGroupSpec`` (``AbelianGroupSpec`` is also bound here),
+checked like any other by ``certificates.verify_cover``.
 
 The search assigns sectors to the elements 1..k-1 of Z_k in order (0 always
 carries the vacuum), pruning any partial labeling whose already-decidable
@@ -34,13 +33,11 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from math import prod
 from typing import TYPE_CHECKING
 
-from .certificates import CoverMap, verify_cover
+from .certificates import AbelianGroupSpec, CoverMap, verify_cover
 from .minimal_model import (
     ModelParams,
-    Record,
     Sector,
     check_fusion_cells,
     fusion_products,
@@ -52,66 +49,6 @@ if TYPE_CHECKING:
 
 # products[i][j]: the sectors k with D[i,j,k] = 1, ascending (``fusion_products``).
 Products = list[list[tuple[int, ...]]]
-
-
-class AbelianGroupSpec(Record):
-    """A finite abelian group as a product of cyclic factors Z_k1 x ... x Z_kt.
-
-    An element is named by its code, the big-endian mixed-radix number of
-    its digits, first factor slowest; addition is componentwise modular
-    (``addition_table`` on codes).  Digits are for people:
-    ``element_json`` prints them.  An empty factor list is the trivial
-    group.
-    """
-
-    kind = "abelian"
-    _fields = ("factors",)
-
-    def __init__(self, factors: tuple[int, ...]) -> None:
-        factors = tuple(int(k) for k in factors)
-        if any(k < 2 for k in factors):
-            raise ValueError(f"all factors must be >= 2, got {factors}")
-        vars(self).update(factors=factors)
-
-    @classmethod
-    def cyclic(cls, k: int) -> "AbelianGroupSpec":
-        """Z_k; the trivial group for k = 1."""
-        if k < 1:
-            raise ValueError(f"cyclic group order must be >= 1, got {k}")
-        return cls(()) if k == 1 else cls((k,))
-
-    @property
-    def order(self) -> int:
-        return prod(self.factors)
-
-    def addition_table(self) -> list[list[int]]:
-        """Entry [a][b] is the index of a + b, in plain Python ints.
-
-        Built one factor at a time, least significant first: prepending a
-        factor Z_k to a group of order m sends (x, r) + (y, s) to
-        ((x + y) mod k) * m + (r + s).
-        """
-        table = [[0]]
-        for k in reversed(self.factors):
-            m = len(table)
-            table = [
-                [((x + y) % k) * m + rs for y in range(k) for rs in row]
-                for x in range(k) for row in table
-            ]
-        return table
-
-    def describe(self) -> str:
-        if not self.factors:
-            return "trivial group"
-        return " x ".join(f"Z{k}" for k in self.factors)
-
-    def element_json(self, code: int) -> list[int]:
-        """An element as printed: the digits of its code."""
-        digits = []
-        for k in reversed(self.factors):
-            code, digit = divmod(code, k)
-            digits.append(digit)
-        return digits[::-1]
 
 
 # ``perfbench/tracing.py`` wraps these two names; they go once it wraps

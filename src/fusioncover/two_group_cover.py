@@ -10,10 +10,11 @@ every x in H lies in exactly one class H_{m,n} = A_m + B_n, which attaches a
 full Kac label to x.  Adding the all-ones vector swaps (m, n) with
 (p-m, q-n), so the label map descends to the quotient G = H / {0, all-ones}
 as a map Phi onto sectors.  This module provides that map, a
-``certificates.CoverMap`` over the quotient (the group kind
-``GroupContext``), which ``certificates.verify_cover`` checks like any other
-cover: sums of elements land only on admissible sector triples, and every
-admissible triple is realized.  Both conditions are read off the exact
+``certificates.CoverMap`` over the quotient (``GroupContext``, the
+``certificates.AbelianGroupSpec`` Z_2^(r-1) printed by coordinate strings),
+which ``certificates.verify_cover`` checks like any other cover: sums of
+elements land only on admissible sector triples, and every admissible
+triple is realized.  Both conditions are read off the exact
 count of element pairs on each sector triple.  The same counts yield the
 partition algebra (structure constants of the sums of the sectors'
 preimages), which the theorem says is isomorphic to the Verlinde algebra.
@@ -25,8 +26,8 @@ from the construction, not a scan of the map: the number of pairs of given
 weights in Z_2^w whose sum has a given weight is a product of binomials,
 and each count is two products of such tables, checked by its row sums
 (``canonical_counts``).  Exact in int64 up to r = 31 (p + q <= 35), they
-take O(N^3) memory, whatever |G|.  Any other map, of this
-group kind or another, is counted by the transform in
+take O(N^3) memory, whatever |G|.  Any other map, over this
+group or another, is counted by the transform in
 ``_kernels.pair_counts``, within the sizes ``_kernels.check_count_size``
 admits.  Either way ``CoverMap.counts`` counts a map once, for both
 ``verify_cover`` and ``partition_algebra``; the labels are read only by
@@ -42,11 +43,11 @@ import numpy as np
 
 # ``verify_cover`` is bound here too: ``perfbench/tracing.py`` wraps it
 # under this module's name.
-from .certificates import CoverMap, verify_cover  # noqa: F401
+from .certificates import AbelianGroupSpec, CoverMap, verify_cover  # noqa: F401
 from ._kernels import check_counts
 from .errors import CapacityError, PartitionError
-from .minimal_model import (FusionTensor, IdentityRecord, ModelParams, Record, Sector,
-                            _label_index, sectors)
+from .minimal_model import (FusionTensor, IdentityRecord, ModelParams, Sector, _label_index,
+                            sectors)
 
 # Largest rank whose closed-form counts are exact in int64: every count of
 # pairs in H is at most |H|^2 = 4^r, and 4^31 = 2^62.
@@ -58,9 +59,10 @@ MAX_CANONICAL_RANK = 31
 MAX_CANONICAL_MAP = 1 << 22
 
 
-class GroupContext(Record):
+class GroupContext(AbelianGroupSpec):
     """The quotient G = H / {0, all-ones} = Z_2^(r-1) of H = Z_2^r, as the
-    group of a ``CoverMap``.
+    group of a ``CoverMap``: the ``AbelianGroupSpec`` Z_2^(r-1), named by
+    its model, whose elements print as coordinate strings.
 
     An element code is the value of a coset's representative, the member
     whose coordinate r is 0: coordinate i is bit i - 1, coordinates 1..p-2
@@ -71,20 +73,11 @@ class GroupContext(Record):
     _fields = ("params",)
 
     def __init__(self, params: ModelParams) -> None:
-        vars(self).update(params=params)
+        vars(self).update(params=params, factors=(2,) * (params.p + params.q - 5))
 
     @property
     def r(self) -> int:
         return self.params.p + self.params.q - 4
-
-    @property
-    def order(self) -> int:
-        """|G|, the number of cosets."""
-        return 1 << (self.r - 1)
-
-    @property
-    def factors(self) -> tuple[int, ...]:
-        return (2,) * (self.r - 1)
 
     def describe(self) -> str:
         return f"Z2^{self.r - 1}, the quotient of H = Z2^{self.r} by the all-ones vector"
@@ -238,7 +231,7 @@ def partition_algebra(
 ) -> PartitionAlgebra:
     """Structure constants of the partition P_i = preimage of sector i under a map.
 
-    The map may be over either group kind.  With ``strict`` (the default)
+    The map may be over any group.  With ``strict`` (the default)
     the partition must satisfy P_1 = {0}: the identity element alone is
     assigned the vacuum sector.  Pass strict=False to build the algebra of a
     deliberately corrupted partition anyway, e.g. to compare its constants

@@ -818,7 +818,7 @@ class TestExitCodes:
               "fusioncover.two_group_cover"}),
             (["cover", "verify", "--p", "3", "--q", "4", "--group",
               str(COVERS / "ising_z4.cover")],
-             {"dataclasses", "json", "fusioncover.two_group_cover"}),
+             {"dataclasses", "json", "fusioncover.two_group_cover", "fusioncover.cover_search"}),
             (["cover", "verify", "--p", "4", "--q", "5"],
              {"dataclasses", "json", "fusioncover.cover_search"}),
         ],
@@ -894,6 +894,17 @@ class TestGroupFileParsing:
         with pytest.raises(GroupFileError) as e:
             parse_group_file(path, ModelParams(3, 4))
         assert str(e.value) == message.format(path=path)
+
+    # The range check is ``canonicalize``'s: its message, at the line.
+    @pytest.mark.parametrize("m,n", [(3, 1), (1, 0)])
+    def test_out_of_range_label_message(self, tmp_path, capsys, m, n):
+        path = write_cover(tmp_path, f"group 4\n0 -> 1,1\n1 -> {m},{n}\n")
+        message = f"{path}:3: Kac label ({m}, {n}) out of range for (p, q) = (3, 4)"
+        with pytest.raises(GroupFileError) as e:
+            parse_group_file(path, ModelParams(3, 4))
+        assert str(e.value) == message
+        assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_identity_labeled_by_its_complement(self, tmp_path):
         # (2,3) is the other member of the vacuum's class at (3,4).

@@ -43,6 +43,24 @@ class TestAbelianGroupSpec:
         with pytest.raises(ValueError):
             AbelianGroupSpec((4, 0))
 
+    # Truncating with int() would make (4.9,) Z4, over which the Ising labels
+    # [0, 1, 2, 1] PASS, ("2", "3") Z2 x Z3 and cyclic(2.7) Z2.
+    @pytest.mark.parametrize("factors", [(4.9,), ("2", "3"), (2, 3.0)],
+                             ids=["float", "str", "whole_float"])
+    def test_non_integer_factors_refused(self, factors):
+        with pytest.raises(TypeError):
+            AbelianGroupSpec(factors)
+
+    @pytest.mark.parametrize("k", [2.7, 1.0, "3"], ids=["float", "whole_float", "str"])
+    def test_non_integer_cyclic_order_refused(self, k):
+        with pytest.raises(TypeError):
+            AbelianGroupSpec.cyclic(k)
+
+    def test_numpy_integer_factors_stored_as_ints(self):
+        spec = AbelianGroupSpec(np.array([2, 3]))
+        assert spec.factors == (2, 3) and all(type(k) is int for k in spec.factors)
+        assert AbelianGroupSpec.cyclic(np.int64(4)).factors == (4,)
+
     def test_cyclic(self):
         assert AbelianGroupSpec.cyclic(1).factors == ()
         assert AbelianGroupSpec.cyclic(12).factors == (12,)

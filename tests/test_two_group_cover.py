@@ -846,3 +846,17 @@ class TestQuotientGroupKind:
     def test_surface(self, ctx34):
         assert (ctx34.kind, ctx34.factors, ctx34.order) == ("two_group_quotient", (2, 2), 4)
         assert ctx34.describe() == "Z2^2, the quotient of H = Z2^3 by the all-ones vector"
+
+    def test_is_the_abelian_group_z2_power(self):
+        for params in coprime_models(5, 7):
+            ctx = GroupContext(params)
+            rank = params.p + params.q - 5
+            assert isinstance(ctx, AbelianGroupSpec)
+            assert ctx.factors == (2,) * rank and ctx.order == 2**rank
+            # Equal only to a quotient of the same model, not to the plain group.
+            assert ctx != AbelianGroupSpec(ctx.factors)
+        assert GroupContext(ModelParams(2, 3)).factors == ()
+        cyclic = GroupContext(ModelParams(3, 4)).cyclic(3)
+        assert type(cyclic) is AbelianGroupSpec and cyclic.factors == (3,)
+        codes = np.arange(4)
+        assert GroupContext(ModelParams(3, 4)).addition_table() == (codes[:, None] ^ codes).tolist()
