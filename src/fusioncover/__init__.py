@@ -25,8 +25,8 @@ _EXPORTS = {
         "minimal_model",
     ),
     **dict.fromkeys(
-        ("GroupContext", "PartitionAlgebra", "canonical_counts", "canonical_cover",
-         "is_isomorphic_to_verlinde", "partition_algebra"),
+        ("GroupContext", "PartitionAlgebra", "canonical_cover", "is_isomorphic_to_verlinde",
+         "partition_algebra"),
         "two_group_cover",
     ),
 }

@@ -20,13 +20,14 @@ matrix is held exactly in float32, and the sum over characters, taken a
 block of characters at a time in float64, is exact while |G| <= 2^17
 (``MAX_COUNT_ORDER``).  Other groups take complex FFTs in place in one
 complex128 matrix.  Every result is checked: each count must lie within 1/4
-of an integer, and then ``check_counts`` checks the row sums, the check the
-closed-form counts of the canonical cover pass too.
+of an integer, and then ``check_counts`` checks the row sums.  The
+canonical cover is never counted: its support is proved by
+``two_group_cover.check_su2_levels``.
 ``check_count_size`` refuses, before anything is allocated, a group above
 2^17 and a transform matrix over ``MAX_TRANSFORM_BYTES``; the group-file
 parser runs the same check at a file's header.
 
-The row scan only names the witness: run when the counts show a pair on an
+The row scan only names the witness: run when a map's support holds an
 inadmissible triple, ``first_violation`` visits the pairs in canonical order
 (g1 ascending, then g2) on one thread, one row g1 against every g2 at a
 time, and returns at the first row holding a violation.  Groups whose
@@ -300,7 +301,9 @@ def scan_stats(size: int, d_flat: np.ndarray, counts: np.ndarray) -> dict:
 
     ``counts`` are the flattened pair counts, or their support, nonzero on
     every realized triple.  ``pairs_checked`` is |G|^2, the number of pairs
-    the counts account for (``check_counts`` checks their row sums).
+    the support accounts for: the transform's counts add up to it
+    (``check_counts`` checks their row sums), and the canonical cover's
+    proof covers every pair.  ``size`` may be any Python int.
     """
     return {
         "group_order": size,

@@ -180,6 +180,18 @@ class CoverMap(IdentityRecord):
         counts.setflags(write=False)
         return counts
 
+    @property
+    def support(self) -> np.ndarray:
+        """The sector triples the map realizes: nonzero where some pair
+        g1 + g2 = g3 lands, here ``counts != 0``.  Not cached: it is held
+        only while a caller reads it."""
+        return self.counts != 0
+
+    @property
+    def vacuum_preimage(self) -> np.ndarray:
+        """The codes of the elements labeled by the vacuum sector, ascending."""
+        return (self.sector_indices == 0).nonzero()[0]
+
 
 class ClosureViolation(Record):
     """Elements g1 + g2 = g3 whose sector triple is not admissible.
@@ -234,14 +246,16 @@ def verify_cover(cover: CoverMap, tensor: FusionTensor, threads: int = 1) -> Cov
 
     Condition (1): the sector triple of every sum g1 + g2 = g3 is admissible.
     Condition (2): every admissible sector triple is realized by some pair.
-    Both are read off ``cover.counts``, counted once per map (in closed form
-    for ``two_group_cover.canonical_cover``, by the transform otherwise).
-    Only if the counts put a pair on an inadmissible triple are the labels
-    read and ``_kernels.first_violation`` run: the FAIL witness is the first
+    Both are read off ``cover.support``, the triples the map realizes: for
+    ``two_group_cover.canonical_cover`` it is proved by the SU(2) level
+    check (a failed proof raises CountCheckError), for any other map it is
+    where the transform's counts are nonzero.  Only if the support holds
+    an inadmissible triple are the labels read and
+    ``_kernels.first_violation`` run: the FAIL witness is the first
     violation in canonical order (g1 ascending, then g2), named by its
-    element codes.  A PASS reads no labels, so the canonical cover builds no
-    map.  Coverage is read off the counts alone; its FAIL witness is the
-    first admissible but unrealized triple.  ``threads`` is ignored; it
+    element codes.  A PASS reads no labels, so the canonical cover builds
+    no map.  Coverage is read off the support alone; its FAIL witness is
+    the first admissible but unrealized triple.  ``threads`` is ignored; it
     stays because ``perfbench/theorem_job.py`` passes it.
     """
     from . import _kernels
@@ -250,14 +264,14 @@ def verify_cover(cover: CoverMap, tensor: FusionTensor, threads: int = 1) -> Cov
         raise ValueError(f"the cover's sectors are not those of the tensor's model {tensor.model}")
     group = cover.context
     d_flat = tensor.coefficients.reshape(-1)
-    realized = cover.counts.reshape(-1) != 0
+    realized = cover.support.reshape(-1)
     stats = _kernels.scan_stats(group.order, d_flat, realized)
     secs = tensor.sectors
     if (realized > d_flat).any():
         sec = cover.sector_indices
         codes = _kernels.first_violation(sec, tensor.n, d_flat, group.factors)
         if codes is None:
-            raise CountCheckError("the counts show a closure violation the pair scan does not")
+            raise CountCheckError("the support shows a closure violation the pair scan does not")
         witness = ClosureViolation(*codes, tuple(secs[sec[g]] for g in codes))
         return CoverCertificate(FAIL, witness, stats)
     miss = _kernels.first_uncovered_triple(d_flat, realized, tensor.n)

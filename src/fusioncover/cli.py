@@ -20,8 +20,8 @@ standard json parser.  The JSON text is byte-identical to
 requested format is rendered: a JSON run never formats the text lines.
 
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or input error,
-3 internal error (pair counts failed their own check, or memory ran out;
-no verdict).
+3 internal error (pair counts failed their own check, the canonical
+cover's SU(2) level check failed, or memory ran out; no verdict).
 
 Group labeling files are line-oriented and hand-editable::
 
@@ -384,17 +384,16 @@ def cmd_cover_verify(
     params = ModelParams(p, q)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    # Either cover is checked against the fusion tensor, and a group file's
+    # labels are canonicalized against the model's label table, which lists
+    # every sector: refuse an oversized model before anything is built.  The
+    # parser refuses an oversized group at its header.
+    check_fusion_cells(params)
     if group_file is None:
-        from .two_group_cover import GroupContext, canonical_cover, check_canonical_rank
+        from .two_group_cover import GroupContext, canonical_cover
 
-        check_canonical_rank(params)
         cover = canonical_cover(GroupContext(params))
     else:
-        # Labels are canonicalized while the file is parsed, against the
-        # model's label table, which lists every sector: refuse an oversized
-        # model before that.  The parser refuses an oversized group at its
-        # header.
-        check_fusion_cells(params)
         cover = parse_group_file(group_file, params)
     group = cover.context
     cert = verify_cover(cover, fusion_tensor(params))

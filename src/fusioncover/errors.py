@@ -14,5 +14,6 @@ class GroupFileError(ValueError):
 
 
 class CountCheckError(ArithmeticError):
-    """Pair counts failed their integrality or sum check: an internal fault,
-    never a verdict about the cover."""
+    """Pair counts failed their integrality or sum check, or the canonical
+    cover's SU(2) level check failed: an internal fault, never a verdict
+    about the cover."""

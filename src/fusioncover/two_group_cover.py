@@ -14,44 +14,40 @@ as a map Phi onto sectors.  This module provides that map, a
 ``certificates.AbelianGroupSpec`` Z_2^(r-1) printed by coordinate strings),
 which ``certificates.verify_cover`` checks like any other cover: sums of
 elements land only on admissible sector triples, and every admissible
-triple is realized.  Both conditions are read off the exact
-count of element pairs on each sector triple.  The same counts yield the
-partition algebra (structure constants of the sums of the sectors'
-preimages), which the theorem says is isomorphic to the Verlinde algebra.
+triple is realized.  Both conditions are read off the map's ``support``,
+the sector triples its pairs realize.  The same support is the partition
+algebra (structure constants of the sums of the sectors' preimages), which
+the theorem says is isomorphic to the Verlinde algebra.
 
 No vector, class or coset is built one at a time.  A label depends only on
 the A- and B-weights, so the map's labels are read off a grid of weights
-(``_canonical_labels``), and its counts are a counting certificate derived
-from the construction, not a scan of the map: the number of pairs of given
-weights in Z_2^w whose sum has a given weight is a product of binomials,
-and each count is two products of such tables, checked by its row sums
-(``canonical_counts``).  Exact in int64 up to r = 31 (p + q <= 35), they
-take O(N^3) memory, whatever |G|.  Any other map, over this
-group or another, is counted by the transform in
-``_kernels.pair_counts``, within the sizes ``_kernels.check_count_size``
-admits.  Either way ``CoverMap.counts`` counts a map once, for both
-``verify_cover`` and ``partition_algebra``; the labels are read only by
-the scan that names a FAIL witness.
+(``_canonical_labels``), and its support is proved, not counted: the
+weights the sum of two vectors of given weights in Z_2^w can take are
+built by a recurrence on w and compared with the SU(2) level-w fusion rule
+at w = p - 2 and w = q - 2 (``check_su2_levels``), and a descent lemma
+(``_CanonicalCover.support``) turns the two levels into the support of the
+map on G.  The check runs on plain Python ints with no bound on the rank,
+so it covers every model whose fusion tensor is built (N <= 256), up to
+(2,513) and (3,257).  Any other map, over this group or another, is
+counted by the transform in ``_kernels.pair_counts``, within the sizes
+``_kernels.check_count_size`` admits, and its support is where its counts
+are nonzero.  Either way ``verify_cover`` and ``partition_algebra`` read
+the map's support; the labels are read only by the scan that names a FAIL
+witness.
 """
 
 from __future__ import annotations
 
 import functools
-from math import comb
 
 import numpy as np
 
 # ``verify_cover`` is bound here too: ``perfbench/tracing.py`` wraps it
 # under this module's name.
 from .certificates import AbelianGroupSpec, CoverMap, verify_cover  # noqa: F401
-from ._kernels import check_counts
-from .errors import CapacityError, PartitionError
+from .errors import CapacityError, CountCheckError, PartitionError
 from .minimal_model import (FusionTensor, IdentityRecord, ModelParams, Sector, _label_index,
-                            sectors)
-
-# Largest rank whose closed-form counts are exact in int64: every count of
-# pairs in H is at most |H|^2 = 4^r, and 4^31 = 2^62.
-MAX_CANONICAL_RANK = 31
+                            admissible_range, fusion_tensor, sectors)
 
 # Most cosets a canonical map is built for: 32 MiB of int64 labels, the
 # largest array the builder holds (61 MiB peak RSS for the whole process at
@@ -87,22 +83,57 @@ class GroupContext(AbelianGroupSpec):
         return f"{code:0{self.r}b}"[::-1]
 
 
-@functools.lru_cache(maxsize=None)
-def _weight_class_counts(w: int) -> np.ndarray:
-    """K_w[a, b, c] = #{(x, y) in (Z_2^w)^2 : wt x = a, wt y = b, wt(x + y) = c}.
+def check_su2_levels(*levels: int) -> None:
+    """Check the weights of sums in Z_2^w against SU(2) level-w fusion, at
+    each w in ``levels``.
 
-    Choose x (C(w, a) ways), then the i ones y shares with x (C(a, i)) and
-    its b - i ones outside x (C(w - a, b - i)); x + y has weight
-    a + b - 2i.  Entries are at most C(w, a) C(w, b) <= 4^w, exact in int64
-    for w <= 31.
+    S_w[a][b], for weights a >= b, is the bitmask of the weights c of x + y
+    over x, y in Z_2^w with wt x = a and wt y = b.  Split off the last
+    coordinate, where x and y are each 0 or 1:
+
+        S_w[a][b] = S[a][b] | S[a-1][b] << 1 | S[a][b-1] << 1 | S[a-1][b-1]
+
+    with S = S_(w-1), from S_0[0][0] = 1 (bit 0: the zero vector).  Entries
+    outside 0 <= b <= a <= w - 1 are read as empty.  On the diagonal a = b
+    this drops S[a-1][a], which loses nothing: it is S[a][a-1], the third
+    term, as x and y trade places.  The rule is the truncated
+    Clebsch-Gordan series of SU(2) at level w (Gepner & Witten 1986; Di
+    Francesco, Mathieu & Senechal 1997, ch. 16) in Dynkin labels a, b, c:
+    in the labels a + 1, b + 1, c + 1 of the minimal models, it is
+    ``admissible_range(w + 2, a + 1, b + 1)``.  The recurrence runs once, up
+    to the largest level, and each level asked for is compared for every
+    a >= b as it is passed (mask and rule are both symmetric in a and b).
+    Plain Python ints, so no bound on w.  A mismatch is an internal fault,
+    not a verdict: it raises CountCheckError naming (w, a, b, c), c the
+    least weight on which mask and rule differ.
     """
-    k = np.zeros((w + 1,) * 3, dtype=np.int64)
-    for a in range(w + 1):
-        for b in range(w + 1):
-            for i in range(max(0, a + b - w), min(a, b) + 1):
-                k[a, b, a + b - 2 * i] = comb(w, a) * comb(a, i) * comb(w - a, b - i)
-    k.setflags(write=False)
-    return k
+    s = [[1]]
+    for w in range(max(levels) + 1):
+        if w:
+            # Row a of S is ``same``, row a - 1 (padded at b = a) is ``up``.
+            s = [
+                [s00 | s10 << 1 | s01 << 1 | s11
+                 for s00, s10, s01, s11 in zip(same, up, [0] + same, [0] + up)]
+                for same, up in zip(s + [[0] * (w + 1)], [[0]] + [row + [0] for row in s])
+            ]
+        if w not in levels:
+            continue
+        for a, row in enumerate(s):
+            for b, mask in enumerate(row):
+                labels = admissible_range(w + 2, a + 1, b + 1)
+                # Bit c of the rule is label c + 1.  A label below 1 is no
+                # weight at all: a mismatch at c = label - 1 < 0.
+                c = min(labels, default=1) - 1
+                if c >= 0:
+                    rule = sum(map((1).__lshift__, labels)) >> 1
+                    if mask == rule:
+                        continue
+                    c = ((mask ^ rule) & -(mask ^ rule)).bit_length() - 1
+                got = "takes" if c >= 0 and mask >> c & 1 else "never takes"
+                raise CountCheckError(
+                    f"SU(2) level check failed at (w, a, b, c) = ({w}, {a}, {b}, {c}): in Z2^{w}, "
+                    f"x + y with wt x = {a}, wt y = {b} {got} weight {c}, against the level-{w} rule"
+                )
 
 
 def _canonical_labels(ctx: GroupContext) -> np.ndarray:
@@ -131,8 +162,12 @@ def _canonical_labels(ctx: GroupContext) -> np.ndarray:
 
 
 class _CanonicalCover(CoverMap):
-    """The canonical map Phi: counted by ``canonical_counts``, with its
-    labels built by ``_canonical_labels`` on first access."""
+    """The canonical map Phi, with its labels built by ``_canonical_labels``
+    on first access.  Its support and its vacuum preimage need none."""
+
+    # The vacuum (1,1) ~ (p-1,q-1) is the class of weights (0, 0) and its
+    # complement: the vectors 0 and all-ones, the one coset 0.
+    vacuum_preimage = (0,)
 
     def __init__(self, context: GroupContext) -> None:
         vars(self).update(context=context, sectors=sectors(context.params))
@@ -143,74 +178,55 @@ class _CanonicalCover(CoverMap):
         labels.setflags(write=False)
         return labels
 
-    @functools.cached_property
-    def counts(self) -> np.ndarray:
-        counts = canonical_counts(self.context.params)
-        counts.setflags(write=False)
-        return counts
+    @property
+    def support(self) -> np.ndarray:
+        """The fusion tensor, once ``check_su2_levels`` passes at p - 2 and q - 2.
+
+        Let S_w(a, b) be the weights of x + y over x, y in Z_2^w with
+        wt x = a and wt y = b; the level checks prove that c is in
+        S_w(a, b) iff (a + 1, b + 1, c + 1) is (w + 2)-admissible, at
+        w = p - 2 and w = q - 2.  Write l = (m, n) for a sector's canonical
+        label and l' = (p - m, q - n) for its complement.
+
+        Descent lemma: sectors (i, j, k) are realized on G, by g1 + g2 = g3
+        with g1 in P_i, g2 in P_j and g3 in P_k, iff x + y = z holds in H
+        with x in the class of l_i, y in that of l_j, and z in that of l_k
+        or of l_k'.  Proof: g1 and g2 each have a member in the class of
+        l_i (of l_j), since the members of a coset lie in the classes l
+        and l' of its sector; their sum is a member of g3, in the class
+        of l_k or l_k'.  Conversely the cosets of such x, y and z are in
+        P_i, P_j and P_k.
+
+        A and B are independent coordinates, so such x, y exist for the
+        full labels (m1, n1), (m2, n2) and a sum in (m3, n3) iff m3 - 1 is
+        in S_(p-2)(m1 - 1, m2 - 1) and n3 - 1 in S_(q-2)(n1 - 1, n2 - 1):
+        by the level checks, iff (m1, m2, m3) is p-admissible and
+        (n1, n2, n3) q-admissible.  So (i, j, k) is realized iff the label
+        triple (l_i, l_j, l_k) or (l_i, l_j, l_k') is (p,q)-admissible,
+        which is D[i, j, k] = 1 as ``fusion_tensor`` defines it: supp C = D.
+        A failed level check raises CountCheckError.
+        """
+        params = self.context.params
+        check_su2_levels(params.p - 2, params.q - 2)
+        return fusion_tensor(params).coefficients
 
 
 def canonical_cover(ctx: GroupContext) -> CoverMap:
     """The map Phi: each coset is sent to the sector of its members' class.
 
-    Its counts are ``canonical_counts``.  Its labels are built on first
-    access to ``sector_indices`` (at most 2^22 cosets), asserting that both
-    members of every coset lie in classes with the same canonicalization.
+    Its support is proved by ``check_su2_levels`` and needs no labels.  Its
+    labels are built on first access to ``sector_indices`` (at most 2^22
+    cosets), asserting that both members of every coset lie in classes with
+    the same canonicalization.
     """
     return _CanonicalCover(ctx)
-
-
-def check_canonical_rank(params: ModelParams) -> None:
-    """Refuse a model whose canonical counts would not be exact in int64."""
-    r = params.p + params.q - 4
-    if r > MAX_CANONICAL_RANK:
-        raise CapacityError(
-            f"the canonical cover of the ({params.p},{params.q}) model has rank "
-            f"r = p + q - 4 = {r}, above {MAX_CANONICAL_RANK} (p + q <= 35), the largest "
-            f"whose closed-form counts are exact; no option lifts this limit"
-        )
-
-
-def canonical_counts(params: ModelParams) -> np.ndarray:
-    """Pair counts C[i, j, k] of the canonical cover, in closed form.
-
-    K(l, u, v), the number of pairs (x, y) in H^2 with x, y and x + y in
-    full-label classes l, u and v, is K_{p-2} of their A-weights times
-    K_{q-2} of their B-weights (``_weight_class_counts``).  With l = (m, n)
-    a sector's canonical label (weights m - 1, n - 1) and l' = (p - m,
-    q - n) its complement, C[i, j, k] = K(l_i, l_j, l_k) + K(l_i, l_j, l_k').
-    Proof: a pair of cosets lifts to 4 pairs in H, so C is a quarter of the
-    sum over the 8 full-label choices of the triple.  Adding the all-ones
-    vector to x, or to y, is a bijection of H^2 that swaps that summand's
-    class and the sum's class between l and l', so the 8 terms are 4
-    copies of these 2.  At most three N^3 arrays are held.  Returns an
-    int64 (N, N, N) array summing to |G|^2 = 4^(r-1).
-
-    Exactness: each product counts pairs in fixed classes, so it is at most
-    C[i, j, k] <= 4^(r-1), exact in int64 while r <= 31; larger models raise
-    CapacityError before anything is allocated.  Check:
-    ``_kernels.check_counts``, which the transform's counts pass too, raises
-    CountCheckError unless every row sum is sum_j C[i, j, k] = |P_i| |P_k|,
-    where |P_i| = C(p-2, m_i-1) C(q-2, n_i-1), and no count is negative.
-    """
-    check_canonical_rank(params)
-    p, q = params.p, params.q
-    secs = sectors(params)
-    a, b = np.array([(s.m - 1, s.n - 1) for s in secs], dtype=np.int64).T
-    ka, kb = _weight_class_counts(p - 2), _weight_class_counts(q - 2)
-    counts = ka[np.ix_(a, a, a)] * kb[np.ix_(b, b, b)]
-    other = ka[np.ix_(a, a, p - 2 - a)]
-    counts += np.multiply(other, kb[np.ix_(b, b, q - 2 - b)], out=other)
-    sizes = np.array([comb(p - 2, s.m - 1) * comb(q - 2, s.n - 1) for s in secs], dtype=np.int64)
-    check_counts(counts, sizes)
-    return counts
 
 
 class PartitionAlgebra(IdentityRecord):
     """The algebra W of a partition of G: W[i,j,k] = 1 iff P_i + P_j meets P_k.
 
-    The coefficients are the support of the map's ``CoverMap.counts``, the
-    number of pairs (g1, g2) with g1 in P_i, g2 in P_j and g1 + g2 in P_k.
+    The coefficients are the map's ``CoverMap.support``: where the number of
+    pairs (g1, g2) with g1 in P_i, g2 in P_j and g1 + g2 in P_k is nonzero.
     Algebras compare by identity.
     """
 
@@ -233,23 +249,20 @@ def partition_algebra(
 
     The map may be over any group.  With ``strict`` (the default)
     the partition must satisfy P_1 = {0}: the identity element alone is
-    assigned the vacuum sector.  Pass strict=False to build the algebra of a
-    deliberately corrupted partition anyway, e.g. to compare its constants
-    against the Verlinde algebra.  The constants are the support of
-    ``cm.counts``, the same array ``verify_cover`` reads, so a map counted
-    there is not counted again.  The strict check reads them too: P_1 = {0}
-    iff |P_1| = 1 and C[0, 0, 0] = 1.  Here |P_1| = sum_{j,k} C[0, j, k] /
-    |G|, and with P_1 = {g}, C[0, 0, 0] counts the pair (g, g) iff 2g = g,
-    i.e. g = 0.  C[0, 0, 0] = 1 alone does not do: in Z_5, P_1 = {1, 2}
-    holds the one pair 1 + 1 = 2.  ``threads`` is ignored; it stays because
-    ``perfbench/theorem_job.py`` passes it.
+    assigned the vacuum sector, as the map's ``vacuum_preimage`` shows.
+    Pass strict=False to build the algebra of a deliberately corrupted
+    partition anyway, e.g. to compare its constants against the Verlinde
+    algebra.  The constants are ``cm.support``, which ``verify_cover``
+    reads too: a map's counts are cached, so a map counted there is not
+    counted again, and the canonical cover is never counted.  ``threads``
+    is ignored; it stays because ``perfbench/theorem_job.py`` passes it.
     """
-    counts = cm.counts
-    size = int(counts[0].sum()) // cm.context.order
-    if strict and (size != 1 or counts[0, 0, 0] != 1):
-        where = "one nonzero element" if size == 1 else f"{size} elements"
-        raise PartitionError(f"partition requires P_1 = {{0}}: the vacuum preimage is {where}")
-    coeff = (counts > 0).astype(np.uint8)
+    if strict:
+        vacuum = cm.vacuum_preimage
+        if len(vacuum) != 1 or vacuum[0] != 0:
+            where = "one nonzero element" if len(vacuum) == 1 else f"{len(vacuum)} elements"
+            raise PartitionError(f"partition requires P_1 = {{0}}: the vacuum preimage is {where}")
+    coeff = cm.support.astype(np.uint8)
     coeff.setflags(write=False)
     return PartitionAlgebra(cm.sectors, coeff)
 

@@ -8,20 +8,33 @@ B-weight is n - 1; adding the all-ones vector swaps (m, n) with
 as the map Phi onto sectors.
 
 The library computes the same objects without building a vector: labels
-from a weight grid (``two_group_cover._canonical_labels``) and pair counts
-in closed form (``canonical_counts``).  This module spells out the
+from a weight grid (``two_group_cover._canonical_labels``), and the support
+of the pair counts proved by the SU(2) level check
+(``two_group_cover.check_su2_levels``).  This module spells out the
 definitions one vector at a time, so the tests can check those paths
-against them.  It is not a test file itself; tests import it as
-``from paper_model import ...``, as they import ``conftest``.
+against them.  It also keeps the closed-form pair counts of the canonical
+cover (``canonical_counts``, from the weight-class table
+``weight_class_counts``), exact in int64 for p + q <= 35: the tests' count
+oracle for the level check.  It is not a test file itself; tests import it
+as ``from paper_model import ...``, as they import ``conftest``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Literal, NamedTuple
 
-from fusioncover import CoverMap, GroupContext, Sector
+import numpy as np
+
+from fusioncover import CoverMap, GroupContext, ModelParams, Sector, sectors
+from fusioncover._kernels import check_counts
+
+# Largest rank r = p + q - 4 whose closed-form counts are exact in int64:
+# every count of pairs in H is at most |H|^2 = 4^r, and 4^31 = 2^62.
+MAX_ORACLE_RANK = 31
 
 
 @dataclass(frozen=True)
@@ -149,8 +162,8 @@ def orbit_sum_classes(
 
     For the chosen block of width w, a = w1 - 1 and b = w2 - 1, a sum of
     weight a + b - 2i for each overlap i that fits in the block, shifted to
-    labels (+1): the support of ``two_group_cover._weight_class_counts``
-    row (a, b).
+    labels (+1): the support of ``weight_class_counts`` row (a, b), and the
+    bits of the mask ``two_group_cover.check_su2_levels`` builds for (a, b).
     """
     if part == "A":
         width, bound = ctx.params.p - 2, ctx.params.p
@@ -210,3 +223,58 @@ def phi(cm: CoverMap, g: Coset) -> Sector:
             f"coset width {g.representative.width} does not match context rank {cm.context.r}"
         )
     return cm.sectors[cm.sector_indices[g.representative.bits]]
+
+
+@functools.lru_cache(maxsize=None)
+def weight_class_counts(w: int) -> np.ndarray:
+    """K_w[a, b, c] = #{(x, y) in (Z_2^w)^2 : wt x = a, wt y = b, wt(x + y) = c}.
+
+    Choose x (C(w, a) ways), then the i ones y shares with x (C(a, i)) and
+    its b - i ones outside x (C(w - a, b - i)); x + y has weight
+    a + b - 2i.  Entries are at most C(w, a) C(w, b) <= 4^w, exact in int64
+    for w <= 31.
+    """
+    k = np.zeros((w + 1,) * 3, dtype=np.int64)
+    for a in range(w + 1):
+        for b in range(w + 1):
+            for i in range(max(0, a + b - w), min(a, b) + 1):
+                k[a, b, a + b - 2 * i] = comb(w, a) * comb(a, i) * comb(w - a, b - i)
+    k.setflags(write=False)
+    return k
+
+
+def canonical_counts(params: ModelParams) -> np.ndarray:
+    """Pair counts C[i, j, k] of the canonical cover, in closed form.
+
+    K(l, u, v), the number of pairs (x, y) in H^2 with x, y and x + y in
+    full-label classes l, u and v, is K_{p-2} of their A-weights times
+    K_{q-2} of their B-weights (``weight_class_counts``).  With l = (m, n)
+    a sector's canonical label (weights m - 1, n - 1) and l' = (p - m,
+    q - n) its complement, C[i, j, k] = K(l_i, l_j, l_k) + K(l_i, l_j, l_k').
+    Proof: a pair of cosets lifts to 4 pairs in H, so C is a quarter of the
+    sum over the 8 full-label choices of the triple.  Adding the all-ones
+    vector to x, or to y, is a bijection of H^2 that swaps that summand's
+    class and the sum's class between l and l', so the 8 terms are 4
+    copies of these 2.  Returns an int64 (N, N, N) array summing to
+    |G|^2 = 4^(r-1).
+
+    Exactness: each product counts pairs in fixed classes, so it is at most
+    C[i, j, k] <= 4^(r-1), exact in int64 while r <= 31 (p + q <= 35);
+    larger models raise ValueError before anything is built.  Check:
+    ``_kernels.check_counts``, which the transform's counts pass too,
+    raises CountCheckError unless every row sum is
+    sum_j C[i, j, k] = |P_i| |P_k|, where |P_i| = C(p-2, m_i-1) C(q-2, n_i-1),
+    and no count is negative.
+    """
+    p, q = params.p, params.q
+    if p + q - 4 > MAX_ORACLE_RANK:
+        raise ValueError(f"the closed-form counts of {params} are not exact in int64")
+    secs = sectors(params)
+    a, b = np.array([(s.m - 1, s.n - 1) for s in secs], dtype=np.int64).T
+    ka, kb = weight_class_counts(p - 2), weight_class_counts(q - 2)
+    counts = ka[np.ix_(a, a, a)] * kb[np.ix_(b, b, b)]
+    other = ka[np.ix_(a, a, p - 2 - a)]
+    counts += np.multiply(other, kb[np.ix_(b, b, q - 2 - b)], out=other)
+    sizes = np.array([comb(p - 2, s.m - 1) * comb(q - 2, s.n - 1) for s in secs], dtype=np.int64)
+    check_counts(counts, sizes)
+    return counts

@@ -476,8 +476,8 @@ class TestExitCodes:
         assert "coprime" in capsys.readouterr().err
         assert main(["cover", "search", "--p", "3", "--q", "4", "--max-order", "30"]) == 2
         assert "budget" in capsys.readouterr().err
-        assert main(["cover", "verify", "--p", "17", "--q", "19"]) == 2
-        assert "p + q <= 35" in capsys.readouterr().err
+        assert main(["cover", "verify", "--p", "30", "--q", "31"]) == 2
+        assert "N <= 256" in capsys.readouterr().err
         missing = str(tmp_path / "missing.cover")
         assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", missing]) == 2
 
@@ -559,8 +559,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "2^17" in err
 
-    @pytest.mark.parametrize("p,q", [(17, 19), (2, 35), (30, 31), (40, 41)])
-    def test_canonical_above_int64_bound_refused(self, p, q, capsys, monkeypatch):
+    @pytest.mark.parametrize("p,q", [(30, 31), (40, 41)])
+    def test_canonical_above_fusion_cap_refused(self, p, q, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("nothing may be built for a refused model")
 
@@ -569,7 +569,29 @@ class TestExitCodes:
         monkeypatch.setattr(certificates, "verify_cover", never)
         assert main(["cover", "verify", "--p", str(p), "--q", str(q)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "p + q <= 35" in err
+        assert err.startswith("error:") and "N <= 256" in err
+
+    @pytest.mark.parametrize("p,q", [(17, 19), (2, 35)])
+    def test_canonical_past_p_plus_q_35_passes(self, p, q, capsys):
+        # Refused while the canonical cover was counted in int64.
+        assert main(["cover", "verify", "--p", str(p), "--q", str(q)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        order = 2 ** (p + q - 5)
+        assert out[1:4] == [
+            f"group: Z2^{p + q - 5}, the quotient of H = Z2^{p + q - 4} by the all-ones "
+            f"vector (order {order})",
+            "verdict: PASS",
+            f"pairs checked: {order**2}",
+        ]
+        assert out[4].split(":")[1] == out[5].split(":")[1]
+
+    def test_canonical_at_the_sector_cap_in_small_memory(self):
+        # N = 256 at (3,257): Z2^255, proved by the level check up to level
+        # 255 with no map, no counts and no int64 bound.
+        code, max_rss_kib, out = run_with_peak_rss(["cover", "verify", "--p", "3", "--q", "257"])
+        assert code == 0 and "verdict: PASS" in out
+        assert out[1].endswith(f"(order {2**255})")
+        assert max_rss_kib < 128 * 1024
 
     def test_canonical_past_transform_bound_passes(self, capsys):
         assert main(["cover", "verify", "--p", "9", "--q", "14"]) == 0

@@ -146,15 +146,16 @@ class TestRecord:
         assert flags == {f: vars(record)[f].flags.writeable for f in flags}
 
 
-def test_pickled_canonical_cover_keeps_its_cached_counts():
+def test_pickled_canonical_cover_keeps_its_cached_labels():
+    # The canonical cover caches its labels only: its support is proved
+    # on each read, and it holds no counts.
     cover = canonical_cover(GroupContext(ModelParams(4, 5)))
-    counts, labels = cover.counts, cover.sector_indices
+    labels, support = cover.sector_indices, cover.support
     for clone in (copy.deepcopy(cover), pickle.loads(pickle.dumps(cover))):
         assert type(clone) is type(cover) and repr(clone) == repr(cover)
-        assert "counts" in vars(clone) and np.array_equal(clone.counts, counts)
-        assert "sector_indices" in vars(clone)
+        assert vars(clone).keys() == {"context", "sectors", "sector_indices"}
         assert np.array_equal(clone.sector_indices, labels)
-        # Cached counts describe the labels only while neither can be written.
-        assert not clone.counts.flags.writeable
+        assert np.array_equal(clone.support, support)
+        assert tuple(clone.vacuum_preimage) == (0,)
         with pytest.raises(ValueError, match="read-only"):
             clone.sector_indices[1] = 0

@@ -21,7 +21,6 @@ from fusioncover import (
     PartitionError,
     UncoveredTriple,
     admissible_range,
-    canonical_counts,
     canonical_cover,
     canonicalize,
     fusion_tensor,
@@ -32,8 +31,10 @@ from fusioncover import (
     verlinde_algebra,
 )
 from fusioncover import _kernels, two_group_cover
+from fusioncover.cli import main
 from fusioncover.errors import CountCheckError
 
+import paper_model
 from conftest import coprime_models, exhaustive_scan, run_python_with_peak_rss, xor_rows
 from paper_model import (
     BitVector,
@@ -41,12 +42,14 @@ from paper_model import (
     Coset,
     a_coords,
     b_coords,
+    canonical_counts,
     class_members,
     class_of,
     orbit_sum_classes,
     phi,
     quotient_cosets,
     sym_diff_weight_identity,
+    weight_class_counts,
 )
 
 
@@ -244,10 +247,10 @@ class TestOrbitSumClasses:
             assert orbit_sum_classes(ctx, "A", w1, w2) == expected, (width, w1, w2)
 
     def test_are_the_weight_table_support(self):
-        # the library's K_w table, for every block width up to 12
+        # the oracle's K_w table, for every block width up to 12
         for width in range(13):
             ctx = GroupContext(ModelParams(width + 2, width + 3))
-            k = two_group_cover._weight_class_counts(width)
+            k = weight_class_counts(width)
             for w1, w2 in itertools.product(range(1, width + 2), repeat=2):
                 support = {int(c) + 1 for c in np.flatnonzero(k[w1 - 1, w2 - 1])}
                 assert orbit_sum_classes(ctx, "A", w1, w2) == support, (width, w1, w2)
@@ -464,6 +467,15 @@ def representative_counts(params, table):
     return own + other
 
 
+class CountedCover(CoverMap):
+    """A map over the quotient with given pair counts, as the canonical cover
+    was before the level check: ``verify_cover`` reads its support off them.
+    It has no labels, so it certifies a PASS or an uncovered triple only."""
+
+    def __init__(self, context, counts):
+        vars(self).update(context=context, sectors=sectors(context.params), counts=counts)
+
+
 MODELS_22 = coprime_models(20, 21, max_sum=22)
 # Up to 2^6 cosets; the last three have p > q, two of them at q = 2.
 PER_VECTOR_MODELS = coprime_models(8, 9, max_sum=11) + [
@@ -488,12 +500,13 @@ class TestCanonicalCounts:
         for g1, g2 in itertools.product(cosets, repeat=2):
             expected[image[g1], image[g2], image[g1 ^ g2]] += 1
         assert np.array_equal(canonical_counts(params), expected)
+        assert np.array_equal(canonical_cover(ctx).support, expected > 0)
         assert canonical_cover(ctx).sector_indices.tolist() == [image[c] for c in cosets]
 
     def test_weight_tables_match_spectral_form(self):
         # every width a model with p + q <= 35 uses
         for w in range(32):
-            k = two_group_cover._weight_class_counts(w)
+            k = weight_class_counts(w)
             assert np.array_equal(k, krawtchouk_weight_class_counts(w)), w
             assert int(k.sum()) == 4**w
 
@@ -511,11 +524,16 @@ class TestCanonicalCounts:
 
     @pytest.mark.parametrize("params", MODELS_35, ids=str)
     def test_theorem_to_p_plus_q_35(self, params):
+        # The level check against the closed-form counts, on every model
+        # they are exact for: the same support, verdict and stats.
         ctx = GroupContext(params)
         tensor = fusion_tensor(params)
+        oracle = canonical_counts(params)
+        assert np.array_equal(canonical_cover(ctx).support, oracle > 0)
         cert = verify_cover(canonical_cover(ctx), tensor)
+        assert cert == verify_cover(CountedCover(ctx, oracle), tensor)
         assert cert.passed
-        assert cert.stats["pairs_checked"] == ctx.order**2
+        assert cert.stats["pairs_checked"] == ctx.order**2 == oracle.sum()
         assert cert.stats["realized_triples"] == cert.stats["admissible_triples"]
         w = partition_algebra(canonical_cover(ctx))
         assert is_isomorphic_to_verlinde(w, verlinde_algebra(tensor))
@@ -524,19 +542,15 @@ class TestCanonicalCounts:
     def test_same_certificate_as_the_transform(self, pq, monkeypatch):
         params = ModelParams(*pq)
         ctx, tensor = GroupContext(params), fusion_tensor(params)
-        closed = verify_cover(canonical_cover(ctx), tensor)
-        labels, factors = canonical_cover(ctx).sector_indices, (2,) * (ctx.r - 1)
-        assert verify_cover(CoverMap(ctx, labels, sectors(params)), tensor) == closed
-        calls = []
+        labels = canonical_cover(ctx).sector_indices
+        transform = verify_cover(CoverMap(ctx, labels, sectors(params)), tensor)
+        assert verify_cover(CountedCover(ctx, canonical_counts(params)), tensor) == transform
 
-        def transform(params):
-            calls.append(params)
-            return _kernels.pair_counts(labels, tensor.n, factors)
+        def no_transform(*args):
+            raise AssertionError("the canonical cover needs no transform")
 
-        # A fresh map: one already counted would not count again.
-        monkeypatch.setattr(two_group_cover, "canonical_counts", transform)
-        assert verify_cover(canonical_cover(ctx), tensor) == closed
-        assert calls == [params]
+        monkeypatch.setattr(_kernels, "pair_counts", no_transform)
+        assert verify_cover(canonical_cover(ctx), tensor) == transform
 
     def test_tensor_of_another_model_refused(self, ising, tricritical_tensor):
         with pytest.raises(ValueError, match="tensor"):
@@ -550,26 +564,37 @@ class TestCanonicalCounts:
         params = ModelParams(15, 17)  # 2^27 cosets, a 1 GiB map
         assert verify_cover(canonical_cover(GroupContext(params)), fusion_tensor(params)).passed
 
-    def test_counts_disagreeing_with_the_map_raise(self, tricritical, tricritical_tensor, monkeypatch):
-        # Counts that put a pair on an inadmissible triple send the scan to
-        # the map for a witness; the canonical map has none to give.
-        counts = canonical_counts(tricritical)
-        i, j, k = np.argwhere(tricritical_tensor.coefficients == 0)[0]
-        spoiled = counts.copy()
-        spoiled[0, 0, 0] -= 1
-        spoiled[i, j, k] += 1
-        monkeypatch.setattr(two_group_cover, "canonical_counts", lambda params: spoiled)
+    def test_support_disagreeing_with_the_map_raises(
+        self, tricritical, tricritical_tensor, monkeypatch
+    ):
+        # A support that holds an inadmissible triple sends the scan to the
+        # map for a witness; the canonical map has none to give.
+        spoiled = tricritical_tensor.coefficients.copy()
+        spoiled[tuple(np.argwhere(spoiled == 0)[0])] = 1
+        monkeypatch.setattr(two_group_cover._CanonicalCover, "support", spoiled)
         with pytest.raises(CountCheckError, match="scan"):
             verify_cover(canonical_cover(GroupContext(tricritical)), tricritical_tensor)
 
     @pytest.mark.parametrize("pq", [(17, 19), (2, 35), (30, 31)])
-    def test_rank_above_int64_bound_refused(self, pq, monkeypatch):
+    def test_oracle_refuses_rank_above_int64_bound(self, pq, monkeypatch):
         def never(w):
             raise AssertionError("nothing may be built for a refused model")
 
-        monkeypatch.setattr(two_group_cover, "_weight_class_counts", never)
-        with pytest.raises(CapacityError, match="p \\+ q <= 35"):
+        monkeypatch.setattr(paper_model, "weight_class_counts", never)
+        with pytest.raises(ValueError, match="not exact in int64"):
             canonical_counts(ModelParams(*pq))
+
+    @pytest.mark.parametrize("pq", [(17, 19), (2, 35)])
+    def test_theorem_past_the_oracle(self, pq):
+        # Past p + q = 35, where the closed-form counts overflow int64.
+        params = ModelParams(*pq)
+        ctx, tensor = GroupContext(params), fusion_tensor(params)
+        cert = verify_cover(canonical_cover(ctx), tensor)
+        assert cert.passed
+        assert cert.stats["pairs_checked"] == ctx.order**2 == 4 ** (sum(pq) - 5)
+        assert cert.stats["realized_triples"] == cert.stats["admissible_triples"]
+        w = partition_algebra(canonical_cover(ctx))
+        assert is_isomorphic_to_verlinde(w, verlinde_algebra(tensor))
 
     def test_oversize_map_refused_before_allocating(self, monkeypatch):
         def never(*args, **kwargs):
@@ -606,6 +631,81 @@ class TestCanonicalCounts:
     def test_largest_exact_rank(self):
         counts = canonical_counts(ModelParams(16, 19))  # r = 31
         assert int(counts.sum()) == 4**30
+        assert np.array_equal(canonical_cover(GroupContext(ModelParams(16, 19))).support,
+                              counts > 0)
+
+
+def enumerated_range(p, m, m2):
+    """``admissible_range`` by enumeration: the labels c + 1 of the weights c
+    of x + y over every x, y in Z_2^(p-2) with wt x = m - 1, wt y = m2 - 1."""
+    w = p - 2
+    by_weight = [[x for x in range(1 << w) if x.bit_count() == a] for a in (m - 1, m2 - 1)]
+    return sorted({(x ^ y).bit_count() + 1 for x in by_weight[0] for y in by_weight[1]})
+
+
+def shifted_start(p, m, m2, by):
+    start = m - m2 + 1 + by
+    return list(range(start, start + 2 * min(m2, p - m), 2))
+
+
+def shifted_count(p, m, m2, by):
+    start = m - m2 + 1
+    return list(range(start, start + 2 * min(m2, p - m + by), 2))
+
+
+class TestLevelCheck:
+    def test_every_level_to_128(self):
+        two_group_cover.check_su2_levels(*range(129))
+
+    def test_recurrence_is_the_pair_enumeration(self, monkeypatch):
+        # The masks of the recurrence against every pair of vectors, with
+        # no closed form on either side.
+        monkeypatch.setattr(two_group_cover, "admissible_range", enumerated_range)
+        two_group_cover.check_su2_levels(*range(9))
+
+    def test_checks_only_the_levels_asked(self, monkeypatch):
+        # A rule wrong at level 3 alone is caught at level 3, and only there.
+        def wrong_at_3(p, m, m2):
+            return shifted_start(p, m, m2, 2 if p == 5 else 0)
+
+        monkeypatch.setattr(two_group_cover, "admissible_range", wrong_at_3)
+        two_group_cover.check_su2_levels(0, 1, 2, 4, 5)
+        with pytest.raises(CountCheckError, match="\\(w, a, b, c\\) = \\(3, 0, 0, 0\\)"):
+            two_group_cover.check_su2_levels(2, 3)
+
+    @pytest.mark.parametrize(
+        "rule,where,got",
+        [
+            (lambda p, m, m2: shifted_start(p, m, m2, 2), "(2, 0, 0, 0)", "takes weight 0"),
+            (lambda p, m, m2: shifted_start(p, m, m2, -2), "(2, 0, 0, -2)",
+             "never takes weight -2"),
+            (lambda p, m, m2: shifted_count(p, m, m2, 1), "(2, 2, 1, 3)", "never takes weight 3"),
+            (lambda p, m, m2: shifted_count(p, m, m2, -1), "(2, 1, 1, 2)", "takes weight 2"),
+        ],
+        ids=["start+2", "start-2", "count+1", "count-1"],
+    )
+    def test_shifted_rule_is_an_internal_error(self, rule, where, got, monkeypatch, capsys):
+        # One bound of ``admissible_range`` moved, as the level check sees it:
+        # the proof fails, so there is no verdict (exit 3), and the error
+        # names (w, a, b, c).
+        monkeypatch.setattr(two_group_cover, "admissible_range", rule)
+        params = ModelParams(4, 5)
+        cm = canonical_cover(GroupContext(params))
+        with pytest.raises(CountCheckError, match="level check"):
+            verify_cover(cm, fusion_tensor(params))
+        with pytest.raises(CountCheckError, match="level check"):
+            partition_algebra(cm)
+        assert main(["cover", "verify", "--p", "4", "--q", "5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"internal error: SU(2) level check failed at (w, a, b, c) = {where}:")
+        assert f"wt x = {where[4]}, wt y = {where[7]} {got}, " in err
+        assert err.count("\n") == 1
+
+    def test_support_is_the_read_only_fusion_tensor(self, tricritical):
+        support = canonical_cover(GroupContext(tricritical)).support
+        assert support is fusion_tensor(tricritical).coefficients
+        assert not support.flags.writeable
 
 
 class TestPartitionAlgebra:
@@ -627,7 +727,7 @@ class TestPartitionAlgebra:
 
     @pytest.mark.parametrize("pq", [(3, 4), (3, 5), (4, 5), (2, 7), (3, 7), (5, 6)])
     def test_strict_check_agrees_with_the_labels(self, pq):
-        # The strict check reads the counts; the oracle reads the labels.
+        # Every swap or reassignment of one element of a canonical map.
         cm = canonical_cover(GroupContext(ModelParams(*pq)))
         order, n = cm.context.order, len(cm.sectors)
         candidates = [cm.swapped_images(0, g) for g in range(1, order)]
@@ -673,6 +773,21 @@ class TestPartitionAlgebra:
         w = partition_algebra(canonical_cover(GroupContext(params)))
         assert is_isomorphic_to_verlinde(w, verlinde_algebra(fusion_tensor(params)))
 
+    @pytest.mark.parametrize("pq", [(16, 19), (3, 257)], ids=str)
+    def test_strict_algebra_builds_no_labels(self, pq, monkeypatch):
+        # The strict check reads the canonical map's vacuum preimage, the
+        # coset {0, all-ones}, which needs no labels.
+        def no_map(ctx):
+            raise AssertionError("the strict partition algebra must not build the map")
+
+        monkeypatch.setattr(two_group_cover, "_canonical_labels", no_map)
+        params = ModelParams(*pq)
+        cm = canonical_cover(GroupContext(params))
+        assert tuple(cm.vacuum_preimage) == (0,)
+        w = partition_algebra(cm)
+        assert np.array_equal(w.coefficients, fusion_tensor(params).coefficients)
+        assert not w.coefficients.flags.writeable
+
     def test_non_strict_builds_corrupted(self, ising, ising_tensor):
         cm = canonical_cover(GroupContext(ising)).reassigned(1, 0)
         w = partition_algebra(cm, strict=False)
@@ -682,7 +797,10 @@ class TestPartitionAlgebra:
     @pytest.mark.parametrize("pq", [(3, 4), (4, 5), (3, 5)])
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_multiplicities_count_pairs(self, pq, corrupt):
-        cm = canonical_cover(GroupContext(ModelParams(*pq)))
+        # A corrupted map is counted by the transform; the canonical map is
+        # not counted, and the oracle's closed form stands in for it.
+        params = ModelParams(*pq)
+        cm = canonical_cover(GroupContext(params))
         if corrupt:
             cm = cm.swapped_images(1, 2)
         w = partition_algebra(cm, strict=False)
@@ -690,11 +808,13 @@ class TestPartitionAlgebra:
         expected = np.zeros((n, n, n), dtype=np.int64)
         for g1, g2 in itertools.product(range(len(sec)), repeat=2):
             expected[sec[g1], sec[g2], sec[g1 ^ g2]] += 1
-        assert cm.counts.dtype == np.int64
-        assert np.array_equal(cm.counts, expected)
-        assert cm.counts.sum() == len(sec) ** 2
+        counts = cm.counts if corrupt else canonical_counts(params)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
+        assert counts.sum() == len(sec) ** 2
         assert np.array_equal(w.coefficients, (expected > 0).astype(np.uint8))
-        assert not cm.counts.flags.writeable
+        if corrupt:
+            assert not cm.counts.flags.writeable
 
     def test_sixteenth_squared(self, ising):
         # [1/16] x [1/16] = [0] + [1/2], read off the coefficients.
@@ -720,24 +840,27 @@ class TestCountsOncePerMap:
         assert len(calls) == 1
         assert np.array_equal(w.coefficients, cm.counts > 0)
 
-    def test_canonical_map_counted_in_closed_form(self, monkeypatch):
+    def test_canonical_map_is_never_counted(self, monkeypatch):
         def no_transform(*args):
             raise AssertionError("the canonical cover needs no transform")
 
-        closed = two_group_cover.canonical_counts
+        check = two_group_cover.check_su2_levels
         calls = []
 
-        def counted(params):
-            calls.append(params)
-            return closed(params)
+        def checked(*levels):
+            calls.append(levels)
+            return check(*levels)
 
         monkeypatch.setattr(_kernels, "pair_counts", no_transform)
-        monkeypatch.setattr(two_group_cover, "canonical_counts", counted)
+        monkeypatch.setattr(two_group_cover, "check_su2_levels", checked)
         params = ModelParams(5, 13)
         cm = canonical_cover(GroupContext(params))
         assert verify_cover(cm, fusion_tensor(params)).passed
-        assert np.array_equal(partition_algebra(cm).coefficients, cm.counts > 0)
-        assert calls == [params]
+        coefficients = partition_algebra(cm).coefficients
+        assert np.array_equal(coefficients, fusion_tensor(params).coefficients)
+        # The support is not cached: each reader proves it again.
+        assert calls == [(3, 11), (3, 11)]
+        assert "counts" not in vars(cm) and "support" not in vars(cm)
 
     @pytest.mark.parametrize("pq", [(3, 4), (4, 5), (5, 13)])
     def test_hand_built_canonical_labels_take_the_transform(self, pq, monkeypatch):
@@ -753,6 +876,7 @@ class TestCountsOncePerMap:
         cm = CoverMap(ctx, canonical_cover(ctx).sector_indices, sectors(params))
         monkeypatch.setattr(_kernels, "pair_counts", counted)
         assert np.array_equal(cm.counts, canonical_counts(params))
+        assert np.array_equal(cm.support, canonical_cover(ctx).support)
         assert len(calls) == 1
 
     def test_canonical_repr_builds_no_labels(self, tricritical, monkeypatch):
