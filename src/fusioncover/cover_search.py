@@ -10,22 +10,27 @@ order for covers.  Each cover found is a ``certificates.CoverMap`` over its
 ``certificates.AbelianGroupSpec`` (``AbelianGroupSpec`` is also bound here),
 checked like any other by ``certificates.verify_cover``.
 
-The search assigns sectors to the elements 1..k-1 of Z_k in order (0 always
-carries the vacuum), pruning any partial labeling whose already-decidable
-sums violate closure.  Which pair sums become decidable when element e is
-labeled is read once per order from the group's addition table (the check
-lists); the admissible sectors for e are then the AND of integer bitmasks
-built from the fusion rules' product lists (``fusion_products``), one per
-check, so a dead branch is cut before any sector is tried (forward
+The fusion rules are symmetric under every permutation of a sector triple
+(a, b, c), and every sector is self-conjugate: (a, b, vacuum) is admissible
+only for a = b.  So closure on the pair x + (-x) = 0 forces L(-x) = L(x):
+every cover is its own negation, and the search assigns one sector per
+class {x, -x} of Z_k, classes in ascending order of their least element
+(the class {0} always carries the vacuum), pruning any partial labeling
+whose already-decidable sums violate closure.  By the symmetry, the
+closure of x + y = z asks only that the sorted class triple of x, y and z
+be admissible; each such triple is decided once, when its largest class
+is labeled.  The triples, read once per order from the group's addition
+table over pairs of classes, any abelian group's as well as Z_k's, make
+the check lists; a class's admissible sectors are then the AND of integer
+bitmasks built from the fusion rules' product lists (``fusion_products``),
+one per check, so a dead branch is cut before any sector is tried (forward
 filtering).  A complete labeling covers when the set of sector triples its
-k^2 sums realize contains every admissible triple.  The multiplicity
-profile of the fusion table (how often a sector repeats within a row)
-gives an a-priori lower bound on the order of any covering group, which
-prunes whole orders.  Found covers are reported in deterministic order.
-Every labeling found is its own negation (L(-x) = L(x)): every sector is
-self-conjugate, as (a, b, vacuum) is admissible only for a = b, so closure
-on the pair x + (-x) = 0 forces it.  The search runs on Python ints alone;
-a found cover builds its label array on first use.
+class sums x + y and x - y realize contains every admissible triple.  The
+multiplicity profile of the fusion table (how often a sector repeats
+within a row) gives an a-priori lower bound on the order of any covering
+group, which prunes whole orders.  Found covers are reported in
+deterministic order.  The search runs on Python ints alone; a found cover
+builds its label array on first use.
 """
 
 from __future__ import annotations
@@ -94,97 +99,84 @@ def multiplicity_profile(params: ModelParams) -> dict[Sector, int]:
     return dict(zip(sectors(params), _profile(fusion_products(params))))
 
 
-def _check_lists(table: list[list[int]]) -> list[tuple[list[tuple[str, int, int]], int]]:
-    """Per element e, the pair sums that become decidable when e is labeled.
+def _class_sums(
+    table: list[list[int]],
+) -> tuple[list[int], list[list[tuple[int, int]]], set[tuple[int, int, int]]]:
+    """The classes {x, -x} of an abelian group, its closure checks and its
+    class sums.
 
-    ``table[x][y]`` is the index of x + y in a group whose elements the
-    search labels in index order, 0 (the identity) first.  A pair becomes
-    decidable when the largest of its summands and its sum is labeled.
-    Entry e lists the pairs in which e occurs once, as (kind, u, v): kind
-    "second" for x + e = z with x, z < e (u, v = x, z) and kind "third" for
-    x + y = e with x <= y < e (u, v = x, y).  It also gives z for the pair
-    e + e = z when z < e, else -1; the pair 0 + e = e is decided by every e.
+    ``table[x][y]`` is the index of x + y in a group whose identity is 0
+    (``AbelianGroupSpec.addition_table``).  Classes are numbered by their
+    least element, ascending, so the identity is class 0.  Returns each
+    element's class; per class c, the pairs (a, b) with a <= b <= c such
+    that some class sum, sorted, is (a, b, c), so that each sorted class
+    triple is decided once, at its largest class; and the class sums (a, b, c),
+    a <= b, such that some x in class a and y in class b have x + y in
+    class c.  Only pairs of classes are walked: with x and y their least
+    elements, the sums of their members are +-(x + y) and +-(x - y).
     """
-    k = len(table)
-    pairs: list[list[tuple[str, int, int]]] = [[] for _ in range(k)]
-    twice = [-1] * k
-    for y in range(1, k):
-        for x in range(1, y + 1):
-            z = table[x][y]
-            if z > y:
-                pairs[z].append(("third", x, y))
-            elif x == y:
-                twice[y] = z
-            else:
-                pairs[y].append(("second", x, z))
-    return list(zip(pairs, twice))
-
-
-def _masks(products: Products) -> tuple[list[int], list[int], list[int], int]:
-    """Sector sets read off the fusion rules' product lists, as integer bitmasks.
-
-    Bit s of a mask stands for sector s.  Returns third[a*n+b] =
-    {c : D[a,b,c]}, second[a*n+c] = {b : D[a,b,c]}, square[c] =
-    {a : D[a,a,c]} and unit = {b : D[0,b,b]}.  The lists need not be
-    symmetric in (a, b).
-    """
-    n = len(products)
-    third = [0] * (n * n)
-    second = [0] * (n * n)
-    square = [0] * n
-    for a, row in enumerate(products):
-        for b, cs in enumerate(row):
-            for c in cs:
-                third[a * n + b] |= 1 << c
-                second[a * n + c] |= 1 << b
-        for c in row[a]:
-            square[c] |= 1 << a
-    unit = sum(1 << b for b in range(n) if b in products[0][b])
-    return third, second, square, unit
+    neg = [row.index(0) for row in table]
+    reps = [x for x, minus in enumerate(neg) if x <= minus]
+    cls = [0] * len(table)
+    for c, x in enumerate(reps):
+        cls[x] = cls[neg[x]] = c
+    sums = {(a, b, cls[table[x][z]]) for b, y in enumerate(reps)
+            for a, x in enumerate(reps[: b + 1]) for z in (y, neg[y])}
+    checks: list[set[tuple[int, int]]] = [set() for _ in reps]
+    for triple in sums:
+        a, b, c = sorted(triple)
+        checks[c].add((a, b))
+    return cls, [sorted(pairs) for pairs in checks], sums
 
 
 def _search_order(products: Products, k: int) -> list[tuple[int, ...]]:
-    """All complete Z_k labelings passing both cover conditions, in depth-first
-    order: element 1 slowest, sectors ascending."""
+    """All complete Z_k labelings passing both cover conditions, in
+    lexicographic order.
+
+    Precondition: the product lists are symmetric under every permutation
+    of (a, b, c) and their vacuum column is the identity (D[a,b,0] = 1 iff
+    a = b), as ``fusion_products`` always gives them.  Then every cover is
+    its own negation, so one sector is chosen per class {x, -x}, and the
+    closure of x + y = z is D on the sorted class triple, in any order.
+    Classes are labeled in ascending order, sectors ascending, which lists
+    the label tuples in lexicographic order.
+    """
     n = len(products)
-    third, second, square, unit = _masks(products)
-    table = AbelianGroupSpec.cyclic(k).addition_table()
-    tables = {"second": second, "third": third}
-    checks = [
-        ([(tables[kind], u, v) for kind, u, v in pairs], twice)
-        for pairs, twice in _check_lists(table)
-    ]
+    # pair[a*n+b] = {c : D[a,b,c]}, diag[a] = {s : D[a,s,s]} and
+    # cube = {s : D[s,s,s]}, as integer bitmasks: bit s stands for sector s.
+    pair = [sum(1 << c for c in cs) for row in products for cs in row]
+    diag = [sum(1 << s for s in range(n) if s in row[s]) for row in products]
+    cube = sum(1 << s for s in range(n) if s in products[s][s])
+    cls, checks, sums = _class_sums(AbelianGroupSpec.cyclic(k).addition_table())
     # x + y and y + x realize (a, b, c) and (b, a, c) together, so a triple
     # is coded by its unordered pair {a, b}, as a bitmask, and c.  A labeling
-    # covers when the codes of its sums x + y, x <= y, include the code of
-    # every admissible triple, (a, b, c) and (b, a, c) alike.
+    # covers when the codes of its class sums include the code of every
+    # admissible triple, (a, b, c) and (b, a, c) alike.
     triples = [(a, b, c) for a, row in enumerate(products) for b, cs in enumerate(row) for c in cs]
     admissible = {((1 << a) | (1 << b)) * n + c for a, b, c in triples}
-    # Each sector of an admissible triple must label some element: a cheap
+    # Each sector of an admissible triple must label some class: a cheap
     # test that turns most complete labelings away before their sums are coded.
     needed = set(itertools.chain.from_iterable(triples))
-    sums = [(x, y, table[x][y]) for x in range(k) for y in range(x, k)]
-    assign = [0] * k
+    label = [0] * len(checks)
     found: list[tuple[int, ...]] = []
 
-    def place(e: int) -> None:
-        if e == k:
-            if not needed <= set(assign):
+    def place(c: int) -> None:
+        if c == len(label):
+            if not needed <= set(label):
                 return
-            bits = [1 << s for s in assign]
-            if admissible <= {(bits[x] | bits[y]) * n + assign[z] for x, y, z in sums}:
-                found.append(tuple(assign))
+            bits = [1 << s for s in label]
+            if admissible <= {(bits[a] | bits[b]) * n + label[z] for a, b, z in sums}:
+                found.append(tuple(label[x] for x in cls))
             return
-        pairs, twice = checks[e]
-        cand = unit if twice < 0 else unit & square[assign[twice]]
-        for masks, u, v in pairs:
-            cand &= masks[assign[u] * n + assign[v]]
+        cand = (1 << n) - 1
+        for a, b in checks[c]:
+            cand &= pair[label[a] * n + label[b]] if b < c else diag[label[a]] if a < c else cube
             if not cand:
                 return
         while cand:
             low = cand & -cand
-            assign[e] = low.bit_length() - 1
-            place(e + 1)
+            label[c] = low.bit_length() - 1
+            place(c + 1)
             cand ^= low
 
     place(1)

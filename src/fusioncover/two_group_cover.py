@@ -204,11 +204,20 @@ class _CanonicalCover(CoverMap):
         (n1, n2, n3) q-admissible.  So (i, j, k) is realized iff the label
         triple (l_i, l_j, l_k) or (l_i, l_j, l_k') is (p,q)-admissible,
         which is D[i, j, k] = 1 as ``fusion_tensor`` defines it: supp C = D.
-        A failed level check raises CountCheckError.
+        The proof runs once per map (``_proved_model``); a failed level
+        check raises CountCheckError on every read.
         """
+        return fusion_tensor(self._proved_model).coefficients
+
+    @functools.cached_property
+    def _proved_model(self) -> ModelParams:
+        """The model, once ``check_su2_levels`` passes at p - 2 and q - 2.
+
+        Cached, so the proof is kept and not the N^3 array; a failure is
+        not cached and raises again."""
         params = self.context.params
         check_su2_levels(params.p - 2, params.q - 2)
-        return fusion_tensor(params).coefficients
+        return params
 
 
 def canonical_cover(ctx: GroupContext) -> CoverMap:

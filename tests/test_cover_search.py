@@ -31,7 +31,7 @@ from fusioncover import (
 )
 
 from fusioncover import _kernels
-from fusioncover.cover_search import _check_lists, _search_order
+from fusioncover.cover_search import _class_sums, _search_order
 
 from conftest import Z4_ISING_LABELS, Z12_TRICRITICAL_LABELS, coprime_models, group_rows
 
@@ -400,22 +400,30 @@ class TestSearchOrder:
             assert _search_order(products, k) == loop_search_order(tensor, k), k
 
     def test_matches_loop_oracle_on_random_tensors(self):
-        # Fusion tensors are symmetric and self-conjugate, which makes some
-        # checks redundant; arbitrary 0/1 tensors exercise every check.  They
-        # are not symmetric in (i, j): coverage must ask for (j, i, k) as well
-        # as (i, j, k).
+        # Random fusion-like tensors, the search's domain: a triple is kept
+        # only if all its permutations were drawn, and the vacuum row, column
+        # and slice are the identity.  Every labeling found must also pass
+        # verify_cover.
         rng = np.random.default_rng(0)
         shapes = {2: ModelParams(2, 5), 3: ModelParams(3, 4), 4: ModelParams(2, 9)}
         nonempty = 0
         for _ in range(100):
             n = int(rng.integers(2, 5))
-            d = (rng.random((n, n, n)) < 0.7).astype(np.uint8)
+            d = rng.random((n, n, n)) < 0.7
+            for perm in itertools.permutations(range(3)):
+                d = d & d.transpose(perm)
+            d = d.astype(np.uint8)
+            eye = np.eye(n, dtype=np.uint8)
+            d[0], d[:, 0], d[:, :, 0] = eye, eye, eye
             shape = fusion_tensor(shapes[n])
             tensor = FusionTensor(shape.model, shape.sectors, d)
             products = [[tuple(np.flatnonzero(cell).tolist()) for cell in row] for row in d]
             for k in range(1, 9):
                 found = loop_search_order(tensor, k)
                 assert _search_order(products, k) == found, (d.tolist(), k)
+                for assign in found:
+                    cover = CoverMap(AbelianGroupSpec.cyclic(k), assign, tensor.sectors)
+                    assert verify_cover(cover, tensor).passed, (d.tolist(), assign)
                 nonempty += bool(found)
         assert nonempty > 10
 
@@ -439,21 +447,24 @@ class TestSearchOrder:
     @pytest.mark.parametrize(
         "factors", [(), *((k,) for k in range(2, 13)), (2, 2), (2, 4), (3, 3), (2, 2, 2)]
     )
-    def test_check_lists_decide_every_pair_once(self, factors):
+    def test_class_triples_decide_every_pair_once(self, factors):
         spec = AbelianGroupSpec(factors)
-        k = spec.order
         table = spec.addition_table()
-        decided = Counter()
-        for e, (pairs, twice) in enumerate(_check_lists(table)):
-            for kind, u, v in pairs:
-                x, y = (u, e) if kind == "second" else (u, v)
-                assert max(x, y, table[x][y]) == e
-                decided[min(x, y), max(x, y)] += 1
-            if twice >= 0:
-                assert table[e][e] == twice < e
-                decided[e, e] += 1
-        nonzero = [(x, y) for y in range(1, k) for x in range(1, y + 1)]
-        assert decided == Counter(nonzero)
+        cls, checks, sums = _class_sums(table)
+        # Classes are {x, -x}, numbered by their least element.
+        negation = [row.index(0) for row in table]
+        least = sorted({min(x, minus) for x, minus in enumerate(negation)})
+        assert cls == [least.index(min(x, minus)) for x, minus in enumerate(negation)]
+        # Every pair maps, sorted, to a class triple decided at its largest
+        # class; every triple decided is some pair's, and is decided once.
+        triples = {tuple(sorted((cls[x], cls[y], cls[z])))
+                   for x, row in enumerate(table) for y, z in enumerate(row)}
+        decided = Counter((a, b, c) for c, pairs in enumerate(checks) for a, b in pairs)
+        assert decided == Counter(triples)
+        # The class sums are those of every pair, though only class pairs
+        # are walked.
+        assert sums == {(min(cls[x], cls[y]), max(cls[x], cls[y]), cls[z])
+                        for x, row in enumerate(table) for y, z in enumerate(row)}
 
 
 class TestSearchCyclicCovers:
@@ -525,12 +536,15 @@ class TestSearchCyclicCovers:
     )
     def test_every_labeling_is_its_own_negation(self, p, q, max_order):
         # Closure on x + (-x) = 0 puts (L(x), L(-x), vacuum) in the fusion
-        # rules, which hold (a, b, vacuum) only for a = b: the search finds
-        # no negation pair to deduplicate.
-        products = fusion_products(ModelParams(p, q))
+        # rules, which hold (a, b, vacuum) only for a = b.  The search labels
+        # one class {x, -x} at a time because of this, so it is checked with
+        # the loop oracle, which labels every element.
+        params = ModelParams(p, q)
+        tensor = fusion_tensor(params)
+        bound = sum(multiplicity_profile(params).values())
         found = 0
-        for k in range(1, max_order + 1):
-            for assign in _search_order(products, k):
+        for k in range(bound, max_order + 1):
+            for assign in loop_search_order(tensor, k):
                 assert assign == tuple(assign[-x] for x in range(k)), (k, assign)
                 found += 1
         assert found

@@ -1,5 +1,6 @@
 """Unit tests for the exact minimal-model computations."""
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -159,8 +160,6 @@ class TestPAdmissible:
         assert not is_p_admissible(3, 3, 1, 1)
 
     def test_total_symmetry(self):
-        import itertools
-
         for p in range(2, 13):
             for triple in itertools.product(range(1, p), repeat=3):
                 value = is_p_admissible(p, *triple)
@@ -274,14 +273,20 @@ class TestFusionTensor:
             assert np.abs(verlinde - rounded).max() <= 1e-6, (params.p, params.q)
             assert np.array_equal(rounded, fusion_tensor(params).coefficients), (params.p, params.q)
 
-    def test_every_sector_is_self_conjugate(self):
-        # D[a, b, vacuum] = 1 iff a = b, which makes every cyclic cover its
-        # own negation (test_cover_search).
+    def test_meets_the_cover_search_precondition(self):
+        # The cyclic search labels one class {x, -x} at a time and reads
+        # closure off sorted triples, which holds when D is invariant under
+        # every permutation of (i, j, k) and the vacuum row and column are
+        # the identity: D[a, b, vacuum] = 1 iff a = b, so every sector is
+        # self-conjugate and every cyclic cover is its own negation.
         models = coprime_models(32, 33, max_sum=35)
         assert len(models) == 158
         for params in models:
-            vacuum_column = fusion_tensor(params).coefficients[:, :, 0]
-            assert np.array_equal(vacuum_column, np.eye(params.n_sectors)), params
+            c = fusion_tensor(params).coefficients
+            for perm in itertools.permutations(range(3)):
+                assert np.array_equal(c, c.transpose(perm)), (params, perm)
+            eye = np.eye(params.n_sectors)
+            assert np.array_equal(c[0], eye) and np.array_equal(c[:, :, 0], eye), params
 
     def test_largest_model_scratch_is_quadratic(self):
         # N = 256, the largest model under the cell budget; scratch beside the

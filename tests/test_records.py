@@ -147,13 +147,15 @@ class TestRecord:
 
 
 def test_pickled_canonical_cover_keeps_its_cached_labels():
-    # The canonical cover caches its labels only: its support is proved
-    # on each read, and it holds no counts.
+    # The canonical cover caches its labels and the proof of its support,
+    # the model it was proved for, not the support array, and it holds no
+    # counts.
     cover = canonical_cover(GroupContext(ModelParams(4, 5)))
     labels, support = cover.sector_indices, cover.support
     for clone in (copy.deepcopy(cover), pickle.loads(pickle.dumps(cover))):
         assert type(clone) is type(cover) and repr(clone) == repr(cover)
-        assert vars(clone).keys() == {"context", "sectors", "sector_indices"}
+        assert vars(clone).keys() == {"context", "sectors", "sector_indices", "_proved_model"}
+        assert vars(clone)["_proved_model"] == ModelParams(4, 5)
         assert np.array_equal(clone.sector_indices, labels)
         assert np.array_equal(clone.support, support)
         assert tuple(clone.vacuum_preimage) == (0,)

@@ -695,6 +695,8 @@ class TestLevelCheck:
             verify_cover(cm, fusion_tensor(params))
         with pytest.raises(CountCheckError, match="level check"):
             partition_algebra(cm)
+        # A failed proof is not cached: every read raises.
+        assert "_proved_model" not in vars(cm)
         assert main(["cover", "verify", "--p", "4", "--q", "5"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -858,9 +860,10 @@ class TestCountsOncePerMap:
         assert verify_cover(cm, fusion_tensor(params)).passed
         coefficients = partition_algebra(cm).coefficients
         assert np.array_equal(coefficients, fusion_tensor(params).coefficients)
-        # The support is not cached: each reader proves it again.
-        assert calls == [(3, 11), (3, 11)]
+        # The proof is cached, not the support: the second reader reuses it.
+        assert calls == [(3, 11)]
         assert "counts" not in vars(cm) and "support" not in vars(cm)
+        assert vars(cm)["_proved_model"] == params
 
     @pytest.mark.parametrize("pq", [(3, 4), (4, 5), (5, 13)])
     def test_hand_built_canonical_labels_take_the_transform(self, pq, monkeypatch):
