@@ -25,8 +25,7 @@ _EXPORTS = {
         "minimal_model",
     ),
     **dict.fromkeys(
-        ("GroupContext", "PartitionAlgebra", "canonical_cover", "is_isomorphic_to_verlinde",
-         "partition_algebra"),
+        ("GroupContext", "canonical_cover", "is_isomorphic_to_verlinde", "partition_algebra"),
         "two_group_cover",
     ),
 }

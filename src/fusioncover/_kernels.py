@@ -21,17 +21,19 @@ block of characters at a time in float64, is exact while |G| <= 2^17
 (``MAX_COUNT_ORDER``).  Other groups take complex FFTs in place in one
 complex128 matrix.  Every result is checked: each count must lie within 1/4
 of an integer, and then ``check_counts`` checks the row sums.  The
-canonical cover is never counted: its support is proved by
-``two_group_cover.check_su2_levels``.
+canonical cover is never counted and never scanned: its support is proved
+by ``two_group_cover.check_su2_levels`` and is the model's fusion tensor
+itself, so a canonical PASS does not load this module.
 ``check_count_size`` refuses, before anything is allocated, a group above
 2^17 and a transform matrix over ``MAX_TRANSFORM_BYTES``; the group-file
 parser runs the same check at a file's header.
 
-The row scan only names the witness: run when a map's support holds an
-inadmissible triple, ``first_violation`` visits the pairs in canonical order
-(g1 ascending, then g2) on one thread, one row g1 against every g2 at a
-time, and returns at the first row holding a violation.  Groups whose
-factors are all 2 add element codes by XOR, others add mixed-radix digits.
+The row scan only names the witness: run when a map's support holds a
+triple the fusion tensor does not, ``first_violation`` visits the pairs in
+canonical order (g1 ascending, then g2) on one thread, one row g1 against
+every g2 at a time, and returns at the first row holding a violation.
+Groups whose factors are all 2 add element codes by XOR, others add
+mixed-radix digits.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+# ``scan_stats`` is bound here too: ``perfbench/tracing.py`` wraps it under
+# this module's name.
+from .certificates import scan_stats  # noqa: F401
 from .errors import CapacityError, CountCheckError
 
 if TYPE_CHECKING:
@@ -294,23 +299,6 @@ def first_violation(
     if g1 < 0:
         return None
     return g1, g2, int((digits[g1] + digits[g2]) % np.asarray(factors) @ place_values(factors))
-
-
-def scan_stats(size: int, d_flat: np.ndarray, counts: np.ndarray) -> dict:
-    """The counts a certificate reports.
-
-    ``counts`` are the flattened pair counts, or their support, nonzero on
-    every realized triple.  ``pairs_checked`` is |G|^2, the number of pairs
-    the support accounts for: the transform's counts add up to it
-    (``check_counts`` checks their row sums), and the canonical cover's
-    proof covers every pair.  ``size`` may be any Python int.
-    """
-    return {
-        "group_order": size,
-        "pairs_checked": size * size,
-        "admissible_triples": int(d_flat.sum()),
-        "realized_triples": int(np.count_nonzero(counts)),
-    }
 
 
 def first_uncovered_triple(

@@ -181,11 +181,13 @@ class CoverMap(IdentityRecord):
         return counts
 
     @property
-    def support(self) -> np.ndarray:
-        """The sector triples the map realizes: nonzero where some pair
-        g1 + g2 = g3 lands, here ``counts != 0``.  Not cached: it is held
-        only while a caller reads it."""
-        return self.counts != 0
+    def support(self) -> FusionTensor:
+        """The sector triples the map realizes, where some pair g1 + g2 = g3
+        lands: here a tensor of ``counts != 0``, read-only.  Not cached: it
+        is held only while a caller reads it."""
+        realized = self.counts != 0
+        realized.setflags(write=False)
+        return FusionTensor(self.sectors, realized)
 
     @property
     def vacuum_preimage(self) -> np.ndarray:
@@ -241,41 +243,62 @@ class CoverCertificate(Record):
         return self.verdict == PASS
 
 
+def scan_stats(order: int, admissible: int, realized: int) -> dict:
+    """The counts a certificate reports, all Python ints.
+
+    ``pairs_checked`` is |G|^2, the number of pairs the support accounts
+    for: the transform's counts add up to it (``_kernels.check_counts``
+    checks their row sums), and the canonical cover's proof covers every
+    pair.  ``admissible`` and ``realized`` are the sizes of the tensor and
+    of the map's support.
+    """
+    return {
+        "group_order": order,
+        "pairs_checked": order * order,
+        "admissible_triples": admissible,
+        "realized_triples": realized,
+    }
+
+
 def verify_cover(cover: CoverMap, tensor: FusionTensor, threads: int = 1) -> CoverCertificate:
     """Check both cover conditions for a labeled group against fusion rules.
 
     Condition (1): the sector triple of every sum g1 + g2 = g3 is admissible.
     Condition (2): every admissible sector triple is realized by some pair.
-    Both are read off ``cover.support``, the triples the map realizes: for
-    ``two_group_cover.canonical_cover`` it is proved by the SU(2) level
-    check (a failed proof raises CountCheckError), for any other map it is
-    where the transform's counts are nonzero.  Only if the support holds
-    an inadmissible triple are the labels read and
+    Both are read off ``cover.support``, the tensor of triples the map
+    realizes: for ``two_group_cover.canonical_cover`` it is proved by the
+    SU(2) level check (a failed proof raises CountCheckError) and is the
+    model's ``fusion_tensor`` itself; for any other map it is where the
+    transform's counts are nonzero.  A support that is ``tensor`` itself
+    passes with no array compared, so a canonical PASS loads no numpy and
+    builds no N^3 array; its stats are the tensor's closed-form size.  Any
+    other support, a hand-built tensor's too, is compared cell by cell.
+    Only if it holds an inadmissible triple are the labels read and
     ``_kernels.first_violation`` run: the FAIL witness is the first
     violation in canonical order (g1 ascending, then g2), named by its
-    element codes.  A PASS reads no labels, so the canonical cover builds
-    no map.  Coverage is read off the support alone; its FAIL witness is
-    the first admissible but unrealized triple.  ``threads`` is ignored; it
-    stays because ``perfbench/theorem_job.py`` passes it.
+    element codes.  Coverage is read off the support alone; its FAIL
+    witness is the first admissible but unrealized triple.  ``threads`` is
+    ignored; it stays because ``perfbench/theorem_job.py`` passes it.
     """
-    from . import _kernels
-
     if cover.sectors != tensor.sectors:
-        raise ValueError(f"the cover's sectors are not those of the tensor's model {tensor.model}")
+        raise ValueError("the cover's sectors are not those of the tensor")
     group = cover.context
-    d_flat = tensor.coefficients.reshape(-1)
-    realized = cover.support.reshape(-1)
-    stats = _kernels.scan_stats(group.order, d_flat, realized)
-    secs = tensor.sectors
-    if (realized > d_flat).any():
-        sec = cover.sector_indices
-        codes = _kernels.first_violation(sec, tensor.n, d_flat, group.factors)
-        if codes is None:
-            raise CountCheckError("the support shows a closure violation the pair scan does not")
-        witness = ClosureViolation(*codes, tuple(secs[sec[g]] for g in codes))
-        return CoverCertificate(FAIL, witness, stats)
-    miss = _kernels.first_uncovered_triple(d_flat, realized, tensor.n)
-    if miss is not None:
-        i, j, k = miss
-        return CoverCertificate(FAIL, UncoveredTriple((secs[i], secs[j], secs[k])), stats)
+    realized = cover.support
+    stats = scan_stats(group.order, tensor.size, realized.size)
+    if realized is not tensor:
+        from . import _kernels
+
+        d_flat = tensor.coefficients.reshape(-1)
+        r_flat = realized.coefficients.reshape(-1)
+        secs = tensor.sectors
+        if (r_flat > d_flat).any():
+            sec = cover.sector_indices
+            codes = _kernels.first_violation(sec, tensor.n, d_flat, group.factors)
+            if codes is None:
+                raise CountCheckError("the support shows a closure violation the pair scan does not")
+            witness = ClosureViolation(*codes, tuple(secs[sec[g]] for g in codes))
+            return CoverCertificate(FAIL, witness, stats)
+        miss = _kernels.first_uncovered_triple(d_flat, r_flat, tensor.n)
+        if miss is not None:
+            return CoverCertificate(FAIL, UncoveredTriple(tuple(secs[x] for x in miss)), stats)
     return CoverCertificate(PASS, None, stats)

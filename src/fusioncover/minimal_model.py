@@ -20,9 +20,10 @@ This module computes all of it exactly:
 * the admissibility predicate and the closed-form completion range,
 * the fusion rules built from that closed form: as N x N lists of
   products in plain Python (`fusion_products`, which the `fusion` table
-  is printed from), and as the N x N x N tensor of 0/1 structure
-  constants in integer numpy arithmetic (`fusion_tensor`, which the cover
-  checks read),
+  is printed from), and as a `FusionTensor` (`fusion_tensor`, which the
+  cover checks read), whose N x N x N array of 0/1 structure constants is
+  built in integer numpy arithmetic on first read, and whose size |D| is
+  a closed form that needs no array,
 * the Verlinde algebra: its structure constants in the sector basis are
   the fusion coefficients (Verlinde 1988), so `verlinde_algebra` returns
   the fusion tensor itself.
@@ -36,8 +37,8 @@ threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+from functools import cached_property, lru_cache
+from math import comb, gcd
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
@@ -276,21 +277,29 @@ def is_pq_admissible(params: ModelParams, t1: LabelPair, t2: LabelPair, t3: Labe
 
 
 class FusionTensor(IdentityRecord):
-    """The 0/1 structure constants D(S_i, S_j, S_k) of a minimal model.
+    """0/1 structure constants D(S_i, S_j, S_k) over a list of sectors.
 
-    coefficients[i, j, k] = 1 iff sector k occurs in the fusion product of
-    sectors i and j.  The array is read-only; tensors compare by identity.
+    coefficients[i, j, k] = 1 iff sector k occurs in the product of sectors
+    i and j.  One type serves a model's fusion rules (``fusion_tensor``),
+    the triples a cover map realizes (``certificates.CoverMap.support``)
+    and its partition algebra.  The array is read-only; tensors compare by
+    identity.
     """
 
-    _fields = ("model", "sectors", "coefficients")
+    _fields = ("sectors", "coefficients")
 
-    def __init__(self, model: ModelParams, sectors: tuple[Sector, ...],
-                 coefficients: np.ndarray) -> None:
-        vars(self).update(model=model, sectors=sectors, coefficients=coefficients)
+    def __init__(self, sectors: tuple[Sector, ...], coefficients: np.ndarray) -> None:
+        vars(self).update(sectors=sectors, coefficients=coefficients)
 
     @property
     def n(self) -> int:
         return len(self.sectors)
+
+    @property
+    def size(self) -> int:
+        """The number of triples (i, j, k) whose coefficient is 1, the sum of
+        the 0/1 array."""
+        return int(self.coefficients.sum())
 
 
 def _admissible(p: int, a: int, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -317,41 +326,68 @@ def check_fusion_cells(params: ModelParams) -> None:
         )
 
 
-# The last few tensors are kept: up to 16 MiB each, so a process that walks
-# every model keeps at most 128 MiB of them, not the sum over all models.
+class _ModelTensor(FusionTensor):
+    """The fusion tensor of a model, whose array is built on first read.
+
+    ``size`` is read off the closed form and needs no array: C(p+1, 3) is
+    the number of ordered p-admissible label triples, and complementing two
+    labels of a triple keeps it admissible, so each sector triple with
+    D = 1 has 4 of its 8 label triples admissible, hence
+    |D| = C(p+1, 3) C(q+1, 3) / 4.
+    """
+
+    def __init__(self, model: ModelParams) -> None:
+        vars(self).update(model=model, sectors=sectors(model))
+
+    @property
+    def size(self) -> int:
+        return comb(self.model.p + 1, 3) * comb(self.model.q + 1, 3) // 4
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """D[i,j,k] = 1 iff the triple is admissible.
+
+        For sectors i, j the canonical labels are used as-is; for the
+        completion k both members of its label class are tested.  At most
+        one of the two can complete an admissible triple (the two
+        replacements flip the parity of the component sums), so the result
+        is well defined and multiplicity-free.
+
+        Row i is built at once from the closed-form admissibility range of
+        the m and the n components, broadcast over (j, k), so scratch memory
+        stays O(N^2) beside the N^3-byte result.
+        """
+        import numpy as np
+
+        p, q = self.model.p, self.model.q
+        # Labels of k as a row and of j as a column.  N <= 256 keeps p, q <= 513,
+        # so int16 holds every sum below.
+        m_k = np.array([s.m for s in self.sectors], dtype=np.int16)
+        n_k = np.array([s.n for s in self.sectors], dtype=np.int16)
+        m_j, n_j = m_k[:, None], n_k[:, None]
+        m_r, n_r = p - m_k, q - n_k
+        coeff = np.empty((self.n,) * 3, dtype=np.uint8)
+        for i, si in enumerate(self.sectors):
+            direct = _admissible(p, si.m, m_j, m_k) & _admissible(q, si.n, n_j, n_k)
+            reflected = _admissible(p, si.m, m_j, m_r) & _admissible(q, si.n, n_j, n_r)
+            coeff[i] = direct | reflected
+        coeff.setflags(write=False)
+        return coeff
+
+
+# The last few tensors are kept: once their arrays are read, up to 16 MiB
+# each, so a process that walks every model keeps at most 128 MiB of them,
+# not the sum over all models.
 @lru_cache(maxsize=8)
 def fusion_tensor(params: ModelParams) -> FusionTensor:
-    """Fusion rules of the model: D[i,j,k] = 1 iff the triple is admissible.
+    """Fusion rules of the model, as a ``FusionTensor`` that keeps its model.
 
-    For sectors i, j the canonical labels are used as-is; for the completion
-    k both members of its label class are tested.  At most one of the two can
-    complete an admissible triple (the two replacements flip the parity of
-    the component sums), so the result is well defined and multiplicity-free.
-
-    Row i is built at once from the closed-form admissibility range of the m
-    and the n components, broadcast over (j, k), so scratch memory stays
-    O(N^2) beside the N^3-byte result.  Models over ``MAX_FUSION_CELLS``
-    raise CapacityError (``check_fusion_cells``) before any sector is listed.
+    Its N^3 array is built on first read of ``coefficients`` and its size
+    |D| needs none.  Models over ``MAX_FUSION_CELLS`` raise CapacityError
+    (``check_fusion_cells``) before any sector is listed.
     """
-    import numpy as np
-
     check_fusion_cells(params)
-    p, q = params.p, params.q
-    secs = sectors(params)
-    n = len(secs)
-    # Labels of k as a row and of j as a column.  N <= 256 keeps p, q <= 513,
-    # so int16 holds every sum below.
-    m_k = np.array([s.m for s in secs], dtype=np.int16)
-    n_k = np.array([s.n for s in secs], dtype=np.int16)
-    m_j, n_j = m_k[:, None], n_k[:, None]
-    m_r, n_r = p - m_k, q - n_k
-    coeff = np.empty((n, n, n), dtype=np.uint8)
-    for i, si in enumerate(secs):
-        direct = _admissible(p, si.m, m_j, m_k) & _admissible(q, si.n, n_j, n_k)
-        reflected = _admissible(p, si.m, m_j, m_r) & _admissible(q, si.n, n_j, n_r)
-        coeff[i] = direct | reflected
-    coeff.setflags(write=False)
-    return FusionTensor(model=params, sectors=secs, coefficients=coeff)
+    return _ModelTensor(params)
 
 
 def fusion_products(params: ModelParams) -> list[list[tuple[int, ...]]]:

@@ -15,9 +15,10 @@ as a map Phi onto sectors.  This module provides that map, a
 which ``certificates.verify_cover`` checks like any other cover: sums of
 elements land only on admissible sector triples, and every admissible
 triple is realized.  Both conditions are read off the map's ``support``,
-the sector triples its pairs realize.  The same support is the partition
-algebra (structure constants of the sums of the sectors' preimages), which
-the theorem says is isomorphic to the Verlinde algebra.
+a ``FusionTensor`` of the sector triples its pairs realize.  The same
+support is the partition algebra (structure constants of the sums of the
+sectors' preimages), which the theorem says is isomorphic to the Verlinde
+algebra.
 
 No vector, class or coset is built one at a time.  A label depends only on
 the A- and B-weights, so the map's labels are read off a grid of weights
@@ -26,28 +27,34 @@ weights the sum of two vectors of given weights in Z_2^w can take are
 built by a recurrence on w and compared with the SU(2) level-w fusion rule
 at w = p - 2 and w = q - 2 (``check_su2_levels``), and a descent lemma
 (``_CanonicalCover.support``) turns the two levels into the support of the
-map on G.  The check runs on plain Python ints with no bound on the rank,
-so it covers every model whose fusion tensor is built (N <= 256), up to
-(2,513) and (3,257).  Any other map, over this group or another, is
-counted by the transform in ``_kernels.pair_counts``, within the sizes
-``_kernels.check_count_size`` admits, and its support is where its counts
-are nonzero.  Either way ``verify_cover`` and ``partition_algebra`` read
-the map's support; the labels are read only by the scan that names a FAIL
-witness.
+map on G: the model's fusion tensor itself, as ``fusion_tensor`` returns
+it.  So ``verify_cover``, handed that tensor, compares no arrays, and a
+canonical verify loads no numpy and builds no N^3 array.  The check runs
+on plain Python ints with no bound on the rank, so it covers every model
+whose fusion tensor is admitted (N <= 256), up to (2,513) and (3,257).
+Any other map, over this group or another, is counted by the transform in
+``_kernels.pair_counts``, within the sizes ``_kernels.check_count_size``
+admits, and its support is where its counts are nonzero.  Either way
+``verify_cover`` and ``partition_algebra`` read the map's support; the
+labels are read only by the scan that names a FAIL witness.
 """
 
 from __future__ import annotations
 
 import functools
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 # ``verify_cover`` is bound here too: ``perfbench/tracing.py`` wraps it
 # under this module's name.
 from .certificates import AbelianGroupSpec, CoverMap, verify_cover  # noqa: F401
 from .errors import CapacityError, CountCheckError, PartitionError
-from .minimal_model import (FusionTensor, IdentityRecord, ModelParams, Sector, _label_index,
-                            admissible_range, fusion_tensor, sectors)
+from .minimal_model import (FusionTensor, ModelParams, _label_index, admissible_range,
+                            fusion_tensor, sectors)
+
+# numpy is imported by the two functions that use it, so a canonical verify,
+# which reads neither labels nor arrays, starts without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Most cosets a canonical map is built for: 32 MiB of int64 labels, the
 # largest array the builder holds (61 MiB peak RSS for the whole process at
@@ -139,6 +146,8 @@ def check_su2_levels(*levels: int) -> None:
 def _canonical_labels(ctx: GroupContext) -> np.ndarray:
     """Sector index of every coset under Phi, checking that Phi is constant
     on cosets.  Refuses more than 2^22 cosets before allocating."""
+    import numpy as np
+
     if ctx.order > MAX_CANONICAL_MAP:
         raise CapacityError(
             f"the canonical map of {ctx.params} has {ctx.order} cosets, above "
@@ -178,9 +187,10 @@ class _CanonicalCover(CoverMap):
         labels.setflags(write=False)
         return labels
 
-    @property
-    def support(self) -> np.ndarray:
-        """The fusion tensor, once ``check_su2_levels`` passes at p - 2 and q - 2.
+    @functools.cached_property
+    def support(self) -> FusionTensor:
+        """The model's fusion tensor, once ``check_su2_levels`` passes at
+        p - 2 and q - 2.
 
         Let S_w(a, b) be the weights of x + y over x, y in Z_2^w with
         wt x = a and wt y = b; the level checks prove that c is in
@@ -204,20 +214,13 @@ class _CanonicalCover(CoverMap):
         (n1, n2, n3) q-admissible.  So (i, j, k) is realized iff the label
         triple (l_i, l_j, l_k) or (l_i, l_j, l_k') is (p,q)-admissible,
         which is D[i, j, k] = 1 as ``fusion_tensor`` defines it: supp C = D.
-        The proof runs once per map (``_proved_model``); a failed level
-        check raises CountCheckError on every read.
+        The proof runs once per map and the tensor is returned as it is,
+        its array unread; a failed level check is not cached and raises
+        CountCheckError on every read.
         """
-        return fusion_tensor(self._proved_model).coefficients
-
-    @functools.cached_property
-    def _proved_model(self) -> ModelParams:
-        """The model, once ``check_su2_levels`` passes at p - 2 and q - 2.
-
-        Cached, so the proof is kept and not the N^3 array; a failure is
-        not cached and raises again."""
         params = self.context.params
         check_su2_levels(params.p - 2, params.q - 2)
-        return params
+        return fusion_tensor(params)
 
 
 def canonical_cover(ctx: GroupContext) -> CoverMap:
@@ -231,29 +234,11 @@ def canonical_cover(ctx: GroupContext) -> CoverMap:
     return _CanonicalCover(ctx)
 
 
-class PartitionAlgebra(IdentityRecord):
-    """The algebra W of a partition of G: W[i,j,k] = 1 iff P_i + P_j meets P_k.
-
-    The coefficients are the map's ``CoverMap.support``: where the number of
-    pairs (g1, g2) with g1 in P_i, g2 in P_j and g1 + g2 in P_k is nonzero.
-    Algebras compare by identity.
-    """
-
-    _fields = ("sectors", "coefficients")
-
-    def __init__(self, sectors: tuple[Sector, ...], coefficients: np.ndarray) -> None:
-        vars(self).update(sectors=sectors, coefficients=coefficients)
-
-    @property
-    def n(self) -> int:
-        return len(self.sectors)
-
-
 def partition_algebra(
     cm: CoverMap,
     strict: bool = True,
     threads: int = 1,
-) -> PartitionAlgebra:
+) -> FusionTensor:
     """Structure constants of the partition P_i = preimage of sector i under a map.
 
     The map may be over any group.  With ``strict`` (the default)
@@ -261,27 +246,29 @@ def partition_algebra(
     assigned the vacuum sector, as the map's ``vacuum_preimage`` shows.
     Pass strict=False to build the algebra of a deliberately corrupted
     partition anyway, e.g. to compare its constants against the Verlinde
-    algebra.  The constants are ``cm.support``, which ``verify_cover``
-    reads too: a map's counts are cached, so a map counted there is not
-    counted again, and the canonical cover is never counted.  ``threads``
-    is ignored; it stays because ``perfbench/theorem_job.py`` passes it.
+    algebra.  W[i,j,k] = 1 iff P_i + P_j meets P_k: the algebra is
+    ``cm.support``, which ``verify_cover`` reads too.  A map's counts are
+    cached, so a map counted there is not counted again, and the canonical
+    cover is never counted: its support is the model's fusion tensor.
+    ``threads`` is ignored; it stays because ``perfbench/theorem_job.py``
+    passes it.
     """
     if strict:
         vacuum = cm.vacuum_preimage
         if len(vacuum) != 1 or vacuum[0] != 0:
             where = "one nonzero element" if len(vacuum) == 1 else f"{len(vacuum)} elements"
             raise PartitionError(f"partition requires P_1 = {{0}}: the vacuum preimage is {where}")
-    coeff = cm.support.astype(np.uint8)
-    coeff.setflags(write=False)
-    return PartitionAlgebra(cm.sectors, coeff)
+    return cm.support
 
 
-def is_isomorphic_to_verlinde(w: PartitionAlgebra, v: FusionTensor) -> bool:
+def is_isomorphic_to_verlinde(w: FusionTensor, v: FusionTensor) -> bool:
     """Whether the index-preserving bijection S_i <-> P_i is an algebra isomorphism.
 
     ``v`` is the Verlinde algebra, ``minimal_model.verlinde_algebra``.  True
     iff the two structure-constant arrays are identical.
     """
+    import numpy as np
+
     if w.n != v.n:
         raise ValueError(f"dimension mismatch: partition {w.n} vs Verlinde {v.n}")
     return np.array_equal(w.coefficients, v.coefficients)

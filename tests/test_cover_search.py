@@ -288,7 +288,7 @@ class TestGroupKindsAgree:
         # The canonical cover's proved support gives the same certificate.
         abelian = CoverMap(spec, labels, secs)
         assert verify_cover(canonical, tensor) == verify_cover(abelian, tensor)
-        assert np.array_equal(canonical.support, abelian.counts != 0)
+        assert np.array_equal(canonical.support.coefficients, abelian.counts != 0)
         assert np.array_equal(partition_algebra(canonical).coefficients, abelian.counts > 0)
 
 
@@ -416,7 +416,7 @@ class TestSearchOrder:
             eye = np.eye(n, dtype=np.uint8)
             d[0], d[:, 0], d[:, :, 0] = eye, eye, eye
             shape = fusion_tensor(shapes[n])
-            tensor = FusionTensor(shape.model, shape.sectors, d)
+            tensor = FusionTensor(shape.sectors, d)
             products = [[tuple(np.flatnonzero(cell).tolist()) for cell in row] for row in d]
             for k in range(1, 9):
                 found = loop_search_order(tensor, k)
@@ -433,7 +433,7 @@ class TestSearchOrder:
         d = np.zeros((3, 3, 3), dtype=np.uint8)
         d[0, 0, 0] = d[0, 1, 1] = d[1, 0, 1] = d[1, 1, 0] = 1
         ising = fusion_tensor(ModelParams(3, 4))
-        tensor = FusionTensor(ising.model, ising.sectors, d)
+        tensor = FusionTensor(ising.sectors, d)
         products = [[tuple(np.flatnonzero(cell).tolist()) for cell in row] for row in d]
         for k in range(1, 5):
             assert _search_order(products, k) == loop_search_order(tensor, k), k

@@ -288,6 +288,21 @@ class TestFusionTensor:
             eye = np.eye(params.n_sectors)
             assert np.array_equal(c[0], eye) and np.array_equal(c[:, :, 0], eye), params
 
+    def test_size_is_the_closed_form(self):
+        # |D| = C(p+1, 3) C(q+1, 3) / 4 against the array's sum, on every
+        # model with p + q <= 35 and up to the sector cap.  Reading the size
+        # builds no array.  Each tensor is built uncached, so its array is
+        # freed as the loop goes on.
+        models = coprime_models(32, 33, max_sum=35)
+        assert len(models) == 158
+        models += [ModelParams(16, 17), ModelParams(23, 24), ModelParams(3, 257),
+                   ModelParams(2, 513)]
+        for params in models:
+            tensor = fusion_tensor.__wrapped__(params)
+            size = tensor.size
+            assert "coefficients" not in vars(tensor), params
+            assert size == int(tensor.coefficients.sum()), params
+
     def test_largest_model_scratch_is_quadratic(self):
         # N = 256, the largest model under the cell budget; scratch beside the
         # N^3-byte result must stay O(N^2).  The sectors are cached before the
@@ -298,6 +313,7 @@ class TestFusionTensor:
         tracemalloc.start()
         try:
             tensor = fusion_tensor.__wrapped__(params)
+            tensor.coefficients  # the array is built on first read
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -11,7 +11,7 @@ import fusioncover
 
 
 def test_all_lists_the_export_table():
-    assert len(fusioncover.__all__) == len(set(fusioncover.__all__)) == 32
+    assert len(fusioncover.__all__) == len(set(fusioncover.__all__)) == 31
     assert set(fusioncover.__all__) == set(fusioncover._EXPORTS)
 
 
@@ -38,14 +38,17 @@ def test_vector_algebra_is_not_shipped():
     assert not hasattr(import_module("fusioncover.minimal_model"), "algebra_product")
     removed = {
         "FusionTensor": ("products_of",),
-        "PartitionAlgebra": ("product", "multiplicities"),
         "AbelianGroupSpec": ("identity", "add", "negate", "index_of", "digit_matrix", "elements"),
         "Sector": ("label",),
     }
     for cls, attrs in removed.items():
         for attr in attrs:
             assert not hasattr(getattr(fusioncover, cls), attr), (cls, attr)
-    assert fusioncover.PartitionAlgebra._fields == ("sectors", "coefficients")
+    # The partition algebra is its map's support, a ``FusionTensor``.
+    assert "PartitionAlgebra" not in fusioncover.__all__
+    with pytest.raises(AttributeError, match="PartitionAlgebra"):
+        fusioncover.PartitionAlgebra
+    assert fusioncover.FusionTensor._fields == ("sectors", "coefficients")
     assert "__str__" not in vars(fusioncover.Sector)
 
 

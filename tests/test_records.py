@@ -27,7 +27,6 @@ from fusioncover import (
     FusionTensor,
     GroupContext,
     ModelParams,
-    PartitionAlgebra,
     Sector,
     UncoveredTriple,
     canonical_cover,
@@ -55,9 +54,9 @@ CASES = {
     "Sector": (lambda: Sector(1, 2, Fraction(1, 16), 1), lambda: Sector(1, 2, Fraction(1, 16), 2),
                "Sector(m=1, n=2, h=Fraction(1, 16), index=1)", "value"),
     "FusionTensor": (
-        lambda: FusionTensor(ModelParams(2, 3), (VACUUM,), ONE), None,
-        "FusionTensor(model=ModelParams(p=2, q=3), sectors=(Sector(m=1, n=1, h=Fraction(0, 1), "
-        "index=0),), coefficients=array([[[1]]], dtype=uint8))", "identity"),
+        lambda: FusionTensor((VACUUM,), ONE), None,
+        "FusionTensor(sectors=(Sector(m=1, n=1, h=Fraction(0, 1), index=0),), "
+        "coefficients=array([[[1]]], dtype=uint8))", "identity"),
     "CoverMap": (lambda: CoverMap(AbelianGroupSpec((4,)), [0, 1, 2, 1], ISING), None,
                  "CoverMap(context=AbelianGroupSpec(factors=(4,)))", "identity"),
     "ClosureViolation": (lambda: ClosureViolation(1, 1, 2, TRIPLE),
@@ -76,10 +75,6 @@ CASES = {
     "GroupContext": (lambda: GroupContext(ModelParams(4, 5)),
                      lambda: GroupContext(ModelParams(3, 4)),
                      "GroupContext(params=ModelParams(p=4, q=5))", "value"),
-    "PartitionAlgebra": (
-        lambda: PartitionAlgebra((VACUUM,), ONE), None,
-        "PartitionAlgebra(sectors=(Sector(m=1, n=1, h=Fraction(0, 1), index=0),), "
-        "coefficients=array([[[1]]], dtype=uint8))", "identity"),
     # ``render`` is left out of the repr and of comparisons.
     "OutputDocument": (lambda: OutputDocument("text", {"N": 3}, render),
                        lambda: OutputDocument("json", {"N": 3}, render),
@@ -147,17 +142,16 @@ class TestRecord:
 
 
 def test_pickled_canonical_cover_keeps_its_cached_labels():
-    # The canonical cover caches its labels and the proof of its support,
-    # the model it was proved for, not the support array, and it holds no
-    # counts.
+    # The canonical cover caches its labels and its proved support, the
+    # model's fusion tensor, and it holds no counts.
     cover = canonical_cover(GroupContext(ModelParams(4, 5)))
     labels, support = cover.sector_indices, cover.support
     for clone in (copy.deepcopy(cover), pickle.loads(pickle.dumps(cover))):
         assert type(clone) is type(cover) and repr(clone) == repr(cover)
-        assert vars(clone).keys() == {"context", "sectors", "sector_indices", "_proved_model"}
-        assert vars(clone)["_proved_model"] == ModelParams(4, 5)
+        assert vars(clone).keys() == {"context", "sectors", "sector_indices", "support"}
+        assert vars(clone)["support"].model == ModelParams(4, 5)
         assert np.array_equal(clone.sector_indices, labels)
-        assert np.array_equal(clone.support, support)
+        assert np.array_equal(clone.support.coefficients, support.coefficients)
         assert tuple(clone.vacuum_preimage) == (0,)
         with pytest.raises(ValueError, match="read-only"):
             clone.sector_indices[1] = 0

@@ -16,6 +16,7 @@ from fusioncover import (
     ClosureViolation,
     CoverCertificate,
     CoverMap,
+    FusionTensor,
     GroupContext,
     ModelParams,
     PartitionError,
@@ -382,7 +383,9 @@ def corrupted_map(p, q, kind):
     d_flat = tensor.coefficients.reshape(-1)
     sec = cm.sector_indices
     first, realized = exhaustive_scan(sec, tensor.n, d_flat, xor_rows(len(sec)))
-    return cm, tensor, first, _kernels.scan_stats(cm.context.order, d_flat, realized)
+    return cm, tensor, first, _kernels.scan_stats(
+        cm.context.order, int(d_flat.sum()), int(np.count_nonzero(realized))
+    )
 
 
 class TestWitnessFromCounts:
@@ -500,7 +503,7 @@ class TestCanonicalCounts:
         for g1, g2 in itertools.product(cosets, repeat=2):
             expected[image[g1], image[g2], image[g1 ^ g2]] += 1
         assert np.array_equal(canonical_counts(params), expected)
-        assert np.array_equal(canonical_cover(ctx).support, expected > 0)
+        assert np.array_equal(canonical_cover(ctx).support.coefficients, expected > 0)
         assert canonical_cover(ctx).sector_indices.tolist() == [image[c] for c in cosets]
 
     def test_weight_tables_match_spectral_form(self):
@@ -529,7 +532,7 @@ class TestCanonicalCounts:
         ctx = GroupContext(params)
         tensor = fusion_tensor(params)
         oracle = canonical_counts(params)
-        assert np.array_equal(canonical_cover(ctx).support, oracle > 0)
+        assert np.array_equal(canonical_cover(ctx).support.coefficients, oracle > 0)
         cert = verify_cover(canonical_cover(ctx), tensor)
         assert cert == verify_cover(CountedCover(ctx, oracle), tensor)
         assert cert.passed
@@ -571,7 +574,8 @@ class TestCanonicalCounts:
         # map for a witness; the canonical map has none to give.
         spoiled = tricritical_tensor.coefficients.copy()
         spoiled[tuple(np.argwhere(spoiled == 0)[0])] = 1
-        monkeypatch.setattr(two_group_cover._CanonicalCover, "support", spoiled)
+        monkeypatch.setattr(two_group_cover._CanonicalCover, "support",
+                            FusionTensor(tricritical_tensor.sectors, spoiled))
         with pytest.raises(CountCheckError, match="scan"):
             verify_cover(canonical_cover(GroupContext(tricritical)), tricritical_tensor)
 
@@ -631,8 +635,9 @@ class TestCanonicalCounts:
     def test_largest_exact_rank(self):
         counts = canonical_counts(ModelParams(16, 19))  # r = 31
         assert int(counts.sum()) == 4**30
-        assert np.array_equal(canonical_cover(GroupContext(ModelParams(16, 19))).support,
-                              counts > 0)
+        assert np.array_equal(
+            canonical_cover(GroupContext(ModelParams(16, 19))).support.coefficients, counts > 0
+        )
 
 
 def enumerated_range(p, m, m2):
@@ -696,7 +701,7 @@ class TestLevelCheck:
         with pytest.raises(CountCheckError, match="level check"):
             partition_algebra(cm)
         # A failed proof is not cached: every read raises.
-        assert "_proved_model" not in vars(cm)
+        assert "support" not in vars(cm)
         assert main(["cover", "verify", "--p", "4", "--q", "5"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
@@ -705,9 +710,71 @@ class TestLevelCheck:
         assert err.count("\n") == 1
 
     def test_support_is_the_read_only_fusion_tensor(self, tricritical):
-        support = canonical_cover(GroupContext(tricritical)).support
+        support = canonical_cover(GroupContext(tricritical)).support.coefficients
         assert support is fusion_tensor(tricritical).coefficients
         assert not support.flags.writeable
+
+
+class TestIdentityShortcut:
+    """The canonical support is the model's tensor itself, so verifying
+    against that tensor compares no arrays; any other tensor, even one equal
+    to it, is compared cell by cell, so the shortcut hides no fault."""
+
+    MODELS = [(3, 4), (4, 5), (5, 13), (7, 8)]
+
+    def test_canonical_verify_reads_no_array(self):
+        # A fresh cached tensor, whose array no earlier test has read.
+        fusion_tensor.cache_clear()
+        params = ModelParams(5, 13)
+        tensor = fusion_tensor(params)
+        cert = verify_cover(canonical_cover(GroupContext(params)), tensor)
+        assert cert.passed
+        assert cert.stats["admissible_triples"] == cert.stats["realized_triples"] == tensor.size
+        assert "coefficients" not in vars(tensor)
+
+    @pytest.mark.parametrize("pq", MODELS, ids=str)
+    def test_value_equal_copy_gives_the_same_certificate(self, pq):
+        params = ModelParams(*pq)
+        tensor = fusion_tensor(params)
+        copy = FusionTensor(tensor.sectors, tensor.coefficients.copy())
+        cm = canonical_cover(GroupContext(params))
+        cert = verify_cover(cm, copy)
+        assert cert.passed and cert == verify_cover(cm, tensor)
+
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("pq", MODELS, ids=str)
+    def test_cleared_admissible_triple_is_a_closure_fail(self, pq, at):
+        params = ModelParams(*pq)
+        tensor = fusion_tensor(params)
+        d = tensor.coefficients.copy()
+        cell = tuple(int(x) for x in np.argwhere(d)[at])
+        d[cell] = 0
+        cm = canonical_cover(GroupContext(params))
+        cert = verify_cover(cm, FusionTensor(tensor.sectors, d))
+        w = cert.witness
+        assert cert.verdict == FAIL and isinstance(w, ClosureViolation)
+        # The canonical map realizes every admissible triple, so the only
+        # violation is on the cleared one; the witness is the full scan's first.
+        sec = cm.sector_indices
+        first, _ = exhaustive_scan(sec, tensor.n, d.reshape(-1), xor_rows(len(sec)))
+        assert (w.g1, w.g2, w.g3) == (*first, first[0] ^ first[1])
+        assert tuple(s.index for s in w.sectors) == cell
+        assert cert.stats["admissible_triples"] == tensor.size - 1
+        assert cert.stats["realized_triples"] == tensor.size
+
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("pq", MODELS, ids=str)
+    def test_set_inadmissible_triple_is_uncovered(self, pq, at):
+        params = ModelParams(*pq)
+        tensor = fusion_tensor(params)
+        d = tensor.coefficients.copy()
+        cell = tuple(int(x) for x in np.argwhere(d == 0)[at])
+        d[cell] = 1
+        cert = verify_cover(canonical_cover(GroupContext(params)), FusionTensor(tensor.sectors, d))
+        assert cert.verdict == FAIL and isinstance(cert.witness, UncoveredTriple)
+        assert tuple(s.index for s in cert.witness.sectors) == cell
+        assert cert.stats["admissible_triples"] == tensor.size + 1
+        assert cert.stats["realized_triples"] == tensor.size
 
 
 class TestPartitionAlgebra:
@@ -860,10 +927,11 @@ class TestCountsOncePerMap:
         assert verify_cover(cm, fusion_tensor(params)).passed
         coefficients = partition_algebra(cm).coefficients
         assert np.array_equal(coefficients, fusion_tensor(params).coefficients)
-        # The proof is cached, not the support: the second reader reuses it.
+        # The proof is cached as the support, the model's tensor: the second
+        # reader reuses it.
         assert calls == [(3, 11)]
-        assert "counts" not in vars(cm) and "support" not in vars(cm)
-        assert vars(cm)["_proved_model"] == params
+        assert "counts" not in vars(cm)
+        assert vars(cm)["support"] is fusion_tensor(params)
 
     @pytest.mark.parametrize("pq", [(3, 4), (4, 5), (5, 13)])
     def test_hand_built_canonical_labels_take_the_transform(self, pq, monkeypatch):
@@ -879,7 +947,7 @@ class TestCountsOncePerMap:
         cm = CoverMap(ctx, canonical_cover(ctx).sector_indices, sectors(params))
         monkeypatch.setattr(_kernels, "pair_counts", counted)
         assert np.array_equal(cm.counts, canonical_counts(params))
-        assert np.array_equal(cm.support, canonical_cover(ctx).support)
+        assert np.array_equal(cm.support.coefficients, canonical_cover(ctx).support.coefficients)
         assert len(calls) == 1
 
     def test_canonical_repr_builds_no_labels(self, tricritical, monkeypatch):
