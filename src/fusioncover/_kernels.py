@@ -20,10 +20,13 @@ matrix is held exactly in float32, and the sum over characters, taken a
 block of characters at a time in float64, is exact while |G| <= 2^17
 (``MAX_COUNT_ORDER``).  Other groups take complex FFTs in place in one
 complex128 matrix.  Every result is checked: each count must lie within 1/4
-of an integer, and then ``check_counts`` checks the row sums.  The
-canonical cover is never counted and never scanned: its support is proved
-by ``two_group_cover.check_su2_levels`` and is the model's fusion tensor
-itself, so a canonical PASS does not load this module.
+of an integer, and then ``check_counts`` checks the row sums.
+``certificates.CoverMap.support`` keeps only where the counts are nonzero
+and lets the int64 array go; a caller that wants multiplicities calls
+``pair_counts`` itself.  The canonical cover is never counted and never
+scanned: its support is proved by ``two_group_cover.check_su2_levels`` and
+is the model's fusion tensor itself, so a canonical PASS does not load this
+module.
 ``check_count_size`` refuses, before anything is allocated, a group above
 2^17 and a transform matrix over ``MAX_TRANSFORM_BYTES``; the group-file
 parser runs the same check at a file's header.
@@ -302,14 +305,14 @@ def first_violation(
 
 
 def first_uncovered_triple(
-    d_flat: np.ndarray, counts: np.ndarray, n: int
+    d_flat: np.ndarray, support: np.ndarray, n: int
 ) -> tuple[int, int, int] | None:
     """First (i, j, k) in canonical order that is admissible but has no pair.
 
-    ``d_flat`` is 0 or 1 and ``counts`` (the flattened counts or their
-    support) is non-negative, so the triple is where d_flat > counts.
+    ``d_flat`` and ``support``, the flattened support of a map, are each 0
+    or 1, so the triple is where d_flat > support.
     """
-    missing = d_flat > counts
+    missing = d_flat > support
     if not missing.any():
         return None
     i, j, k = np.unravel_index(int(np.argmax(missing)), (n, n, n))

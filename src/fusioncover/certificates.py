@@ -108,8 +108,10 @@ class CoverMap(IdentityRecord):
     big-endian mixed-radix number over ``context.factors``; on the canonical
     quotient it is the value of the coset representative.  Indices must be
     whole numbers (ints, or floats with no fractional part); the array is
-    int64 and read-only.  The repr shows the group only, so printing a map
-    builds no labels.  Maps compare by identity.
+    int64 and read-only.  The one fact derived from the labels and cached is
+    ``support``, the sector triples the map realizes.  The repr shows the
+    group only, so printing a map builds no labels.  Maps compare by
+    identity.
     """
 
     _fields = ("context",)
@@ -169,23 +171,17 @@ class CoverMap(IdentityRecord):
         return CoverMap(self.context, arr, self.sectors)
 
     @functools.cached_property
-    def counts(self) -> np.ndarray:
-        """The pair counts by the transform over the group
-        (``_kernels.pair_counts``), computed on first access and read-only;
-        groups refused by ``_kernels.check_count_size`` raise CapacityError.
-        Errors are not cached."""
-        from . import _kernels
-
-        counts = _kernels.pair_counts(self.sector_indices, len(self.sectors), self.context.factors)
-        counts.setflags(write=False)
-        return counts
-
-    @property
     def support(self) -> FusionTensor:
         """The sector triples the map realizes, where some pair g1 + g2 = g3
-        lands: here a tensor of ``counts != 0``, read-only.  Not cached: it
-        is held only while a caller reads it."""
-        realized = self.counts != 0
+        lands: a tensor of where the pair counts by the transform over the
+        group (``_kernels.pair_counts``) are nonzero, computed on first
+        access and read-only.  Only the bool support is cached; the int64
+        counts are dropped once it is read off them.  Groups refused by
+        ``_kernels.check_count_size`` raise CapacityError, counts failing
+        their checks CountCheckError; errors are not cached."""
+        from ._kernels import pair_counts
+
+        realized = pair_counts(self.sector_indices, len(self.sectors), self.context.factors) != 0
         realized.setflags(write=False)
         return FusionTensor(self.sectors, realized)
 
@@ -269,16 +265,17 @@ def verify_cover(cover: CoverMap, tensor: FusionTensor, threads: int = 1) -> Cov
     realizes: for ``two_group_cover.canonical_cover`` it is proved by the
     SU(2) level check (a failed proof raises CountCheckError) and is the
     model's ``fusion_tensor`` itself; for any other map it is where the
-    transform's counts are nonzero.  A support that is ``tensor`` itself
-    passes with no array compared, so a canonical PASS loads no numpy and
-    builds no N^3 array; its stats are the tensor's closed-form size.  Any
-    other support, a hand-built tensor's too, is compared cell by cell.
-    Only if it holds an inadmissible triple are the labels read and
-    ``_kernels.first_violation`` run: the FAIL witness is the first
-    violation in canonical order (g1 ascending, then g2), named by its
-    element codes.  Coverage is read off the support alone; its FAIL
-    witness is the first admissible but unrealized triple.  ``threads`` is
-    ignored; it stays because ``perfbench/theorem_job.py`` passes it.
+    transform's counts are nonzero, and the map caches it, not the counts.
+    A support that is ``tensor`` itself passes with no array compared, so a
+    canonical PASS loads no numpy and builds no N^3 array; its stats are
+    the tensor's closed-form size.  Any other support, a hand-built
+    tensor's too, is compared cell by cell.  Only if it holds an
+    inadmissible triple are the labels read and ``_kernels.first_violation``
+    run: the FAIL witness is the first violation in canonical order (g1
+    ascending, then g2), named by its element codes.  Coverage is read off
+    the support alone; its FAIL witness is the first admissible but
+    unrealized triple.  ``threads`` is ignored; it stays because
+    ``perfbench/theorem_job.py`` passes it.
     """
     if cover.sectors != tensor.sectors:
         raise ValueError("the cover's sectors are not those of the tensor")

@@ -333,8 +333,11 @@ class _ModelTensor(FusionTensor):
     the number of ordered p-admissible label triples, and complementing two
     labels of a triple keeps it admissible, so each sector triple with
     D = 1 has 4 of its 8 label triples admissible, hence
-    |D| = C(p+1, 3) C(q+1, 3) / 4.
+    |D| = C(p+1, 3) C(q+1, 3) / 4.  The repr shows the model only, so
+    printing the tensor builds no array.
     """
+
+    _fields = ("model",)
 
     def __init__(self, model: ModelParams) -> None:
         vars(self).update(model=model, sectors=sectors(model))

@@ -247,7 +247,7 @@ def partition_algebra(
     Pass strict=False to build the algebra of a deliberately corrupted
     partition anyway, e.g. to compare its constants against the Verlinde
     algebra.  W[i,j,k] = 1 iff P_i + P_j meets P_k: the algebra is
-    ``cm.support``, which ``verify_cover`` reads too.  A map's counts are
+    ``cm.support``, which ``verify_cover`` reads too.  A map's support is
     cached, so a map counted there is not counted again, and the canonical
     cover is never counted: its support is the model's fusion tensor.
     ``threads`` is ignored; it stays because ``perfbench/theorem_job.py``

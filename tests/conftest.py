@@ -14,7 +14,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from fusioncover import ModelParams, fusion_tensor
+from fusioncover import ModelParams, _kernels, fusion_tensor
 
 # Kac tables: rows m = 1..p-1, columns n = 1..q-1, exact fraction strings.
 KNOWN_KAC = {
@@ -125,6 +125,13 @@ def run_python_with_peak_rss(args, show_output=True, timeout=120):
     *out, last = proc.stdout.splitlines()
     code, max_rss_kib = map(int, last.split())
     return code, max_rss_kib, out
+
+
+def pair_counts_of(cm):
+    """A map's pair counts C[i, j, k], by the transform its support is read
+    off; the map caches only the support, so a test wanting multiplicities
+    counts them itself."""
+    return _kernels.pair_counts(cm.sector_indices, len(cm.sectors), cm.context.factors)
 
 
 def exhaustive_scan(sec, n, d_flat, add_rows):

@@ -659,13 +659,13 @@ class TestExitCodes:
         [
             ("group\n -> 1,1\n", "trivial group", 1,
              "admissible triple [0] x [-505/1028] -> [-505/1028] is realized by no pair "
-             "of group elements", 256),
+             "of group elements", 200),
             ("group 2\n0 -> 1,1\n1 -> 1,2\n", "Z2", 4,
              "admissible triple [0] x [-251/257] -> [-251/257] is realized by no pair "
-             "of group elements", 256),
+             "of group elements", 200),
             ("group 3\n0 -> 1,1\n1 -> 1,2\n2 -> 1,2\n", "Z3", 5,
              "1 + 1 = 2 maps to [-505/1028] x [-505/1028] -> [-505/1028], but "
-             "[-505/1028] does not occur in [-505/1028] x [-505/1028]", 256),
+             "[-505/1028] does not occur in [-505/1028] x [-505/1028]", 200),
         ],
         ids=["trivial", "Z2", "Z3"],
     )
@@ -674,10 +674,13 @@ class TestExitCodes:
     ):
         # N = 256: the raw sums are held only for j >= i, about N^3 / 2
         # float64 (complex128 for Z3) entries, each row rounded into the int64
-        # counts and freed, and the counts mirrored after (218, 218 and 214 MiB
-        # peaks with numpy 2.4 on x86-64; 303, 303 and 432 MiB from a full N^3
-        # raw array, and 237, 239 and 305 MiB mirroring each row at once,
-        # which made the huge-page-backed counts resident beside the raw rows).
+        # counts and freed, and the counts mirrored after.  The map keeps only
+        # their bool support, so the 128 MiB counts are freed before the
+        # model's tensor is built (185, 186 and 182 MiB peaks with numpy 2.4
+        # on x86-64; 218, 218 and 214 MiB while the map cached its counts,
+        # 303, 303 and 432 MiB from a full N^3 raw array, and 237, 239 and
+        # 305 MiB mirroring each row at once, which made the huge-page-backed
+        # counts resident beside the raw rows).
         order = text.count("->")
         path = write_cover(tmp_path, text)
         code, max_rss_kib, out = run_with_peak_rss(

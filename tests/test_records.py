@@ -30,6 +30,7 @@ from fusioncover import (
     Sector,
     UncoveredTriple,
     canonical_cover,
+    fusion_tensor,
     sectors,
 )
 from fusioncover.cli import OutputDocument
@@ -121,7 +122,7 @@ class TestRecord:
         build, _, shown, compared = CASES[name]
         record = build()
         if isinstance(record, CoverMap):
-            record.counts  # cached, so each clone carries an array it did not build
+            record.support  # cached, so each clone carries a tensor it did not build
         flags = {f: v.flags.writeable for f, v in vars(record).items() if isinstance(v, np.ndarray)}
         for clone in (copy.copy(record), copy.deepcopy(record),
                       pickle.loads(pickle.dumps(record))):
@@ -130,11 +131,15 @@ class TestRecord:
                 assert clone == record
             assert vars(clone).keys() == vars(record).keys()
             for field, value in vars(record).items():
+                cloned = vars(clone)[field]
+                if isinstance(value, FusionTensor):
+                    # Tensors compare by identity: a cached one by its array.
+                    value, cloned = value.coefficients, cloned.coefficients
                 if isinstance(value, np.ndarray):
-                    assert np.array_equal(vars(clone)[field], value)
-                    assert not vars(clone)[field].flags.writeable, field
+                    assert np.array_equal(cloned, value)
+                    assert not cloned.flags.writeable, field
                 else:
-                    assert vars(clone)[field] == value
+                    assert cloned == value
             with pytest.raises(AttributeError, match="cannot assign to field"):
                 setattr(clone, next(iter(vars(clone))), None)
         # A shallow copy shares the original's arrays; cloning leaves their flags.
@@ -155,3 +160,14 @@ def test_pickled_canonical_cover_keeps_its_cached_labels():
         assert tuple(clone.vacuum_preimage) == (0,)
         with pytest.raises(ValueError, match="read-only"):
             clone.sector_indices[1] = 0
+
+
+def test_model_tensor_repr_builds_no_array():
+    # A model's tensor prints its model; its N^3 array is built on the first
+    # read of ``coefficients``, and a repr does not read it.  Tensors still
+    # compare by identity.
+    tensor = fusion_tensor.__wrapped__(ModelParams(4, 5))  # a new tensor, not the cached one
+    assert repr(tensor) == "_ModelTensor(model=ModelParams(p=4, q=5))"
+    assert "coefficients" not in vars(tensor)
+    assert tensor == tensor and tensor != fusion_tensor.__wrapped__(ModelParams(4, 5))
+    assert hash(tensor) == object.__hash__(tensor)

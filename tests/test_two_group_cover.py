@@ -1,6 +1,7 @@
 """Unit tests for the 2-group construction and its cover verification."""
 
 import functools
+import gc
 import itertools
 import threading
 from math import comb
@@ -36,7 +37,8 @@ from fusioncover.cli import main
 from fusioncover.errors import CountCheckError
 
 import paper_model
-from conftest import coprime_models, exhaustive_scan, run_python_with_peak_rss, xor_rows
+from conftest import (coprime_models, exhaustive_scan, pair_counts_of, run_python_with_peak_rss,
+                      xor_rows)
 from paper_model import (
     BitVector,
     ClassLabel,
@@ -471,12 +473,15 @@ def representative_counts(params, table):
 
 
 class CountedCover(CoverMap):
-    """A map over the quotient with given pair counts, as the canonical cover
-    was before the level check: ``verify_cover`` reads its support off them.
+    """A map over the quotient with the support of given pair counts, as the
+    canonical cover was before the level check: ``verify_cover`` reads it.
     It has no labels, so it certifies a PASS or an uncovered triple only."""
 
     def __init__(self, context, counts):
-        vars(self).update(context=context, sectors=sectors(context.params), counts=counts)
+        secs = sectors(context.params)
+        realized = counts != 0
+        realized.setflags(write=False)
+        vars(self).update(context=context, sectors=secs, support=FusionTensor(secs, realized))
 
 
 MODELS_22 = coprime_models(20, 21, max_sum=22)
@@ -814,7 +819,7 @@ class TestPartitionAlgebra:
     def test_strict_rejects_a_vacuum_class_without_the_identity(self, ising):
         # P_1 = {1, 2} in Z5: the one pair 1 + 1 = 2 gives C[0, 0, 0] = 1.
         cm = CoverMap(AbelianGroupSpec((5,)), [1, 0, 0, 2, 1], sectors(ising))
-        assert cm.counts[0, 0, 0] == 1
+        assert pair_counts_of(cm)[0, 0, 0] == 1
         with pytest.raises(PartitionError, match="the vacuum preimage is 2 elements"):
             partition_algebra(cm)
 
@@ -877,18 +882,36 @@ class TestPartitionAlgebra:
         expected = np.zeros((n, n, n), dtype=np.int64)
         for g1, g2 in itertools.product(range(len(sec)), repeat=2):
             expected[sec[g1], sec[g2], sec[g1 ^ g2]] += 1
-        counts = cm.counts if corrupt else canonical_counts(params)
+        counts = pair_counts_of(cm) if corrupt else canonical_counts(params)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, expected)
         assert counts.sum() == len(sec) ** 2
         assert np.array_equal(w.coefficients, (expected > 0).astype(np.uint8))
         if corrupt:
-            assert not cm.counts.flags.writeable
+            assert not cm.support.coefficients.flags.writeable
 
     def test_sixteenth_squared(self, ising):
         # [1/16] x [1/16] = [0] + [1/2], read off the coefficients.
         w = partition_algebra(canonical_cover(GroupContext(ising)))
         assert w.coefficients[1, 1].tolist() == [1, 0, 1]
+
+
+def reachable_arrays(root):
+    """Every numpy array reachable from ``root`` through the objects it
+    refers to, an array's base included; classes and modules are not
+    entered."""
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, type(np))):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            stack.append(obj.base)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return arrays
 
 
 class TestCountsOncePerMap:
@@ -907,7 +930,12 @@ class TestCountsOncePerMap:
         w = partition_algebra(cm, strict=False)
         assert not cert.passed
         assert len(calls) == 1
-        assert np.array_equal(w.coefficients, cm.counts > 0)
+        # The map keeps the support it read, not the N^3 int64 counts.
+        assert "support" in vars(cm) and "counts" not in vars(cm)
+        n, arrays = len(cm.sectors), reachable_arrays(cm)
+        assert any(a is w.coefficients for a in arrays)
+        assert [a.shape for a in arrays if a.dtype == np.int64 and a.size >= n**3] == []
+        assert np.array_equal(w.coefficients, pair_counts_of(cm) > 0)
 
     def test_canonical_map_is_never_counted(self, monkeypatch):
         def no_transform(*args):
@@ -945,9 +973,10 @@ class TestCountsOncePerMap:
         params = ModelParams(*pq)
         ctx = GroupContext(params)
         cm = CoverMap(ctx, canonical_cover(ctx).sector_indices, sectors(params))
+        assert np.array_equal(pair_counts_of(cm), canonical_counts(params))
         monkeypatch.setattr(_kernels, "pair_counts", counted)
-        assert np.array_equal(cm.counts, canonical_counts(params))
         assert np.array_equal(cm.support.coefficients, canonical_cover(ctx).support.coefficients)
+        assert cm.support is vars(cm)["support"]
         assert len(calls) == 1
 
     def test_canonical_repr_builds_no_labels(self, tricritical, monkeypatch):
@@ -957,10 +986,10 @@ class TestCountsOncePerMap:
         monkeypatch.setattr(two_group_cover, "_canonical_labels", no_map)
         assert "ModelParams(p=4, q=5)" in repr(canonical_cover(GroupContext(tricritical)))
 
-    def test_counts_are_read_only(self, tricritical):
+    def test_support_is_read_only(self, tricritical):
         cm = canonical_cover(GroupContext(tricritical)).swapped_images(1, 2)
         with pytest.raises(ValueError, match="read-only"):
-            cm.counts[0, 0, 0] = 0
+            cm.support.coefficients[0, 0, 0] = 0
 
     def test_errors_are_not_cached(self, tricritical, monkeypatch):
         transform = _kernels._transform
@@ -968,9 +997,11 @@ class TestCountsOncePerMap:
         cm = canonical_cover(GroupContext(tricritical)).swapped_images(0, 1)
         for _ in range(2):
             with pytest.raises(CountCheckError):
-                cm.counts
+                cm.support
         monkeypatch.setattr(_kernels, "_transform", transform)
-        assert cm.counts.sum() == cm.context.order**2
+        counts = pair_counts_of(cm)
+        assert counts.sum() == cm.context.order**2
+        assert np.array_equal(cm.support.coefficients, counts != 0)
 
 
 class TestIsomorphism:
