@@ -1,29 +1,30 @@
-"""Pair counts and the pair scan behind cover verification.
+"""The support of pair counts, and the pair scan behind cover verification.
 
 Whether a labeled group G covers a fusion tensor is a statement about all
 |G|^2 ordered pairs (g1, g2): each pair must land on an admissible sector
 triple (closure), and every admissible triple must be realized by some pair
-(coverage).  Both follow from the pair counts
+(coverage).  Both are read off the support of the pair counts
 
     C[i, j, k] = #{(g1, g2) : g1 in P_i, g2 in P_j, g1 + g2 in P_k},
 
-where P_i is the set of elements labeled by sector i.  ``pair_counts``
+where P_i is the set of elements labeled by sector i.  ``pair_support``
 computes C without visiting pairs: with F_i the Fourier transform of the
 indicator of P_i over G,
 
     C[i, j, k] = (1/|G|) * sum over characters chi of F_i(chi) F_j(chi) conj(F_k(chi)).
 
 G is abelian, so C[i, j, k] = C[j, i, k]: only the sums for j >= i are
-held, and each is rounded to an integer and mirrored as one.  For a 2-group
-the transform is the Walsh-Hadamard transform, integer valued: the (N, |G|)
-matrix is held exactly in float32, and the sum over characters, taken a
-block of characters at a time in float64, is exact while |G| <= 2^17
-(``MAX_COUNT_ORDER``).  Other groups take complex FFTs in place in one
-complex128 matrix.  Every result is checked: each count must lie within 1/4
-of an integer, and then ``check_counts`` checks the row sums.
-``certificates.CoverMap.support`` keeps only where the counts are nonzero
-and lets the int64 array go; a caller that wants multiplicities calls
-``pair_counts`` itself.  The canonical cover is never counted and never
+held, and each row is rounded to integers, checked, and written into the
+support at (i, j) and (j, i) as it is read; no N^3 array of counts is
+held.  For a 2-group the transform is the Walsh-Hadamard transform,
+integer valued: the (N, |G|) matrix is held exactly in float32, and the sum
+over characters, taken a block of characters at a time in float64, is
+exact while |G| <= 2^17 (``MAX_COUNT_ORDER``).  Other groups take complex
+FFTs in place in one complex128 matrix.  Every result is checked: each
+count must lie within 1/4 of an integer, none may be negative, and the row
+sums must be those of pair counts.  ``certificates.CoverMap.support`` wraps
+the support in a ``FusionTensor``; the multiplicities themselves are left
+to the tests' oracles.  The canonical cover is never counted and never
 scanned: its support is proved by ``two_group_cover.check_su2_levels`` and
 is the model's fusion tensor itself, so a canonical PASS does not load this
 module.
@@ -58,13 +59,13 @@ if TYPE_CHECKING:
 HAVE_NUMBA = False
 
 # Largest group order whose pair counts are exact in float64 (see
-# ``pair_counts``), and largest (N, |G|) transform matrix, in bytes, that
-# ``pair_counts`` allocates: 2^17 elements of a 2-group at N = 256 in
+# ``pair_support``), and largest (N, |G|) transform matrix, in bytes, that
+# ``pair_support`` allocates: 2^17 elements of a 2-group at N = 256 in
 # float32, or 2^15 elements of any other group at N = 256 in complex128.
 MAX_COUNT_ORDER = 1 << 17
 MAX_TRANSFORM_BYTES = 1 << 27
 
-# Characters per block of the row products in ``pair_counts``: the scratch
+# Characters per block of the row products in ``pair_support``: the scratch
 # beside the transform matrix is a few (N, _BLOCK) float64 or complex128
 # arrays.
 _BLOCK = 1 << 10
@@ -123,64 +124,63 @@ def _transform(x: np.ndarray, factors: tuple[int, ...]) -> np.ndarray:
     return x
 
 
-def check_counts(counts: np.ndarray, sizes: np.ndarray) -> None:
-    """Raise unless int64 counts C[i, j, k] are plainly pair counts.
-
-    g1 in P_i and g1 + g2 in P_k fix g2, so sum_j C[i, j, k] = |P_i| |P_k|
-    with ``sizes[i]`` = |P_i|; no count may be negative.  Together these
-    give the total |G|^2, and catch a pair moved between rows.
-    """
-    off = np.count_nonzero(counts.sum(axis=1) != np.multiply.outer(sizes, sizes))
-    least = int(counts.min())
-    if off or least < 0:
-        raise CountCheckError(
-            f"pair counts failed their check: {off} row sums off |P_i| |P_k|, "
-            f"smallest count {least}"
-        )
-
-
-def _rounded_counts(raw: list[np.ndarray], order: int, sizes: np.ndarray) -> np.ndarray:
-    """Round raw sums to int64 counts, or raise unless they are plainly counts.
+def _rounded_support(raw: list[np.ndarray], order: int, sizes: np.ndarray) -> np.ndarray:
+    """The read-only bool support of raw sums, or raise unless they are plainly counts.
 
     ``raw[a]`` holds |G| C[a, j, k] for j >= a, the rows the transform
-    computes.  Each is rounded into counts[a, a:] and dropped from the
-    list, so the scratch beside the result is a row or two.  Only then are
-    the integers mirrored into the columns: numpy asks the kernel for huge
-    pages for large arrays, so a write to every counts[j, a] while the raw
-    rows were held would make all of counts resident beside them.  Each entry must
-    lie within 1/4 of an integer, and the counts must pass ``check_counts``
-    with ``sizes[i]`` = |P_i|.
+    computes.  Each is rounded to integer counts (exact in float64, as each
+    is at most |G|^2 <= 2^34) and dropped from the list, and support[a, a:]
+    and support[a:, a] are set where its counts are nonzero, as
+    C[j, a, k] = C[a, j, k]; so the scratch beside the raw sums and the
+    result is a row or two.  Three checks hold the rounding to counts:
+    every entry lies within 1/4 of an integer, complex part included
+    (raised after all rows); no count is negative; and
+    sum_j C[i, j, k] = |P_i| |P_k| with ``sizes[i]`` = |P_i|, since g1 in
+    P_i and g1 + g2 in P_k fix g2.  The row sums are accumulated in an
+    (N, N) ``marginal``: row a adds its sum over j to marginal[a], and its
+    C[a, j, k] to marginal[j, k] for each j > a.  With the signs, the row
+    sums give the total |G|^2 and catch a pair moved between rows.
     """
     n = len(raw)
-    counts = np.empty((n, n, n), dtype=np.int64)
-    err = 0.0
+    support = np.empty((n, n, n), dtype=bool)
+    marginal = np.zeros((n, n))
+    err, lows = 0.0, []
     for a in range(n):
         row = raw.pop(0) / order
-        counts[a, a:] = np.rint(row.real)
-        err = max(err, float(np.abs(row - counts[a, a:]).max()))
+        counts = np.rint(row.real)
+        err = max(err, float(np.abs(row - counts).max()))
+        lows.append(counts.min())
+        marginal[a] += counts.sum(axis=0)
+        marginal[a + 1:] += counts[1:]
+        support[a, a:] = support[a:, a] = counts != 0
     if err > 0.25:
         raise CountCheckError(f"pair counts failed their check: largest rounding error {err:.3g}")
-    for a in range(n):
-        counts[a + 1:, a] = counts[a, a + 1:]
-    check_counts(counts, sizes)
-    return counts
+    off = np.count_nonzero(marginal != np.multiply.outer(sizes, sizes))
+    if off or min(lows) < 0:
+        raise CountCheckError(
+            f"pair counts failed their check: {off} row sums off |P_i| |P_k|, "
+            f"smallest count {int(min(lows))}"
+        )
+    support.setflags(write=False)
+    return support
 
 
-def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) -> np.ndarray:
-    """Pair counts C[i, j, k] of a labeled group Z_k1 x ... x Z_kt.
+def pair_support(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) -> np.ndarray:
+    """The sector triples a labeled group Z_k1 x ... x Z_kt realizes.
 
     ``sec[g]`` is the sector of the element with big-endian mixed-radix
     code g (for Z_2^t this code is also the XOR coset value), and
-    ``factors`` are k1..kt.  Returns an int64 (n, n, n) array symmetric in
-    i, j, as G is abelian.  The transform matrix F is float32 when every
-    factor is 2 and complex128 otherwise, transformed in place.  The sum
-    over characters is taken ``_BLOCK`` characters at a time: each block of
-    F is widened to float64 (or kept complex128), and row i adds the matrix
+    ``factors`` are k1..kt.  Returns the read-only bool (n, n, n) array of
+    where the pair counts C[i, j, k] are nonzero, symmetric in i, j, as G
+    is abelian.  The transform matrix F is float32 when every factor is 2
+    and complex128 otherwise, transformed in place.  The sum over
+    characters is taken ``_BLOCK`` characters at a time: each block of F is
+    widened to float64 (or kept complex128), and row i adds the matrix
     product (F_i F_j)_j>=i @ conj(F)^T of the block into its own (n - i, n)
     array.  So the scratch beside F is O(n * _BLOCK), not a second (n, |G|)
-    array, and the raw sums are about n^3 / 2 entries, each row rounded
-    and freed, then mirrored into column i as integers, by
-    ``_rounded_counts``.
+    array.  The largest scratch is the raw sums, about n^3 / 2 float64 (or
+    complex128) entries; ``_rounded_support`` rounds and checks each row,
+    writes its support and frees it, so no n^3 array of counts is held.
 
     Exactness: for a 2-group each partial sum of the butterfly on a 0/1 row
     is an integer of magnitude at most |G| <= 2^17 < 2^24, so float32 holds
@@ -190,9 +190,9 @@ def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) ->
     magnitude at most max|F_k| * sqrt(sum|F_i|^2 * sum|F_j|^2) <= |G|^3,
     which float64 holds exactly while |G|^3 <= 2^53, i.e. |G| <= 2^17.  So
     the counts of a 2-group are exact in any summation order; other groups
-    take complex FFTs and rely on the rounding and row-sum checks.  Groups
-    refused by ``check_count_size`` raise CapacityError before anything is
-    allocated; counts failing either check raise CountCheckError.
+    take complex FFTs and rely on the rounding, sign and row-sum checks.
+    Groups refused by ``check_count_size`` raise CapacityError before
+    anything is allocated; counts failing a check raise CountCheckError.
     """
     order = len(sec)
     factors = tuple(int(k) for k in factors)
@@ -213,7 +213,7 @@ def pair_counts(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) ->
         for a, row in enumerate(raw):
             row += (block[a] * block[a:]) @ conj
     del f, block, conj  # the rounding below reads raw alone
-    return _rounded_counts(raw, order, np.bincount(sec, minlength=n_sectors))
+    return _rounded_support(raw, order, np.bincount(sec, minlength=n_sectors))
 
 
 def place_values(factors: tuple[int, ...]) -> np.ndarray:
@@ -234,7 +234,7 @@ def _scan(sec, n, d_flat, add_row):
     g2.  Returns ((g1, g2), g1 + 1) at the first violation, or ((-1, -1), |G|).
     """
     sec = np.ascontiguousarray(sec, dtype=np.int64)
-    planes = np.ascontiguousarray(d_flat, dtype=np.uint8).reshape(n, n * n)
+    planes = np.ascontiguousarray(d_flat).reshape(n, n * n)
     sec_n = sec * n
     for g1 in range(sec.shape[0]):
         idx = sec.take(add_row(g1))

@@ -173,17 +173,15 @@ class CoverMap(IdentityRecord):
     @functools.cached_property
     def support(self) -> FusionTensor:
         """The sector triples the map realizes, where some pair g1 + g2 = g3
-        lands: a tensor of where the pair counts by the transform over the
-        group (``_kernels.pair_counts``) are nonzero, computed on first
-        access and read-only.  Only the bool support is cached; the int64
-        counts are dropped once it is read off them.  Groups refused by
-        ``_kernels.check_count_size`` raise CapacityError, counts failing
-        their checks CountCheckError; errors are not cached."""
-        from ._kernels import pair_counts
+        lands: the read-only support of the pair counts by the transform
+        over the group (``_kernels.pair_support``), computed on first
+        access.  Groups refused by ``_kernels.check_count_size`` raise
+        CapacityError, counts failing their checks CountCheckError; errors
+        are not cached."""
+        from ._kernels import pair_support
 
-        realized = pair_counts(self.sector_indices, len(self.sectors), self.context.factors) != 0
-        realized.setflags(write=False)
-        return FusionTensor(self.sectors, realized)
+        support = pair_support(self.sector_indices, len(self.sectors), self.context.factors)
+        return FusionTensor(self.sectors, support)
 
     @property
     def vacuum_preimage(self) -> np.ndarray:
@@ -243,7 +241,7 @@ def scan_stats(order: int, admissible: int, realized: int) -> dict:
     """The counts a certificate reports, all Python ints.
 
     ``pairs_checked`` is |G|^2, the number of pairs the support accounts
-    for: the transform's counts add up to it (``_kernels.check_counts``
+    for: the transform's counts add up to it (``_kernels.pair_support``
     checks their row sums), and the canonical cover's proof covers every
     pair.  ``admissible`` and ``realized`` are the sizes of the tensor and
     of the map's support.

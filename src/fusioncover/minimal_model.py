@@ -21,7 +21,7 @@ This module computes all of it exactly:
 * the fusion rules built from that closed form: as N x N lists of
   products in plain Python (`fusion_products`, which the `fusion` table
   is printed from), and as a `FusionTensor` (`fusion_tensor`, which the
-  cover checks read), whose N x N x N array of 0/1 structure constants is
+  cover checks read), whose N x N x N bool array of structure constants is
   built in integer numpy arithmetic on first read, and whose size |D| is
   a closed form that needs no array,
 * the Verlinde algebra: its structure constants in the sector basis are
@@ -282,8 +282,8 @@ class FusionTensor(IdentityRecord):
     coefficients[i, j, k] = 1 iff sector k occurs in the product of sectors
     i and j.  One type serves a model's fusion rules (``fusion_tensor``),
     the triples a cover map realizes (``certificates.CoverMap.support``)
-    and its partition algebra.  The array is read-only; tensors compare by
-    identity.
+    and its partition algebra.  Every array the package builds is bool and
+    read-only; tensors compare by identity.
     """
 
     _fields = ("sectors", "coefficients")
@@ -369,7 +369,7 @@ class _ModelTensor(FusionTensor):
         n_k = np.array([s.n for s in self.sectors], dtype=np.int16)
         m_j, n_j = m_k[:, None], n_k[:, None]
         m_r, n_r = p - m_k, q - n_k
-        coeff = np.empty((self.n,) * 3, dtype=np.uint8)
+        coeff = np.empty((self.n,) * 3, dtype=bool)
         for i, si in enumerate(self.sectors):
             direct = _admissible(p, si.m, m_j, m_k) & _admissible(q, si.n, n_j, n_k)
             reflected = _admissible(p, si.m, m_j, m_r) & _admissible(q, si.n, n_j, n_r)

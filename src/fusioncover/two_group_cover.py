@@ -32,9 +32,9 @@ it.  So ``verify_cover``, handed that tensor, compares no arrays, and a
 canonical verify loads no numpy and builds no N^3 array.  The check runs
 on plain Python ints with no bound on the rank, so it covers every model
 whose fusion tensor is admitted (N <= 256), up to (2,513) and (3,257).
-Any other map, over this group or another, is counted by the transform in
-``_kernels.pair_counts``, within the sizes ``_kernels.check_count_size``
-admits, and its support is where its counts are nonzero.  Either way
+Any other map, over this group or another, is counted by the transform,
+within the sizes ``_kernels.check_count_size`` admits, and
+``_kernels.pair_support`` returns the support of its counts.  Either way
 ``verify_cover`` and ``partition_algebra`` read the map's support; the
 labels are read only by the scan that names a FAIL witness.
 """

@@ -14,7 +14,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from fusioncover import ModelParams, _kernels, fusion_tensor
+from fusioncover import ModelParams, fusion_tensor
 
 # Kac tables: rows m = 1..p-1, columns n = 1..q-1, exact fraction strings.
 KNOWN_KAC = {
@@ -127,21 +127,14 @@ def run_python_with_peak_rss(args, show_output=True, timeout=120):
     return code, max_rss_kib, out
 
 
-def pair_counts_of(cm):
-    """A map's pair counts C[i, j, k], by the transform its support is read
-    off; the map caches only the support, so a test wanting multiplicities
-    counts them itself."""
-    return _kernels.pair_counts(cm.sector_indices, len(cm.sectors), cm.context.factors)
-
-
 def exhaustive_scan(sec, n, d_flat, add_rows):
     """First closure violation and realized-triple tensor, from all |G|^2 pairs.
 
-    The oracle for the witness scan and the pair counts.  ``add_rows`` maps
-    a block of g1 values to the (rows, |G|) block of sums g1 + g2.  Returns
-    ((g1, g2) of the first pair in canonical order on an inadmissible triple,
-    or (-1, -1)), and the flattened uint8 tensor marking every realized
-    triple.  Rows go in blocks of about 2^22 pairs.
+    The oracle for the witness scan and the support of the pair counts.
+    ``add_rows`` maps a block of g1 values to the (rows, |G|) block of sums
+    g1 + g2.  Returns ((g1, g2) of the first pair in canonical order on an
+    inadmissible triple, or (-1, -1)), and the flattened uint8 tensor
+    marking every realized triple.  Rows go in blocks of about 2^22 pairs.
     """
     sec = np.asarray(sec, dtype=np.int64)
     size = len(sec)

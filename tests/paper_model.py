@@ -30,7 +30,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from fusioncover import CoverMap, GroupContext, ModelParams, Sector, sectors
-from fusioncover._kernels import check_counts
+from fusioncover.errors import CountCheckError
 
 # Largest rank r = p + q - 4 whose closed-form counts are exact in int64:
 # every count of pairs in H is at most |H|^2 = 4^r, and 4^31 = 2^62.
@@ -243,6 +243,22 @@ def weight_class_counts(w: int) -> np.ndarray:
     return k
 
 
+def check_row_sums(counts: np.ndarray, sizes: np.ndarray) -> None:
+    """Raise unless int64 counts C[i, j, k] are plainly pair counts.
+
+    g1 in P_i and g1 + g2 in P_k fix g2, so sum_j C[i, j, k] = |P_i| |P_k|
+    with ``sizes[i]`` = |P_i|; no count may be negative.  Together these
+    give the total |G|^2, and catch a pair moved between rows.
+    """
+    off = np.count_nonzero(counts.sum(axis=1) != np.multiply.outer(sizes, sizes))
+    least = int(counts.min())
+    if off or least < 0:
+        raise CountCheckError(
+            f"pair counts failed their check: {off} row sums off |P_i| |P_k|, "
+            f"smallest count {least}"
+        )
+
+
 def canonical_counts(params: ModelParams) -> np.ndarray:
     """Pair counts C[i, j, k] of the canonical cover, in closed form.
 
@@ -261,7 +277,8 @@ def canonical_counts(params: ModelParams) -> np.ndarray:
     Exactness: each product counts pairs in fixed classes, so it is at most
     C[i, j, k] <= 4^(r-1), exact in int64 while r <= 31 (p + q <= 35);
     larger models raise ValueError before anything is built.  Check:
-    ``_kernels.check_counts``, which the transform's counts pass too,
+    ``check_row_sums``, the sign and row-sum checks ``_kernels.pair_support``
+    makes row by row on the transform's counts,
     raises CountCheckError unless every row sum is
     sum_j C[i, j, k] = |P_i| |P_k|, where |P_i| = C(p-2, m_i-1) C(q-2, n_i-1),
     and no count is negative.
@@ -276,5 +293,5 @@ def canonical_counts(params: ModelParams) -> np.ndarray:
     other = ka[np.ix_(a, a, p - 2 - a)]
     counts += np.multiply(other, kb[np.ix_(b, b, q - 2 - b)], out=other)
     sizes = np.array([comb(p - 2, s.m - 1) * comb(q - 2, s.n - 1) for s in secs], dtype=np.int64)
-    check_counts(counts, sizes)
+    check_row_sums(counts, sizes)
     return counts

@@ -488,7 +488,7 @@ class TestExitCodes:
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 128. MiB")
 
-        monkeypatch.setattr(_kernels, "pair_counts", exhausted)
+        monkeypatch.setattr(_kernels, "pair_support", exhausted)
         ising = str(COVERS / "ising_z4.cover")
         assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", ising]) == 3
         out, err = capsys.readouterr()
@@ -659,10 +659,10 @@ class TestExitCodes:
         [
             ("group\n -> 1,1\n", "trivial group", 1,
              "admissible triple [0] x [-505/1028] -> [-505/1028] is realized by no pair "
-             "of group elements", 200),
+             "of group elements", 128),
             ("group 2\n0 -> 1,1\n1 -> 1,2\n", "Z2", 4,
              "admissible triple [0] x [-251/257] -> [-251/257] is realized by no pair "
-             "of group elements", 200),
+             "of group elements", 128),
             ("group 3\n0 -> 1,1\n1 -> 1,2\n2 -> 1,2\n", "Z3", 5,
              "1 + 1 = 2 maps to [-505/1028] x [-505/1028] -> [-505/1028], but "
              "[-505/1028] does not occur in [-505/1028] x [-505/1028]", 200),
@@ -673,14 +673,11 @@ class TestExitCodes:
         self, tmp_path, text, group, realized, witness, limit_mib
     ):
         # N = 256: the raw sums are held only for j >= i, about N^3 / 2
-        # float64 (complex128 for Z3) entries, each row rounded into the int64
-        # counts and freed, and the counts mirrored after.  The map keeps only
-        # their bool support, so the 128 MiB counts are freed before the
-        # model's tensor is built (185, 186 and 182 MiB peaks with numpy 2.4
-        # on x86-64; 218, 218 and 214 MiB while the map cached its counts,
-        # 303, 303 and 432 MiB from a full N^3 raw array, and 237, 239 and
-        # 305 MiB mirroring each row at once, which made the huge-page-backed
-        # counts resident beside the raw rows).
+        # float64 entries (64 MiB), or complex128 for Z3 (128 MiB).  Each row
+        # is rounded, checked and written into the 16 MiB bool support at
+        # (i, j) and (j, i), then freed; no N^3 array of counts is built
+        # (110, 112 and 179 MiB peaks with numpy 2.4 on x86-64; 185, 186 and
+        # 182 MiB while the 128 MiB int64 counts were rounded and mirrored).
         order = text.count("->")
         path = write_cover(tmp_path, text)
         code, max_rss_kib, out = run_with_peak_rss(

@@ -33,8 +33,8 @@ from fusioncover import (
 from fusioncover import _kernels
 from fusioncover.cover_search import _class_sums, _search_order
 
-from conftest import (Z4_ISING_LABELS, Z12_TRICRITICAL_LABELS, coprime_models, group_rows,
-                      pair_counts_of)
+from conftest import (Z4_ISING_LABELS, Z12_TRICRITICAL_LABELS, coprime_models, exhaustive_scan,
+                      group_rows, xor_rows)
 
 
 class TestAbelianGroupSpec:
@@ -274,11 +274,20 @@ class TestGroupKindsAgree:
             lambda m: m.reassigned(1, wrong),
             lambda m: m.reassigned(last, 0),
         ]
+        n, d_flat = tensor.n, tensor.coefficients.reshape(-1)
+
+        def realized(cm):
+            # The oracle's support, from every pair of the XOR group.
+            _, flat = exhaustive_scan(cm.sector_indices, n, d_flat, xor_rows(spec.order))
+            return flat.reshape(n, n, n)
+
         outcomes = set()
         for change in changes:
             quotient = change(CoverMap(canonical.context, labels, secs))
             abelian = change(CoverMap(spec, labels, secs))
-            assert np.array_equal(pair_counts_of(quotient), pair_counts_of(abelian))
+            expected = realized(abelian)
+            assert np.array_equal(quotient.support.coefficients, expected)
+            assert np.array_equal(abelian.support.coefficients, expected)
             a, b = verify_cover(quotient, tensor), verify_cover(abelian, tensor)
             assert a == b
             outcomes.add(type(a.witness))
@@ -289,9 +298,9 @@ class TestGroupKindsAgree:
         # The canonical cover's proved support gives the same certificate.
         abelian = CoverMap(spec, labels, secs)
         assert verify_cover(canonical, tensor) == verify_cover(abelian, tensor)
-        counts = pair_counts_of(abelian)
-        assert np.array_equal(canonical.support.coefficients, counts != 0)
-        assert np.array_equal(partition_algebra(canonical).coefficients, counts > 0)
+        expected = realized(abelian)
+        assert np.array_equal(canonical.support.coefficients, expected)
+        assert np.array_equal(partition_algebra(canonical).coefficients, expected)
 
 
 class TestMultiplicityProfile:

@@ -1,5 +1,6 @@
-"""The pair counts and the witness scan against a pure-Python double loop
-over (g1, g2), and against the exhaustive numpy scan in conftest."""
+"""The support of the pair counts and the witness scan against a
+pure-Python double loop over (g1, g2), and against the exhaustive numpy
+scan in conftest."""
 
 import operator
 import tracemalloc
@@ -22,7 +23,7 @@ from fusioncover._kernels import (
     HAVE_NUMBA,
     active_backend,
     check_count_size,
-    pair_counts,
+    pair_support,
     scan_pairs_group,
     scan_pairs_xor,
 )
@@ -55,7 +56,8 @@ def code_sum(factors):
 
 
 def oracle_counts(sec, n, add):
-    """Pair counts C[i, j, k], one pair at a time."""
+    """Pair counts C[i, j, k], one pair at a time.  The library ships only
+    their support; tests that want multiplicities read them here."""
     counts = np.zeros((n, n, n), dtype=np.int64)
     for g1 in range(len(sec)):
         for g2 in range(len(sec)):
@@ -248,15 +250,15 @@ class TestPairCounts:
     def test_xor_matches_double_loop(self, p, q, corrupt):
         sec, n, _ = xor_case(p, q, corrupt)
         factors = (2,) * (len(sec).bit_length() - 1)
-        counts = pair_counts(sec, n, factors)
-        assert counts.dtype == np.int64 and counts.shape == (n, n, n)
-        assert np.array_equal(counts, oracle_counts(sec, n, operator.xor))
+        support = pair_support(sec, n, factors)
+        assert support.dtype == bool and support.shape == (n, n, n)
+        assert not support.flags.writeable
+        assert np.array_equal(support, oracle_counts(sec, n, operator.xor) > 0)
 
     @pytest.mark.parametrize("factors,n,indices", GROUP_COUNT_CASES)
     def test_group_matches_double_loop(self, factors, n, indices):
-        counts = pair_counts(indices, n, factors)
-        assert np.array_equal(counts, oracle_counts(indices, n, code_sum(factors)))
-        assert counts.sum() == len(indices) ** 2
+        support = pair_support(indices, n, factors)
+        assert np.array_equal(support, oracle_counts(indices, n, code_sum(factors)) > 0)
 
     # The same cases summed three characters at a time: every group above
     # order 3 spans several blocks, and its last block is ragged (|G| = 35
@@ -277,14 +279,14 @@ class TestPairCounts:
         # peak stays below one float64 (N, |G|) matrix, 4.3 MB here.
         factors, n = (2,) * 14, 33
         sec = np.random.default_rng(33).integers(0, n, size=1 << 14)
-        expected = pair_counts(sec, n, factors)
+        expected = pair_support(sec, n, factors)
         tracemalloc.start()
         try:
-            counts = pair_counts(sec, n, factors)
+            support = pair_support(sec, n, factors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(counts, expected)
+        assert np.array_equal(support, expected)
         assert peak < n * (1 << 14) * 8
 
     def test_fft_in_one_transform_buffer(self):
@@ -296,33 +298,50 @@ class TestPairCounts:
         sec = np.random.default_rng(28).integers(0, n, size=2 * 3**10)
         tracemalloc.start()
         try:
-            pair_counts(sec, n, factors)
+            pair_support(sec, n, factors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 112 * 2**20
+
+    def test_sector_cap_holds_no_counts(self):
+        # One element at N = 256: the raw sums for j >= i, N^3 / 2 float64
+        # (64 MiB), are the largest scratch, beside the 16 MiB bool support
+        # and a row or two (82.3 MiB traced peak with numpy 2.4 on x86-64).
+        # The int64 counts and their "!= 0" peaked at 193.3 MiB.
+        tracemalloc.start()
+        try:
+            support = pair_support(np.zeros(1, dtype=np.int64), 256, ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.flatnonzero(support).tolist() == [0]
+        assert peak < 96 * 2**20
 
     @pytest.mark.parametrize("params", coprime_models(8, 16, max_sum=18), ids=str)
     def test_support_matches_exhaustive_scan(self, params):
         cm = canonical_cover(GroupContext(params))
         tensor = fusion_tensor(params)
         sec = cm.sector_indices
-        counts = pair_counts(sec, tensor.n, (2,) * (cm.context.r - 1))
+        support = pair_support(sec, tensor.n, (2,) * (cm.context.r - 1))
         d_flat = tensor.coefficients.reshape(-1)
         _, realized = exhaustive_scan(sec, tensor.n, d_flat, xor_rows(len(sec)))
-        assert np.array_equal((counts.reshape(-1) > 0).astype(np.uint8), realized)
-        assert counts.sum() == len(sec) ** 2
+        assert np.array_equal(support.reshape(-1), realized)
 
-    @pytest.mark.parametrize("spoil", ["sum", "integral", "sign", "row-moved"])
+    @pytest.mark.parametrize(
+        "spoil", ["sum", "integral", "sign", "row-moved", "moved-across-k", "sign-alone"]
+    )
     def test_corrupted_count_raises(self, spoil):
         # The rounding takes |G| C[a, j, k] for j >= a, one row a at a time,
         # as the transform sums it; a spoil on a diagonal cell (j = a) is
-        # not mirrored, so it moves the total by what it adds.
+        # not mirrored, so it moves the total by what it adds.  A spoil on
+        # a cell (a, j > a) stands for C[j, a, k] too.
         sec, n, _ = xor_case(4, 5)
-        counts = pair_counts(sec, n, (2,) * 4)
+        counts = oracle_counts(sec, n, operator.xor)
         sizes = np.bincount(sec, minlength=n)
         raw = [16.0 * counts[a, a:] for a in range(n)]
-        assert np.array_equal(_kernels._rounded_counts([r.copy() for r in raw], 16, sizes), counts)
+        support = _kernels._rounded_support([r.copy() for r in raw], 16, sizes)
+        assert np.array_equal(support, counts > 0)
         diagonal = lambda cells: next((a, k) for a, j, k in cells if j == a)
         if spoil == "sum":
             raw[0][0, 0] += 16
@@ -332,19 +351,32 @@ class TestPairCounts:
             a, k = diagonal(np.argwhere(counts == 0))
             raw[a][0, k] -= 16
             raw[0][0, 0] += 16
-        else:  # move one pair between two (i, k) rows: the total and signs hold
+        elif spoil == "row-moved":  # move one pair between two (i, k) rows: the total and signs hold
             a, k = diagonal(c for c in np.argwhere(counts > 0) if tuple(c) != (0, 0, 0))
             raw[a][0, k] -= 16
             raw[0][0, 0] += 16
-        with pytest.raises(CountCheckError, match="2 row sums" if spoil == "row-moved" else None):
-            _kernels._rounded_counts(raw, 16, sizes)
+        elif spoil == "moved-across-k":  # rows a and j, at both k
+            a, j, k = next(c for c in np.argwhere(counts > 0) if c[1] > c[0])
+            raw[a][j - a, k] -= 16
+            raw[a][j - a, (k + 1) % n] += 16
+        else:
+            # (a, a, k) and (j, j, k) gain a pair and the empty (a, j, k) and
+            # (j, a, k) lose one: every row sum holds, only the sign check fails.
+            a, j, k = next(c for c in np.argwhere(counts == 0) if c[1] > c[0])
+            raw[a][0, k] += 16
+            raw[j][0, k] += 16
+            raw[a][j - a, k] -= 16
+        match = {"row-moved": "2 row sums", "moved-across-k": "4 row sums",
+                 "sign-alone": "0 row sums .* smallest count -1$"}.get(spoil)
+        with pytest.raises(CountCheckError, match=match):
+            _kernels._rounded_support(raw, 16, sizes)
 
     def test_perturbed_transform_raises(self, monkeypatch, capsys):
         transform = _kernels._transform
         monkeypatch.setattr(_kernels, "_transform", lambda x, f: transform(x, f) + 0.5)
         sec, n, _ = xor_case(4, 5)
         with pytest.raises(CountCheckError):
-            pair_counts(sec, n, (2,) * 4)
+            pair_support(sec, n, (2,) * 4)
         # The transform counts every map but the canonical cover, and every
         # group file; the canonical cover's support is proved by the SU(2)
         # level check and never counted.
@@ -362,7 +394,7 @@ class TestPairCounts:
 
     def test_order_above_exactness_bound_refused(self):
         with pytest.raises(CapacityError, match="2\\^17"):
-            pair_counts(np.zeros(1 << 18, dtype=np.int64), 1, (2,) * 18)
+            pair_support(np.zeros(1 << 18, dtype=np.int64), 1, (2,) * 18)
 
     @pytest.mark.parametrize(
         "n,factors",
@@ -389,7 +421,7 @@ class TestPairCounts:
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="MiB"):
-                pair_counts(sec, 256, (1 << 17,))
+                pair_support(sec, 256, (1 << 17,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -397,7 +429,7 @@ class TestPairCounts:
 
     def test_factors_must_match_order(self):
         with pytest.raises(ValueError, match="order 8"):
-            pair_counts(np.zeros(8, dtype=np.int64), 1, (2, 2))
+            pair_support(np.zeros(8, dtype=np.int64), 1, (2, 2))
 
 
 class TestBackend:

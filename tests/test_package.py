@@ -88,7 +88,7 @@ def test_submodules_import_by_name_in_a_fresh_process():
         "from fusioncover import _kernels, cli\n"
         "assert cli is sys.modules['fusioncover.cli']\n"
         "assert _kernels is sys.modules['fusioncover._kernels']\n"
-        "print(cli.main.__module__, _kernels.pair_counts.__module__)\n"
+        "print(cli.main.__module__, _kernels.pair_support.__module__)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

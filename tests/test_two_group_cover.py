@@ -37,8 +37,7 @@ from fusioncover.cli import main
 from fusioncover.errors import CountCheckError
 
 import paper_model
-from conftest import (coprime_models, exhaustive_scan, pair_counts_of, run_python_with_peak_rss,
-                      xor_rows)
+from conftest import coprime_models, exhaustive_scan, run_python_with_peak_rss, xor_rows
 from paper_model import (
     BitVector,
     ClassLabel,
@@ -54,6 +53,7 @@ from paper_model import (
     sym_diff_weight_identity,
     weight_class_counts,
 )
+from test_kernels import oracle_counts
 
 
 @pytest.fixture
@@ -523,12 +523,12 @@ class TestCanonicalCounts:
         ctx = GroupContext(params)
         closed = canonical_counts(params)
         spectral = representative_counts(params, krawtchouk_weight_class_counts)
-        transform = _kernels.pair_counts(
+        transform = _kernels.pair_support(
             canonical_cover(ctx).sector_indices, params.n_sectors, (2,) * (ctx.r - 1)
         )
         assert closed.dtype == np.int64
         assert np.array_equal(closed, spectral)
-        assert np.array_equal(closed, transform)
+        assert np.array_equal(closed > 0, transform)
 
     @pytest.mark.parametrize("params", MODELS_35, ids=str)
     def test_theorem_to_p_plus_q_35(self, params):
@@ -557,7 +557,7 @@ class TestCanonicalCounts:
         def no_transform(*args):
             raise AssertionError("the canonical cover needs no transform")
 
-        monkeypatch.setattr(_kernels, "pair_counts", no_transform)
+        monkeypatch.setattr(_kernels, "pair_support", no_transform)
         assert verify_cover(canonical_cover(ctx), tensor) == transform
 
     def test_tensor_of_another_model_refused(self, ising, tricritical_tensor):
@@ -819,7 +819,7 @@ class TestPartitionAlgebra:
     def test_strict_rejects_a_vacuum_class_without_the_identity(self, ising):
         # P_1 = {1, 2} in Z5: the one pair 1 + 1 = 2 gives C[0, 0, 0] = 1.
         cm = CoverMap(AbelianGroupSpec((5,)), [1, 0, 0, 2, 1], sectors(ising))
-        assert pair_counts_of(cm)[0, 0, 0] == 1
+        assert oracle_counts(cm.sector_indices, 3, lambda a, b: (a + b) % 5)[0, 0, 0] == 1
         with pytest.raises(PartitionError, match="the vacuum preimage is 2 elements"):
             partition_algebra(cm)
 
@@ -871,8 +871,9 @@ class TestPartitionAlgebra:
     @pytest.mark.parametrize("pq", [(3, 4), (4, 5), (3, 5)])
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_multiplicities_count_pairs(self, pq, corrupt):
-        # A corrupted map is counted by the transform; the canonical map is
-        # not counted, and the oracle's closed form stands in for it.
+        # The double loop counts the pairs.  A corrupted map's support comes
+        # from the transform; the canonical map is not counted, and the
+        # oracle's closed form must give the loop's multiplicities.
         params = ModelParams(*pq)
         cm = canonical_cover(GroupContext(params))
         if corrupt:
@@ -882,11 +883,10 @@ class TestPartitionAlgebra:
         expected = np.zeros((n, n, n), dtype=np.int64)
         for g1, g2 in itertools.product(range(len(sec)), repeat=2):
             expected[sec[g1], sec[g2], sec[g1 ^ g2]] += 1
-        counts = pair_counts_of(cm) if corrupt else canonical_counts(params)
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, expected)
-        assert counts.sum() == len(sec) ** 2
-        assert np.array_equal(w.coefficients, (expected > 0).astype(np.uint8))
+        if not corrupt:
+            assert np.array_equal(canonical_counts(params), expected)
+        assert expected.sum() == len(sec) ** 2
+        assert np.array_equal(w.coefficients, expected > 0)
         if corrupt:
             assert not cm.support.coefficients.flags.writeable
 
@@ -916,14 +916,14 @@ def reachable_arrays(root):
 
 class TestCountsOncePerMap:
     def test_verify_then_partition_counts_once(self, monkeypatch):
-        transform = _kernels.pair_counts
+        transform = _kernels.pair_support
         calls = []
 
         def counted(*args):
             calls.append(args)
             return transform(*args)
 
-        monkeypatch.setattr(_kernels, "pair_counts", counted)
+        monkeypatch.setattr(_kernels, "pair_support", counted)
         params = ModelParams(5, 13)
         cm = canonical_cover(GroupContext(params)).swapped_images(3, 90)
         cert = verify_cover(cm, fusion_tensor(params))
@@ -935,7 +935,9 @@ class TestCountsOncePerMap:
         n, arrays = len(cm.sectors), reachable_arrays(cm)
         assert any(a is w.coefficients for a in arrays)
         assert [a.shape for a in arrays if a.dtype == np.int64 and a.size >= n**3] == []
-        assert np.array_equal(w.coefficients, pair_counts_of(cm) > 0)
+        d_flat = fusion_tensor(params).coefficients.reshape(-1)
+        _, realized = exhaustive_scan(cm.sector_indices, n, d_flat, xor_rows(cm.context.order))
+        assert np.array_equal(w.coefficients.reshape(-1), realized)
 
     def test_canonical_map_is_never_counted(self, monkeypatch):
         def no_transform(*args):
@@ -948,7 +950,7 @@ class TestCountsOncePerMap:
             calls.append(levels)
             return check(*levels)
 
-        monkeypatch.setattr(_kernels, "pair_counts", no_transform)
+        monkeypatch.setattr(_kernels, "pair_support", no_transform)
         monkeypatch.setattr(two_group_cover, "check_su2_levels", checked)
         params = ModelParams(5, 13)
         cm = canonical_cover(GroupContext(params))
@@ -963,7 +965,7 @@ class TestCountsOncePerMap:
 
     @pytest.mark.parametrize("pq", [(3, 4), (4, 5), (5, 13)])
     def test_hand_built_canonical_labels_take_the_transform(self, pq, monkeypatch):
-        transform = _kernels.pair_counts
+        transform = _kernels.pair_support
         calls = []
 
         def counted(*args):
@@ -973,9 +975,9 @@ class TestCountsOncePerMap:
         params = ModelParams(*pq)
         ctx = GroupContext(params)
         cm = CoverMap(ctx, canonical_cover(ctx).sector_indices, sectors(params))
-        assert np.array_equal(pair_counts_of(cm), canonical_counts(params))
-        monkeypatch.setattr(_kernels, "pair_counts", counted)
+        monkeypatch.setattr(_kernels, "pair_support", counted)
         assert np.array_equal(cm.support.coefficients, canonical_cover(ctx).support.coefficients)
+        assert np.array_equal(cm.support.coefficients, canonical_counts(params) > 0)
         assert cm.support is vars(cm)["support"]
         assert len(calls) == 1
 
@@ -999,9 +1001,10 @@ class TestCountsOncePerMap:
             with pytest.raises(CountCheckError):
                 cm.support
         monkeypatch.setattr(_kernels, "_transform", transform)
-        counts = pair_counts_of(cm)
-        assert counts.sum() == cm.context.order**2
-        assert np.array_equal(cm.support.coefficients, counts != 0)
+        d_flat = fusion_tensor(tricritical).coefficients.reshape(-1)
+        sec = cm.sector_indices
+        _, realized = exhaustive_scan(sec, len(cm.sectors), d_flat, xor_rows(len(sec)))
+        assert np.array_equal(cm.support.coefficients.reshape(-1), realized)
 
 
 class TestIsomorphism:
