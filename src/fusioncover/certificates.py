@@ -265,9 +265,10 @@ def verify_cover(cover: CoverMap, tensor: FusionTensor, threads: int = 1) -> Cov
     model's ``fusion_tensor`` itself; for any other map it is where the
     transform's counts are nonzero, and the map caches it, not the counts.
     A support that is ``tensor`` itself passes with no array compared, so a
-    canonical PASS loads no numpy and builds no N^3 array; its stats are
-    the tensor's closed-form size.  Any other support, a hand-built
-    tensor's too, is compared cell by cell.  Only if it holds an
+    canonical PASS loads no numpy, builds no N^3 array and lists no
+    sector; its stats are the tensor's closed-form size.  Any other
+    support, a hand-built tensor's too, must be over the same sectors
+    (else ValueError) and is compared cell by cell.  Only if it holds an
     inadmissible triple are the labels read and ``_kernels.first_violation``
     run: the FAIL witness is the first violation in canonical order (g1
     ascending, then g2), named by its element codes.  Coverage is read off
@@ -275,13 +276,14 @@ def verify_cover(cover: CoverMap, tensor: FusionTensor, threads: int = 1) -> Cov
     unrealized triple.  ``threads`` is ignored; it stays because
     ``perfbench/theorem_job.py`` passes it.
     """
-    if cover.sectors != tensor.sectors:
-        raise ValueError("the cover's sectors are not those of the tensor")
     group = cover.context
     realized = cover.support
     stats = scan_stats(group.order, tensor.size, realized.size)
     if realized is not tensor:
         from . import _kernels
+
+        if cover.sectors != tensor.sectors:
+            raise ValueError("the cover's sectors are not those of the tensor")
 
         d_flat = tensor.coefficients.reshape(-1)
         r_flat = realized.coefficients.reshape(-1)

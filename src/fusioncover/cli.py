@@ -12,6 +12,13 @@ Subcommands
                      group prints itself and its elements
 * ``cover search`` - exhaustively search cyclic groups for covers
 
+Each command refuses, with exit 2 before anything is built, a model past
+the cap on what it costs.  ``fusion``, ``cover search`` and ``cover verify
+--group`` build or list the N^3 fusion rules and take N <= 256.  The
+canonical ``cover verify`` is proved by the SU(2) level check, which builds
+no tensor and lists no sector, and takes every model up to level 511:
+max(p, q) <= 513, up to (512,513) with N = 130 816.
+
 Every subcommand takes ``--format text|json``.  Text output is stable and
 golden-tested; JSON output is ``{"model": {p, q, c, N}, ...}`` with exact
 rationals rendered as ``num/den`` strings, and round-trips through the
@@ -384,16 +391,21 @@ def cmd_cover_verify(
     params = ModelParams(p, q)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    # Either cover is checked against the fusion tensor, and a group file's
-    # labels are canonicalized against the model's label table, which lists
-    # every sector: refuse an oversized model before anything is built.  The
-    # parser refuses an oversized group at its header.
-    check_fusion_cells(params)
+    # Each cover is refused by the cap on what checking it costs, before
+    # anything is built.  The canonical cover is proved by the SU(2) level
+    # check and reads neither the tensor's array nor a sector, so only its
+    # level is capped.  A group file's labels are canonicalized against the
+    # model's label table, which lists every sector, and its support is
+    # compared with the tensor's array: the model must pass the cell cap
+    # before the file is opened, and the parser refuses an oversized group
+    # at its header.
     if group_file is None:
-        from .two_group_cover import GroupContext, canonical_cover
+        from .two_group_cover import GroupContext, canonical_cover, check_canonical_level
 
+        check_canonical_level(params)
         cover = canonical_cover(GroupContext(params))
     else:
+        check_fusion_cells(params)
         cover = parse_group_file(group_file, params)
     group = cover.context
     cert = verify_cover(cover, fusion_tensor(params))

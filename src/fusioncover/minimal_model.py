@@ -52,10 +52,13 @@ if TYPE_CHECKING:
 # contract promises a clean error instead of silently huge tables.
 MAX_PQ = 10_000
 
-# Largest model whose fusion rules are built, in tensor cells (N <= 256).
-# The tensor build is vectorised row by row, so the cap bounds the tensor's
-# memory (one byte per cell, 16 MiB) and the O(N^3) size of the `fusion`
-# table, whose cells `fusion_products` lists, rather than either build.
+# Largest model whose fusion rules are built, in tensor cells (N <= 256):
+# the tensor's array, the `fusion` table, whose cells `fusion_products`
+# lists, and a cover search.  The tensor build is vectorised row by row, so
+# the cap bounds the array's memory (one byte per cell, 16 MiB) and the
+# O(N^3) size of the table, rather than either build.  A canonical cover
+# verify builds neither and is bounded by its SU(2) level instead
+# (`two_group_cover.MAX_SU2_LEVEL`).
 MAX_FUSION_CELLS = 1 << 24
 
 # Largest Kac table built, in cells.  Memory grows with the cell count: the
@@ -317,7 +320,10 @@ def _admissible(p: int, a: int, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def check_fusion_cells(params: ModelParams) -> None:
-    """Refuse a model whose fusion tensor has more than ``MAX_FUSION_CELLS`` cells."""
+    """Refuse a model whose fusion tensor has more than ``MAX_FUSION_CELLS``
+    cells, before any sector is listed.  Run where N^3 is paid for: before
+    a tensor's array is built, the fusion products are listed, a cover
+    search starts or a group file is opened."""
     if params.n_sectors ** 3 > MAX_FUSION_CELLS:
         raise CapacityError(
             f"the fusion tensor of the ({params.p},{params.q}) model has "
@@ -333,14 +339,20 @@ class _ModelTensor(FusionTensor):
     the number of ordered p-admissible label triples, and complementing two
     labels of a triple keeps it admissible, so each sector triple with
     D = 1 has 4 of its 8 label triples admissible, hence
-    |D| = C(p+1, 3) C(q+1, 3) / 4.  The repr shows the model only, so
-    printing the tensor builds no array.
+    |D| = C(p+1, 3) C(q+1, 3) / 4.  The sectors are listed on first read,
+    so a handle whose array and sectors are never read costs nothing at
+    any N.  The repr shows the model only, so printing the tensor builds
+    no array.
     """
 
     _fields = ("model",)
 
     def __init__(self, model: ModelParams) -> None:
-        vars(self).update(model=model, sectors=sectors(model))
+        vars(self).update(model=model)
+
+    @cached_property
+    def sectors(self) -> tuple[Sector, ...]:
+        return sectors(self.model)
 
     @property
     def size(self) -> int:
@@ -358,8 +370,11 @@ class _ModelTensor(FusionTensor):
 
         Row i is built at once from the closed-form admissibility range of
         the m and the n components, broadcast over (j, k), so scratch memory
-        stays O(N^2) beside the N^3-byte result.
+        stays O(N^2) beside the N^3-byte result.  Models over
+        ``MAX_FUSION_CELLS`` raise CapacityError (``check_fusion_cells``)
+        before any sector is listed.
         """
+        check_fusion_cells(self.model)
         import numpy as np
 
         p, q = self.model.p, self.model.q
@@ -385,11 +400,12 @@ class _ModelTensor(FusionTensor):
 def fusion_tensor(params: ModelParams) -> FusionTensor:
     """Fusion rules of the model, as a ``FusionTensor`` that keeps its model.
 
-    Its N^3 array is built on first read of ``coefficients`` and its size
-    |D| needs none.  Models over ``MAX_FUSION_CELLS`` raise CapacityError
-    (``check_fusion_cells``) before any sector is listed.
+    Its N^3 array is built on first read of ``coefficients``, which refuses
+    models over ``MAX_FUSION_CELLS`` (N > 256) with CapacityError before any
+    sector is listed.  Its size |D| needs no array and its sectors are
+    listed on first read, so the handle itself is made for any model: the
+    canonical cover's proof returns it at any N its level admits.
     """
-    check_fusion_cells(params)
     return _ModelTensor(params)
 
 

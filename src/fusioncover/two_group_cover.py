@@ -29,9 +29,11 @@ at w = p - 2 and w = q - 2 (``check_su2_levels``), and a descent lemma
 (``_CanonicalCover.support``) turns the two levels into the support of the
 map on G: the model's fusion tensor itself, as ``fusion_tensor`` returns
 it.  So ``verify_cover``, handed that tensor, compares no arrays, and a
-canonical verify loads no numpy and builds no N^3 array.  The check runs
-on plain Python ints with no bound on the rank, so it covers every model
-whose fusion tensor is admitted (N <= 256), up to (2,513) and (3,257).
+canonical verify loads no numpy, builds no N^3 array and lists no sector.
+The check runs on plain Python ints, each row of weight masks packed in one
+int, and its cost depends on max(p, q) alone, not on N: a canonical cover
+is proved for every model up to SU(2) level ``MAX_SU2_LEVEL`` = 511, that
+is max(p, q) <= 513, up to (512,513) with N = 130 816.
 Any other map, over this group or another, is counted by the transform,
 within the sizes ``_kernels.check_count_size`` admits, and
 ``_kernels.pair_support`` returns the support of its counts.  Either way
@@ -42,13 +44,13 @@ labels are read only by the scan that names a FAIL witness.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 # ``verify_cover`` is bound here too: ``perfbench/tracing.py`` wraps it
 # under this module's name.
 from .certificates import AbelianGroupSpec, CoverMap, verify_cover  # noqa: F401
 from .errors import CapacityError, CountCheckError, PartitionError
-from .minimal_model import (FusionTensor, ModelParams, _label_index, admissible_range,
+from .minimal_model import (FusionTensor, ModelParams, Sector, _label_index, admissible_range,
                             fusion_tensor, sectors)
 
 # numpy is imported by the two functions that use it, so a canonical verify,
@@ -60,6 +62,15 @@ if TYPE_CHECKING:
 # largest array the builder holds (61 MiB peak RSS for the whole process at
 # (11,16), 2^22 cosets, with numpy 2.4 on x86-64).
 MAX_CANONICAL_MAP = 1 << 22
+
+# Highest SU(2) level at which a canonical cover is proved, so max(p, q) <= 513,
+# up to (2,513) and (512,513).  The level check up to level w costs O(w^4)
+# bit operations and depends on nothing else: about 1.7 s at w = 511 on a
+# 2-core x86-64 host.  Every admitted model has p + q <= 1025,
+# well inside p + q <= 7147, the bound that keeps a certificate printable:
+# its pairs_checked, 4^(p+q-5), must have at most 4300 digits, Python's
+# default limit on converting an int to a string.
+MAX_SU2_LEVEL = 511
 
 
 class GroupContext(AbelianGroupSpec):
@@ -90,6 +101,48 @@ class GroupContext(AbelianGroupSpec):
         return f"{code:0{self.r}b}"[::-1]
 
 
+def check_canonical_level(params: ModelParams) -> None:
+    """Refuse a model whose canonical cover is proved past ``MAX_SU2_LEVEL``:
+    the proof runs the level check up to max(p, q) - 2."""
+    level = max(params.p, params.q) - 2
+    if level > MAX_SU2_LEVEL:
+        raise CapacityError(
+            f"the canonical cover of the ({params.p},{params.q}) model is proved at SU(2) "
+            f"level {level}, over the budget of {MAX_SU2_LEVEL} (max(p, q) <= {MAX_SU2_LEVEL + 2})"
+        )
+
+
+def _weight_sum_rows(top: int) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield (w, k, rows) for w = 0, 1, ..., top: the masks S_w[a][b] of
+    ``check_su2_levels``, row a packed in one int, ``rows[a]``, with S_w[a][b]
+    at bit offset b * k for b = 0..a.
+
+    k is the least multiple of 8 above ``top``, so an entry, whose weights
+    are at most w, never spills into the next, and the entries of a row
+    are its bytes in slices of k / 8.  One step of the recurrence is four
+    shifts and ORs of whole rows: with ``same`` the old row a and ``up``
+    the old row a - 1 (0 for rows that do not exist), entry b of
+
+        same | up << 1 | same << (k + 1) | up << k
+
+    is S[a][b] | S[a-1][b] << 1 | S[a][b-1] << 1 | S[a-1][b-1].  Row a - 1
+    holds no entry b = a, so the second term is empty on the diagonal; the
+    third term puts same's diagonal at entry a + 1, which the mask of
+    entries 0..a drops.  The rows are rebuilt in place, top row first, so
+    one level is held at a time: read ``rows`` before the next step.
+    """
+    k = top // 8 * 8 + 8
+    keep = [(1 << (a + 1) * k) - 1 for a in range(top + 1)]
+    rows = [1]
+    for w in range(top + 1):
+        if w:
+            rows.append(0)
+            for a in range(w, -1, -1):
+                same, up = rows[a], rows[a - 1] if a else 0
+                rows[a] = (same | up << 1 | same << (k + 1) | up << k) & keep[a]
+        yield w, k, rows
+
+
 def check_su2_levels(*levels: int) -> None:
     """Check the weights of sums in Z_2^w against SU(2) level-w fusion, at
     each w in ``levels``.
@@ -103,36 +156,38 @@ def check_su2_levels(*levels: int) -> None:
     with S = S_(w-1), from S_0[0][0] = 1 (bit 0: the zero vector).  Entries
     outside 0 <= b <= a <= w - 1 are read as empty.  On the diagonal a = b
     this drops S[a-1][a], which loses nothing: it is S[a][a-1], the third
-    term, as x and y trade places.  The rule is the truncated
-    Clebsch-Gordan series of SU(2) at level w (Gepner & Witten 1986; Di
-    Francesco, Mathieu & Senechal 1997, ch. 16) in Dynkin labels a, b, c:
-    in the labels a + 1, b + 1, c + 1 of the minimal models, it is
-    ``admissible_range(w + 2, a + 1, b + 1)``.  The recurrence runs once, up
-    to the largest level, and each level asked for is compared for every
+    term, as x and y trade places.  Each row a of S_w is one int
+    (``_weight_sum_rows``), so a step costs a few big-int operations per
+    row, not per entry.  The rule is the truncated Clebsch-Gordan series
+    of SU(2) at level w (Gepner & Witten 1986; Di Francesco, Mathieu &
+    Senechal 1997, ch. 16) in Dynkin labels a, b, c: in the labels a + 1,
+    b + 1, c + 1 of the minimal models, it is
+    ``admissible_range(w + 2, a + 1, b + 1)``, whose labels step by 2, so
+    its mask is built from its two ends.  The recurrence runs once, up to
+    the largest level, and each level asked for is compared for every
     a >= b as it is passed (mask and rule are both symmetric in a and b).
-    Plain Python ints, so no bound on w.  A mismatch is an internal fault,
-    not a verdict: it raises CountCheckError naming (w, a, b, c), c the
-    least weight on which mask and rule differ.
+    Plain Python ints, so no bound on w; a canonical cover is refused past
+    ``MAX_SU2_LEVEL`` before this runs (``check_canonical_level``).  A
+    mismatch is an internal fault, not a verdict: it raises
+    CountCheckError naming (w, a, b, c), c the least weight on which mask
+    and rule differ.
     """
-    s = [[1]]
-    for w in range(max(levels) + 1):
-        if w:
-            # Row a of S is ``same``, row a - 1 (padded at b = a) is ``up``.
-            s = [
-                [s00 | s10 << 1 | s01 << 1 | s11
-                 for s00, s10, s01, s11 in zip(same, up, [0] + same, [0] + up)]
-                for same, up in zip(s + [[0] * (w + 1)], [[0]] + [row + [0] for row in s])
-            ]
+    for w, k, rows in _weight_sum_rows(max(levels)):
         if w not in levels:
             continue
-        for a, row in enumerate(s):
-            for b, mask in enumerate(row):
+        size = k // 8
+        for a, row in enumerate(rows):
+            data = row.to_bytes((a + 1) * size, "little")
+            for b in range(a + 1):
+                mask = int.from_bytes(data[b * size:(b + 1) * size], "little")
                 labels = admissible_range(w + 2, a + 1, b + 1)
-                # Bit c of the rule is label c + 1.  A label below 1 is no
-                # weight at all: a mismatch at c = label - 1 < 0.
-                c = min(labels, default=1) - 1
+                # Bit c of the rule is label c + 1, for c from lo to hi by 2;
+                # an empty range is the empty mask.  A label below 1 is no
+                # weight at all: a mismatch at c = lo < 0.
+                lo, hi = (labels[0] - 1, labels[-1] - 1) if labels else (0, -2)
+                c = lo
                 if c >= 0:
-                    rule = sum(map((1).__lshift__, labels)) >> 1
+                    rule = ((1 << (hi - lo + 2)) - 1) // 3 << lo
                     if mask == rule:
                         continue
                     c = ((mask ^ rule) & -(mask ^ rule)).bit_length() - 1
@@ -172,14 +227,20 @@ def _canonical_labels(ctx: GroupContext) -> np.ndarray:
 
 class _CanonicalCover(CoverMap):
     """The canonical map Phi, with its labels built by ``_canonical_labels``
-    on first access.  Its support and its vacuum preimage need none."""
+    and its sectors listed on first access.  Its support and its vacuum
+    preimage need neither."""
 
     # The vacuum (1,1) ~ (p-1,q-1) is the class of weights (0, 0) and its
     # complement: the vectors 0 and all-ones, the one coset 0.
     vacuum_preimage = (0,)
 
     def __init__(self, context: GroupContext) -> None:
-        vars(self).update(context=context, sectors=sectors(context.params))
+        vars(self).update(context=context)
+
+    @functools.cached_property
+    def sectors(self) -> tuple[Sector, ...]:
+        """The model's sectors, listed on first read: a PASS reads none."""
+        return sectors(self.context.params)
 
     @functools.cached_property
     def sector_indices(self) -> np.ndarray:
@@ -216,9 +277,11 @@ class _CanonicalCover(CoverMap):
         which is D[i, j, k] = 1 as ``fusion_tensor`` defines it: supp C = D.
         The proof runs once per map and the tensor is returned as it is,
         its array unread; a failed level check is not cached and raises
-        CountCheckError on every read.
+        CountCheckError on every read.  A model past ``MAX_SU2_LEVEL``
+        raises CapacityError before the check starts.
         """
         params = self.context.params
+        check_canonical_level(params)
         check_su2_levels(params.p - 2, params.q - 2)
         return fusion_tensor(params)
 
@@ -265,8 +328,12 @@ def is_isomorphic_to_verlinde(w: FusionTensor, v: FusionTensor) -> bool:
     """Whether the index-preserving bijection S_i <-> P_i is an algebra isomorphism.
 
     ``v`` is the Verlinde algebra, ``minimal_model.verlinde_algebra``.  True
-    iff the two structure-constant arrays are identical.
+    iff the two structure-constant arrays are identical.  A tensor is its
+    own algebra: when ``w is v``, as for the canonical cover's partition
+    algebra and the model's Verlinde algebra, no array is read.
     """
+    if w is v:
+        return True
     import numpy as np
 
     if w.n != v.n:

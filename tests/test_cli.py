@@ -6,14 +6,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from math import comb
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusioncover import certificates, cli, cover_search, two_group_cover
+from fusioncover import certificates, cli, cover_search, minimal_model, two_group_cover
 from fusioncover.cli import (
+    OutputDocument,
     cmd_cover_search,
     cmd_cover_verify,
     cmd_fusion,
@@ -26,6 +28,7 @@ from fusioncover import (
     AbelianGroupSpec,
     GroupContext,
     ModelParams,
+    Sector,
     _kernels,
     canonical_cover,
     fusion_tensor,
@@ -478,8 +481,8 @@ class TestExitCodes:
         assert "coprime" in capsys.readouterr().err
         assert main(["cover", "search", "--p", "3", "--q", "4", "--max-order", "30"]) == 2
         assert "budget" in capsys.readouterr().err
-        assert main(["cover", "verify", "--p", "30", "--q", "31"]) == 2
-        assert "N <= 256" in capsys.readouterr().err
+        assert main(["cover", "verify", "--p", "2", "--q", "1025"]) == 2
+        assert "max(p, q) <= 513" in capsys.readouterr().err
         missing = str(tmp_path / "missing.cover")
         assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", missing]) == 2
 
@@ -561,17 +564,76 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "2^17" in err
 
-    @pytest.mark.parametrize("p,q", [(30, 31), (40, 41)])
-    def test_canonical_above_fusion_cap_refused(self, p, q, capsys, monkeypatch):
+    @pytest.mark.parametrize("p,q", [(2, 1025), (514, 515), (9999, 10000)])
+    def test_canonical_above_level_cap_refused(self, p, q, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("nothing may be built for a refused model")
 
         monkeypatch.setattr(cli, "fusion_tensor", never)
         monkeypatch.setattr(two_group_cover, "canonical_cover", never)
         monkeypatch.setattr(certificates, "verify_cover", never)
+        monkeypatch.setattr(Sector, "__init__", never)
         assert main(["cover", "verify", "--p", str(p), "--q", str(q)]) == 2
         err = capsys.readouterr().err
+        level = max(p, q) - 2
+        assert err == (
+            f"error: the canonical cover of the ({p},{q}) model is proved at SU(2) level "
+            f"{level}, over the budget of 511 (max(p, q) <= 513)\n"
+        )
+
+    def test_group_file_above_fusion_cap_refused_before_reading(self, capsys, monkeypatch):
+        # A group file's verify reads the tensor's array: the cell cap holds,
+        # and is checked before the file is opened.
+        def never(*args, **kwargs):
+            raise AssertionError("a refused model's group file may not be read")
+
+        monkeypatch.setattr(cli, "parse_group_file", never)
+        monkeypatch.setattr(cli, "_read_lines", never)
+        ising = str(COVERS / "ising_z4.cover")
+        assert main(["cover", "verify", "--p", "30", "--q", "31", "--group", ising]) == 2
+        err = capsys.readouterr().err
         assert err.startswith("error:") and "N <= 256" in err
+
+    @pytest.mark.parametrize("p,q", [(30, 31), (40, 41), (100, 101)])
+    def test_canonical_past_the_fusion_cap_passes(self, p, q, capsys, monkeypatch):
+        # The proof reads no array and lists no sector, so the cell cap of
+        # the fusion tensor does not bound it.
+        def never(*args, **kwargs):
+            raise AssertionError("a canonical PASS reads no array and lists no sector")
+
+        monkeypatch.setattr(minimal_model._ModelTensor, "coefficients", property(never))
+        monkeypatch.setattr(Sector, "__init__", never)
+        assert main(["cover", "verify", "--p", str(p), "--q", str(q)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        order = 2 ** (p + q - 5)
+        triples = comb(p + 1, 3) * comb(q + 1, 3) // 4
+        assert out == [
+            f"Cover verification for the ({p},{q}) minimal model",
+            f"group: Z2^{p + q - 5}, the quotient of H = Z2^{p + q - 4} by the all-ones "
+            f"vector (order {order})",
+            "verdict: PASS",
+            f"pairs checked: {order**2}",
+            f"admissible sector triples: {triples}",
+            f"realized sector triples: {triples}",
+        ]
+
+    def test_largest_canonical_certificate_prints(self):
+        # (512,513) is the largest model the level cap admits: pairs_checked,
+        # 4^1020, has 615 digits, inside the 4300 that Python converts.
+        doc, code = cmd_cover_verify(512, 513)
+        assert code == 0
+        order = 2**1020
+        lines = doc.emit().splitlines()
+        assert lines[1:4] == [
+            f"group: Z2^1020, the quotient of H = Z2^1021 by the all-ones vector (order {order})",
+            "verdict: PASS",
+            f"pairs checked: {order**2}",
+        ]
+        assert len(str(order**2)) == 615
+        payload = json.loads(OutputDocument("json", doc.payload, doc.render).emit())
+        assert payload["model"]["N"] == 130816
+        assert payload["stats"]["pairs_checked"] == order**2
+        assert payload["stats"]["admissible_triples"] == comb(513, 3) * comb(514, 3) // 4
 
     @pytest.mark.parametrize("p,q", [(17, 19), (2, 35)])
     def test_canonical_past_p_plus_q_35_passes(self, p, q, capsys):
@@ -594,6 +656,13 @@ class TestExitCodes:
         code, max_rss_kib, out = run_with_peak_rss(["cover", "verify", "--p", "3", "--q", "257"])
         assert code == 0 and "verdict: PASS" in out
         assert out[1].endswith(f"(order {2**255})")
+        assert max_rss_kib < 40 * 1024
+
+    def test_canonical_past_the_sector_cap_in_small_memory(self):
+        # N = 32 640 at (256,257): levels 254 and 255, and no sector listed.
+        code, max_rss_kib, out = run_with_peak_rss(["cover", "verify", "--p", "256", "--q", "257"])
+        assert code == 0 and "verdict: PASS" in out
+        assert out[1].endswith(f"(order {2**508})")
         assert max_rss_kib < 40 * 1024
 
     def test_canonical_past_transform_bound_passes(self, capsys):
@@ -844,7 +913,8 @@ class TestExitCodes:
             (["cover", "verify", "--p", "3", "--q", "4", "--group",
               str(COVERS / "ising_z4.cover")],
              {"dataclasses", "json", "fusioncover.two_group_cover", "fusioncover.cover_search"}),
-            (["cover", "verify", "--p", "4", "--q", "5"],
+            # Past the N = 256 cap of the fusion tensor, which it never reads.
+            (["cover", "verify", "--p", "30", "--q", "31"],
              {"numpy", "dataclasses", "json", "fusioncover.cover_search", "fusioncover._kernels"}),
         ],
         ids=["import", "kac", "kac-json", "fusion", "fusion-json", "search", "verify-group",

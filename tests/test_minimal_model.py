@@ -3,6 +3,7 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -321,16 +322,22 @@ class TestFusionTensor:
         assert peak <= n**3 + 64 * n**2
 
     def test_over_budget_refused_before_allocating(self):
+        # The cap sits where the array is built: the handle is made at any
+        # N, and its first read of ``coefficients`` is refused before any
+        # sector is listed.
         params = ModelParams(2, 515)
         assert params.n_sectors == 257
         tracemalloc.start()
         try:
+            tensor = fusion_tensor.__wrapped__(params)
+            assert tensor.size == comb(3, 3) * comb(516, 3) // 4
             with pytest.raises(CapacityError, match="budget"):
-                fusion_tensor(params)
+                tensor.coefficients
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < params.n_sectors**2
+        assert vars(tensor).keys() == {"model"}
 
     def test_cache_holds_a_bounded_number_of_tensors(self):
         # A process that verifies model after model keeps only the last few

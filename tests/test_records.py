@@ -147,13 +147,16 @@ class TestRecord:
 
 
 def test_pickled_canonical_cover_keeps_its_cached_labels():
-    # The canonical cover caches its labels and its proved support, the
-    # model's fusion tensor, and it holds no counts.
+    # The canonical cover caches its sectors, its labels and its proved
+    # support, the model's fusion tensor, each on first read, and it holds
+    # no counts.
     cover = canonical_cover(GroupContext(ModelParams(4, 5)))
-    labels, support = cover.sector_indices, cover.support
+    assert vars(cover).keys() == {"context"}
+    secs, labels, support = cover.sectors, cover.sector_indices, cover.support
     for clone in (copy.deepcopy(cover), pickle.loads(pickle.dumps(cover))):
         assert type(clone) is type(cover) and repr(clone) == repr(cover)
         assert vars(clone).keys() == {"context", "sectors", "sector_indices", "support"}
+        assert clone.sectors == secs
         assert vars(clone)["support"].model == ModelParams(4, 5)
         assert np.array_equal(clone.sector_indices, labels)
         assert np.array_equal(clone.support.coefficients, support.coefficients)

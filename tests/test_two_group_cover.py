@@ -32,7 +32,7 @@ from fusioncover import (
     verify_cover,
     verlinde_algebra,
 )
-from fusioncover import _kernels, two_group_cover
+from fusioncover import _kernels, minimal_model, two_group_cover
 from fusioncover.cli import main
 from fusioncover.errors import CountCheckError
 
@@ -605,6 +605,21 @@ class TestCanonicalCounts:
         w = partition_algebra(canonical_cover(ctx))
         assert is_isomorphic_to_verlinde(w, verlinde_algebra(tensor))
 
+    def test_theorem_past_the_fusion_cap(self, monkeypatch):
+        # N = 435 at (30,31): no N^3 array may be built, so the tensor's
+        # array read raises; the support is the model's tensor, and so is
+        # the Verlinde algebra, so the isomorphism reads no array either.
+        def never(tensor):
+            raise AssertionError("no array may be read past N = 256")
+
+        monkeypatch.setattr(minimal_model._ModelTensor, "coefficients", property(never))
+        params = ModelParams(30, 31)
+        ctx, tensor = GroupContext(params), fusion_tensor(params)
+        assert verify_cover(canonical_cover(ctx), tensor).passed
+        w = partition_algebra(canonical_cover(ctx))
+        assert w is tensor
+        assert is_isomorphic_to_verlinde(w, verlinde_algebra(tensor))
+
     def test_oversize_map_refused_before_allocating(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("nothing may be allocated for a refused map")
@@ -663,9 +678,49 @@ def shifted_count(p, m, m2, by):
     return list(range(start, start + 2 * min(m2, p - m + by), 2))
 
 
+def weight_sum_masks(top):
+    """S_w[a][b] for w = 0..top, one entry at a time: the recurrence of
+    ``check_su2_levels`` on lists of ints, with no packing.  Yields each
+    level as a list of rows, row a holding entries b = 0..a."""
+    s = [[1]]
+    yield s
+    for w in range(1, top + 1):
+        # Row a of S is ``same``, row a - 1 (padded at b = a) is ``up``.
+        s = [
+            [s00 | s10 << 1 | s01 << 1 | s11
+             for s00, s10, s01, s11 in zip(same, up, [0] + same, [0] + up)]
+            for same, up in zip(s + [[0] * (w + 1)], [[0]] + [row + [0] for row in s])
+        ]
+        yield s
+
+
 class TestLevelCheck:
     def test_every_level_to_128(self):
         two_group_cover.check_su2_levels(*range(129))
+
+    @pytest.mark.parametrize("top", [0, 7, 8, 64])
+    def test_packed_rows_are_the_entry_recurrence(self, top):
+        # Every entry of every packed row, up to level ``top``, against the
+        # recurrence run entry by entry; the rows hold no bit past entry a.
+        levels = two_group_cover._weight_sum_rows(top)
+        for w, ((v, k, rows), masks) in enumerate(zip(levels, weight_sum_masks(top))):
+            assert v == w and k % 8 == 0 and top < k <= top + 8
+            assert len(rows) == len(masks) == w + 1
+            for a, (row, entries) in enumerate(zip(rows, masks)):
+                assert row >> (a + 1) * k == 0
+                assert [row >> b * k & ((1 << k) - 1) for b in range(a + 1)] == entries
+        assert w == top
+
+    def test_level_cap_is_checked_before_the_recurrence(self, monkeypatch):
+        def never(*levels):
+            raise AssertionError("the recurrence may not start past the level cap")
+
+        monkeypatch.setattr(two_group_cover, "check_su2_levels", never)
+        for p, q in [(2, 1025), (514, 515)]:
+            cm = canonical_cover(GroupContext(ModelParams(p, q)))
+            with pytest.raises(CapacityError, match="over the budget of 511"):
+                cm.support
+            assert vars(cm).keys() == {"context"}
 
     def test_recurrence_is_the_pair_enumeration(self, monkeypatch):
         # The masks of the recurrence against every pair of vectors, with
