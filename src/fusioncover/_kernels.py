@@ -1,4 +1,11 @@
-"""The support of pair counts, and the pair scan behind cover verification.
+"""Every numpy array of the package: the support of pair counts, the pair
+scan behind cover verification, and the arrays the other modules hold.
+
+This is the one module that imports numpy, so the array format is decided
+here alone.  ``label_array`` builds a ``CoverMap``'s ``sector_indices``
+from its labels, ``fusion_array`` a model tensor's structure constants and
+``canonical_labels`` the canonical map's labels from its weight grid; each
+caller checks its size cap before the call.  The rest of this module counts.
 
 Whether a labeled group G covers a fusion tensor is a statement about all
 |G|^2 ordered pairs (g1, g2): each pair must land on an admissible sector
@@ -27,7 +34,7 @@ the support in a ``FusionTensor``; the multiplicities themselves are left
 to the tests' oracles.  The canonical cover is never counted and never
 scanned: its support is proved by ``two_group_cover.check_su2_levels`` and
 is the model's fusion tensor itself, so a canonical PASS does not load this
-module.
+module, nor numpy.
 ``check_count_size`` refuses, before anything is allocated, a group above
 2^17 and a transform matrix over ``MAX_TRANSFORM_BYTES``; the group-file
 parser runs the same check at a file's header.
@@ -43,7 +50,7 @@ mixed-radix digits.
 from __future__ import annotations
 
 from math import prod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -54,6 +61,8 @@ from .errors import CapacityError, CountCheckError
 
 if TYPE_CHECKING:
     import numpy.typing as npt
+
+    from .minimal_model import Sector
 
 # numba is not used; everything here is numpy.
 HAVE_NUMBA = False
@@ -69,6 +78,66 @@ MAX_TRANSFORM_BYTES = 1 << 27
 # beside the transform matrix is a few (N, _BLOCK) float64 or complex128
 # arrays.
 _BLOCK = 1 << 10
+
+
+def label_array(labels: Sequence[int]) -> np.ndarray:
+    """A map's labels as the read-only int64 array ``CoverMap.sector_indices``."""
+    arr = np.array(labels, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+def _admissible(p: int, a: int, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Whether (a, b, c) is p-admissible, broadcast over label arrays b and c.
+
+    The closed form behind ``minimal_model.admissible_range``: c is admissible iff
+    lo <= c <= hi and c = lo (mod 2), with lo = |a-b|+1 and
+    hi = min(a+b, 2p-a-b)-1.  Every label must lie strictly between 0 and p.
+    """
+    lo = np.abs(a - b) + 1
+    hi = np.minimum(a + b, 2 * p - a - b) - 1
+    return (lo <= c) & (c <= hi) & ((lo & 1) == (c & 1))
+
+
+def fusion_array(p: int, q: int, secs: Sequence[Sector]) -> np.ndarray:
+    """The read-only bool array D of ``minimal_model._ModelTensor.coefficients``.
+
+    Row i is built at once from the closed-form admissibility range of the
+    m and the n components, broadcast over (j, k), so scratch memory stays
+    O(N^2) beside the N^3-byte result.  The caller checks the cell cap
+    (``minimal_model.check_fusion_cells``) first.
+    """
+    # Labels of k as a row and of j as a column.  N <= 256 keeps p, q <= 513,
+    # so int16 holds every sum below.
+    m_k = np.array([s.m for s in secs], dtype=np.int16)
+    n_k = np.array([s.n for s in secs], dtype=np.int16)
+    m_j, n_j = m_k[:, None], n_k[:, None]
+    m_r, n_r = p - m_k, q - n_k
+    coeff = np.empty((len(secs),) * 3, dtype=bool)
+    for i, si in enumerate(secs):
+        direct = _admissible(p, si.m, m_j, m_k) & _admissible(q, si.n, n_j, n_k)
+        reflected = _admissible(p, si.m, m_j, m_r) & _admissible(q, si.n, n_j, n_r)
+        coeff[i] = direct | reflected
+    coeff.setflags(write=False)
+    return coeff
+
+
+def canonical_labels(index: Sequence[Sequence[int]], a_width: int, order: int) -> np.ndarray:
+    """The read-only int64 labels of the canonical map over ``order`` cosets.
+
+    ``index[m][n]`` is the sector of the full Kac label (m, n)
+    (``minimal_model._label_index``) and ``a_width`` = p - 2.  Coset g has
+    A-weight popcount(g mod 2^(p-2)) and B-weight popcount(g >> (p-2)): its
+    label is one cell of a weight grid.  At q = 2 there are fewer cosets
+    than A-weights and the grid is one row.  The caller checks the coset
+    cap (``two_group_cover.MAX_CANONICAL_MAP``) first.
+    """
+    table = np.array(index, dtype=np.int64)
+    m = np.bitwise_count(np.arange(min(order, 1 << a_width))) + 1
+    n = np.bitwise_count(np.arange(max(1, order >> a_width))) + 1
+    labels = table[m, n[:, None]].reshape(-1)
+    labels.setflags(write=False)
+    return labels
 
 
 def active_backend() -> str:
@@ -201,8 +270,10 @@ def pair_support(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) -
     check_count_size(n_sectors, factors)
     real = all(k == 2 for k in factors)
     sec = np.asarray(sec, dtype=np.int64)
+    sizes = np.bincount(sec, minlength=n_sectors)
     f = np.zeros((n_sectors, order), dtype=np.float32 if real else np.complex128)
     f[sec, np.arange(order)] = 1
+    del sec  # the caller keeps its labels: no second copy sits beside the sums
     f = _transform(f, factors)
     raw = [np.zeros((n_sectors - a, n_sectors), dtype=np.float64 if real else np.complex128)
            for a in range(n_sectors)]
@@ -213,7 +284,7 @@ def pair_support(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) -
         for a, row in enumerate(raw):
             row += (block[a] * block[a:]) @ conj
     del f, block, conj  # the rounding below reads raw alone
-    return _rounded_support(raw, order, np.bincount(sec, minlength=n_sectors))
+    return _rounded_support(raw, order, sizes)
 
 
 def place_values(factors: tuple[int, ...]) -> np.ndarray:
@@ -250,8 +321,8 @@ def scan_pairs_xor(
 ) -> tuple[tuple[int, int], int]:
     """The first closure violation of an XOR group of size len(sec).
 
-    sec maps each element to its sector index; d_flat is the flattened
-    admissibility tensor.  Returns ((g1, g2) of the first violation in
+    sec maps each element to its sector index; d_flat is the admissibility
+    tensor, flat or (n, n, n).  Returns ((g1, g2) of the first violation in
     canonical order, or (-1, -1) if none), and the number of rows g1 scanned.
     """
     g2 = np.arange(len(sec), dtype=np.int64)
@@ -309,8 +380,9 @@ def first_uncovered_triple(
 ) -> tuple[int, int, int] | None:
     """First (i, j, k) in canonical order that is admissible but has no pair.
 
-    ``d_flat`` and ``support``, the flattened support of a map, are each 0
-    or 1, so the triple is where d_flat > support.
+    ``d_flat``, the admissibility tensor, and ``support``, a map's, are each
+    0 or 1, both flat or both (n, n, n), so the triple is where
+    d_flat > support.
     """
     missing = d_flat > support
     if not missing.any():

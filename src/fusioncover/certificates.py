@@ -30,8 +30,8 @@ from .errors import CountCheckError
 from .minimal_model import (FusionTensor, IdentityRecord, ModelParams, Record, Sector,
                             canonicalize, sectors)
 
-# numpy and the pair kernels are imported by the functions that use them, so
-# a cover search, which builds maps but counts none, starts without them.
+# ``_kernels``, which builds every array, is imported by the functions that
+# use it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -104,34 +104,34 @@ class AbelianGroupSpec(Record):
 class CoverMap(IdentityRecord):
     """A total labeling of a finite abelian group's elements by sectors.
 
-    ``sector_indices[g]`` is the sector index of the element with code g, a
+    ``labels[g]`` is the sector index of the element with code g, a
     big-endian mixed-radix number over ``context.factors``; on the canonical
-    quotient it is the value of the coset representative.  Indices must be
-    whole numbers (ints, or floats with no fractional part); the array is
-    int64 and read-only.  The one fact derived from the labels and cached is
-    ``support``, the sector triples the map realizes.  The repr shows the
-    group only, so printing a map builds no labels.  Maps compare by
-    identity.
+    quotient it is the value of the coset representative.  Labels must be
+    whole numbers: values ``operator.index`` accepts, or floats with no
+    fractional part; they are kept as a tuple of ints.  ``sector_indices``
+    is the same labels as a read-only int64 array, built by
+    ``_kernels.label_array`` on first read.  The one fact derived from the
+    labels and cached is ``support``, the sector triples the map realizes.
+    The repr shows the group only.  Maps compare by identity.
     """
 
     _fields = ("context",)
 
     def __init__(self, context: AbelianGroupSpec,
-                 sector_indices: np.ndarray, sectors: tuple[Sector, ...]) -> None:
-        import numpy as np
-
-        arr = np.array(sector_indices)
-        kind = arr.dtype.kind
-        if not (kind in "biu" or (kind == "f" and not (arr % 1).any())):
-            raise ValueError(f"sector indices must be whole numbers, got {arr.dtype} values")
-        arr = arr.astype(np.int64, copy=False)
-        arr.setflags(write=False)
+                 labels: Sequence[int], sectors: tuple[Sector, ...]) -> None:
+        if hasattr(labels, "tolist"):  # an array: its values as Python numbers
+            labels = labels.tolist()
+        try:
+            labels = tuple(int(x) if isinstance(x, float) and x.is_integer()
+                           else operator.index(x) for x in labels)
+        except TypeError:
+            raise ValueError("sector indices must be whole numbers, ints or whole floats") from None
         order = context.order
-        if arr.shape != (order,):
-            raise ValueError(f"assignment must cover all {order} elements, got shape {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() >= len(sectors)):
+        if len(labels) != order:
+            raise ValueError(f"assignment must cover all {order} elements, got shape ({len(labels)},)")
+        if labels and (min(labels) < 0 or max(labels) >= len(sectors)):
             raise ValueError("assignment contains out-of-range sector indices")
-        vars(self).update(context=context, sector_indices=arr, sectors=sectors)
+        vars(self).update(context=context, labels=labels, sectors=sectors)
 
     @classmethod
     def from_kac_labels(
@@ -141,7 +141,7 @@ class CoverMap(IdentityRecord):
         labels: Sequence[tuple[int, int]],
     ) -> CoverMap:
         """Build from one Kac label (m, n) per element, in code order (the
-        order of ``sector_indices``); labels are canonicalized.
+        order of ``labels``); labels are canonicalized.
 
         ``CoverMap`` refuses a wrong number of labels, so the group is never
         enumerated.  Each distinct label is canonicalized once, in order of
@@ -152,23 +152,29 @@ class CoverMap(IdentityRecord):
         """
         pairs = [(m, n) for m, n in labels]
         index = {pair: canonicalize(params, *pair).index for pair in dict.fromkeys(pairs)}
-        indices = [index[pair] for pair in pairs]
-        cover = cls(group, indices, sectors(params))
-        if indices[0] != 0:
+        cover = cls(group, [index[pair] for pair in pairs], sectors(params))
+        if cover.labels[0] != 0:
             raise ValueError("the identity element must be labeled by the (1,1) sector")
         return cover
 
     def swapped_images(self, a: int, b: int) -> CoverMap:
         """A copy with the images of element codes a and b exchanged."""
-        arr = self.sector_indices.copy()
-        arr[[a, b]] = arr[[b, a]]
-        return CoverMap(self.context, arr, self.sectors)
+        labels = list(self.labels)
+        labels[a], labels[b] = labels[b], labels[a]
+        return CoverMap(self.context, labels, self.sectors)
 
     def reassigned(self, code: int, sector_index: int) -> CoverMap:
         """A copy with element code ``code`` sent to ``sector_index``."""
-        arr = self.sector_indices.copy()
-        arr[code] = sector_index
-        return CoverMap(self.context, arr, self.sectors)
+        labels = list(self.labels)
+        labels[code] = sector_index
+        return CoverMap(self.context, labels, self.sectors)
+
+    @functools.cached_property
+    def sector_indices(self) -> np.ndarray:
+        """``labels`` as a read-only int64 array, built on first read."""
+        from ._kernels import label_array
+
+        return label_array(self.labels)
 
     @functools.cached_property
     def support(self) -> FusionTensor:
@@ -180,20 +186,20 @@ class CoverMap(IdentityRecord):
         are not cached."""
         from ._kernels import pair_support
 
-        support = pair_support(self.sector_indices, len(self.sectors), self.context.factors)
+        support = pair_support(self.labels, len(self.sectors), self.context.factors)
         return FusionTensor(self.sectors, support)
 
     @property
-    def vacuum_preimage(self) -> np.ndarray:
+    def vacuum_preimage(self) -> tuple[int, ...]:
         """The codes of the elements labeled by the vacuum sector, ascending."""
-        return (self.sector_indices == 0).nonzero()[0]
+        return tuple(g for g, i in enumerate(self.labels) if i == 0)
 
 
 class ClosureViolation(Record):
     """Elements g1 + g2 = g3 whose sector triple is not admissible.
 
     The elements are codes, Python ints, for every group, so
-    ``cover.sector_indices[g1]`` re-reads the sector of g1 in the map refuted;
+    ``cover.labels[g1]`` re-reads the sector of g1 in the map refuted;
     the group's ``element_json(code)`` prints one.
     """
 
@@ -265,8 +271,8 @@ def verify_cover(cover: CoverMap, tensor: FusionTensor, threads: int = 1) -> Cov
     model's ``fusion_tensor`` itself; for any other map it is where the
     transform's counts are nonzero, and the map caches it, not the counts.
     A support that is ``tensor`` itself passes with no array compared, so a
-    canonical PASS loads no numpy, builds no N^3 array and lists no
-    sector; its stats are the tensor's closed-form size.  Any other
+    canonical PASS builds no N^3 array and lists no sector; its stats are
+    the tensor's closed-form size.  Any other
     support, a hand-built tensor's too, must be over the same sectors
     (else ValueError) and is compared cell by cell.  Only if it holds an
     inadmissible triple are the labels read and ``_kernels.first_violation``
@@ -276,26 +282,23 @@ def verify_cover(cover: CoverMap, tensor: FusionTensor, threads: int = 1) -> Cov
     unrealized triple.  ``threads`` is ignored; it stays because
     ``perfbench/theorem_job.py`` passes it.
     """
-    group = cover.context
     realized = cover.support
-    stats = scan_stats(group.order, tensor.size, realized.size)
+    stats = scan_stats(cover.context.order, tensor.size, realized.size)
     if realized is not tensor:
         from . import _kernels
 
         if cover.sectors != tensor.sectors:
             raise ValueError("the cover's sectors are not those of the tensor")
 
-        d_flat = tensor.coefficients.reshape(-1)
-        r_flat = realized.coefficients.reshape(-1)
+        d, r = tensor.coefficients, realized.coefficients
         secs = tensor.sectors
-        if (r_flat > d_flat).any():
-            sec = cover.sector_indices
-            codes = _kernels.first_violation(sec, tensor.n, d_flat, group.factors)
+        if (r > d).any():
+            codes = _kernels.first_violation(cover.labels, tensor.n, d, cover.context.factors)
             if codes is None:
                 raise CountCheckError("the support shows a closure violation the pair scan does not")
-            witness = ClosureViolation(*codes, tuple(secs[sec[g]] for g in codes))
+            witness = ClosureViolation(*codes, tuple(secs[cover.labels[g]] for g in codes))
             return CoverCertificate(FAIL, witness, stats)
-        miss = _kernels.first_uncovered_triple(d_flat, r_flat, tensor.n)
+        miss = _kernels.first_uncovered_triple(d, r, tensor.n)
         if miss is not None:
             return CoverCertificate(FAIL, UncoveredTriple(tuple(secs[x] for x in miss)), stats)
     return CoverCertificate(PASS, None, stats)

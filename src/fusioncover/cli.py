@@ -28,7 +28,8 @@ requested format is rendered: a JSON run never formats the text lines.
 
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or input error,
 3 internal error (pair counts failed their own check, the canonical
-cover's SU(2) level check failed, or memory ran out; no verdict).
+cover's SU(2) level check failed, memory ran out, or any other fault, in
+one line on stderr; no verdict).
 
 Group labeling files are line-oriented and hand-editable::
 
@@ -560,14 +561,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc, code = args.run(args)
         text = doc.emit()
-    except (GroupFileError, CapacityError, ValueError) as e:
+    except ValueError as e:  # GroupFileError and CapacityError included
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except CountCheckError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 3
-    except MemoryError as e:
-        print(f"internal error: out of memory: {e}", file=sys.stderr)
+    except Exception as e:  # an internal fault, never a verdict
+        kind = ("out of memory: " if isinstance(e, MemoryError) else
+                "" if isinstance(e, CountCheckError) else f"{type(e).__name__}: ")
+        print(f"internal error: {kind}{e}", file=sys.stderr)
         return 3
     try:
         print(text, flush=True)

@@ -29,16 +29,13 @@ class sums x + y and x - y realize contains every admissible triple.  The
 multiplicity profile of the fusion table (how often a sector repeats
 within a row) gives an a-priori lower bound on the order of any covering
 group, which prunes whole orders.  Found covers are reported in
-deterministic order.  The search runs on Python ints alone; a found cover
-builds its label array on first use.
+deterministic order.  The search runs on Python ints alone.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
-from typing import TYPE_CHECKING
 
 from .certificates import AbelianGroupSpec, CoverMap, verify_cover
 from .minimal_model import (
@@ -49,9 +46,6 @@ from .minimal_model import (
     sectors,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # products[i][j]: the sectors k with D[i,j,k] = 1, ascending (``fusion_products``).
 Products = list[list[tuple[int, ...]]]
 
@@ -60,23 +54,6 @@ Products = list[list[tuple[int, ...]]]
 # ``CoverMap`` and ``verify_cover`` under their own names.
 LabeledGroup = CoverMap
 verify_abelian_cover = verify_cover
-
-
-class _FoundCover(CoverMap):
-    """A cover the search found: its labels are the search's tuple ``labels``,
-    and ``sector_indices`` is built from them on first access."""
-
-    def __init__(self, context: AbelianGroupSpec, labels: tuple[int, ...],
-                 secs: tuple[Sector, ...]) -> None:
-        vars(self).update(context=context, labels=labels, sectors=secs)
-
-    @functools.cached_property
-    def sector_indices(self) -> np.ndarray:
-        import numpy as np
-
-        arr = np.array(self.labels, dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
 
 
 def _profile(products: Products) -> list[int]:
@@ -204,5 +181,5 @@ def search_cyclic_covers(params: ModelParams, max_order: int) -> list[CoverMap]:
     for k in range(sum(_profile(products)), max_order + 1):
         # _search_order yields labelings in lexicographic order.
         spec = AbelianGroupSpec.cyclic(k)
-        covers.extend(_FoundCover(spec, assign, secs) for assign in _search_order(products, k))
+        covers.extend(CoverMap(spec, assign, secs) for assign in _search_order(products, k))
     return covers

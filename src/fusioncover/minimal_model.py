@@ -22,7 +22,7 @@ This module computes all of it exactly:
   products in plain Python (`fusion_products`, which the `fusion` table
   is printed from), and as a `FusionTensor` (`fusion_tensor`, which the
   cover checks read), whose N x N x N bool array of structure constants is
-  built in integer numpy arithmetic on first read, and whose size |D| is
+  built on first read (``_kernels.fusion_array``), and whose size |D| is
   a closed form that needs no array,
 * the Verlinde algebra: its structure constants in the sector basis are
   the fusion coefficients (Verlinde 1988), so `verlinde_algebra` returns
@@ -305,20 +305,6 @@ class FusionTensor(IdentityRecord):
         return int(self.coefficients.sum())
 
 
-def _admissible(p: int, a: int, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Whether (a, b, c) is p-admissible, broadcast over label arrays b and c.
-
-    The closed form behind `admissible_range`: c is admissible iff
-    lo <= c <= hi and c = lo (mod 2), with lo = |a-b|+1 and
-    hi = min(a+b, 2p-a-b)-1.  Every label must lie strictly between 0 and p.
-    """
-    import numpy as np
-
-    lo = np.abs(a - b) + 1
-    hi = np.minimum(a + b, 2 * p - a - b) - 1
-    return (lo <= c) & (c <= hi) & ((lo & 1) == (c & 1))
-
-
 def check_fusion_cells(params: ModelParams) -> None:
     """Refuse a model whose fusion tensor has more than ``MAX_FUSION_CELLS``
     cells, before any sector is listed.  Run where N^3 is paid for: before
@@ -366,31 +352,15 @@ class _ModelTensor(FusionTensor):
         completion k both members of its label class are tested.  At most
         one of the two can complete an admissible triple (the two
         replacements flip the parity of the component sums), so the result
-        is well defined and multiplicity-free.
-
-        Row i is built at once from the closed-form admissibility range of
-        the m and the n components, broadcast over (j, k), so scratch memory
-        stays O(N^2) beside the N^3-byte result.  Models over
-        ``MAX_FUSION_CELLS`` raise CapacityError (``check_fusion_cells``)
-        before any sector is listed.
+        is well defined and multiplicity-free.  The array is built row by
+        row by ``_kernels.fusion_array``.  Models over ``MAX_FUSION_CELLS``
+        raise CapacityError (``check_fusion_cells``) before any sector is
+        listed.
         """
         check_fusion_cells(self.model)
-        import numpy as np
+        from ._kernels import fusion_array
 
-        p, q = self.model.p, self.model.q
-        # Labels of k as a row and of j as a column.  N <= 256 keeps p, q <= 513,
-        # so int16 holds every sum below.
-        m_k = np.array([s.m for s in self.sectors], dtype=np.int16)
-        n_k = np.array([s.n for s in self.sectors], dtype=np.int16)
-        m_j, n_j = m_k[:, None], n_k[:, None]
-        m_r, n_r = p - m_k, q - n_k
-        coeff = np.empty((self.n,) * 3, dtype=bool)
-        for i, si in enumerate(self.sectors):
-            direct = _admissible(p, si.m, m_j, m_k) & _admissible(q, si.n, n_j, n_k)
-            reflected = _admissible(p, si.m, m_j, m_r) & _admissible(q, si.n, n_j, n_r)
-            coeff[i] = direct | reflected
-        coeff.setflags(write=False)
-        return coeff
+        return fusion_array(self.model.p, self.model.q, self.sectors)
 
 
 # The last few tensors are kept: once their arrays are read, up to 16 MiB
@@ -415,9 +385,9 @@ def fusion_products(params: ModelParams) -> list[list[tuple[int, ...]]]:
 
     The completions (a, b) of the canonical labels of sectors i and j are
     the closed-form `admissible_range` of the m and of the n components;
-    each is mapped to the sector of its label class.  No numpy is used.
-    Fusion is commutative, so products[i][j] and products[j][i] are one
-    tuple, computed once.  Models over ``MAX_FUSION_CELLS`` raise
+    each is mapped to the sector of its label class.  Fusion is
+    commutative, so products[i][j] and products[j][i] are one tuple,
+    computed once.  Models over ``MAX_FUSION_CELLS`` raise
     CapacityError (``check_fusion_cells``) before any sector is listed.
     """
     check_fusion_cells(params)

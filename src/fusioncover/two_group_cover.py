@@ -29,7 +29,7 @@ at w = p - 2 and w = q - 2 (``check_su2_levels``), and a descent lemma
 (``_CanonicalCover.support``) turns the two levels into the support of the
 map on G: the model's fusion tensor itself, as ``fusion_tensor`` returns
 it.  So ``verify_cover``, handed that tensor, compares no arrays, and a
-canonical verify loads no numpy, builds no N^3 array and lists no sector.
+canonical verify builds no N^3 array and lists no sector.
 The check runs on plain Python ints, each row of weight masks packed in one
 int, and its cost depends on max(p, q) alone, not on N: a canonical cover
 is proved for every model up to SU(2) level ``MAX_SU2_LEVEL`` = 511, that
@@ -53,8 +53,6 @@ from .errors import CapacityError, CountCheckError, PartitionError
 from .minimal_model import (FusionTensor, ModelParams, Sector, _label_index, admissible_range,
                             fusion_tensor, sectors)
 
-# numpy is imported by the two functions that use it, so a canonical verify,
-# which reads neither labels nor arrays, starts without it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -199,36 +197,31 @@ def check_su2_levels(*levels: int) -> None:
 
 
 def _canonical_labels(ctx: GroupContext) -> np.ndarray:
-    """Sector index of every coset under Phi, checking that Phi is constant
-    on cosets.  Refuses more than 2^22 cosets before allocating."""
-    import numpy as np
-
+    """Sector index of every coset under Phi (``_kernels.canonical_labels``),
+    checking that Phi is constant on cosets.  Refuses more than 2^22 cosets
+    before allocating."""
     if ctx.order > MAX_CANONICAL_MAP:
         raise CapacityError(
             f"the canonical map of {ctx.params} has {ctx.order} cosets, above "
             f"{MAX_CANONICAL_MAP} (2^22); verifying the canonical cover and its "
             f"partition algebra needs no map"
         )
-    table = np.array(_label_index(ctx.params), dtype=np.int64)
+    index = _label_index(ctx.params)
     # The members of a coset carry the full labels (m, n) and (p - m, q - n),
     # and every label arises: Phi is constant on cosets iff the table is
     # symmetric under that complement.
-    inner = table[1:, 1:]
-    if not np.array_equal(inner, inner[::-1, ::-1]):
+    inner = [row[1:] for row in index[1:]]
+    if inner != [row[::-1] for row in inner[::-1]]:
         raise AssertionError("class map is not constant on cosets")
-    # Coset g has A-weight popcount(g mod 2^(p-2)) and B-weight
-    # popcount(g >> (p-2)): its label is one cell of a weight grid.  At
-    # q = 2 there are fewer cosets than A-weights and the grid is one row.
-    a_width = ctx.params.p - 2
-    m = np.bitwise_count(np.arange(min(ctx.order, 1 << a_width))) + 1
-    n = np.bitwise_count(np.arange(max(1, ctx.order >> a_width))) + 1
-    return table[m, n[:, None]].reshape(-1)
+    from ._kernels import canonical_labels
+
+    return canonical_labels(index, ctx.params.p - 2, ctx.order)
 
 
 class _CanonicalCover(CoverMap):
-    """The canonical map Phi, with its labels built by ``_canonical_labels``
-    and its sectors listed on first access.  Its support and its vacuum
-    preimage need neither."""
+    """The canonical map Phi: its label array is built by ``_canonical_labels``
+    and its ``labels`` are read off that array, both on first access, as
+    are its sectors.  Its support and its vacuum preimage need none of them."""
 
     # The vacuum (1,1) ~ (p-1,q-1) is the class of weights (0, 0) and its
     # complement: the vectors 0 and all-ones, the one coset 0.
@@ -244,9 +237,11 @@ class _CanonicalCover(CoverMap):
 
     @functools.cached_property
     def sector_indices(self) -> np.ndarray:
-        labels = _canonical_labels(self.context)
-        labels.setflags(write=False)
-        return labels
+        return _canonical_labels(self.context)
+
+    @functools.cached_property
+    def labels(self) -> tuple[int, ...]:
+        return tuple(self.sector_indices.tolist())
 
     @functools.cached_property
     def support(self) -> FusionTensor:
@@ -290,8 +285,8 @@ def canonical_cover(ctx: GroupContext) -> CoverMap:
     """The map Phi: each coset is sent to the sector of its members' class.
 
     Its support is proved by ``check_su2_levels`` and needs no labels.  Its
-    labels are built on first access to ``sector_indices`` (at most 2^22
-    cosets), asserting that both members of every coset lie in classes with
+    labels are built on first access to ``labels`` or ``sector_indices``
+    (at most 2^22 cosets), asserting that both members of every coset lie in classes with
     the same canonicalization.
     """
     return _CanonicalCover(ctx)
@@ -334,8 +329,7 @@ def is_isomorphic_to_verlinde(w: FusionTensor, v: FusionTensor) -> bool:
     """
     if w is v:
         return True
-    import numpy as np
-
     if w.n != v.n:
         raise ValueError(f"dimension mismatch: partition {w.n} vs Verlinde {v.n}")
-    return np.array_equal(w.coefficients, v.coefficients)
+    a, b = w.coefficients, v.coefficients
+    return a.shape == b.shape and bool((a == b).all())

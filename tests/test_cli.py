@@ -33,6 +33,7 @@ from fusioncover import (
     canonical_cover,
     fusion_tensor,
     sectors,
+    verify_cover,
 )
 
 from conftest import exhaustive_scan, group_rows, run_python_with_peak_rss
@@ -498,6 +499,22 @@ class TestExitCodes:
         assert out == ""
         assert err == "internal error: out of memory: Unable to allocate 128. MiB\n"
 
+    @pytest.mark.parametrize("error", [OverflowError("int too large to convert"),
+                                       AssertionError("mask drifted"),
+                                       TypeError("unsupported operand")],
+                             ids=["overflow", "assertion", "type"])
+    def test_any_other_fault_is_three(self, monkeypatch, capsys, error):
+        # A crash in the proof is an internal fault, not a FAIL verdict: one
+        # line on stderr, no traceback and nothing on stdout.
+        def crash(*levels):
+            raise error
+
+        monkeypatch.setattr(two_group_cover, "check_su2_levels", crash)
+        assert main(["cover", "verify", "--p", "4", "--q", "5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"internal error: {type(error).__name__}: {error}\n"
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("name", ["ising_z4", "tricritical_z12"])
     def test_group_file_with_byte_order_mark(self, tmp_path, capsys, name, fmt):
@@ -898,15 +915,16 @@ class TestExitCodes:
             ([], {"numpy", "dataclasses", *(f"fusioncover.{m}" for m in (
                 "cli", "errors", "minimal_model", "certificates", "cover_search",
                 "two_group_cover", "_kernels"))}),
-            (["kac", "--p", "4", "--q", "5"], {"numpy", "dataclasses", "inspect", "json"}),
+            (["kac", "--p", "4", "--q", "5"],
+             {"numpy", "dataclasses", "inspect", "json", "fusioncover._kernels"}),
             (["kac", "--p", "4", "--q", "5", "--format", "json"],
-             {"numpy", "dataclasses", "inspect"}),
+             {"numpy", "dataclasses", "inspect", "fusioncover._kernels"}),
             (["fusion", "--p", "4", "--q", "5"],
              {"numpy", "dataclasses", "inspect", "json", "fusioncover.two_group_cover",
-              "fusioncover.cover_search"}),
+              "fusioncover.cover_search", "fusioncover._kernels"}),
             (["fusion", "--p", "4", "--q", "5", "--format", "json"],
              {"numpy", "dataclasses", "inspect", "fusioncover.two_group_cover",
-              "fusioncover.cover_search"}),
+              "fusioncover.cover_search", "fusioncover._kernels"}),
             (["cover", "search", "--p", "4", "--q", "5", "--max-order", "12"],
              {"numpy", "dataclasses", "inspect", "json", "fusioncover._kernels",
               "fusioncover.two_group_cover"}),
@@ -1006,6 +1024,20 @@ class TestGroupFileParsing:
         path = write_cover(tmp_path, "group 4\n0 -> 2,3\n1 -> 1,2\n2 -> 1,3\n3 -> 1,2\n")
         cm = parse_group_file(path, ModelParams(3, 4))
         assert cm.sector_indices.tolist() == [0, 1, 2, 1]
+
+    def test_parsed_map_builds_its_array_on_first_read(self, tmp_path):
+        # A parsed map keeps its labels as a tuple of ints; verify reads them
+        # and the support, and the int64 array is built only when asked for.
+        params = ModelParams(3, 4)
+        for text in ((COVERS / "ising_z4.cover").read_text(),
+                     "group 4\n0 -> 1,1\n1 -> 1,2\n2 -> 1,2\n3 -> 1,3\n"):
+            cm = parse_group_file(write_cover(tmp_path, text), params)
+            assert type(cm.labels) is tuple and all(type(i) is int for i in cm.labels)
+            verify_cover(cm, fusion_tensor(params))
+            assert "sector_indices" not in vars(cm)
+            arr = cm.sector_indices
+            assert vars(cm)["sector_indices"] is arr and not arr.flags.writeable
+            assert cm.labels == tuple(arr.tolist())
 
     def test_parse_in_small_memory(self, tmp_path):
         # One list of sector indices, not a dict of digit tuples: about 270 B

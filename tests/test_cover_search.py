@@ -580,7 +580,7 @@ class TestSearchCyclicCovers:
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "_FoundCover(context=AbelianGroupSpec(factors=(12,)))\n"
+        assert proc.stdout == "CoverMap(context=AbelianGroupSpec(factors=(12,)))\n"
 
     def test_found_map_builds_its_array_on_first_access(self, tricritical, tricritical_tensor):
         covers = search_cyclic_covers(tricritical, 12)

@@ -1,9 +1,11 @@
 """The package's exports: every name in ``__all__`` is loaded from its
 submodule on first use and is that submodule's own object."""
 
+import ast
 import subprocess
 import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -93,3 +95,45 @@ def test_submodules_import_by_name_in_a_fresh_process():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "fusioncover.cli fusioncover._kernels\n"
+
+
+def numpy_imports(node) -> list[int]:
+    """Lines of the numpy imports under an AST node that run: the body of an
+    ``if TYPE_CHECKING:`` block is left out, its ``else`` is not."""
+    lines = []
+    if isinstance(node, ast.Import):
+        lines += [node.lineno for alias in node.names if alias.name.split(".")[0] == "numpy"]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        lines += [node.lineno] if node.module.split(".")[0] == "numpy" else []
+    checking = isinstance(node, ast.If) and ast.unparse(node.test) in (
+        "TYPE_CHECKING", "typing.TYPE_CHECKING")
+    for child in node.orelse if checking else ast.iter_child_nodes(node):
+        lines += numpy_imports(child)
+    return lines
+
+
+def test_only_kernels_imports_numpy():
+    # ``_kernels`` builds every array the package holds; any other module
+    # names numpy in annotations alone.
+    src = Path(fusioncover.__file__).parent
+    found = {path.name: numpy_imports(ast.parse(path.read_text()))
+             for path in sorted(src.glob("*.py"))}
+    assert found.pop("_kernels.py")
+    assert found == dict.fromkeys(found, [])
+
+
+def test_numpy_imports_are_found_where_they_run():
+    code = (
+        "import os, numpy.linalg\n"
+        "from numpy import zeros\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy as np\n"
+        "else:\n"
+        "    import numpy as np\n"
+        "def f():\n"
+        "    from numpy.typing import ArrayLike\n"
+        "    from .numpy import x\n"
+        "    import numpyro\n"
+    )
+    assert numpy_imports(ast.parse(code)) == [1, 2, 7, 9]

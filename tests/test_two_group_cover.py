@@ -308,6 +308,8 @@ class TestPhi:
         ctx = GroupContext(params)
         cm = canonical_cover(ctx)
         assert cm.sector_indices.shape == (ctx.order,)
+        # Like every map's, its labels are its label array as a tuple of ints.
+        assert cm.labels == tuple(cm.sector_indices.tolist())
         for c in quotient_cosets(ctx):
             images = {
                 canonicalize(params, *class_of(ctx, member)).index for member in c.members
