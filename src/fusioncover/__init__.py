@@ -17,7 +17,7 @@ _EXPORTS = {
         "certificates",
     ),
     **dict.fromkeys(("multiplicity_profile", "search_cyclic_covers"), "cover_search"),
-    **dict.fromkeys(("CapacityError", "GroupFileError", "PartitionError"), "errors"),
+    **dict.fromkeys(("CapacityError", "GroupFileError", "InputError", "PartitionError"), "errors"),
     **dict.fromkeys(
         ("FusionTensor", "ModelParams", "Sector", "admissible_range", "canonicalize",
          "central_charge", "conformal_weight", "fusion_products", "fusion_tensor",

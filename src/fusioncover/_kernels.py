@@ -1,11 +1,11 @@
 """Every numpy array of the package: the support of pair counts, the pair
-scan behind cover verification, and the arrays the other modules hold.
+scan behind cover verification, and the two arrays the other modules hold.
 
 This is the one module that imports numpy, so the array format is decided
 here alone.  ``label_array`` builds a ``CoverMap``'s ``sector_indices``
-from its labels, ``fusion_array`` a model tensor's structure constants and
-``canonical_labels`` the canonical map's labels from its weight grid; each
-caller checks its size cap before the call.  The rest of this module counts.
+from its labels and ``fusion_array`` a model tensor's structure constants
+D; each caller checks its size cap before the call.  Labels themselves,
+the canonical map's too, are plain Python.  The rest of this module counts.
 
 Whether a labeled group G covers a fusion tensor is a statement about all
 |G|^2 ordered pairs (g1, g2): each pair must land on an admissible sector
@@ -120,24 +120,6 @@ def fusion_array(p: int, q: int, secs: Sequence[Sector]) -> np.ndarray:
         coeff[i] = direct | reflected
     coeff.setflags(write=False)
     return coeff
-
-
-def canonical_labels(index: Sequence[Sequence[int]], a_width: int, order: int) -> np.ndarray:
-    """The read-only int64 labels of the canonical map over ``order`` cosets.
-
-    ``index[m][n]`` is the sector of the full Kac label (m, n)
-    (``minimal_model._label_index``) and ``a_width`` = p - 2.  Coset g has
-    A-weight popcount(g mod 2^(p-2)) and B-weight popcount(g >> (p-2)): its
-    label is one cell of a weight grid.  At q = 2 there are fewer cosets
-    than A-weights and the grid is one row.  The caller checks the coset
-    cap (``two_group_cover.MAX_CANONICAL_MAP``) first.
-    """
-    table = np.array(index, dtype=np.int64)
-    m = np.bitwise_count(np.arange(min(order, 1 << a_width))) + 1
-    n = np.bitwise_count(np.arange(max(1, order >> a_width))) + 1
-    labels = table[m, n[:, None]].reshape(-1)
-    labels.setflags(write=False)
-    return labels
 
 
 def active_backend() -> str:

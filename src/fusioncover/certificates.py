@@ -270,10 +270,11 @@ def verify_cover(cover: CoverMap, tensor: FusionTensor, threads: int = 1) -> Cov
     SU(2) level check (a failed proof raises CountCheckError) and is the
     model's ``fusion_tensor`` itself; for any other map it is where the
     transform's counts are nonzero, and the map caches it, not the counts.
-    A support that is ``tensor`` itself passes with no array compared, so a
-    canonical PASS builds no N^3 array and lists no sector; its stats are
-    the tensor's closed-form size.  Any other
-    support, a hand-built tensor's too, must be over the same sectors
+    A support equal to ``tensor``, a handle of the same model's fusion
+    tensor (tensors of one model are equal), passes with no array compared,
+    so a canonical PASS builds no N^3 array and lists no sector, whichever
+    handle it is given; its stats are the tensor's closed-form size.  Any
+    other support, a hand-built tensor's too, must be over the same sectors
     (else ValueError) and is compared cell by cell.  Only if it holds an
     inadmissible triple are the labels read and ``_kernels.first_violation``
     run: the FAIL witness is the first violation in canonical order (g1
@@ -284,7 +285,7 @@ def verify_cover(cover: CoverMap, tensor: FusionTensor, threads: int = 1) -> Cov
     """
     realized = cover.support
     stats = scan_stats(cover.context.order, tensor.size, realized.size)
-    if realized is not tensor:
+    if realized != tensor:
         from . import _kernels
 
         if cover.sectors != tensor.sectors:

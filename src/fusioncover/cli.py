@@ -26,10 +26,12 @@ standard json parser.  The JSON text is byte-identical to
 ``json.dumps(payload, indent=2)`` but written in one pass, and only the
 requested format is rendered: a JSON run never formats the text lines.
 
-Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or input error,
-3 internal error (pair counts failed their own check, the canonical
-cover's SU(2) level check failed, memory ran out, or any other fault, in
-one line on stderr; no verdict).
+Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage error or refused
+input (an argument argparse rejects, or ``errors.InputError``: a model,
+option or group file the package refuses, or a size cap), 3 internal error
+(pair counts failed their own check, the canonical cover's SU(2) level
+check failed, memory ran out, or any other exception, a bare
+``ValueError`` included, in one line on stderr; no verdict).
 
 Group labeling files are line-oriented and hand-editable::
 
@@ -42,8 +44,9 @@ Group labeling files are line-oriented and hand-editable::
 
 The header lists the invariant factors (``group 2 2`` for Z2 x Z2, bare
 ``group`` for the trivial group); each following line maps an element,
-written as comma-separated digits, to a Kac label m,n.  ``#`` starts a
-comment.
+written as comma-separated digits, to a Kac label m,n.  Every number is
+ASCII digits 0-9, with no sign or ``_``; whitespace around it is allowed.
+``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .errors import CapacityError, CountCheckError, GroupFileError
+from .errors import CapacityError, CountCheckError, GroupFileError, InputError
 from .minimal_model import (
     ModelParams,
     Record,
@@ -266,10 +269,21 @@ def _content_lines(path: Path) -> Iterator[tuple[str, str]]:
             yield f"{path}:{lineno}", line
 
 
+def _numbers(text: str, sep: str | None = None) -> list[int]:
+    """The numbers of ``text`` split at ``sep``: ASCII digits, whitespace
+    around each allowed, or ValueError.  ``int`` alone also reads a sign,
+    ``_`` between digits and non-ASCII digits; the text is checked for them
+    once, not number by number."""
+    if not text.isascii() or "_" in text or "+" in text or "-" in text:
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return list(map(int, text.split(sep)))
+
+
 def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
     """Parse a labeling file into a CoverMap over its group for the given model.
 
-    Raises GroupFileError with file:line diagnostics on any malformation.
+    Raises GroupFileError with file:line diagnostics on any malformation;
+    every number in the file is ASCII digits (``_numbers``).
     The header is checked by ``_kernels.check_count_size`` against the
     model's N, so a group whose pair counts would not be exact, or whose
     transform matrix is too big, raises CapacityError before any element
@@ -293,7 +307,7 @@ def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
     if parts[0] != "group":
         raise GroupFileError(f"{where}: expected 'group k1 k2 ...' header, got {line!r}")
     try:
-        factors = tuple(int(x) for x in parts[1:])
+        factors = tuple(_numbers(" ".join(parts[1:])))
     except ValueError:
         raise GroupFileError(f"{where}: non-integer invariant factor in {parts[1:]}")
     try:
@@ -310,20 +324,20 @@ def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
             raise GroupFileError(f"{where}: expected 'e1,...,et -> m,n', got {line!r}")
         left = left.strip()
         try:
-            digits = [int(x) for x in left.split(",")] if left else []
+            digits = _numbers(left, ",") if left else []
         except ValueError:
             raise GroupFileError(f"{where}: non-integer element digits {left!r}")
         if len(digits) != t:
             raise GroupFileError(f"{where}: element {left!r} has {len(digits)} digits, expected {t}")
         code = 0
         for u, (digit, k) in enumerate(zip(digits, factors), 1):
-            if not 0 <= digit < k:
+            if digit >= k:  # ``_numbers`` reads no sign
                 raise GroupFileError(f"{where}: digit {u} of element {left!r} outside 0..{k - 1}")
             code = code * k + digit
         sector = sector_of.get(right)
         if sector is None:
             try:
-                m, n = (int(x) for x in right.strip().split(","))
+                m, n = _numbers(right, ",")
             except ValueError:
                 raise GroupFileError(f"{where}: expected Kac label 'm,n', got {right.strip()!r}")
             try:
@@ -391,7 +405,7 @@ def cmd_cover_verify(
 
     params = ModelParams(p, q)
     if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+        raise InputError(f"threads must be >= 1, got {threads}")
     # Each cover is refused by the cap on what checking it costs, before
     # anything is built.  The canonical cover is proved by the SU(2) level
     # check and reads neither the tensor's array nor a sector, so only its
@@ -561,10 +575,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc, code = args.run(args)
         text = doc.emit()
-    except ValueError as e:  # GroupFileError and CapacityError included
+    except InputError as e:  # GroupFileError and CapacityError included
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # an internal fault, never a verdict
+    except Exception as e:  # an internal fault, a bare ValueError included: never a verdict
         kind = ("out of memory: " if isinstance(e, MemoryError) else
                 "" if isinstance(e, CountCheckError) else f"{type(e).__name__}: ")
         print(f"internal error: {kind}{e}", file=sys.stderr)

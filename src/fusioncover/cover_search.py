@@ -38,6 +38,7 @@ import itertools
 from collections import Counter
 
 from .certificates import AbelianGroupSpec, CoverMap, verify_cover
+from .errors import InputError
 from .minimal_model import (
     ModelParams,
     Sector,
@@ -171,7 +172,7 @@ def search_cyclic_covers(params: ModelParams, max_order: int) -> list[CoverMap]:
     search is exponential in ``max_order``; the CLI bounds it.
     """
     if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
+        raise InputError(f"max_order must be >= 1, got {max_order}")
     check_fusion_cells(params)
     if params.n_sectors > max_order:
         return []

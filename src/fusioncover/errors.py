@@ -1,7 +1,14 @@
 """Exception types shared across the package."""
 
 
-class CapacityError(ValueError):
+class InputError(ValueError):
+    """Input the package refuses: a model, an option or a group file it
+    cannot take, or a computation over a size budget.  The CLI exits 2 on
+    this alone; any other exception, a bare ``ValueError`` included, is an
+    internal fault (exit 3)."""
+
+
+class CapacityError(InputError):
     """A requested computation exceeds a configured size budget."""
 
 
@@ -9,7 +16,7 @@ class PartitionError(ValueError):
     """A partition violates the structural requirement P_1 = {identity}."""
 
 
-class GroupFileError(ValueError):
+class GroupFileError(InputError):
     """A group labeling file is malformed; message carries line diagnostics."""
 
 

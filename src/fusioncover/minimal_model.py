@@ -42,7 +42,7 @@ from math import comb, gcd
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .errors import CapacityError
+from .errors import CapacityError, InputError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -131,7 +131,8 @@ class IdentityRecord(Record):
 
 
 class ModelParams(Record):
-    """The pair (p, q) selecting a minimal model.  Requires coprime p, q >= 2."""
+    """The pair (p, q) selecting a minimal model.  Requires coprime integers
+    2 <= p, q <= ``MAX_PQ``: other ints raise InputError, non-ints TypeError."""
 
     _fields = ("p", "q")
 
@@ -139,11 +140,11 @@ class ModelParams(Record):
         if not (isinstance(p, int) and isinstance(q, int)):
             raise TypeError(f"p and q must be integers, got ({p!r}, {q!r})")
         if p < 2 or q < 2:
-            raise ValueError(f"need p, q >= 2, got ({p}, {q})")
+            raise InputError(f"need p, q >= 2, got ({p}, {q})")
         if p > MAX_PQ or q > MAX_PQ:
-            raise ValueError(f"p, q <= {MAX_PQ} enforced, got ({p}, {q})")
+            raise InputError(f"p, q <= {MAX_PQ} enforced, got ({p}, {q})")
         if gcd(p, q) != 1:
-            raise ValueError(f"p and q must be coprime, got gcd({p}, {q}) = {gcd(p, q)}")
+            raise InputError(f"p and q must be coprime, got gcd({p}, {q}) = {gcd(p, q)}")
         vars(self).update(p=p, q=q)
 
     @property
@@ -286,7 +287,8 @@ class FusionTensor(IdentityRecord):
     i and j.  One type serves a model's fusion rules (``fusion_tensor``),
     the triples a cover map realizes (``certificates.CoverMap.support``)
     and its partition algebra.  Every array the package builds is bool and
-    read-only; tensors compare by identity.
+    read-only; tensors compare by identity, but for a model's fusion
+    tensor, which compares by its model.
     """
 
     _fields = ("sectors", "coefficients")
@@ -328,10 +330,14 @@ class _ModelTensor(FusionTensor):
     |D| = C(p+1, 3) C(q+1, 3) / 4.  The sectors are listed on first read,
     so a handle whose array and sectors are never read costs nothing at
     any N.  The repr shows the model only, so printing the tensor builds
-    no array.
+    no array.  Unlike other tensors it compares and hashes by its model:
+    two handles of one model are one tensor, equal with no array read,
+    whichever of them ``fusion_tensor``'s cache still holds.
     """
 
     _fields = ("model",)
+    __eq__ = Record.__eq__
+    __hash__ = Record.__hash__
 
     def __init__(self, model: ModelParams) -> None:
         vars(self).update(model=model)
@@ -363,9 +369,10 @@ class _ModelTensor(FusionTensor):
         return fusion_array(self.model.p, self.model.q, self.sectors)
 
 
-# The last few tensors are kept: once their arrays are read, up to 16 MiB
-# each, so a process that walks every model keeps at most 128 MiB of them,
-# not the sum over all models.
+# The last few tensors are kept, so their built arrays are shared: up to
+# 16 MiB each, so a process that walks every model keeps at most 128 MiB of
+# them, not the sum over all models.  No check relies on getting the same
+# handle back: a model's tensors are equal.
 @lru_cache(maxsize=8)
 def fusion_tensor(params: ModelParams) -> FusionTensor:
     """Fusion rules of the model, as a ``FusionTensor`` that keeps its model.

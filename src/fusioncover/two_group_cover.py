@@ -21,15 +21,18 @@ sectors' preimages), which the theorem says is isomorphic to the Verlinde
 algebra.
 
 No vector, class or coset is built one at a time.  A label depends only on
-the A- and B-weights, so the map's labels are read off a grid of weights
-(``_canonical_labels``), and its support is proved, not counted: the
-weights the sum of two vectors of given weights in Z_2^w can take are
-built by a recurrence on w and compared with the SU(2) level-w fusion rule
-at w = p - 2 and w = q - 2 (``check_su2_levels``), and a descent lemma
+the A- and B-weights, so the map's labels are laid out from a grid of
+weights in plain Python (``_canonical_labels``), and its support is
+proved, not counted: the weights the sum of two vectors of given weights
+in Z_2^w can take are built by a recurrence on w and compared with the
+SU(2) level-w fusion rule at w = p - 2 and w = q - 2
+(``check_su2_levels``), and a descent lemma
 (``_CanonicalCover.support``) turns the two levels into the support of the
-map on G: the model's fusion tensor itself, as ``fusion_tensor`` returns
-it.  So ``verify_cover``, handed that tensor, compares no arrays, and a
-canonical verify builds no N^3 array and lists no sector.
+map on G: the model's fusion tensor, as ``fusion_tensor`` returns it.
+Tensors of one model are equal, so ``verify_cover``, handed any of them,
+compares no arrays, and a canonical verify builds no N^3 array and lists
+no sector.  This module builds no array at all and never imports
+``_kernels``, nor numpy.
 The check runs on plain Python ints, each row of weight masks packed in one
 int, and its cost depends on max(p, q) alone, not on N: a canonical cover
 is proved for every model up to SU(2) level ``MAX_SU2_LEVEL`` = 511, that
@@ -44,7 +47,7 @@ labels are read only by the scan that names a FAIL witness.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 # ``verify_cover`` is bound here too: ``perfbench/tracing.py`` wraps it
 # under this module's name.
@@ -53,12 +56,11 @@ from .errors import CapacityError, CountCheckError, PartitionError
 from .minimal_model import (FusionTensor, ModelParams, Sector, _label_index, admissible_range,
                             fusion_tensor, sectors)
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# Most cosets a canonical map is built for: 32 MiB of int64 labels, the
-# largest array the builder holds (61 MiB peak RSS for the whole process at
-# (11,16), 2^22 cosets, with numpy 2.4 on x86-64).
+# Most cosets a canonical map is built for: a tuple of 2^22 labels, 32 MiB
+# of pointers to small ints.  At (11,16), 2^22 cosets, reading ``labels``
+# peaks near 79 MiB resident for the whole process, with no numpy loaded,
+# ``swapped_images(1, 2)`` near 131 MiB, and ``sector_indices``, its int64
+# array, near 93 MiB (Python 3.11, numpy 2.4 on x86-64).
 MAX_CANONICAL_MAP = 1 << 22
 
 # Highest SU(2) level at which a canonical cover is proved, so max(p, q) <= 513,
@@ -196,10 +198,28 @@ def check_su2_levels(*levels: int) -> None:
                 )
 
 
-def _canonical_labels(ctx: GroupContext) -> np.ndarray:
-    """Sector index of every coset under Phi (``_kernels.canonical_labels``),
-    checking that Phi is constant on cosets.  Refuses more than 2^22 cosets
-    before allocating."""
+def _canonical_labels(ctx: GroupContext) -> tuple[int, ...]:
+    """Sector index of every coset under Phi, as a tuple of ints in code
+    order, checking that Phi is constant on cosets.  Refuses more than 2^22
+    cosets before anything is built.
+
+    The label of coset g is the cell (m, n) of the weight grid
+    ``_label_index`` with m - 1 the A-weight popcount(g mod 2^(p-2)) and n - 1
+    the B-weight popcount(g >> (p-2)).  Codes below 2^(j+1) are those below
+    2^j followed by the same with bit j set, whose weight is one higher in
+    A (bit j < p - 2) or in B: so with T_j(s, t) the labels of the codes
+    below 2^j, s added to each A-weight and t to each B-weight,
+
+        T_(j+1)(s, t) = T_j(s, t) + T_j(s + 1, t)   for an A-bit j,
+
+    and likewise in t for a B-bit.  T_0(s, t) is the one cell
+    (s + 1, t + 1).  Starting from the grid, the A-bits leave one row per
+    B-weight, the labels over the A-weights, and the B-bits lay the rows
+    end to end, to T(0, 0).  Each step joins whole tuples, so a label is
+    copied about four times and nothing is done per coset in Python.  At
+    q = 2 there are fewer cosets than A-weights: coordinate p - 2 is r,
+    fixed at 0, and there is no B-bit.
+    """
     if ctx.order > MAX_CANONICAL_MAP:
         raise CapacityError(
             f"the canonical map of {ctx.params} has {ctx.order} cosets, above "
@@ -213,15 +233,22 @@ def _canonical_labels(ctx: GroupContext) -> np.ndarray:
     inner = [row[1:] for row in index[1:]]
     if inner != [row[::-1] for row in inner[::-1]]:
         raise AssertionError("class map is not constant on cosets")
-    from ._kernels import canonical_labels
-
-    return canonical_labels(index, ctx.params.p - 2, ctx.order)
+    a_bits, b_bits = min(ctx.params.p - 2, ctx.r - 1), max(ctx.params.q - 3, 0)
+    # grid[t][s] = T_j(s, t); each pass halves along s, and the transpose
+    # after the A-bits turns the column of rows into one row over t.
+    grid = [[(index[m][n],) for m in range(1, a_bits + 2)] for n in range(1, b_bits + 2)]
+    for bits in (a_bits, b_bits):
+        for _ in range(bits):
+            grid = [[x + y for x, y in zip(row, row[1:])] for row in grid]
+        grid = list(zip(*grid))
+    return grid[0][0]
 
 
 class _CanonicalCover(CoverMap):
-    """The canonical map Phi: its label array is built by ``_canonical_labels``
-    and its ``labels`` are read off that array, both on first access, as
-    are its sectors.  Its support and its vacuum preimage need none of them."""
+    """The canonical map Phi: its ``labels`` are built by
+    ``_canonical_labels`` on first access, as are its sectors, and its
+    ``sector_indices`` are ``CoverMap``'s, built from the labels on first
+    read.  Its support and its vacuum preimage need none of them."""
 
     # The vacuum (1,1) ~ (p-1,q-1) is the class of weights (0, 0) and its
     # complement: the vectors 0 and all-ones, the one coset 0.
@@ -236,12 +263,8 @@ class _CanonicalCover(CoverMap):
         return sectors(self.context.params)
 
     @functools.cached_property
-    def sector_indices(self) -> np.ndarray:
-        return _canonical_labels(self.context)
-
-    @functools.cached_property
     def labels(self) -> tuple[int, ...]:
-        return tuple(self.sector_indices.tolist())
+        return _canonical_labels(self.context)
 
     @functools.cached_property
     def support(self) -> FusionTensor:
@@ -285,9 +308,9 @@ def canonical_cover(ctx: GroupContext) -> CoverMap:
     """The map Phi: each coset is sent to the sector of its members' class.
 
     Its support is proved by ``check_su2_levels`` and needs no labels.  Its
-    labels are built on first access to ``labels`` or ``sector_indices``
-    (at most 2^22 cosets), asserting that both members of every coset lie in classes with
-    the same canonicalization.
+    labels are built in plain Python on first access to ``labels`` or
+    ``sector_indices`` (at most 2^22 cosets), asserting that both members of
+    every coset lie in classes with the same canonicalization.
     """
     return _CanonicalCover(ctx)
 
@@ -311,11 +334,10 @@ def partition_algebra(
     ``threads`` is ignored; it stays because ``perfbench/theorem_job.py``
     passes it.
     """
-    if strict:
-        vacuum = cm.vacuum_preimage
-        if len(vacuum) != 1 or vacuum[0] != 0:
-            where = "one nonzero element" if len(vacuum) == 1 else f"{len(vacuum)} elements"
-            raise PartitionError(f"partition requires P_1 = {{0}}: the vacuum preimage is {where}")
+    vacuum = cm.vacuum_preimage if strict else (0,)
+    if vacuum != (0,):
+        where = "one nonzero element" if len(vacuum) == 1 else f"{len(vacuum)} elements"
+        raise PartitionError(f"partition requires P_1 = {{0}}: the vacuum preimage is {where}")
     return cm.support
 
 
@@ -324,10 +346,11 @@ def is_isomorphic_to_verlinde(w: FusionTensor, v: FusionTensor) -> bool:
 
     ``v`` is the Verlinde algebra, ``minimal_model.verlinde_algebra``.  True
     iff the two structure-constant arrays are identical.  A tensor is its
-    own algebra: when ``w is v``, as for the canonical cover's partition
-    algebra and the model's Verlinde algebra, no array is read.
+    own algebra: when ``w == v``, as for the canonical cover's partition
+    algebra and the model's Verlinde algebra, two handles of one model's
+    fusion tensor, no array is read.
     """
-    if w is v:
+    if w == v:
         return True
     if w.n != v.n:
         raise ValueError(f"dimension mismatch: partition {w.n} vs Verlinde {v.n}")

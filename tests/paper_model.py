@@ -8,12 +8,13 @@ B-weight is n - 1; adding the all-ones vector swaps (m, n) with
 as the map Phi onto sectors.
 
 The library computes the same objects without building a vector: labels
-from a weight grid (``two_group_cover._canonical_labels``), and the support
-of the pair counts proved by the SU(2) level check
-(``two_group_cover.check_su2_levels``).  This module spells out the
-definitions one vector at a time, so the tests can check those paths
-against them.  It also keeps the closed-form pair counts of the canonical
-cover (``canonical_counts``, from the weight-class table
+laid out in plain Python from a weight grid, by joining tuples bit by bit
+(``two_group_cover._canonical_labels``), and the support of the pair
+counts proved by the SU(2) level check (``two_group_cover.check_su2_levels``)
+to be the model's fusion tensor, equal to any other handle of it.  This
+module spells out the definitions one vector at a time, so the tests can
+check those paths against them.  It also keeps the closed-form pair counts
+of the canonical cover (``canonical_counts``, from the weight-class table
 ``weight_class_counts``), exact in int64 for p + q <= 35: the tests' count
 oracle for the level check.  It is not a test file itself; tests import it
 as ``from paper_model import ...``, as they import ``conftest``.

@@ -23,7 +23,7 @@ from fusioncover.cli import (
     main,
     parse_group_file,
 )
-from fusioncover.errors import CapacityError, GroupFileError
+from fusioncover.errors import CapacityError, GroupFileError, InputError
 from fusioncover import (
     AbelianGroupSpec,
     GroupContext,
@@ -515,6 +515,25 @@ class TestExitCodes:
         assert out == ""
         assert err == f"internal error: {type(error).__name__}: {error}\n"
 
+    def test_refusals_are_input_errors(self, ising):
+        # Exit 2 is InputError alone; these are the refusals that are not
+        # CapacityError or GroupFileError.
+        assert issubclass(CapacityError, InputError) and issubclass(GroupFileError, InputError)
+        for refused in (lambda: ModelParams(4, 6), lambda: ModelParams(1, 4),
+                        lambda: ModelParams(3, 10_001), lambda: cmd_cover_verify(3, 4, threads=0),
+                        lambda: cover_search.search_cyclic_covers(ising, 0)):
+            with pytest.raises(InputError):
+                refused()
+
+    def test_internal_value_error_is_three(self, monkeypatch, capsys):
+        # A bug's ValueError is no usage error: only InputError exits 2.
+        def crash(*levels):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(two_group_cover, "check_su2_levels", crash)
+        assert main(["cover", "verify", "--p", "4", "--q", "5"]) == 3
+        assert capsys.readouterr() == ("", "internal error: ValueError: internal bug\n")
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("name", ["ising_z4", "tricritical_z12"])
     def test_group_file_with_byte_order_mark(self, tmp_path, capsys, name, fmt):
@@ -974,6 +993,11 @@ class TestGroupFileParsing:
             ("group 4\n0 => 1,1\n", "expected"),
             ("group 4\n0,0 -> 1,1\n", "digits"),
             ("group 4\n7 -> 1,1\n", "outside"),
+            ("group 4\n0 -> 1,1\n1_0 -> 1,2\n", "non-integer element digits"),
+            ("group 4\n0 -> 1,1\n+1 -> 1,2\n", "non-integer element digits"),
+            ("group 4\n0 -> 1,1\n\uff13 -> 1,2\n", "non-integer element digits"),
+            ("group 1_6\n", "non-integer invariant factor"),
+            ("group 4\n0 -> 1_1,1\n", "expected Kac label"),
             ("group 4\n0 -> 1\n", "Kac label"),
             ("group 4\n0 -> 3,1\n", "out of range"),
             ("group 4\n0 -> 1,1\n0 -> 1,2\n", "twice"),

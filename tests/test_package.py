@@ -13,7 +13,7 @@ import fusioncover
 
 
 def test_all_lists_the_export_table():
-    assert len(fusioncover.__all__) == len(set(fusioncover.__all__)) == 31
+    assert len(fusioncover.__all__) == len(set(fusioncover.__all__)) == 32
     assert set(fusioncover.__all__) == set(fusioncover._EXPORTS)
 
 
@@ -137,3 +137,16 @@ def test_numpy_imports_are_found_where_they_run():
         "    import numpyro\n"
     )
     assert numpy_imports(ast.parse(code)) == [1, 2, 7, 9]
+
+
+def test_two_group_cover_does_not_import_kernels():
+    # The canonical cover's labels are plain Python and its support is
+    # proved, so the module builds no array and counts nothing.
+    tree = ast.parse((Path(fusioncover.__file__).parent / "two_group_cover.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += (node.module or "").split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [part for alias in node.names for part in alias.name.split(".")]
+    assert "minimal_model" in names and "_kernels" not in names

@@ -2,7 +2,8 @@
 
 Each record is a plain class.  Those that compare by value are equal only to
 a record of the same class with equal fields, and hash like them; maps,
-tensors and algebras compare by identity.  Reprs are pinned byte for byte,
+tensors and algebras compare by identity, but for a model's fusion tensor,
+which compares by its model.  Reprs are pinned byte for byte,
 since error messages format some of them.
 
 The behaviour comes from one base, ``minimal_model.Record``, driven by each
@@ -58,6 +59,10 @@ CASES = {
         lambda: FusionTensor((VACUUM,), ONE), None,
         "FusionTensor(sectors=(Sector(m=1, n=1, h=Fraction(0, 1), index=0),), "
         "coefficients=array([[[1]]], dtype=uint8))", "identity"),
+    # A model's tensor compares by its model: two handles of one model are equal.
+    "_ModelTensor": (lambda: fusion_tensor.__wrapped__(ModelParams(3, 4)),
+                     lambda: fusion_tensor.__wrapped__(ModelParams(4, 3)),
+                     "_ModelTensor(model=ModelParams(p=3, q=4))", "value"),
     "CoverMap": (lambda: CoverMap(AbelianGroupSpec((4,)), [0, 1, 2, 1], ISING), None,
                  "CoverMap(context=AbelianGroupSpec(factors=(4,)))", "identity"),
     "ClosureViolation": (lambda: ClosureViolation(1, 1, 2, TRIPLE),
@@ -147,15 +152,16 @@ class TestRecord:
 
 
 def test_pickled_canonical_cover_keeps_its_cached_labels():
-    # The canonical cover caches its sectors, its labels and its proved
-    # support, the model's fusion tensor, each on first read, and it holds
-    # no counts.
+    # The canonical cover caches its sectors, its labels, their array and
+    # its proved support, the model's fusion tensor, each on first read, and
+    # it holds no counts.
     cover = canonical_cover(GroupContext(ModelParams(4, 5)))
     assert vars(cover).keys() == {"context"}
     secs, labels, support = cover.sectors, cover.sector_indices, cover.support
     for clone in (copy.deepcopy(cover), pickle.loads(pickle.dumps(cover))):
         assert type(clone) is type(cover) and repr(clone) == repr(cover)
-        assert vars(clone).keys() == {"context", "sectors", "sector_indices", "support"}
+        assert vars(clone).keys() == {"context", "sectors", "labels", "sector_indices", "support"}
+        assert clone.labels == cover.labels
         assert clone.sectors == secs
         assert vars(clone)["support"].model == ModelParams(4, 5)
         assert np.array_equal(clone.sector_indices, labels)
@@ -167,10 +173,15 @@ def test_pickled_canonical_cover_keeps_its_cached_labels():
 
 def test_model_tensor_repr_builds_no_array():
     # A model's tensor prints its model; its N^3 array is built on the first
-    # read of ``coefficients``, and a repr does not read it.  Tensors still
-    # compare by identity.
+    # read of ``coefficients``, and a repr does not read it.  Two handles of
+    # one model are equal and hash alike, by their model, with no array
+    # read; any other tensor compares by identity.
     tensor = fusion_tensor.__wrapped__(ModelParams(4, 5))  # a new tensor, not the cached one
     assert repr(tensor) == "_ModelTensor(model=ModelParams(p=4, q=5))"
-    assert "coefficients" not in vars(tensor)
-    assert tensor == tensor and tensor != fusion_tensor.__wrapped__(ModelParams(4, 5))
-    assert hash(tensor) == object.__hash__(tensor)
+    other = fusion_tensor.__wrapped__(ModelParams(4, 5))
+    assert tensor == other and tensor is not other and hash(tensor) == hash(other)
+    assert hash(tensor) == hash(ModelParams(4, 5))
+    assert tensor != fusion_tensor.__wrapped__(ModelParams(5, 4))
+    assert "coefficients" not in vars(tensor) and "coefficients" not in vars(other)
+    copy_ = FusionTensor(tensor.sectors, tensor.coefficients)
+    assert copy_ != tensor and tensor != copy_ and copy_ == copy_

@@ -627,13 +627,13 @@ class TestCanonicalCounts:
             raise AssertionError("nothing may be allocated for a refused map")
 
         cm = canonical_cover(GroupContext(ModelParams(13, 15)))  # 2^23 cosets
-        monkeypatch.setattr(np, "arange", never)
+        monkeypatch.setattr(two_group_cover, "_label_index", never)
         with pytest.raises(CapacityError, match="2\\^22"):
             cm.sector_indices
 
     def test_largest_map_in_small_memory(self):
-        # Labels come from a weight grid: the int64 result (32 MiB) is the
-        # largest array built.
+        # Labels come from a weight grid, as a tuple of ints, and the int64
+        # array (32 MiB) is built from them.
         script = (
             "from fusioncover import GroupContext, ModelParams, canonical_cover\n"
             "canonical_cover(GroupContext(ModelParams(11, 16))).sector_indices\n"
@@ -641,6 +641,20 @@ class TestCanonicalCounts:
         code, max_rss_kib, _ = run_python_with_peak_rss(["-c", script])
         assert code == 0
         assert max_rss_kib < 160 * 1024
+
+    def test_labels_and_corruptions_load_no_numpy(self):
+        # The labels are plain Python, and so are the copies a corruption makes.
+        script = (
+            "import sys\n"
+            "from fusioncover import GroupContext, ModelParams, canonical_cover\n"
+            "cm = canonical_cover(GroupContext(ModelParams(5, 13)))\n"
+            "assert len(cm.labels) == 2 ** 13\n"
+            "swapped, moved = cm.swapped_images(1, 2), cm.reassigned(1, 0)\n"
+            "assert moved.labels[1] == 0 and swapped.labels[1:3] == cm.labels[2:0:-1]\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        code, _, _ = run_python_with_peak_rss(["-c", script])
+        assert code == 0
 
     def test_label_table_off_the_complement_raises(self, monkeypatch):
         table = two_group_cover._label_index
@@ -778,9 +792,10 @@ class TestLevelCheck:
 
 
 class TestIdentityShortcut:
-    """The canonical support is the model's tensor itself, so verifying
-    against that tensor compares no arrays; any other tensor, even one equal
-    to it, is compared cell by cell, so the shortcut hides no fault."""
+    """The canonical support is the model's tensor, so verifying against any
+    handle of that tensor compares no arrays; any other tensor, even one
+    equal to it cell by cell, is compared cell by cell, so the shortcut
+    hides no fault."""
 
     MODELS = [(3, 4), (4, 5), (5, 13), (7, 8)]
 
@@ -792,6 +807,21 @@ class TestIdentityShortcut:
         cert = verify_cover(canonical_cover(GroupContext(params)), tensor)
         assert cert.passed
         assert cert.stats["admissible_triples"] == cert.stats["realized_triples"] == tensor.size
+        assert "coefficients" not in vars(tensor)
+
+    @pytest.mark.parametrize("pq", [(30, 31), (16, 17)], ids=str)
+    def test_pass_reads_no_array_once_the_tensor_is_evicted(self, pq):
+        # Eight other tensors push the caller's handle out of the cache, so
+        # the proved support is a new handle of the same model, equal to the
+        # caller's: no array is read, and at (30,31), N = 435, none could be.
+        fusion_tensor.cache_clear()
+        params = ModelParams(*pq)
+        tensor = fusion_tensor(params)
+        for p in range(2, 10):
+            fusion_tensor(ModelParams(p, p + 1))
+        cm = canonical_cover(GroupContext(params))
+        assert verify_cover(cm, tensor).passed
+        assert cm.support is not tensor and cm.support == tensor
         assert "coefficients" not in vars(tensor)
 
     @pytest.mark.parametrize("pq", MODELS, ids=str)
