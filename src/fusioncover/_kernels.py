@@ -4,8 +4,9 @@ scan behind cover verification, and the two arrays the other modules hold.
 This is the one module that imports numpy, so the array format is decided
 here alone.  ``label_array`` builds a ``CoverMap``'s ``sector_indices``
 from its labels and ``fusion_array`` a model tensor's structure constants
-D; each caller checks its size cap before the call.  Labels themselves,
-the canonical map's too, are plain Python.  The rest of this module counts.
+D, over sectors ``minimal_model.sectors`` has listed, so N <= 256.  Labels
+themselves, the canonical map's too, are plain Python.  The rest of this
+module counts.
 
 Whether a labeled group G covers a fusion tensor is a statement about all
 |G|^2 ordered pairs (g1, g2): each pair must land on an admissible sector
@@ -36,8 +37,9 @@ scanned: its support is proved by ``two_group_cover.check_su2_levels`` and
 is the model's fusion tensor itself, so a canonical PASS does not load this
 module, nor numpy.
 ``check_count_size`` refuses, before anything is allocated, a group above
-2^17 and a transform matrix over ``MAX_TRANSFORM_BYTES``; the group-file
-parser runs the same check at a file's header.
+2^17, more than 256 sectors (the raw pair sums hold about N^3 / 2
+entries), and a transform matrix over ``MAX_TRANSFORM_BYTES``; the
+group-file parser runs the same check at a file's header.
 
 The row scan only names the witness: run when a map's support holds a
 triple the fusion tensor does not, ``first_violation`` visits the pairs in
@@ -58,6 +60,7 @@ import numpy as np
 # this module's name.
 from .certificates import scan_stats  # noqa: F401
 from .errors import CapacityError, CountCheckError
+from .minimal_model import MAX_FUSION_CELLS
 
 if TYPE_CHECKING:
     import numpy.typing as npt
@@ -104,8 +107,8 @@ def fusion_array(p: int, q: int, secs: Sequence[Sector]) -> np.ndarray:
 
     Row i is built at once from the closed-form admissibility range of the
     m and the n components, broadcast over (j, k), so scratch memory stays
-    O(N^2) beside the N^3-byte result.  The caller checks the cell cap
-    (``minimal_model.check_fusion_cells``) first.
+    O(N^2) beside the N^3-byte result.  The sectors are listed by
+    ``minimal_model.sectors``, which refuses more than 256 of them.
     """
     # Labels of k as a row and of j as a column.  N <= 256 keeps p, q <= 513,
     # so int16 holds every sum below.
@@ -128,10 +131,13 @@ def active_backend() -> str:
 
 
 def check_count_size(n_sectors: int, factors: tuple[int, ...]) -> None:
-    """Refuse pair counts that would not be exact or whose transform is too big.
+    """Refuse pair counts that would not be exact or whose sums are too big.
 
-    A group above ``MAX_COUNT_ORDER`` is refused first.  Then so is a group
-    whose (N, |G|) transform matrix, float32 when every factor is 2 and
+    A group above ``MAX_COUNT_ORDER`` is refused first.  Then so are more
+    than 256 sectors, N^3 > ``MAX_FUSION_CELLS``: the raw sums of
+    ``pair_support`` hold about N^3 / 2 entries, at N = 256 within 64 MiB
+    as float64, or 128 MiB as complex128.  Then so is a group whose
+    (N, |G|) transform matrix, float32 when every factor is 2 and
     complex128 otherwise, is over ``MAX_TRANSFORM_BYTES``.
     """
     order = prod(factors)
@@ -139,6 +145,11 @@ def check_count_size(n_sectors: int, factors: tuple[int, ...]) -> None:
         raise CapacityError(
             f"a group of order {order} is above {MAX_COUNT_ORDER} (2^17), the largest "
             f"order whose pair counts are exact; no option lifts this limit"
+        )
+    if n_sectors ** 3 > MAX_FUSION_CELLS:
+        raise CapacityError(
+            f"the pair counts over N = {n_sectors} sectors are above the budget of "
+            f"{MAX_FUSION_CELLS} cells (N <= 256); no option lifts this limit"
         )
     size = n_sectors * order * (4 if all(k == 2 for k in factors) else 16)
     if size > MAX_TRANSFORM_BYTES:
@@ -230,8 +241,9 @@ def pair_support(sec: npt.ArrayLike, n_sectors: int, factors: tuple[int, ...]) -
     product (F_i F_j)_j>=i @ conj(F)^T of the block into its own (n - i, n)
     array.  So the scratch beside F is O(n * _BLOCK), not a second (n, |G|)
     array.  The largest scratch is the raw sums, about n^3 / 2 float64 (or
-    complex128) entries; ``_rounded_support`` rounds and checks each row,
-    writes its support and frees it, so no n^3 array of counts is held.
+    complex128) entries, with n <= 256 (``check_count_size``);
+    ``_rounded_support`` rounds and checks each row, writes its support and
+    frees it, so no n^3 array of counts is held.
 
     Exactness: for a 2-group each partial sum of the butterfly on a 0/1 row
     is an integer of magnitude at most |G| <= 2^17 < 2^24, so float32 holds

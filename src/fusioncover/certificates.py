@@ -107,8 +107,9 @@ class CoverMap(IdentityRecord):
     ``labels[g]`` is the sector index of the element with code g, a
     big-endian mixed-radix number over ``context.factors``; on the canonical
     quotient it is the value of the coset representative.  Labels must be
-    whole numbers: values ``operator.index`` accepts, or floats with no
-    fractional part; they are kept as a tuple of ints.  ``sector_indices``
+    whole numbers: values ``operator.index`` accepts, numpy integers
+    included, and no floats; they are kept as a tuple of ints, checked in
+    one pass.  ``sector_indices``
     is the same labels as a read-only int64 array, built by
     ``_kernels.label_array`` on first read.  The one fact derived from the
     labels and cached is ``support``, the sector triples the map realizes.
@@ -122,10 +123,9 @@ class CoverMap(IdentityRecord):
         if hasattr(labels, "tolist"):  # an array: its values as Python numbers
             labels = labels.tolist()
         try:
-            labels = tuple(int(x) if isinstance(x, float) and x.is_integer()
-                           else operator.index(x) for x in labels)
+            labels = tuple(map(operator.index, labels))
         except TypeError:
-            raise ValueError("sector indices must be whole numbers, ints or whole floats") from None
+            raise ValueError("sector indices must be whole numbers, not floats") from None
         order = context.order
         if len(labels) != order:
             raise ValueError(f"assignment must cover all {order} elements, got shape ({len(labels)},)")

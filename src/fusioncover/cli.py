@@ -13,11 +13,14 @@ Subcommands
 * ``cover search`` - exhaustively search cyclic groups for covers
 
 Each command refuses, with exit 2 before anything is built, a model past
-the cap on what it costs.  ``fusion``, ``cover search`` and ``cover verify
---group`` build or list the N^3 fusion rules and take N <= 256.  The
-canonical ``cover verify`` is proved by the SU(2) level check, which builds
-no tensor and lists no sector, and takes every model up to level 511:
-max(p, q) <= 513, up to (512,513) with N = 130 816.
+the cap on what it costs; each cap is checked by the one object every path
+builds first, not here.  ``fusion``, ``cover search`` and ``cover verify
+--group`` build or list the N^3 fusion rules, after listing the sectors,
+which ``minimal_model.sectors`` refuses past N = 256.  The canonical
+``cover verify`` is proved by the SU(2) level check, which builds no tensor
+and lists no sector, and its map (``two_group_cover.canonical_cover``)
+refuses a model past level 511 when it is built: it takes max(p, q) <= 513,
+up to (512,513) with N = 130 816.
 
 Every subcommand takes ``--format text|json``.  Text output is stable and
 golden-tested; JSON output is ``{"model": {p, q, c, N}, ...}`` with exact
@@ -65,7 +68,6 @@ from .minimal_model import (
     Sector,
     canonicalize,
     central_charge,
-    check_fusion_cells,
     fraction_str,
     fusion_products,
     fusion_tensor,
@@ -284,6 +286,8 @@ def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
 
     Raises GroupFileError with file:line diagnostics on any malformation;
     every number in the file is ASCII digits (``_numbers``).
+    The model's sectors are listed first, so a model past N = 256 raises
+    CapacityError (``minimal_model.sectors``) before the file is opened.
     The header is checked by ``_kernels.check_count_size`` against the
     model's N, so a group whose pair counts would not be exact, or whose
     transform matrix is too big, raises CapacityError before any element
@@ -298,6 +302,7 @@ def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
     from ._kernels import check_count_size
     from .certificates import AbelianGroupSpec, CoverMap
 
+    secs = sectors(params)
     path = Path(path)
     lines = _content_lines(path)
     where, line = next(lines, (None, None))
@@ -353,7 +358,7 @@ def parse_group_file(path: str | Path, params: ModelParams) -> CoverMap:
         raise GroupFileError(f"{path}: labeling is partial: element {missing} has no sector")
     if sec[0] != 0:
         raise GroupFileError(f"{path}: the identity element must be labeled by the (1,1) sector")
-    return CoverMap(spec, sec, sectors(params))
+    return CoverMap(spec, sec, secs)
 
 
 # ---------------------------------------------------------------------------
@@ -409,18 +414,15 @@ def cmd_cover_verify(
     # Each cover is refused by the cap on what checking it costs, before
     # anything is built.  The canonical cover is proved by the SU(2) level
     # check and reads neither the tensor's array nor a sector, so only its
-    # level is capped.  A group file's labels are canonicalized against the
-    # model's label table, which lists every sector, and its support is
-    # compared with the tensor's array: the model must pass the cell cap
-    # before the file is opened, and the parser refuses an oversized group
-    # at its header.
+    # level is capped, by the map itself.  A group file's labels are
+    # canonicalized against the model's sectors, which the parser lists, and
+    # so caps, before it opens the file; it refuses an oversized group at
+    # its header.
     if group_file is None:
-        from .two_group_cover import GroupContext, canonical_cover, check_canonical_level
+        from .two_group_cover import GroupContext, canonical_cover
 
-        check_canonical_level(params)
         cover = canonical_cover(GroupContext(params))
     else:
-        check_fusion_cells(params)
         cover = parse_group_file(group_file, params)
     group = cover.context
     cert = verify_cover(cover, fusion_tensor(params))

@@ -42,7 +42,6 @@ from .errors import InputError
 from .minimal_model import (
     ModelParams,
     Sector,
-    check_fusion_cells,
     fusion_products,
     sectors,
 )
@@ -166,18 +165,19 @@ def search_cyclic_covers(params: ModelParams, max_order: int) -> list[CoverMap]:
 
     Results are deterministic: ascending order k, then lexicographic in the
     label tuple, which each cover keeps as ``labels``.  Orders below the
-    multiplicity-profile sum cannot cover and are skipped outright.  A
-    model with more sectors than ``max_order`` is answered (no group that
-    small can label every sector) before any fusion rule is built.  The
-    search is exponential in ``max_order``; the CLI bounds it.
+    multiplicity-profile sum cannot cover and are skipped outright.  The
+    sectors are listed first, so a model past N = 256 raises CapacityError
+    (``minimal_model.sectors``); a model with more sectors than
+    ``max_order`` is then answered (no group that small can label every
+    sector) before any fusion rule is built.  The search is exponential in
+    ``max_order``; the CLI bounds it.
     """
     if max_order < 1:
         raise InputError(f"max_order must be >= 1, got {max_order}")
-    check_fusion_cells(params)
-    if params.n_sectors > max_order:
+    secs = sectors(params)
+    if len(secs) > max_order:
         return []
     products = fusion_products(params)
-    secs = sectors(params)
     covers: list[CoverMap] = []
     for k in range(sum(_profile(products)), max_order + 1):
         # _search_order yields labelings in lexicographic order.

@@ -16,7 +16,9 @@ multiplicity-free and are decided by an arithmetic admissibility
 condition on label triples (odd sum, strict triangle inequalities).
 This module computes all of it exactly:
 
-* sector enumeration and canonical labels,
+* sector enumeration and canonical labels, up to N = 256 sectors: every
+  N^3 path lists the sectors before it builds anything, so `sectors` is
+  the one gate of the cell cap ``MAX_FUSION_CELLS``,
 * the admissibility predicate and the closed-form completion range,
 * the fusion rules built from that closed form: as N x N lists of
   products in plain Python (`fusion_products`, which the `fusion` table
@@ -52,13 +54,14 @@ if TYPE_CHECKING:
 # contract promises a clean error instead of silently huge tables.
 MAX_PQ = 10_000
 
-# Largest model whose fusion rules are built, in tensor cells (N <= 256):
-# the tensor's array, the `fusion` table, whose cells `fusion_products`
-# lists, and a cover search.  The tensor build is vectorised row by row, so
+# Largest model whose sectors are listed, in tensor cells (N <= 256):
+# `sectors` refuses past it, and the tensor's array, the `fusion` table,
+# whose cells `fusion_products` lists, a cover search and a group file all
+# list the sectors first.  The tensor build is vectorised row by row, so
 # the cap bounds the array's memory (one byte per cell, 16 MiB) and the
-# O(N^3) size of the table, rather than either build.  A canonical cover
-# verify builds neither and is bounded by its SU(2) level instead
-# (`two_group_cover.MAX_SU2_LEVEL`).
+# O(N^3) size of the table, rather than either build; ``_kernels`` bounds
+# its raw pair sums by it too.  A canonical cover verify lists no sector
+# and is bounded by its SU(2) level instead (`two_group_cover.MAX_SU2_LEVEL`).
 MAX_FUSION_CELLS = 1 << 24
 
 # Largest Kac table built, in cells.  Memory grows with the cell count: the
@@ -187,8 +190,17 @@ def conformal_weight(params: ModelParams, m: int, n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def sectors(params: ModelParams) -> tuple[Sector, ...]:
-    """All N = (p-1)(q-1)/2 sectors, sorted lexicographically by canonical label."""
+    """All N = (p-1)(q-1)/2 sectors, sorted lexicographically by canonical label.
+
+    A model whose fusion tensor has more than ``MAX_FUSION_CELLS`` cells
+    (N > 256) raises CapacityError before any sector is listed.
+    """
     p, q = params.p, params.q
+    if params.n_sectors ** 3 > MAX_FUSION_CELLS:
+        raise CapacityError(
+            f"the fusion tensor of the ({p},{q}) model has N^3 = {params.n_sectors ** 3} "
+            f"cells, over the budget of {MAX_FUSION_CELLS} (N <= 256)"
+        )
     labels = [
         (m, n)
         for m in range(1, p)
@@ -215,7 +227,8 @@ def _label_index(params: ModelParams) -> tuple[tuple[int, ...], ...]:
 
 
 def canonicalize(params: ModelParams, m: int, n: int) -> Sector:
-    """The sector containing the (possibly non-canonical) Kac label (m, n)."""
+    """The sector containing the (possibly non-canonical) Kac label (m, n).
+    Past N = 256 an in-range label raises CapacityError (``sectors``)."""
     p, q = params.p, params.q
     if not (0 < m < p and 0 < n < q):
         raise ValueError(f"Kac label ({m}, {n}) out of range for (p, q) = ({p}, {q})")
@@ -307,19 +320,6 @@ class FusionTensor(IdentityRecord):
         return int(self.coefficients.sum())
 
 
-def check_fusion_cells(params: ModelParams) -> None:
-    """Refuse a model whose fusion tensor has more than ``MAX_FUSION_CELLS``
-    cells, before any sector is listed.  Run where N^3 is paid for: before
-    a tensor's array is built, the fusion products are listed, a cover
-    search starts or a group file is opened."""
-    if params.n_sectors ** 3 > MAX_FUSION_CELLS:
-        raise CapacityError(
-            f"the fusion tensor of the ({params.p},{params.q}) model has "
-            f"N^3 = {params.n_sectors ** 3} cells, over the budget of "
-            f"{MAX_FUSION_CELLS} (N <= 256)"
-        )
-
-
 class _ModelTensor(FusionTensor):
     """The fusion tensor of a model, whose array is built on first read.
 
@@ -329,8 +329,9 @@ class _ModelTensor(FusionTensor):
     D = 1 has 4 of its 8 label triples admissible, hence
     |D| = C(p+1, 3) C(q+1, 3) / 4.  The sectors are listed on first read,
     so a handle whose array and sectors are never read costs nothing at
-    any N.  The repr shows the model only, so printing the tensor builds
-    no array.  Unlike other tensors it compares and hashes by its model:
+    any N; past N = 256, reading ``sectors``, ``n`` or ``coefficients``
+    raises CapacityError (``sectors``).  The repr shows the model only, so
+    printing the tensor builds no array.  Unlike other tensors it compares and hashes by its model:
     two handles of one model are one tensor, equal with no array read,
     whichever of them ``fusion_tensor``'s cache still holds.
     """
@@ -359,14 +360,14 @@ class _ModelTensor(FusionTensor):
         one of the two can complete an admissible triple (the two
         replacements flip the parity of the component sums), so the result
         is well defined and multiplicity-free.  The array is built row by
-        row by ``_kernels.fusion_array``.  Models over ``MAX_FUSION_CELLS``
-        raise CapacityError (``check_fusion_cells``) before any sector is
-        listed.
+        row by ``_kernels.fusion_array``.  The sectors are read first, so a
+        model over ``MAX_FUSION_CELLS`` raises CapacityError (``sectors``)
+        before numpy is loaded.
         """
-        check_fusion_cells(self.model)
+        secs = self.sectors
         from ._kernels import fusion_array
 
-        return fusion_array(self.model.p, self.model.q, self.sectors)
+        return fusion_array(self.model.p, self.model.q, secs)
 
 
 # The last few tensors are kept, so their built arrays are shared: up to
@@ -377,10 +378,10 @@ class _ModelTensor(FusionTensor):
 def fusion_tensor(params: ModelParams) -> FusionTensor:
     """Fusion rules of the model, as a ``FusionTensor`` that keeps its model.
 
-    Its N^3 array is built on first read of ``coefficients``, which refuses
-    models over ``MAX_FUSION_CELLS`` (N > 256) with CapacityError before any
-    sector is listed.  Its size |D| needs no array and its sectors are
-    listed on first read, so the handle itself is made for any model: the
+    Its N^3 array is built on first read of ``coefficients``, after its
+    sectors, which refuse models over ``MAX_FUSION_CELLS`` (N > 256) with
+    CapacityError.  Its size |D| needs no array and its sectors are listed
+    on first read, so the handle itself is made for any model: the
     canonical cover's proof returns it at any N its level admits.
     """
     return _ModelTensor(params)
@@ -394,12 +395,12 @@ def fusion_products(params: ModelParams) -> list[list[tuple[int, ...]]]:
     the closed-form `admissible_range` of the m and of the n components;
     each is mapped to the sector of its label class.  Fusion is
     commutative, so products[i][j] and products[j][i] are one tuple,
-    computed once.  Models over ``MAX_FUSION_CELLS`` raise
-    CapacityError (``check_fusion_cells``) before any sector is listed.
+    computed once.  The sectors are listed first, so models over
+    ``MAX_FUSION_CELLS`` raise CapacityError (``sectors``) before any
+    product is.
     """
-    check_fusion_cells(params)
-    p, q = params.p, params.q
     secs = sectors(params)
+    p, q = params.p, params.q
     index = _label_index(params)
     products: list[list[tuple[int, ...]]] = [[()] * len(secs) for _ in secs]
     for si in secs:

@@ -36,7 +36,9 @@ no sector.  This module builds no array at all and never imports
 The check runs on plain Python ints, each row of weight masks packed in one
 int, and its cost depends on max(p, q) alone, not on N: a canonical cover
 is proved for every model up to SU(2) level ``MAX_SU2_LEVEL`` = 511, that
-is max(p, q) <= 513, up to (512,513) with N = 130 816.
+is max(p, q) <= 513, up to (512,513) with N = 130 816.  The map itself is
+the one gate of that cap: ``canonical_cover`` refuses a model past it when
+the map is built.
 Any other map, over this group or another, is counted by the transform,
 within the sizes ``_kernels.check_count_size`` admits, and
 ``_kernels.pair_support`` returns the support of its counts.  Either way
@@ -63,13 +65,14 @@ from .minimal_model import (FusionTensor, ModelParams, Sector, _label_index, adm
 # array, near 93 MiB (Python 3.11, numpy 2.4 on x86-64).
 MAX_CANONICAL_MAP = 1 << 22
 
-# Highest SU(2) level at which a canonical cover is proved, so max(p, q) <= 513,
-# up to (2,513) and (512,513).  The level check up to level w costs O(w^4)
-# bit operations and depends on nothing else: about 1.7 s at w = 511 on a
-# 2-core x86-64 host.  Every admitted model has p + q <= 1025,
-# well inside p + q <= 7147, the bound that keeps a certificate printable:
-# its pairs_checked, 4^(p+q-5), must have at most 4300 digits, Python's
-# default limit on converting an int to a string.
+# Highest SU(2) level at which a canonical cover is built, and so proved:
+# max(p, q) <= 513, up to (2,513) and (512,513).  ``_CanonicalCover``
+# refuses a model past it when the map is built.  The level check up to
+# level w costs O(w^4) bit operations and depends on nothing else: about
+# 1.7 s at w = 511 on a 2-core x86-64 host.  Every admitted model has
+# p + q <= 1025, well inside p + q <= 7147, the bound that keeps a
+# certificate printable: its pairs_checked, 4^(p+q-5), must have at most
+# 4300 digits, Python's default limit on converting an int to a string.
 MAX_SU2_LEVEL = 511
 
 
@@ -99,17 +102,6 @@ class GroupContext(AbelianGroupSpec):
     def element_json(self, code: int) -> str:
         """A coset as printed: its representative's coordinate string, width r."""
         return f"{code:0{self.r}b}"[::-1]
-
-
-def check_canonical_level(params: ModelParams) -> None:
-    """Refuse a model whose canonical cover is proved past ``MAX_SU2_LEVEL``:
-    the proof runs the level check up to max(p, q) - 2."""
-    level = max(params.p, params.q) - 2
-    if level > MAX_SU2_LEVEL:
-        raise CapacityError(
-            f"the canonical cover of the ({params.p},{params.q}) model is proved at SU(2) "
-            f"level {level}, over the budget of {MAX_SU2_LEVEL} (max(p, q) <= {MAX_SU2_LEVEL + 2})"
-        )
 
 
 def _weight_sum_rows(top: int) -> Iterator[tuple[int, int, list[int]]]:
@@ -166,9 +158,9 @@ def check_su2_levels(*levels: int) -> None:
     its mask is built from its two ends.  The recurrence runs once, up to
     the largest level, and each level asked for is compared for every
     a >= b as it is passed (mask and rule are both symmetric in a and b).
-    Plain Python ints, so no bound on w; a canonical cover is refused past
-    ``MAX_SU2_LEVEL`` before this runs (``check_canonical_level``).  A
-    mismatch is an internal fault, not a verdict: it raises
+    Plain Python ints, so no bound on w; a canonical cover past
+    ``MAX_SU2_LEVEL`` is refused when it is built, so this never runs for
+    it.  A mismatch is an internal fault, not a verdict: it raises
     CountCheckError naming (w, a, b, c), c the least weight on which mask
     and rule differ.
     """
@@ -248,13 +240,25 @@ class _CanonicalCover(CoverMap):
     """The canonical map Phi: its ``labels`` are built by
     ``_canonical_labels`` on first access, as are its sectors, and its
     ``sector_indices`` are ``CoverMap``'s, built from the labels on first
-    read.  Its support and its vacuum preimage need none of them."""
+    read.  Its support and its vacuum preimage need none of them.
+
+    A model past SU(2) level ``MAX_SU2_LEVEL`` raises CapacityError when the
+    map is built: its support needs the level check, its labels at most
+    2^22 cosets and its sectors N <= 256, so such a map could do nothing.
+    """
 
     # The vacuum (1,1) ~ (p-1,q-1) is the class of weights (0, 0) and its
     # complement: the vectors 0 and all-ones, the one coset 0.
     vacuum_preimage = (0,)
 
     def __init__(self, context: GroupContext) -> None:
+        p, q = context.params.p, context.params.q
+        if max(p, q) - 2 > MAX_SU2_LEVEL:
+            raise CapacityError(
+                f"the canonical cover of the ({p},{q}) model is proved at SU(2) level "
+                f"{max(p, q) - 2}, over the budget of {MAX_SU2_LEVEL} "
+                f"(max(p, q) <= {MAX_SU2_LEVEL + 2})"
+            )
         vars(self).update(context=context)
 
     @functools.cached_property
@@ -295,11 +299,9 @@ class _CanonicalCover(CoverMap):
         which is D[i, j, k] = 1 as ``fusion_tensor`` defines it: supp C = D.
         The proof runs once per map and the tensor is returned as it is,
         its array unread; a failed level check is not cached and raises
-        CountCheckError on every read.  A model past ``MAX_SU2_LEVEL``
-        raises CapacityError before the check starts.
+        CountCheckError on every read.
         """
         params = self.context.params
-        check_canonical_level(params)
         check_su2_levels(params.p - 2, params.q - 2)
         return fusion_tensor(params)
 
@@ -310,7 +312,9 @@ def canonical_cover(ctx: GroupContext) -> CoverMap:
     Its support is proved by ``check_su2_levels`` and needs no labels.  Its
     labels are built in plain Python on first access to ``labels`` or
     ``sector_indices`` (at most 2^22 cosets), asserting that both members of
-    every coset lie in classes with the same canonicalization.
+    every coset lie in classes with the same canonicalization.  A model
+    past SU(2) level ``MAX_SU2_LEVEL``, max(p, q) > 513, raises
+    CapacityError here, before anything is read.
     """
     return _CanonicalCover(ctx)
 

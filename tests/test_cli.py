@@ -602,13 +602,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("p,q", [(2, 1025), (514, 515), (9999, 10000)])
     def test_canonical_above_level_cap_refused(self, p, q, capsys, monkeypatch):
+        # The canonical map refuses the model when it is built.
         def never(*args, **kwargs):
             raise AssertionError("nothing may be built for a refused model")
 
         monkeypatch.setattr(cli, "fusion_tensor", never)
-        monkeypatch.setattr(two_group_cover, "canonical_cover", never)
         monkeypatch.setattr(certificates, "verify_cover", never)
         monkeypatch.setattr(Sector, "__init__", never)
+        monkeypatch.setattr(two_group_cover, "check_su2_levels", never)
         assert main(["cover", "verify", "--p", str(p), "--q", str(q)]) == 2
         err = capsys.readouterr().err
         level = max(p, q) - 2
@@ -619,11 +620,11 @@ class TestExitCodes:
 
     def test_group_file_above_fusion_cap_refused_before_reading(self, capsys, monkeypatch):
         # A group file's verify reads the tensor's array: the cell cap holds,
-        # and is checked before the file is opened.
+        # and the parser lists the sectors, which check it, before it opens
+        # the file.
         def never(*args, **kwargs):
             raise AssertionError("a refused model's group file may not be read")
 
-        monkeypatch.setattr(cli, "parse_group_file", never)
         monkeypatch.setattr(cli, "_read_lines", never)
         ising = str(COVERS / "ising_z4.cover")
         assert main(["cover", "verify", "--p", "30", "--q", "31", "--group", ising]) == 2

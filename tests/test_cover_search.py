@@ -142,10 +142,18 @@ class TestCoverMapOfAbelianGroup:
         with pytest.raises(ValueError, match="whole numbers"):
             CoverMap(AbelianGroupSpec.cyclic(4), indices, sectors(ising))
 
-    def test_whole_float_indices_accepted(self, ising, ising_tensor):
-        cm = CoverMap(AbelianGroupSpec.cyclic(4), [0.0, 1.0, 2.0, 1.0], sectors(ising))
+    @pytest.mark.parametrize("indices", [[0.0, 1.0, 2.0, 1.0], np.array([0.0, 1.0, 2.0, 1.0])],
+                             ids=["list", "array"])
+    def test_whole_float_indices_refused(self, ising, indices):
+        # Labels are read by operator.index alone: a float is refused even
+        # when it has no fractional part.
+        with pytest.raises(ValueError, match="whole numbers"):
+            CoverMap(AbelianGroupSpec.cyclic(4), indices, sectors(ising))
+
+    def test_integer_array_indices_kept_as_ints(self, ising, ising_tensor):
+        cm = CoverMap(AbelianGroupSpec.cyclic(4), np.array([0, 1, 2, 1]), sectors(ising))
+        assert cm.labels == (0, 1, 2, 1) and all(type(i) is int for i in cm.labels)
         assert cm.sector_indices.dtype == np.int64
-        assert cm.sector_indices.tolist() == [0, 1, 2, 1]
         assert verify_cover(cm, ising_tensor).passed
 
 
@@ -218,7 +226,8 @@ class TestVerifyCoverOfAbelianGroup:
         assert verify_cover(cm, ising_tensor).passed
 
     def test_order_above_exactness_bound_refused(self, ising, ising_tensor):
-        cm = CoverMap(AbelianGroupSpec((2,) * 18), np.zeros(1 << 18), sectors(ising))
+        labels = np.zeros(1 << 18, dtype=np.int64)
+        cm = CoverMap(AbelianGroupSpec((2,) * 18), labels, sectors(ising))
         with pytest.raises(CapacityError, match="2\\^17"):
             verify_cover(cm, ising_tensor)
 

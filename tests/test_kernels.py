@@ -409,8 +409,8 @@ class TestPairCounts:
         "n,factors,match",
         [(256, ((1 << 15) + 1,), "MiB"), (256, (2,) * 15 + (4,), "MiB"),
          (1, (2,) * 18, "2\\^17"), (1, ((1 << 17) + 1,), "2\\^17"),
-         (256, (1 << 18,), "2\\^17")],
-        ids=["Z32769", "Z2^15xZ4", "Z2^18", "Z131073", "Z262144"],
+         (256, (1 << 18,), "2\\^17"), (257, (2,), "N <= 256")],
+        ids=["Z32769", "Z2^15xZ4", "Z2^18", "Z131073", "Z262144", "N257-Z2"],
     )
     def test_count_size_refuses(self, n, factors, match):
         with pytest.raises(CapacityError, match=match):
@@ -426,6 +426,16 @@ class TestPairCounts:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
+
+    def test_over_sector_cap_refused_before_the_raw_sums(self, monkeypatch):
+        # A direct call lists no model's sectors, so the kernel bounds its
+        # raw sums, about N^3 / 2 entries, itself: N = 999 would ask for 4 GiB.
+        def never(*args, **kwargs):
+            raise AssertionError("nothing may be allocated past the sector cap")
+
+        monkeypatch.setattr(_kernels.np, "zeros", never)
+        with pytest.raises(CapacityError, match="N = 999 .*N <= 256"):
+            pair_support((0, 1), 999, (2,))
 
     def test_factors_must_match_order(self):
         with pytest.raises(ValueError, match="order 8"):

@@ -1,6 +1,7 @@
 """Unit tests for the exact minimal-model computations."""
 
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -10,6 +11,7 @@ import pytest
 
 from fusioncover import (
     ModelParams,
+    Sector,
     admissible_range,
     canonicalize,
     central_charge,
@@ -123,6 +125,25 @@ class TestSectors:
         for params in coprime_models(10, 11):
             assert len(sectors(params)) == params.n_sectors
 
+    def test_over_fusion_cap_refused_before_any_sector(self, monkeypatch):
+        # ``sectors`` is the one gate of the N <= 256 cap: every N^3 path
+        # lists the sectors first.  (30,31) has N = 435.
+        def never(*args, **kwargs):
+            raise AssertionError("no sector may be built past the cap")
+
+        monkeypatch.setattr(Sector, "__init__", never)
+        params = ModelParams(30, 31)
+        text = re.escape(
+            "the fusion tensor of the (30,31) model has N^3 = 82312875 cells, "
+            "over the budget of 16777216 (N <= 256)"
+        )
+        with pytest.raises(CapacityError, match=f"^{text}$"):
+            sectors(params)
+        tensor = fusion_tensor.__wrapped__(params)
+        for read in ("sectors", "n", "coefficients"):
+            with pytest.raises(CapacityError, match=f"^{text}$"):
+                getattr(tensor, read)
+
     def test_vacuum_first_and_sorted(self):
         for params in coprime_models(7, 9):
             labels = [(s.m, s.n) for s in sectors(params)]
@@ -146,6 +167,14 @@ class TestCanonicalize:
     def test_range_error(self, ising):
         with pytest.raises(ValueError):
             canonicalize(ising, 3, 1)
+
+    def test_over_fusion_cap_refused_before_any_sector(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("no sector may be built past the cap")
+
+        monkeypatch.setattr(Sector, "__init__", never)
+        with pytest.raises(CapacityError, match="N <= 256"):
+            canonicalize(ModelParams(30, 31), 2, 3)
 
 
 class TestPAdmissible:
@@ -322,9 +351,9 @@ class TestFusionTensor:
         assert peak <= n**3 + 64 * n**2
 
     def test_over_budget_refused_before_allocating(self):
-        # The cap sits where the array is built: the handle is made at any
-        # N, and its first read of ``coefficients`` is refused before any
-        # sector is listed.
+        # The handle is made at any N; its first read of ``coefficients``
+        # lists its sectors first, which refuse the model before any is
+        # listed.
         params = ModelParams(2, 515)
         assert params.n_sectors == 257
         tracemalloc.start()

@@ -727,16 +727,30 @@ class TestLevelCheck:
                 assert [row >> b * k & ((1 << k) - 1) for b in range(a + 1)] == entries
         assert w == top
 
+    @pytest.mark.parametrize("p,q", [(2, 1025), (514, 515)])
+    def test_level_cap_refused_when_the_map_is_built(self, p, q, monkeypatch):
+        # The map is the one gate of the level cap: it is refused before
+        # its support, labels or sectors could be read.
+        def never(*args, **kwargs):
+            raise AssertionError("the recurrence may not start past the level cap")
+
+        monkeypatch.setattr(two_group_cover, "check_su2_levels", never)
+        level = max(p, q) - 2
+        with pytest.raises(CapacityError) as refused:
+            canonical_cover(GroupContext(ModelParams(p, q)))
+        assert str(refused.value) == (
+            f"the canonical cover of the ({p},{q}) model is proved at SU(2) level {level}, "
+            f"over the budget of 511 (max(p, q) <= 513)"
+        )
+
     def test_level_cap_is_checked_before_the_recurrence(self, monkeypatch):
         def never(*levels):
             raise AssertionError("the recurrence may not start past the level cap")
 
         monkeypatch.setattr(two_group_cover, "check_su2_levels", never)
         for p, q in [(2, 1025), (514, 515)]:
-            cm = canonical_cover(GroupContext(ModelParams(p, q)))
             with pytest.raises(CapacityError, match="over the budget of 511"):
-                cm.support
-            assert vars(cm).keys() == {"context"}
+                canonical_cover(GroupContext(ModelParams(p, q))).support
 
     def test_recurrence_is_the_pair_enumeration(self, monkeypatch):
         # The masks of the recurrence against every pair of vectors, with
