@@ -144,15 +144,12 @@ class CoverMap(IdentityRecord):
         order of ``labels``); labels are canonicalized.
 
         ``CoverMap`` refuses a wrong number of labels, so the group is never
-        enumerated.  Each distinct label is canonicalized once, in order of
-        first use, so the first bad label in code order is the one refused.
-        The identity element, code 0, must carry the vacuum sector (1,1): a
-        cover could not do otherwise, and the group file format requires it
-        too.
+        enumerated.  Labels are canonicalized one by one, in code order, so
+        the first bad label is the one refused.  The identity element, code
+        0, must carry the vacuum sector (1,1): a cover could not do
+        otherwise, and the group file format requires it too.
         """
-        pairs = [(m, n) for m, n in labels]
-        index = {pair: canonicalize(params, *pair).index for pair in dict.fromkeys(pairs)}
-        cover = cls(group, [index[pair] for pair in pairs], sectors(params))
+        cover = cls(group, [canonicalize(params, m, n).index for m, n in labels], sectors(params))
         if cover.labels[0] != 0:
             raise ValueError("the identity element must be labeled by the (1,1) sector")
         return cover

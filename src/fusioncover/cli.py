@@ -33,8 +33,10 @@ Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage error or refused
 input (an argument argparse rejects, or ``errors.InputError``: a model,
 option or group file the package refuses, or a size cap), 3 internal error
 (pair counts failed their own check, the canonical cover's SU(2) level
-check failed, memory ran out, or any other exception, a bare
-``ValueError`` included, in one line on stderr; no verdict).
+check failed, memory ran out, the output could not be written, or any
+other exception, a bare ``ValueError`` included, in one line on stderr; no
+verdict).  A reader that closes stdout early, as ``| head`` does, still
+gets the command's own code.
 
 Group labeling files are line-oriented and hand-editable::
 
@@ -587,13 +589,18 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     try:
         print(text, flush=True)
-    except BrokenPipeError:
-        # The reader closed stdout early, as `| head` does.  The exit code is
-        # still the command's; stdout now points at the null device, so the
-        # interpreter's last flush of what is left cannot raise again.
+    except OSError as e:
+        # The reader closed stdout early, as `| head` does, and the exit code
+        # is still the command's; any other failed write (a full disk) left
+        # the output unwritten, an internal error.  Either way stdout now
+        # points at the null device, so the interpreter's last flush of what
+        # is left cannot raise again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(e, BrokenPipeError):
+            print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+            return 3
     return code
 
 

@@ -207,7 +207,6 @@ def sectors(params: ModelParams) -> tuple[Sector, ...]:
         for n in range(1, q)
         if (m, n) < (p - m, q - n)
     ]
-    labels.sort()
     return tuple(
         Sector(m, n, conformal_weight(params, m, n), i)
         for i, (m, n) in enumerate(labels)

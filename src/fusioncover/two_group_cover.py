@@ -20,12 +20,13 @@ support is the partition algebra (structure constants of the sums of the
 sectors' preimages), which the theorem says is isomorphic to the Verlinde
 algebra.
 
-No vector, class or coset is built one at a time.  A label depends only on
-the A- and B-weights, so the map's labels are laid out from a grid of
-weights in plain Python (``_canonical_labels``), and its support is
-proved, not counted: the weights the sum of two vectors of given weights
-in Z_2^w can take are built by a recurrence on w and compared with the
-SU(2) level-w fusion rule at w = p - 2 and w = q - 2
+No vector or class is built one at a time.  A label depends only on the
+A- and B-weights, so the map's labels are read off the popcounts of each
+coset code in plain Python (``_canonical_labels``, the definition, which
+no command reads), and its support is proved, not counted: the weights
+the sum of two vectors of given weights in Z_2^w can take are built by a
+recurrence on w and compared with the SU(2) level-w fusion rule at
+w = p - 2 and w = q - 2
 (``check_su2_levels``), and a descent lemma
 (``_CanonicalCover.support``) turns the two levels into the support of the
 map on G: the model's fusion tensor, as ``fusion_tensor`` returns it.
@@ -60,9 +61,10 @@ from .minimal_model import (FusionTensor, ModelParams, Sector, _label_index, adm
 
 # Most cosets a canonical map is built for: a tuple of 2^22 labels, 32 MiB
 # of pointers to small ints.  At (11,16), 2^22 cosets, reading ``labels``
-# peaks near 79 MiB resident for the whole process, with no numpy loaded,
-# ``swapped_images(1, 2)`` near 131 MiB, and ``sector_indices``, its int64
-# array, near 93 MiB (Python 3.11, numpy 2.4 on x86-64).
+# peaks near 54 MiB resident for the whole process, with no numpy loaded,
+# ``swapped_images(1, 2)`` near 118 MiB, and ``sector_indices``, its int64
+# array, near 92 MiB (Python 3.11, numpy 2.4 on x86-64; the same with
+# MALLOC_MMAP_THRESHOLD_=131072).
 MAX_CANONICAL_MAP = 1 << 22
 
 # Highest SU(2) level at which a canonical cover is built, and so proved:
@@ -195,22 +197,11 @@ def _canonical_labels(ctx: GroupContext) -> tuple[int, ...]:
     order, checking that Phi is constant on cosets.  Refuses more than 2^22
     cosets before anything is built.
 
-    The label of coset g is the cell (m, n) of the weight grid
-    ``_label_index`` with m - 1 the A-weight popcount(g mod 2^(p-2)) and n - 1
-    the B-weight popcount(g >> (p-2)).  Codes below 2^(j+1) are those below
-    2^j followed by the same with bit j set, whose weight is one higher in
-    A (bit j < p - 2) or in B: so with T_j(s, t) the labels of the codes
-    below 2^j, s added to each A-weight and t to each B-weight,
-
-        T_(j+1)(s, t) = T_j(s, t) + T_j(s + 1, t)   for an A-bit j,
-
-    and likewise in t for a B-bit.  T_0(s, t) is the one cell
-    (s + 1, t + 1).  Starting from the grid, the A-bits leave one row per
-    B-weight, the labels over the A-weights, and the B-bits lay the rows
-    end to end, to T(0, 0).  Each step joins whole tuples, so a label is
-    copied about four times and nothing is done per coset in Python.  At
-    q = 2 there are fewer cosets than A-weights: coordinate p - 2 is r,
-    fixed at 0, and there is no B-bit.
+    This is the definition: the label of coset g is the cell (m, n) of
+    ``_label_index`` with m - 1 its A-weight, the popcount of its bits
+    below p - 2, and n - 1 its B-weight, the popcount of the rest.  At
+    q = 2 there is no B-bit, as coordinate p - 2 is r, fixed at 0; at
+    p = 2 there is no A-bit.  One pass over the codes, one tuple built.
     """
     if ctx.order > MAX_CANONICAL_MAP:
         raise CapacityError(
@@ -225,22 +216,18 @@ def _canonical_labels(ctx: GroupContext) -> tuple[int, ...]:
     inner = [row[1:] for row in index[1:]]
     if inner != [row[::-1] for row in inner[::-1]]:
         raise AssertionError("class map is not constant on cosets")
-    a_bits, b_bits = min(ctx.params.p - 2, ctx.r - 1), max(ctx.params.q - 3, 0)
-    # grid[t][s] = T_j(s, t); each pass halves along s, and the transpose
-    # after the A-bits turns the column of rows into one row over t.
-    grid = [[(index[m][n],) for m in range(1, a_bits + 2)] for n in range(1, b_bits + 2)]
-    for bits in (a_bits, b_bits):
-        for _ in range(bits):
-            grid = [[x + y for x, y in zip(row, row[1:])] for row in grid]
-        grid = list(zip(*grid))
-    return grid[0][0]
+    a = ctx.params.p - 2
+    mask = (1 << a) - 1
+    return tuple(index[(g & mask).bit_count() + 1][(g >> a).bit_count() + 1]
+                 for g in range(ctx.order))
 
 
 class _CanonicalCover(CoverMap):
-    """The canonical map Phi: its ``labels`` are built by
-    ``_canonical_labels`` on first access, as are its sectors, and its
-    ``sector_indices`` are ``CoverMap``'s, built from the labels on first
-    read.  Its support and its vacuum preimage need none of them.
+    """The canonical map Phi: its ``labels`` are read off the popcounts of
+    the codes by ``_canonical_labels`` on first access, its sectors are
+    listed on first access too, and its ``sector_indices`` are
+    ``CoverMap``'s, built from the labels on first read.  Its support and
+    its vacuum preimage need none of them, and no command reads them.
 
     A model past SU(2) level ``MAX_SU2_LEVEL`` raises CapacityError when the
     map is built: its support needs the level check, its labels at most
@@ -310,7 +297,8 @@ def canonical_cover(ctx: GroupContext) -> CoverMap:
     """The map Phi: each coset is sent to the sector of its members' class.
 
     Its support is proved by ``check_su2_levels`` and needs no labels.  Its
-    labels are built in plain Python on first access to ``labels`` or
+    labels, the sectors of the popcounts of each code's A- and B-bits, are
+    built in plain Python on first access to ``labels`` or
     ``sector_indices`` (at most 2^22 cosets), asserting that both members of
     every coset lie in classes with the same canonicalization.  A model
     past SU(2) level ``MAX_SU2_LEVEL``, max(p, q) > 513, raises

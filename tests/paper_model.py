@@ -8,7 +8,7 @@ B-weight is n - 1; adding the all-ones vector swaps (m, n) with
 as the map Phi onto sectors.
 
 The library computes the same objects without building a vector: labels
-laid out in plain Python from a weight grid, by joining tuples bit by bit
+read off the popcounts of each coset code's A- and B-bits in plain Python
 (``two_group_cover._canonical_labels``), and the support of the pair
 counts proved by the SU(2) level check (``two_group_cover.check_su2_levels``)
 to be the model's fusion tensor, equal to any other handle of it.  This

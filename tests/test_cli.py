@@ -924,6 +924,21 @@ class TestExitCodes:
         with proc.stderr:
             assert proc.stderr.read() == b""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize(
+        "args",
+        [["cover", "verify", "--p", "4", "--q", "5"], ["kac", "--p", "3", "--q", "4"]],
+        ids=["verify-pass", "kac"],
+    )
+    def test_unwritable_stdout_is_an_internal_error(self, args):
+        # A full disk loses the output: no verdict, so never exit 0 or 1.
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "fusioncover.cli", *args],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal error: OSError:")
+
     def test_import_loads_no_thread_pool(self):
         code = "import sys, fusioncover.cli; print('concurrent.futures' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -301,8 +301,9 @@ class TestPhi:
         # the image multiset realizes the Ising rules on Z2 x Z2
         assert sorted(by_coords.values()) == ["[0]", "[1/16]", "[1/16]", "[1/2]"]
 
-    # At q = 2 there are fewer cosets than A-weights (2^(p-3) against 2^(p-2)).
-    @pytest.mark.parametrize("pq", [(4, 5), (3, 2), (5, 2), (7, 2)], ids=str)
+    # At q = 2 there are fewer cosets than A-weights (2^(p-3) against 2^(p-2));
+    # at p = 2, A is empty; (3,8) splits the bits unevenly.
+    @pytest.mark.parametrize("pq", [(4, 5), (3, 2), (5, 2), (7, 2), (2, 5), (2, 9), (3, 8)], ids=str)
     def test_both_members_agree(self, pq):
         params = ModelParams(*pq)
         ctx = GroupContext(params)
@@ -631,8 +632,20 @@ class TestCanonicalCounts:
         with pytest.raises(CapacityError, match="2\\^22"):
             cm.sector_indices
 
+    def test_largest_labels_are_one_tuple(self):
+        # The labels are one tuple of 2^22 pointers to small ints (32 MiB),
+        # built from a generator with no list beside it: about 54 MiB for
+        # the whole process, where a second copy would pass 80 MiB.
+        script = (
+            "from fusioncover import GroupContext, ModelParams, canonical_cover\n"
+            "canonical_cover(GroupContext(ModelParams(11, 16))).labels\n"
+        )
+        code, max_rss_kib, _ = run_python_with_peak_rss(["-c", script])
+        assert code == 0
+        assert max_rss_kib < 64 * 1024
+
     def test_largest_map_in_small_memory(self):
-        # Labels come from a weight grid, as a tuple of ints, and the int64
+        # Labels are read off popcounts, as a tuple of ints, and the int64
         # array (32 MiB) is built from them.
         script = (
             "from fusioncover import GroupContext, ModelParams, canonical_cover\n"
