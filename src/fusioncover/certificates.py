@@ -108,11 +108,12 @@ class CoverMap(IdentityRecord):
     big-endian mixed-radix number over ``context.factors``; on the canonical
     quotient it is the value of the coset representative.  Labels must be
     whole numbers: values ``operator.index`` accepts, numpy integers
-    included, and no floats; they are kept as a tuple of ints, checked in
-    one pass.  ``sector_indices``
-    is the same labels as a read-only int64 array, built by
-    ``_kernels.label_array`` on first read.  The one fact derived from the
-    labels and cached is ``support``, the sector triples the map realizes.
+    included.  Floats are refused, and so are numpy bools.  The labels are
+    kept as a tuple of ints, checked in one pass, element by element, an
+    array's too.  ``sector_indices`` is the same labels as a read-only
+    int64 array, built by ``_kernels.label_array`` on first read.  The one
+    fact derived from the labels and cached is ``support``, the sector
+    triples the map realizes.
     The repr shows the group only.  Maps compare by identity.
     """
 
@@ -120,8 +121,6 @@ class CoverMap(IdentityRecord):
 
     def __init__(self, context: AbelianGroupSpec,
                  labels: Sequence[int], sectors: tuple[Sector, ...]) -> None:
-        if hasattr(labels, "tolist"):  # an array: its values as Python numbers
-            labels = labels.tolist()
         try:
             labels = tuple(map(operator.index, labels))
         except TypeError:

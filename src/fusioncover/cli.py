@@ -91,18 +91,19 @@ DEFAULT_SEARCH_BUDGET = 24
 def _json_text(payload) -> str:
     """``json.dumps(payload, indent=2)``, written in one pass.
 
-    Only the types the payloads hold are accepted: dict (with str keys),
-    list, str, int, True, False and None; anything else, subclasses
-    included, raises TypeError.  A dict object the payload holds more than
-    once is written once per indent depth.  ``json`` is imported here, so
-    text output loads none of it.
+    Only the types the payloads hold are accepted: a dict (with str keys)
+    or list holding dicts, lists, str, int, True, False and None; anything
+    else, subclasses included, raises TypeError.  Every payload is a dict,
+    so a str is only ever a key or an item, encoded where it sits.  A dict
+    object the payload holds more than once is written once per indent
+    depth.  ``json`` is imported here, so text output loads none of it.
     """
     from json.encoder import encode_basestring_ascii as encode
 
     memo: dict[tuple[int, int], str] = {}
 
     # Strings are most of the leaves: the comprehensions below encode them
-    # in place rather than through a call to write.
+    # in place, so write is never called on one.
     def write(value, depth: int) -> str:
         kind = type(value)
         if kind is dict:
@@ -127,8 +128,6 @@ def _json_text(payload) -> str:
             return "[" + inner + ("," + inner).join(
                 [encode(v) if type(v) is str else write(v, depth + 1) for v in value]
             ) + outer + "]"
-        if kind is str:
-            return encode(value)
         if kind is int:
             return int.__repr__(value)
         if value is None:
@@ -177,20 +176,15 @@ def _sector_payload(s: Sector) -> dict:
     return {"index": s.index, "m": s.m, "n": s.n, "h": fraction_str(s.h), "name": s.name}
 
 
-def _format_table(widths: list[int], rows: Iterable[list[str]]) -> str:
-    """Rows of cells, each left-aligned in its column's width, two spaces
-    apart; the rows are formatted one line at a time."""
-    return "\n".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
-    )
-
-
 def _table_text(title: str, model: dict, widths: list[int], rows: Iterable[list[str]]) -> str:
+    """A table under its title and model lines: rows of cells, each
+    left-aligned in its column's width, two spaces apart; the rows are
+    formatted one line at a time."""
     return "\n".join(
         [
             f"{title} of the ({model['p']},{model['q']}) minimal model",
             f"c = {model['c']}, N = {model['N']} sectors",
-            _format_table(widths, rows),
+            *("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows),
         ]
     )
 
@@ -253,24 +247,19 @@ def cmd_fusion(p: int, q: int, format: str = "text") -> OutputDocument:
 # group labeling files
 # ---------------------------------------------------------------------------
 
-def _read_lines(path: Path) -> Iterator[str]:
-    """The lines of a file, read one at a time: a file refused at its header
-    costs no more memory than its first lines.  A leading byte-order mark is
-    dropped."""
-    try:
-        with open(path, encoding="utf-8-sig") as f:
-            yield from f
-    except (OSError, UnicodeDecodeError) as e:
-        raise GroupFileError(f"cannot read group file {path}: {e}")
-
-
 def _content_lines(path: Path) -> Iterator[tuple[str, str]]:
     """(file:line, text) of each line that is not blank once its comment is
-    cut off."""
-    for lineno, raw in enumerate(_read_lines(path), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield f"{path}:{lineno}", line
+    cut off.  The file is read one line at a time, so a file refused at its
+    header costs no more memory than its first lines; a leading byte-order
+    mark is dropped."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            for lineno, raw in enumerate(f, 1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    yield f"{path}:{lineno}", line
+    except (OSError, UnicodeDecodeError) as e:
+        raise GroupFileError(f"cannot read group file {path}: {e}")
 
 
 def _numbers(text: str, sep: str | None = None) -> list[int]:
@@ -387,17 +376,15 @@ def _witness_payload(witness, group) -> dict:
     from .certificates import ClosureViolation
 
     if isinstance(witness, ClosureViolation):
-        return {
+        fields = {
             "kind": "closure_violation",
             "g1": group.element_json(witness.g1),
             "g2": group.element_json(witness.g2),
             "g3": group.element_json(witness.g3),
-            "sectors": [_sector_payload(s) for s in witness.sectors],
         }
-    return {
-        "kind": "uncovered_triple",
-        "sectors": [_sector_payload(s) for s in witness.sectors],
-    }
+    else:
+        fields = {"kind": "uncovered_triple"}
+    return {**fields, "sectors": [_sector_payload(s) for s in witness.sectors]}
 
 
 def cmd_cover_verify(

@@ -233,7 +233,7 @@ class TestJsonWriter:
             lambda fmt: cmd_cover_verify(3, 4, bad, fmt)[0],
         ]
         with monkeypatch.context() as patched:
-            patched.setattr(cli, "_format_table", refuse)
+            patched.setattr(cli, "_table_text", refuse)
             patched.setattr(AbelianGroupSpec, "describe", refuse)
             docs = [command("json") for command in commands]
             for doc in docs:
@@ -566,6 +566,15 @@ class TestExitCodes:
         assert main(["cover", "verify", "--p", str(p), "--q", str(q), "--group", str(bad)]) == 2
         assert f"cannot read group file {bad}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["", "# a comment\n\n   \n  # another, indented\n"],
+                             ids=["empty", "comments-and-blanks"])
+    def test_group_file_without_a_header_is_refused(self, tmp_path, capsys, text):
+        path = write_cover(tmp_path, text)
+        assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: missing 'group k1 k2 ...' header\n"
+
     def test_huge_group_header_is_refused_at_once(self, tmp_path, capsys):
         big = write_cover(tmp_path, "group 100000 100000\n0,0 -> 1,1\n")
         assert main(["cover", "verify", "--p", "3", "--q", "4", "--group", big]) == 2
@@ -625,7 +634,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("a refused model's group file may not be read")
 
-        monkeypatch.setattr(cli, "_read_lines", never)
+        monkeypatch.setattr(cli, "_content_lines", never)
         ising = str(COVERS / "ising_z4.cover")
         assert main(["cover", "verify", "--p", "30", "--q", "31", "--group", ising]) == 2
         err = capsys.readouterr().err

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import coprime_models, exhaustive_scan, group_rows, xor_rows
 from fusioncover import (
+    CoverMap,
     GroupContext,
     ModelParams,
     canonical_cover,
@@ -229,6 +230,54 @@ class TestGroupScan:
         last = spec.order - 1
         assert first == exhaustive_scan(sec, n, d_flat, group_rows(digits, spec.factors))[0]
         assert first == (last, 1) and rows == last + 1
+
+
+class TestFirstViolation:
+    """``first_violation`` on groups whose factors are not all 2, which add
+    element codes digit by digit."""
+
+    CLEAN = [((12,), Z12), ((12, 4), PULLBACK)]
+
+    @pytest.mark.parametrize("factors,indices", CLEAN, ids=["Z12", "Z12xZ4"])
+    def test_clean_cover_has_none(self, factors, indices):
+        tensor = fusion_tensor(ModelParams(4, 5))
+        assert _kernels.first_violation(indices, tensor.n, tensor.coefficients, factors) is None
+
+    @staticmethod
+    def pad_support(monkeypatch, tensor):
+        """Make ``pair_support`` report one inadmissible triple besides the
+        triples the labels realize."""
+        i, j, k = map(int, np.argwhere(~tensor.coefficients)[0])
+        count = _kernels.pair_support
+
+        def padded(sec, n_sectors, factors):
+            support = count(sec, n_sectors, factors).copy()
+            support[i, j, k] = support[j, i, k] = True
+            support.setflags(write=False)
+            return support
+
+        monkeypatch.setattr(_kernels, "pair_support", padded)
+
+    @pytest.mark.parametrize("factors,indices", CLEAN, ids=["Z12", "Z12xZ4"])
+    def test_support_the_scan_contradicts_is_an_internal_error(
+        self, factors, indices, monkeypatch
+    ):
+        params = ModelParams(4, 5)
+        tensor = fusion_tensor(params)
+        cm = CoverMap(AbelianGroupSpec(factors), indices, tensor.sectors)
+        assert verify_cover(cm, tensor).passed
+        self.pad_support(monkeypatch, tensor)
+        with pytest.raises(CountCheckError) as raised:
+            verify_cover(CoverMap(cm.context, cm.labels, cm.sectors), tensor)
+        assert str(raised.value) == "the support shows a closure violation the pair scan does not"
+
+    def test_main_exits_3_on_it(self, monkeypatch, capsys):
+        self.pad_support(monkeypatch, fusion_tensor(ModelParams(4, 5)))
+        z12 = str(COVERS / "tricritical_z12.cover")
+        assert main(["cover", "verify", "--p", "4", "--q", "5", "--group", z12]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: the support shows a closure violation the pair scan does not\n"
 
 
 # Random labels break every structure the row loop could lean on: with n
